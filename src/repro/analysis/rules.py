@@ -253,6 +253,8 @@ class LockDisciplineRule(Rule):
         "failures", "degraded_since", "degraded_total", "last_error",
         "probe_in_flight", "lock_acquisitions", "lock_wait_seconds_total",
         "lock_wait_seconds_max", "lock_contended",
+        # the encoded-report cache (PR 16)
+        "_entries", "encoded_last",
     }
     MUTATORS = {
         "pop", "popitem", "clear", "update", "move_to_end", "append",

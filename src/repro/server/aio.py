@@ -51,13 +51,13 @@ Snapshot-correctness argument, in one place:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, Mapping, Optional, Tuple
 
 from repro.engine.config import engine_config_from_document
 from repro.server.core import (
@@ -74,6 +74,7 @@ from repro.server.hosting import (
     SessionManager,
     UnknownSessionError,
 )
+from repro.server.pool import VerbPool
 from repro.server.wire import split_wire_version
 
 __all__ = ["AsyncReproServer", "SessionSnapshot"]
@@ -85,6 +86,16 @@ _WRITE_VERBS = frozenset({"apply", "undo", "repair", "rules"})
 #: verbs that serialize on the session's asyncio lock — the write verbs
 #: plus the two snapshot-publishing reads (publication must be raceless)
 _LOCKED_VERBS = frozenset({"detect", "apply", "undo", "repair", "rules"})
+
+
+class _LockEntry:
+    """A session's asyncio lock and how many requests hold or await it."""
+
+    __slots__ = ("lock", "users")
+
+    def __init__(self) -> None:
+        self.lock = asyncio.Lock()
+        self.users = 0
 
 
 class SessionSnapshot:
@@ -168,11 +179,11 @@ class AsyncReproServer:
         self.server_address: Tuple[str, int] = self._socket.getsockname()[:2]
         # the core's verb handlers block (session locks, WAL fsync, CPU);
         # they run here so the loop never does — sized for many concurrent
-        # sessions, not for CPU parallelism (the process pool covers that)
-        self._executor = ThreadPoolExecutor(
-            max_workers=32, thread_name_prefix="repro-verb"
-        )
-        self._locks: Dict[str, asyncio.Lock] = {}
+        # sessions, not for CPU parallelism (the process pool covers that).
+        # Not ThreadPoolExecutor: see repro.server.pool for the race that
+        # made its thread count, and so request cost, differ run to run
+        self._executor = VerbPool(max_workers=32, thread_name_prefix="repro-verb")
+        self._locks: Dict[str, _LockEntry] = {}
         self._snapshots: Dict[str, SessionSnapshot] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
@@ -353,16 +364,29 @@ class AsyncReproServer:
             self._after_session_verb(
                 session_id, verb, method, target, body, response
             )
-        if verb == "" and method == "DELETE":
-            # the session is gone; its lock object must not pin memory
-            self._locks.pop(session_id, None)
         return response
 
-    def _session_lock(self, session_id: str) -> asyncio.Lock:
-        lock = self._locks.get(session_id)
-        if lock is None:
-            lock = self._locks[session_id] = asyncio.Lock()
-        return lock
+    @contextlib.asynccontextmanager
+    async def _session_lock(self, session_id: str) -> AsyncIterator[None]:
+        """Hold the session's asyncio lock for one request.
+
+        The table keeps an entry only while some request holds or awaits
+        it — counted here, on the loop, because ``asyncio.Lock`` does not
+        say who is waiting — so probing ids that 404 and deleting sessions
+        leave nothing behind, and no waiter is ever orphaned on a lock the
+        table has already replaced.
+        """
+        entry = self._locks.get(session_id)
+        if entry is None:
+            entry = self._locks[session_id] = _LockEntry()
+        entry.users += 1
+        try:
+            async with entry.lock:
+                yield
+        finally:
+            entry.users -= 1
+            if not entry.users:
+                del self._locks[session_id]
 
     @staticmethod
     def _session_route(method: str, target: str) -> Optional[Tuple[str, str]]:
@@ -380,14 +404,8 @@ class AsyncReproServer:
         parts = [p for p in rest.split("/") if p]
         if len(parts) == 2 and parts[0] == "sessions" and method == "DELETE":
             return parts[1], ""
-        if len(parts) == 3 and parts[0] == "sessions":
-            verb = parts[2]
-            if verb in _LOCKED_VERBS and not (
-                verb == "rules" and method == "GET"
-            ):
-                return parts[1], verb
-            if verb == "rules" and method == "GET":
-                return parts[1], verb
+        if len(parts) == 3 and parts[0] == "sessions" and parts[2] in _LOCKED_VERBS:
+            return parts[1], parts[2]
         return None
 
     # -- the snapshot layer ----------------------------------------------
@@ -426,6 +444,10 @@ class AsyncReproServer:
             return None
         snapshot = self._snapshots.get(session_id)
         if snapshot is None:
+            return None
+        if snapshot.hosted.closed:
+            # evicted or removed: the snapshot must not pin the session
+            del self._snapshots[session_id]
             return None
         cached = snapshot.cache.get(key)
         if cached is None:
@@ -499,4 +521,11 @@ class AsyncReproServer:
                 pinned=(session.database, session.rules),
             )
             self._snapshots[session_id] = snapshot
+            # LRU eviction closes sessions without a request naming them:
+            # sweep here, where the table grows, so it never holds more
+            # than the resident sessions plus the ones closed since
+            for stale in [
+                sid for sid, kept in self._snapshots.items() if kept.hosted.closed
+            ]:
+                del self._snapshots[stale]
         snapshot.cache[key] = response

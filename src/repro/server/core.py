@@ -8,7 +8,9 @@ recording.  The asyncio front end (:mod:`repro.server.aio`) and the
 legacy threaded server (:mod:`repro.server`) are both thin transports
 over one core, which is what keeps their wire bytes *identical* —
 the differential test replays the same histories against both and
-byte-compares every body.
+byte-compares every body.  The bytes themselves are made in one place,
+:func:`repro.server.wire.encode`; what a served document owes an
+offline one is equality of the parsed documents, not of their bytes.
 
 A request flows::
 
@@ -47,7 +49,8 @@ from repro.server.hosting import (
 from repro.server.metrics import prometheus_text
 from repro.server.wire import (
     SUPPORTED_WIRE_VERSIONS,
-    envelope,
+    encode,
+    splice_array,
     split_wire_version,
     unsupported_version_document,
 )
@@ -120,8 +123,9 @@ class Response:
         self.endpoint = endpoint
 
 
-RouteResult = Tuple[str, int, Union[Dict[str, Any], PlainText]]
-VerbResult = Tuple[str, int, Dict[str, Any]]
+#: a handler answers with a document, or with bytes it already encoded
+VerbResult = Tuple[str, int, Union[Dict[str, Any], bytes]]
+RouteResult = Tuple[str, int, Union[Dict[str, Any], bytes, PlainText]]
 ReadBody = Callable[[], Any]
 
 
@@ -243,9 +247,7 @@ class ServiceCore:
     @staticmethod
     def render_json(document: Mapping[str, Any]) -> bytes:
         """The canonical wire bytes for a JSON document (enveloped)."""
-        return (
-            json.dumps(envelope(document), indent=2, default=str) + "\n"
-        ).encode("utf-8")
+        return encode(document)
 
     def _json_response(
         self,
@@ -320,6 +322,8 @@ class ServiceCore:
                     document.content_type,
                     endpoint=endpoint,
                 )
+            if isinstance(document, bytes):
+                return Response(status, document, "application/json", endpoint=endpoint)
             return self._json_response(endpoint, status, document)
         except BadRequest as exc:
             return self._json_response(
@@ -569,10 +573,18 @@ class ServiceCore:
             raise BadRequest("detect body must be a JSON object (or empty)")
         executor, shards = engine_config_from_document(body)
         report = hosted.session.detect(executor=executor, shards=shards)
-        document = report.to_dict(
-            include_violations=bool(body.get("include_violations", True))
+        endpoint = "POST /sessions/{id}/detect"
+        summary = report.to_dict(include_violations=False)
+        if not body.get("include_violations", True):
+            return endpoint, 200, summary
+        # the witness list is spliced from per-violation bytes: only the
+        # violations the previous report did not have are encoded
+        encoded = splice_array(
+            ServiceCore.render_json(summary),
+            "violations",
+            hosted.fragments.encode(report.violations),
         )
-        return "POST /sessions/{id}/detect", 200, document
+        return endpoint, 200, encoded
 
     @staticmethod
     def _delta_document(hosted: HostedSession, delta: Any) -> Dict[str, Any]:
@@ -655,6 +667,7 @@ class ServiceCore:
             # against is gone; replaying one on the repaired instance
             # would silently corrupt it
             hosted.clear_undo()
+            hosted.fragments.clear()
             # wholesale instance swap: no changeset to WAL — capture the
             # adopted state as a fresh snapshot instead
             hosted.persist_snapshot()
@@ -677,6 +690,8 @@ class ServiceCore:
         session = hosted.session
         parsed = rules_from_list(documents, session.schema)
         previous = list(session.rules)
+        # fragments name rule objects this write is about to retire
+        hosted.fragments.clear()
         if method == "PUT":
             session.replace_rules(parsed)
         else:

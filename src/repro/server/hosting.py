@@ -15,8 +15,9 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.deps.base import Violation
 from repro.engine.config import engine_config_from_document
 from repro.engine.delta import Changeset
 from repro.errors import (
@@ -33,7 +34,8 @@ from repro.server.durability import (
     SessionStore,
 )
 from repro.server.metrics import LATENCY_BUCKETS
-from repro.session import Session
+from repro.server.wire import encode_value
+from repro.session import Session, ViolationReport
 
 __all__ = [
     "DEFAULT_DEGRADED_AFTER",
@@ -85,6 +87,70 @@ class SessionDegradedError(ReproError):
         self.document: Dict[str, Any] = document or {}
 
 
+class ReportFragments:
+    """The violations of the last full report a session served, encoded.
+
+    A read after a 1-row edit repeats all but a handful of the previous
+    report's violations byte for byte, so each violation's wire bytes are
+    kept and the next report encodes only the ones it has not seen.  The
+    key is everything a fragment renders, by identity: the dependency
+    object, the reason (``Violation.__eq__`` ignores it, and one CFD with
+    several tableau rows reports the same tuple pair under different
+    reasons) and the witness ``Tuple`` objects.  Not tuple *values*: equal
+    values can render differently (``3 == 3.0``, ``0.0 == -0.0``), and a
+    delete + insert of an equal row puts the new object in the relation.
+    A relation hands out one ``Tuple`` object per live row, so unchanged
+    rows hit.  Every entry holds its violation, so no ``id()`` in a key can
+    be recycled while the entry lives.
+
+    :meth:`encode` rebuilds the table from the report it is given — hits
+    carried over, misses encoded — so it never holds more than one report,
+    and report *order* is always the fresh report's.
+    """
+
+    __slots__ = ("_entries", "encoded_last")
+
+    def __init__(self) -> None:
+        self._entries: Dict[tuple, Tuple[Violation, bytes]] = {}
+        #: violations the most recent full report had to encode (cache
+        #: misses) — surfaced in diagnostics
+        self.encoded_last = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    # repro: lock-held — the detect handler calls this under the session lock
+    def encode(self, violations: Iterable[Violation]) -> List[bytes]:
+        """The wire bytes of each violation, in the order given."""
+        previous = self._entries
+        entries: Dict[tuple, Tuple[Violation, bytes]] = {}
+        fragments: List[bytes] = []
+        misses = 0
+        for violation in violations:
+            key = (
+                id(violation.dependency),
+                violation.reason,
+                tuple([(relation, id(t)) for relation, t in violation.tuples]),
+            )
+            entry = previous.get(key)
+            if entry is None:
+                misses += 1
+                entry = (
+                    violation,
+                    encode_value(ViolationReport._violation_to_dict(violation)),
+                )
+            entries[key] = entry
+            fragments.append(entry[1])
+        self._entries = entries
+        self.encoded_last = misses
+        return fragments
+
+    # repro: lock-held — rule writes, adopt and close run under the session lock
+    def clear(self) -> None:
+        """Forget the encoded report."""
+        self._entries = {}
+
+
 class HostedSession:
     """One warm session plus the server-side state that wraps it.
 
@@ -115,6 +181,7 @@ class HostedSession:
         "lock_wait_seconds_max",
         "lock_contended",
         "closed",
+        "fragments",
     )
 
     def __init__(
@@ -155,6 +222,10 @@ class HostedSession:
         #: a handler that won the lock after a close must re-resolve the
         #: session id instead of running on a dead engine
         self.closed = False
+        #: the last full report's encoded violations; read and rebuilt by
+        #: the detect handler, cleared by whatever retires the rule objects
+        #: or the session — always under ``lock``
+        self.fragments = ReportFragments()
 
     def touch(self) -> None:
         self.last_used = time.time()
@@ -379,6 +450,10 @@ class HostedSession:
                     "contended": self.lock_contended,
                 },
                 "degraded": degraded,
+                "report_encoding": {
+                    "fragments_cached": len(self.fragments),
+                    "fragments_encoded_last": self.fragments.encoded_last,
+                },
                 "undo_tokens": list(self._undo),
                 "durability": (
                     self.journal.status(session)
@@ -790,6 +865,7 @@ class SessionManager:
         if hosted is not None:
             with hosted.lock:
                 hosted.closed = True
+                hosted.fragments.clear()
                 if hosted.journal is not None:
                     hosted.journal.close()
                 hosted.session.close()
@@ -816,6 +892,7 @@ class SessionManager:
         the next request that names it)."""
         with hosted.lock:
             hosted.closed = True
+            hosted.fragments.clear()
             journal = hosted.journal
             if journal is not None:
                 if journal.needs_flush or hosted.session.dirty:

@@ -17,19 +17,28 @@ Migration affordances for pre-versioning clients (one release):
   naming the versions this server speaks, so a too-new client fails with
   an actionable error instead of a bare route miss.
 
+This module also owns the one response encoder (:func:`encode`): bodies
+are *compact* JSON — no whitespace between tokens, one trailing newline —
+so the C encoder does the work.  Whitespace and line breaks are not part
+of the wire version: clients compare parsed documents, never bytes.
+
 Shared by both transports (the asyncio front end and the legacy threaded
 server) so their wire bytes stay identical.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 __all__ = [
     "WIRE_VERSION",
     "SUPPORTED_WIRE_VERSIONS",
+    "encode",
+    "encode_value",
     "envelope",
+    "splice_array",
     "split_wire_version",
     "unsupported_version_document",
 ]
@@ -56,6 +65,38 @@ def envelope(document: Mapping[str, Any]) -> Dict[str, Any]:
     wrapped.update(document)
     wrapped["wire_version"] = WIRE_VERSION
     return wrapped
+
+
+def _compact(value: Any) -> str:
+    # no ``indent``: that is what keeps ``json`` on its C encoder
+    return json.dumps(value, separators=(",", ":"), default=str)
+
+
+def encode_value(value: Any) -> bytes:
+    """Compact JSON bytes of a bare value — a fragment of a response body
+    (no envelope, no newline)."""
+    return _compact(value).encode("utf-8")
+
+
+def encode(document: Mapping[str, Any]) -> bytes:
+    """The canonical wire bytes of a response document: enveloped, compact,
+    one trailing newline.  Every JSON body the service sends is made here."""
+    return (_compact(envelope(document)) + "\n").encode("utf-8")
+
+
+def splice_array(body: bytes, key: str, items: Iterable[bytes]) -> bytes:
+    """Append ``"key": [items...]`` as the last member of an encoded body.
+
+    ``body`` is :func:`encode` output and ``items`` are :func:`encode_value`
+    outputs, so the result is byte-for-byte what :func:`encode` gives for
+    the document with ``key`` added last — without encoding the items again.
+    """
+    if not body.endswith(b"}\n"):
+        raise ValueError("splice_array needs an encode()d JSON object body")
+    # the envelope guarantees at least one member before the new one
+    return b"".join(
+        (body[:-2], b",", encode_value(key), b":[", b",".join(items), b"]}\n")
+    )
 
 
 def split_wire_version(path: str) -> Tuple[Optional[int], str]:

@@ -34,6 +34,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Union,
 )
 
@@ -83,17 +84,33 @@ class ViolationReport(DetectionReport):
         ``include_violations=False`` omits the per-violation witness list
         (the summary-only shape).
         """
-        # Aggregate by display name: distinct rule objects can share one
-        # (e.g. two CFDs on the same embedded FD with different tableaux).
+        # One pass.  Aggregate by display name, in first-appearance order:
+        # distinct rule objects can share one (e.g. two CFDs on the same
+        # embedded FD with different tableaux).  The name is looked up when
+        # the dependency changes, not per violation: FD and IND have no
+        # ``name`` and ``repr`` is ~3 µs, which per violation would cost
+        # more than the rest of this loop.
         per_dependency: Dict[str, int] = {}
-        for dep, vs in self.by_dependency().items():
-            name = getattr(dep, "name", repr(dep))
-            per_dependency[name] = per_dependency.get(name, 0) + len(vs)
+        single = pairs = 0
+        involved: Set[Any] = set()
+        dep: Optional[Dependency] = None
+        name = ""
+        for violation in self.violations:
+            if violation.dependency is not dep:
+                dep = violation.dependency
+                name = getattr(dep, "name", repr(dep))
+            per_dependency[name] = per_dependency.get(name, 0) + 1
+            witnesses = violation.tuples
+            if len(witnesses) == 1:
+                single += 1
+            elif witnesses:
+                pairs += 1
+            involved.update(witnesses)
         document: Dict[str, Any] = {
             "total": self.total,
-            "single_tuple": len(self.single_tuple()),
-            "pairs": len(self.pairs()),
-            "tuples_involved": len(self.violating_tuples()),
+            "single_tuple": single,
+            "pairs": pairs,
+            "tuples_involved": len(involved),
             "per_dependency": per_dependency,
         }
         if include_violations:

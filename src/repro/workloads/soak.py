@@ -12,9 +12,10 @@ The soak is a *correctness instrument*, not just a load generator: every
 tenant keeps an offline shadow :class:`~repro.session.Session` mutated in
 lock-step with the server, plus a replayable edit history.  An online
 verifier thread replays sampled histories through a fresh offline
-session and byte-compares the served detect document against the offline
-one (the canonical ``json.dumps(..., indent=2, default=str)`` encoding —
-the exact bytes both the server and the CLI emit); a final pass verifies
+session and compares the served detect document against the offline one
+as canonical JSON (:func:`canonical`: both documents dumped the way the
+CLI prints ``--format json``, so keys, key order and values must agree;
+the wire's own whitespace is not part of the contract); a final pass verifies
 *every* tenant.  Any divergence aborts the run and is minimized to the
 first history step where a fresh served session and the offline replay
 disagree — the reproducer (tenant id, batch index, changeset document)
@@ -73,11 +74,12 @@ HistoryEntry = Tuple[Any, ...]
 
 
 def canonical(document: Any) -> str:
-    """The byte encoding compared end-to-end.
+    """The encoding documents are compared in, end to end.
 
-    This is exactly how the server serializes response bodies and how
-    the CLI prints ``--format json`` — comparing these strings compares
-    the wire bytes modulo the trailing newline."""
+    This is how the CLI prints ``--format json``.  Dumping a parsed served
+    document and an offline one this way and comparing the strings holds
+    them to the same keys, key order and values — canonical-JSON equality —
+    whatever whitespace the wire used."""
     return json.dumps(document, indent=2, default=str)
 
 

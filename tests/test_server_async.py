@@ -17,9 +17,11 @@ Three acceptance bars from the async-service redesign:
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import threading
+import weakref
 from urllib.parse import urlsplit
 
 import pytest
@@ -345,6 +347,44 @@ class TestSnapshotReads:
         assert client.detect("keys", include_violations=False) == summary
 
 
+class TestBoundedTables:
+    """The front end's per-session tables follow the session manager's:
+    what LRU eviction drops, or what never existed, leaves nothing behind."""
+
+    def test_evicted_sessions_are_released(self):
+        server = make_async_server(port=0, max_sessions=2)
+        server.start_background()
+        try:
+            client = ServerClient(base_url=server.base_url)
+            sessions = []
+            for index in range(6):
+                _fresh(client, f"lru{index}")
+                # HostedSession has no __weakref__ slot; it owns its Session
+                sessions.append(
+                    weakref.ref(server.manager.get(f"lru{index}").session)
+                )
+                assert client.detect(f"lru{index}")["total"] == 1
+                assert len(server._snapshots) <= 2
+            assert sorted(server._snapshots) == ["lru4", "lru5"]
+            gc.collect()
+            assert [ref() is None for ref in sessions] == [True] * 4 + [False] * 2
+        finally:
+            server.shutdown()
+
+    def test_probing_unknown_ids_leaves_no_locks(self, server):
+        parts = urlsplit(server.base_url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+        try:
+            for index in range(1000):
+                conn.request("POST", f"/v1/sessions/ghost{index}/detect")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 404
+        finally:
+            conn.close()
+        assert server._locks == {}
+
+
 # --------------------------------------------------------------------------
 # Async vs threaded: byte-identical wire behavior
 # --------------------------------------------------------------------------
@@ -419,6 +459,15 @@ def _assert_same_bytes(context, t_raw, a_raw):
     )
 
 
+def _assert_wire_contract(context, headers, raw):
+    """Wire version 1 bodies: compact, enveloped, exactly one line."""
+    assert headers.get("Content-Type") == "application/json", context
+    assert int(headers["Content-Length"]) == len(raw), context
+    assert raw.startswith(b'{"wire_version":1'), context
+    assert raw.endswith(b"}\n") and raw.count(b"\n") == 1, context
+    assert json.loads(raw)["wire_version"] == 1, context
+
+
 def test_async_and_threaded_servers_answer_byte_identically():
     threaded = make_server(port=0)
     threaded.start_background()
@@ -435,6 +484,8 @@ def test_async_and_threaded_servers_answer_byte_identically():
             context = f"step {index}: {method} {path}"
             assert t_status == a_status, context
             _assert_same_bytes(context, t_raw, a_raw)
+            _assert_wire_contract(context + " (threaded)", t_headers, t_raw)
+            _assert_wire_contract(context + " (async)", a_headers, a_raw)
             assert t_headers.get("Content-Type") == a_headers.get(
                 "Content-Type"
             ), context
