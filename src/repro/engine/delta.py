@@ -464,10 +464,45 @@ class _ScanState:
         for t in relation if tuples is None else tuples:
             self.groups.setdefault(self.key_of(t.values()), {})[t] = None
         self.violations: Dict[tuple, List[PyTuple[int, Violation]]] = {}
-        for key, group in self.groups.items():
+        keys = self._candidate_keys(relation)
+        for key in self.groups if keys is None else keys:
+            group = self.groups.get(key)
+            if group is None:
+                continue  # a candidate another shard's state owns
             found = self._evaluate(key, list(group))
             if found:
                 self.violations[key] = found
+
+    def _candidate_keys(self, relation: RelationInstance) -> Optional[List[tuple]]:
+        """The partition keys that can hold a violation, first-seen order.
+
+        Under the condition the batch executor's kernel path runs on — a
+        vectorized layout for the signature and every task ``columnar`` +
+        ``supports_incremental`` — the kernel flags are exact, so the
+        initial sweep needs only the union of the tasks' candidate groups
+        (layout rank = first-seen key order, the order ``groups`` iterates
+        in); after a detect both layout and flags are cache hits.  ``None``
+        means no narrowing: sweep every partition.
+        """
+        if not all(
+            task.columnar is not None and task.supports_incremental
+            for _, task in self.tasks
+        ):
+            return None
+        indexes = relation.indexes
+        layout = indexes.group_layout(self.signature)
+        if layout is None:
+            return None
+        ranks: set = set()
+        for _, task in self.tasks:
+            candidates = indexes.task_flags(self.signature, task.columnar).candidate_set
+            if task.lookup_key is None:
+                ranks |= candidates
+            else:
+                rank = layout.rank_of_key(task.lookup_key)
+                if rank in candidates:
+                    ranks.add(rank)
+        return [layout.decoded_key(rank) for rank in sorted(ranks)]
 
     def iter_found(self) -> Iterator[PyTuple[int, Violation]]:
         """All stored (position, violation) entries, per-partition order."""

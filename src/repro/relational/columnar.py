@@ -33,7 +33,18 @@ equality because the per-column dictionaries are equality-congruent).
 from __future__ import annotations
 
 from array import array
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from itertools import compress
+from math import copysign
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple as PyTuple,
+)
 
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import Tuple
@@ -48,6 +59,20 @@ COMPACT_MIN_DEAD = 64
 #: hash-table slot markers (row indices are always >= 0)
 _EMPTY = -1
 _TOMBSTONE = -2
+
+
+def _renders_as(value: Any, representative: Any) -> bool:
+    """Does ``value`` print like the (equal) value its code decodes to?
+
+    Equal values share a code, but ``3 == 3.0 == True`` and ``0.0 ==
+    -0.0`` render differently; a row holding such a cell keeps its own
+    ``Tuple`` so reports show what was inserted, not the representative.
+    """
+    if type(value) is not type(representative):
+        return False
+    if type(value) is float and value == 0.0:
+        return copysign(1.0, value) == copysign(1.0, representative)
+    return True
 
 
 class ColumnStore:
@@ -149,32 +174,39 @@ class ColumnStore:
         table[i] = _TOMBSTONE
         self.live -= 1
 
-    def _row_hash(self, row: int) -> int:
-        # repro: allow[REP001] — int-tuple hash, seed-independent
-        return hash(tuple(column[row] for column in self.columns))
-
-    def _rebuild_table(self) -> None:
-        """Fresh table sized for the live rows; tombstones evaporate."""
-        capacity = 8
-        while 3 * (self.live + 1) >= 2 * capacity:
-            capacity <<= 1
-        capacity <<= 1
-        table = array("q", [_EMPTY] * capacity)
-        mask = capacity - 1
-        alive = self.alive
-        for row in range(len(alive)):
-            if not alive[row]:
-                continue
-            h = self._row_hash(row)
+    def _place(self, hashes: Iterable[int], rows: Iterable[int]) -> None:
+        """Claim one slot per ``(hash, row)``; the rows' codes are absent."""
+        table = self.table
+        mask = self.mask
+        used = self.used
+        for h, row in zip(hashes, rows):
             i = h & mask
             perturb = h & 0x7FFFFFFFFFFFFFFF
-            while table[i] != _EMPTY:
+            while table[i] >= 0:
                 perturb >>= 5
                 i = (5 * i + perturb + 1) & mask
+            if table[i] == _EMPTY:
+                used += 1
             table[i] = row
-        self.table = table
-        self.mask = mask
-        self.used = self.live
+        self.used = used
+
+    def _rebuild_table(self, reserve: int = 0) -> None:
+        """Fresh table sized for the live rows plus ``reserve`` more to
+        come; tombstones evaporate."""
+        capacity = 8
+        while 3 * (self.live + reserve + 1) >= 2 * capacity:
+            capacity <<= 1
+        capacity <<= 1
+        self.table = array("q", [_EMPTY]) * capacity
+        self.mask = capacity - 1
+        self.used = 0
+        # repro: allow[REP001] — int-tuple hash, seed-independent
+        hashes = map(hash, zip(*self.columns))
+        rows: Iterable[int] = range(len(self.alive))
+        if self.dead:
+            hashes = compress(hashes, self.alive)
+            rows = compress(rows, self.alive)
+        self._place(hashes, rows)
 
     @property
     def n_rows(self) -> int:
@@ -228,6 +260,101 @@ class ColumnStore:
         self.cache.append(materialized)
         return row
 
+    def extend_columns(
+        self, columns: Sequence[Sequence[Any]], domains: Optional[Sequence[Any]]
+    ) -> Optional[int]:
+        """Bulk-append a batch given as one value sequence per attribute.
+
+        Works a column at a time: each *distinct* value is validated
+        (against ``domains``, unless ``None``) and interned once, codes are
+        mapped in one pass, duplicate rows — within the batch and against
+        the store — are dropped first-wins, and the membership table is
+        sized once and filled from the code tuples already in hand.  A
+        cell that does not render like its representative (see
+        :func:`_renders_as`) is validated on its own and its row keeps a
+        materialized ``Tuple``, exactly as a single-row insert caches one.
+
+        Returns how many rows were new, or ``None`` — with the store
+        untouched — when some value is outside its domain or unhashable:
+        the caller then replays the batch row by row, which raises for the
+        first failing row the way single-row inserts do.
+        """
+        n = len(columns[0])
+        fresh: List[List[Any]] = []
+        own: set = set()
+        for position, column in enumerate(columns):
+            try:
+                # value → the representative it decodes to after this batch
+                lookup = dict.fromkeys(column)
+            except TypeError:
+                return None
+            mapping = self.encode[position]
+            rep = self.decode[position]
+            domain = None if domains is None else domains[position]
+            unseen: List[Any] = []
+            for value in lookup:
+                code = mapping.get(value)
+                if code is not None:
+                    lookup[value] = rep[code]
+                elif domain is None or domain.contains(value):
+                    lookup[value] = value
+                    unseen.append(value)
+                else:
+                    return None
+            fresh.append(unseen)
+            types = set(map(type, column))
+            if (
+                len(types) == 1
+                and types == set(map(type, lookup.values()))
+                and not (float in types and 0.0 in lookup)
+            ):
+                continue
+            for offset, value in enumerate(column):
+                if not _renders_as(value, lookup[value]):
+                    if domain is not None and not domain.contains(value):
+                        return None
+                    own.add(offset)
+
+        # Every check passed: from here on the batch cannot fail.
+        code_columns = []
+        for mapping, rep, unseen, column in zip(
+            self.encode, self.decode, fresh, columns
+        ):
+            for value in unseen:
+                mapping[value] = len(rep)
+                rep.append(value)
+            code_columns.append(list(map(mapping.__getitem__, column)))
+        code_rows = list(zip(*code_columns))
+        # each distinct row's first batch offset, ascending: first wins
+        first = dict(zip(reversed(code_rows), range(n - 1, -1, -1)))
+        offsets = sorted(first.values())
+        if self.live:
+            find_row = self.find_row
+            offsets = [o for o in offsets if find_row(code_rows[o]) is None]
+        added = len(offsets)
+        if not added:
+            return 0
+        if added < n:
+            code_rows = [code_rows[o] for o in offsets]
+            code_columns = list(zip(*code_rows))
+        if 3 * (self.used + added) >= 2 * (self.mask + 1):
+            self._rebuild_table(reserve=added)
+        start = len(self.alive)
+        # repro: allow[REP001] — int-tuple hash, seed-independent
+        self._place(map(hash, code_rows), range(start, start + added))
+        for column, codes in zip(self.columns, code_columns):
+            column.extend(codes)
+        self.alive.extend(b"\x01" * added)
+        self.cache.extend([None] * added)
+        self.live += added
+        if own:
+            for row, offset in enumerate(offsets, start):
+                if offset in own:
+                    self.cache[row] = Tuple.trusted(
+                        self.schema, tuple(column[offset] for column in columns)
+                    )
+        return added
+
     def kill_row(self, codes: PyTuple[int, ...], row: int) -> None:
         """Mark a live row dead (O(1)); compact when dead rows dominate."""
         self._delete_slot(codes, row)
@@ -271,18 +398,42 @@ class ColumnStore:
         """
         t = self.cache[row]
         if t is None:
-            t = Tuple(self.schema, self.values_at(row), validate=False)
+            t = Tuple.trusted(self.schema, self.values_at(row))
             self.cache[row] = t
         return t
 
+    def _materialize_from(self, start: int) -> None:
+        """Fill the cache for every live row from ``start`` on that lacks
+        its ``Tuple``: decode whole columns, zip the rows, build unchecked.
+        """
+        cache = self.cache
+        alive = self.alive
+        schema = self.schema
+        decoded = zip(
+            *(
+                map(rep.__getitem__, column[start:])
+                for rep, column in zip(self.decode, self.columns)
+            )
+        )
+        for row, values in enumerate(decoded, start):
+            if cache[row] is None and alive[row]:
+                cache[row] = Tuple.trusted(schema, values)
+
     def iter_tuples(self) -> Iterator[Tuple]:
-        """Live rows as (lazily materialized) tuples, in insertion order."""
+        """Live rows as tuples, in insertion order.
+
+        The first row found unmaterialized (a bulk load leaves them all
+        so) materializes the rest of the pass in one columnar batch.
+        """
         alive = self.alive
         cache = self.cache
         for row in range(len(alive)):
             if alive[row]:
                 t = cache[row]
-                yield t if t is not None else self.tuple_at(row)
+                if t is None:
+                    self._materialize_from(row)
+                    t = cache[row]
+                yield t
 
     def iter_live_rows(self) -> Iterator[int]:
         """Live row indices in insertion order."""

@@ -27,7 +27,9 @@ are identical on both.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
+from collections.abc import Mapping
+from operator import itemgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import DomainError, SchemaError
 from repro.relational.columnar import ColumnStore
@@ -146,54 +148,67 @@ class RelationInstance:
         self._version += 1
         return coerced
 
-    def extend_rows(self, rows: Iterable[Sequence], validate: bool = True) -> int:
-        """Bulk-insert plain value rows; returns how many were new.
+    def extend_rows(
+        self, rows: Iterable[Mapping | Sequence], validate: bool = True
+    ) -> int:
+        """Bulk-insert value rows or attribute mappings; returns how many
+        were new.
 
-        The columnar loader validates each *distinct* value once per column
-        at interning time instead of constructing (and hashing) a ``Tuple``
-        per row — the bulk-load path for CSV ingestion, shard rebuilds and
-        workload generators.
+        The one loader behind session creation (wire rows, snapshots, CSV),
+        shard rebuilds and the workload generators.  It makes every check
+        :meth:`add` makes — attribute names and width, domain membership of
+        every cell (``validate=False`` skips only that one) — and leaves
+        the same rows, order and rendering behind, but works a column at a
+        time (see :meth:`ColumnStore.extend_columns`) and builds no
+        ``Tuple`` for a row whose cells render like their dictionary
+        representatives.  A batch that is not uniformly shaped, or fails a
+        check, goes through ``add`` row by row, so the error is whatever
+        ``add`` raises for the first failing row; either way the batch is
+        all-or-nothing: a raise leaves the row set as it was.
         """
+        batch = rows if isinstance(rows, list) else list(rows)
+        if not batch:
+            return 0
         store = self._store
-        if store is None:
-            before = len(self._tuples)
-            for row in rows:
-                self.add(row)
-            return len(self._tuples) - before
-        width = len(self.schema)
-        attributes = self.schema.attributes
-        encode = store.encode
-        decode = store.decode
-        find_row = store.find_row
-        added = 0
-        for row in rows:
-            values = tuple(row)
-            if len(values) != width:
-                raise SchemaError(
-                    f"tuple for {self.schema.name} has {len(values)} values, "
-                    f"schema has {width} attributes"
-                )
-            codes = []
-            for mapping, rep, attr, value in zip(encode, decode, attributes, values):
-                code = mapping.get(value)
-                if code is None:
-                    if validate and not attr.domain.contains(value):
-                        raise DomainError(
-                            f"value {value!r} for {self.schema.name}.{attr.name} "
-                            f"not in domain {attr.domain.name}"
-                        )
-                    code = len(rep)
-                    mapping[value] = code
-                    rep.append(value)
-                codes.append(code)
-            key = tuple(codes)
-            if find_row(key) is not None:
-                continue
-            store.append_row(key)
-            added += 1
-        if added:
-            self._version += 1
-        return added
+        columns = None if store is None else self._columns_of(batch)
+        if columns is not None:
+            domains = [a.domain for a in self.schema.attributes]
+            added = store.extend_columns(columns, domains if validate else None)
+            if added is not None:
+                if added:
+                    self._version += 1
+                return added
+        new: List[Tuple] = []
+        try:
+            for row in batch:
+                size = len(self)
+                t = self.add(row)
+                if len(self) != size:
+                    new.append(t)
+        except BaseException:
+            for t in reversed(new):
+                self.remove(t)
+            raise
+        return len(new)
+
+    def _columns_of(self, batch: List[Any]) -> Optional[List[Sequence]]:
+        """The batch transposed to one value sequence per attribute, or
+        ``None`` unless every row is a ``dict`` with exactly the schema's
+        keys, or every row a ``tuple``/``list`` of the schema's width."""
+        kinds = set(map(type, batch))
+        if not (kinds == {dict} or kinds <= {tuple, list}):
+            return None
+        if set(map(len, batch)) != {len(self.schema)}:
+            return None
+        if kinds != {dict}:
+            return list(zip(*batch))
+        try:
+            return [
+                list(map(itemgetter(name), batch))
+                for name in self.schema.attribute_names
+            ]
+        except KeyError:
+            return None
 
     def _row_of(self, t: Tuple) -> int | None:
         """Row index of ``t`` in the column store, or ``None`` if absent."""
@@ -390,17 +405,22 @@ class DatabaseInstance:
             self._relations[rel_schema.name] = RelationInstance(rel_schema)
         if relations:
             for name, content in relations.items():
-                target = self.relation(name)
                 if isinstance(content, RelationInstance):
-                    if content.schema != target.schema:
-                        raise SchemaError(
-                            f"instance for {name!r} has schema {content.schema!r}, "
-                            f"expected {target.schema!r}"
-                        )
-                    self._relations[name] = content.copy()
+                    self.adopt(name, content.copy())
                 else:
+                    target = self.relation(name)
                     for t in content:
                         target.add(t)
+
+    def adopt(self, name: str, instance: RelationInstance) -> None:
+        """Install ``instance`` itself (no copy) as relation ``name``."""
+        expected = self.relation(name).schema
+        if instance.schema != expected:
+            raise SchemaError(
+                f"instance for {name!r} has schema {instance.schema!r}, "
+                f"expected {expected!r}"
+            )
+        self._relations[name] = instance
 
     def relation(self, name: str) -> RelationInstance:
         try:

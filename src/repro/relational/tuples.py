@@ -8,7 +8,8 @@ construction time so that dirty *types* never enter the system — dirty
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple as PyTuple
+from collections.abc import Mapping
+from typing import Any, Dict, Iterator, Sequence, Tuple as PyTuple
 
 from repro.errors import DomainError, SchemaError
 from repro.relational.schema import RelationSchema
@@ -54,6 +55,22 @@ class Tuple:
         # repro: allow[REP001] — cached __hash__ value; placement-only,
         # set/dict iteration over tuples is sorted wherever it reaches output
         self._hash = hash((schema.name, ordered))
+
+    @classmethod
+    def trusted(cls, schema: RelationSchema, ordered: PyTuple[Any, ...]) -> "Tuple":
+        """A tuple over values already in schema order, width and domain.
+
+        The column store's batch materialization builds one of these per
+        row from decoded columns; anything arriving from outside goes
+        through the checking constructor.
+        """
+        t = object.__new__(cls)
+        t.schema = schema
+        t._values = ordered
+        # repro: allow[REP001] — cached __hash__ value; placement-only,
+        # set/dict iteration over tuples is sorted wherever it reaches output
+        t._hash = hash((schema.name, ordered))
+        return t
 
     def __getitem__(self, attributes: str | Sequence[str]) -> Any:
         """Projection: ``t["A"]`` is a value, ``t[["A","B"]]`` a value tuple."""

@@ -441,9 +441,7 @@ class SessionStore:
         rules = rules_from_list(snapshot_doc.get("rules", []), db_schema)
         db = DatabaseInstance(db_schema)
         for rel_name, rows in (snapshot_doc.get("data") or {}).items():
-            relation = db.relation(rel_name)
-            for row in rows:
-                relation.add(row)
+            db.relation(rel_name).extend_rows(rows)
         session = Session.from_instance(
             db,
             rules,

@@ -738,11 +738,11 @@ class SessionManager:
         for rel_name, payload in data.items():
             relation = db.relation(rel_name)
             if isinstance(payload, str):
-                for t in load_csv(relation.schema, self._resolve_path(payload)):
-                    relation.add(t)
+                db.adopt(
+                    rel_name, load_csv(relation.schema, self._resolve_path(payload))
+                )
             elif isinstance(payload, (list, tuple)):
-                for row in payload:
-                    relation.add(row)
+                relation.extend_rows(payload)
             else:
                 raise SchemaError(
                     f"data for relation {rel_name!r} must be a row list or "

@@ -185,9 +185,7 @@ def _load_data_files(
             )
         data = {names[0]: data}
     for name, path in data.items():
-        relation = db.relation(name)
-        for t in load_csv(relation.schema, path):
-            relation.add(t)
+        db.adopt(name, load_csv(db.relation(name).schema, path))
     return db
 
 

@@ -30,13 +30,16 @@ from __future__ import annotations
 import random
 from typing import List
 
+import pytest
+
 from repro.cfd.ecfd import ECFD, SetPattern
 from repro.cfd.model import CFD, UNNAMED
 from repro.cind.model import CIND
 from repro.deps.denial import DenialConstraint
 from repro.deps.fd import FD
 from repro.deps.ind import IND
-from repro.engine.delta import Changeset, DeltaEngine, violation_multiset
+from repro.engine import kernels
+from repro.engine.delta import Changeset, DeltaEngine, _ScanState, violation_multiset
 from repro.engine.executor import detect_violations_indexed
 from repro.engine.naive import detect_violations_naive
 from repro.engine.parallel import detect_violations_parallel
@@ -340,3 +343,86 @@ def test_differential_undo_round_trip():
         _assert_all_paths_agree(
             db, deps, engine, None, shards, f"seed={seed} after undo"
         )
+
+
+def _scan_state_contents(engine: DeltaEngine) -> list:
+    """Every scan state's violations, order and rendering included."""
+
+    def entry(found):
+        position, v = found
+        return position, id(v.dependency), v.tuples, v.reason
+
+    return [
+        (
+            [(key, list(map(entry, found))) for key, found in state.violations.items()],
+            list(map(entry, state.iter_found())),
+        )
+        for state in engine._scan_states
+    ]
+
+
+def test_delta_build_seeded_from_kernel_flags_equals_full_sweep(monkeypatch):
+    """The candidate-narrowed initial sweep stores what the full one does.
+
+    Over the whole corpus, before and after every edit batch (deletes
+    leave dead rows in the column store), an engine built with vectorized
+    layouts available and one built with the kernels switched off hold
+    equal per-partition violation maps in the same key order.
+    """
+    if not kernels.AVAILABLE:
+        pytest.skip("needs numpy: without it both builds take the full sweep")
+
+    def builds(db, deps, shards):
+        seeded = _scan_state_contents(DeltaEngine(db, deps, shards=shards))
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "AVAILABLE", False)
+            swept = _scan_state_contents(DeltaEngine(db, deps, shards=shards))
+        return seeded, swept
+
+    compared = 0
+    for case_id, rng, make_deps in _cases():
+        schema = _random_schema(rng)
+        db = _random_instance(schema, rng)
+        deps = make_deps(schema, rng)
+        for step in range(1 + rng.randrange(1, 4)):
+            if step:
+                DeltaEngine(db, deps).apply(_random_batch(db, rng))
+            for shards in (1, 2):
+                seeded, swept = builds(db, deps, shards)
+                assert seeded == swept, f"{case_id} step={step} shards={shards}"
+                compared += 1
+    assert compared >= 2 * (TOTAL_CASES + 450)
+
+
+def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
+    """Count guard: the first engine build after a detect evaluates one
+    partition per group the kernels flagged, on layouts it did not build."""
+    if not kernels.AVAILABLE:
+        pytest.skip("needs numpy: the full sweep is the only path without it")
+    from repro.workloads.customer import CustomerConfig, generate_customers
+
+    generated = generate_customers(
+        CustomerConfig(n_tuples=2000, error_rate=0.03, seed=5)
+    )
+    db, deps = generated.db, generated.cfds()
+    relation = db.relation("customer")
+    if relation.storage != "columnar":
+        pytest.skip("object storage has no layouts: the full sweep is its path")
+    report = detect_violations_indexed(db, deps)
+    builds_before = relation.indexes.stats.builds
+
+    calls = []
+    evaluate = _ScanState._evaluate
+    monkeypatch.setattr(
+        _ScanState,
+        "_evaluate",
+        lambda self, key, group: calls.append(key) or evaluate(self, key, group),
+    )
+    engine = DeltaEngine(db, deps)
+    assert relation.indexes.stats.builds == builds_before
+    flagged = sum(len(state.violations) for state in engine._scan_states)
+    partitions = sum(len(state.groups) for state in engine._scan_states)
+    assert 0 < len(calls) == flagged < partitions / 10
+    assert violation_multiset(engine.violations()) == violation_multiset(
+        report.violations
+    )
