@@ -31,6 +31,14 @@ Every ``apply`` also hands back the ``undo`` changeset that reverts the
 batch, which is what lets repair search trees (:mod:`repro.repair.xrepair`,
 :mod:`repro.repair.srepair`) explore edits without copying the database.
 
+The maintained set can be read two ways: :meth:`DeltaEngine.violations`
+in maintenance order (what the repair loops consume), and
+:meth:`DeltaEngine.ordered_violations` sorted into exactly the list a
+fresh batch detection returns — every tuple is numbered by arrival, so
+the read is one sort of the violations and never touches the relation.
+That is what lets :meth:`repro.session.Session.detect` answer a read
+after a write from here instead of re-detecting.
+
 With ``shards > 1`` the maintained state is split across hash shards of
 the same signature-aligned partitioning the parallel executor uses
 (:mod:`repro.engine.parallel`): every scan group keeps one
@@ -44,6 +52,8 @@ count; ``REPRO_DEFAULT_SHARDS`` sets the default.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import count
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -75,6 +85,7 @@ __all__ = [
     "StaleEngineError",
     "ViolationDelta",
     "violation_multiset",
+    "violation_sequence",
 ]
 
 
@@ -88,6 +99,27 @@ def violation_multiset(violations: Iterable[Violation]) -> Counter:
     pair-violation orientation must agree).
     """
     return Counter((id(v.dependency), v.tuples) for v in violations)
+
+
+def violation_sequence(violations: Iterable[Violation]) -> List[tuple]:
+    """The ordered identity of a report, for comparing two reports as lists.
+
+    Stricter than :func:`violation_multiset`: order counts, and so does
+    everything a served violation renders from — the dependency *object*,
+    the reason, and the witness ``Tuple`` *objects* in their orientation
+    (a relation hands out one ``Tuple`` per live row; the server's
+    ``ReportFragments`` keys its encoded bytes on the same three).  This
+    is the contract :meth:`DeltaEngine.ordered_violations` keeps with a
+    fresh :func:`~repro.engine.executor.detect_violations_indexed` run.
+    """
+    return [
+        (
+            id(v.dependency),
+            v.reason,
+            tuple([(relation, id(t)) for relation, t in v.tuples]),
+        )
+        for v in violations
+    ]
 
 
 class StaleEngineError(ReproError):
@@ -370,6 +402,7 @@ class DeltaStats:
         "keys_reevaluated",
         "inclusion_keys_touched",
         "fallback_rescans",
+        "reports_served",
     )
 
     def __init__(self) -> None:
@@ -381,6 +414,8 @@ class DeltaStats:
         self.keys_reevaluated = 0
         self.inclusion_keys_touched = 0
         self.fallback_rescans = 0
+        #: detects answered from the maintained set (no executor run)
+        self.reports_served = 0
 
     def __repr__(self) -> str:
         return (
@@ -388,8 +423,13 @@ class DeltaStats:
             f"keys_patched={self.keys_patched}, "
             f"keys_reevaluated={self.keys_reevaluated}, "
             f"inclusion_keys_touched={self.inclusion_keys_touched}, "
-            f"fallback_rescans={self.fallback_rescans})"
+            f"fallback_rescans={self.fallback_rescans}, "
+            f"reports_served={self.reports_served})"
         )
+
+
+#: sort key of an ``ordered_entries`` row: everything but the violation
+_REPORT_ORDER = itemgetter(0, 1, 2, 3)
 
 
 class _ScanState:
@@ -414,6 +454,16 @@ class _ScanState:
     * **re-evaluate** — if the batch removes the partition's first tuple
       (the pair pivot changes) or the partition is new, the partition is
       re-swept and the violation multisets diffed.
+
+    ``violations`` keeps, under each violating partition key, every
+    member's *contribution* under that member: the ``(slot, violation)``
+    entries it witnesses as the non-pivot tuple, where ``slot`` is twice
+    the producing task's index in ``tasks`` for a single and one more for
+    a pair.  A retraction is therefore one ``pop`` of the removed tuple,
+    whatever else the partition holds, and :meth:`ordered_entries` can
+    rank every entry by task, kind and witness.  A state with a task that
+    has no ``single``/``pair`` decomposition keeps each partition's whole
+    sweep, in sweep order, under ``None``.
     """
 
     __slots__ = (
@@ -426,6 +476,8 @@ class _ScanState:
         "violations",
         "_universal",
         "_conditional",
+        "_positions",
+        "_lookup_slots",
     )
 
     def __init__(
@@ -437,19 +489,25 @@ class _ScanState:
         self.relation_name = scan_group.relation_name
         self.signature = scan_group.signature
         self.key_of = key_getter(relation.schema, self.signature)
-        self.tasks: List[PyTuple[int, Any]] = [
-            (position, task)
-            for position, dep in scan_group.members
-            for task in dep.scan_tasks(relation.schema)
-        ]
+        #: (single slot, task) in the executor's (member, tableau row) order
+        self.tasks: List[PyTuple[int, Any]] = []
+        #: slot → the producing dependency's position in the input
+        self._positions: List[int] = []
+        #: slot → produced by a lookup task (reported before every sweep)
+        self._lookup_slots: List[bool] = []
+        for position, dep in scan_group.members:
+            for task in dep.scan_tasks(relation.schema):
+                self.tasks.append((len(self._positions), task))
+                self._positions += (position, position)
+                self._lookup_slots += (task.lookup_key is not None,) * 2
         self.incremental_ok = all(
             task.supports_incremental for _, task in self.tasks
         )
         # Tasks that match every partition key (all-wildcard patterns) are
         # split out once; only the rest pay a per-key pattern check.
         self._universal: List[PyTuple[int, Any]] = [
-            (position, task)
-            for position, task in self.tasks
+            (slot, task)
+            for slot, task in self.tasks
             if task.lookup_key is None
             and not task.key_constants
             and task.match_fn is None
@@ -463,7 +521,9 @@ class _ScanState:
         # shard, so each sub-state patches exactly as the unsharded one.
         for t in relation if tuples is None else tuples:
             self.groups.setdefault(self.key_of(t.values()), {})[t] = None
-        self.violations: Dict[tuple, List[PyTuple[int, Violation]]] = {}
+        self.violations: Dict[
+            tuple, Dict[Optional[Tuple], List[PyTuple[int, Violation]]]
+        ] = {}
         keys = self._candidate_keys(relation)
         for key in self.groups if keys is None else keys:
             group = self.groups.get(key)
@@ -506,52 +566,107 @@ class _ScanState:
 
     def iter_found(self) -> Iterator[PyTuple[int, Violation]]:
         """All stored (position, violation) entries, per-partition order."""
-        for found in self.violations.values():
-            yield from found
+        positions = self._positions
+        for stored in self.violations.values():
+            for contribution in stored.values():
+                for slot, violation in contribution:
+                    yield positions[slot], violation
+
+    def ordered_entries(
+        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
+    ) -> None:
+        """Append ``(position, partition rank, slot, witness arrival,
+        violation)`` per stored entry.
+
+        Sorted on the first four, a dependency's entries read as the batch
+        executor emits them: lookup tasks first (rank −1) in task order,
+        then the swept partitions by the arrival of their first live tuple
+        — the layout's first-seen rank — each with its tasks in order,
+        singles before pairs, witnesses in relation order.  (An undivided
+        sweep under ``None`` is already in that order; the sort is stable.)
+        """
+        arrival = arrivals[self.relation_name]
+        positions = self._positions
+        lookup = self._lookup_slots
+        groups = self.groups
+        for key, stored in self.violations.items():
+            rank = arrival[next(iter(groups[key]))]
+            for t, contribution in stored.items():
+                arrived = 0 if t is None else arrival[t]
+                for slot, violation in contribution:
+                    out.append(
+                        (
+                            positions[slot],
+                            -1 if lookup[slot] else rank,
+                            slot,
+                            arrived,
+                            violation,
+                        )
+                    )
 
     def _applicable(self, key: tuple) -> List[PyTuple[int, Any]]:
         """The member tasks whose pattern admits this partition key."""
         if not self._conditional:
             return self._universal
         chosen = list(self._universal)
-        for position, task in self._conditional:
+        for slot, task in self._conditional:
             if task.lookup_key is not None:
                 if task.lookup_key != key:
                     continue
             elif not task.matches(key):
                 continue
-            chosen.append((position, task))
+            chosen.append((slot, task))
         return chosen
 
     def _evaluate(
         self, key: tuple, group: Sequence[Tuple]
-    ) -> List[PyTuple[int, Violation]]:
+    ) -> Dict[Optional[Tuple], List[PyTuple[int, Violation]]]:
+        """Sweep one partition and file every violation under the member
+        that contributes it: a single under its tuple, a pair under the
+        non-pivot tuple (the witness shapes of ``ScanTask.single`` /
+        ``.pair``, whose sum ``evaluate`` is)."""
         singleton = len(group) < 2
-        found: List[PyTuple[int, Violation]] = []
-        for position, task in self._applicable(key):
+        divided = self.incremental_ok
+        stored: Dict[Optional[Tuple], List[PyTuple[int, Violation]]] = {}
+        for slot, task in self._applicable(key):
             if singleton and task.skip_singletons:
                 continue
             out: List[Violation] = []
             task.evaluate(group, out)
-            found.extend((position, v) for v in out)
-        return found
+            for v in out:
+                if divided:
+                    witnesses = v.tuples
+                    stored.setdefault(witnesses[-1][1], []).append(
+                        (slot + (len(witnesses) > 1), v)
+                    )
+                else:
+                    stored.setdefault(None, []).append((slot, v))
+        return stored
 
     @staticmethod
     def _contribution(
         tasks: Sequence[PyTuple[int, Any]], first: Tuple, t: Tuple
     ) -> List[PyTuple[int, Violation]]:
-        """The violations tuple ``t`` contributes to its partition, given
+        """The entries tuple ``t`` contributes to its partition, given
         the partition's (surviving, distinct) first tuple."""
         found: List[PyTuple[int, Violation]] = []
         out: List[Violation] = []
-        for position, task in tasks:
+        for slot, task in tasks:
             task.single(t, out)
+            singles = len(out)
             task.pair(first, t, out)
             if out:
-                for v in out:
-                    found.append((position, v))
+                for index, v in enumerate(out):
+                    found.append((slot if index < singles else slot + 1, v))
                 out.clear()
         return found
+
+    @staticmethod
+    def _flatten(
+        stored: Mapping[Optional[Tuple], List[PyTuple[int, Violation]]],
+    ) -> List[PyTuple[int, Violation]]:
+        """One partition's stored entries as one list."""
+        return [entry for contribution in stored.values() for entry in contribution]
 
     def apply(
         self, ops: Sequence[PyTuple[str, Tuple]], stats: DeltaStats
@@ -574,20 +689,22 @@ class _ScanState:
                 stats.keys_patched += 1
                 tasks = self._applicable(key)
                 stored = self.violations.get(key)
-                if stored is None:
-                    stored = self.violations[key] = []
                 for kind, t in key_ops:
-                    contribution = self._contribution(tasks, first, t)
                     if kind == "add":
                         group[t] = None
-                        stored.extend(contribution)
-                        added.extend(contribution)
+                        contribution = self._contribution(tasks, first, t)
+                        if contribution:
+                            if stored is None:
+                                stored = self.violations[key] = {}
+                            stored[t] = contribution
+                            added.extend(contribution)
                     else:
                         del group[t]
-                        for entry in contribution:
-                            stored.remove(entry)
-                        removed.extend(contribution)
-                if not stored:
+                        if stored:
+                            contribution = stored.pop(t, None)
+                            if contribution:
+                                removed.extend(contribution)
+                if stored is not None and not stored:
                     del self.violations[key]
             else:
                 # The pair pivot changes (or the partition is new): replay
@@ -602,17 +719,25 @@ class _ScanState:
                         del group[t]
                 if not group:
                     del self.groups[key]
-                old = self.violations.pop(key, [])
-                new = self._evaluate(key, list(group)) if group else []
-                if new:
-                    self.violations[key] = new
+                held = self.violations.pop(key, None)
+                swept = self._evaluate(key, list(group)) if group else {}
+                if swept:
+                    self.violations[key] = swept
+                elif held is None:
+                    continue  # clean before and after: nearly every key
+                old = self._flatten(held or {})
+                new = self._flatten(swept)
                 if old == new:
                     continue
                 gained = Counter(new) - Counter(old)
                 lost = Counter(old) - Counter(new)
                 added.extend(gained.elements())
                 removed.extend(lost.elements())
-        return added, removed
+        positions = self._positions
+        return (
+            [(positions[slot], v) for slot, v in added],
+            [(positions[slot], v) for slot, v in removed],
+        )
 
 
 class _InclusionRow:
@@ -739,6 +864,18 @@ class _InclusionState:
                     if not self._is_provided(row.yp_key, key):
                         row.violating[t] = row.make_violation(t)
 
+    def ordered_entries(
+        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
+    ) -> None:
+        """Append ``(position, tableau row, 0, source arrival, violation)``
+        per violating source tuple — sorted, the order ``IND`` / ``CIND``
+        ``violations()`` scans in: row by row, sources in relation order."""
+        for ordinal, row in enumerate(self.rows):
+            if row.violating:
+                arrival = arrivals[row.dep.lhs_relation]
+                for t, violation in row.violating.items():
+                    out.append((row.position, ordinal, 0, arrival[t], violation))
+
     def _owns_key(self, key: tuple) -> bool:
         # Hot: called once per (row, op) during sharded apply routing.
         if self._shard is None:
@@ -752,20 +889,22 @@ class _InclusionState:
 
     @staticmethod
     def _net(ops: Sequence[PyTuple[str, Tuple]]) -> PyTuple[List[Tuple], List[Tuple]]:
-        """Net (removed, added) tuples of an effective op sequence."""
+        """Net (removed, added) tuples of an effective op sequence.
+
+        An add followed by its remove nets out; a remove followed by an
+        add of an equal tuple does not — the relation now holds the *new*
+        ``Tuple`` object, at its end, and every witness of it must be that
+        object (equal values can render differently, ``3`` / ``3.0``).
+        """
         removed: Dict[Tuple, None] = {}
         added: Dict[Tuple, None] = {}
         for kind, t in ops:
             if kind == "add":
-                if t in removed:
-                    del removed[t]
-                else:
-                    added[t] = None
+                added[t] = None
+            elif t in added:
+                del added[t]
             else:
-                if t in added:
-                    del added[t]
-                else:
-                    removed[t] = None
+                removed[t] = None
         return list(removed), list(added)
 
     def apply(
@@ -908,6 +1047,14 @@ class _ShardedScanState:
         for state in self.states:
             yield from state.iter_found()
 
+    def ordered_entries(
+        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
+    ) -> None:
+        """Every child's entries; partition ranks are global, so the
+        engine's one sort merges the shards."""
+        for state in self.states:
+            state.ordered_entries(arrivals, out)
+
     def apply(
         self, ops: Sequence[PyTuple[str, Tuple]], stats: DeltaStats
     ) -> PyTuple[List[PyTuple[int, Violation]], List[PyTuple[int, Violation]]]:
@@ -952,6 +1099,13 @@ class _ShardedInclusionState:
     @property
     def rows(self) -> List[_InclusionRow]:
         return [row for state in self.states for row in state.rows]
+
+    def ordered_entries(
+        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
+    ) -> None:
+        """Every child's entries (the children share one row numbering)."""
+        for state in self.states:
+            state.ordered_entries(arrivals, out)
 
     def apply(
         self,
@@ -1027,6 +1181,25 @@ class DeltaEngine:
             for row in state.rows
         )
         self._total += sum(len(found) for _, _, found in self._fallback)
+        # Arrival numbers: one map per relation whose tuples witness a
+        # maintained violation (scan relations, inclusion sources), shared
+        # by every state and shard.  Relation order is insertion order with
+        # a re-added tuple at the end — on both storage backends, through
+        # compaction — so numbering the build in iteration order and every
+        # effective add after it (see ``apply``) keeps "sorted by arrival"
+        # equal to "in relation order" without ever scanning the relation.
+        witnessed = {group.relation_name for group in self._plan.scan_groups}
+        witnessed.update(
+            dep.lhs_relation
+            for group in self._plan.inclusion_groups
+            for _, dep in group.members
+        )
+        self._arrivals: Dict[str, Dict[Tuple, int]] = {
+            rel.schema.name: dict(zip(rel, count()))
+            for rel in db
+            if rel.schema.name in witnessed
+        }
+        self._next_arrival = max(map(len, self._arrivals.values()), default=0)
         self._versions: Dict[str, int] = {
             rel.schema.name: rel.version for rel in db
         }
@@ -1050,8 +1223,10 @@ class DeltaEngine:
 
     def violations(self) -> List[Violation]:
         """The full current violation multiset, grouped per dependency in
-        input order (order within a dependency is maintenance order, not
-        necessarily a fresh detection's order — the multisets are equal)."""
+        input order.  Order within a dependency is *maintenance* order —
+        what the repair loops consume, and the cheapest read; the multiset
+        equals a fresh detection's.  :meth:`ordered_violations` is the
+        same set in a fresh detection's order."""
         results: List[List[Violation]] = [[] for _ in self.dependencies]
         for state in self._scan_states:
             for position, violation in state.iter_found():
@@ -1059,6 +1234,34 @@ class DeltaEngine:
         for state in self._inclusion_states:
             for row in state.rows:
                 results[row.position].extend(row.violating.values())
+        for position, _, found in self._fallback:
+            results[position].extend(found)
+        return [v for sub in results for v in sub]
+
+    def ordered_violations(self) -> List[Violation]:
+        """The maintained violations, as the list a fresh
+        :func:`~repro.engine.executor.detect_violations_indexed` returns.
+
+        The *stored* ``Violation`` objects — same dependency objects, same
+        reasons, same witness ``Tuple`` objects in the same orientation —
+        sorted into the batch executor's emission order: per dependency
+        position; a scan-group member's lookup tasks first, then its sweep
+        tasks key-major (partitions by the arrival of their first live
+        tuple, then tasks in ``scan_tasks`` order, singles before pairs,
+        each by the arrival of its non-pivot witness); an inclusion member
+        per tableau row, sources in arrival order; a fallback dependency
+        as stored (it is recomputed whole whenever touched).  One sort of
+        the violations for every shard count — O(V log V), never O(rows).
+        """
+        entries: List[tuple] = []
+        for state in self._scan_states:
+            state.ordered_entries(self._arrivals, entries)
+        for state in self._inclusion_states:
+            state.ordered_entries(self._arrivals, entries)
+        entries.sort(key=_REPORT_ORDER)
+        results: List[List[Violation]] = [[] for _ in self.dependencies]
+        for entry in entries:
+            results[entry[0]].append(entry[-1])
         for position, _, found in self._fallback:
             results[position].extend(found)
         return [v for sub in results for v in sub]
@@ -1086,15 +1289,29 @@ class DeltaEngine:
 
     # -- maintenance -----------------------------------------------------
 
+    def _stale_relations(self) -> Iterator[RelationInstance]:
+        """Relations mutated since the engine last saw them."""
+        versions = self._versions
+        return (
+            relation
+            for relation in self._db
+            if versions.get(relation.schema.name) != relation.version
+        )
+
+    def is_current(self) -> bool:
+        """True iff every relation is at the version the engine last saw —
+        the maintained state describes the instance as it is now."""
+        return next(self._stale_relations(), None) is None
+
     def _check_versions(self) -> None:
-        for relation in self._db:
+        relation = next(self._stale_relations(), None)
+        if relation is not None:
             name = relation.schema.name
-            if self._versions.get(name) != relation.version:
-                raise StaleEngineError(
-                    f"relation {name!r} is at version {relation.version}, "
-                    f"engine expected {self._versions.get(name)}; apply edits "
-                    "through DeltaEngine.apply or call refresh()"
-                )
+            raise StaleEngineError(
+                f"relation {name!r} is at version {relation.version}, "
+                f"engine expected {self._versions.get(name)}; apply edits "
+                "through DeltaEngine.apply or call refresh()"
+            )
 
     def refresh(self) -> None:
         """Rebuild all maintained state from the current instance."""
@@ -1118,6 +1335,21 @@ class DeltaEngine:
         undo = Changeset.inverse_of(effective)
         self.stats.batches += 1
         self.stats.ops_applied += sum(len(ops) for ops in effective.values())
+
+        # Arrival numbers follow the effective ops in *application* order —
+        # not the per-key order the scan states patch in: two partitions
+        # created by interleaved adds must rank by their first tuples.
+        for name, ops in effective.items():
+            arrival = self._arrivals.get(name)
+            if arrival is not None:
+                number = self._next_arrival
+                for kind, t in ops:
+                    if kind == "add":
+                        arrival[t] = number
+                        number += 1
+                    else:
+                        del arrival[t]
+                self._next_arrival = number
 
         added: List[PyTuple[int, Violation]] = []
         removed: List[PyTuple[int, Violation]] = []

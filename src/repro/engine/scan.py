@@ -25,7 +25,10 @@ Task anatomy:
   ``single`` on every member, then ``pair`` on every non-first member".
   The delta engine (:mod:`repro.engine.delta`) uses the decomposition to
   update a partition's violations in O(1) per edited tuple instead of
-  re-sweeping the partition.
+  re-sweeping the partition, and files every violation under the tuple
+  that contributes it — so a ``single`` violation is witnessed by its
+  tuple alone and a ``pair`` violation by ``(first, other)``, in that
+  order.
 * ``columnar`` — an optional :class:`ColumnarSpec` declaring the same
   semantics a third way, as primitive checks over encoded columns, so the
   vectorized kernels (:mod:`repro.engine.kernels`) can decide *which*

@@ -62,6 +62,7 @@ _DELTA_STAT_FIELDS = (
     "keys_reevaluated",
     "inclusion_keys_touched",
     "fallback_rescans",
+    "reports_served",
 )
 
 

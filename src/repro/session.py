@@ -15,10 +15,13 @@ delta engine, and exposes the whole lifecycle::
     stats   = session.stream(StreamConfig(...))   # batched edit workload
     session.save_rules("rules.json")              # registry round trip
 
-``detect`` runs the indexed batch executor (PR 1); ``apply``/``stream``
-ride the delta engine (PR 2), constructed on first use and kept warm across
-calls.  The CLI (:mod:`repro.cli`), the examples and the benchmark drivers
-all sit on this facade; the older free functions remain as thin shims.
+``apply``/``stream`` ride the delta engine (PR 2), constructed on first
+use and kept warm across calls.  ``detect`` reads the violation set that
+engine already maintains whenever it is warm and current — the same list,
+in the same order, as a fresh run — and otherwise runs the indexed batch
+executor (PR 1); a read never builds the engine.  The CLI
+(:mod:`repro.cli`), the examples and the benchmark drivers all sit on this
+facade; the older free functions remain as thin shims.
 """
 
 from __future__ import annotations
@@ -390,6 +393,21 @@ class Session:
             self._engine = DeltaEngine(self._db, self._rules, shards=self._shards)
         return self._engine
 
+    def _current_engine(self) -> Optional[DeltaEngine]:
+        """The warm engine iff its maintained state answers for this session
+        as it is now: built, over this database object, for these rule
+        objects, every relation at the version it last saw.  Reads consult
+        nothing else; a stale engine is left for ``apply`` to report."""
+        engine = self._engine
+        if engine is None or engine.database is not self._db:
+            return None
+        maintained = engine.dependencies
+        if len(maintained) != len(self._rules) or any(
+            ours is not theirs for ours, theirs in zip(self._rules, maintained)
+        ):
+            return None
+        return engine if engine.is_current() else None
+
     # -- detection -------------------------------------------------------
 
     def detect(
@@ -409,6 +427,13 @@ class Session:
         override the session-level configuration for this call;
         ``engine=False`` keeps its historical meaning (the naive
         per-dependency loop).
+
+        When the call resolves to the ``"indexed"`` executor and the delta
+        engine is warm and current (an ``apply`` built it and nothing has
+        changed behind it), the report is read from the set that engine
+        maintains — :meth:`DeltaEngine.ordered_violations`, the list the
+        executor would return, without partitioning anything.  In every
+        other case the executor runs; a detect never builds the engine.
         """
         shards = validate_shards(shards)
         chosen = (
@@ -445,15 +470,22 @@ class Session:
                     self._parallel = ParallelExecutor(shards=self._shards)
                 report = self._parallel.detect(self._db, self._rules)
         else:
+            maintained = self._current_engine() if chosen == "indexed" else None
+            if maintained is not None:
+                maintained.stats.reports_served += 1
+                return ViolationReport(maintained.ordered_violations())
             report = detect_violations(
                 self._db, self._rules, engine=chosen == "indexed"
             )
         return ViolationReport(report.violations)
 
     def is_clean(self) -> bool:
-        """True iff the instance currently satisfies every rule."""
-        if self._engine is not None:
-            return self._engine.is_clean()
+        """True iff the instance currently satisfies every rule (the
+        maintained count when the engine is warm and current, else a
+        detect)."""
+        engine = self._current_engine()
+        if engine is not None:
+            return engine.is_clean()
         return self.detect().is_clean()
 
     # -- repair ----------------------------------------------------------
@@ -587,12 +619,14 @@ class Session:
         random stream (:func:`repro.workloads.stream.stream_edits`) under
         ``config`` is generated against the live instance.  With
         ``verify=True`` every batch is cross-checked against full indexed
-        re-detection (ReproError on divergence).  Returns a
+        re-detection — the engine's ordered read must equal the fresh
+        report as a list, witness objects included (ReproError on
+        divergence).  Returns a
         :class:`~repro.workloads.stream.StreamReport`.
         """
         import time
 
-        from repro.engine.delta import violation_multiset
+        from repro.engine.delta import violation_sequence
         from repro.engine.executor import detect_violations_indexed
         from repro.workloads.stream import (
             BatchResult,
@@ -624,8 +658,8 @@ class Session:
             )
             if verify:
                 fresh = detect_violations_indexed(self._db, self._rules)
-                maintained = violation_multiset(engine.violations())
-                recomputed = violation_multiset(fresh.violations)
+                maintained = violation_sequence(engine.ordered_violations())
+                recomputed = violation_sequence(fresh.violations)
                 if maintained != recomputed:
                     raise ReproError(
                         f"delta engine diverged from full re-detection at "

@@ -67,6 +67,7 @@ __all__ = [
     "run_from_args",
     "smoke_config",
     "canonical",
+    "offline_detect",
 ]
 
 #: history entry: ("apply", changeset_doc) or ("rules", docs, replace)
@@ -401,12 +402,24 @@ def replay_session(spec: TenantSpec, history: List[HistoryEntry]) -> Any:
     return session
 
 
+def offline_detect(session: Any) -> Dict[str, Any]:
+    """The ground-truth detect document of an offline session: a fresh
+    executor run over its rows and rules.  Not ``session.detect()`` — a
+    replayed session is warm, and its maintained read is the very path
+    the served side is being checked on."""
+    from repro.cfd.detect import detect_violations
+    from repro.session import ViolationReport
+
+    report = detect_violations(session.database, session.rules)
+    return ViolationReport(report.violations).to_dict()
+
+
 def replay_detect(
     spec: TenantSpec, history: List[HistoryEntry]
 ) -> Dict[str, Any]:
     session = replay_session(spec, history)
     try:
-        return session.detect().to_dict()  # type: ignore[no-any-return]
+        return offline_detect(session)
     finally:
         session.close()
 
@@ -525,7 +538,7 @@ def _minimize_divergence(
                         client.add_rules(min_id, entry[1])
                         session.add_rules(*parsed)
             fresh_served = client.detect(min_id)
-            fresh_expected = session.detect().to_dict()
+            fresh_expected = offline_detect(session)
             if canonical(fresh_served) != canonical(fresh_expected):
                 report.update(
                     {

@@ -39,7 +39,13 @@ from repro.deps.denial import DenialConstraint
 from repro.deps.fd import FD
 from repro.deps.ind import IND
 from repro.engine import kernels
-from repro.engine.delta import Changeset, DeltaEngine, _ScanState, violation_multiset
+from repro.engine.delta import (
+    Changeset,
+    DeltaEngine,
+    _ScanState,
+    violation_multiset,
+    violation_sequence,
+)
 from repro.engine.executor import detect_violations_indexed
 from repro.engine.naive import detect_violations_naive
 from repro.engine.parallel import detect_violations_parallel
@@ -349,12 +355,15 @@ def _scan_state_contents(engine: DeltaEngine) -> list:
     """Every scan state's violations, order and rendering included."""
 
     def entry(found):
-        position, v = found
+        position, v = found  # a task slot inside the per-member store
         return position, id(v.dependency), v.tuples, v.reason
 
     return [
         (
-            [(key, list(map(entry, found))) for key, found in state.violations.items()],
+            [
+                (key, [(t, list(map(entry, found))) for t, found in stored.items()])
+                for key, stored in state.violations.items()
+            ],
             list(map(entry, state.iter_found())),
         )
         for state in engine._scan_states
@@ -426,3 +435,202 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
     assert violation_multiset(engine.violations()) == violation_multiset(
         report.violations
     )
+
+
+# -- the ordered read ------------------------------------------------------
+#
+# ``DeltaEngine.ordered_violations()`` must be the list a fresh indexed
+# detection returns — not just the multiset: ``Session.detect`` serves it.
+
+ORDERED_SHARDS = (1, 2)
+
+
+def _assert_ordered_read(db, deps, engine, context):
+    fresh = detect_violations_indexed(db, deps).violations
+    ordered = engine.ordered_violations()
+    assert violation_sequence(ordered) == violation_sequence(fresh), (
+        f"ordered read (shards={engine.shards}) is not the fresh list: {context}"
+    )
+    # the stored objects, not re-derived ones
+    stored = {id(v) for v in engine.violations()}
+    assert all(id(v) in stored for v in ordered), context
+
+
+def test_ordered_read_equals_fresh_detection_as_a_list():
+    """After the build, every edit batch, its undo and its redo — at 1 and
+    2 shards, all six classes — same dependency objects, same reasons,
+    same witness objects in the same orientation, in the same order."""
+    compared = 0
+    classes_seen = set()
+    for case_id, rng, make_deps in _cases():
+        schema = _random_schema(rng)
+        db = _random_instance(schema, rng)
+        deps = make_deps(schema, rng)
+        classes_seen.update(type(dep).__name__ for dep in deps)
+        twins = [(db, DeltaEngine(db, deps, shards=ORDERED_SHARDS[0]))]
+        for shards in ORDERED_SHARDS[1:]:
+            copy = db.copy()
+            twins.append((copy, DeltaEngine(copy, deps, shards=shards)))
+
+        def check(step):
+            nonlocal compared
+            for twin_db, engine in twins:
+                _assert_ordered_read(twin_db, deps, engine, f"{case_id} {step}")
+                compared += 1
+
+        check("initial")
+        for batch_index in range(rng.randrange(1, 4)):
+            # generated against the first twin; the others resolve the
+            # batch's target tuples by value
+            batch = _random_batch(db, rng)
+            undos = [engine.apply(batch).undo for _, engine in twins]
+            check(f"batch={batch_index}")
+            for (_, engine), undo in zip(twins, undos):
+                engine.apply(undo)
+            check(f"batch={batch_index} undone")
+            for _, engine in twins:
+                engine.apply(batch)
+            check(f"batch={batch_index} redone")
+    assert compared >= len(ORDERED_SHARDS) * (TOTAL_CASES + 3 * 450)
+    assert {"FD", "CFD", "ECFD", "IND", "CIND", "DenialConstraint"} <= classes_seen
+
+
+def _ordered_case():
+    """R(A, B, C) under an FD, a CFD whose wildcard row precedes a
+    fully-constant one (and carries an RHS constant: singles *and* pairs
+    per partition), an IND and a CIND out of R — every ordering rule has
+    something to get wrong."""
+    schema = DatabaseSchema(
+        [
+            RelationSchema("R", [("A", STRING), ("B", STRING), ("C", STRING)]),
+            RelationSchema("S", [("X", STRING), ("Y", STRING)]),
+        ]
+    )
+    deps = [
+        IND("R", ["C"], "S", ["X"]),
+        CFD(
+            "R", ["A"], ["B"],
+            [{"A": UNNAMED, "B": "b0"}, {"A": "k2", "B": "b9"}],
+            name="wild-then-constant",
+        ),
+        FD("R", ["A"], ["C"]),
+        CIND(
+            "R", ["C"], "S", ["X"],
+            lhs_pattern_attrs=["B"], rhs_pattern_attrs=["Y"],
+            tableau=[{"L.B": "b1", "R.Y": "y"}, {"L.B": "b0", "R.Y": "y"}],
+        ),
+    ]
+    return schema, deps
+
+
+def _ordered_twins(rows):
+    schema, deps = _ordered_case()
+    twins = []
+    for shards in ORDERED_SHARDS:
+        db = DatabaseInstance(schema)
+        for row in rows:
+            db.relation("R").add(row)
+        db.relation("S").add(["c0", "y"])
+        twins.append((db, deps, DeltaEngine(db, deps, shards=shards)))
+    return twins
+
+
+def _row(a, b, c):
+    return {"A": a, "B": b, "C": c}
+
+
+BASE_ROWS = [
+    ("k1", "b0", "c0"), ("k2", "b0", "c1"), ("k1", "b1", "c1"),
+    ("k2", "b1", "c2"), ("k1", "b2", "c0"), ("k3", "b1", "c3"),
+]
+
+
+def _run_ordered(rows, *batches):
+    """Apply each batch (a list of ``(op, row[, cells])``) to a 1- and a
+    2-shard engine, checking the ordered read after the build and after
+    every batch; returns the engines for follow-up assertions."""
+    twins = _ordered_twins(rows)
+    for db, deps, engine in twins:
+        _assert_ordered_read(db, deps, engine, "build")
+        for index, batch in enumerate(batches):
+            changeset = Changeset()
+            for op, row, *cells in batch:
+                if op == "update":
+                    changeset.update("R", _row(*row), **cells[0])
+                else:
+                    getattr(changeset, op)("R", _row(*row))
+            engine.apply(changeset)
+            _assert_ordered_read(db, deps, engine, f"batch {index}")
+    return twins
+
+
+def test_ordered_read_lookup_tasks_come_before_the_sweep():
+    # k2 is the second partition, yet its constant-row (lookup) violations
+    # lead the CFD's list, and inside k1 both singles precede both pairs
+    twins = _run_ordered(BASE_ROWS)
+    for db, deps, engine in twins:
+        cfd = [v for v in engine.ordered_violations() if v.dependency is deps[1]]
+        assert "'k2'" in cfd[0].reason and len(cfd[0].tuples) == 1
+        k1_wild = [v for v in cfd if v.tuples[-1][1]["A"] == "k1"]
+        assert [len(v.tuples) for v in k1_wild] == [1, 1, 2, 2]
+
+
+def test_ordered_read_numbers_arrivals_per_op_not_per_partition():
+    # adds interleave two new partitions; the inclusion rows must list
+    # their sources in op order (k8, k9, k8, k9), and after both groups
+    # are emptied and re-created in the other order, k9 leads k8
+    _run_ordered(
+        BASE_ROWS,
+        [("insert", ("k8", "b1", "c8")), ("insert", ("k9", "b1", "c9")),
+         ("insert", ("k8", "b2", "c7")), ("insert", ("k9", "b0", "c6"))],
+        [("delete", ("k8", "b1", "c8")), ("delete", ("k8", "b2", "c7")),
+         ("delete", ("k9", "b1", "c9")), ("delete", ("k9", "b0", "c6")),
+         ("insert", ("k9", "b2", "c5")), ("insert", ("k8", "b1", "c4")),
+         ("insert", ("k9", "b1", "c3")), ("insert", ("k8", "b2", "c2"))],
+    )
+
+
+def test_ordered_read_follows_a_pivot_delete_and_its_undo():
+    # deleting k1's first row re-pivots the group; the undo re-appends the
+    # row at the group's (and the relation's) end
+    pivot = BASE_ROWS[0]
+    _run_ordered(BASE_ROWS, [("delete", pivot)], [("insert", pivot)])
+
+
+def test_ordered_read_moves_a_recreated_group_to_the_end():
+    k1 = [row for row in BASE_ROWS if row[0] == "k1"]
+    _run_ordered(
+        BASE_ROWS,
+        [("delete", row) for row in k1],
+        [("insert", row) for row in k1],
+    )
+
+
+def test_ordered_read_after_add_remove_add_of_one_tuple_in_one_batch():
+    t = ("k2", "b2", "c9")
+    _run_ordered(
+        BASE_ROWS,
+        [("insert", t), ("insert", ("k3", "b2", "c9")), ("delete", t), ("insert", t)],
+        # … and remove-add of a stored witness: the relation holds the new
+        # object, at its end
+        [("delete", BASE_ROWS[2]), ("insert", BASE_ROWS[2])],
+        [("update", BASE_ROWS[3], {"B": "b0"}), ("update", BASE_ROWS[4], {"C": "c0"})],
+    )
+
+
+def test_ordered_read_after_a_failed_apply_renumbers():
+    # the rollback re-adds the deleted pivot at the relation's end, so the
+    # rebuilt engine must number the rows afresh
+    for db, deps, engine in _ordered_twins(BASE_ROWS):
+        bad = (
+            Changeset()
+            .delete("R", _row(*BASE_ROWS[0]))
+            .insert("R", _row("k0", "b1", "c1"))
+            .update("R", _row("no", "such", "row"), B="b0")
+        )
+        with pytest.raises(KeyError):
+            engine.apply(bad)
+        assert [t["A"] for t in db.relation("R")][-1] == "k1"
+        _assert_ordered_read(db, deps, engine, "after rollback")
+        engine.apply(Changeset().insert("R", _row("k1", "b3", "c3")))
+        _assert_ordered_read(db, deps, engine, "after the next apply")

@@ -24,7 +24,7 @@ from repro.rules_json import database_schema_from_dict, rules_from_list
 from repro.server import make_async_server
 from repro.server.hosting import ReportFragments
 from repro.session import Session
-from repro.workloads.soak import canonical
+from repro.workloads.soak import canonical, offline_detect
 
 SCHEMA_DOC = {
     "name": "emp",
@@ -85,8 +85,10 @@ def _encoding(client: ServerClient) -> dict:
 
 
 def _check(client: ServerClient, shadow: Session) -> int:
-    """Served detect equals the offline one; returns fragments encoded."""
-    offline = shadow.detect().to_dict()
+    """Served detect equals the offline one (a fresh executor run: the
+    warm shadow's own ``detect`` would be a maintained read too); returns
+    fragments encoded."""
+    offline = offline_detect(shadow)
     assert canonical(dict(client.detect("s"))) == canonical(offline)
     encoding = _encoding(client)
     assert encoding["fragments_cached"] <= offline["total"]

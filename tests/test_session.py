@@ -17,7 +17,14 @@ import pytest
 from repro.cfd.detect import detect_violations
 from repro.cfd.model import CFD
 from repro.deps.fd import FD
-from repro.engine.delta import Changeset, DeltaEngine, violation_multiset
+from repro.engine.delta import (
+    Changeset,
+    DeltaEngine,
+    StaleEngineError,
+    violation_multiset,
+    violation_sequence,
+)
+from repro.engine.executor import detect_violations_indexed
 from repro.errors import RepairError, SchemaError
 from repro.paper import fig1_instance, fig2_cfds
 from repro.repair.urepair import repair_cfds
@@ -231,3 +238,123 @@ class TestLifecycle:
         session = Session.from_instance(fig1_instance())
         found = session.discover(max_lhs=1, min_support=2)
         assert found and all(d.cfd.relation_name == "customer" for d in found)
+
+
+class TestMaintainedReads:
+    """``detect`` / ``is_clean`` read the delta engine's maintained set iff
+    the engine is warm and current; nothing else is ever consulted, and a
+    read never builds the engine."""
+
+    @staticmethod
+    def _customers(n=300, error_rate=0.0):
+        from repro.workloads.customer import CustomerConfig, generate_customers
+
+        generated = generate_customers(
+            CustomerConfig(n_tuples=n, error_rate=error_rate, seed=11)
+        )
+        return Session.from_instance(generated.db, generated.cfds())
+
+    @staticmethod
+    def _breaking_row(session):
+        """A new row that breaks cfd-area-city (city constant) and cfd-f2
+        (differs from its (CC, AC) group's first row)."""
+        first = session.database.relation("customer").tuples()[0]
+        wrong = "NYC" if first["city"] != "NYC" else "EDI"
+        return first.replace(city=wrong, phn=1)
+
+    @staticmethod
+    def _count_executions(monkeypatch):
+        from repro.engine import executor
+
+        calls = []
+        run = executor.execute_plan
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "execute_plan", counted)
+        return calls
+
+    def test_is_clean_never_answers_from_a_stale_engine(self):
+        session = self._customers()
+        assert session.is_clean()
+        engine = session.engine
+        assert session.is_clean()
+        session.database.relation("customer").add(self._breaking_row(session))
+        assert not engine.is_current()
+        assert session.detect().total == 2
+        assert not session.is_clean()
+        # the stale engine is apply's to report, as before
+        with pytest.raises(StaleEngineError):
+            session.apply(Changeset())
+        assert engine.stats.reports_served == 0
+
+    def test_foreign_rules_engine_is_not_consulted(self, monkeypatch):
+        session = self._customers()
+        relation = session.database.relation("customer")
+        relation.add(self._breaking_row(session))
+        other_rules = [FD("customer", ["zip"], ["zip"])]
+        foreign = DeltaEngine(session.database, other_rules)
+        assert foreign.is_clean()
+        adopted = Session(session.database, session.rules, engine=foreign)
+        calls = self._count_executions(monkeypatch)
+        assert adopted.detect().total == 2 and len(calls) == 1
+        assert not adopted.is_clean() and len(calls) == 2
+        assert foreign.stats.reports_served == 0
+
+    def test_warm_detect_reads_the_maintained_set(self, monkeypatch):
+        session = self._customers(error_rate=0.05)
+        relation = session.database.relation("customer")
+        cold = session.detect()
+        assert cold.total > 0 and not session.has_warm_engine
+        victim = relation.tuples()[0]  # a group's pivot row
+        delta = session.apply(Changeset().delete("customer", victim))
+        calls = self._count_executions(monkeypatch)
+        builds = relation.indexes.stats.builds
+        warm = session.detect()
+        assert len(calls) == 0 and relation.indexes.stats.builds == builds
+        assert session.engine.stats.reports_served == 1
+        assert violation_sequence(warm.violations) == violation_sequence(
+            detect_violations_indexed(session.database, session.rules).violations
+        )
+        session.apply(delta.undo)
+        assert session.detect().total == cold.total
+        assert len(calls) == 1  # only the reference run above
+        assert session.engine.stats.reports_served == 2
+
+    def test_overrides_never_take_the_maintained_path(self, monkeypatch):
+        session = self._customers(error_rate=0.05)
+        engine = session.engine
+        total = engine.total_violations()
+        served = []
+        read = DeltaEngine.ordered_violations
+        monkeypatch.setattr(
+            DeltaEngine,
+            "ordered_violations",
+            lambda self: served.append(1) or read(self),
+        )
+        assert session.detect(executor="naive").total == total
+        assert session.detect(shards=2).total == total
+        assert session.detect(executor="parallel").total == total
+        assert session.detect(engine=False).total == total
+        assert not served and engine.stats.reports_served == 0
+        assert session.detect(executor="indexed").total == total
+        assert len(served) == 1
+
+    def test_dropped_engine_means_one_executor_run(self, monkeypatch):
+        session = self._customers(error_rate=0.05)
+        session.apply(Changeset())
+        calls = self._count_executions(monkeypatch)
+        session.detect()
+        assert len(calls) == 0
+        session.replace_rules(session.rules)
+        session.detect()
+        assert len(calls) == 1 and not session.has_warm_engine
+        session.apply(Changeset())
+        session.detect()
+        assert len(calls) == 1
+        session.repair(strategy="u", adopt=True)  # its residual is one run
+        before = len(calls)
+        session.detect()
+        assert len(calls) == before + 1 and not session.has_warm_engine
