@@ -1,27 +1,24 @@
-"""SERVER — asyncio snapshot-read front end vs. the threaded transport.
+"""SERVER — snapshot-hit throughput under N keep-alive clients.
 
-The async server (:mod:`repro.server.aio`) answers read verbs against
+The server (:mod:`repro.server.aio`) answers read verbs against
 versioned session snapshots: a warm ``detect`` on an unchanged engine is
 served straight from the snapshot cache on the event loop, without
-queueing on the session's write lock or re-running detection.  The
-threaded transport re-enters the gated verb path — session lock plus a
-full (warm) detection — on every request.  This driver measures what
-that buys under concurrency, over real HTTP round-trips:
+queueing on the session's write lock or re-running detection.  This
+driver measures that path under concurrency, over real HTTP round-trips:
 
 * **scaling series** — N keep-alive clients (1 → 256) hammer warm
-  ``POST /v1/sessions/{id}/detect`` on both servers; each point records
-  req/s and p50/p99 latency, and ``speedup`` = async req/s over threaded
-  req/s.
+  ``POST /v1/sessions/{id}/detect``; each point records req/s and
+  p50/p99 latency.  Every request after the first is a snapshot hit, so
+  this is the cost of the event loop, the socket and the client — not of
+  detection (``benchmarks/e2e``'s ``read_after_write`` times that).
 * **read-p99-under-writers** — a write mix (apply/undo cycles) runs
   beside the readers; the figure of merit is the *reader* p99, which the
-  async server bounds by answering snapshot hits between invalidations.
+  server bounds by answering snapshot hits between invalidations.
 
-The acceptance target is a >=10x async-over-threaded speedup at 64
-clients — on hosts with >=4 CPUs.  Below that the document records
-honest sub-target numbers and the gate (here and in
-``check_bench_regression.py``) is skipped: a single-core container
-serializes both transports onto the same core and says nothing about a
-code regression.
+Nothing is gated here: ``check_bench_regression.py`` holds each client
+count's req/s to the committed ``BENCH_concurrency.json`` within its
+tolerance band, on hosts with >=4 CPUs — below that, clients and server
+share the cores and the numbers say nothing about a code regression.
 
     python benchmarks/bench_server_concurrency.py [--out BENCH_concurrency.json]
     python benchmarks/bench_server_concurrency.py --smoke   # CI-sized
@@ -37,7 +34,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 from urllib.parse import urlsplit
 
 if __name__ == "__main__":  # allow running without an installed package
@@ -46,11 +43,9 @@ if __name__ == "__main__":  # allow running without an installed package
 from repro.client import ServerClient
 from repro.registry import encode
 from repro.rules_json import database_schema_to_dict
-from repro.server import make_async_server, make_server
+from repro.server import make_server
 from repro.workloads.customer import CustomerConfig, generate_customers
 
-TARGET_SPEEDUP = 10.0
-TARGET_CLIENTS = 64
 MIN_CPUS = 4
 CLIENT_COUNTS = [1, 4, 16, 64, 256]
 SMOKE_CLIENT_COUNTS = [1, 8]
@@ -220,26 +215,20 @@ def _drive(
     }
 
 
-def _boot_pair(
-    documents: Dict[str, Any], session_id: str
-) -> List[Tuple[str, Any]]:
-    """One threaded and one async server, each hosting the same warm
-    session."""
-    pair = []
-    for label, factory in (("threaded", make_server), ("async", make_async_server)):
-        server = factory(port=0, max_sessions=8)
-        server.start_background()
-        client = ServerClient(base_url=server.base_url, timeout=300.0)
-        client.wait_ready()
-        client.create_session(
-            schema=documents["schema"],
-            rules=documents["rules"],
-            data={"customer": documents["rows"]},
-            session_id=session_id,
-        )
-        client.detect(session_id)  # warm the engine outside the clock
-        pair.append((label, server))
-    return pair
+def _boot(documents: Dict[str, Any], session_id: str) -> Any:
+    """A server hosting one warm session."""
+    server = make_server(port=0, max_sessions=8)
+    server.start_background()
+    client = ServerClient(base_url=server.base_url, timeout=300.0)
+    client.wait_ready()
+    client.create_session(
+        schema=documents["schema"],
+        rules=documents["rules"],
+        data={"customer": documents["rows"]},
+        session_id=session_id,
+    )
+    client.detect(session_id)  # warm the engine outside the clock
+    return server
 
 
 def run(
@@ -256,9 +245,8 @@ def run(
         {"ops": [{"op": "insert", "relation": "customer", "row": sample_row}]}
     )
 
-    pair = _boot_pair(documents, "bench")
+    server = _boot(documents, "bench")
     series: List[Dict[str, Any]] = []
-    read_under_writers: Dict[str, Any] = {"writers": 2}
     try:
         detect = _detect_request("bench")
         for clients in client_counts:
@@ -267,19 +255,13 @@ def run(
                 "clients": clients,
                 "requests_per_client": per_client,
             }
-            for label, server in pair:
-                entry[label] = _drive(
-                    server.base_url, detect, clients, per_client
-                )
-            entry["speedup"] = (
-                entry["async"]["requests_per_second"]
-                / entry["threaded"]["requests_per_second"]
-            )
+            entry.update(_drive(server.base_url, detect, clients, per_client))
             series.append(entry)
 
         readers = min(16, max(client_counts))
-        for label, server in pair:
-            read_under_writers[label] = _drive(
+        read_under_writers: Dict[str, Any] = {"writers": 2, "readers": readers}
+        read_under_writers.update(
+            _drive(
                 server.base_url,
                 detect,
                 readers,
@@ -287,39 +269,21 @@ def run(
                 writers=2,
                 writer_request=write_request,
             )
-        read_under_writers["readers"] = readers
+        )
     finally:
-        for _label, server in pair:
-            server.shutdown()
+        server.shutdown()
 
-    cpu_count = os.cpu_count() or 1
-    at_target = [
-        entry["speedup"]
-        for entry in series
-        if entry["clients"] >= TARGET_CLIENTS
-    ]
-    gated = cpu_count >= MIN_CPUS
     return {
-        "benchmark": "server_concurrency",
+        "benchmark": "snapshot_hit_throughput",
         "workload": (
-            "customer detect over HTTP: asyncio snapshot reads vs the "
-            "threaded transport"
+            "customer detect over HTTP: snapshot-hit throughput under N "
+            "keep-alive clients"
         ),
         "n_tuples": n_tuples,
-        "cpu_count": cpu_count,
-        "target_speedup": TARGET_SPEEDUP,
-        "target_clients": TARGET_CLIENTS,
+        "cpu_count": os.cpu_count() or 1,
         "min_cpus": MIN_CPUS,
         "series": series,
         "read_under_writers": read_under_writers,
-        "top_speedup": max(entry["speedup"] for entry in series),
-        "speedup_at_target": max(at_target) if at_target else None,
-        "gated": gated,
-        "meets_target": (
-            bool(at_target) and max(at_target) >= TARGET_SPEEDUP
-            if gated
-            else None
-        ),
     }
 
 
@@ -329,7 +293,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="few clients / few requests; no speedup gate (CI smoke)",
+        help="few clients / few requests (CI smoke)",
     )
     parser.add_argument("--tuples", type=int, default=None)
     parser.add_argument("--requests", type=int, default=None)
@@ -345,33 +309,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     for entry in document["series"]:
         print(
             f"{entry['clients']:>4} clients: "
-            f"async {entry['async']['requests_per_second']:8.1f} req/s "
-            f"(p99 {entry['async']['p99_ms']:7.2f} ms), "
-            f"threaded {entry['threaded']['requests_per_second']:8.1f} req/s "
-            f"(p99 {entry['threaded']['p99_ms']:7.2f} ms), "
-            f"speedup {entry['speedup']:5.2f}x"
+            f"{entry['requests_per_second']:8.1f} req/s "
+            f"(p50 {entry['p50_ms']:7.2f} ms, p99 {entry['p99_ms']:7.2f} ms)"
         )
     rw = document["read_under_writers"]
     print(
-        f"read p99 under {rw['writers']} writers: "
-        f"async {rw['async']['p99_ms']:.2f} ms, "
-        f"threaded {rw['threaded']['p99_ms']:.2f} ms"
+        f"read p99 under {rw['writers']} writers, {rw['readers']} readers: "
+        f"{rw['p99_ms']:.2f} ms"
     )
-    if not document["gated"]:
+    if document["cpu_count"] < MIN_CPUS:
         print(
-            f"speedup gate skipped: host has {document['cpu_count']} CPUs "
-            f"(needs >={MIN_CPUS}); recorded numbers are honest but carry "
-            "no concurrency signal"
+            f"host has {document['cpu_count']} CPUs (regression gate needs "
+            f">={MIN_CPUS}): clients and server share the cores"
         )
-        return 0
-    print(
-        f"speedup at >={TARGET_CLIENTS} clients: "
-        f"{document['speedup_at_target']} "
-        f"(target {TARGET_SPEEDUP}x: "
-        f"{'met' if document['meets_target'] else 'not gated' if args.smoke else 'MISSED'})"
-    )
-    if not args.smoke and not document["meets_target"]:
-        return 1
     return 0
 
 

@@ -1,6 +1,6 @@
 """CI gate: compare fresh ``BENCH_*.json`` speedups against committed baselines.
 
-Every benchmark driver records per-size speedups in a JSON document that
+Every benchmark driver records per-size figures in a JSON document that
 is committed at the repo root.  In CI the smoke benchmarks overwrite those
 files, so the workflow first copies the committed documents aside and then
 runs this checker::
@@ -10,7 +10,7 @@ runs this checker::
     ...
     python benchmarks/check_bench_regression.py --baseline-dir ci-baselines \
         BENCH_engine.json BENCH_incremental.json BENCH_parallel.json \
-        BENCH_server.json BENCH_columnar.json
+        BENCH_columnar.json BENCH_concurrency.json
 
 Speedups are size-dependent (they grow with the data), and the smoke
 drivers run smaller sizes than the committed full-size baselines — so
@@ -23,9 +23,9 @@ are noisy) but not further; any harder drop fails the job.
 
 Comparisons that carry no signal on the host are *skipped*, not failed:
 
-* the parallel benchmark needs >=4 CPUs (both in the fresh run and now) —
-  single-core runners record honest sub-1x numbers that say nothing
-  about a code regression;
+* the parallel and concurrency benchmarks need >=4 CPUs (both in the
+  fresh run and now) — single-core runners record honest numbers that
+  say nothing about a code regression;
 * baseline points below 1x are skipped for the same reason.
 """
 
@@ -55,11 +55,11 @@ def _series_metric(field: str) -> Callable[[Dict[str, Any]], Dict[int, float]]:
 
 
 def _concurrency_metric(document: Dict[str, Any]) -> Dict[int, float]:
-    """Per-client-count async-over-threaded speedups (the concurrency
-    benchmark's "size" axis is clients, not tuples)."""
+    """Per-client-count snapshot-hit req/s (the concurrency benchmark's
+    "size" axis is clients, not tuples)."""
     points: Dict[int, float] = {}
     for entry in document.get("series", []):
-        size, value = entry.get("clients"), entry.get("speedup")
+        size, value = entry.get("clients"), entry.get("requests_per_second")
         if isinstance(size, int) and isinstance(value, (int, float)):
             points[size] = float(value)
     return points
@@ -87,15 +87,8 @@ METRICS: Dict[str, List[Tuple[str, Callable[[Dict[str, Any]], Dict[int, float]]]
     "columnar_memory": [("compression", _series_metric("compression"))],
     "incremental_delta_maintenance": [("speedup", _series_metric("speedup"))],
     "parallel_scaling": [("speedup_at_target_shards", _parallel_metric)],
-    "server_throughput": [("speedup", _series_metric("speedup"))],
-    # headroom = target_overhead / overhead: >=1 means the durable apply
-    # path holds its <=1.3x latency target, and higher is better — the
-    # orientation this gate's floor comparison expects
-    "server_durability": [
-        ("overhead_headroom", _series_metric("overhead_headroom"))
-    ],
-    "server_concurrency": [
-        ("speedup_async_over_threaded", _concurrency_metric)
+    "snapshot_hit_throughput": [
+        ("requests_per_second", _concurrency_metric)
     ],
 }
 
@@ -128,7 +121,7 @@ def _match_baseline_size(
 
 
 def _skip_reason(name: str, fresh: Dict[str, Any]) -> Optional[str]:
-    if name in ("parallel_scaling", "server_concurrency"):
+    if name in ("parallel_scaling", "snapshot_hit_throughput"):
         host_cpus = os.cpu_count() or 1
         recorded_cpus = fresh.get("cpu_count", host_cpus)
         if min(host_cpus, recorded_cpus) < PARALLEL_MIN_CPUS:
@@ -194,14 +187,14 @@ def check_document(
             )
             if base_value < 1.0:
                 notes.append(
-                    f"{name}.{label} {where}: baseline {base_value:.2f}x "
-                    "carries no signal, skipped"
+                    f"{name}.{label} {where}: baseline {base_value:.2f} "
+                    "(below 1x) carries no signal, skipped"
                 )
                 continue
             floor = base_value * (1.0 - tolerance)
             line = (
-                f"{name}.{label} {where}: fresh {fresh_value:.2f}x vs "
-                f"baseline {base_value:.2f}x (floor {floor:.2f}x)"
+                f"{name}.{label} {where}: fresh {fresh_value:.2f} vs "
+                f"baseline {base_value:.2f} (floor {floor:.2f})"
             )
             if fresh_value >= floor:
                 notes.append(f"{line} -> ok")

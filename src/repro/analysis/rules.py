@@ -240,8 +240,8 @@ class LockDisciplineRule(Rule):
     code = "REP002"
     name = "lock-discipline"
     rationale = (
-        "SessionManager and HostedSession state is shared across "
-        "ThreadingHTTPServer request threads (PR 7)."
+        "SessionManager and HostedSession state is shared across the "
+        "server's verb-pool worker threads (PR 7)."
     )
 
     SCOPES = ("repro.server",)

@@ -194,14 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
     )
-    serve.add_argument(
-        "--legacy-threaded",
-        action="store_true",
-        help=(
-            "serve with the pre-/v1 thread-per-request transport instead "
-            "of the asyncio front end (kept for one release)"
-        ),
-    )
 
     soak = sub.add_parser(
         "soak",
@@ -450,7 +442,6 @@ def _cmd_serve(args) -> int:
             else DEFAULT_DEGRADED_AFTER
         ),
         verbose=not args.quiet,
-        legacy_threaded=args.legacy_threaded,
     )
 
 

@@ -18,9 +18,6 @@ The constructor is keyword-only::
     client.undo("crm", delta.undo_token)
     client.delete_session("crm")
 
-(the pre-/v1 positional form ``ServerClient(url, timeout)`` still works
-for one release behind a :class:`DeprecationWarning`).
-
 Every request is sent to the versioned ``/v1`` mount and every response
 body arrives in the versioned envelope ``{"wire_version": 1, ...}``.  The
 client strips the envelope: returned documents carry the payload keys
@@ -38,14 +35,13 @@ verbs like ``apply`` are not idempotent, so opting into retransmission is
 the caller's call.
 
 No third-party dependencies; used by the test suite, the CI packaging
-round-trip and ``benchmarks/bench_server_throughput.py``.
+round-trip, ``benchmarks/e2e`` and ``repro soak``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
 from http.client import HTTPException
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Type, Union
 from urllib.error import HTTPError, URLError
@@ -213,36 +209,12 @@ class ServerClient:
 
     def __init__(
         self,
-        *args: Any,
-        base_url: Optional[str] = None,
+        *,
+        base_url: str,
         timeout: float = 30.0,
         retries: int = 0,
         backoff: float = 0.05,
     ) -> None:
-        if args:
-            # pre-/v1 positional signature: ServerClient(url[, timeout])
-            warnings.warn(
-                "positional ServerClient(base_url, timeout) is deprecated; "
-                "use keyword arguments: ServerClient(base_url=..., "
-                "timeout=...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > 2:
-                raise TypeError(
-                    "ServerClient() takes at most 2 positional arguments "
-                    f"(got {len(args)})"
-                )
-            if base_url is not None:
-                raise TypeError(
-                    "ServerClient() got base_url both positionally and by "
-                    "keyword"
-                )
-            base_url = args[0]
-            if len(args) == 2:
-                timeout = args[1]
-        if base_url is None:
-            raise TypeError("ServerClient() requires base_url=...")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")

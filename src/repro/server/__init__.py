@@ -8,16 +8,12 @@ shard buckets and delta engine alive across requests, so repeated
 detect/edit traffic pays only the marginal work of each request — the
 amortization the sharded engine layers were built for.
 
-Two transports share one :class:`~repro.server.core.ServiceCore` (so
-their wire bytes are identical):
-
-* :mod:`repro.server.aio` — the default ``asyncio`` front end: read
-  verbs run lock-free against versioned session snapshots, write verbs
-  serialize per session, and many idle keep-alive connections cost one
-  event loop instead of one thread each;
-* this module's :class:`ReproHTTPServer` — the legacy thread-per-request
-  server (``http.server`` + ``ThreadingHTTPServer``), available behind
-  ``repro serve --legacy-threaded`` for one release.
+There is one transport, the ``asyncio`` front end in
+:mod:`repro.server.aio`, over a transport-neutral
+:class:`~repro.server.core.ServiceCore` that makes every response byte:
+read verbs run lock-free against versioned session snapshots, write
+verbs serialize per session, and many idle keep-alive connections cost
+one event loop instead of one thread each.
 
 Requests against *one* session serialize on that session's lock (the
 delta engine is single-writer); requests against *distinct* sessions run
@@ -36,9 +32,9 @@ byte boundary, restart on the same state dir, and every session answers
 
 The wire protocol is versioned (:mod:`repro.server.wire`): every
 endpoint mounts under ``/v1/...`` and every JSON response carries
-``"wire_version": 1`` as the first envelope key.  Unversioned paths
-answer ``301`` to the ``/v1`` mount with a ``Deprecation`` header for
-one release.  Endpoints (see ``docs/server.md`` for the full wire
+``"wire_version": 1`` as the first envelope key.  Any other prefix —
+an unknown version or none at all — answers ``404`` with a document
+naming ``/v1``.  Endpoints (see ``docs/server.md`` for the full wire
 format):
 
 ==================================  =======================================
@@ -74,17 +70,11 @@ or from the CLI: ``repro serve --port 8765 --max-sessions 64``.
 
 from __future__ import annotations
 
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional
 
-from repro.server.core import (
-    BadRequest,
-    Response,
-    ServiceCore,
-    parse_body_bytes,
-)
+from repro.server.aio import AsyncReproServer
+from repro.server.core import ServiceCore
 from repro.server.durability import (
     DEFAULT_SNAPSHOT_EVERY,
     MAX_UNDO_TOKENS,
@@ -103,7 +93,7 @@ from repro.server.hosting import (
 from repro.server.wire import WIRE_VERSION
 
 __all__ = [
-    "ReproHTTPServer",
+    "AsyncReproServer",
     "SessionManager",
     "HostedSession",
     "ServerMetrics",
@@ -118,142 +108,8 @@ __all__ = [
     "SessionJournal",
     "SessionStore",
     "make_server",
-    "make_async_server",
     "serve",
 ]
-
-
-class ReproHTTPServer(ThreadingHTTPServer):
-    """The legacy thread-per-request transport over the shared core."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    # the stdlib default backlog of 5 resets connections under benchmark
-    # fan-in (hundreds of clients connecting at once)
-    request_queue_size = 128
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        max_sessions: int = 64,
-        data_root: Optional[Path] = None,
-        state_dir: Optional[Path] = None,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        fsync: bool = True,
-        degraded_after: int = DEFAULT_DEGRADED_AFTER,
-        verbose: bool = False,
-    ) -> None:
-        super().__init__(address, _Handler)
-        self.manager = SessionManager(
-            max_sessions,
-            data_root=data_root,
-            state_dir=state_dir,
-            snapshot_every=snapshot_every,
-            fsync=fsync,
-        )
-        self.metrics = ServerMetrics()
-        self.core = ServiceCore(self.manager, self.metrics, degraded_after)
-        self.degraded_after = self.core.degraded_after
-        self.started = self.core.started
-        self.verbose = verbose
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle -------------------------------------------------------
-
-    @property
-    def base_url(self) -> str:
-        host, port = self.server_address[0], self.server_address[1]
-        return f"http://{host}:{port}"
-
-    def start_background(self) -> threading.Thread:
-        """Serve requests on a daemon thread (tests, benchmarks)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        self._thread = thread
-        return thread
-
-    def shutdown(self) -> None:  # type: ignore[override]
-        super().shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-        self.manager.close_all()
-        self.server_close()
-
-    # -- documents (delegated; kept for tests and benchmarks) ------------
-
-    def health_document(self) -> Dict[str, Any]:
-        return self.core.health_document()
-
-    def metrics_document(self) -> Dict[str, Any]:
-        return self.core.metrics_document()
-
-    def metrics_document_base(self) -> Dict[str, Any]:
-        return self.core.metrics_document_base()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server: ReproHTTPServer  # narrowed for type checkers
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format: str, *args: Any) -> None:
-        if self.server.verbose:
-            BaseHTTPRequestHandler.log_message(self, format, *args)
-
-    def _read_body(self) -> Any:
-        self._body_read = True
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
-            return None
-        return parse_body_bytes(self.rfile.read(length))
-
-    def _drain_body(self) -> None:
-        """Consume an unread request body before responding.
-
-        Connections are HTTP/1.1 keep-alive: if a handler errors before
-        reading the declared body (unknown route, unknown session), the
-        unread bytes would be parsed as the next request line on the
-        reused socket — a protocol desync.
-        """
-        if getattr(self, "_body_read", False):
-            return
-        self._body_read = True
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > 0:
-            self.rfile.read(length)
-
-    def _dispatch(self, method: str) -> None:
-        # one handler instance serves many requests on a keep-alive
-        # connection: the body-consumed flag is per-request state
-        self._body_read = False
-        response: Response = self.server.core.handle(
-            method, self.path, self._read_body
-        )
-        self._drain_body()
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_PUT(self) -> None:
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
-
-
-# --------------------------------------------------------------------------
-# Entry points
-# --------------------------------------------------------------------------
 
 
 def make_server(
@@ -266,34 +122,11 @@ def make_server(
     fsync: bool = True,
     degraded_after: int = DEFAULT_DEGRADED_AFTER,
     verbose: bool = False,
-) -> ReproHTTPServer:
-    """Build a threaded server (not yet serving); ``port=0`` picks a free
-    port.  This is the *legacy* transport — new deployments should prefer
-    :func:`make_async_server`; tests and benchmarks that predate the async
-    front end keep working against this one unchanged."""
-    return ReproHTTPServer(
-        (host, port), max_sessions=max_sessions, data_root=data_root,
-        state_dir=state_dir, snapshot_every=snapshot_every, fsync=fsync,
-        degraded_after=degraded_after, verbose=verbose,
-    )
+) -> AsyncReproServer:
+    """Build the server (not yet serving); ``port=0`` picks a free port.
 
-
-def make_async_server(
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    max_sessions: int = 64,
-    data_root: Optional[Path] = None,
-    state_dir: Optional[Path] = None,
-    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-    fsync: bool = True,
-    degraded_after: int = DEFAULT_DEGRADED_AFTER,
-    verbose: bool = False,
-) -> "Any":
-    """Build the asyncio server (same knobs and lifecycle as
-    :func:`make_server`: ``base_url`` / ``start_background()`` /
-    ``shutdown()``)."""
-    from repro.server.aio import AsyncReproServer
-
+    Lifecycle: ``base_url`` / ``start_background()`` / ``serve_forever()``
+    / ``shutdown()``."""
     return AsyncReproServer(
         (host, port), max_sessions=max_sessions, data_root=data_root,
         state_dir=state_dir, snapshot_every=snapshot_every, fsync=fsync,
@@ -310,17 +143,11 @@ def serve(
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     degraded_after: int = DEFAULT_DEGRADED_AFTER,
     verbose: bool = True,
-    legacy_threaded: bool = False,
 ) -> int:
-    """Blocking entry point for ``repro serve`` (Ctrl-C to stop).
-
-    Boots the asyncio front end by default; ``legacy_threaded=True``
-    (the ``--legacy-threaded`` flag) keeps the old thread-per-request
-    server for one release."""
+    """Blocking entry point for ``repro serve`` (Ctrl-C to stop)."""
     import sys
 
-    factory = make_server if legacy_threaded else make_async_server
-    server = factory(
+    server = make_server(
         host, port, max_sessions=max_sessions, data_root=data_root,
         state_dir=state_dir, snapshot_every=snapshot_every,
         degraded_after=degraded_after, verbose=verbose,
@@ -343,8 +170,3 @@ def serve(
         server.manager.close_all()
         server.server_close()
     return 0
-
-
-# referenced by type checkers / kept importable for callers that matched
-# on the internal names before the core extraction
-_BadRequest = BadRequest

@@ -25,9 +25,9 @@ persistent (optionally worker-pinned — ``REPRO_PIN_WORKERS``) pool of
 while the event loop keeps answering cheap reads.
 
 Durability, degraded gating, eviction tombstones and metrics are all the
-shared core's — the async and threaded transports produce byte-identical
-wire documents (the differential suite replays the same histories
-against both and compares every body).
+core's — this module adds no response byte of its own (the differential
+test replays one history against a served instance and an in-process
+``ServiceCore.handle`` twin and compares every body).
 
 Snapshot-correctness argument, in one place:
 
@@ -44,8 +44,8 @@ Snapshot-correctness argument, in one place:
   can never alias a new object into a false hit;
 * hits additionally require the hosted session to be the manager's
   current, non-closed, non-degraded resident — degraded sessions answer
-  through the gated (503-producing) path exactly like the threaded
-  server, and evicted/rehydrated sessions miss (different object).
+  through the gated (503-producing) path, and evicted/rehydrated
+  sessions miss (different object).
 """
 
 from __future__ import annotations
@@ -138,13 +138,12 @@ def _detect_cache_key(body: Any) -> Optional[tuple]:
 
 
 class AsyncReproServer:
-    """The asyncio transport over the shared service core.
+    """The asyncio transport over the service core.
 
-    Lifecycle mirrors :class:`~repro.server.ReproHTTPServer` (tests and
-    benchmarks swap one for the other): the listening socket binds in
-    ``__init__`` (``port=0`` resolves immediately), ``serve_forever()``
-    blocks, ``start_background()`` serves from a daemon thread, and
-    ``shutdown()`` stops the loop and flushes every session.
+    The listening socket binds in ``__init__`` (``port=0`` resolves
+    immediately), ``serve_forever()`` blocks, ``start_background()``
+    serves from a daemon thread, and ``shutdown()`` stops the loop and
+    flushes every session.
     """
 
     def __init__(
@@ -229,13 +228,19 @@ class AsyncReproServer:
         if loop is not None and stop is not None and loop.is_running():
             loop.call_soon_threadsafe(stop.set)
 
-    def shutdown(self) -> None:
-        """Stop serving, flush every session, release the socket."""
+    def shutdown(self, flush: bool = True) -> None:
+        """Stop serving, flush every session, release the socket.
+
+        ``flush=False`` is the crash-like stop (tests, the soak): journals
+        close without a snapshot, as after a SIGKILL — every acknowledged
+        write is already fdatasync'd, so a server booted on the same
+        ``state_dir`` recovers by replaying the WAL tails.
+        """
         self._signal_stop()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-        self.manager.close_all()
+        self.manager.close_all(flush=flush)
         self.server_close()
 
     def server_close(self) -> None:
@@ -249,17 +254,6 @@ class AsyncReproServer:
             self._socket.close()
         except OSError:
             pass
-
-    # -- documents (parity with the threaded server) ---------------------
-
-    def health_document(self) -> Dict[str, Any]:
-        return self.core.health_document()
-
-    def metrics_document(self) -> Dict[str, Any]:
-        return self.core.metrics_document()
-
-    def metrics_document_base(self) -> Dict[str, Any]:
-        return self.core.metrics_document_base()
 
     # -- connection handling ---------------------------------------------
 
@@ -338,8 +332,6 @@ class AsyncReproServer:
             f"Content-Type: {response.content_type}",
             f"Content-Length: {len(response.body)}",
         ]
-        for name, value in response.headers:
-            head.append(f"{name}: {value}")
         if not keep_alive:
             head.append("Connection: close")
         writer.write(
@@ -359,12 +351,40 @@ class AsyncReproServer:
         if route is None:
             return await loop.run_in_executor(self._executor, call)
         session_id, verb = route
+        rejected = self._reject_behind_probe(session_id, verb, method, target)
+        if rejected is not None:
+            return rejected
         async with self._session_lock(session_id):
             response = await loop.run_in_executor(self._executor, call)
             self._after_session_verb(
                 session_id, verb, method, target, body, response
             )
         return response
+
+    def _reject_behind_probe(
+        self, session_id: str, verb: str, method: str, target: str
+    ) -> Optional[Response]:
+        """The degraded gate's fast 503 for a request that would otherwise
+        queue on the asyncio lock behind an in-flight recovery probe.
+
+        The gate itself sits behind that lock (``ServiceCore.gated_verb``
+        runs inside the handler), so a contended request has to be turned
+        away here or it waits out the probe.  Checked only when the lock is
+        already held — an uncontended request goes straight to the gate —
+        and it can only ever answer that 503: if the dirty read loses the
+        race the request queues like any other, so no verb runs outside
+        the lock.
+        """
+        entry = self._locks.get(session_id)
+        if entry is None or not entry.lock.locked():
+            return None
+        # the gated verbs: every POST, and the rules PUT
+        if method != "POST" and not (method == "PUT" and verb == "rules"):
+            return None
+        hosted = self.manager.peek(session_id)
+        if hosted is None:
+            return None
+        return self.core.reject_behind_probe(method, target, hosted)
 
     @contextlib.asynccontextmanager
     async def _session_lock(self, session_id: str) -> AsyncIterator[None]:

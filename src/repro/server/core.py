@@ -4,18 +4,18 @@
 and "these are the exact response bytes": /v1 wire versioning, routing,
 the verb handlers with degraded gating and durability, error→status
 mapping, the versioned response envelope, and per-endpoint metrics
-recording.  The asyncio front end (:mod:`repro.server.aio`) and the
-legacy threaded server (:mod:`repro.server`) are both thin transports
-over one core, which is what keeps their wire bytes *identical* —
-the differential test replays the same histories against both and
-byte-compares every body.  The bytes themselves are made in one place,
-:func:`repro.server.wire.encode`; what a served document owes an
-offline one is equality of the parsed documents, not of their bytes.
+recording.  The asyncio front end (:mod:`repro.server.aio`) is a thin
+transport over the core and adds no byte of its own — the differential
+test replays one history against a served instance and an in-process
+:meth:`ServiceCore.handle` and byte-compares every body.  The bytes
+themselves are made in one place, :func:`repro.server.wire.encode`; what
+a served document owes an offline one is equality of the parsed
+documents, not of their bytes.
 
 A request flows::
 
     transport -> core.handle(method, target, read_body) -> Response
-    transport writes Response.status / .headers / .body
+    transport writes Response.status / .content_type / .body
 
 ``read_body`` is a transport-supplied thunk returning the parsed JSON
 body (or raising :class:`BadRequest`); the core calls it lazily so
@@ -104,21 +104,18 @@ class PlainText:
 class Response:
     """The fully rendered response a transport writes to its socket."""
 
-    __slots__ = ("status", "body", "content_type", "headers", "endpoint")
+    __slots__ = ("status", "body", "content_type", "endpoint")
 
     def __init__(
         self,
         status: int,
         body: bytes,
         content_type: str,
-        headers: Tuple[Tuple[str, str], ...] = (),
         endpoint: str = "",
     ) -> None:
         self.status = status
         self.body = body
         self.content_type = content_type
-        #: extra headers beyond Content-Type/Content-Length (redirects)
-        self.headers = headers
         #: the metrics key this response was recorded under
         self.endpoint = endpoint
 
@@ -130,7 +127,7 @@ ReadBody = Callable[[], Any]
 
 
 def parse_body_bytes(raw: bytes) -> Any:
-    """Parse a request body (shared by both transports' ``read_body``)."""
+    """Parse a request body (what a transport's ``read_body`` thunk calls)."""
     if not raw:
         return None
     try:
@@ -140,7 +137,7 @@ def parse_body_bytes(raw: bytes) -> Any:
 
 
 class ServiceCore:
-    """The shared service: sessions, metrics, routing and verb handlers."""
+    """The service: sessions, metrics, routing and verb handlers."""
 
     def __init__(
         self,
@@ -250,19 +247,22 @@ class ServiceCore:
         return encode(document)
 
     def _json_response(
-        self,
-        endpoint: str,
-        status: int,
-        document: Mapping[str, Any],
-        headers: Tuple[Tuple[str, str], ...] = (),
+        self, endpoint: str, status: int, document: Mapping[str, Any]
     ) -> Response:
         return Response(
             status,
             self.render_json(document),
             "application/json",
-            headers=headers,
             endpoint=endpoint,
         )
+
+    def _error_response(self, endpoint: str, exc: Exception) -> Response:
+        """A handler exception as its JSON error document."""
+        message = str(exc) if not isinstance(exc, KeyError) else repr(exc)
+        body: Dict[str, Any] = {"error": message, "type": type(exc).__name__}
+        if isinstance(exc, SessionDegradedError):
+            body["degraded"] = exc.document
+        return self._json_response(endpoint, _status_for(exc), body)
 
     # -- request handling --------------------------------------------------
 
@@ -288,26 +288,8 @@ class ServiceCore:
         # per-version keys would grow the metrics table without bound
         # under probes against many distinct ids or /v999 prefixes
         endpoint = self._endpoint_template(method, rest)
-        if version is None:
-            # pre-/v1 client: permanent redirect onto the versioned
-            # mount, flagged deprecated (one release of grace)
-            location = "/v1" + (split.path if split.path.startswith("/") else "/" + split.path)
-            if split.query:
-                location += "?" + split.query
-            return self._json_response(
-                endpoint,
-                301,
-                {
-                    "error": (
-                        f"unversioned paths are deprecated; this endpoint "
-                        f"moved to {location}"
-                    ),
-                    "type": "MovedPermanently",
-                    "location": location,
-                },
-                headers=(("Location", location), ("Deprecation", "true")),
-            )
         if version not in SUPPORTED_WIRE_VERSIONS:
+            # an unknown prefix or (``None``) no prefix at all
             return self._json_response(
                 endpoint, 404, unsupported_version_document(version)
             )
@@ -330,15 +312,7 @@ class ServiceCore:
                 endpoint, 400, {"error": str(exc), "type": "BadRequest"}
             )
         except Exception as exc:
-            status = _status_for(exc)
-            message = str(exc) if not isinstance(exc, KeyError) else repr(exc)
-            body: Dict[str, Any] = {
-                "error": message,
-                "type": type(exc).__name__,
-            }
-            if isinstance(exc, SessionDegradedError):
-                body["degraded"] = exc.document
-            return self._json_response(endpoint, status, body)
+            return self._error_response(endpoint, exc)
 
     @staticmethod
     def _endpoint_template(method: str, path: str) -> str:
@@ -501,6 +475,40 @@ class ServiceCore:
             if result is not None:
                 return result
 
+    def _probe_rejection(self, hosted: HostedSession) -> Optional[SessionDegradedError]:
+        """The gate's fast 503 (counted) while a recovery probe is in
+        flight, else ``None``.  Dirty read by design: the worst a race
+        costs is one extra request queueing for the lock and becoming the
+        next probe."""
+        if not (self.degraded_after and hosted.is_degraded and hosted.probe_in_flight):
+            return None
+        self.metrics.count("rejected_total")
+        return SessionDegradedError(
+            f"session {hosted.id!r} is degraded and a recovery probe "
+            "is already in flight; retry shortly",
+            hosted.degraded_document(),
+        )
+
+    def reject_behind_probe(
+        self, method: str, target: str, hosted: HostedSession
+    ) -> Optional[Response]:
+        """That 503 as a finished, recorded response — for a transport
+        about to park a gated request on a lock of its own in front of
+        :meth:`gated_verb`.  ``None`` means queue as usual; no verb ever
+        runs from here."""
+        started = time.perf_counter()
+        rejection = self._probe_rejection(hosted)
+        if rejection is None:
+            return None
+        _version, rest = split_wire_version(urlsplit(target).path)
+        response = self._error_response(
+            self._endpoint_template(method, rest), rejection
+        )
+        self.metrics.record(
+            response.endpoint, response.status, time.perf_counter() - started
+        )
+        return response
+
     def gated_verb(
         self,
         hosted: HostedSession,
@@ -522,15 +530,9 @@ class ServiceCore:
         lock was won — the caller (:meth:`_run_gated`) re-resolves.
         """
         threshold = self.degraded_after
-        if threshold and hosted.is_degraded and hosted.probe_in_flight:
-            # dirty read by design: the worst a race costs is one extra
-            # request queueing for the lock and becoming the next probe
-            self.metrics.count("rejected_total")
-            raise SessionDegradedError(
-                f"session {hosted.id!r} is degraded and a recovery probe "
-                "is already in flight; retry shortly",
-                hosted.degraded_document(),
-            )
+        rejection = self._probe_rejection(hosted)
+        if rejection is not None:
+            raise rejection
         wait_from = time.perf_counter()
         with hosted.lock:
             if hosted.closed:
@@ -715,7 +717,6 @@ class ServiceCore:
 _STATUS_REASONS = {
     200: "OK",
     201: "Created",
-    301: "Moved Permanently",
     400: "Bad Request",
     404: "Not Found",
     409: "Conflict",
@@ -725,5 +726,5 @@ _STATUS_REASONS = {
 
 
 def status_reason(status: int) -> str:
-    """The reason phrase for a status line (shared by both transports)."""
+    """The reason phrase for a status line."""
     return _STATUS_REASONS.get(status, "Unknown")

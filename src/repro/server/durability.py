@@ -27,8 +27,8 @@ becomes flush-then-drop) costs nothing until the session is asked for.
 
 The fsync unit is one HTTP write verb, not one edit op — a 100-op
 changeset is framed as a single record and hardened by a single fsync,
-which is what keeps the apply-latency overhead small
-(``benchmarks/bench_server_durability.py`` tracks it).
+which is what keeps the apply-latency overhead small (the
+``durable_stream`` workload of ``benchmarks/e2e`` tracks it).
 """
 
 from __future__ import annotations

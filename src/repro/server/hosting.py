@@ -1,12 +1,12 @@
-"""Hosted-session state shared by both server transports.
+"""Hosted-session state behind the service core.
 
 :class:`HostedSession` (one warm session + its lock, undo-token table,
 degraded gating and durability journal), :class:`SessionManager` (the
 LRU table with eviction tombstones and lazy rehydration) and
-:class:`ServerMetrics` (thread-safe request counters) are transport
-agnostic: the asyncio front end (:mod:`repro.server.aio`) and the legacy
-threaded server (:mod:`repro.server`) both host their sessions here, so
-durability, eviction and degraded semantics are identical across them.
+:class:`ServerMetrics` (thread-safe request counters) know nothing of
+HTTP: :class:`~repro.server.core.ServiceCore` drives them from verb-pool
+worker threads, the asyncio front end (:mod:`repro.server.aio`) from its
+event loop.
 """
 
 from __future__ import annotations
@@ -601,6 +601,12 @@ class SessionManager:
                 return hosted
             # lost a remove()/purge race after claiming — report 404
 
+    def peek(self, session_id: str) -> Optional[HostedSession]:
+        """The resident session under ``session_id``, if any — no LRU
+        bump, no rehydration, no waiting on an eviction."""
+        with self._lock:
+            return self._sessions.get(session_id)
+
     def _rehydrate(self, session_id: str) -> Optional[HostedSession]:
         """Recover a cold durable session and publish it in the table."""
         assert self.store is not None
@@ -650,7 +656,7 @@ class SessionManager:
         eviction tombstones so waiting resolvers may rehydrate."""
         for lru in evicted:
             try:
-                self._flush_and_close(lru)
+                self._close(lru, flush=True)
             finally:
                 with self._lock:
                     event = self._evicting.pop(lru.id, None)
@@ -864,12 +870,7 @@ class SessionManager:
                 continue
             break
         if hosted is not None:
-            with hosted.lock:
-                hosted.closed = True
-                hosted.fragments.clear()
-                if hosted.journal is not None:
-                    hosted.journal.close()
-                hosted.session.close()
+            self._close(hosted, flush=False)
         if self.store is not None:
             self.store.purge(session_id)
             if hosted is None:
@@ -877,16 +878,21 @@ class SessionManager:
                     self.closed_total += 1
         return session_id
 
-    def close_all(self) -> None:
-        """Flush every dirty journal and close every session (shutdown)."""
+    def close_all(self, flush: bool = True) -> None:
+        """Flush every dirty journal and close every session (shutdown).
+
+        ``flush=False`` closes the journals as they are — what a crash
+        leaves: recovery replays each WAL tail."""
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
         for hosted in sessions:
-            self._flush_and_close(hosted)
+            self._close(hosted, flush)
 
-    def _flush_and_close(self, hosted: HostedSession) -> None:
-        """Eviction/shutdown path: snapshot pending state, then close.
+    @staticmethod
+    def _close(hosted: HostedSession, flush: bool) -> None:
+        """Close one session, snapshotting pending state first on the
+        eviction/shutdown path (``flush``).
 
         With durability on, eviction means *flush then drop* — the session
         leaves memory but stays recoverable (and is lazily rehydrated on
@@ -896,7 +902,7 @@ class SessionManager:
             hosted.fragments.clear()
             journal = hosted.journal
             if journal is not None:
-                if journal.needs_flush or hosted.session.dirty:
+                if flush and (journal.needs_flush or hosted.session.dirty):
                     try:
                         hosted.persist_snapshot()
                         journal.store._count("flushed_total")

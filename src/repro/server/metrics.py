@@ -1,6 +1,6 @@
 """Prometheus text exposition for the server's JSON metrics document.
 
-``GET /metrics`` serves a nested JSON document (``ReproHTTPServer.
+``GET /metrics`` serves a nested JSON document (``ServiceCore.
 metrics_document``); ``GET /metrics?format=prometheus`` feeds the same
 document through :func:`prometheus_text` to produce the standard text
 format (version 0.0.4) that a Prometheus scraper — or the regression

@@ -7,23 +7,15 @@ the documents (field names, the ``{"engine": ...}`` object, error bodies),
 not their values; a client that pins ``wire_version == 1`` is insulated
 from future breaking changes, which will mount as ``/v2`` alongside.
 
-Migration affordances for pre-versioning clients (one release):
-
-* an unversioned path (``GET /healthz``) answers ``301 Moved Permanently``
-  to the same path under ``/v1`` (query string preserved) with a
-  ``Deprecation: true`` header — stdlib/urllib and curl follow it
-  transparently for GETs;
-* an *unknown* version prefix (``/v2/...``) answers 404 with a document
-  naming the versions this server speaks, so a too-new client fails with
-  an actionable error instead of a bare route miss.
+Any other prefix — an *unknown* version (``/v2/...``) or none at all
+(``GET /healthz``, the pre-versioning form) — answers 404 with a document
+naming the versions this server speaks, so a too-new or too-old client
+fails with an actionable error instead of a bare route miss.
 
 This module also owns the one response encoder (:func:`encode`): bodies
 are *compact* JSON — no whitespace between tokens, one trailing newline —
 so the C encoder does the work.  Whitespace and line breaks are not part
 of the wire version: clients compare parsed documents, never bytes.
-
-Shared by both transports (the asyncio front end and the legacy threaded
-server) so their wire bytes stay identical.
 """
 
 from __future__ import annotations
@@ -116,11 +108,13 @@ def split_wire_version(path: str) -> Tuple[Optional[int], str]:
     return None, path
 
 
-def unsupported_version_document(version: int) -> Dict[str, Any]:
-    """The 404 body for a version prefix this server does not speak."""
+def unsupported_version_document(version: Optional[int]) -> Dict[str, Any]:
+    """The 404 body for a version prefix this server does not speak
+    (``None``: the path carried no prefix at all)."""
+    claimed = "an unversioned path" if version is None else f"wire version {version}"
     return {
         "error": (
-            f"wire version {version} is not supported by this server; "
+            f"{claimed} is not supported by this server; "
             f"supported versions: "
             f"{', '.join(f'/v{v}' for v in SUPPORTED_WIRE_VERSIONS)}"
         ),

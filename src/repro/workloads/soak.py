@@ -27,8 +27,9 @@ Three server arrangements:
   cycles are real ``SIGKILL`` + restart on the same state dir (the CLI
   path, ``repro soak``);
 * :class:`InProcessServer` — ``make_server`` in this process with a
-  crash-*like* hard restart (journals closed without a flush, so
-  recovery replays the WAL tail) — what the tier-1 tests use;
+  crash-*like* hard restart (``shutdown(flush=False)``: journals closed
+  without a snapshot, so recovery replays the WAL tail) — what the
+  tier-1 tests use;
 * :class:`ExternalServer` — any ``--url``; no restarts.
 """
 
@@ -334,26 +335,12 @@ class InProcessServer:
         pass
 
     def restart(self) -> None:
-        self._hard_stop()
+        self._server.shutdown(flush=False)
         self._server = self._make_server(**self._kwargs)
         self._server.start_background()
         ServerClient(base_url=self.base_url).wait_ready(
             attempts=100, delay=0.05
         )
-
-    def _hard_stop(self) -> None:
-        from http.server import ThreadingHTTPServer
-
-        server = self._server
-        ThreadingHTTPServer.shutdown(server)
-        thread = getattr(server, "_thread", None)
-        if thread is not None:
-            thread.join(timeout=10)
-        for hosted in server.manager.list():
-            if hosted.journal is not None:
-                hosted.journal.close()  # no snapshot: leave the WAL tail
-            hosted.session.close()
-        server.server_close()
 
     def close(self) -> None:
         self._server.shutdown()

@@ -327,7 +327,7 @@ class TestErrorPaths:
         import urllib.request
 
         request = urllib.request.Request(
-            f"{server.base_url}/sessions/whatever/detect",
+            f"{server.base_url}/v1/sessions/whatever/detect",
             data=b"{not json",
             headers={"Content-Type": "application/json"},
             method="POST",

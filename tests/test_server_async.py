@@ -3,13 +3,14 @@
 Three acceptance bars from the async-service redesign:
 
 * **wire versioning** — every endpoint mounts under ``/v1`` and carries
-  ``"wire_version": 1`` as the first envelope key; unversioned paths
-  answer 301 (with a ``Deprecation`` header) to the ``/v1`` mount;
-  unknown version prefixes answer 404 with a supported-versions doc.
-* **transport equivalence** — the async server and the legacy threaded
-  server share one :class:`~repro.server.core.ServiceCore`, so the same
-  request history must produce *byte-identical* response bodies on both,
-  error documents and undo-token flows included.
+  ``"wire_version": 1`` as the first envelope key; any other prefix —
+  an unknown version or none — answers 404 with a supported-versions
+  doc.
+* **transport transparency** — the server adds no byte to what its
+  :class:`~repro.server.core.ServiceCore` renders: the same request
+  history must produce *byte-identical* response bodies served and from
+  an in-process ``ServiceCore.handle``, error documents and undo-token
+  flows included.
 * **snapshot reads** — on the async server a warm ``detect`` against an
   unchanged engine is served from the session snapshot without entering
   the gated verb path; any write invalidates the snapshot.
@@ -27,7 +28,9 @@ from urllib.parse import urlsplit
 import pytest
 
 from repro.client import ServerClient, ServerError
-from repro.server import make_async_server, make_server
+from repro.server import DEFAULT_DEGRADED_AFTER, make_server
+from repro.server.core import ServiceCore, parse_body_bytes
+from repro.server.hosting import ServerMetrics, SessionManager
 
 SCHEMA_DOC = {
     "name": "emp",
@@ -57,7 +60,7 @@ EXTRA_RULE = {
 
 @pytest.fixture(scope="module")
 def server():
-    server = make_async_server(port=0)
+    server = make_server(port=0)
     server.start_background()
     yield server
     server.shutdown()
@@ -85,8 +88,7 @@ def _fresh(client: ServerClient, session_id: str, **kwargs):
 
 
 def _raw(base_url, method, path, body=None):
-    """One raw request (no redirect following); returns
-    ``(status, headers, body_bytes)``."""
+    """One raw request; returns ``(status, headers, body_bytes)``."""
     parts = urlsplit(base_url)
     conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
     try:
@@ -121,28 +123,28 @@ class TestWireVersioning:
         assert "wire_version" not in doc
         assert doc.wire_version == 1
 
-    def test_unversioned_path_redirects_with_deprecation(self, server):
-        status, headers, raw = _raw(server.base_url, "GET", "/healthz")
-        assert status == 301
-        assert headers["Location"] == "/v1/healthz"
-        assert headers["Deprecation"] == "true"
-        document = json.loads(raw)
-        assert document["type"] == "MovedPermanently"
-        assert document["location"] == "/v1/healthz"
-
-    def test_redirect_preserves_the_query_string(self, server):
-        status, headers, _raw_body = _raw(
-            server.base_url, "GET", "/metrics?format=prometheus"
-        )
-        assert status == 301
-        assert headers["Location"] == "/v1/metrics?format=prometheus"
-
     def test_unknown_version_is_404_with_supported_doc(self, server):
         status, _headers, raw = _raw(server.base_url, "GET", "/v999/healthz")
         assert status == 404
         document = json.loads(raw)
         assert document["supported_versions"] == [1]
         assert "999" in document["error"]
+
+    def test_unversioned_path_is_404_naming_v1(self, client, server):
+        status, headers, raw = _raw(
+            server.base_url, "POST", "/sessions/probe-7/detect"
+        )
+        assert status == 404
+        assert "Location" not in headers
+        document = json.loads(raw)
+        assert document["type"] == "UnsupportedWireVersion"
+        assert document["requested_version"] is None
+        assert document["supported_versions"] == [1]
+        assert "/v1" in document["error"]
+        # recorded under the route template: probes cannot grow the table
+        endpoints = client.metrics()["endpoints"]
+        assert "POST /sessions/{id}/detect" in endpoints
+        assert not any("probe-7" in key for key in endpoints)
 
     def test_session_named_v1_stays_addressable(self, client, server):
         _fresh(client, "v1")
@@ -250,11 +252,11 @@ class TestAsyncVerbs:
         assert str(local.value) in str(served.value)
         client.delete_session("errs")
 
-    def test_positional_client_shim_warns(self, server):
-        with pytest.warns(DeprecationWarning):
-            shim = ServerClient(server.base_url)
-        assert shim.base_url == server.base_url
-        assert shim.healthz()["status"] == "ok"
+    def test_client_constructor_is_keyword_only(self, server):
+        with pytest.raises(TypeError):
+            ServerClient(server.base_url)
+        with pytest.raises(TypeError):
+            ServerClient()
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +354,7 @@ class TestBoundedTables:
     what LRU eviction drops, or what never existed, leaves nothing behind."""
 
     def test_evicted_sessions_are_released(self):
-        server = make_async_server(port=0, max_sessions=2)
+        server = make_server(port=0, max_sessions=2)
         server.start_background()
         try:
             client = ServerClient(base_url=server.base_url)
@@ -386,14 +388,14 @@ class TestBoundedTables:
 
 
 # --------------------------------------------------------------------------
-# Async vs threaded: byte-identical wire behavior
+# Served vs in-process core: the transport adds no bytes
 # --------------------------------------------------------------------------
 
 
 def _history():
     """A scripted request history touching every verb, error paths and
     undo-token flows.  Tokens are deterministic (``undo-N``), so the raw
-    response bytes must agree between transports."""
+    response bytes must agree between any two instances."""
     ops = [{"op": "insert", "relation": "emp",
             "row": {"dept": "qa", "floor": 7}}]
     bad_ops = [{"op": "insert", "relation": "emp",
@@ -424,14 +426,14 @@ def _history():
         ("POST", "/v1/sessions/missing/detect", None),  # 404
         ("GET", "/v1/teapot", None),  # 400
         ("GET", "/v999/healthz", None),  # 404 version doc
-        ("GET", "/healthz", None),  # 301 + Deprecation
+        ("GET", "/healthz", None),  # unversioned: the same 404, naming /v1
         ("DELETE", "/v1/sessions/t", None),
         ("DELETE", "/v1/sessions/t", None),  # already gone: 404
     ]
 
 
 #: wall-clock fields — non-deterministic between any two server boots
-#: (two runs of the *same* transport disagree on them too)
+#: (two runs of the same server disagree on them too)
 _CLOCK_KEYS = frozenset({"age_seconds", "idle_seconds", "uptime_seconds"})
 
 
@@ -446,16 +448,16 @@ def _mask_clocks(value):
     return value
 
 
-def _assert_same_bytes(context, t_raw, a_raw):
-    if t_raw == a_raw:
+def _assert_same_bytes(context, core_raw, served_raw):
+    if core_raw == served_raw:
         return
     # only wall-clock fields may diverge — and only in value, never in
     # key order or structure: masking them must restore byte equality
-    t_masked = json.dumps(_mask_clocks(json.loads(t_raw)), indent=2)
-    a_masked = json.dumps(_mask_clocks(json.loads(a_raw)), indent=2)
-    assert t_masked == a_masked, (
+    core_masked = json.dumps(_mask_clocks(json.loads(core_raw)), indent=2)
+    served_masked = json.dumps(_mask_clocks(json.loads(served_raw)), indent=2)
+    assert core_masked == served_masked, (
         f"{context}: bodies diverge beyond clock fields\n"
-        f"threaded: {t_raw!r}\nasync:    {a_raw!r}"
+        f"core:   {core_raw!r}\nserved: {served_raw!r}"
     )
 
 
@@ -468,36 +470,32 @@ def _assert_wire_contract(context, headers, raw):
     assert json.loads(raw)["wire_version"] == 1, context
 
 
-def test_async_and_threaded_servers_answer_byte_identically():
-    threaded = make_server(port=0)
-    threaded.start_background()
-    asyncio_server = make_async_server(port=0)
-    asyncio_server.start_background()
+def test_served_bytes_equal_the_in_process_core():
+    """The reference is ``ServiceCore.handle`` on a twin manager — no
+    socket, no snapshot layer, no lock table — so whatever the transport
+    added, dropped or reordered would show as a byte."""
+    core = ServiceCore(SessionManager(), ServerMetrics(), DEFAULT_DEGRADED_AFTER)
+    server = make_server(port=0)
+    server.start_background()
     try:
         for index, (method, path, body) in enumerate(_history()):
-            t_status, t_headers, t_raw = _raw(
-                threaded.base_url, method, path, body
+            payload = b"" if body is None else json.dumps(body).encode("utf-8")
+            reference = core.handle(
+                method, path, lambda: parse_body_bytes(payload)
             )
-            a_status, a_headers, a_raw = _raw(
-                asyncio_server.base_url, method, path, body
-            )
+            status, headers, raw = _raw(server.base_url, method, path, body)
             context = f"step {index}: {method} {path}"
-            assert t_status == a_status, context
-            _assert_same_bytes(context, t_raw, a_raw)
-            _assert_wire_contract(context + " (threaded)", t_headers, t_raw)
-            _assert_wire_contract(context + " (async)", a_headers, a_raw)
-            assert t_headers.get("Content-Type") == a_headers.get(
-                "Content-Type"
-            ), context
-            assert t_headers.get("Deprecation") == a_headers.get(
-                "Deprecation"
-            ), context
-            assert t_headers.get("Location") == a_headers.get(
-                "Location"
-            ), context
+            assert status == reference.status, context
+            _assert_same_bytes(context, reference.body, raw)
+            _assert_wire_contract(context, headers, raw)
+            assert headers.get("Content-Type") == reference.content_type, context
+            # the core renders status, content type and body — nothing else
+            # (the pre-/v1 redirect was the one response with more)
+            assert "Location" not in headers, context
+            assert "Deprecation" not in headers, context
     finally:
-        threaded.shutdown()
-        asyncio_server.shutdown()
+        server.shutdown()
+        core.manager.close_all()
 
 
 # --------------------------------------------------------------------------

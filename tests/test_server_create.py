@@ -20,7 +20,7 @@ from repro.rules_json import (
     database_schema_to_dict,
     rules_from_list,
 )
-from repro.server import make_async_server
+from repro.server import make_server
 from repro.server.hosting import SessionManager
 from repro.session import Session
 from repro.workloads.customer import CustomerConfig, generate_customers
@@ -63,7 +63,7 @@ def test_created_and_rehydrated_sessions_serve_the_offline_document(tmp_path):
         assert f'"w": {cell}\n' in rendered
 
     # one resident session at a time: creating another evicts the first
-    server = make_async_server(port=0, state_dir=tmp_path, max_sessions=1)
+    server = make_server(port=0, state_dir=tmp_path, max_sessions=1)
     server.start_background()
     try:
         client = ServerClient(base_url=server.base_url)

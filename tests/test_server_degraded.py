@@ -7,8 +7,9 @@ crosses ``degraded_after`` consecutive failures itself answers 503 with
 a ``degraded`` document; the next request to reach the lock runs as a
 recovery probe (success answers 200 and resets the counters); requests
 arriving *during* an in-flight probe are rejected with a fast 503 that
-never queues on the session lock — and the lock itself is released on
-every path, so a degraded session can never poison it.
+never queues on the session lock (nor on the transport's asyncio lock in
+front of it) — and the lock itself is released on every path, so a
+degraded session can never poison it.
 """
 
 from __future__ import annotations
@@ -216,6 +217,9 @@ class TestFastPathRejection:
             probe.join(timeout=30)
         # the probe succeeded: session recovered, answers normally
         assert probe_result["doc"]["total"] == 1
+        # the reject never joined the transport's lock table, and the
+        # probe left it: nothing holds or awaits this session's lock
+        assert server._locks == {}
         assert client.session_info("deg-fast")["degraded"] is False
         client.delete_session("deg-fast")
 

@@ -5,11 +5,12 @@ boundary — including mid-record — restart it on the same ``--state-dir``,
 and every session (resident or evicted) must answer ``detect``
 byte-identically to an uninterrupted twin, with its undo tokens intact.
 
-Crashes are simulated in-process by shutting the socket loop down
-*without* the flush that a graceful ``ReproHTTPServer.shutdown`` runs
-(``manager.close_all``) — valid because the WAL is fsync'd inside each
-request, so whatever a client saw acknowledged is on disk the moment the
-response commits.  One subprocess test does the real thing with SIGKILL.
+Crashes are simulated in-process by stopping the server *without* the
+flush a graceful ``shutdown()`` runs (``shutdown(flush=False)``: journals
+close with their WAL tails unsnapshotted) — valid because the WAL is
+fsync'd inside each request, so whatever a client saw acknowledged is on
+disk the moment the response commits.  One subprocess test does the real
+thing with SIGKILL.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -61,8 +61,7 @@ def _boot(state_dir: Path, **kwargs):
 
 def _crash(server) -> None:
     """Kill the server without the graceful-shutdown flush."""
-    ThreadingHTTPServer.shutdown(server)
-    server.server_close()
+    server.shutdown(flush=False)
 
 
 def _create(client: ServerClient, session_id: str, rows=ROWS):
@@ -283,6 +282,38 @@ class TestDurableLifecycle:
         server2, client2 = _boot(tmp_path)
         try:
             assert _dump(client2.detect("a")) == _dump(before)
+        finally:
+            server2.shutdown()
+
+    def test_unflushed_shutdown_leaves_the_wal_tail(self, tmp_path):
+        """``shutdown(flush=False)`` is the crash every other test here
+        simulates with: it must cut no snapshot generation, leave exactly
+        the acknowledged records in the WAL, and stop serving."""
+        server, client = _boot(tmp_path)
+        _create(client, "a")
+        client.apply("a", _insert("qa", 9))
+        client.apply("a", _delete("ops", 3))
+        before = client.detect("a")
+        hosted = server.manager.get("a")
+        _crash(server)
+        assert hosted.closed and hosted.journal._wal_handle is None
+        assert _session_files(tmp_path, "a") == [
+            "snapshot-00000000.json", "wal-00000000.log",
+        ]
+        records, clean = wal_records_from_bytes(
+            _current_wal(tmp_path, "a").read_bytes()
+        )
+        assert clean and [r["kind"] for r in records] == ["apply", "apply"]
+        with pytest.raises(ServerError) as err:
+            client.healthz()
+        assert err.value.status == 0  # socket released
+
+        server2, client2 = _boot(tmp_path)
+        try:
+            assert client2.cold_sessions() == ["a"]
+            assert _dump(client2.detect("a")) == _dump(before)
+            durability = client2.session_info("a")["durability"]
+            assert (durability["generation"], durability["wal_records"]) == (0, 2)
         finally:
             server2.shutdown()
 

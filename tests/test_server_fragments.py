@@ -21,7 +21,7 @@ from repro.client import ServerClient
 from repro.engine.delta import Changeset
 from repro.relational.instance import DatabaseInstance
 from repro.rules_json import database_schema_from_dict, rules_from_list
-from repro.server import make_async_server
+from repro.server import make_server
 from repro.server.hosting import ReportFragments
 from repro.session import Session
 from repro.workloads.soak import canonical, offline_detect
@@ -69,7 +69,7 @@ def _shadow() -> Session:
 @pytest.fixture()
 def served(tmp_path):
     # one resident session at a time: creating another evicts the first
-    server = make_async_server(port=0, state_dir=tmp_path, max_sessions=1)
+    server = make_server(port=0, state_dir=tmp_path, max_sessions=1)
     server.start_background()
     client = ServerClient(base_url=server.base_url)
     client.wait_ready()

@@ -21,7 +21,7 @@ from repro.client import ServerClient
 from repro.engine.delta import Changeset
 from repro.relational.instance import DatabaseInstance
 from repro.rules_json import database_schema_from_dict, rules_from_list
-from repro.server import make_async_server
+from repro.server import make_server
 from repro.session import Session
 
 SCHEMA_DOC = {
@@ -62,7 +62,7 @@ DATA = {"emp": EMP, "site": [{"city": "a"}]}
 
 @pytest.fixture()
 def served(tmp_path):
-    server = make_async_server(port=0, state_dir=tmp_path, max_sessions=2)
+    server = make_server(port=0, state_dir=tmp_path, max_sessions=2)
     server.start_background()
     client = ServerClient(base_url=server.base_url)
     client.wait_ready()

@@ -134,7 +134,7 @@ def parse_prometheus(text: str):
 class TestPrometheusExposition:
     def test_content_type_and_status(self, client):
         request = urllib.request.Request(
-            f"{client.base_url}/metrics?format=prometheus"
+            f"{client.base_url}/v1/metrics?format=prometheus"
         )
         with urllib.request.urlopen(request, timeout=10) as response:
             assert response.status == 200
