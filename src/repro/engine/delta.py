@@ -198,6 +198,16 @@ class Changeset:
         caller's view of the cell is stale).  Application is atomic: if any
         op fails, the already-applied prefix is rolled back before the
         error propagates, so the database is never left half-edited.
+
+        The edit itself decides membership: ``RelationInstance.version``
+        moves on exactly the effective ``add`` / ``discard`` calls, so an
+        insert or delete is one call — one row lookup — and is recorded
+        iff the version moved; nothing asks ``t in relation`` first.  An
+        update keeps its order of checks — absent target (``KeyError``)
+        before ``replace`` can reject a cell, ``new == old`` before any
+        edit (removing and re-adding would move the row to the end) — so
+        it looks up the target, removes it and adds the replacement:
+        three lookups at most.
         """
         effective: Dict[str, List[PyTuple[str, Tuple]]] = {}
         try:
@@ -206,13 +216,15 @@ class Changeset:
                 ops = effective.setdefault(rel_name, [])
                 if kind == self._INSERT:
                     t = self._coerce(relation, payload)
-                    if t not in relation:
-                        relation.add(t)
+                    version = relation.version
+                    relation.add(t)
+                    if relation.version != version:
                         ops.append(("add", t))
                 elif kind == self._DELETE:
                     t = self._coerce(relation, payload)
-                    if t in relation:
-                        relation.remove(t)
+                    version = relation.version
+                    relation.discard(t)
+                    if relation.version != version:
                         ops.append(("remove", t))
                 else:  # update
                     old, cells = payload
@@ -224,8 +236,9 @@ class Changeset:
                         continue
                     relation.remove(old)
                     ops.append(("remove", old))
-                    if new not in relation:
-                        relation.add(new)
+                    version = relation.version
+                    relation.add(new)
+                    if relation.version != version:
                         ops.append(("add", new))
         except Exception:
             for rel_name, ops in effective.items():

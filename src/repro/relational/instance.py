@@ -96,7 +96,10 @@ class RelationInstance:
         return Tuple(self.schema, t)
 
     def add(self, t: Tuple | Mapping | Sequence) -> Tuple:
-        """Insert a tuple (idempotent under set semantics); return it."""
+        """Insert a tuple (idempotent under set semantics); return it.
+
+        ``version`` moves iff the tuple was new.
+        """
         store = self._store
         if store is None:
             coerced = self._coerce(t)
@@ -210,8 +213,9 @@ class RelationInstance:
         except KeyError:
             return None
 
-    def _row_of(self, t: Tuple) -> int | None:
-        """Row index of ``t`` in the column store, or ``None`` if absent."""
+    def _locate(self, t: Tuple) -> tuple[tuple[int, ...], int] | None:
+        """``(codes, row)`` of ``t`` in the column store, or ``None`` if
+        absent — one ``probe``, so a delete can hand both to ``kill_row``."""
         store = self._store
         assert store is not None
         if not isinstance(t, Tuple) or t.schema.name != self.schema.name:
@@ -219,35 +223,43 @@ class RelationInstance:
         codes = store.probe(t.values())
         if codes is None:
             return None
-        return store.find_row(codes)
+        row = store.find_row(codes)
+        return None if row is None else (codes, row)
 
     def remove(self, t: Tuple) -> None:
-        """Delete a tuple (KeyError if absent)."""
+        """Delete a tuple (KeyError if absent).
+
+        The row is located once (one ``ColumnStore.probe``); ``version``
+        moves iff a row was deleted, which a raise rules out.
+        """
         store = self._store
         if store is None:
             del self._tuples[t]
             self._version += 1
             return
-        row = self._row_of(t)
-        if row is None:
+        located = self._locate(t)
+        if located is None:
             raise KeyError(t)
-        codes = store.probe(t.values())
-        assert codes is not None
-        store.kill_row(codes, row)
+        store.kill_row(*located)
         self._version += 1
 
     def discard(self, t: Tuple) -> None:
-        """Delete a tuple if present."""
+        """Delete a tuple if present.
+
+        The row is located once (one ``ColumnStore.probe``), and
+        ``version`` moves iff a row was deleted — a caller that needs to
+        know whether the tuple was there compares ``version`` around the
+        call instead of asking ``t in relation`` first
+        (:meth:`repro.engine.delta.Changeset.apply_to` does).
+        """
         store = self._store
         if store is None:
             if self._tuples.pop(t, _MISSING) is not _MISSING:
                 self._version += 1
             return
-        row = self._row_of(t)
-        if row is not None:
-            codes = store.probe(t.values())
-            assert codes is not None
-            store.kill_row(codes, row)
+        located = self._locate(t)
+        if located is not None:
+            store.kill_row(*located)
             self._version += 1
 
     @property
@@ -271,7 +283,7 @@ class RelationInstance:
     def __contains__(self, t: Tuple) -> bool:
         if self._store is None:
             return t in self._tuples
-        return self._row_of(t) is not None
+        return self._locate(t) is not None
 
     def __iter__(self) -> Iterator[Tuple]:
         if self._store is None:

@@ -57,7 +57,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any, AsyncIterator, Dict, Mapping, Optional, Tuple
+from typing import Any, AsyncIterator, Dict, Mapping, Optional, Set, Tuple
 
 from repro.engine.config import engine_config_from_document
 from repro.server.core import (
@@ -86,6 +86,9 @@ _WRITE_VERBS = frozenset({"apply", "undo", "repair", "rules"})
 #: verbs that serialize on the session's asyncio lock — the write verbs
 #: plus the two snapshot-publishing reads (publication must be raceless)
 _LOCKED_VERBS = frozenset({"detect", "apply", "undo", "repair", "rules"})
+
+#: how long a stop waits for requests already read to be answered
+_DRAIN_SECONDS = 5.0
 
 
 class _LockEntry:
@@ -184,6 +187,11 @@ class AsyncReproServer:
         self._executor = VerbPool(max_workers=32, thread_name_prefix="repro-verb")
         self._locks: Dict[str, _LockEntry] = {}
         self._snapshots: Dict[str, SessionSnapshot] = {}
+        #: every open connection's handler task, and the writers of the
+        #: ones parked between requests — what a stop has to wind down
+        self._handlers: Set["asyncio.Task[None]"] = set()
+        self._parked: Set[asyncio.StreamWriter] = set()
+        self._draining = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop: Optional[asyncio.Event] = None
         self._ready = threading.Event()
@@ -212,7 +220,29 @@ class AsyncReproServer:
             await self._stop.wait()
         finally:
             server.close()
+            await self._drain_connections()
             await server.wait_closed()
+
+    async def _drain_connections(self) -> None:
+        """Wind down the open connections before the loop goes away.
+
+        Returning from :meth:`_main` with handlers still parked in
+        ``readline`` makes ``asyncio.run`` *cancel* them: one traceback
+        per idle keep-alive connection, and sockets nobody closed.  So a
+        connection waiting for its next request is closed here — its
+        handler reads EOF and leaves through its own ``finally`` — while a
+        request already read keeps its connection until the response is
+        written (``_handle_connection`` then closes it).  The wait is
+        bounded: a verb still running after ``_DRAIN_SECONDS`` is left to
+        the cancellation it would have met anyway.
+        """
+        self._draining = True
+        # connections accepted this iteration start their handlers first
+        await asyncio.sleep(0)
+        for writer in self._parked:
+            writer.close()
+        if self._handlers:
+            await asyncio.wait(self._handlers, timeout=_DRAIN_SECONDS)
 
     def start_background(self) -> threading.Thread:
         """Serve requests on a daemon thread (tests, benchmarks)."""
@@ -260,13 +290,22 @@ class AsyncReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        assert task is not None
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
         try:
-            while True:
-                request = await self._read_request(reader, writer)
+            while not self._draining:
+                self._parked.add(writer)
+                try:
+                    request = await self._read_request(reader, writer)
+                finally:
+                    self._parked.discard(writer)
                 if request is None:
                     return
                 method, target, keep_alive, body = request
                 response = await self._respond(method, target, body)
+                keep_alive = keep_alive and not self._draining
                 self._write_response(writer, response, keep_alive)
                 await writer.drain()
                 if not keep_alive:

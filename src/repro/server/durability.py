@@ -13,9 +13,9 @@ them survive it.  Each hosted session owns a directory under the server's
   detects and recovery truncates;
 * **periodic snapshots** (``snapshot-<gen>.json``) — the full session
   state (schema + rules + data documents through the registry codecs,
-  plus the undo-token table) written atomically (tmp + rename) after
-  ``snapshot_every`` WAL records, after which the previous generation's
-  snapshot and WAL are retired.
+  plus the undo-token table) streamed out in bounded chunks and landed
+  atomically (tmp + rename) after ``snapshot_every`` WAL records, after
+  which the previous generation's snapshot and WAL are retired.
 
 Recovery rebuilds a session from the newest snapshot plus its WAL tail:
 replaying a logged changeset through :meth:`Changeset.apply_to`
@@ -38,8 +38,9 @@ import os
 import shutil
 import threading
 from collections import OrderedDict
+from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from urllib.parse import quote, unquote
 
 from repro.engine.delta import Changeset
@@ -63,6 +64,22 @@ DEFAULT_SNAPSHOT_EVERY = 64
 MAX_UNDO_TOKENS = 32
 
 _SNAPSHOT_FORMAT = 1
+
+#: rows per ``json.dumps`` call while a snapshot streams a relation out:
+#: large enough that the C encoder does the work, small enough that
+#: neither a relation's worth of row dicts nor its text is ever alive
+_SNAPSHOT_CHUNK_ROWS = 1024
+
+
+def _dumps(value: Any) -> str:
+    """The snapshot's JSON spelling of ``value``: compact, ``default=str``.
+
+    ``json.dumps`` (never ``json.dump`` to a handle, which is the one form
+    that leaves the C encoder and issues a ``write`` per token).  Spelled
+    here and not borrowed from :mod:`repro.server.wire`: what is on disk
+    is versioned by ``_SNAPSHOT_FORMAT``, not by the wire version.
+    """
+    return json.dumps(value, separators=(",", ":"), default=str)
 
 
 def _fsync_dir(path: Path) -> None:
@@ -190,6 +207,7 @@ class SessionJournal:
             raise
         self.wal_records += 1
         self.store._count("wal_records_total")
+        self.store._count("wal_bytes_total", len(frame))
 
     def log_apply(self, changeset_doc: Mapping[str, Any], token: str) -> None:
         """Record a successful ``/apply``: the changeset + its undo token."""
@@ -217,6 +235,47 @@ class SessionJournal:
 
     # -- snapshots -------------------------------------------------------
 
+    def _snapshot_chunks(
+        self,
+        session: Session,
+        undo_items: List[Tuple[str, Changeset]],
+        undo_counter: int,
+    ) -> Iterator[str]:
+        """The snapshot document as JSON text, one bounded piece at a time.
+
+        Joined, the pieces are exactly ``_dumps`` of the whole document —
+        ``format``, ``session``, ``executor``, ``shards``, ``schema``,
+        ``rules``, ``data`` (``{relation: [row mapping, ...]}`` in live
+        insertion order, what :meth:`Session.data_documents` returns),
+        ``undo`` (``[[token, changeset document], ...]``, oldest first)
+        and ``undo_counter`` — but rows are encoded
+        ``_SNAPSHOT_CHUNK_ROWS`` at a time and undo entries one at a
+        time, so peak memory does not grow with the session.
+        """
+        head = {
+            "format": _SNAPSHOT_FORMAT,
+            "session": self.session_id,
+            "executor": session.executor,
+            "shards": session._shards,
+            "schema": session.schema_document(),
+            "rules": session.rules_documents(),
+        }
+        yield _dumps(head)[:-1] + ',"data":{'
+        for index, relation in enumerate(session.database):
+            yield ("," if index else "") + _dumps(relation.schema.name) + ":["
+            rows = iter(relation)
+            separator = ""
+            while batch := [
+                t.as_dict() for t in islice(rows, _SNAPSHOT_CHUNK_ROWS)
+            ]:
+                yield separator + _dumps(batch)[1:-1]
+                separator = ","
+            yield "]"
+        yield '},"undo":['
+        for index, (token, undo) in enumerate(undo_items):
+            yield ("," if index else "") + _dumps([token, undo.to_dict()])
+        yield '],"undo_counter":' + _dumps(undo_counter) + "}"
+
     def write_snapshot(
         self,
         session: Session,
@@ -225,32 +284,22 @@ class SessionJournal:
     ) -> None:
         """Capture the full session state and retire the old generation.
 
-        The snapshot is written to a temp file, fsync'd, then renamed into
-        place (atomic on POSIX) — recovery never sees a half-written
-        snapshot.  Only after the rename lands are the previous
-        generation's snapshot and WAL deleted.
+        The document streams to a temp file a bounded piece at a time
+        (:meth:`_snapshot_chunks`), is fsync'd, then renamed into place
+        (atomic on POSIX) — recovery never sees a half-written snapshot.
+        Only after the rename lands are the previous generation's
+        snapshot and WAL deleted.
         """
-        document = {
-            "format": _SNAPSHOT_FORMAT,
-            "session": self.session_id,
-            "executor": session.executor,
-            "shards": session._shards,
-            "schema": session.schema_document(),
-            "rules": session.rules_documents(),
-            "data": session.data_documents(),
-            "undo": [
-                [token, undo.to_dict()] for token, undo in undo_items
-            ],
-            "undo_counter": undo_counter,
-        }
         next_generation = self.generation + 1
         target = self._snapshot_path(next_generation)
         tmp = target.with_suffix(".json.tmp")
+        size = 0
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(
-                    document, handle, separators=(",", ":"), default=str
-                )
+            with open(tmp, "wb") as handle:
+                for chunk in self._snapshot_chunks(
+                    session, undo_items, undo_counter
+                ):
+                    size += handle.write(chunk.encode("utf-8"))
                 handle.flush()
                 if self.store.fsync:
                     os.fsync(handle.fileno())
@@ -275,6 +324,7 @@ class SessionJournal:
             self._snapshot_path(old_generation).unlink(missing_ok=True)
         session.mark_clean()
         self.store._count("snapshots_total")
+        self.store._count("snapshot_bytes_total", size)
 
     @property
     def needs_flush(self) -> bool:
@@ -323,17 +373,22 @@ class SessionStore:
         self.sessions_dir = self.root / "sessions"
         self.sessions_dir.mkdir(parents=True, exist_ok=True)
         self._counter_lock = threading.Lock()
+        #: ``snapshot_bytes_total``: file bytes of every snapshot that was
+        #: renamed into place; ``wal_bytes_total``: frame bytes (header +
+        #: payload) of every acknowledged WAL append
         self.counters: Dict[str, int] = {
             "snapshots_total": 0,
+            "snapshot_bytes_total": 0,
             "snapshot_failures_total": 0,
             "wal_records_total": 0,
+            "wal_bytes_total": 0,
             "rehydrated_total": 0,
             "flushed_total": 0,
         }
 
-    def _count(self, counter: str) -> None:
+    def _count(self, counter: str, amount: int = 1) -> None:
         with self._counter_lock:
-            self.counters[counter] += 1
+            self.counters[counter] += amount
 
     def counters_snapshot(self) -> Dict[str, int]:
         with self._counter_lock:

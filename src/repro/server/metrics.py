@@ -75,8 +75,10 @@ _DELTA_FIELDS: Tuple[str, ...] = (
 #: durability counters from SessionStore.counters_snapshot().
 _DURABILITY_COUNTERS: Tuple[str, ...] = (
     "snapshots_total",
+    "snapshot_bytes_total",
     "snapshot_failures_total",
     "wal_records_total",
+    "wal_bytes_total",
     "rehydrated_total",
     "flushed_total",
 )

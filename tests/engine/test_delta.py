@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.cfd.model import CFD, UNNAMED
@@ -11,8 +14,10 @@ from repro.deps.fd import FD
 from repro.deps.ind import IND
 from repro.engine.delta import Changeset, DeltaEngine, StaleEngineError
 from repro.engine.executor import detect_violations_indexed
-from repro.relational.domains import STRING
-from repro.relational.instance import DatabaseInstance
+from repro.errors import DomainError
+from repro.relational.columnar import ColumnStore
+from repro.relational.domains import INT, STRING
+from repro.relational.instance import DatabaseInstance, RelationInstance
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.tuples import Tuple
 
@@ -274,3 +279,251 @@ class TestFallbackAndGuards:
         engine = DeltaEngine(db, deps)
         report = engine.report()
         assert report.total == engine.total_violations() == 3
+
+
+# --------------------------------------------------------------------------
+# apply_to against its reference
+# --------------------------------------------------------------------------
+
+
+def reference_apply_to(changeset, db):
+    """``Changeset.apply_to`` in its ask-then-edit form — ``t in relation``
+    before every ``add`` / ``remove`` — kept as the oracle the one-lookup
+    form must match: same effective ops, same row order, same rollback."""
+    effective = {}
+    try:
+        for kind, rel_name, payload in changeset._ops:
+            relation = db.relation(rel_name)
+            ops = effective.setdefault(rel_name, [])
+            if kind == "insert":
+                t = Changeset._coerce(relation, payload)
+                if t not in relation:
+                    relation.add(t)
+                    ops.append(("add", t))
+            elif kind == "delete":
+                t = Changeset._coerce(relation, payload)
+                if t in relation:
+                    relation.remove(t)
+                    ops.append(("remove", t))
+            else:
+                old, cells = payload
+                old = Changeset._coerce(relation, old)
+                if old not in relation:
+                    raise KeyError(f"update target {old!r} not in {rel_name}")
+                new = old.replace(**cells)
+                if new == old:
+                    continue
+                relation.remove(old)
+                ops.append(("remove", old))
+                if new not in relation:
+                    relation.add(new)
+                    ops.append(("add", new))
+    except Exception:
+        for rel_name, ops in effective.items():
+            relation = db.relation(rel_name)
+            for kind, t in reversed(ops):
+                if kind == "add":
+                    relation.remove(t)
+                else:
+                    relation.add(t)
+        raise
+    return {rel: ops for rel, ops in effective.items() if ops}
+
+
+EDIT_SCHEMA = RelationSchema("E", [("K", STRING), ("V", STRING), ("N", INT)])
+_KEYS, _VALS, _NUMS = ("a", "b", "c", "d"), ("x", "y"), (0, 1)
+
+
+def edit_db(rows, storage):
+    """A one-relation database over ``EDIT_SCHEMA`` on the named backend."""
+    db = DatabaseInstance(DatabaseSchema([EDIT_SCHEMA]))
+    db.adopt("E", RelationInstance(EDIT_SCHEMA, rows, storage=storage))
+    return db
+
+
+def random_edit_case(rng):
+    """Seeded ``(rows, changeset, carried)`` over a 16-row universe, so
+    every set-semantics corner comes up: duplicate inserts, absent deletes,
+    no-op and colliding updates, updates of an absent row and bad-typed
+    cells.  Payloads are ``Tuple``s, value tuples or mappings; ``carried``
+    holds the ``id`` of every ``Tuple`` the changeset itself carries."""
+    def row():
+        return (rng.choice(_KEYS), rng.choice(_VALS), rng.choice(_NUMS))
+
+    def payload():
+        values = row()
+        shape = rng.randrange(3)
+        if shape == 0:
+            return Tuple(EDIT_SCHEMA, values)
+        if shape == 1:
+            return values
+        return dict(zip(EDIT_SCHEMA.attribute_names, values))
+
+    rows = list(dict.fromkeys(row() for _ in range(rng.randrange(0, 12))))
+    changeset = Changeset()
+    carried = set()
+    for _ in range(rng.randrange(1, 12)):
+        target = payload()
+        if isinstance(target, Tuple):
+            carried.add(id(target))
+        kind = rng.randrange(4)
+        if kind == 0:
+            changeset.insert("E", target)
+        elif kind == 1:
+            changeset.delete("E", target)
+        else:
+            cells = {"V": rng.choice(_VALS)}
+            if rng.randrange(3) == 0:
+                cells["N"] = rng.choice(_NUMS)
+            if rng.randrange(12) == 0:
+                cells["N"] = "not-an-int"  # DomainError, if the row is there
+            changeset.update("E", target, **cells)
+    return rows, changeset, carried
+
+
+def assert_apply_to_matches_reference(rows, changeset, carried, storage):
+    """Run both forms on twin databases and compare everything a caller
+    can observe: the outcome (ops or error), row order, ``version``."""
+    def identity(effective):
+        return {
+            rel: [
+                (kind, t.values(), id(t) if id(t) in carried else None)
+                for kind, t in ops
+            ]
+            for rel, ops in effective.items()
+        }
+
+    outcomes = []
+    for apply in (reference_apply_to, Changeset.apply_to):
+        db = edit_db(rows, storage)
+        relation = db.relation("E")
+        version = relation.version
+        try:
+            effective = apply(changeset, db)
+        except (KeyError, DomainError) as exc:
+            # the prefix was rolled back: the same rows (a re-added row
+            # may have moved to the end — identically on both sides)
+            assert set(relation.to_rows()) == set(rows)
+            outcomes.append((type(exc), relation.to_rows()))
+        else:
+            n_ops = sum(map(len, effective.values()))
+            assert relation.version == version + n_ops
+            outcomes.append((identity(effective), relation.to_rows()))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[1][0]
+
+
+@pytest.mark.parametrize("storage", ["columnar", "object"])
+class TestApplyToAgainstReference:
+    def test_random_changesets(self, storage):
+        rng = random.Random(20)
+        seen = Counter()
+        for _ in range(400):
+            rows, changeset, carried = random_edit_case(rng)
+            outcome = assert_apply_to_matches_reference(
+                rows, changeset, carried, storage
+            )
+            seen[outcome if isinstance(outcome, type) else "ok"] += 1
+        # the corpus reaches every way an application can end
+        assert seen["ok"] > 50 and seen[KeyError] > 50 and seen[DomainError] > 0
+
+    def test_a_carried_tuple_is_the_one_recorded(self, storage):
+        t = Tuple(EDIT_SCHEMA, ("a", "x", 0))
+        db = edit_db([], storage)
+        added = Changeset().insert("E", t).apply_to(db)
+        assert added["E"][0][1] is t and db.relation("E").tuples()[0] is t
+        removed = Changeset().delete("E", t).apply_to(db)
+        assert removed["E"][0][1] is t
+
+    def test_absent_target_is_a_key_error_before_the_cell_is_checked(
+        self, storage
+    ):
+        db = edit_db([("a", "x", 0), ("b", "y", 1)], storage)
+        relation = db.relation("E")
+        changeset = (
+            Changeset()
+            .delete("E", ("a", "x", 0))
+            .update("E", ("c", "x", 0), N="not-an-int")
+        )
+        with pytest.raises(KeyError):
+            changeset.apply_to(db)
+        assert relation.to_rows() == [("b", "y", 1), ("a", "x", 0)]
+        with pytest.raises(DomainError):
+            Changeset().update("E", ("b", "y", 1), N="not-an-int").apply_to(db)
+        assert relation.to_rows() == [("b", "y", 1), ("a", "x", 0)]
+
+
+class TestOneLookupPerEdit:
+    """The edit decides membership, so the column store is asked where a
+    row is once per insert / delete and at most three times per update."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        calls = []
+        real = ColumnStore.probe
+
+        def counting(store, values):
+            calls.append(values)
+            return real(store, values)
+
+        monkeypatch.setattr(ColumnStore, "probe", counting)
+        return calls
+
+    EDITS = {
+        "insert-new": (lambda: Changeset().insert("E", ("n", "x", 0)), 1),
+        "insert-duplicate": (lambda: Changeset().insert("E", ("a", "x", 0)), 1),
+        "delete-present": (lambda: Changeset().delete("E", ("a", "x", 0)), 1),
+        "delete-absent": (lambda: Changeset().delete("E", ("n", "x", 0)), 1),
+        "update": (lambda: Changeset().update("E", ("a", "x", 0), V="z"), 3),
+        "update-colliding": (
+            lambda: Changeset().update("E", ("a", "x", 0), V="y"), 3,
+        ),
+        "update-noop": (lambda: Changeset().update("E", ("a", "x", 0), V="x"), 1),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_probes_per_op(self, edit, probes):
+        build, expected = self.EDITS[edit]
+        db = edit_db([("a", "x", 0), ("a", "y", 0)], "columnar")
+        del probes[:]
+        build().apply_to(db)
+        assert len(probes) == expected
+
+    def test_relation_edits_probe_once(self, probes):
+        relation = edit_db([("a", "x", 0), ("b", "y", 1)], "columnar").relation("E")
+        first, second = relation.tuples()
+        for edit in (
+            lambda: relation.remove(first),
+            lambda: relation.discard(second),
+            lambda: relation.discard(first),  # already gone
+            lambda: first in relation,
+        ):
+            del probes[:]
+            edit()
+            assert len(probes) == 1
+        with pytest.raises(KeyError):
+            relation.remove(first)
+
+    def test_stream_shaped_changeset(self, probes):
+        """25 inserts / 25 deletes / 50 updates, the ``durable_stream``
+        changeset of ``benchmarks/e2e``: 25 + 25 + 3 * 50 lookups, and
+        one per op for the undo (375 and 375 before)."""
+        names = EDIT_SCHEMA.attribute_names
+        rows = [(f"k{i}", "x", i) for i in range(200)]
+        db = edit_db(rows, "columnar")
+        changeset = Changeset()
+        for i in range(25):
+            changeset.insert("E", dict(zip(names, (f"new{i}", "x", i))))
+        for row in rows[:25]:
+            changeset.delete("E", dict(zip(names, row)))
+        for row in rows[25:75]:
+            changeset.update("E", dict(zip(names, row)), V="y")
+        del probes[:]
+        effective = changeset.apply_to(db)
+        assert len(probes) == 200
+        undo = Changeset.inverse_of(effective)
+        assert len(undo) == 150
+        del probes[:]
+        undo.apply_to(db)
+        assert len(probes) == 150
+        assert sorted(db.relation("E").to_rows()) == sorted(rows)

@@ -22,6 +22,8 @@ import gc
 import http.client
 import json
 import threading
+import time
+import warnings
 import weakref
 from urllib.parse import urlsplit
 
@@ -385,6 +387,93 @@ class TestBoundedTables:
         finally:
             conn.close()
         assert server._locks == {}
+
+
+# --------------------------------------------------------------------------
+# Graceful stop
+# --------------------------------------------------------------------------
+
+
+class TestGracefulStop:
+    """A stop winds the open connections down itself: returning from the
+    loop with handlers parked in ``readline`` made ``asyncio.run`` cancel
+    them — one ``Exception in callback … CancelledError`` traceback per
+    idle keep-alive connection on stderr, and sockets nobody closed."""
+
+    @staticmethod
+    def _idle_connection(server) -> http.client.HTTPConnection:
+        host, port = server.server_address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        conn.request("GET", "/v1/healthz")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+        return conn
+
+    @pytest.mark.parametrize("flush", [True, False])
+    def test_idle_keep_alive_connections_stop_quietly(
+        self, flush, capfd, caplog
+    ):
+        server = make_server(port=0)
+        server.start_background()
+        conns = [self._idle_connection(server) for _ in range(3)]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                started = time.perf_counter()
+                server.shutdown(flush=flush)
+                elapsed = time.perf_counter() - started
+                gc.collect()
+            assert elapsed < 1.0
+            # the loop reports the cancelled handlers through ``logging``,
+            # which reaches stderr only when pytest is not capturing it
+            assert [r.getMessage() for r in caplog.records] == []
+            assert capfd.readouterr().err == ""
+            assert [str(w.message) for w in caught] == []
+            assert not server._handlers and not server._parked
+            # the server hung up: each client reads EOF, not a timeout
+            for conn in conns:
+                assert conn.sock.recv(1) == b""
+        finally:
+            for conn in conns:
+                conn.close()
+
+    def test_a_request_already_read_still_gets_its_response(self, caplog):
+        server = make_server(port=0)
+        server.start_background()
+        entered, release = threading.Event(), threading.Event()
+        real = server.core.handle
+
+        def slow_handle(method, target, read_body):
+            entered.set()
+            assert release.wait(timeout=10)
+            return real(method, target, read_body)
+
+        server.core.handle = slow_handle
+        answer = {}
+
+        def request():
+            answer["raw"] = _raw(server.base_url, "GET", "/v1/healthz")
+
+        requester = threading.Thread(target=request, daemon=True)
+        stopper = threading.Thread(target=server.shutdown, daemon=True)
+        try:
+            requester.start()
+            assert entered.wait(timeout=10)
+            stopper.start()
+            deadline = time.monotonic() + 10
+            while not server._draining and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert server._draining
+        finally:
+            release.set()
+        requester.join(timeout=10)
+        stopper.join(timeout=10)
+        assert not requester.is_alive() and not stopper.is_alive()
+        status, headers, raw = answer["raw"]
+        assert status == 200 and json.loads(raw)["status"] == "ok"
+        assert headers["Connection"] == "close"
+        assert [r.getMessage() for r in caplog.records] == []
 
 
 # --------------------------------------------------------------------------

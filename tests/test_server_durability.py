@@ -33,6 +33,7 @@ from repro.client import ServerClient, ServerError
 from repro.errors import ReproError
 from repro.registry import wal_record_to_bytes, wal_records_from_bytes
 from repro.server import SessionStore, make_server
+from repro.server.durability import _SNAPSHOT_CHUNK_ROWS, MAX_UNDO_TOKENS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -803,3 +804,267 @@ class TestJournalFailure:
             assert "snapshot" in str(err.value)
         finally:
             server2.shutdown()
+
+
+# --------------------------------------------------------------------------
+# The snapshot writer against its reference
+# --------------------------------------------------------------------------
+
+
+def _reference_snapshot(journal, session, undo_items, undo_counter) -> bytes:
+    """The whole-document form ``write_snapshot`` had before it streamed:
+    assemble everything, encode it in one go.  The streamed file must be
+    these bytes exactly."""
+    document = {
+        "format": 1,
+        "session": journal.session_id,
+        "executor": session.executor,
+        "shards": session._shards,
+        "schema": session.schema_document(),
+        "rules": session.rules_documents(),
+        "data": session.data_documents(),
+        "undo": [[token, undo.to_dict()] for token, undo in undo_items],
+        "undo_counter": undo_counter,
+    }
+    return json.dumps(document, separators=(",", ":"), default=str).encode()
+
+
+def _emp_session(n_rows: int, rules=RULES_DOC):
+    from repro.relational.instance import DatabaseInstance
+    from repro.rules_json import database_schema_from_dict, rules_from_list
+    from repro.session import Session
+
+    db_schema = database_schema_from_dict(SCHEMA_DOC)
+    db = DatabaseInstance(db_schema)
+    db.relation("emp").extend_rows(
+        [{"dept": f"d{i // 2}", "floor": i % 3} for i in range(n_rows)]
+    )
+    return Session.from_instance(db, rules_from_list(rules, db_schema))
+
+
+def _two_relation_session():
+    """``emp`` holds rows, ``site`` is empty — and comes first."""
+    from repro.relational.instance import DatabaseInstance
+    from repro.rules_json import database_schema_from_dict
+    from repro.session import Session
+
+    db = DatabaseInstance(database_schema_from_dict({"relations": [
+        {"name": "site", "attributes": [{"name": "city", "type": "string"}]},
+        SCHEMA_DOC,
+    ]}))
+    for row in ROWS:
+        db.relation("emp").add(row)
+    return Session.from_instance(db, [])
+
+
+def _odd_cells_session():
+    """A non-ASCII string cell and a cell only ``default=str`` can encode."""
+    from fractions import Fraction
+
+    from repro.relational.domains import STRING, EnumDomain
+    from repro.relational.instance import DatabaseInstance
+    from repro.relational.schema import (
+        Attribute, DatabaseSchema, RelationSchema,
+    )
+    from repro.session import Session
+
+    third = Fraction(1, 3)
+    schema = RelationSchema("odd", [
+        Attribute("name", STRING),
+        Attribute("share", EnumDomain([third, Fraction(2, 3)])),
+    ])
+    db = DatabaseInstance(DatabaseSchema([schema]))
+    db.relation("odd").add({"name": "Zoë — 東京 \"q\"\n", "share": third})
+    return Session.from_instance(db, [])
+
+
+def _undo_table(n_tokens: int):
+    from repro.engine.delta import Changeset
+
+    return [
+        (
+            f"undo-{i + 1}",
+            Changeset()
+            .insert("emp", {"dept": f"u{i}", "floor": i})
+            .delete("emp", ("eng", 1))
+            .update("emp", {"dept": "ops", "floor": 3}, floor=i),
+        )
+        for i in range(n_tokens)
+    ]
+
+
+#: case -> (session builder, undo tokens in the table)
+_SNAPSHOT_CASES = {
+    "no-rows": (lambda: _emp_session(0), 0),
+    "one-row": (lambda: _emp_session(1), 0),
+    "one-chunk": (lambda: _emp_session(_SNAPSHOT_CHUNK_ROWS), 0),
+    "chunk-plus-one": (lambda: _emp_session(_SNAPSHOT_CHUNK_ROWS + 1), 1),
+    "three-chunks-full-undo": (
+        lambda: _emp_session(3 * _SNAPSHOT_CHUNK_ROWS), MAX_UNDO_TOKENS,
+    ),
+    "empty-relation-first": (_two_relation_session, 2),
+    "odd-cells": (_odd_cells_session, 0),
+}
+
+
+class TestSnapshotWriter:
+    """``write_snapshot`` streams the document in bounded chunks; what
+    lands on disk must not differ by a byte from encoding it whole."""
+
+    @pytest.mark.parametrize("case", sorted(_SNAPSHOT_CASES))
+    def test_bytes_equal_the_whole_document_encoding(self, case, tmp_path):
+        build, n_tokens = _SNAPSHOT_CASES[case]
+        session = build()
+        undo_items = _undo_table(n_tokens)
+        store = SessionStore(tmp_path, fsync=False)
+        journal = store.create(case, session)
+        try:
+            generation0 = journal._snapshot_path(0).read_bytes()
+            assert generation0 == _reference_snapshot(journal, session, [], 0)
+            journal.write_snapshot(session, undo_items, n_tokens)
+            written = journal._snapshot_path(1).read_bytes()
+            assert written == _reference_snapshot(
+                journal, session, undo_items, n_tokens
+            )
+            assert json.loads(written)["undo_counter"] == n_tokens
+            counters = store.counters_snapshot()
+            assert counters["snapshots_total"] == 2
+            assert counters["snapshot_bytes_total"] == (
+                len(generation0) + len(written)
+            )
+        finally:
+            journal.close()
+
+    def test_state_dirs_are_interchangeable_with_the_reference(self, tmp_path):
+        """A snapshot written whole (the old writer) recovers here, and
+        recovers to the same session as the streamed one."""
+        from repro.server.durability import SessionJournal
+
+        session = _emp_session(_SNAPSHOT_CHUNK_ROWS + 7)
+        undo_items = _undo_table(3)
+        expected = _dump(session.detect().to_dict())
+
+        streamed = SessionStore(tmp_path / "streamed", fsync=False)
+        journal = streamed.create("s", session)
+        journal.write_snapshot(session, undo_items, 3)
+        journal.close()
+
+        whole = SessionStore(tmp_path / "whole", fsync=False)
+        directory = whole._session_dir("s")
+        directory.mkdir(parents=True)
+        handmade = SessionJournal(whole, "s", directory)
+        handmade._snapshot_path(1).write_bytes(
+            _reference_snapshot(handmade, session, undo_items, 3)
+        )
+
+        for store in (streamed, whole):
+            journal, recovered = store.recover("s")
+            journal.close()
+            assert journal.generation == 1
+            assert _dump(recovered.session.detect().to_dict()) == expected
+            assert recovered.session.data_documents() == session.data_documents()
+            assert list(recovered.undo) == [token for token, _ in undo_items]
+            assert [u.to_dict() for u in recovered.undo.values()] == [
+                u.to_dict() for _, u in undo_items
+            ]
+            assert recovered.undo_counter == 3
+
+    def test_failure_mid_stream_leaves_no_generation(self, tmp_path, monkeypatch):
+        import repro.server.durability as durability
+
+        session = _emp_session(3 * _SNAPSHOT_CHUNK_ROWS)
+        store = SessionStore(tmp_path, fsync=False)
+        journal = store.create("s", session)
+        real, calls = durability._dumps, []
+
+        def dumps_then_fail(value):
+            calls.append(None)
+            if len(calls) == 4:  # head, relation name, chunk 1, *chunk 2*
+                raise OSError(28, "injected: no space left on device")
+            return real(value)
+
+        monkeypatch.setattr(durability, "_dumps", dumps_then_fail)
+        with pytest.raises(OSError):
+            journal.write_snapshot(session, [], 0)
+        monkeypatch.undo()
+        assert journal.generation == 0
+        assert journal.blocked == "a snapshot failed; memory may be ahead of disk"
+        assert not journal._snapshot_path(1).exists()
+        assert store.counters_snapshot()["snapshots_total"] == 1
+
+        journal.write_snapshot(session, [], 0)  # what the next write verb does
+        journal.close()
+        assert journal.blocked is None and journal.generation == 1
+        assert _session_files(tmp_path, "s") == ["snapshot-00000001.json"]
+
+    def test_failed_fsync_blocks_until_the_next_write_snapshots(
+        self, tmp_path, monkeypatch
+    ):
+        server, client = _boot(tmp_path, snapshot_every=2)
+        _create(client, "a")
+        client.apply("a", _insert("x", 1))
+        hosted = server.manager.get("a")
+
+        def boom(fd):
+            raise OSError(5, "injected I/O error")
+        monkeypatch.setattr(os, "fsync", boom)
+        # crosses the cadence: acknowledged from the WAL, snapshot fails
+        client.apply("a", _insert("y", 2))
+        monkeypatch.undo()
+        info = client.session_info("a")["durability"]
+        assert (info["generation"], info["wal_records"]) == (0, 2)
+        assert info["blocked"] == hosted.journal.blocked
+        assert hosted.journal.blocked is not None
+        assert client.metrics()["durability"]["snapshot_failures_total"] == 1
+        assert not (tmp_path / "sessions" / "a" / "snapshot-00000001.json").exists()
+
+        client.apply("a", _insert("z", 3))  # blocked: snapshots instead
+        info = client.session_info("a")["durability"]
+        assert (info["generation"], info["wal_records"]) == (1, 0)
+        assert "blocked" not in info and hosted.journal.blocked is None
+        assert _session_files(tmp_path, "a") == ["snapshot-00000001.json"]
+        before = client.detect("a")
+        _crash(server)
+
+        server2, client2 = _boot(tmp_path, snapshot_every=2)
+        try:
+            assert _dump(client2.detect("a")) == _dump(before)
+        finally:
+            server2.shutdown()
+
+
+class TestByteCounters:
+    """``snapshot_bytes_total`` / ``wal_bytes_total``: what the durable
+    write path put on disk, readable without a tracer."""
+
+    def test_counters_equal_the_files_on_disk(self, tmp_path):
+        from repro.server.metrics import prometheus_text
+
+        server, client = _boot(tmp_path)
+        try:
+            _create(client, "a")
+            client.apply("a", _insert("qa", 9))
+            client.apply("a", _delete("ops", 3))
+            directory = tmp_path / "sessions" / "a"
+            generation0 = (directory / "snapshot-00000000.json").stat().st_size
+            wal = _current_wal(tmp_path, "a").stat().st_size
+            counters = client.metrics()["durability"]
+            assert counters["snapshot_bytes_total"] == generation0
+            assert counters["wal_bytes_total"] == wal
+            assert counters["wal_records_total"] == 2
+
+            server.manager.get("a").persist_snapshot()
+            generation1 = (directory / "snapshot-00000001.json").stat().st_size
+            document = client.metrics()
+            counters = document["durability"]
+            assert counters["snapshots_total"] == 2
+            assert counters["snapshot_bytes_total"] == generation0 + generation1
+            assert counters["wal_bytes_total"] == wal  # retired, still counted
+            exposition = prometheus_text(document)
+            assert (
+                f"repro_durability_snapshot_bytes_total {generation0 + generation1}"
+                in exposition
+            )
+            assert f"repro_durability_wal_bytes_total {wal}" in exposition
+        finally:
+            server.shutdown()
