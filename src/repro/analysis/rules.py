@@ -249,6 +249,7 @@ class LockDisciplineRule(Rule):
         "_sessions", "_rehydrating", "_undo", "_undo_counter",
         "_auto_counter", "created_total", "evicted_total", "closed_total",
         "counters", "requests_total",
+        "connections_accepted_total", "connections_open",
         # degraded gating + lock-wait aggregates (PR 9)
         "failures", "degraded_since", "degraded_total", "last_error",
         "probe_in_flight", "lock_acquisitions", "lock_wait_seconds_total",

@@ -1,11 +1,11 @@
 """``repro.client`` — a thin stdlib client for the ``repro.server`` API.
 
-One class, :class:`ServerClient`, wrapping ``urllib.request``: every method
-maps to one ``/v1`` endpoint, takes the plain JSON documents described in
-``docs/server.md``, and raises :class:`ServerError` (with the HTTP status
-and the server's error text) on any non-2xx response — so the registry's
-error messages (unknown constraint tags, malformed changesets, schema
-mismatches) surface verbatim on the client side.
+One class, :class:`ServerClient`: every method maps to one ``/v1``
+endpoint, takes the plain JSON documents described in ``docs/server.md``,
+and raises :class:`ServerError` (with the HTTP status and the server's
+error text) on any non-2xx response — so the registry's error messages
+(unknown constraint tags, malformed changesets, schema mismatches)
+surface verbatim on the client side.
 
 The constructor is keyword-only::
 
@@ -27,6 +27,23 @@ stripped version as a ``.wire_version`` attribute — returns are *typed*
 ``json.dumps``/key access keep working) with properties for the fields
 each endpoint guarantees.
 
+**Transport.**  Every request leaves through one function,
+:func:`urlopen` — a ``urllib.request`` opener (proxies, redirects,
+``https`` and the ``HTTPError`` mapping are urllib's) whose ``http``
+handler keeps its connection: one ``http.client`` connection per
+*calling thread* is parked between requests and reused for the next
+request to the same origin.  The connection belongs to the thread, not
+to the :class:`ServerClient`, so a client object stays stateless — it
+can be shared between threads, and there is nothing to close: a thread
+that ends closes its connection with it.  Before a parked connection is
+reused its socket is probed; one the peer closed while it sat idle (a
+server stop, a SIGKILL), one to another origin, or one whose last
+response said ``Connection: close`` is closed and the request dials
+afresh.  A request whose send or read fails is **never sent a second
+time** beneath :func:`urlopen` — ``apply`` is not idempotent — it
+surfaces as a retriable :class:`ServerError` and the caller's
+``retries=`` decides.
+
 With ``retries=N`` the client retransmits a failed request up to ``N``
 times when — and only when — the failure is *retriable*
 (``ServerError.retriable``: transport failures and 502/503/504), sleeping
@@ -40,12 +57,17 @@ round-trip, ``benchmarks/e2e`` and ``repro soak``.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import socket
+import threading
 import time
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Type, Union
 from urllib.error import HTTPError, URLError
-from urllib.request import Request, urlopen
+from urllib.request import HTTPHandler, Request, build_opener
+from urllib.response import addinfourl
 
 from repro.errors import ReproError
 
@@ -63,6 +85,8 @@ __all__ = [
 #: HTTP statuses that signal a transient server-side condition: the request
 #: may well succeed if simply retried (503 is what degraded sessions answer).
 _RETRIABLE_STATUSES = frozenset({502, 503, 504})
+
+_JSON = "application/json"
 
 
 class ServerError(ReproError):
@@ -96,6 +120,120 @@ class ServerError(ReproError):
         if retriable is None:
             retriable = status == 0 or status in _RETRIABLE_STATUSES
         self.retriable = retriable
+
+
+# --------------------------------------------------------------------------
+# Transport: urllib's opener over one parked connection per thread
+# --------------------------------------------------------------------------
+
+
+class _ParkedConnection(HTTPConnection):
+    """A connection that closes with whoever held the last reference —
+    the thread-local slot of a thread that ended, or a failed request."""
+
+    def __init__(self, origin: str, timeout: Any) -> None:
+        super().__init__(origin, timeout=timeout)
+        self.origin = origin
+
+    def still_idle(self) -> bool:
+        """Whether the parked socket is silent.  Readable means the peer
+        closed it (EOF or a reset) or sent bytes no request asked for;
+        either way the next request must not go out on it."""
+        if self.sock is None:
+            return False
+        self.sock.settimeout(0)
+        try:
+            self.sock.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        return False
+
+    def __del__(self) -> None:
+        self.close()
+
+
+class _Reply(addinfourl):
+    """A response already read off its connection, in the shape urllib's
+    processors and ``HTTPError`` expect of ``http_open``'s result."""
+
+    def __init__(self, body: bytes, response: HTTPResponse, url: str) -> None:
+        super().__init__(
+            io.BytesIO(body), response.headers, url, response.status
+        )
+        self.msg = response.reason
+
+
+class _KeepAliveHandler(HTTPHandler):
+    """``http_open`` that parks its connection between requests.
+
+    The slot is thread-local: a request takes the calling thread's
+    connection *out* of it and puts it back only after the response was
+    read whole, so a connection is never shared, a failed or abandoned
+    exchange leaves nothing behind to be reused, and every request is
+    written to a socket exactly once.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._slot = threading.local()
+        os.register_at_fork(after_in_child=self._drop_inherited)
+
+    def _claim(self) -> Optional[_ParkedConnection]:
+        connection = getattr(self._slot, "connection", None)
+        self._slot.connection = None
+        return connection
+
+    def _drop_inherited(self) -> None:
+        """A forked child holds a copy of the parent's socket, not its
+        conversation: close the copy (the parent's end is unaffected)."""
+        connection = self._claim()
+        if connection is not None:
+            connection.close()
+
+    def http_open(self, req: Request) -> _Reply:  # type: ignore[override]
+        connection = self._claim()
+        if (
+            connection is not None
+            and connection.origin == req.host
+            and connection.still_idle()
+        ):
+            connection.sock.settimeout(req.timeout)
+        else:
+            if connection is not None:
+                connection.close()
+            connection = _ParkedConnection(req.host, req.timeout)
+        # what do_open sends, minus its "Connection: close"
+        merged = {**req.headers, **req.unredirected_hdrs}
+        headers = {name.title(): value for name, value in merged.items()}
+        try:
+            try:
+                connection.request(
+                    req.get_method(), req.selector, req.data, headers
+                )
+            except OSError as err:  # as do_open: refused, unresolvable, ...
+                raise URLError(err) from None
+            response = connection.getresponse()
+            body = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if connection.sock is not None:
+            # http.client closed it already on a "Connection: close"
+            self._slot.connection = connection
+        return _Reply(body, response, req.full_url)
+
+
+_opener = build_opener(_KeepAliveHandler)
+
+
+def urlopen(request: Request, timeout: float) -> addinfourl:
+    """The one function every request leaves through (and the seam a
+    test substitutes): ``urllib.request.urlopen``'s contract — a context
+    manager with ``read()``, ``HTTPError`` on a non-2xx status — over
+    the keep-alive opener."""
+    return _opener.open(request, timeout=timeout)
 
 
 # --------------------------------------------------------------------------
@@ -230,17 +368,19 @@ class ServerClient:
         path: str,
         body: Optional[Mapping[str, Any]] = None,
         cls: Type[WireDocument] = WireDocument,
+        accept: str = _JSON,
     ) -> Any:
         """One wire round-trip (plus opt-in retransmission).
 
         Prefixes the versioned mount, strips the response envelope into
-        ``cls(..., wire_version=...)``, and — when ``retries > 0`` —
-        retransmits retriable failures with exponential backoff.
+        ``cls(..., wire_version=...)`` — or, for any ``accept`` but JSON,
+        returns the body as text — and, when ``retries > 0``, retransmits
+        retriable failures with exponential backoff.
         """
         attempt = 0
         while True:
             try:
-                return self._request_once(method, path, body, cls)
+                return self._request_once(method, path, body, cls, accept)
             except ServerError as exc:
                 if not exc.retriable or attempt >= self.retries:
                     raise
@@ -253,17 +393,19 @@ class ServerClient:
         path: str,
         body: Optional[Mapping[str, Any]],
         cls: Type[WireDocument],
+        accept: str,
     ) -> Any:
         url = f"{self.base_url}/v1{path}"
         data = None
-        headers = {"Accept": "application/json"}
+        headers = {"Accept": accept}
         if body is not None:
             data = json.dumps(body, default=str).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+            headers["Content-Type"] = _JSON
         request = Request(url, data=data, headers=headers, method=method)
         try:
             with urlopen(request, timeout=self.timeout) as response:
-                parsed = json.loads(response.read())
+                raw = response.read()
+            parsed = json.loads(raw) if accept == _JSON else raw.decode()
         except HTTPError as exc:
             raw = exc.read()
             document: Dict[str, Any] = {}
@@ -320,22 +462,9 @@ class ServerClient:
 
     def prometheus_metrics(self) -> str:
         """``GET /v1/metrics?format=prometheus`` — text exposition."""
-        url = f"{self.base_url}/v1/metrics?format=prometheus"
-        request = Request(url, headers={"Accept": "text/plain"}, method="GET")
-        try:
-            with urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except HTTPError as exc:
-            raise ServerError(
-                f"GET /metrics?format=prometheus -> {exc.code}",
-                status=exc.code,
-            ) from None
-        except (URLError, HTTPException, OSError) as exc:
-            raise ServerError(
-                f"GET /metrics?format=prometheus: transport failure "
-                f"({exc!r})",
-                retriable=True,
-            ) from None
+        return self._request(
+            "GET", "/metrics?format=prometheus", accept="text/plain"
+        )
 
     def wait_ready(
         self, attempts: int = 50, delay: float = 0.1

@@ -294,6 +294,7 @@ class AsyncReproServer:
         assert task is not None
         self._handlers.add(task)
         task.add_done_callback(self._handlers.discard)
+        self.metrics.connection_opened()
         try:
             while not self._draining:
                 self._parked.add(writer)
@@ -317,6 +318,7 @@ class AsyncReproServer:
         ):
             return
         finally:
+            self.metrics.connection_closed()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -337,7 +339,9 @@ class AsyncReproServer:
         except ValueError:
             self._write_response(
                 writer,
-                self.core.handle("BAD", "/v1/__malformed__", lambda: None),
+                self.core.refuse(
+                    "BAD", "/v1/__malformed__", "malformed request line"
+                ),
                 keep_alive=False,
             )
             await writer.drain()
@@ -351,10 +355,30 @@ class AsyncReproServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length") or 0)
-        except ValueError:
+        # a body is framed by Content-Length or not at all: whatever else
+        # follows such a head cannot be told from the next request, so it
+        # is answered once and the connection closed with the rest unread
+        declared = headers.get("content-length", "0")
+        unframed: Optional[str] = None
+        if "transfer-encoding" in headers:
+            unframed = (
+                "Transfer-Encoding is not supported; send the body with "
+                "a Content-Length"
+            )
+        elif not (declared.isascii() and declared.isdigit()):
+            unframed = (
+                f"Content-Length must be a non-negative integer, "
+                f"got {declared!r}"
+            )
+        if unframed is not None:
+            self._write_response(
+                writer,
+                self.core.refuse(method.upper(), target, unframed),
+                keep_alive=False,
+            )
+            await writer.drain()
             return None
+        length = int(declared)
         body = await reader.readexactly(length) if length > 0 else b""
         connection = headers.get("connection", "").lower()
         keep_alive = version.upper() != "HTTP/1.0" and connection != "close"

@@ -314,6 +314,16 @@ class ServiceCore:
         except Exception as exc:
             return self._error_response(endpoint, exc)
 
+    def refuse(self, method: str, target: str, message: str) -> Response:
+        """A recorded 400 ``BadRequest`` for a request the transport could
+        not frame — no body was read, so no route or handler runs."""
+        _version, rest = split_wire_version(urlsplit(target).path)
+        endpoint = self._endpoint_template(method, rest)
+        self.metrics.record(endpoint, 400, 0.0)
+        return self._json_response(
+            endpoint, 400, {"error": message, "type": "BadRequest"}
+        )
+
     @staticmethod
     def _endpoint_template(method: str, path: str) -> str:
         parts = [p for p in path.split("/") if p]

@@ -918,11 +918,16 @@ class SessionManager:
 
 class ServerMetrics:
     """Thread-safe request counters: totals, statuses, per-endpoint latency
-    (with Prometheus-style histogram buckets) and named ops counters."""
+    (with Prometheus-style histogram buckets), the transport's connection
+    counts and named ops counters."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.requests_total = 0
+        #: connections the transport accepted / has open right now — with
+        #: keep-alive clients accepted stays far below ``requests_total``
+        self.connections_accepted_total = 0
+        self.connections_open = 0
         self.responses: Dict[str, int] = {}
         self.endpoints: Dict[str, Dict[str, float]] = {}
         #: per-endpoint latency observations, one slot per LATENCY_BUCKETS
@@ -958,6 +963,15 @@ class ServerMetrics:
             else:
                 buckets[-1] += 1
 
+    def connection_opened(self) -> None:
+        with self._lock:
+            self.connections_accepted_total += 1
+            self.connections_open += 1
+
+    def connection_closed(self) -> None:
+        with self._lock:
+            self.connections_open -= 1
+
     def count(self, name: str) -> None:
         """Bump one named operational counter."""
         with self._lock:
@@ -989,6 +1003,8 @@ class ServerMetrics:
                 }
             return {
                 "requests_total": self.requests_total,
+                "connections_accepted_total": self.connections_accepted_total,
+                "connections_open": self.connections_open,
                 "responses": dict(sorted(self.responses.items())),
                 "endpoints": endpoints,
             }

@@ -30,6 +30,10 @@ _SCALARS: Tuple[Tuple[str, str, str, str, str], ...] = (
      "Seconds since the server started."),
     ("", "requests_total", "repro_requests_total", "counter",
      "HTTP requests handled, any endpoint, any status."),
+    ("", "connections_accepted_total", "repro_http_connections_accepted_total",
+     "counter", "Connections accepted; far below requests when kept alive."),
+    ("", "connections_open", "repro_http_connections_open", "gauge",
+     "Connections open now, parked between requests or mid-request."),
     ("sessions", "open", "repro_sessions_open", "gauge",
      "Resident (warm) hosted sessions."),
     ("sessions", "max_sessions", "repro_sessions_max", "gauge",

@@ -1,0 +1,422 @@
+"""The stock client's transport: one parked connection per calling thread.
+
+Count guards, not timings.  What the server *accepted* is read from its
+own ``connections_accepted_total`` (in process, off ``server.metrics`` —
+a metrics request would itself ride a connection), and what a peer was
+*sent* from a scripted stub listener, so "reused", "not reused" and
+"sent exactly once" are each a number.
+"""
+
+from __future__ import annotations
+
+import gc
+import socket
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
+from typing import Callable, List, Optional
+
+import pytest
+
+from repro.client import ServerClient, ServerError
+from repro.server import make_server
+from repro.workloads.soak import InProcessServer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCHEMA_DOC = {
+    "name": "emp",
+    "attributes": [
+        {"name": "dept", "type": "string"},
+        {"name": "floor", "type": "int"},
+    ],
+}
+RULES_DOC = [
+    {"type": "fd", "relation": "emp", "lhs": ["dept"], "rhs": ["floor"]}
+]
+INSERT = {"ops": [{"op": "insert", "relation": "emp",
+                   "row": {"dept": "qa", "floor": 7}}]}
+
+
+@pytest.fixture()
+def server():
+    server = make_server(port=0)
+    server.start_background()
+    yield server
+    server.shutdown()
+
+
+def _accepted(server) -> int:
+    return server.metrics.snapshot()["connections_accepted_total"]
+
+
+def _open_settles_at(server, expected: int) -> bool:
+    """The server notices a closed peer on its loop, a moment later."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        if server.metrics.snapshot()["connections_open"] == expected:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+def _in_threads(*targets: Callable[[], None]) -> None:
+    """Run each target on a thread of its own — nothing parked there
+    beforehand, nothing left behind — and re-raise what one raised."""
+    failures: List[BaseException] = []
+
+    def guarded(target: Callable[[], None]) -> Callable[[], None]:
+        def run() -> None:
+            try:
+                target()
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failures.append(exc)
+        return run
+
+    threads = [threading.Thread(target=guarded(t)) for t in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    if failures:
+        raise failures[0]
+
+
+# --------------------------------------------------------------------------
+# Against the real server: what it accepted
+# --------------------------------------------------------------------------
+
+
+def test_sequential_verbs_from_one_thread_share_one_connection(server):
+    def verbs() -> None:
+        client = ServerClient(base_url=server.base_url)
+        client.create_session(
+            schema=SCHEMA_DOC, rules=RULES_DOC, data={"emp": []},
+            session_id="k",
+        )
+        delta = client.apply("k", INSERT)
+        assert client.detect("k").clean
+        client.undo("k", delta.undo_token)
+        client.get_rules("k")
+        assert "repro_requests_total" in client.prometheus_metrics()
+        client.delete_session("k")
+
+    before = _accepted(server)
+    _in_threads(verbs)
+    assert _accepted(server) == before + 1
+
+
+def test_the_connection_belongs_to_the_thread_not_to_the_client(server):
+    """``repro soak`` shares one ``ServerClient`` between its driver and
+    verifier threads: each gets a connection, and no answer is crossed."""
+    client = ServerClient(base_url=server.base_url)
+    rounds = 40
+    ready = threading.Barrier(2)
+
+    def tenant(name: str, floor: int) -> Callable[[], None]:
+        def run() -> None:
+            client.create_session(
+                schema=SCHEMA_DOC, rules=RULES_DOC,
+                data={"emp": [{"dept": name, "floor": floor}]},
+                session_id=name,
+            )
+            ready.wait(timeout=10)
+            for _ in range(rounds):
+                info = client.session_info(name)
+                assert info.session_id == name
+                delta = client.apply(name, {"ops": [{
+                    "op": "insert", "relation": "emp",
+                    "row": {"dept": name, "floor": floor + 1},
+                }]})
+                (added,) = delta.added
+                assert {t["values"]["dept"] for t in added["tuples"]} == {name}
+                client.undo(name, delta.undo_token)
+        return run
+
+    before = _accepted(server)
+    _in_threads(tenant("left", 1), tenant("right", 5))
+    assert _accepted(server) == before + 2
+
+
+def test_an_error_response_leaves_the_connection_reusable(server):
+    def error_then_success() -> None:
+        client = ServerClient(base_url=server.base_url)
+        with pytest.raises(ServerError) as err:
+            client.session_info("missing")
+        # read off the HTTPError path: status, kind and the server's text
+        assert err.value.status == 404
+        assert err.value.kind == "UnknownSessionError"
+        assert "missing" in str(err.value)
+        assert client.healthz().status == "ok"
+
+    before = _accepted(server)
+    _in_threads(error_then_success)
+    assert _accepted(server) == before + 1
+
+
+def test_prometheus_metrics_has_every_endpoints_errors_and_retries():
+    """It used to carry its own send + error mapping: ``retries`` ignored
+    and the server's message dropped from an ``HTTPError``."""
+    busy = b'{"wire_version": 1, "error": "warming up", "type": "Busy"}'
+    text = b"# HELP up\n"
+    with _StubPeer([_respond(503, busy),
+                    _respond(200, text, content_type="text/plain"),
+                    _respond(503, busy)]) as peer:
+        client = ServerClient(base_url=peer.base_url, retries=1, backoff=0.0)
+        assert client.prometheus_metrics() == text.decode()
+        with pytest.raises(ServerError) as err:
+            ServerClient(base_url=peer.base_url).prometheus_metrics()
+    assert err.value.status == 503 and err.value.kind == "Busy"
+    assert "warming up" in str(err.value)
+    assert err.value.wire_version == 1
+    assert [r.split(b" ", 2)[1] for r in peer.requests] == [
+        b"/v1/metrics?format=prometheus"
+    ] * 3
+    assert all(b"Accept: text/plain" in r for r in peer.requests)
+
+
+@pytest.mark.parametrize("flush", [True, False])
+def test_a_stopped_servers_parked_connection_is_seen_stale(flush):
+    """The stop closed the parked connection (PR 20's drain); the probe
+    reads that EOF, so the next request dials the new server instead of
+    failing once on a dead socket — ``retries=0`` throughout."""
+    first = make_server(port=0)
+    first.start_background()
+    port = first.server_address[1]
+    client = ServerClient(base_url=first.base_url, retries=0)
+    assert client.healthz().status == "ok"
+    first.shutdown(flush=flush)
+    second = make_server(port=port)
+    second.start_background()
+    try:
+        assert client.healthz().status == "ok"
+        assert _accepted(second) == 1
+        assert client.healthz().status == "ok"
+        assert _accepted(second) == 1
+    finally:
+        second.shutdown()
+
+
+def test_in_process_restart_then_wait_ready(tmp_path):
+    hosted = InProcessServer(state_dir=tmp_path, fsync=False)
+    try:
+        client = ServerClient(base_url=hosted.base_url, retries=0)
+        client.create_session(
+            schema=SCHEMA_DOC, rules=RULES_DOC, data={"emp": []},
+            session_id="r",
+        )
+        client.apply("r", INSERT)
+        # restarted from elsewhere: this thread still holds the connection
+        # the old server closed, and its first poll must see that
+        _in_threads(hosted.restart)
+        assert client.wait_ready(attempts=1).status == "ok"
+        assert client.session_info("r")["relations"] == {"emp": 1}
+    finally:
+        hosted.close()
+
+
+def test_a_finished_threads_connection_is_closed(server):
+    resting = server.metrics.snapshot()["connections_open"]
+
+    def one_request() -> None:
+        assert ServerClient(base_url=server.base_url).healthz().status == "ok"
+        assert server.metrics.snapshot()["connections_open"] == resting + 1
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _in_threads(one_request)
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
+    assert _open_settles_at(server, resting)
+
+
+def test_a_forked_child_dials_its_own_connection(server):
+    """The child holds a copy of the parent's socket; two processes
+    writing requests down one connection would interleave them."""
+    script = (
+        "import os, sys\n"
+        "from repro.client import ServerClient\n"
+        "client = ServerClient(base_url=sys.argv[1])\n"
+        "assert client.healthz().status == 'ok'\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    ok = client.healthz().status == 'ok'\n"
+        "    os._exit(0 if ok else 1)\n"
+        "_, status = os.waitpid(pid, 0)\n"
+        "assert status == 0, status\n"
+        "assert client.healthz().status == 'ok'\n"
+    )
+    before = _accepted(server)
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-c", script, server.base_url],
+        env={"PYTHONPATH": str(SRC)}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    # the parent's one connection (used before and after) + the child's
+    assert _accepted(server) == before + 2
+
+
+# --------------------------------------------------------------------------
+# Against a scripted peer: what was sent
+# --------------------------------------------------------------------------
+
+
+Answer = Callable[[socket.socket], None]
+
+
+def _respond(
+    status: int,
+    body: bytes,
+    content_type: str = "application/json",
+    close: bool = False,
+) -> Answer:
+    head = (
+        f"HTTP/1.1 {status} Scripted\r\nContent-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        + ("Connection: close\r\n" if close else "")
+        + "\r\n"
+    ).encode("latin-1")
+
+    def answer(conn: socket.socket) -> None:
+        conn.sendall(head + body)
+        if close:
+            raise _HangUp
+
+    return answer
+
+
+def _hang_up(conn: socket.socket) -> None:
+    """Read the request, say nothing, close."""
+    raise _HangUp
+
+
+def _stall(seconds: float) -> Answer:
+    def answer(conn: socket.socket) -> None:
+        time.sleep(seconds)
+        raise _HangUp
+    return answer
+
+
+class _HangUp(Exception):
+    pass
+
+
+class _StubPeer:
+    """A listener that answers the requests it reads, in order, from a
+    script — across however many connections the client opens — and
+    records every request and every accept."""
+
+    def __init__(self, script: List[Answer]) -> None:
+        self._script = list(script)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self.requests: List[bytes] = []
+        self.accepted = 0
+
+    @property
+    def base_url(self) -> str:
+        host, port = self._listener.getsockname()[:2]
+        return f"http://{host}:{port}"
+
+    def __enter__(self) -> "_StubPeer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            self.accepted += 1
+            with conn:
+                conn.settimeout(0.05)
+                try:
+                    while True:
+                        request = self._read_request(conn)
+                        if request is None:
+                            break
+                        self.requests.append(request)
+                        self._script.pop(0)(conn)
+                except _HangUp:
+                    pass
+
+    def _read_request(self, conn: socket.socket) -> Optional[bytes]:
+        """One Content-Length-framed request; ``None`` at EOF or stop."""
+        data = b""
+        while True:
+            head, separator, rest = data.partition(b"\r\n\r\n")
+            if separator:
+                length = 0
+                for line in head.split(b"\r\n")[1:]:
+                    name, _, value = line.partition(b":")
+                    if name.strip().lower() == b"content-length":
+                        length = int(value)
+                if len(rest) >= length:
+                    return data
+            try:
+                chunk = conn.recv(65536)
+            except socket.timeout:
+                if self._stop.is_set():
+                    return None
+                continue
+            if not chunk:
+                return None
+            data += chunk
+
+
+def test_a_connection_close_response_is_not_parked():
+    ok = b'{"wire_version": 1, "status": "ok", "sessions": 0}'
+    with _StubPeer([_respond(200, ok, close=True), _respond(200, ok),
+                    _respond(200, ok)]) as peer:
+        client = ServerClient(base_url=peer.base_url)
+        for _ in range(3):
+            assert client.healthz().status == "ok"
+        # the first was hung up on as announced; the next two share one
+        assert peer.accepted == 2 and len(peer.requests) == 3
+
+
+def test_an_unanswered_apply_is_sent_exactly_once():
+    """On a *reused* connection too: a peer that hangs up mid-request is
+    indistinguishable from one that applied the edit and died, so the
+    transport must not re-send — ``retries=`` is the caller's decision."""
+    ok = b'{"wire_version": 1, "status": "ok", "sessions": 0}'
+    with _StubPeer([_respond(200, ok), _hang_up]) as peer:
+        client = ServerClient(base_url=peer.base_url, retries=0)
+        assert client.healthz().status == "ok"
+        with pytest.raises(ServerError) as err:
+            client.apply("s", INSERT)
+        assert err.value.status == 0 and err.value.retriable
+        time.sleep(0.2)  # a re-send would have arrived by now
+        assert peer.accepted == 1
+        applies = [r for r in peer.requests if r.startswith(b"POST ")]
+        assert len(applies) == 1 and applies[0].endswith(b"}")
+
+
+def test_timeout_is_per_request_on_a_reused_socket():
+    ok = b'{"wire_version": 1, "status": "ok", "sessions": 0}'
+    with _StubPeer([_respond(200, ok), _stall(2.0)]) as peer:
+        patient = ServerClient(base_url=peer.base_url, timeout=30.0)
+        hasty = ServerClient(base_url=peer.base_url, timeout=0.2)
+        assert patient.healthz().status == "ok"
+        started = time.monotonic()
+        with pytest.raises(ServerError) as err:
+            hasty.healthz()
+        assert time.monotonic() - started < 1.5
+        assert err.value.status == 0 and err.value.retriable
+        assert peer.accepted == 1  # the stall met the parked connection

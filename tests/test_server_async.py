@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import http.client
 import json
+import socket
 import threading
 import time
 import warnings
@@ -218,6 +219,53 @@ class TestAsyncVerbs:
             second.read()
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "framing, named",
+        [
+            (b"Transfer-Encoding: chunked", "Transfer-Encoding"),
+            (b"Content-Length: -5", "Content-Length"),
+            (b"Content-Length: abc", "Content-Length"),
+            (b"Content-Length:", "Content-Length"),
+            (b"Content-Length: 14\r\nTransfer-Encoding: chunked",
+             "Transfer-Encoding"),
+        ],
+    )
+    def test_a_body_not_framed_by_content_length_is_one_400_then_close(
+        self, server, framing, named
+    ):
+        """Whatever follows such a head cannot be told from the next
+        request: the server used to answer as if body-less and then parse
+        the chunk framing / the body as a *second* request (or, for an
+        unparseable length, hang up without a word)."""
+        body = b'{"schema": {}}'
+        chunked = b"e\r\n" + body + b"\r\n0\r\n\r\n"
+        payload = (
+            b"POST /v1/sessions HTTP/1.1\r\nHost: t\r\n" + framing
+            + b"\r\n\r\n"
+            + (chunked if framing.startswith(b"Transfer") else body)
+            # a pipelined request the server must never get to
+            + b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        before = server.metrics.snapshot()["requests_total"]
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(payload)
+            received = b""
+            while chunk := sock.recv(65536):  # until the server hangs up
+                received += chunk
+        head, _, document = received.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in lines
+        # exactly one response: the declared length is all there is
+        (length,) = [
+            int(line.split(":")[1]) for line in lines
+            if line.startswith("Content-Length")
+        ]
+        assert len(document) == length
+        error = json.loads(document)
+        assert error["type"] == "BadRequest" and named in error["error"]
+        assert server.metrics.snapshot()["requests_total"] == before + 1
 
     def test_legacy_executor_keys_rejected_with_schema_hint(
         self, client, server

@@ -168,6 +168,21 @@ class TestPrometheusExposition:
             (sample,) = families[name]["samples"]
             assert sample[2] == pytest.approx(float(source[json_key]))
 
+    def test_connection_counters_show_keep_alive_working(self, client):
+        document = client.metrics()
+        families = parse_prometheus(prometheus_text(document))
+        accepted = families["repro_http_connections_accepted_total"]
+        assert accepted["type"] == "counter"
+        assert accepted["samples"][0][2] == document["connections_accepted_total"]
+        is_open = families["repro_http_connections_open"]
+        assert is_open["type"] == "gauge"
+        assert is_open["samples"][0][2] == document["connections_open"] >= 1
+        # the fixture's traffic rode one parked connection, not one each
+        assert (
+            1 <= document["connections_accepted_total"]
+            < document["requests_total"] / 2
+        )
+
     def test_responses_and_delta_and_durability_exposed(self, client):
         document = client.metrics()
         families = parse_prometheus(prometheus_text(document))
