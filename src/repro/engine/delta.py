@@ -37,7 +37,11 @@ in maintenance order (what the repair loops consume), and
 fresh batch detection returns — every tuple is numbered by arrival, so
 the read is one sort of the violations and never touches the relation.
 That is what lets :meth:`repro.session.Session.detect` answer a read
-after a write from here instead of re-detecting.
+after a write from here instead of re-detecting.  Most edits to mostly
+clean data change no violation, so the engine also says *whether* that
+list moved: :attr:`DeltaEngine.report_epoch` is replaced by exactly the
+``apply`` calls that change what ``ordered_violations()`` returns, and
+the sorted list is kept until it does.
 
 With ``shards > 1`` the maintained state is split across hash shards of
 the same signature-aligned partitioning the parallel executor uses
@@ -444,6 +448,18 @@ class DeltaStats:
 #: sort key of an ``ordered_entries`` row: everything but the violation
 _REPORT_ORDER = itemgetter(0, 1, 2, 3)
 
+#: what a maintained state's ``apply`` returns: the (position, violation)
+#: entries that entered and left its store — before any netting — and
+#: whether anything its ``ordered_entries`` yields changed, *by identity*:
+#: an entry came or went, or a held partition got a new pivot
+_StateDelta = PyTuple[
+    List[PyTuple[int, Violation]], List[PyTuple[int, Violation]], bool
+]
+
+#: where every ``DeltaEngine.report_epoch`` comes from: one counter for the
+#: process, so no two engines — or an engine and its own rebuild — share one
+_REPORT_EPOCHS = count(1)
+
 
 class _ScanState:
     """Maintained partition + violations for one (relation, signature) group.
@@ -683,8 +699,9 @@ class _ScanState:
 
     def apply(
         self, ops: Sequence[PyTuple[str, Tuple]], stats: DeltaStats
-    ) -> PyTuple[List[PyTuple[int, Violation]], List[PyTuple[int, Violation]]]:
+    ) -> _StateDelta:
         """Patch partitions with the batch and update touched keys."""
+        repivoted = False
         by_key: Dict[tuple, List[PyTuple[str, Tuple]]] = {}
         for kind, t in ops:
             by_key.setdefault(self.key_of(t.values()), []).append((kind, t))
@@ -738,6 +755,9 @@ class _ScanState:
                     self.violations[key] = swept
                 elif held is None:
                     continue  # clean before and after: nearly every key
+                # equal entries or not, they now pair against (and rank
+                # by) another pivot, and a re-added witness is a new object
+                repivoted = True
                 old = self._flatten(held or {})
                 new = self._flatten(swept)
                 if old == new:
@@ -750,6 +770,7 @@ class _ScanState:
         return (
             [(positions[slot], v) for slot, v in added],
             [(positions[slot], v) for slot, v in removed],
+            repivoted or bool(added or removed),
         )
 
 
@@ -924,7 +945,7 @@ class _InclusionState:
         self,
         effective: Mapping[str, Sequence[PyTuple[str, Tuple]]],
         stats: DeltaStats,
-    ) -> PyTuple[List[PyTuple[int, Violation]], List[PyTuple[int, Violation]]]:
+    ) -> _StateDelta:
         added_v: List[PyTuple[int, Violation]] = []
         removed_v: List[PyTuple[int, Violation]] = []
 
@@ -1008,7 +1029,8 @@ class _InclusionState:
                         violation = row.make_violation(t)
                         row.violating[t] = violation
                         added_v.append((row.position, violation))
-        return added_v, removed_v
+        # every change to a row's ``violating`` is in one of the two lists
+        return added_v, removed_v, bool(added_v or removed_v)
 
 
 class _ShardedScanState:
@@ -1070,7 +1092,7 @@ class _ShardedScanState:
 
     def apply(
         self, ops: Sequence[PyTuple[str, Tuple]], stats: DeltaStats
-    ) -> PyTuple[List[PyTuple[int, Violation]], List[PyTuple[int, Violation]]]:
+    ) -> _StateDelta:
         routed: List[List[PyTuple[str, Tuple]]] = [[] for _ in range(self.shards)]
         for kind, t in ops:
             routed[stable_shard(self.key_of(t.values()), self.shards)].append(
@@ -1078,12 +1100,14 @@ class _ShardedScanState:
             )
         added: List[PyTuple[int, Violation]] = []
         removed: List[PyTuple[int, Violation]] = []
+        changed = False
         for state, shard_ops in zip(self.states, routed):
             if shard_ops:
-                gained, lost = state.apply(shard_ops, stats)
+                gained, lost, moved = state.apply(shard_ops, stats)
                 added.extend(gained)
                 removed.extend(lost)
-        return added, removed
+                changed |= moved
+        return added, removed, changed
 
 
 class _ShardedInclusionState:
@@ -1124,18 +1148,20 @@ class _ShardedInclusionState:
         self,
         effective: Mapping[str, Sequence[PyTuple[str, Tuple]]],
         stats: DeltaStats,
-    ) -> PyTuple[List[PyTuple[int, Violation]], List[PyTuple[int, Violation]]]:
+    ) -> _StateDelta:
         # Unlike scan groups, ops cannot be pre-routed per shard: one
         # source op owes its key to each tableau row's own X projection,
         # so the owning shard varies per (row, op).  Every child gets the
         # batch and filters at key level via _owns_key.
         added: List[PyTuple[int, Violation]] = []
         removed: List[PyTuple[int, Violation]] = []
+        changed = False
         for state in self.states:
-            gained, lost = state.apply(effective, stats)
+            gained, lost, moved = state.apply(effective, stats)
             added.extend(gained)
             removed.extend(lost)
-        return added, removed
+            changed |= moved
+        return added, removed, changed
 
 
 class DeltaEngine:
@@ -1213,6 +1239,14 @@ class DeltaEngine:
             if rel.schema.name in witnessed
         }
         self._next_arrival = max(map(len, self._arrivals.values()), default=0)
+        #: names what :meth:`ordered_violations` returns: while it holds,
+        #: that list is the same list, object for object.  ``apply``
+        #: replaces it iff the batch changed the list; a build — so a
+        #: ``refresh()`` too — starts a new one.  Set before ``_versions``
+        #: catches up, so whoever sees the engine current sees this epoch.
+        self.report_epoch = next(_REPORT_EPOCHS)
+        #: (epoch, the sorted list) of the last ``ordered_violations()``
+        self._ordered: Optional[PyTuple[int, List[Violation]]] = None
         self._versions: Dict[str, int] = {
             rel.schema.name: rel.version for rel in db
         }
@@ -1264,8 +1298,13 @@ class DeltaEngine:
         each by the arrival of its non-pivot witness); an inclusion member
         per tableau row, sources in arrival order; a fallback dependency
         as stored (it is recomputed whole whenever touched).  One sort of
-        the violations for every shard count — O(V log V), never O(rows).
+        the violations for every shard count — O(V log V), never O(rows) —
+        and only when :attr:`report_epoch` moved since the last call: the
+        sorted list is kept, and every caller gets a copy of its own.
         """
+        memo = self._ordered
+        if memo is not None and memo[0] == self.report_epoch:
+            return list(memo[1])
         entries: List[tuple] = []
         for state in self._scan_states:
             state.ordered_entries(self._arrivals, entries)
@@ -1277,7 +1316,9 @@ class DeltaEngine:
             results[entry[0]].append(entry[-1])
         for position, _, found in self._fallback:
             results[position].extend(found)
-        return [v for sub in results for v in sub]
+        ordered = [v for sub in results for v in sub]
+        self._ordered = (self.report_epoch, ordered)
+        return list(ordered)
 
     def report(self) -> "DetectionReport":
         """Current violations as a :class:`~repro.cfd.detect.DetectionReport`."""
@@ -1366,24 +1407,28 @@ class DeltaEngine:
 
         added: List[PyTuple[int, Violation]] = []
         removed: List[PyTuple[int, Violation]] = []
+        report_moved = False
         if effective:
             touched = set(effective)
             for state in self._scan_states:
                 ops = effective.get(state.relation_name)
                 if ops:
-                    gained, lost = state.apply(ops, self.stats)
+                    gained, lost, moved = state.apply(ops, self.stats)
                     added.extend(gained)
                     removed.extend(lost)
+                    report_moved |= moved
             for inclusion in self._inclusion_states:
                 if inclusion.relation_name in touched or any(
                     name in touched for name in inclusion.sources
                 ):
-                    gained, lost = inclusion.apply(effective, self.stats)
+                    gained, lost, moved = inclusion.apply(effective, self.stats)
                     added.extend(gained)
                     removed.extend(lost)
+                    report_moved |= moved
             for index, (position, dep, old) in enumerate(self._fallback):
                 if touched.intersection(dep.relations()):
                     self.stats.fallback_rescans += 1
+                    report_moved = True  # a new list of new objects
                     new = list(dep.violations(self._db))
                     self._fallback[index] = (position, dep, new)
                     gained = Counter(new) - Counter(old)
@@ -1392,6 +1437,11 @@ class DeltaEngine:
                     removed.extend((position, v) for v in lost.elements())
 
         self._total += len(added) - len(removed)
+        # judged before the netting below: a delete + insert of an equal
+        # witness row nets out of the delta, yet the report now holds the
+        # new ``Tuple`` object (and renders it: ``3`` / ``3.0``)
+        if report_moved:
+            self.report_epoch = next(_REPORT_EPOCHS)
         for rel in self._db:
             self._versions[rel.schema.name] = rel.version
         if added and removed:

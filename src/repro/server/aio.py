@@ -11,9 +11,14 @@ cost file descriptors, not threads), and requests split by verb class:
   thread handoff: a reader can never queue behind a writer.
 * **write verbs** (``apply``/``undo``/``repair``/rules writes) serialize
   per session on an :class:`asyncio.Lock` and run the shared
-  :class:`~repro.server.core.ServiceCore` handler on a worker thread;
-  the completed write invalidates the session's snapshot, and the next
-  read re-publishes one at the new fingerprint.
+  :class:`~repro.server.core.ServiceCore` handler on a worker thread.
+  Once the write completed, still under that lock, the session's
+  snapshot is dropped and the next read re-publishes one at the new
+  fingerprint — except after an ``apply`` / ``undo`` the delta engine
+  vouches changed no report (the session's ``report_epoch()`` still
+  equals the one recorded at publication): that snapshot is *re-stamped*
+  at the new fingerprint, and the read after such a write is a snapshot
+  read.  On mostly clean data that is most writes.
 * everything else (health, metrics, listings, creates) runs the core
   handler on a worker thread without session-level coordination — those
   paths are already lock-free or non-blocking by construction.
@@ -38,7 +43,19 @@ Snapshot-correctness argument, in one place:
   published fingerprint can only be observed concurrently with *reads*;
 * relation versions are monotonic: any committed mutation bumps at least
   one version, so a hit (fingerprint equality, checked dirty) proves no
-  mutation committed since publication — a torn read can only *miss*;
+  mutation committed since the fingerprint was stamped — a torn read can
+  only *miss*;
+* a fingerprint is re-stamped only under the same lock, right after an
+  ``apply`` / ``undo``, and only when the snapshot's token and the
+  session's are equal reads of one engine's ``report_epoch`` — a value
+  that engine replaces in the very ``apply`` that changes its ordered
+  violation list, by identity, and that no other engine or rebuild ever
+  repeats.  Equal tokens read under the lock every writer holds therefore
+  mean the cached list *is* the list a fresh executor run returns now
+  (the engine's standing contract), so the cached bytes are the bytes the
+  handler would produce; a snapshot published without a maintained report
+  (token ``None``), or whose cached detect ran another executor, is never
+  carried over;
 * the snapshot pins strong references to the database and rules objects
   backing its ``id()``-based fingerprint components, so a recycled id
   can never alias a new object into a false hit;
@@ -79,9 +96,13 @@ from repro.server.wire import split_wire_version
 
 __all__ = ["AsyncReproServer", "SessionSnapshot"]
 
-#: session verbs that mutate state: their completion invalidates the
-#: session's snapshot (rules handles PUT and POST)
+#: session verbs that mutate state: their completion drops the session's
+#: snapshot or, for the two below, re-stamps it (rules handles PUT and POST)
 _WRITE_VERBS = frozenset({"apply", "undo", "repair", "rules"})
+
+#: the write verbs that go through the delta engine, which can say that a
+#: write left the report as it was (``Session.report_epoch``)
+_EDIT_VERBS = frozenset({"apply", "undo"})
 
 #: verbs that serialize on the session's asyncio lock — the write verbs
 #: plus the two snapshot-publishing reads (publication must be raceless)
@@ -108,19 +129,25 @@ class SessionSnapshot:
     ``("detect", executor, shards, include_violations)`` — to fully
     rendered :class:`Response` objects.  ``pinned`` holds the database
     and rules objects whose ``id()``s appear in the fingerprint.
+    ``token`` is the session's ``report_epoch()`` at publication
+    (``None``: no maintained report to compare a later one with); an edit
+    that leaves it standing moves ``fingerprint`` forward instead of
+    ending the snapshot.
     """
 
-    __slots__ = ("hosted", "fingerprint", "pinned", "cache")
+    __slots__ = ("hosted", "fingerprint", "pinned", "token", "cache")
 
     def __init__(
         self,
         hosted: HostedSession,
         fingerprint: tuple,
         pinned: tuple,
+        token: Optional[int],
     ) -> None:
         self.hosted = hosted
         self.fingerprint = fingerprint
         self.pinned = pinned
+        self.token = token
         self.cache: Dict[tuple, Response] = {}
 
 
@@ -546,6 +573,7 @@ class AsyncReproServer:
             or hosted.session.state_fingerprint() != snapshot.fingerprint
         ):
             return None
+        self.metrics.count("snapshot_hits_total")
         self.metrics.record(
             cached.endpoint, cached.status, time.perf_counter() - started
         )
@@ -563,11 +591,20 @@ class AsyncReproServer:
         """Maintain the snapshot layer after a locked verb completed.
 
         Called while still holding the session's asyncio lock, so the
-        fingerprint read here cannot race another writer on this server.
+        fingerprint and report epoch read here cannot race another writer
+        on this server.
         """
         if verb == "" or (verb in _WRITE_VERBS and method != "GET"):
-            # session deleted or mutated: whatever was cached is stale
-            self._snapshots.pop(session_id, None)
+            # session deleted or mutated: whatever was cached is stale,
+            # unless the engine vouches that this edit changed no report
+            snapshot = self._snapshots.get(session_id)
+            if snapshot is None:
+                return
+            if verb in _EDIT_VERBS and self._restamp(session_id, snapshot):
+                self.metrics.count("snapshots_kept_total")
+            else:
+                del self._snapshots[session_id]
+                self.metrics.count("snapshots_dropped_total")
             return
         if response.status != 200:
             return
@@ -602,6 +639,7 @@ class AsyncReproServer:
                 hosted,
                 fingerprint,
                 pinned=(session.database, session.rules),
+                token=session.report_epoch(),
             )
             self._snapshots[session_id] = snapshot
             # LRU eviction closes sessions without a request naming them:
@@ -612,3 +650,34 @@ class AsyncReproServer:
             ]:
                 del self._snapshots[stale]
         snapshot.cache[key] = response
+
+    def _restamp(self, session_id: str, snapshot: SessionSnapshot) -> bool:
+        """Carry ``snapshot`` across the ``apply`` / ``undo`` that just
+        completed, if the report it caches is still the session's report
+        (the module docstring has the argument).
+
+        Called under the session's asyncio lock.  Only the fingerprint
+        moves, and what stays cached is what the engine speaks for: the
+        rule documents (an edit cannot touch them) and the detects
+        ``Session.detect`` answers from the maintained set — the ones
+        resolving to the indexed executor.
+        """
+        hosted = self.manager.peek(session_id)
+        if (
+            snapshot.token is None
+            or hosted is not snapshot.hosted
+            or hosted.closed
+            or hosted.is_degraded
+        ):
+            return False
+        session = hosted.session
+        if session.report_epoch() != snapshot.token:
+            return False
+        snapshot.fingerprint = session.state_fingerprint()
+        snapshot.cache = {
+            key: response
+            for key, response in snapshot.cache.items()
+            if key == ("rules",)
+            or (key[2] is None and (key[1] or session.executor) == "indexed")
+        }
+        return True

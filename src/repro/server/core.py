@@ -38,7 +38,6 @@ from repro.errors import (
     SchemaError,
 )
 from repro.server.hosting import (
-    _DELTA_STAT_FIELDS,
     DuplicateSessionError,
     HostedSession,
     ServerMetrics,
@@ -46,7 +45,7 @@ from repro.server.hosting import (
     SessionManager,
     UnknownSessionError,
 )
-from repro.server.metrics import prometheus_text
+from repro.server.metrics import DELTA_STAT_FIELDS, prometheus_text
 from repro.server.wire import (
     SUPPORTED_WIRE_VERSIONS,
     encode,
@@ -63,6 +62,11 @@ __all__ = [
     "ServiceCore",
 ]
 
+
+class BadRequest(Exception):
+    """Internal: malformed request envelope (not a library error)."""
+
+
 #: (error class, HTTP status) in match order — first isinstance hit wins
 _ERROR_STATUS = (
     (SessionDegradedError, 503),
@@ -73,6 +77,7 @@ _ERROR_STATUS = (
     (DependencyError, 400),
     (SchemaError, 400),
     (DomainError, 400),
+    (BadRequest, 400),
     (ReproError, 400),
     (KeyError, 400),
     (ValueError, 400),
@@ -85,10 +90,6 @@ def _status_for(exc: BaseException) -> int:
         if isinstance(exc, error_cls):
             return error_status
     return 500
-
-
-class BadRequest(Exception):
-    """Internal: malformed request envelope (not a library error)."""
 
 
 class PlainText:
@@ -165,7 +166,7 @@ class ServiceCore:
         manager = self.manager
         warm_engines = 0
         warm_parallel = 0
-        delta_totals = {field: 0 for field in _DELTA_STAT_FIELDS}
+        delta_totals = {field: 0 for field in DELTA_STAT_FIELDS}
         maintained_violations = 0
         degraded_sessions = 0
         for hosted in manager.list():
@@ -209,6 +210,14 @@ class ServiceCore:
             "probes_total": ops_counters["probes_total"],
             "recoveries_total": ops_counters["recoveries_total"],
             "rejected_total": ops_counters["rejected_total"],
+        }
+        document["snapshots"] = {
+            name: ops_counters[name]
+            for name in (
+                "snapshot_hits_total",
+                "snapshots_kept_total",
+                "snapshots_dropped_total",
+            )
         }
         document["sessions"] = {
             "open": len(manager),

@@ -33,7 +33,7 @@ from repro.server.durability import (
     SessionJournal,
     SessionStore,
 )
-from repro.server.metrics import LATENCY_BUCKETS
+from repro.server.metrics import DELTA_STAT_FIELDS, LATENCY_BUCKETS
 from repro.server.wire import encode_value
 from repro.session import Session, ViolationReport
 
@@ -53,17 +53,6 @@ DEFAULT_DEGRADED_AFTER = 5
 #: a lock acquired slower than this waited on another request (an
 #: uncontended ``threading.Lock`` acquires in well under a microsecond)
 _CONTENDED_LOCK_WAIT = 0.001
-
-#: DeltaStats counters aggregated into /metrics and per-session diagnostics
-_DELTA_STAT_FIELDS = (
-    "batches",
-    "ops_applied",
-    "keys_patched",
-    "keys_reevaluated",
-    "inclusion_keys_touched",
-    "fallback_rescans",
-    "reports_served",
-)
 
 
 class UnknownSessionError(ReproError):
@@ -430,7 +419,7 @@ class HostedSession:
                 engine_doc["maintained_violations"] = engine.total_violations()
                 engine_doc["delta_stats"] = {
                     field: getattr(engine.stats, field)
-                    for field in _DELTA_STAT_FIELDS
+                    for field in DELTA_STAT_FIELDS
                 }
             degraded = self.degraded_document()
             degraded["degraded_total"] = self.degraded_total
@@ -933,13 +922,18 @@ class ServerMetrics:
         #: per-endpoint latency observations, one slot per LATENCY_BUCKETS
         #: bound plus the trailing +Inf overflow slot
         self._buckets: Dict[str, List[int]] = {}
-        #: named operational counters (degraded gating lifecycle)
+        #: named operational counters: the degraded gating lifecycle and
+        #: the transport's snapshot layer (reads served from cached bytes;
+        #: writes that left a snapshot standing / that ended one)
         self.counters: Dict[str, int] = {
             "handler_failures_total": 0,
             "degraded_total": 0,
             "probes_total": 0,
             "recoveries_total": 0,
             "rejected_total": 0,
+            "snapshot_hits_total": 0,
+            "snapshots_kept_total": 0,
+            "snapshots_dropped_total": 0,
         }
 
     def record(self, endpoint: str, status: int, seconds: float) -> None:

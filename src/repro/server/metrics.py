@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Tuple
 
-__all__ = ["LATENCY_BUCKETS", "prometheus_text"]
+__all__ = ["DELTA_STAT_FIELDS", "LATENCY_BUCKETS", "prometheus_text"]
 
 #: upper bounds (seconds) of the request-latency histogram buckets; the
 #: implicit ``+Inf`` bucket is appended by the recorder.
@@ -64,16 +64,25 @@ _SCALARS: Tuple[Tuple[str, str, str, str, str], ...] = (
      "counter", "Degraded sessions recovered by a successful probe."),
     ("degraded", "rejected_total", "repro_degraded_rejected_total", "counter",
      "Requests fast-rejected (503) while a recovery probe was in flight."),
+    ("snapshots", "snapshot_hits_total", "repro_snapshot_hits_total", "counter",
+     "Reads answered from a session snapshot's cached bytes."),
+    ("snapshots", "snapshots_kept_total", "repro_snapshots_kept_total",
+     "counter", "Writes that changed no report and left the snapshot standing."),
+    ("snapshots", "snapshots_dropped_total", "repro_snapshots_dropped_total",
+     "counter", "Writes (and deletes) that ended the session's snapshot."),
 )
 
-#: delta_stats counters, rendered as repro_delta_<field>_total.
-_DELTA_FIELDS: Tuple[str, ...] = (
+#: the DeltaStats counters the server reports: summed into /metrics
+#: ``engines.delta_stats``, listed per session in diagnostics, and rendered
+#: here as repro_delta_<field>_total.
+DELTA_STAT_FIELDS: Tuple[str, ...] = (
     "batches",
     "ops_applied",
     "keys_patched",
     "keys_reevaluated",
     "inclusion_keys_touched",
     "fallback_rescans",
+    "reports_served",
 )
 
 #: durability counters from SessionStore.counters_snapshot().
@@ -144,7 +153,7 @@ def prometheus_text(document: Mapping[str, Any]) -> str:
         return fam
 
     sections: Dict[str, Mapping[str, Any]] = {}
-    for key in ("sessions", "engines", "degraded", "durability"):
+    for key in ("sessions", "engines", "degraded", "snapshots", "durability"):
         value = document.get(key)
         sections[key] = value if isinstance(value, Mapping) else {}
 
@@ -190,7 +199,7 @@ def prometheus_text(document: Mapping[str, Any]) -> str:
 
     delta = sections["engines"].get("delta_stats")
     if isinstance(delta, Mapping):
-        for field in _DELTA_FIELDS:
+        for field in DELTA_STAT_FIELDS:
             if field not in delta:
                 continue
             family(

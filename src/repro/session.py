@@ -408,6 +408,16 @@ class Session:
             return None
         return engine if engine.is_current() else None
 
+    def report_epoch(self) -> Optional[int]:
+        """What names the report a maintained ``detect()`` returns now:
+        the current engine's :attr:`DeltaEngine.report_epoch`, or ``None``
+        when no engine answers for this session (not built, other rules
+        or database, a relation changed behind it).  Two equal non-``None``
+        reads bracket edits that changed no violation, witness or order —
+        the server keeps a cached report across such a write."""
+        engine = self._current_engine()
+        return None if engine is None else engine.report_epoch
+
     # -- detection -------------------------------------------------------
 
     def detect(

@@ -153,6 +153,26 @@ class TestDegradedLifecycle:
         assert client.session_info("deg-4xx")["degraded"] is False
         client.delete_session("deg-4xx")
 
+    def test_a_handler_raised_bad_request_does_not_degrade(self, client):
+        """A malformed body refused *inside* a gated handler is the
+        client's 400 like any other: ``BadRequest`` used to be missing
+        from the status table, read as a 500 there, and the request that
+        crossed the threshold answered 503 and gated a healthy session."""
+        _fresh(client, "deg-400")
+        before = client.metrics()["degraded"]
+        for _ in range(THRESHOLD + 2):
+            with pytest.raises(ServerError) as err:
+                client._request("POST", "/sessions/deg-400/undo", {})
+            assert err.value.status == 400
+            assert err.value.document["type"] == "BadRequest"
+        after = client.metrics()["degraded"]
+        assert after["handler_failures_total"] == before["handler_failures_total"]
+        assert after["degraded_total"] == before["degraded_total"]
+        # the next request is served normally
+        assert client.detect("deg-400")["total"] == 1
+        assert client.session_info("deg-400")["degraded"] is False
+        client.delete_session("deg-400")
+
     def test_degraded_session_keeps_serving_diagnostics(self, server, client):
         _fresh(client, "deg-diag")
         _inject_failures(server, "deg-diag", failures=THRESHOLD)

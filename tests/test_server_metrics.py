@@ -19,9 +19,9 @@ import pytest
 from repro.client import ServerClient, ServerError
 from repro.server import make_server
 from repro.server.metrics import (
-    _DELTA_FIELDS,
     _DURABILITY_COUNTERS,
     _SCALARS,
+    DELTA_STAT_FIELDS,
     LATENCY_BUCKETS,
     prometheus_text,
 )
@@ -192,7 +192,7 @@ class TestPrometheusExposition:
         assert statuses == {str(k) for k in document["responses"]}
 
         delta_stats = document["engines"]["delta_stats"]
-        for field in _DELTA_FIELDS:
+        for field in DELTA_STAT_FIELDS:
             fam = families[f"repro_delta_{field}_total"]
             assert fam["samples"][0][2] == pytest.approx(
                 float(delta_stats[field])
