@@ -54,6 +54,17 @@ def _series_metric(field: str) -> Callable[[Dict[str, Any]], Dict[int, float]]:
     return extract
 
 
+def _rate_metric(field: str) -> Callable[[Dict[str, Any]], Dict[int, float]]:
+    """A per-size duration as a rate (1 / seconds): higher is better, so
+    the tolerance band applies to it the way it does to a speedup."""
+    seconds = _series_metric(field)
+
+    def extract(document: Dict[str, Any]) -> Dict[int, float]:
+        return {size: 1.0 / value for size, value in seconds(document).items() if value}
+
+    return extract
+
+
 def _concurrency_metric(document: Dict[str, Any]) -> Dict[int, float]:
     """Per-client-count snapshot-hit req/s (the concurrency benchmark's
     "size" axis is clients, not tuples)."""
@@ -85,7 +96,10 @@ METRICS: Dict[str, List[Tuple[str, Callable[[Dict[str, Any]], Dict[int, float]]]
         ("columnar_speedup_cold", _series_metric("columnar_speedup_cold")),
     ],
     "columnar_memory": [("compression", _series_metric("compression"))],
-    "incremental_delta_maintenance": [("speedup", _series_metric("speedup"))],
+    "incremental_delta_maintenance": [
+        ("speedup", _series_metric("speedup")),
+        ("builds_per_second", _rate_metric("build_seconds")),
+    ],
     "parallel_scaling": [("speedup_at_target_shards", _parallel_metric)],
     "snapshot_hit_throughput": [
         ("requests_per_second", _concurrency_metric)

@@ -11,12 +11,10 @@ Layering (see ``docs/engine.md``):
 * **execution** — :mod:`repro.engine.executor` partitions each relation
   once per signature and evaluates every pattern tuple of every member
   against the shared partitions;
-* **incremental** — :mod:`repro.engine.incremental` re-checks consistency
-  after single-tuple edits touching only the affected partitions;
 * **delta** — :mod:`repro.engine.delta` maintains the full violation set
   under batched inserts/deletes/cell-updates (:class:`Changeset`),
   returning added/removed violations per batch (used by repair and the
-  streaming workload);
+  streaming workload); ``DeltaEngine.probe`` is the single-edit what-if;
 * **parallel** — :mod:`repro.engine.parallel` shards every scan and
   inclusion group by a stable hash of its key columns, fans the shard
   jobs out over a ``multiprocessing`` pool (deterministic in-process
@@ -39,7 +37,6 @@ from repro.engine.executor import (
     detect_violations_indexed,
     execute_plan,
 )
-from repro.engine.incremental import IncrementalChecker
 from repro.engine.indexes import IndexStats, RelationIndexes, canonical_signature
 from repro.engine.naive import detect_violations_naive, naive_violations
 from repro.engine.parallel import (
@@ -67,7 +64,6 @@ __all__ = [
     "StaleEngineError",
     "ViolationDelta",
     "InclusionGroup",
-    "IncrementalChecker",
     "IndexStats",
     "ParallelExecutor",
     "ParallelStats",

@@ -12,11 +12,12 @@ The maintenance strategy follows the same signature-sharing idea as the
 batch executor, localized to what the delta touches:
 
 * **FD/CFD/eCFD** — every violation (single-tuple or pair) lives entirely
-  inside one LHS-signature partition, so the engine keeps its own partition
-  map per scan group, patches it in place (preserving relation insertion
-  order, so a rebuild would produce the identical structure), and
-  re-evaluates the compiled scan tasks only on the partition keys the
-  batch touched;
+  inside one LHS-signature partition.  A partition is the relation's
+  cached vectorized layout segment for its key (row ids, never copied)
+  plus the edits since: only a partition a batch has touched gets a
+  record of its own, so the build materialises the violating rows and
+  nothing else, and a batch re-evaluates the compiled scan tasks only on
+  the partition keys it touched;
 * **IND/CIND** — the engine keeps a reference-counted target key index per
   (target relation, Yp, Y) signature and, per dependency tableau row, the
   set of source tuples demanding each key.  A batch then resolves to key
@@ -56,6 +57,7 @@ count; ``REPRO_DEFAULT_SHARDS`` sets the default.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from itertools import count
 from operator import itemgetter
 from typing import (
@@ -73,6 +75,7 @@ from typing import (
 
 from repro.deps.base import Dependency, Violation
 from repro.engine.indexes import key_getter
+from repro.engine.kernels import flagged_rows
 from repro.engine.parallel import resolve_shards, stable_shard
 from repro.engine.planner import InclusionGroup, ScanGroup, plan_detection
 from repro.errors import DependencyError, ReproError
@@ -97,7 +100,7 @@ def violation_multiset(violations: Iterable[Violation]) -> Counter:
     """The canonical identity multiset for comparing violation reports.
 
     One definition shared by every divergence check — the differential
-    test harness, ``run_stream(verify=True)``, and the incremental
+    test harness, ``Session.stream(verify=True)``, and the incremental
     benchmark — so they all enforce the same invariant: the dependency
     *object* (``id``), plus the ordered witness tuples (so even
     pair-violation orientation must agree).
@@ -420,6 +423,8 @@ class DeltaStats:
         "inclusion_keys_touched",
         "fallback_rescans",
         "reports_served",
+        "rebuilds",
+        "eager_builds",
     )
 
     def __init__(self) -> None:
@@ -433,6 +438,13 @@ class DeltaStats:
         self.fallback_rescans = 0
         #: detects answered from the maintained set (no executor run)
         self.reports_served = 0
+        #: whole-state rebuilds: a failed apply, a store compaction under
+        #: the layouts, an explicit ``refresh()``
+        self.rebuilds = 0
+        #: scan states filled tuple by tuple because no layout could be
+        #: their base (object storage, numpy absent, a non-columnar task,
+        #: a shard's bucket)
+        self.eager_builds = 0
 
     def __repr__(self) -> str:
         return (
@@ -441,7 +453,8 @@ class DeltaStats:
             f"keys_reevaluated={self.keys_reevaluated}, "
             f"inclusion_keys_touched={self.inclusion_keys_touched}, "
             f"fallback_rescans={self.fallback_rescans}, "
-            f"reports_served={self.reports_served})"
+            f"reports_served={self.reports_served}, "
+            f"rebuilds={self.rebuilds}, eager_builds={self.eager_builds})"
         )
 
 
@@ -461,16 +474,41 @@ _StateDelta = PyTuple[
 _REPORT_EPOCHS = count(1)
 
 
+class _Partition:
+    """One touched partition: what is left of its base segment, and the
+    tuples added since the base was laid out (insertion-ordered)."""
+
+    __slots__ = ("cursor", "end", "tail")
+
+    def __init__(self, cursor: int, end: int) -> None:
+        #: ``base.rows_sorted[cursor:end]`` is the segment; between batches
+        #: ``cursor`` rests on a live row (or on ``end``)
+        self.cursor = cursor
+        self.end = end
+        self.tail: Dict[Tuple, None] = {}
+
+
 class _ScanState:
     """Maintained partition + violations for one (relation, signature) group.
 
-    ``groups`` mirrors what ``RelationIndexes.group_index`` would build from
-    scratch — keys in first-seen order, tuples in relation insertion order
-    within each group — but stores each group as an insertion-ordered dict
-    of tuples, so patching is O(1) per op.  Patching replays the effective
-    ops in order, which preserves exactly the rebuild invariant (a
-    removed-then-readded tuple moves to the end of its group in the
-    relation too).
+    A partition reads as ``RelationIndexes.group_index`` would build it from
+    scratch — tuples in relation insertion order — but is never copied out
+    of the relation.  Under the condition the batch executor's kernel path
+    runs on (a vectorized layout for the signature, every task ``columnar``
+    + ``supports_incremental``) the state keeps that
+    :class:`~repro.engine.kernels.GroupLayout` as its immutable ``base``:
+    row ids are append-only and a deleted row keeps its column values until
+    the store compacts (the engine rebuilds then), so a key's partition is
+    the live rows of its base segment followed by the tuples added since.
+    Only a key some batch has touched owns a record (``touched``): a cursor
+    into its segment, stepped past the rows a batch kills from the front so
+    that between batches it rests on the partition's first live row, and the
+    ``tail`` of tuples added since.  An untouched key has no record — its
+    partition is its whole segment — and a base row's removal needs no
+    bookkeeping at all: the store already marked it dead, and no dead row
+    is ever materialised.  Without a base (``eager_builds``) every tuple
+    sits in its key's tail: the same record, the same reads
+    (:meth:`first` / :meth:`members`).
 
     Violations are updated per touched partition key on one of two paths:
 
@@ -501,8 +539,11 @@ class _ScanState:
         "key_of",
         "tasks",
         "incremental_ok",
-        "groups",
+        "base",
+        "touched",
         "violations",
+        "_store",
+        "_arrival",
         "_universal",
         "_conditional",
         "_positions",
@@ -513,6 +554,8 @@ class _ScanState:
         self,
         relation: RelationInstance,
         scan_group: ScanGroup,
+        arrival: Dict[Tuple, int],
+        stats: DeltaStats,
         tuples: Optional[Iterable[Tuple]] = None,
     ) -> None:
         self.relation_name = scan_group.relation_name
@@ -544,54 +587,139 @@ class _ScanState:
         self._conditional: List[PyTuple[int, Any]] = [
             entry for entry in self.tasks if entry not in self._universal
         ]
-        self.groups: Dict[tuple, Dict[Tuple, None]] = {}
+        self._store: Any = relation.column_store
+        #: the engine's arrival numbers for this relation (shared): a base
+        #: row's is its row id, recorded whenever the row is materialised
+        self._arrival = arrival
+        layout = (
+            relation.indexes.group_layout(self.signature)
+            if all(
+                task.columnar is not None and task.supports_incremental
+                for _, task in self.tasks
+            )
+            else None
+        )
         # ``tuples`` restricts the state to a shard's bucket (in relation
         # insertion order); every partition key lands wholly inside one
         # shard, so each sub-state patches exactly as the unsharded one.
-        for t in relation if tuples is None else tuples:
-            self.groups.setdefault(self.key_of(t.values()), {})[t] = None
+        self.base: Any = layout if tuples is None else None
+        self.touched: Dict[tuple, _Partition] = {}
         self.violations: Dict[
             tuple, Dict[Optional[Tuple], List[PyTuple[int, Violation]]]
         ] = {}
-        keys = self._candidate_keys(relation)
-        for key in self.groups if keys is None else keys:
-            group = self.groups.get(key)
-            if group is None:
-                continue  # a candidate another shard's state owns
-            found = self._evaluate(key, list(group))
-            if found:
-                self.violations[key] = found
+        if self.base is None:
+            stats.eager_builds += 1
+            for t in relation if tuples is None else tuples:
+                key = self.key_of(t.values())
+                part = self.touched.get(key)
+                if part is None:
+                    part = self.touched[key] = _Partition(0, 0)
+                part.tail[t] = None
+        if layout is not None:
+            self._seed(relation.indexes, layout)
+        else:
+            for key, part in self.touched.items():
+                found = self._evaluate(key, list(part.tail))
+                if found:
+                    self.violations[key] = found
 
-    def _candidate_keys(self, relation: RelationInstance) -> Optional[List[tuple]]:
-        """The partition keys that can hold a violation, first-seen order.
+    def _seed(self, indexes: Any, layout: Any) -> None:
+        """The initial violations, read off the kernel flags.
 
-        Under the condition the batch executor's kernel path runs on — a
-        vectorized layout for the signature and every task ``columnar`` +
-        ``supports_incremental`` — the kernel flags are exact, so the
-        initial sweep needs only the union of the tasks' candidate groups
-        (layout rank = first-seen key order, the order ``groups`` iterates
-        in); after a detect both layout and flags are cache hits.  ``None``
-        means no narrowing: sweep every partition.
+        The flags are exact and name the violating rows (after a detect
+        both layout and flags are cache hits), so only those rows — and
+        each flagged partition's pivot — are materialised and run through
+        ``single`` / ``pair``, filed exactly as :meth:`_evaluate` files a
+        whole-partition sweep: partitions by layout rank (first-seen key
+        order), tasks in order, singles before pairs, rows in relation
+        order.  No partition is built.
         """
-        if not all(
-            task.columnar is not None and task.supports_incremental
-            for _, task in self.tasks
-        ):
-            return None
-        indexes = relation.indexes
-        layout = indexes.group_layout(self.signature)
-        if layout is None:
-            return None
+        flags = {
+            slot: indexes.task_flags(self.signature, task.columnar)
+            for slot, task in self.tasks
+        }
         ranks: set = set()
-        for _, task in self.tasks:
-            candidates = indexes.task_flags(self.signature, task.columnar).candidate_set
-            if task.lookup_key is None:
-                ranks |= candidates
-            else:
-                rank = layout.rank_of_key(task.lookup_key)
-                if rank in candidates:
-                    ranks.add(rank)
-        return [layout.decoded_key(rank) for rank in sorted(ranks)]
+        for task_flags in flags.values():
+            ranks |= task_flags.candidate_set
+        out: List[Violation] = []
+        for rank in sorted(ranks):
+            key = layout.decoded_key(rank)
+            if self.base is None and key not in self.touched:
+                continue  # a candidate another shard's state owns
+            singleton = int(layout.sizes[rank]) < 2
+            first = None
+            stored: Dict[Optional[Tuple], List[PyTuple[int, Violation]]] = {}
+            for slot, task in self._applicable(key):
+                if rank not in flags[slot].candidate_set or (
+                    singleton and task.skip_singletons
+                ):
+                    continue
+                singles, pairs = flagged_rows(layout, flags[slot], rank)
+                if pairs and first is None:
+                    first = self._tuple(int(layout.rows_sorted[layout.starts[rank]]))
+                for kind, rows in enumerate((singles, pairs)):
+                    for row in rows:
+                        t = self._tuple(row)
+                        if kind:
+                            task.pair(first, t, out)
+                        else:
+                            task.single(t, out)
+                        if out:
+                            stored.setdefault(t, []).extend(
+                                [(slot + kind, v) for v in out]
+                            )
+                            out.clear()
+            if stored:
+                self.violations[key] = stored
+
+    # -- the partition read path ------------------------------------------
+
+    def _tuple(self, row: int) -> Tuple:
+        """A live base row as the store's one ``Tuple`` for it, numbered
+        by its row id (monotone in arrival, below every later add)."""
+        t = self._store.tuple_at(row)
+        self._arrival[t] = row
+        return t
+
+    def _segment(self, key: tuple) -> _Partition:
+        """A fresh record for an untouched key: its whole base segment."""
+        start = size = 0
+        if self.base is not None:
+            rank = self.base.rank_of_key(key)
+            if rank is not None:
+                start = int(self.base.starts[rank])
+                size = int(self.base.sizes[rank])
+        return _Partition(start, start + size)
+
+    def _partition(self, key: tuple) -> _Partition:
+        """The key's record; an untouched key's is made on the spot and
+        not remembered (only ``apply`` touches a key)."""
+        return self.touched.get(key) or self._segment(key)
+
+    def first(self, part: _Partition) -> Optional[Tuple]:
+        """The partition's pivot as of the last batch — ``None`` if it was
+        a base row the store has killed since, or the partition is empty."""
+        if part.cursor < part.end:
+            row = int(self.base.rows_sorted[part.cursor])
+            return self._tuple(row) if self._store.alive[row] else None
+        return next(iter(part.tail), None)
+
+    def members(self, part: _Partition) -> List[Tuple]:
+        """The partition's live tuples, in relation insertion order; the
+        cursor steps past the dead rows this skips at the front."""
+        if part.cursor == part.end:
+            return list(part.tail)
+        alive = self._store.alive
+        rows = self.base.rows_sorted[part.cursor : part.end].tolist()
+        live = [row for row in rows if alive[row]]
+        part.cursor = part.cursor + rows.index(live[0]) if live else part.end
+        found = [self._tuple(row) for row in live]
+        found.extend(part.tail)
+        return found
+
+    def partition(self, key: tuple) -> List[Tuple]:
+        """The live tuples under ``key`` now (a fresh list)."""
+        return self.members(self._partition(key))
 
     def iter_found(self) -> Iterator[PyTuple[int, Violation]]:
         """All stored (position, violation) entries, per-partition order."""
@@ -617,9 +745,8 @@ class _ScanState:
         arrival = arrivals[self.relation_name]
         positions = self._positions
         lookup = self._lookup_slots
-        groups = self.groups
         for key, stored in self.violations.items():
-            rank = arrival[next(iter(groups[key]))]
+            rank = arrival[self.first(self._partition(key))]
             for t, contribution in stored.items():
                 arrived = 0 if t is None else arrival[t]
                 for slot, violation in contribution:
@@ -707,9 +834,13 @@ class _ScanState:
             by_key.setdefault(self.key_of(t.values()), []).append((kind, t))
         added: List[PyTuple[int, Violation]] = []
         removed: List[PyTuple[int, Violation]] = []
+        touched = self.touched
         for key, key_ops in by_key.items():
-            group = self.groups.get(key)
-            first = next(iter(group)) if group else None
+            part = touched.get(key)
+            if part is None:
+                part = touched[key] = self._segment(key)
+            tail = part.tail
+            first = self.first(part)
             pivot_safe = (
                 self.incremental_ok
                 and first is not None
@@ -721,7 +852,7 @@ class _ScanState:
                 stored = self.violations.get(key)
                 for kind, t in key_ops:
                     if kind == "add":
-                        group[t] = None
+                        tail[t] = None
                         contribution = self._contribution(tasks, first, t)
                         if contribution:
                             if stored is None:
@@ -729,7 +860,7 @@ class _ScanState:
                             stored[t] = contribution
                             added.extend(contribution)
                     else:
-                        del group[t]
+                        tail.pop(t, None)  # a base row: the store killed it
                         if stored:
                             contribution = stored.pop(t, None)
                             if contribution:
@@ -740,17 +871,16 @@ class _ScanState:
                 # The pair pivot changes (or the partition is new): replay
                 # the ops structurally and re-sweep the partition.
                 stats.keys_reevaluated += 1
-                if group is None:
-                    group = self.groups[key] = {}
                 for kind, t in key_ops:
                     if kind == "add":
-                        group[t] = None
+                        tail[t] = None
                     else:
-                        del group[t]
-                if not group:
-                    del self.groups[key]
+                        tail.pop(t, None)
+                group = self.members(part)
+                if not group and not part.end:
+                    del self.touched[key]  # no base segment to shadow
                 held = self.violations.pop(key, None)
-                swept = self._evaluate(key, list(group)) if group else {}
+                swept = self._evaluate(key, group) if group else {}
                 if swept:
                     self.violations[key] = swept
                 elif held is None:
@@ -1047,8 +1177,16 @@ class _ShardedScanState:
 
     __slots__ = ("relation_name", "signature", "key_of", "shards", "states")
 
+    #: every child is filled from its bucket: none keeps a layout as base
+    base = None
+
     def __init__(
-        self, relation: RelationInstance, scan_group: ScanGroup, shards: int
+        self,
+        relation: RelationInstance,
+        scan_group: ScanGroup,
+        arrival: Dict[Tuple, int],
+        stats: DeltaStats,
+        shards: int,
     ) -> None:
         self.relation_name = scan_group.relation_name
         self.signature = scan_group.signature
@@ -1058,16 +1196,12 @@ class _ShardedScanState:
         for t in relation:
             buckets[stable_shard(self.key_of(t.values()), shards)].append(t)
         self.states = [
-            _ScanState(relation, scan_group, tuples=bucket) for bucket in buckets
+            _ScanState(relation, scan_group, arrival, stats, tuples=bucket)
+            for bucket in buckets
         ]
 
-    @property
-    def groups(self) -> Dict[tuple, Dict[Tuple, None]]:
-        """Merged view of the shard-local partition maps (shard-major)."""
-        merged: Dict[tuple, Dict[Tuple, None]] = {}
-        for state in self.states:
-            merged.update(state.groups)
-        return merged
+    def partition(self, key: tuple) -> List[Tuple]:
+        return self.states[stable_shard(key, self.shards)].partition(key)
 
     @property
     def violations(self) -> Dict[tuple, List[PyTuple[int, Violation]]]:
@@ -1186,59 +1320,73 @@ class DeltaEngine:
         self._shards = resolve_shards(shards)
         self._plan = plan_detection(dependencies)
         self.dependencies: List[Dependency] = self._plan.dependencies
+        #: cumulative over the engine's life: a rebuild keeps it
         self.stats = DeltaStats()
-        if self._shards == 1:
-            self._scan_states: List[Any] = [
-                _ScanState(db.relation(group.relation_name), group)
-                for group in self._plan.scan_groups
-            ]
-            self._inclusion_states: List[Any] = [
-                _InclusionState(db, group)
-                for group in self._plan.inclusion_groups
-            ]
-        else:
-            self._scan_states = [
-                _ShardedScanState(
-                    db.relation(group.relation_name), group, self._shards
-                )
-                for group in self._plan.scan_groups
-            ]
-            self._inclusion_states = [
-                _ShardedInclusionState(db, group, self._shards)
-                for group in self._plan.inclusion_groups
-            ]
-        self._fallback: List[PyTuple[int, Dependency, List[Violation]]] = [
-            (position, dep, list(dep.violations(db)))
-            for position, dep in self._plan.fallback
-        ]
-        self._total = sum(
-            1 for state in self._scan_states for _ in state.iter_found()
-        )
-        self._total += sum(
-            len(row.violating)
-            for state in self._inclusion_states
-            for row in state.rows
-        )
-        self._total += sum(len(found) for _, _, found in self._fallback)
+        self._build()
+
+    def _build(self) -> None:
+        """(Re)derive all maintained state from the current instance."""
+        db, plan, stats = self._db, self._plan, self.stats
         # Arrival numbers: one map per relation whose tuples witness a
         # maintained violation (scan relations, inclusion sources), shared
         # by every state and shard.  Relation order is insertion order with
-        # a re-added tuple at the end — on both storage backends, through
-        # compaction — so numbering the build in iteration order and every
-        # effective add after it (see ``apply``) keeps "sorted by arrival"
-        # equal to "in relation order" without ever scanning the relation.
-        witnessed = {group.relation_name for group in self._plan.scan_groups}
-        witnessed.update(
+        # a re-added tuple at the end — on both storage backends — so a
+        # number that grows with arrival keeps "sorted by arrival" equal to
+        # "in relation order" without ever scanning the relation.  The map
+        # is sparse: a tuple is numbered when it enters maintained state —
+        # a base row by its row id when a scan state materialises it, every
+        # effective add (see ``apply``) by the next number after them.
+        sources = {
             dep.lhs_relation
-            for group in self._plan.inclusion_groups
+            for group in plan.inclusion_groups
             for _, dep in group.members
-        )
-        self._arrivals: Dict[str, Dict[Tuple, int]] = {
-            rel.schema.name: dict(zip(rel, count()))
-            for rel in db
-            if rel.schema.name in witnessed
         }
-        self._next_arrival = max(map(len, self._arrivals.values()), default=0)
+        self._arrivals: Dict[str, Dict[Tuple, int]] = {
+            name: {}
+            for name in sources.union(g.relation_name for g in plan.scan_groups)
+        }
+        self._scan_states: List[Any] = []
+        for group in plan.scan_groups:
+            name = group.relation_name
+            seed = (db.relation(name), group, self._arrivals[name], stats)
+            if self._shards == 1:
+                self._scan_states.append(_ScanState(*seed))
+            else:
+                self._scan_states.append(_ShardedScanState(*seed, self._shards))
+        if self._shards == 1:
+            self._inclusion_states: List[Any] = [
+                _InclusionState(db, group) for group in plan.inclusion_groups
+            ]
+        else:
+            self._inclusion_states = [
+                _ShardedInclusionState(db, group, self._shards)
+                for group in plan.inclusion_groups
+            ]
+        self._fallback: List[PyTuple[int, Dependency, List[Violation]]] = [
+            (position, dep, list(dep.violations(db))) for position, dep in plan.fallback
+        ]
+        self._total = sum(1 for _ in self._found())
+        # Whoever iterated the whole relation anyway — an inclusion state
+        # over its source, a scan state without a base — holds any of its
+        # tuples: number them all, on the scale the base rows are on.
+        sources.update(
+            state.relation_name for state in self._scan_states if state.base is None
+        )
+        self._next_arrival = 0
+        for rel in db:
+            store = rel.column_store
+            if rel.schema.name in sources:
+                self._arrivals[rel.schema.name].update(
+                    zip(rel, count() if store is None else store.iter_live_rows())
+                )
+            self._next_arrival = max(
+                self._next_arrival, len(rel) if store is None else store.n_rows
+            )
+        #: the column stores under the engine; row ids under the bases are
+        #: good while their compaction count stands (``apply``)
+        stores = [rel.column_store for rel in db]
+        self._stores = [store for store in stores if store is not None]
+        self._compactions = self._compaction_count()
         #: names what :meth:`ordered_violations` returns: while it holds,
         #: that list is the same list, object for object.  ``apply``
         #: replaces it iff the batch changed the list; a build — so a
@@ -1250,6 +1398,22 @@ class DeltaEngine:
         self._versions: Dict[str, int] = {
             rel.schema.name: rel.version for rel in db
         }
+
+    def _compaction_count(self) -> int:
+        """Total ``ColumnStore.compactions`` over the database."""
+        return sum(store.compactions for store in self._stores)
+
+    def _found(self) -> Iterator[PyTuple[int, Violation]]:
+        """Every maintained ``(position, violation)``, maintenance order."""
+        for state in self._scan_states:
+            yield from state.iter_found()
+        for state in self._inclusion_states:
+            for row in state.rows:
+                for violation in row.violating.values():
+                    yield row.position, violation
+        for position, _, found in self._fallback:
+            for violation in found:
+                yield position, violation
 
     # -- introspection ---------------------------------------------------
 
@@ -1275,14 +1439,8 @@ class DeltaEngine:
         equals a fresh detection's.  :meth:`ordered_violations` is the
         same set in a fresh detection's order."""
         results: List[List[Violation]] = [[] for _ in self.dependencies]
-        for state in self._scan_states:
-            for position, violation in state.iter_found():
-                results[position].append(violation)
-        for state in self._inclusion_states:
-            for row in state.rows:
-                results[row.position].extend(row.violating.values())
-        for position, _, found in self._fallback:
-            results[position].extend(found)
+        for position, violation in self._found():
+            results[position].append(violation)
         return [v for sub in results for v in sub]
 
     def ordered_violations(self) -> List[Violation]:
@@ -1326,20 +1484,18 @@ class DeltaEngine:
 
         return DetectionReport(self.violations())
 
-    def partitions(
-        self, relation_name: str, signature: PyTuple[str, ...]
-    ) -> Optional[Dict[tuple, Dict[Tuple, None]]]:
-        """The maintained partition map for a tracked scan signature, or
-        ``None`` if no scan group uses it.  Values are insertion-ordered
-        mappings of tuples (read-only by contract).  With ``shards > 1``
-        the returned mapping is a merged snapshot (shard-major key order):
-        the per-key group dicts are the live maintained objects, but keys
-        created or dropped by later ``apply`` calls are not reflected —
-        re-fetch after mutating."""
+    def partition(
+        self, relation_name: str, signature: PyTuple[str, ...], key: tuple
+    ) -> List[Tuple]:
+        """The live tuples of one maintained partition — those whose
+        projection on the tracked scan ``signature`` is ``key`` — in
+        relation insertion order, as a fresh list: re-read after an
+        ``apply``.  Empty when the key has no live tuple or no scan group
+        tracks the signature."""
         for state in self._scan_states:
             if state.relation_name == relation_name and state.signature == signature:
-                return state.groups
-        return None
+                return state.partition(key)
+        return []
 
     # -- maintenance -----------------------------------------------------
 
@@ -1368,8 +1524,10 @@ class DeltaEngine:
             )
 
     def refresh(self) -> None:
-        """Rebuild all maintained state from the current instance."""
-        self.__init__(self._db, self.dependencies, shards=self._shards)
+        """Rebuild all maintained state from the current instance
+        (``stats`` carries on: its counters only ever grow)."""
+        self.stats.rebuilds += 1
+        self._build()
 
     def apply(self, changeset: Changeset) -> ViolationDelta:
         """Apply the batch to the database and return the violation delta.
@@ -1377,15 +1535,45 @@ class DeltaEngine:
         If the changeset fails mid-application (e.g. an update targeting an
         absent tuple), ``apply_to`` rolls the database back to its prior
         *content*; the rollback can reorder tuples, so the engine rebuilds
-        its maintained state before re-raising — the database and the
-        violation set stay consistent either way.
+        its maintained state before re-raising (as it does should the
+        maintenance itself raise) — the database and the violation set stay
+        consistent either way.
+
+        The scan states address base rows by id, and a batch is patched
+        after it is applied, so the column stores hold their compaction
+        until the patch is done (the delta is the one an engine whose store
+        was nowhere near compacting reports, list for list).  If one then
+        compacts — the row ids are renumbered — the engine rebuilds: a
+        build costs what the violations cost, not the relation.
         """
         self._check_versions()
         try:
-            effective = changeset.apply_to(self._db)
+            with self._rows_pinned():
+                delta = self._maintain(changeset.apply_to(self._db))
         except Exception:
             self.refresh()
             raise
+        if self._compaction_count() != self._compactions:
+            self.refresh()
+        return delta
+
+    @contextmanager
+    def _rows_pinned(self) -> Iterator[None]:
+        """Hold every column store's compaction for the duration; what fell
+        due meanwhile runs on the way out."""
+        for store in self._stores:
+            store.pinned = True
+        try:
+            yield
+        finally:
+            for store in self._stores:
+                store.pinned = False
+                store.compact_if_due()
+
+    def _maintain(
+        self, effective: Dict[str, List[PyTuple[str, Tuple]]]
+    ) -> ViolationDelta:
+        """Bring the maintained state up to the applied ``effective`` ops."""
         undo = Changeset.inverse_of(effective)
         self.stats.batches += 1
         self.stats.ops_applied += sum(len(ops) for ops in effective.values())
@@ -1402,7 +1590,7 @@ class DeltaEngine:
                         arrival[t] = number
                         number += 1
                     else:
-                        del arrival[t]
+                        arrival.pop(t, None)
                 self._next_arrival = number
 
         added: List[PyTuple[int, Violation]] = []

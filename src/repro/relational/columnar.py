@@ -90,6 +90,8 @@ class ColumnStore:
         "live",
         "cache",
         "dead",
+        "compactions",
+        "pinned",
     )
 
     def __init__(self, schema: RelationSchema):
@@ -114,6 +116,12 @@ class ColumnStore:
         #: lazily materialized ``Tuple`` per row (None until first asked)
         self.cache: List[Optional[Tuple]] = []
         self.dead = 0
+        #: how many times ``_compact`` renumbered the rows; whoever holds
+        #: row indices across edits (the delta engine) compares it …
+        self.compactions = 0
+        #: … and sets this while a batch of edits must not move them:
+        #: ``kill_row`` then leaves compaction to ``compact_if_due()``
+        self.pinned = False
 
     def __len__(self) -> int:
         return self.live
@@ -356,11 +364,17 @@ class ColumnStore:
         return added
 
     def kill_row(self, codes: PyTuple[int, ...], row: int) -> None:
-        """Mark a live row dead (O(1)); compact when dead rows dominate."""
+        """Mark a live row dead (O(1)); compact when dead rows dominate
+        (unless ``pinned``)."""
         self._delete_slot(codes, row)
         self.alive[row] = 0
         self.cache[row] = None
         self.dead += 1
+        if not self.pinned:
+            self.compact_if_due()
+
+    def compact_if_due(self) -> None:
+        """Compact once dead rows dominate (see ``COMPACT_MIN_DEAD``)."""
         if self.dead > COMPACT_MIN_DEAD and self.dead > self.live:
             self._compact()
 
@@ -379,6 +393,7 @@ class ColumnStore:
         self.cache = [self.cache[row] for row in keep]
         self.alive = bytearray(b"\x01" * len(keep))
         self.dead = 0
+        self.compactions += 1
         self._rebuild_table()
 
     # -- materialization ---------------------------------------------------
@@ -458,6 +473,8 @@ class ColumnStore:
         clone.live = self.live
         clone.cache = list(self.cache)
         clone.dead = self.dead
+        clone.compactions = self.compactions
+        clone.pinned = False
         return clone
 
     def __repr__(self) -> str:

@@ -280,6 +280,15 @@ class RelationInstance:
             self._indexes = RelationIndexes(self)
         return self._indexes
 
+    def drop_indexes(self) -> None:
+        """Forget the cached indexes; the next use rebuilds them.
+
+        The cache points back at this instance, so without it the instance
+        — columns, dictionaries, materialized tuples — is freed the moment
+        its last owner lets go instead of waiting for the cyclic collector.
+        """
+        self._indexes = None
+
     def __contains__(self, t: Tuple) -> bool:
         if self._store is None:
             return t in self._tuples

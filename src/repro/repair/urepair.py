@@ -29,6 +29,7 @@ adversarial inputs the pass cap may be reached (``resolved=False``).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from repro.cfd.model import CFD, fd_as_cfd
@@ -134,11 +135,14 @@ def repair_cfds(
         # Phase 2: pair violations, per LHS equivalence class.  The
         # engine's maintained partitions give each violating class in full
         # (witnesses alone would miss members that agree with the
-        # plurality), live across the merges this phase performs.
+        # plurality).
         by_dep = engine.report().by_dependency()
         for cfd in cfds:
-            partitions = engine.partitions(cfd.relation_name, cfd.scan_signature)
             signature = list(cfd.scan_signature)
+            # key → the class's live members now: re-read after each merge
+            members_of = partial(
+                engine.partition, cfd.relation_name, cfd.scan_signature
+            )
             class_keys: List[tuple] = []
             seen = set()
             for violation in by_dep.get(cfd, ()):
@@ -152,14 +156,13 @@ def repair_cfds(
                     seen.add(key)
                     class_keys.append(key)
             for key in class_keys:
-                group = partitions.get(key)
-                if not group or len(group) < 2:
+                if len(members_of(key)) < 2:
                     continue
                 for tp in cfd.tableau:
-                    if not tp.matches_tuple(next(iter(group)), list(cfd.lhs)):
+                    if not tp.matches_tuple(members_of(key)[0], list(cfd.lhs)):
                         continue
                     for attribute in cfd.rhs:
-                        members_now = list(group)
+                        members_now = members_of(key)
                         values = {t[attribute] for t in members_now}
                         if len(values) <= 1:
                             continue

@@ -83,6 +83,8 @@ DELTA_STAT_FIELDS: Tuple[str, ...] = (
     "inclusion_keys_touched",
     "fallback_rescans",
     "reports_served",
+    "rebuilds",
+    "eager_builds",
 )
 
 #: durability counters from SessionStore.counters_snapshot().

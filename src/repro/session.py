@@ -319,17 +319,21 @@ class Session:
         self._dirty = False
 
     def close(self) -> None:
-        """Release engine resources: parallel worker processes and the warm
-        delta engine state.
+        """Release engine resources: parallel worker processes, the warm
+        delta engine state and the relations' cached indexes.
 
         This is the eviction hook the server layer calls — a closed session
-        stays usable (engines lazily rebuild on the next call), it just
-        holds no warm state until then.
+        stays usable (engines and indexes lazily rebuild on the next call),
+        it just holds no warm state until then; a session dropped after it
+        takes its data along at once (see
+        :meth:`~repro.relational.instance.RelationInstance.drop_indexes`).
         """
         if self._parallel is not None:
             self._parallel.close()
             self._parallel = None
         self._engine = None
+        for relation in self._db:
+            relation.drop_indexes()
 
     def __enter__(self) -> "Session":
         return self

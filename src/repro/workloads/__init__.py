@@ -32,7 +32,6 @@ from repro.workloads.stream import (
     BatchResult,
     StreamConfig,
     StreamReport,
-    run_stream,
     stream_edits,
 )
 from repro.workloads.tenants import TenantSpec, make_tenants, zipf_weights
@@ -61,7 +60,6 @@ __all__ = [
     "make_tenants",
     "pick_other",
     "run_soak",
-    "run_stream",
     "smoke_config",
     "stream_edits",
     "truncate",

@@ -10,22 +10,21 @@ to the violation set and how long maintenance took.
 
 The generator reads the live instance at every step (deletes and updates
 target tuples that exist *now*, after all previous batches), so it must be
-consumed interleaved with application — exactly what :func:`run_stream`
-does, and what the ``repro.cli stream`` subcommand and
-``benchmarks/bench_incremental.py`` build on.
+consumed interleaved with application — exactly what
+:meth:`repro.session.Session.stream` does, and what the ``repro.cli
+stream`` subcommand and ``benchmarks/bench_incremental.py`` build on.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List
 
-from repro.deps.base import Dependency
-from repro.engine.delta import Changeset, DeltaEngine
+from repro.engine.delta import Changeset
 from repro.errors import ReproError
 from repro.relational.instance import DatabaseInstance
 
-__all__ = ["StreamConfig", "BatchResult", "StreamReport", "stream_edits", "run_stream"]
+__all__ = ["StreamConfig", "BatchResult", "StreamReport", "stream_edits"]
 
 
 class StreamConfig:
@@ -158,25 +157,3 @@ class StreamReport:
 
     def __repr__(self) -> str:
         return f"StreamReport({self.summary()})"
-
-
-def run_stream(
-    db: DatabaseInstance,
-    dependencies: Sequence[Dependency],
-    config: StreamConfig | None = None,
-    engine: Optional[DeltaEngine] = None,
-    verify: bool = False,
-) -> StreamReport:
-    """Feed the edit stream through the delta engine, batch by batch.
-
-    Deprecated shim: the loop lives in :meth:`repro.session.Session.stream`
-    now; this free function wraps the instance (and an optional live
-    engine) in a session and delegates.  With ``verify=True`` every batch
-    is followed by a full indexed re-detection and the multisets are
-    compared — the runtime analogue of the differential test harness
-    (raises ``ReproError`` on divergence).
-    """
-    from repro.session import Session
-
-    session = Session.from_instance(db, dependencies, engine=engine)
-    return session.stream(config or StreamConfig(), verify=verify)

@@ -404,8 +404,10 @@ def test_delta_build_seeded_from_kernel_flags_equals_full_sweep(monkeypatch):
 
 
 def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
-    """Count guard: the first engine build after a detect evaluates one
-    partition per group the kernels flagged, on layouts it did not build."""
+    """Count guard: the first engine build after a detect sweeps no
+    partition and copies none — it reads the violating rows off the kernel
+    flags, on layouts it did not build, and materialises only those rows
+    and the flagged partitions' pivots."""
     if not kernels.AVAILABLE:
         pytest.skip("needs numpy: the full sweep is the only path without it")
     from repro.workloads.customer import CustomerConfig, generate_customers
@@ -419,6 +421,7 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
         pytest.skip("object storage has no layouts: the full sweep is its path")
     report = detect_violations_indexed(db, deps)
     builds_before = relation.indexes.stats.builds
+    materialised_before = sum(t is not None for t in relation.column_store.cache)
 
     calls = []
     evaluate = _ScanState._evaluate
@@ -427,11 +430,20 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
         "_evaluate",
         lambda self, key, group: calls.append(key) or evaluate(self, key, group),
     )
-    engine = DeltaEngine(db, deps)
+    engine = DeltaEngine(db, deps, shards=1)
     assert relation.indexes.stats.builds == builds_before
+    assert calls == [] and engine.stats.eager_builds == 0
+    assert all(
+        state.base is not None and not state.touched
+        for state in engine._scan_states
+    )
     flagged = sum(len(state.violations) for state in engine._scan_states)
-    partitions = sum(len(state.groups) for state in engine._scan_states)
-    assert 0 < len(calls) == flagged < partitions / 10
+    assert 0 < flagged < len(relation) / 10
+    # the detect already materialised every witness and pivot
+    assert (
+        sum(t is not None for t in relation.column_store.cache)
+        == materialised_before
+    )
     assert violation_multiset(engine.violations()) == violation_multiset(
         report.violations
     )

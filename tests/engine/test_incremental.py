@@ -1,8 +1,11 @@
-"""IncrementalChecker vs. materialized full re-checks.
+"""Single-edit what-ifs (``DeltaEngine.probe``) vs. materialized re-checks.
 
 Ground truth for every case: copy the base database, apply the edit, and
-run ``holds``.  The incremental answer must agree whenever the base
-satisfies the dependency set (the checker's documented precondition).
+run ``holds``.  The probe — apply the edit, read ``clean_after``, undo —
+must agree, and must leave the database's content and the maintained
+violation count as they were.  (These are the cases of the retired ``IncrementalChecker``; a base
+that satisfies the dependency set was its precondition, and every case
+here starts from one.)
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.deps.base import holds
 from repro.deps.denial import fd_as_denial
 from repro.deps.fd import FD
 from repro.deps.ind import IND
-from repro.engine.incremental import IncrementalChecker
+from repro.engine.delta import Changeset, DeltaEngine
 from repro.relational.domains import STRING
 from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema, RelationSchema
@@ -37,8 +40,29 @@ def _materialized(db, deps, rel, removed=None, added=None):
     return holds(trial, deps)
 
 
+class _Probe:
+    """``consistent_after`` on a warm engine: one probe per question."""
+
+    def __init__(self, db, deps):
+        self.db = db
+        self.engine = DeltaEngine(db, deps)
+
+    def consistent_after(self, rel, removed=None, added=None):
+        # (the undo re-appends a removed tuple at its relation's end)
+        before = [set(r) for r in self.db], self.engine.total_violations()
+        edit = Changeset()
+        if removed is not None:
+            edit.delete(rel, removed)
+        if added is not None:
+            edit.insert(rel, added)
+        clean = self.engine.probe(edit).clean_after
+        after = [set(r) for r in self.db], self.engine.total_violations()
+        assert after == before
+        return clean
+
+
 def _assert_matches(db, deps, rel, removed=None, added=None):
-    checker = IncrementalChecker(db, deps)
+    checker = _Probe(db, deps)
     expected = _materialized(db, deps, rel, removed, added)
     assert checker.consistent_after(rel, removed=removed, added=added) == expected
 
@@ -54,14 +78,14 @@ class TestScanDependencies:
         good = Tuple(db.relation("R").schema, ("b", "y", "2"))
         _assert_matches(db, [fd], "R", added=bad)
         _assert_matches(db, [fd], "R", added=good)
-        assert not IncrementalChecker(db, [fd]).consistent_after("R", added=bad)
+        assert not _Probe(db, [fd]).consistent_after("R", added=bad)
 
     def test_addition_violating_constant_cfd(self):
         db = self._db([("b", "x", "1")])
         cfd = CFD("R", ["A"], ["B"], [{"A": "a", "B": "x"}])
         bad = Tuple(db.relation("R").schema, ("a", "y", "2"))
         _assert_matches(db, [cfd], "R", added=bad)
-        assert not IncrementalChecker(db, [cfd]).consistent_after("R", added=bad)
+        assert not _Probe(db, [cfd]).consistent_after("R", added=bad)
 
     def test_replacement_within_group(self):
         db = self._db([("a", "x", "1"), ("a", "x", "2")])
@@ -69,7 +93,7 @@ class TestScanDependencies:
         old = db.relation("R").tuples()[0]
         replacement = old.replace(B="y")  # still groups with the survivor
         _assert_matches(db, [fd], "R", removed=old, added=replacement)
-        assert not IncrementalChecker(db, [fd]).consistent_after(
+        assert not _Probe(db, [fd]).consistent_after(
             "R", removed=old, added=replacement
         )
 
@@ -78,7 +102,7 @@ class TestScanDependencies:
         deps = [FD("R", ["A"], ["B"]), CFD("R", ["A"], ["B"], [{"A": "a", "B": "x"}])]
         for t in db.relation("R").tuples():
             _assert_matches(db, deps, "R", removed=t)
-            assert IncrementalChecker(db, deps).consistent_after("R", removed=t)
+            assert _Probe(db, deps).consistent_after("R", removed=t)
 
 
 class TestInclusionDependencies:
@@ -100,7 +124,7 @@ class TestInclusionDependencies:
         spare = db.relation("S").tuples()[1]
         _assert_matches(db, [ind], "S", removed=provider)
         _assert_matches(db, [ind], "S", removed=spare)
-        assert not IncrementalChecker(db, [ind]).consistent_after(
+        assert not _Probe(db, [ind]).consistent_after(
             "S", removed=provider
         )
 
@@ -109,7 +133,7 @@ class TestInclusionDependencies:
         ind = IND("R", ["A"], "S", ["X"])
         provider = db.relation("S").tuples()[0]
         _assert_matches(db, [ind], "S", removed=provider)
-        assert IncrementalChecker(db, [ind]).consistent_after("S", removed=provider)
+        assert _Probe(db, [ind]).consistent_after("S", removed=provider)
 
     def test_target_replacement_keeps_key(self):
         db = self._db([("a", "x", "1")], [("a", "p")])
@@ -117,7 +141,7 @@ class TestInclusionDependencies:
         provider = db.relation("S").tuples()[0]
         replacement = provider.replace(Y="q")
         _assert_matches(db, [ind], "S", removed=provider, added=replacement)
-        assert IncrementalChecker(db, [ind]).consistent_after(
+        assert _Probe(db, [ind]).consistent_after(
             "S", removed=provider, added=replacement
         )
 
@@ -149,14 +173,14 @@ class TestFallbackAndEdgeCases:
     def test_noop_change(self):
         db = self._db([("a", "x", "1")])
         t = db.relation("R").tuples()[0]
-        checker = IncrementalChecker(db, [FD("R", ["A"], ["B"])])
+        checker = _Probe(db, [FD("R", ["A"], ["B"])])
         assert checker.consistent_after("R", removed=t, added=t)
         assert checker.consistent_after("R")
 
     def test_adding_already_present_tuple(self):
         db = self._db([("a", "x", "1"), ("b", "y", "2")])
         existing = db.relation("R").tuples()[0]
-        checker = IncrementalChecker(db, [FD("R", ["A"], ["B"])])
+        checker = _Probe(db, [FD("R", ["A"], ["B"])])
         assert checker.consistent_after("R", added=existing)
 
     def test_denial_constraint_falls_back_to_full_check(self):
@@ -165,7 +189,7 @@ class TestFallbackAndEdgeCases:
         db = self._db([("a", "x", "1")])
         bad = Tuple(db.relation("R").schema, ("a", "y", "2"))
         _assert_matches(db, [denial], "R", added=bad)
-        assert not IncrementalChecker(db, [denial]).consistent_after("R", added=bad)
+        assert not _Probe(db, [denial]).consistent_after("R", added=bad)
 
 
 def test_randomized_against_materialized_ground_truth():
@@ -193,8 +217,8 @@ def test_randomized_against_materialized_ground_truth():
         for _ in range(rng.randrange(0, 6)):
             db.relation("S").add([rng.choice(values) for _ in range(2)])
         if not holds(db, deps):
-            continue  # checker precondition: consistent base
-        checker = IncrementalChecker(db, deps)
+            continue  # the question is asked of a consistent base
+        checker = _Probe(db, deps)
         edits = []
         for rel in ("R", "S"):
             arity = len(db.relation(rel).schema)

@@ -253,6 +253,43 @@ class TestPrometheusExposition:
         document = client.metrics()
         assert prometheus_text(document) == prometheus_text(document)
 
+    def test_delta_counters_survive_an_engine_rebuild(self, client):
+        """``repro_delta_*_total`` are counters: a failed apply — a client
+        error that makes the engine rebuild its state — may not reset them."""
+
+        def delta_totals():
+            families = parse_prometheus(client.prometheus_metrics())
+            return {
+                field: families[f"repro_delta_{field}_total"]["samples"][0][2]
+                for field in DELTA_STAT_FIELDS
+            }
+
+        client.create_session(
+            schema=SCHEMA_DOC,
+            rules=RULES_DOC,
+            data={"emp": list(ROWS)},
+            session_id="counters",
+        )
+        for floor in (7, 8):
+            client.apply(
+                "counters",
+                {"ops": [{"op": "insert", "relation": "emp",
+                          "row": {"dept": "eng", "floor": floor}}]},
+            )
+        before = delta_totals()
+        assert before["batches"] >= 2 and before["keys_patched"] >= 2
+        with pytest.raises(ServerError) as err:
+            client.apply(
+                "counters",
+                {"ops": [{"op": "update", "relation": "emp",
+                          "row": {"dept": "nobody", "floor": 0},
+                          "cells": {"floor": 1}}]},
+            )
+        assert 400 <= err.value.status < 500
+        after = delta_totals()
+        assert all(after[field] >= before[field] for field in DELTA_STAT_FIELDS)
+        assert after["rebuilds"] == before["rebuilds"] + 1
+
 
 class TestDiagnostics:
     def test_diagnostics_document(self, client):

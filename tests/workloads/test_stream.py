@@ -10,7 +10,8 @@ from repro.relational.domains import STRING
 from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.workloads.customer import CustomerConfig, CustomerWorkload, generate_customers
-from repro.workloads.stream import StreamConfig, run_stream, stream_edits
+from repro.session import Session
+from repro.workloads.stream import StreamConfig, stream_edits
 
 
 def _small_db():
@@ -58,11 +59,8 @@ class TestRunStream:
 
     def test_verified_run_on_small_db(self):
         db = _small_db()
-        report = run_stream(
-            db,
-            self._deps(),
-            StreamConfig(n_batches=5, batch_size=4, seed=2),
-            verify=True,
+        report = Session.from_instance(db, self._deps()).stream(
+            StreamConfig(n_batches=5, batch_size=4, seed=2), verify=True
         )
         assert report.verified
         assert len(report.batches) == 5
@@ -72,19 +70,16 @@ class TestRunStream:
         db = _small_db()
         deps = self._deps()
         engine = DeltaEngine(db, deps)
-        report = run_stream(
-            db, deps, StreamConfig(n_batches=3, batch_size=5, seed=9), engine=engine
+        report = Session.from_instance(db, deps, engine=engine).stream(
+            StreamConfig(n_batches=3, batch_size=5, seed=9)
         )
         assert report.final_violations == engine.total_violations()
 
     def test_customer_workload_stream_verifies(self):
         workload = generate_customers(CustomerConfig(n_tuples=300, seed=5))
         deps = CustomerWorkload.cfds()
-        report = run_stream(
-            workload.db,
-            deps,
-            StreamConfig(n_batches=3, batch_size=20, seed=4),
-            verify=True,
+        report = Session.from_instance(workload.db, deps).stream(
+            StreamConfig(n_batches=3, batch_size=20, seed=4), verify=True
         )
         assert report.verified
         assert report.total_seconds >= 0
