@@ -9,7 +9,7 @@ runs this checker::
     python benchmarks/bench_engine_scaling.py --quick --out BENCH_engine.json
     ...
     python benchmarks/check_bench_regression.py --baseline-dir ci-baselines \
-        BENCH_engine.json BENCH_incremental.json BENCH_parallel.json \
+        BENCH_engine.json BENCH_incremental.json \
         BENCH_columnar.json BENCH_concurrency.json
 
 Speedups are size-dependent (they grow with the data), and the smoke
@@ -23,9 +23,9 @@ are noisy) but not further; any harder drop fails the job.
 
 Comparisons that carry no signal on the host are *skipped*, not failed:
 
-* the parallel and concurrency benchmarks need >=4 CPUs (both in the
-  fresh run and now) — single-core runners record honest numbers that
-  say nothing about a code regression;
+* the concurrency benchmark needs >=4 CPUs (both in the fresh run and
+  now) — single-core runners record honest numbers that say nothing
+  about a code regression;
 * baseline points below 1x are skipped for the same reason.
 """
 
@@ -38,8 +38,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: parallel speedups only mean anything with real cores to fan out over
-PARALLEL_MIN_CPUS = 4
+#: req/s under many clients only means anything with real cores behind it
+CONCURRENCY_MIN_CPUS = 4
 
 
 def _series_metric(field: str) -> Callable[[Dict[str, Any]], Dict[int, float]]:
@@ -76,17 +76,6 @@ def _concurrency_metric(document: Dict[str, Any]) -> Dict[int, float]:
     return points
 
 
-def _parallel_metric(document: Dict[str, Any]) -> Dict[int, float]:
-    shards = str(document.get("target_shards", 4))
-    points: Dict[int, float] = {}
-    for entry in document.get("series", []):
-        size = entry.get("n_tuples")
-        value = entry.get("shards", {}).get(shards, {}).get("speedup")
-        if isinstance(size, int) and isinstance(value, (int, float)):
-            points[size] = float(value)
-    return points
-
-
 #: benchmark name -> [(metric label, per-size extractor)]
 METRICS: Dict[str, List[Tuple[str, Callable[[Dict[str, Any]], Dict[int, float]]]]] = {
     "engine_scaling": [
@@ -100,7 +89,6 @@ METRICS: Dict[str, List[Tuple[str, Callable[[Dict[str, Any]], Dict[int, float]]]
         ("speedup", _series_metric("speedup")),
         ("builds_per_second", _rate_metric("build_seconds")),
     ],
-    "parallel_scaling": [("speedup_at_target_shards", _parallel_metric)],
     "snapshot_hit_throughput": [
         ("requests_per_second", _concurrency_metric)
     ],
@@ -135,13 +123,13 @@ def _match_baseline_size(
 
 
 def _skip_reason(name: str, fresh: Dict[str, Any]) -> Optional[str]:
-    if name in ("parallel_scaling", "snapshot_hit_throughput"):
+    if name == "snapshot_hit_throughput":
         host_cpus = os.cpu_count() or 1
         recorded_cpus = fresh.get("cpu_count", host_cpus)
-        if min(host_cpus, recorded_cpus) < PARALLEL_MIN_CPUS:
+        if min(host_cpus, recorded_cpus) < CONCURRENCY_MIN_CPUS:
             return (
                 f"host has {min(host_cpus, recorded_cpus)} CPUs "
-                f"({name} gate needs >={PARALLEL_MIN_CPUS})"
+                f"({name} gate needs >={CONCURRENCY_MIN_CPUS})"
             )
     return None
 

@@ -12,8 +12,7 @@ Subpackages
 ``repro.client``       stdlib urllib client for the server's wire protocol
 ``repro.registry``     pluggable constraint registry: JSON codecs per class
 ``repro.relational``   typed domains, schemas, instances, algebra, queries
-``repro.engine``       indexed execution: shared scans, batch planning, deltas,
-                       sharded parallel detection (``repro.engine.parallel``)
+``repro.engine``       indexed execution: shared scans, batch planning, deltas
 ``repro.deps``         FDs, INDs, denial constraints, Armstrong proofs
 ``repro.cfd``          conditional functional dependencies and eCFDs (§2.1/§2.3)
 ``repro.cind``         conditional inclusion dependencies (§2.2)

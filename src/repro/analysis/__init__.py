@@ -3,9 +3,8 @@
 Whole-program ``ast`` analysis encoding the contracts the test suite can
 only catch after the fact: report determinism (REP001), server lock
 discipline (REP002), WAL durability ordering (REP003), registry
-completeness (REP004), fork-safety of worker imports (REP005) and
-exception hygiene (REP006).  See ``docs/analysis.md`` for the catalogue
-and the pragma/baseline workflow.
+completeness (REP004) and exception hygiene (REP006).  See
+``docs/analysis.md`` for the catalogue and the pragma/baseline workflow.
 
 Run as ``python -m repro.analysis [--baseline FILE] [paths...]``.
 """

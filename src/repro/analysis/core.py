@@ -187,8 +187,8 @@ class Rule:
 
     ``check_module`` runs once per file; ``finish`` runs once after every
     file has been seen and receives the whole :class:`Project` — the hook
-    for cross-module contracts (registry completeness, fork-safety import
-    closures).  Either may be a no-op.
+    for cross-module contracts (registry completeness).  Either may be a
+    no-op.
     """
 
     code: str = ""

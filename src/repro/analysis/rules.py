@@ -20,7 +20,6 @@ __all__ = [
     "LockDisciplineRule",
     "DurabilityOrderingRule",
     "RegistryCompletenessRule",
-    "ForkSafetyRule",
     "ExceptionHygieneRule",
     "default_rules",
 ]
@@ -74,8 +73,8 @@ class DeterminismRule(Rule):
     code = "REP001"
     name = "determinism"
     rationale = (
-        "Reports are contractually byte-identical across shard counts, "
-        "worker schedules and storage backends (PRs 4/6)."
+        "Reports are contractually byte-identical across executors, runs "
+        "and storage backends (PRs 4/6)."
     )
 
     SCOPES = ("repro.engine", "repro.relational", "repro.cfd", "repro.deps",
@@ -591,121 +590,6 @@ class RegistryCompletenessRule(Rule):
         return False
 
 
-class ForkSafetyRule(Rule):
-    """REP005 — modules reachable from the parallel workers must not
-    create threading primitives, sockets or open handles at import time.
-
-    Cross-module: computes the project-internal import closure of
-    ``repro.engine.parallel`` and flags module-level / class-body
-    assignments whose value constructs ``threading.Lock`` & friends,
-    ``socket.socket``, ``open(...)`` or multiprocessing primitives — a
-    forked worker would inherit them in an undefined state.
-    """
-
-    code = "REP005"
-    name = "fork-safety"
-    rationale = (
-        "Pool workers import these modules; locks/handles created at "
-        "import time are cloned into children mid-state (PR 4 parallel "
-        "engine)."
-    )
-
-    ENTRY = "repro.engine.parallel"
-    PRIMITIVE_ATTRS = {
-        ("threading", "Lock"), ("threading", "RLock"),
-        ("threading", "Condition"), ("threading", "Event"),
-        ("threading", "Semaphore"), ("threading", "BoundedSemaphore"),
-        ("threading", "local"), ("socket", "socket"),
-        ("multiprocessing", "Lock"), ("multiprocessing", "RLock"),
-        ("multiprocessing", "Queue"), ("multiprocessing", "Pool"),
-    }
-    PRIMITIVE_NAMES = {
-        "Lock", "RLock", "Condition", "Event", "Semaphore",
-        "BoundedSemaphore",
-    }
-
-    def _imports(self, module: ModuleInfo) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add(alias.name)
-            elif isinstance(node, ast.ImportFrom):
-                if node.module:
-                    base = node.module
-                    if node.level:
-                        prefix = module.module.split(".")
-                        if module.path.name == "__init__.py":
-                            anchor = prefix[: len(prefix) - node.level + 1]
-                        else:
-                            anchor = prefix[: len(prefix) - node.level]
-                        base = ".".join(anchor + [node.module])
-                    names.add(base)
-                    for alias in node.names:
-                        names.add(base + "." + alias.name)
-        return names
-
-    def finish(self, project: Project) -> Iterable[Finding]:
-        if self.ENTRY not in project.by_name:
-            return ()
-        closure: Set[str] = set()
-        frontier = [self.ENTRY]
-        while frontier:
-            current = frontier.pop()
-            if current in closure or current not in project.by_name:
-                continue
-            closure.add(current)
-            for imported in self._imports(project.by_name[current]):
-                # Resolve "repro.x.y" where y may be a symbol, not a module.
-                for candidate in (imported, imported.rsplit(".", 1)[0]):
-                    if candidate in project.by_name and candidate not in closure:
-                        frontier.append(candidate)
-        findings: List[Finding] = []
-        for name in sorted(closure):
-            findings.extend(self._check_import_time(project.by_name[name]))
-        return findings
-
-    def _check_import_time(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in self._top_level_statements(module):
-            for sub in ast.walk(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                label = self._primitive_label(sub)
-                if label:
-                    yield module.finding(
-                        self.code,
-                        sub,
-                        f"{label} created at import time in a module "
-                        "imported into parallel workers; create it lazily "
-                        "per process",
-                    )
-
-    def _top_level_statements(self, module: ModuleInfo) -> Iterator[ast.stmt]:
-        def body_of(block: Iterable[ast.stmt]) -> Iterator[ast.stmt]:
-            for statement in block:
-                if isinstance(
-                    statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    continue  # run-time, not import-time
-                if isinstance(statement, ast.ClassDef):
-                    yield from body_of(statement.body)
-                else:
-                    yield statement
-
-        yield from body_of(module.tree.body)
-
-    def _primitive_label(self, call: ast.Call) -> Optional[str]:
-        pair = _attr_call(call)
-        if pair and pair in self.PRIMITIVE_ATTRS:
-            return f"{pair[0]}.{pair[1]}()"
-        name = _call_name(call)
-        if name in self.PRIMITIVE_NAMES:
-            return f"{name}()"
-        if name == "open":
-            return "open() handle"
-        return None
-
-
 class ExceptionHygieneRule(Rule):
     """REP006 — engine and server code must not swallow exceptions.
 
@@ -781,7 +665,6 @@ ALL_RULES = (
     LockDisciplineRule,
     DurabilityOrderingRule,
     RegistryCompletenessRule,
-    ForkSafetyRule,
     ExceptionHygieneRule,
 )
 

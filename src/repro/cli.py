@@ -25,12 +25,8 @@ batch (``--verify`` cross-checks every batch against full re-detection).
 ``detect`` and ``stream`` take ``--format json`` for machine-readable
 output on stdout.
 
-``--shards N`` on ``detect``/``repair``/``stream`` runs the session on
-the sharded parallel engine (:mod:`repro.engine.parallel`): detection
-fans out over hash shards and the delta engine maintains shard-local
-state.  Output is byte-identical for every shard count — ``stream
---format json`` omits wall-clock timings unless ``--timings`` is given,
-so its document is deterministic too.
+``stream --format json`` omits wall-clock timings unless ``--timings``
+is given, so its document is byte-identical across runs for a given seed.
 
 ``serve`` runs the long-lived HTTP/JSON constraint service
 (:mod:`repro.server`): many named warm sessions behind
@@ -51,24 +47,12 @@ import json
 import sys
 from typing import Dict, Mapping, Sequence, Union
 
+from repro.engine.config import EXECUTORS
 from repro.relational.csvio import dump_csv
 from repro.rules_json import rules_to_list
 from repro.session import Session
 
 __all__ = ["main", "build_parser"]
-
-
-def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "hash-shard count for the parallel engine (default: the "
-            "REPRO_DEFAULT_SHARDS environment override, else 1)"
-        ),
-    )
 
 
 def _add_data_argument(parser: argparse.ArgumentParser) -> None:
@@ -103,14 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--executor",
-        choices=("indexed", "parallel", "naive"),
-        default=None,
-        help=(
-            "detection path (default: indexed, or parallel when --shards "
-            "is given)"
-        ),
+        choices=EXECUTORS,
+        default="indexed",
+        help="detection path (default: indexed)",
     )
-    _add_shards_argument(detect)
     _add_data_argument(detect)
 
     repair = sub.add_parser("repair", help="repair under a §5.1 model")
@@ -130,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument(
         "--max-passes", type=int, default=25, help="heuristic pass cap (u-repair)"
     )
-    _add_shards_argument(repair)
     _add_data_argument(repair)
 
     discover = sub.add_parser("discover", help="profile CFDs from data")
@@ -281,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(omitted by default so the document is deterministic)"
         ),
     )
-    _add_shards_argument(stream)
     _add_data_argument(stream)
 
     return parser
@@ -303,17 +281,11 @@ def _data_mapping(entries: Sequence[str]) -> Union[str, Mapping[str, str]]:
 
 
 def _session(args, with_rules: bool = True) -> Session:
-    shards = getattr(args, "shards", None)
-    executor = getattr(args, "executor", None)
-    if executor is None:
-        # --shards alone opts the session into the parallel engine.
-        executor = "parallel" if shards is not None else "indexed"
     return Session.from_files(
         args.schema,
         args.rules if with_rules else None,
         _data_mapping(args.data),
-        executor=executor,
-        shards=shards,
+        executor=getattr(args, "executor", "indexed"),
     )
 
 
@@ -382,8 +354,8 @@ def _cmd_stream(args) -> int:
             {
                 "start_violations": start,
                 # "seconds" is opt-in (--timings): without it the document
-                # is deterministic — byte-identical across runs and shard
-                # counts for a given seed.
+                # is deterministic — byte-identical across runs for a
+                # given seed.
                 "batches": [
                     {
                         "batch": b.index,

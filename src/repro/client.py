@@ -282,11 +282,6 @@ class SessionInfoDocument(WireDocument):
         return str(self["executor"])
 
     @property
-    def shards(self) -> Optional[int]:
-        value = self.get("shards")
-        return None if value is None else int(value)
-
-    @property
     def degraded(self) -> bool:
         return bool(self["degraded"])
 
@@ -516,19 +511,15 @@ class ServerClient:
         data: Optional[Mapping[str, Any]] = None,
         session_id: Optional[str] = None,
         executor: str = "indexed",
-        shards: Optional[int] = None,
     ) -> SessionInfoDocument:
         """Create a hosted session; returns its info document.
 
         ``schema``/``rules``/``data`` values may be inline documents (row
         lists for data) or server-side paths, exactly as the endpoint
         accepts them.  Engine configuration travels in the unified
-        ``{"engine": {"executor": ..., "shards": ...}}`` wire object.
+        ``{"engine": {"executor": ...}}`` wire object.
         """
-        engine: Dict[str, Any] = {"executor": executor}
-        if shards is not None:
-            engine["shards"] = shards
-        body: Dict[str, Any] = {"schema": schema, "engine": engine}
+        body: Dict[str, Any] = {"schema": schema, "engine": {"executor": executor}}
         if rules is not None:
             body["rules"] = rules
         if data is not None:
@@ -558,18 +549,12 @@ class ServerClient:
         self,
         session_id: str,
         executor: Optional[str] = None,
-        shards: Optional[int] = None,
         include_violations: bool = True,
     ) -> DetectDocument:
         """Run detection; returns the CLI's ``--format json`` document."""
         body: Dict[str, Any] = {"include_violations": include_violations}
-        engine: Dict[str, Any] = {}
         if executor is not None:
-            engine["executor"] = executor
-        if shards is not None:
-            engine["shards"] = shards
-        if engine:
-            body["engine"] = engine
+            body["engine"] = {"executor": executor}
         return self._request(
             "POST", f"/sessions/{session_id}/detect", body, cls=DetectDocument
         )

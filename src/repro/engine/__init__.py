@@ -15,11 +15,6 @@ Layering (see ``docs/engine.md``):
   under batched inserts/deletes/cell-updates (:class:`Changeset`),
   returning added/removed violations per batch (used by repair and the
   streaming workload); ``DeltaEngine.probe`` is the single-edit what-if;
-* **parallel** — :mod:`repro.engine.parallel` shards every scan and
-  inclusion group by a stable hash of its key columns, fans the shard
-  jobs out over a ``multiprocessing`` pool (deterministic in-process
-  fallback), and merges per-shard violations canonically; the delta
-  layer reuses the same sharding to keep shard-local state;
 * **reference** — :mod:`repro.engine.naive` keeps the original full-scan
   detectors as the correctness oracle and benchmark baseline.
 """
@@ -39,14 +34,6 @@ from repro.engine.executor import (
 )
 from repro.engine.indexes import IndexStats, RelationIndexes, canonical_signature
 from repro.engine.naive import detect_violations_naive, naive_violations
-from repro.engine.parallel import (
-    ParallelExecutor,
-    ParallelStats,
-    default_shards,
-    detect_violations_parallel,
-    resolve_shards,
-    stable_shard,
-)
 from repro.engine.planner import (
     DetectionPlan,
     InclusionGroup,
@@ -65,21 +52,15 @@ __all__ = [
     "ViolationDelta",
     "InclusionGroup",
     "IndexStats",
-    "ParallelExecutor",
-    "ParallelStats",
     "RelationIndexes",
     "ScanGroup",
     "ScanTask",
     "canonical_signature",
-    "default_shards",
     "detect_violations_indexed",
     "detect_violations_naive",
-    "detect_violations_parallel",
     "execute_plan",
     "naive_violations",
     "plan_detection",
-    "resolve_shards",
     "run_scan_tasks",
-    "stable_shard",
     "violation_multiset",
 ]

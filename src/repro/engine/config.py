@@ -1,20 +1,20 @@
-"""One executor/shards configuration schema for every layer.
+"""One executor configuration schema for every layer.
 
-Three layers accept the same two knobs — which detection executor a
-session runs (``indexed`` / ``parallel`` / ``naive``) and how many hash
-shards the parallel engine fans over:
+Three layers accept the same knob — which detection executor a session
+runs (``indexed`` / ``naive``):
 
 * :class:`repro.session.Session` keyword arguments,
-* the CLI flags ``--executor`` / ``--shards``,
-* the wire protocol's ``{"engine": {"executor": ..., "shards": ...}}``
-  object (session creation and ``detect`` bodies).
+* the CLI flag ``--executor``,
+* the wire protocol's ``{"engine": {"executor": ...}}`` object (session
+  creation and ``detect`` bodies).
 
-Historically each layer validated independently (the server accepted the
-knobs as loose top-level body keys with its own error text).  This module
-is the single source of truth: every layer funnels through
-:func:`validate_executor` / :func:`validate_shards`, so an invalid value
-produces the *same* error text whether it arrived as a Python kwarg, a
-CLI flag or a wire field.
+This module is the single source of truth: every layer funnels through
+:func:`validate_executor`, so an invalid value produces the *same* error
+text whether it arrived as a Python kwarg, a CLI flag or a wire field.
+The sharded engine's knobs left with it (``docs/engine.md`` § Why there
+is no sharded engine); a wire body that still carries one is refused by
+name — silently ignoring it would let an old client believe it took
+effect.
 """
 
 from __future__ import annotations
@@ -27,18 +27,15 @@ __all__ = [
     "EXECUTORS",
     "ENGINE_SCHEMA_HINT",
     "validate_executor",
-    "validate_shards",
     "engine_config_from_document",
 ]
 
 #: executor names accepted everywhere a detection path is selected
-EXECUTORS: Tuple[str, ...] = ("indexed", "parallel", "naive")
+EXECUTORS: Tuple[str, ...] = ("indexed", "naive")
 
 #: the wire shape, quoted verbatim in rejection messages so a client that
-#: sent the pre-/v1 loose keys learns the replacement schema from the error
-ENGINE_SCHEMA_HINT = (
-    '{"engine": {"executor": "indexed" | "parallel" | "naive", "shards": N}}'
-)
+#: sent a retired key learns the surviving schema from the error
+ENGINE_SCHEMA_HINT = '{"engine": {"executor": "indexed" | "naive"}}'
 
 
 def validate_executor(executor: Any) -> str:
@@ -54,33 +51,25 @@ def validate_executor(executor: Any) -> str:
     return str(executor)
 
 
-def validate_shards(shards: Any) -> Optional[int]:
-    """Return ``shards`` as an int >= 1 (``None`` passes through).
-
-    ``bool`` is rejected explicitly: JSON ``true`` decodes to a Python
-    bool, which *is* an int — accepting it would silently mean 1 shard.
-    """
-    if shards is None:
-        return None
-    if isinstance(shards, bool) or not isinstance(shards, int) or shards < 1:
-        raise ReproError(
-            f"'shards' must be an integer >= 1, got {shards!r}"
-        )
-    return shards
+def _removed(what: str) -> ReproError:
+    return ReproError(
+        f"{what} was removed with the sharded engine; "
+        f"send {ENGINE_SCHEMA_HINT}"
+    )
 
 
 def engine_config_from_document(
     document: Mapping[str, Any],
     *,
     default_executor: Optional[str] = None,
-) -> Tuple[Optional[str], Optional[int]]:
+) -> Optional[str]:
     """Parse the wire ``{"engine": {...}}`` object out of a request body.
 
-    Returns ``(executor, shards)`` with ``default_executor`` substituted
-    when the object (or its ``executor`` key) is absent.  The pre-/v1
-    loose top-level ``executor`` / ``shards`` keys are rejected with an
-    error naming the replacement schema — silently ignoring them would
-    let an old client believe its knobs took effect.
+    Returns the executor, ``default_executor`` when the object (or its
+    ``executor`` key) is absent.  Retired keys are rejected with an error
+    naming the surviving schema, never ignored: the pre-/v1 loose
+    top-level keys, and the sharded engine's shard count and
+    ``"executor": "parallel"``.
     """
     for legacy in ("executor", "shards"):
         if legacy in document:
@@ -90,19 +79,21 @@ def engine_config_from_document(
             )
     engine = document.get("engine")
     if engine is None:
-        return default_executor, None
+        return default_executor
     if not isinstance(engine, Mapping):
         raise ReproError(
             f"'engine' must be an object {ENGINE_SCHEMA_HINT}, "
             f"got {engine!r}"
         )
-    unknown = sorted(set(engine) - {"executor", "shards"})
+    executor = engine.get("executor", default_executor)
+    if "shards" in engine:
+        raise _removed("engine option 'shards'")
+    if executor == "parallel":
+        raise _removed("executor 'parallel'")
+    unknown = sorted(set(engine) - {"executor"})
     if unknown:
         raise ReproError(
             f"unknown engine option(s) {unknown}; expected "
             f"{ENGINE_SCHEMA_HINT}"
         )
-    executor: Optional[str] = engine.get("executor", default_executor)
-    if executor is not None:
-        executor = validate_executor(executor)
-    return executor, validate_shards(engine.get("shards"))
+    return None if executor is None else validate_executor(executor)

@@ -43,15 +43,6 @@ clean data change no violation, so the engine also says *whether* that
 list moved: :attr:`DeltaEngine.report_epoch` is replaced by exactly the
 ``apply`` calls that change what ``ordered_violations()`` returns, and
 the sorted list is kept until it does.
-
-With ``shards > 1`` the maintained state is split across hash shards of
-the same signature-aligned partitioning the parallel executor uses
-(:mod:`repro.engine.parallel`): every scan group keeps one
-:class:`_ScanState` per shard holding the partition keys that hash there,
-every inclusion group one key-filtered :class:`_InclusionState` per shard,
-and ``apply`` routes each effective op to the shard owning its key before
-patching.  The maintained violation multiset is identical for every shard
-count; ``REPRO_DEFAULT_SHARDS`` sets the default.
 """
 
 from __future__ import annotations
@@ -76,7 +67,6 @@ from typing import (
 from repro.deps.base import Dependency, Violation
 from repro.engine.indexes import key_getter
 from repro.engine.kernels import flagged_rows
-from repro.engine.parallel import resolve_shards, stable_shard
 from repro.engine.planner import InclusionGroup, ScanGroup, plan_detection
 from repro.errors import DependencyError, ReproError
 from repro.relational.instance import DatabaseInstance, RelationInstance
@@ -442,8 +432,7 @@ class DeltaStats:
         #: the layouts, an explicit ``refresh()``
         self.rebuilds = 0
         #: scan states filled tuple by tuple because no layout could be
-        #: their base (object storage, numpy absent, a non-columnar task,
-        #: a shard's bucket)
+        #: their base (object storage, numpy absent, a non-columnar task)
         self.eager_builds = 0
 
     def __repr__(self) -> str:
@@ -556,7 +545,6 @@ class _ScanState:
         scan_group: ScanGroup,
         arrival: Dict[Tuple, int],
         stats: DeltaStats,
-        tuples: Optional[Iterable[Tuple]] = None,
     ) -> None:
         self.relation_name = scan_group.relation_name
         self.signature = scan_group.signature
@@ -591,7 +579,7 @@ class _ScanState:
         #: the engine's arrival numbers for this relation (shared): a base
         #: row's is its row id, recorded whenever the row is materialised
         self._arrival = arrival
-        layout = (
+        self.base: Any = (
             relation.indexes.group_layout(self.signature)
             if all(
                 task.columnar is not None and task.supports_incremental
@@ -599,31 +587,26 @@ class _ScanState:
             )
             else None
         )
-        # ``tuples`` restricts the state to a shard's bucket (in relation
-        # insertion order); every partition key lands wholly inside one
-        # shard, so each sub-state patches exactly as the unsharded one.
-        self.base: Any = layout if tuples is None else None
         self.touched: Dict[tuple, _Partition] = {}
         self.violations: Dict[
             tuple, Dict[Optional[Tuple], List[PyTuple[int, Violation]]]
         ] = {}
-        if self.base is None:
-            stats.eager_builds += 1
-            for t in relation if tuples is None else tuples:
-                key = self.key_of(t.values())
-                part = self.touched.get(key)
-                if part is None:
-                    part = self.touched[key] = _Partition(0, 0)
-                part.tail[t] = None
-        if layout is not None:
-            self._seed(relation.indexes, layout)
-        else:
-            for key, part in self.touched.items():
-                found = self._evaluate(key, list(part.tail))
-                if found:
-                    self.violations[key] = found
+        if self.base is not None:
+            self._seed(relation.indexes)
+            return
+        stats.eager_builds += 1
+        for t in relation:
+            key = self.key_of(t.values())
+            part = self.touched.get(key)
+            if part is None:
+                part = self.touched[key] = _Partition(0, 0)
+            part.tail[t] = None
+        for key, part in self.touched.items():
+            found = self._evaluate(key, list(part.tail))
+            if found:
+                self.violations[key] = found
 
-    def _seed(self, indexes: Any, layout: Any) -> None:
+    def _seed(self, indexes: Any) -> None:
         """The initial violations, read off the kernel flags.
 
         The flags are exact and name the violating rows (after a detect
@@ -634,6 +617,7 @@ class _ScanState:
         order), tasks in order, singles before pairs, rows in relation
         order.  No partition is built.
         """
+        layout = self.base
         flags = {
             slot: indexes.task_flags(self.signature, task.columnar)
             for slot, task in self.tasks
@@ -644,8 +628,6 @@ class _ScanState:
         out: List[Violation] = []
         for rank in sorted(ranks):
             key = layout.decoded_key(rank)
-            if self.base is None and key not in self.touched:
-                continue  # a candidate another shard's state owns
             singleton = int(layout.sizes[rank]) < 2
             first = None
             stored: Dict[Optional[Tuple], List[PyTuple[int, Violation]]] = {}
@@ -954,22 +936,12 @@ class _InclusionState:
         "provided",
         "rows",
         "sources",
-        "_shard",
     )
 
-    def __init__(
-        self,
-        db: DatabaseInstance,
-        inclusion_group: InclusionGroup,
-        shard: Optional[PyTuple[int, int]] = None,
-    ) -> None:
+    def __init__(self, db: DatabaseInstance, inclusion_group: InclusionGroup) -> None:
         from repro.cind.model import CIND
 
         self.relation_name = inclusion_group.relation_name
-        #: (shard index, shard count) — restricts this state to inclusion
-        #: keys hashing to the index; source X and target Y projections of
-        #: one key always hash alike, so per-key state stays shard-local.
-        self._shard = shard
         target = db.relation(self.relation_name)
         self.yp_of = key_getter(target.schema, inclusion_group.group_attrs)
         self.y_of = key_getter(target.schema, inclusion_group.key_attrs)
@@ -977,17 +949,12 @@ class _InclusionState:
         # Seeded from the relation's cached counted key index (built from
         # encoded columns on columnar stores, shared across states with the
         # same signature); copied because apply() mutates the counts.
-        self.provided: Dict[tuple, Dict[tuple, int]] = {}
         base = target.indexes.grouped_key_counts(
             inclusion_group.group_attrs, inclusion_group.key_attrs
         )
-        if self._shard is None:
-            self.provided = {yp: dict(counts) for yp, counts in base.items()}
-        else:
-            for yp, counts in base.items():
-                owned = {y: n for y, n in counts.items() if self._owns_key(y)}
-                if owned:
-                    self.provided[yp] = owned
+        self.provided: Dict[tuple, Dict[tuple, int]] = {
+            yp: dict(counts) for yp, counts in base.items()
+        }
 
         self.rows: List[_InclusionRow] = []
         #: source relation → (key getter on X, rows reading that source)
@@ -1022,8 +989,6 @@ class _InclusionState:
                     if not row.matches_source(t):
                         continue
                     key = getters[row.dep.lhs_attrs](t.values())
-                    if not self._owns_key(key):
-                        continue
                     row.demand.setdefault(key, {})[t] = None
                     if not self._is_provided(row.yp_key, key):
                         row.violating[t] = row.make_violation(t)
@@ -1039,13 +1004,6 @@ class _InclusionState:
                 arrival = arrivals[row.dep.lhs_relation]
                 for t, violation in row.violating.items():
                     out.append((row.position, ordinal, 0, arrival[t], violation))
-
-    def _owns_key(self, key: tuple) -> bool:
-        # Hot: called once per (row, op) during sharded apply routing.
-        if self._shard is None:
-            return True
-        index, count = self._shard
-        return stable_shard(key, count) == index
 
     def _is_provided(self, yp_key: tuple, y_key: tuple) -> bool:
         counts = self.provided.get(yp_key)
@@ -1091,8 +1049,6 @@ class _InclusionState:
                     if not row.matches_source(t):
                         continue
                     key = getters[row.dep.lhs_attrs](t.values())
-                    if not self._owns_key(key):
-                        continue
                     demanders = row.demand.get(key)
                     if demanders is not None:
                         demanders.pop(t, None)
@@ -1110,8 +1066,6 @@ class _InclusionState:
             for kind, t in target_ops:
                 values = t.values()
                 yp, y = self.yp_of(values), self.y_of(values)
-                if not self._owns_key(y):
-                    continue
                 counts = self.provided.setdefault(yp, {})
                 before = counts.get(y, 0)
                 transitions.setdefault((yp, y), before)
@@ -1152,8 +1106,6 @@ class _InclusionState:
                     if not row.matches_source(t):
                         continue
                     key = getters[row.dep.lhs_attrs](t.values())
-                    if not self._owns_key(key):
-                        continue
                     row.demand.setdefault(key, {})[t] = None
                     if not self._is_provided(row.yp_key, key):
                         violation = row.make_violation(t)
@@ -1161,141 +1113,6 @@ class _InclusionState:
                         added_v.append((row.position, violation))
         # every change to a row's ``violating`` is in one of the two lists
         return added_v, removed_v, bool(added_v or removed_v)
-
-
-class _ShardedScanState:
-    """One scan group split into shard-local :class:`_ScanState` children.
-
-    Each child owns the partition keys hashing to its shard (see
-    :func:`repro.engine.parallel.stable_shard`); since an FD/CFD/eCFD
-    violation never crosses a partition, the children's violation sets are
-    disjoint and their union equals the unsharded state's.  ``apply``
-    routes each effective op to the shard owning its partition key and
-    patches only the touched children — the seam a pool of per-shard
-    maintenance workers binds to.
-    """
-
-    __slots__ = ("relation_name", "signature", "key_of", "shards", "states")
-
-    #: every child is filled from its bucket: none keeps a layout as base
-    base = None
-
-    def __init__(
-        self,
-        relation: RelationInstance,
-        scan_group: ScanGroup,
-        arrival: Dict[Tuple, int],
-        stats: DeltaStats,
-        shards: int,
-    ) -> None:
-        self.relation_name = scan_group.relation_name
-        self.signature = scan_group.signature
-        self.key_of = key_getter(relation.schema, self.signature)
-        self.shards = shards
-        buckets: List[List[Tuple]] = [[] for _ in range(shards)]
-        for t in relation:
-            buckets[stable_shard(self.key_of(t.values()), shards)].append(t)
-        self.states = [
-            _ScanState(relation, scan_group, arrival, stats, tuples=bucket)
-            for bucket in buckets
-        ]
-
-    def partition(self, key: tuple) -> List[Tuple]:
-        return self.states[stable_shard(key, self.shards)].partition(key)
-
-    @property
-    def violations(self) -> Dict[tuple, List[PyTuple[int, Violation]]]:
-        """Merged view of the shard-local violation maps (shard-major)."""
-        merged: Dict[tuple, List[PyTuple[int, Violation]]] = {}
-        for state in self.states:
-            merged.update(state.violations)
-        return merged
-
-    def iter_found(self) -> Iterator[PyTuple[int, Violation]]:
-        """All stored (position, violation) entries without a merge copy."""
-        for state in self.states:
-            yield from state.iter_found()
-
-    def ordered_entries(
-        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
-    ) -> None:
-        """Every child's entries; partition ranks are global, so the
-        engine's one sort merges the shards."""
-        for state in self.states:
-            state.ordered_entries(arrivals, out)
-
-    def apply(
-        self, ops: Sequence[PyTuple[str, Tuple]], stats: DeltaStats
-    ) -> _StateDelta:
-        routed: List[List[PyTuple[str, Tuple]]] = [[] for _ in range(self.shards)]
-        for kind, t in ops:
-            routed[stable_shard(self.key_of(t.values()), self.shards)].append(
-                (kind, t)
-            )
-        added: List[PyTuple[int, Violation]] = []
-        removed: List[PyTuple[int, Violation]] = []
-        changed = False
-        for state, shard_ops in zip(self.states, routed):
-            if shard_ops:
-                gained, lost, moved = state.apply(shard_ops, stats)
-                added.extend(gained)
-                removed.extend(lost)
-                changed |= moved
-        return added, removed, changed
-
-
-class _ShardedInclusionState:
-    """One inclusion group split into shard-filtered children.
-
-    Each child :class:`_InclusionState` owns the inclusion keys hashing to
-    its shard — both the demand side (source X projections) and the supply
-    side (target Y projections), which agree for any key that can match.
-    ``apply`` hands the batch to every child; each filters down to the
-    keys it owns, so every op is processed exactly once per tableau row.
-    """
-
-    __slots__ = ("relation_name", "sources", "states")
-
-    def __init__(
-        self, db: DatabaseInstance, inclusion_group: InclusionGroup, shards: int
-    ) -> None:
-        self.states = [
-            _InclusionState(db, inclusion_group, shard=(index, shards))
-            for index in range(shards)
-        ]
-        self.relation_name = inclusion_group.relation_name
-        #: source relation names (the engine only consults the keys)
-        self.sources = self.states[0].sources
-
-    @property
-    def rows(self) -> List[_InclusionRow]:
-        return [row for state in self.states for row in state.rows]
-
-    def ordered_entries(
-        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
-    ) -> None:
-        """Every child's entries (the children share one row numbering)."""
-        for state in self.states:
-            state.ordered_entries(arrivals, out)
-
-    def apply(
-        self,
-        effective: Mapping[str, Sequence[PyTuple[str, Tuple]]],
-        stats: DeltaStats,
-    ) -> _StateDelta:
-        # Unlike scan groups, ops cannot be pre-routed per shard: one
-        # source op owes its key to each tableau row's own X projection,
-        # so the owning shard varies per (row, op).  Every child gets the
-        # batch and filters at key level via _owns_key.
-        added: List[PyTuple[int, Violation]] = []
-        removed: List[PyTuple[int, Violation]] = []
-        changed = False
-        for state in self.states:
-            gained, lost, moved = state.apply(effective, stats)
-            added.extend(gained)
-            removed.extend(lost)
-            changed |= moved
-        return added, removed, changed
 
 
 class DeltaEngine:
@@ -1314,10 +1131,8 @@ class DeltaEngine:
         self,
         db: DatabaseInstance,
         dependencies: Sequence[Dependency],
-        shards: Optional[int] = None,
     ) -> None:
         self._db = db
-        self._shards = resolve_shards(shards)
         self._plan = plan_detection(dependencies)
         self.dependencies: List[Dependency] = self._plan.dependencies
         #: cumulative over the engine's life: a rebuild keeps it
@@ -1329,7 +1144,7 @@ class DeltaEngine:
         db, plan, stats = self._db, self._plan, self.stats
         # Arrival numbers: one map per relation whose tuples witness a
         # maintained violation (scan relations, inclusion sources), shared
-        # by every state and shard.  Relation order is insertion order with
+        # by every state.  Relation order is insertion order with
         # a re-added tuple at the end — on both storage backends — so a
         # number that grows with arrival keeps "sorted by arrival" equal to
         # "in relation order" without ever scanning the relation.  The map
@@ -1345,23 +1160,18 @@ class DeltaEngine:
             name: {}
             for name in sources.union(g.relation_name for g in plan.scan_groups)
         }
-        self._scan_states: List[Any] = []
-        for group in plan.scan_groups:
-            name = group.relation_name
-            seed = (db.relation(name), group, self._arrivals[name], stats)
-            if self._shards == 1:
-                self._scan_states.append(_ScanState(*seed))
-            else:
-                self._scan_states.append(_ShardedScanState(*seed, self._shards))
-        if self._shards == 1:
-            self._inclusion_states: List[Any] = [
-                _InclusionState(db, group) for group in plan.inclusion_groups
-            ]
-        else:
-            self._inclusion_states = [
-                _ShardedInclusionState(db, group, self._shards)
-                for group in plan.inclusion_groups
-            ]
+        self._scan_states = [
+            _ScanState(
+                db.relation(group.relation_name),
+                group,
+                self._arrivals[group.relation_name],
+                stats,
+            )
+            for group in plan.scan_groups
+        ]
+        self._inclusion_states = [
+            _InclusionState(db, group) for group in plan.inclusion_groups
+        ]
         self._fallback: List[PyTuple[int, Dependency, List[Violation]]] = [
             (position, dep, list(dep.violations(db))) for position, dep in plan.fallback
         ]
@@ -1421,11 +1231,6 @@ class DeltaEngine:
     def database(self) -> DatabaseInstance:
         return self._db
 
-    @property
-    def shards(self) -> int:
-        """How many hash shards the maintained state is split across."""
-        return self._shards
-
     def total_violations(self) -> int:
         return self._total
 
@@ -1456,7 +1261,7 @@ class DeltaEngine:
         each by the arrival of its non-pivot witness); an inclusion member
         per tableau row, sources in arrival order; a fallback dependency
         as stored (it is recomputed whole whenever touched).  One sort of
-        the violations for every shard count — O(V log V), never O(rows) —
+        the violations — O(V log V), never O(rows) —
         and only when :attr:`report_epoch` moved since the last call: the
         sorted list is kept, and every caller gets a copy of its own.
         """
@@ -1658,6 +1463,5 @@ class DeltaEngine:
             f"DeltaEngine({len(self.dependencies)} deps, "
             f"{len(self._scan_states)} scan groups, "
             f"{len(self._inclusion_states)} inclusion groups, "
-            f"{self._shards} shards, "
             f"{self._total} current violations, {self.stats!r})"
         )

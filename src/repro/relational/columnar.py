@@ -9,9 +9,9 @@ per-column dictionary:
 * ``encode[i]`` maps a value to its code, ``decode[i]`` maps the code back
   to the first-seen representative.  Because the dictionaries are plain
   Python dicts, interning inherits dict-key equality — ``1 == 1.0 == True``
-  share one code, exactly the congruence that set semantics and
-  :func:`repro.engine.parallel.stable_shard` already use (the first-seen
-  representative is the one set semantics would have kept anyway);
+  share one code, exactly the congruence that set semantics already use
+  (the first-seen representative is the one set semantics would have kept
+  anyway);
 * ``columns[i]`` is a stdlib ``array('q')`` of codes, one slot per row —
   ``numpy`` (when present) views it zero-copy for the vectorized scan
   kernels in :mod:`repro.engine.kernels`;

@@ -81,7 +81,7 @@ class RelationInstance:
         """The encoded column store, or ``None`` in legacy object mode.
 
         Read-only by contract for everyone but this instance: the engine
-        layers (indexes, kernels, parallel sharding) consume codes and
+        layers (indexes, kernels) consume codes and
         columns from here but never mutate them.
         """
         return self._store
@@ -157,8 +157,8 @@ class RelationInstance:
         """Bulk-insert value rows or attribute mappings; returns how many
         were new.
 
-        The one loader behind session creation (wire rows, snapshots, CSV),
-        shard rebuilds and the workload generators.  It makes every check
+        The one loader behind session creation (wire rows, snapshots, CSV)
+        and the workload generators.  It makes every check
         :meth:`add` makes — attribute names and width, domain membership of
         every cell (``validate=False`` skips only that one) — and leaves
         the same rows, order and rendering behind, but works a column at a

@@ -23,7 +23,7 @@ per-probe database copy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple as PyTuple
+from typing import List, Sequence, Tuple as PyTuple
 
 from repro.deps.base import Dependency, holds
 from repro.engine.delta import Changeset, DeltaEngine
@@ -41,7 +41,6 @@ def is_x_repair(
     original: DatabaseInstance,
     candidate: DatabaseInstance,
     dependencies: Sequence[Dependency],
-    shards: Optional[int] = None,
 ) -> bool:
     """Is ``candidate`` a maximal consistent subset of ``original``?"""
     deleted: List[Cell] = []
@@ -53,7 +52,7 @@ def is_x_repair(
         deleted.extend((rel, t) for t in old - new)
     if not holds(candidate, dependencies):
         return False  # short-circuits at the first violation, no copy
-    engine = DeltaEngine(candidate.copy(), dependencies, shards=shards)
+    engine = DeltaEngine(candidate.copy(), dependencies)
     # Candidate is consistent, so each add-back probe is one violation
     # delta over the partitions the restored tuple lands in.
     for rel, t in deleted:
@@ -66,7 +65,6 @@ def is_s_repair(
     original: DatabaseInstance,
     candidate: DatabaseInstance,
     dependencies: Sequence[Dependency],
-    shards: Optional[int] = None,
 ) -> bool:
     """Is ``candidate`` consistent with ⊆-minimal symmetric difference?
 
@@ -81,7 +79,7 @@ def is_s_repair(
     delta = sorted(
         symmetric_difference(original, candidate), key=lambda c: (c[0], repr(c[1]))
     )
-    engine = DeltaEngine(original.copy(), dependencies, shards=shards)
+    engine = DeltaEngine(original.copy(), dependencies)
     for size in range(len(delta)):
         for subset in itertools.combinations(delta, size):
             trial = Changeset()
@@ -119,7 +117,6 @@ def check_u_repair(
     candidate: DatabaseInstance,
     dependencies: Sequence[Dependency],
     cost_model: CostModel | None = None,
-    shards: Optional[int] = None,
 ) -> URepairCheck:
     """Check a value-modification repair (tuple counts must be preserved).
 
@@ -149,7 +146,7 @@ def check_u_repair(
         # Each reversion probe is a single-cell update against the
         # consistent candidate: one violation delta over the partitions
         # the reverted tuple moves between.
-        engine = DeltaEngine(candidate.copy(), dependencies, shards=shards)
+        engine = DeltaEngine(candidate.copy(), dependencies)
         for rel, changed_tuple, attr, old_value in reversions:
             probe = Changeset().update(rel, changed_tuple, **{attr: old_value})
             if engine.probe(probe).clean_after:

@@ -19,7 +19,7 @@ The S-repair model of [7] allows deletions *and* insertions.  Two regimes:
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import FrozenSet, List, Sequence, Set, Tuple as PyTuple
 
 from repro.cind.model import CIND
 from repro.deps.base import Dependency
@@ -118,12 +118,11 @@ def all_s_repairs(
     limit: int = 100_000,
     max_insertions: int = 4,
     max_candidates_per_relation: int = 8,
-    shards: Optional[int] = None,
 ) -> List[DatabaseInstance]:
     """All S-repairs (⊆-minimal symmetric difference), exactly for the
     denial class and bounded-exactly with inclusion dependencies."""
     if is_denial_class(dependencies):
-        return all_x_repairs(db, dependencies, limit, shards=shards)
+        return all_x_repairs(db, dependencies, limit)
 
     candidates = _insertion_candidates(
         db, dependencies, max_candidates_per_relation
@@ -131,7 +130,7 @@ def all_s_repairs(
     # One delta-maintained working instance walks the whole search tree:
     # each branch applies its edit, recurses, and reverts through the
     # returned undo changeset instead of copying the database per node.
-    engine = DeltaEngine(db.copy(), dependencies, shards=shards)
+    engine = DeltaEngine(db.copy(), dependencies)
     consistent: List[PyTuple[FrozenSet[Cell], DatabaseInstance]] = []
     nodes = [0]
 

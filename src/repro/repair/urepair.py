@@ -30,7 +30,7 @@ adversarial inputs the pass cap may be reached (``resolved=False``).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Dict, List, Sequence, Tuple as PyTuple
 
 from repro.cfd.model import CFD, fd_as_cfd
 from repro.deps.fd import FD
@@ -72,13 +72,12 @@ def repair_cfds(
     cfds: Sequence[CFD],
     cost_model: CostModel | None = None,
     max_passes: int = 25,
-    shards: Optional[int] = None,
 ) -> ValueRepair:
     """Heuristic U-repair of a database against a set of CFDs."""
     cost_model = cost_model or CostModel()
     cfds = list(cfds)
     repaired = db.copy()
-    engine = DeltaEngine(repaired, cfds, shards=shards)
+    engine = DeltaEngine(repaired, cfds)
     changes: List[CellChange] = []
     # map current tuple -> its original (for weights / cost accounting)
     origin: Dict[PyTuple[str, Tuple], Tuple] = {}

@@ -24,7 +24,7 @@ copying the database at every node.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple as PyTuple
 
 from repro.deps.base import Dependency
 from repro.engine.delta import Changeset, DeltaEngine
@@ -46,12 +46,11 @@ def _subset_db(db: DatabaseInstance, removed: Set[Cell]) -> DatabaseInstance:
 def greedy_x_repair(
     db: DatabaseInstance,
     dependencies: Sequence[Dependency],
-    shards: Optional[int] = None,
 ) -> DatabaseInstance:
     """A maximal consistent subset, greedily (delete max-degree witnesses,
     then re-insert while consistent)."""
     current = db.copy()
-    engine = DeltaEngine(current, dependencies, shards=shards)
+    engine = DeltaEngine(current, dependencies)
     removed: Set[Cell] = set()
     while not engine.is_clean():
         degree: Dict[Cell, int] = {}
@@ -73,7 +72,6 @@ def all_x_repairs(
     db: DatabaseInstance,
     dependencies: Sequence[Dependency],
     limit: int = 100_000,
-    shards: Optional[int] = None,
 ) -> List[DatabaseInstance]:
     """All X-repairs (maximal consistent subsets), exactly.
 
@@ -84,7 +82,7 @@ def all_x_repairs(
     the number of search nodes (MemoryError beyond — Example 5.1 is
     exponential).
     """
-    engine = DeltaEngine(db.copy(), dependencies, shards=shards)
+    engine = DeltaEngine(db.copy(), dependencies)
     consistent_subsets: Set[FrozenSet[Cell]] = set()
     nodes = [0]
 

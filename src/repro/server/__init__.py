@@ -4,9 +4,8 @@ The batch CLI pays a cold start on every invocation: parse schema + rules,
 load the data, build the engine indexes, detect once, exit.  This package
 keeps that work *warm*: a resident server hosts many named
 :class:`~repro.session.Session` objects, each with its hash indexes,
-shard buckets and delta engine alive across requests, so repeated
-detect/edit traffic pays only the marginal work of each request — the
-amortization the sharded engine layers were built for.
+cached layouts and delta engine alive across requests, so repeated
+detect/edit traffic pays only the marginal work of each request.
 
 There is one transport, the ``asyncio`` front end in
 :mod:`repro.server.aio`, over a transport-neutral
@@ -17,7 +16,7 @@ one event loop instead of one thread each.
 
 Requests against *one* session serialize on that session's lock (the
 delta engine is single-writer); requests against *distinct* sessions run
-in parallel.  When more than ``max_sessions`` sessions are open the
+concurrently.  When more than ``max_sessions`` sessions are open the
 least-recently-used one is evicted through ``Session.close()``.
 
 With ``--state-dir`` the server is *durable*

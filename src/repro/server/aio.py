@@ -6,9 +6,8 @@ cost file descriptors, not threads), and requests split by verb class:
 * **snapshot reads** — ``detect`` on an unchanged engine and
   ``GET .../rules`` — answer *inline on the loop* from cached response
   bytes, validated against the session's relation-version fingerprint
-  (:meth:`repro.session.Session.state_fingerprint`, the same shape the
-  parallel executor keys its warm caches on).  No session lock, no
-  thread handoff: a reader can never queue behind a writer.
+  (:meth:`repro.session.Session.state_fingerprint`).  No session lock,
+  no thread handoff: a reader can never queue behind a writer.
 * **write verbs** (``apply``/``undo``/``repair``/rules writes) serialize
   per session on an :class:`asyncio.Lock` and run the shared
   :class:`~repro.server.core.ServiceCore` handler on a worker thread.
@@ -22,12 +21,6 @@ cost file descriptors, not threads), and requests split by verb class:
 * everything else (health, metrics, listings, creates) runs the core
   handler on a worker thread without session-level coordination — those
   paths are already lock-free or non-blocking by construction.
-
-CPU-heavy detection still fans out across *processes*: sessions
-configured with the parallel executor dispatch shard jobs to the
-persistent (optionally worker-pinned — ``REPRO_PIN_WORKERS``) pool of
-:mod:`repro.engine.parallel`, so one session's detect uses every core
-while the event loop keeps answering cheap reads.
 
 Durability, degraded gating, eviction tombstones and metrics are all the
 core's — this module adds no response byte of its own (the differential
@@ -126,7 +119,7 @@ class SessionSnapshot:
     """Immutable read cache for one session at one fingerprint.
 
     ``cache`` maps read keys — ``("rules",)`` or
-    ``("detect", executor, shards, include_violations)`` — to fully
+    ``("detect", executor, include_violations)`` — to fully
     rendered :class:`Response` objects.  ``pinned`` holds the database
     and rules objects whose ``id()``s appear in the fingerprint.
     ``token`` is the session's ``report_epoch()`` at publication
@@ -161,10 +154,10 @@ def _detect_cache_key(body: Any) -> Optional[tuple]:
     if set(body) - {"engine", "include_violations"}:
         return None
     try:
-        executor, shards = engine_config_from_document(body)
+        executor = engine_config_from_document(body)
     except Exception:
         return None
-    return ("detect", executor, shards, bool(body.get("include_violations", True)))
+    return ("detect", executor, bool(body.get("include_violations", True)))
 
 
 class AsyncReproServer:
@@ -208,7 +201,7 @@ class AsyncReproServer:
         self.server_address: Tuple[str, int] = self._socket.getsockname()[:2]
         # the core's verb handlers block (session locks, WAL fsync, CPU);
         # they run here so the loop never does — sized for many concurrent
-        # sessions, not for CPU parallelism (the process pool covers that).
+        # sessions, not for CPU parallelism.
         # Not ThreadPoolExecutor: see repro.server.pool for the race that
         # made its thread count, and so request cost, differ run to run
         self._executor = VerbPool(max_workers=32, thread_name_prefix="repro-verb")
@@ -678,6 +671,6 @@ class AsyncReproServer:
             key: response
             for key, response in snapshot.cache.items()
             if key == ("rules",)
-            or (key[2] is None and (key[1] or session.executor) == "indexed")
+            or (key[1] or session.executor) == "indexed"
         }
         return True

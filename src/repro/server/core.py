@@ -165,7 +165,6 @@ class ServiceCore:
     def metrics_document(self) -> Dict[str, Any]:
         manager = self.manager
         warm_engines = 0
-        warm_parallel = 0
         delta_totals = {field: 0 for field in DELTA_STAT_FIELDS}
         maintained_violations = 0
         degraded_sessions = 0
@@ -186,18 +185,13 @@ class ServiceCore:
                             delta_totals[field] += getattr(
                                 engine.stats, field
                             )
-                    if session.has_warm_parallel:
-                        warm_parallel += 1
                     if hosted.is_degraded:
                         degraded_sessions += 1
                 finally:
                     hosted.lock.release()
             else:
-                session = hosted.session
-                if session.warm_engine is not None:
+                if hosted.session.warm_engine is not None:
                     warm_engines += 1
-                if session.has_warm_parallel:
-                    warm_parallel += 1
                 if hosted.is_degraded:
                     degraded_sessions += 1
         document = self.metrics_document_base()
@@ -228,7 +222,6 @@ class ServiceCore:
         }
         document["engines"] = {
             "warm_delta_engines": warm_engines,
-            "warm_parallel_executors": warm_parallel,
             "maintained_violations": maintained_violations,
             "delta_stats": delta_totals,
         }
@@ -592,8 +585,8 @@ class ServiceCore:
         body = body or {}
         if not isinstance(body, Mapping):
             raise BadRequest("detect body must be a JSON object (or empty)")
-        executor, shards = engine_config_from_document(body)
-        report = hosted.session.detect(executor=executor, shards=shards)
+        executor = engine_config_from_document(body)
+        report = hosted.session.detect(executor=executor)
         endpoint = "POST /sessions/{id}/detect"
         summary = report.to_dict(include_violations=False)
         if not body.get("include_violations", True):

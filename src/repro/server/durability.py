@@ -244,9 +244,9 @@ class SessionJournal:
         """The snapshot document as JSON text, one bounded piece at a time.
 
         Joined, the pieces are exactly ``_dumps`` of the whole document —
-        ``format``, ``session``, ``executor``, ``shards``, ``schema``,
-        ``rules``, ``data`` (``{relation: [row mapping, ...]}`` in live
-        insertion order, what :meth:`Session.data_documents` returns),
+        ``format``, ``session``, ``executor``, ``schema``, ``rules``,
+        ``data`` (``{relation: [row mapping, ...]}`` in live insertion
+        order, what :meth:`Session.data_documents` returns),
         ``undo`` (``[[token, changeset document], ...]``, oldest first)
         and ``undo_counter`` — but rows are encoded
         ``_SNAPSHOT_CHUNK_ROWS`` at a time and undo entries one at a
@@ -256,7 +256,6 @@ class SessionJournal:
             "format": _SNAPSHOT_FORMAT,
             "session": self.session_id,
             "executor": session.executor,
-            "shards": session._shards,
             "schema": session.schema_document(),
             "rules": session.rules_documents(),
         }
@@ -497,11 +496,12 @@ class SessionStore:
         db = DatabaseInstance(db_schema)
         for rel_name, rows in (snapshot_doc.get("data") or {}).items():
             db.relation(rel_name).extend_rows(rows)
+        # A format-1 snapshot from before the sharded engine left may say
+        # "executor": "parallel" (and a "shards" count, not read): the same
+        # report from the one path that is left.
+        executor = snapshot_doc.get("executor", "indexed")
         session = Session.from_instance(
-            db,
-            rules,
-            executor=snapshot_doc.get("executor", "indexed"),
-            shards=snapshot_doc.get("shards"),
+            db, rules, executor="indexed" if executor == "parallel" else executor
         )
         undo: "OrderedDict[str, Changeset]" = OrderedDict(
             (token, Changeset.from_dict(undo_doc))

@@ -145,9 +145,9 @@ class HostedSession:
     """One warm session plus the server-side state that wraps it.
 
     ``lock`` serializes every request that touches the session — the delta
-    engine and the warm parallel executor are single-writer structures, so
-    concurrent requests against one session queue here while requests
-    against other sessions proceed on their own locks.
+    engine is a single-writer structure, so concurrent requests against
+    one session queue here while requests against other sessions proceed
+    on their own locks.
     """
 
     __slots__ = (
@@ -409,9 +409,7 @@ class HostedSession:
             engine = session.warm_engine
             engine_doc: Dict[str, Any] = {
                 "warm_delta_engine": engine is not None,
-                "warm_parallel_executor": session.has_warm_parallel,
                 "executor": session.executor,
-                "shards": session.shards,
                 "maintained_violations": None,
                 "delta_stats": None,
             }
@@ -477,9 +475,7 @@ class HostedSession:
             },
             "rules": len(session.rules),
             "executor": session.executor,
-            "shards": session.shards,
             "warm_engine": session.has_warm_engine,
-            "warm_parallel": session.has_warm_parallel,
             "degraded": self.is_degraded,
             "requests": self.requests,
             "age_seconds": time.time() - self.created,
@@ -746,11 +742,11 @@ class SessionManager:
                 )
 
         # the unified engine schema (shared with Session kwargs and the
-        # CLI flags): {"engine": {"executor": ..., "shards": ...}}
-        executor, shards = engine_config_from_document(
+        # CLI flags): {"engine": {"executor": ...}}
+        executor = engine_config_from_document(
             document, default_executor="indexed"
         )
-        return Session.from_instance(db, rules, executor=executor, shards=shards)
+        return Session.from_instance(db, rules, executor=executor)
 
     def create(self, document: Mapping[str, Any]) -> HostedSession:
         """Build and register a session from a creation document.

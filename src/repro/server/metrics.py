@@ -46,8 +46,6 @@ _SCALARS: Tuple[Tuple[str, str, str, str, str], ...] = (
      "Sessions closed by DELETE."),
     ("engines", "warm_delta_engines", "repro_warm_delta_engines", "gauge",
      "Hosted sessions with a built delta engine."),
-    ("engines", "warm_parallel_executors", "repro_warm_parallel_executors",
-     "gauge", "Hosted sessions with a live parallel worker pool."),
     ("engines", "maintained_violations", "repro_maintained_violations",
      "gauge", "Violations currently maintained across warm delta engines."),
     ("degraded", "threshold", "repro_degraded_threshold", "gauge",

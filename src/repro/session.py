@@ -46,7 +46,7 @@ from repro.cfd.discovery import DiscoveredCFD, discover_cfds
 from repro.cfd.model import CFD, fd_as_cfd
 from repro.deps.base import Dependency, Violation
 from repro.deps.fd import FD
-from repro.engine.config import EXECUTORS, validate_executor, validate_shards
+from repro.engine.config import EXECUTORS, validate_executor
 from repro.engine.delta import Changeset, DeltaEngine, ViolationDelta
 from repro.errors import RepairError, ReproError, SchemaError
 from repro.relational.csvio import dump_csv, load_csv
@@ -54,7 +54,6 @@ from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema
 
 if TYPE_CHECKING:
-    from repro.engine.parallel import ParallelExecutor
     from repro.repair.models import CostModel
     from repro.workloads.stream import StreamConfig, StreamReport
 
@@ -202,13 +201,9 @@ class Session:
     """One database instance + one rule set + the engines that serve them.
 
     ``executor`` selects the detection path — ``"indexed"`` (default, the
-    PR-1 batch executor), ``"parallel"`` (the sharded executor of
-    :mod:`repro.engine.parallel`) or ``"naive"`` (the per-dependency
-    oracle scans).  ``shards`` sets the hash-shard count used by the
-    parallel executor *and* by the session's delta engine; ``None``
-    defers to the ``REPRO_DEFAULT_SHARDS`` environment override (1 when
-    unset).  Every executor and shard count yields the same violation
-    multiset — the differential corpus pins them together.
+    PR-1 batch executor) or ``"naive"`` (the per-dependency oracle
+    scans).  Both yield the same violation multiset — the differential
+    corpus pins them together.
     """
 
     def __init__(
@@ -217,17 +212,13 @@ class Session:
         rules: Iterable[Dependency] = (),
         engine: Optional[DeltaEngine] = None,
         executor: str = "indexed",
-        shards: Optional[int] = None,
     ) -> None:
         self._db = db
         self._rules: List[Dependency] = list(rules)
         self._executor = validate_executor(executor)
-        self._shards = validate_shards(shards)
         if engine is not None and engine.database is not db:
             raise ReproError("engine was built over a different database instance")
         self._engine: Optional[DeltaEngine] = engine
-        # warm ParallelExecutor, built on first use
-        self._parallel: Optional["ParallelExecutor"] = None
         self._dirty = False  # mutated since the last mark_clean()
 
     # -- construction ----------------------------------------------------
@@ -239,10 +230,9 @@ class Session:
         rules: Iterable[Dependency] = (),
         engine: Optional[DeltaEngine] = None,
         executor: str = "indexed",
-        shards: Optional[int] = None,
     ) -> "Session":
         """Wrap an in-memory database (and optionally a live delta engine)."""
-        return cls(db, rules, engine=engine, executor=executor, shards=shards)
+        return cls(db, rules, engine=engine, executor=executor)
 
     @classmethod
     def from_files(
@@ -251,7 +241,6 @@ class Session:
         rules: Union[str, Path, None],
         data: Union[str, Path, Mapping[str, Union[str, Path]]],
         executor: str = "indexed",
-        shards: Optional[int] = None,
     ) -> "Session":
         """Load schema JSON + rules JSON + CSV data into a session.
 
@@ -264,12 +253,7 @@ class Session:
 
         db_schema = load_database_schema(schema)
         parsed = load_rules(rules, db_schema) if rules is not None else []
-        return cls(
-            _load_data_files(db_schema, data),
-            parsed,
-            executor=executor,
-            shards=shards,
-        )
+        return cls(_load_data_files(db_schema, data), parsed, executor=executor)
 
     # -- state -----------------------------------------------------------
 
@@ -319,8 +303,8 @@ class Session:
         self._dirty = False
 
     def close(self) -> None:
-        """Release engine resources: parallel worker processes, the warm
-        delta engine state and the relations' cached indexes.
+        """Release engine resources: the warm delta engine state and the
+        relations' cached indexes.
 
         This is the eviction hook the server layer calls — a closed session
         stays usable (engines and indexes lazily rebuild on the next call),
@@ -328,9 +312,6 @@ class Session:
         takes its data along at once (see
         :meth:`~repro.relational.instance.RelationInstance.drop_indexes`).
         """
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
         self._engine = None
         for relation in self._db:
             relation.drop_indexes()
@@ -342,13 +323,6 @@ class Session:
         self.close()
 
     @property
-    def shards(self) -> int:
-        """The resolved shard count the session's engines run with."""
-        from repro.engine.parallel import resolve_shards
-
-        return resolve_shards(self._shards)
-
-    @property
     def executor(self) -> str:
         """The configured detection executor name."""
         return self._executor
@@ -356,8 +330,7 @@ class Session:
     def state_fingerprint(self) -> tuple:
         """A version fingerprint of everything a detect answer depends on.
 
-        The same shape the parallel executor keys its warm caches on:
-        (database identity, rule identities, per-relation versions).  Two
+        Database identity, rule identities, per-relation versions: two
         calls returning equal fingerprints bracket a window with no
         observable mutation — relation versions are bumped on every
         mutation, rule-set edits swap the rules list, and repair-adopt
@@ -386,15 +359,10 @@ class Session:
         return self._engine
 
     @property
-    def has_warm_parallel(self) -> bool:
-        """True iff a warm parallel executor (and maybe its pool) is held."""
-        return self._parallel is not None
-
-    @property
     def engine(self) -> DeltaEngine:
         """The delta engine over the session's instance (built on first use)."""
         if self._engine is None:
-            self._engine = DeltaEngine(self._db, self._rules, shards=self._shards)
+            self._engine = DeltaEngine(self._db, self._rules)
         return self._engine
 
     def _current_engine(self) -> Optional[DeltaEngine]:
@@ -429,18 +397,14 @@ class Session:
         engine: bool = True,
         *,
         executor: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> ViolationReport:
         """Batch violation detection over the configured execution engine.
 
         Every executor reports the same violation multiset as the free
         function :func:`repro.cfd.detect.detect_violations` (the
-        differential corpus pins them equal); the parallel executor
-        additionally sorts violations canonically, so its report is
-        byte-identical for every shard count.  ``executor``/``shards``
-        override the session-level configuration for this call;
-        ``engine=False`` keeps its historical meaning (the naive
-        per-dependency loop).
+        differential corpus pins them equal).  ``executor`` overrides the
+        session-level configuration for this call; ``engine=False`` keeps
+        its historical meaning (the naive per-dependency loop).
 
         When the call resolves to the ``"indexed"`` executor and the delta
         engine is warm and current (an ``apply`` built it and nothing has
@@ -449,48 +413,16 @@ class Session:
         executor would return, without partitioning anything.  In every
         other case the executor runs; a detect never builds the engine.
         """
-        shards = validate_shards(shards)
         chosen = (
             validate_executor(executor) if executor is not None else self._executor
         )
         if not engine:
             chosen = "naive"
-        if shards is not None and chosen != "parallel":
-            # Mirror the CLI: shards alone opts into the parallel engine;
-            # an explicit non-parallel executor + shards is contradictory.
-            if executor is None and engine:
-                chosen = "parallel"
-            else:
-                raise ReproError(
-                    f"shards= requires the parallel executor, got {chosen!r}"
-                )
-        if chosen == "parallel":
-            from repro.engine.parallel import (
-                ParallelExecutor,
-                detect_violations_parallel,
-                resolve_shards,
-            )
-
-            if shards is not None and resolve_shards(shards) != self.shards:
-                # Per-call shard override: one-shot executor, no caching.
-                report = detect_violations_parallel(
-                    self._db, self._rules, shards=shards
-                )
-            else:
-                # The warm path: shard buckets and the worker pool persist
-                # across calls; the executor's own (db, rules, versions)
-                # fingerprint rebuilds them when anything changed.
-                if self._parallel is None:
-                    self._parallel = ParallelExecutor(shards=self._shards)
-                report = self._parallel.detect(self._db, self._rules)
-        else:
-            maintained = self._current_engine() if chosen == "indexed" else None
-            if maintained is not None:
-                maintained.stats.reports_served += 1
-                return ViolationReport(maintained.ordered_violations())
-            report = detect_violations(
-                self._db, self._rules, engine=chosen == "indexed"
-            )
+        maintained = self._current_engine() if chosen == "indexed" else None
+        if maintained is not None:
+            maintained.stats.reports_served += 1
+            return ViolationReport(maintained.ordered_violations())
+        report = detect_violations(self._db, self._rules, engine=chosen == "indexed")
         return ViolationReport(report.violations)
 
     def is_clean(self) -> bool:
@@ -546,7 +478,6 @@ class Session:
                 value_rules,
                 cost_model=cost_model,
                 max_passes=max_passes,
-                shards=self._shards,
             )
             repaired = result.repaired
             cost = result.cost
@@ -554,13 +485,11 @@ class Session:
             passes = result.passes
             changes = result.changes
         elif strategy == "x":
-            repaired = greedy_x_repair(self._db, self._rules, shards=self._shards)
+            repaired = greedy_x_repair(self._db, self._rules)
             changed = self._db.total_tuples() - repaired.total_tuples()
             cost = float(changed)
         elif strategy == "s":
-            candidates = all_s_repairs(
-                self._db, self._rules, limit=limit, shards=self._shards
-            )
+            candidates = all_s_repairs(self._db, self._rules, limit=limit)
             if not candidates:
                 raise RepairError("S-repair search found no consistent instance")
             diffed = [

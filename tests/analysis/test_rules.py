@@ -393,86 +393,6 @@ def test_rep004_abstract_intermediate_is_exempt(tree):
     assert "REP004" not in tree.codes()
 
 
-# -- REP005 fork safety ----------------------------------------------------
-
-
-def test_rep005_flags_import_time_lock_in_worker_closure(tree):
-    tree.write(
-        "repro/engine/parallel.py",
-        """
-        from repro.engine import shared
-        """,
-    )
-    tree.write(
-        "repro/engine/shared.py",
-        """
-        import threading
-
-        _LOCK = threading.Lock()
-        """,
-    )
-    findings = tree.by_code()["REP005"]
-    assert any("threading.Lock" in f.message for f in findings)
-
-
-def test_rep005_class_body_socket_is_flagged(tree):
-    tree.write(
-        "repro/engine/parallel.py",
-        """
-        import socket
-
-
-        class Worker:
-            channel = socket.socket()
-        """,
-    )
-    assert "REP005" in tree.codes()
-
-
-def test_rep005_lazy_creation_is_clean(tree):
-    tree.write(
-        "repro/engine/parallel.py",
-        """
-        import threading
-        from repro.engine import shared
-
-
-        def make_lock():
-            return threading.Lock()
-        """,
-    )
-    tree.write(
-        "repro/engine/shared.py",
-        """
-        import threading
-
-
-        def helper():
-            return threading.RLock()
-        """,
-    )
-    assert tree.codes() == []
-
-
-def test_rep005_module_outside_closure_is_exempt(tree):
-    tree.write(
-        "repro/engine/parallel.py",
-        """
-        def run():
-            return None
-        """,
-    )
-    tree.write(
-        "repro/server/standalone.py",
-        """
-        import threading
-
-        _LOCK = threading.Lock()
-        """,
-    )
-    assert "REP005" not in tree.codes()
-
-
 # -- REP006 exception hygiene ----------------------------------------------
 
 

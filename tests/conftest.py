@@ -2,9 +2,8 @@
 
 Also registers the hypothesis settings profiles: the default "dev"
 profile keeps hypothesis's standard deadline, while "ci" disables
-per-example deadlines entirely — property tests that touch the parallel
-engine can hit process-pool startup jitter on loaded CI runners, and a
-wall-clock deadline would turn that into flakes.  Select with
+per-example deadlines entirely — loaded CI runners stall for longer than
+any fixed deadline, and a wall-clock deadline would turn that into flakes.  Select with
 ``HYPOTHESIS_PROFILE=ci`` (the CI workflow does).
 """
 

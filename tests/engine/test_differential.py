@@ -1,6 +1,6 @@
-"""Differential harness: naive vs indexed vs delta vs parallel on generated cases.
+"""Differential harness: naive vs indexed vs delta on generated cases.
 
-Four execution paths must agree on every violation set:
+Three execution paths must agree on every violation set:
 
 * **naive** — the original per-dependency full scans
   (:func:`repro.engine.naive.detect_violations_naive`), the oracle;
@@ -8,13 +8,7 @@ Four execution paths must agree on every violation set:
   (:func:`repro.engine.executor.detect_violations_indexed`);
 * **delta** — :class:`repro.engine.delta.DeltaEngine`, whose maintained
   violation set is checked after construction *and* after every random
-  edit batch it absorbs — once unsharded and once with a hash-sharded
-  state (shard count cycling over {2, 3, 8});
-* **parallel** — the sharded executor
-  (:func:`repro.engine.parallel.detect_violations_parallel`), run through
-  its deterministic in-process path at the same cycling shard counts
-  (pool-vs-inline equivalence is pinned separately in
-  ``test_parallel.py`` — per-case pools would dominate the corpus).
+  edit batch it absorbs.
 
 Cases are seeded-random and come in three phases: a mixed legacy phase
 (FDs, CFDs, eCFDs, INDs, CINDs), an inclusion-focused phase (IND/CIND
@@ -48,7 +42,6 @@ from repro.engine.delta import (
 )
 from repro.engine.executor import detect_violations_indexed
 from repro.engine.naive import detect_violations_naive
-from repro.engine.parallel import detect_violations_parallel
 from repro.relational.domains import STRING
 from repro.relational.instance import DatabaseInstance
 from repro.relational.predicates import And, Comparison
@@ -58,8 +51,6 @@ N_CASES = 220  # legacy mixed phase
 N_INCLUSION_CASES = 60  # IND/CIND-focused phase
 N_DENIAL_CASES = 60  # denial-constraint-focused phase
 TOTAL_CASES = N_CASES + N_INCLUSION_CASES + N_DENIAL_CASES
-#: shard counts the sharded delta/parallel checks cycle through per case
-SHARD_CYCLE = (2, 3, 8)
 VALUES = ["a", "b", "c"]
 
 
@@ -145,7 +136,7 @@ def _random_denial(schema: DatabaseSchema, rng: random.Random) -> DenialConstrai
     * FD-shaped: two R atoms agreeing on one attribute, differing on
       another (pair witnesses, like a classical FD);
     * cross-relation: an R atom and an S atom agreeing on one attribute
-      each (a forbidden join — inherently cross-shard work).
+      each (a forbidden join).
     """
     r_attrs = list(schema.relation("R").attribute_names)
     s_attrs = list(schema.relation("S").attribute_names)
@@ -234,21 +225,12 @@ def _random_batch(db: DatabaseInstance, rng: random.Random) -> Changeset:
 _multiset = violation_multiset
 
 
-def _assert_all_paths_agree(db, deps, engine, sharded_engine, shards, context):
+def _assert_all_paths_agree(db, deps, engine, context):
     naive = _multiset(detect_violations_naive(db, deps).violations)
     indexed = _multiset(detect_violations_indexed(db, deps).violations)
     assert naive == indexed, f"naive vs indexed diverged: {context}"
-    parallel = _multiset(
-        detect_violations_parallel(db, deps, shards=shards, use_pool=False).violations
-    )
-    assert parallel == naive, f"parallel({shards}) vs naive diverged: {context}"
     maintained = _multiset(engine.violations())
     assert maintained == naive, f"delta vs naive diverged: {context}"
-    if sharded_engine is not None:
-        sharded = _multiset(sharded_engine.violations())
-        assert sharded == naive, (
-            f"sharded delta({sharded_engine.shards}) vs naive diverged: {context}"
-        )
 
 
 def _cases():
@@ -269,7 +251,7 @@ def _cases():
         )
 
 
-def test_differential_naive_indexed_delta_parallel():
+def test_differential_naive_indexed_delta():
     checked_cases = 0
     checked_batches = 0
     classes_seen = set()
@@ -278,38 +260,15 @@ def test_differential_naive_indexed_delta_parallel():
         db = _random_instance(schema, rng)
         deps = make_deps(schema, rng)
         classes_seen.update(type(dep).__name__ for dep in deps)
-        shards = SHARD_CYCLE[checked_cases % len(SHARD_CYCLE)]
         engine = DeltaEngine(db, deps)
-        # The sharded twin maintains its own copy of the instance; edit
-        # batches re-resolve their target tuples by value, so replaying
-        # the exact same changeset against it is well-defined.
-        sharded_db = db.copy()
-        sharded_engine = DeltaEngine(sharded_db, deps, shards=shards)
-        _assert_all_paths_agree(
-            db, deps, engine, sharded_engine, shards, f"{case_id} initial"
-        )
+        _assert_all_paths_agree(db, deps, engine, f"{case_id} initial")
         checked_cases += 1
         for batch_index in range(rng.randrange(1, 4)):
-            batch = _random_batch(db, rng)
-            delta = engine.apply(batch)
-            sharded_delta = sharded_engine.apply(batch)
-            # The delta's own bookkeeping must be internally consistent,
-            # and the sharded twin must report the identical delta.
+            delta = engine.apply(_random_batch(db, rng))
+            # The delta's own bookkeeping must be internally consistent.
             assert delta.remaining == engine.total_violations()
-            assert sharded_delta.remaining == delta.remaining
-            assert _multiset(v for v in sharded_delta.added) == _multiset(
-                v for v in delta.added
-            ), f"{case_id} batch={batch_index} added"
-            assert _multiset(v for v in sharded_delta.removed) == _multiset(
-                v for v in delta.removed
-            ), f"{case_id} batch={batch_index} removed"
             _assert_all_paths_agree(
-                db,
-                deps,
-                engine,
-                sharded_engine,
-                shards,
-                f"{case_id} batch={batch_index}",
+                db, deps, engine, f"{case_id} batch={batch_index}"
             )
             checked_batches += 1
     assert checked_cases >= 320
@@ -338,17 +297,14 @@ def test_differential_undo_round_trip():
         schema = _random_schema(rng)
         db = _random_instance(schema, rng)
         deps = _random_dependencies(schema, rng)
-        shards = SHARD_CYCLE[seed % len(SHARD_CYCLE)]
-        engine = DeltaEngine(db, deps, shards=shards)
+        engine = DeltaEngine(db, deps)
         before = violated_deps(engine.violations())
         was_clean = engine.is_clean()
         delta = engine.apply(_random_batch(db, rng))
         engine.apply(delta.undo)
         assert violated_deps(engine.violations()) == before, f"seed={seed}"
         assert engine.is_clean() == was_clean
-        _assert_all_paths_agree(
-            db, deps, engine, None, shards, f"seed={seed} after undo"
-        )
+        _assert_all_paths_agree(db, deps, engine, f"seed={seed} after undo")
 
 
 def _scan_state_contents(engine: DeltaEngine) -> list:
@@ -381,11 +337,11 @@ def test_delta_build_seeded_from_kernel_flags_equals_full_sweep(monkeypatch):
     if not kernels.AVAILABLE:
         pytest.skip("needs numpy: without it both builds take the full sweep")
 
-    def builds(db, deps, shards):
-        seeded = _scan_state_contents(DeltaEngine(db, deps, shards=shards))
+    def builds(db, deps):
+        seeded = _scan_state_contents(DeltaEngine(db, deps))
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "AVAILABLE", False)
-            swept = _scan_state_contents(DeltaEngine(db, deps, shards=shards))
+            swept = _scan_state_contents(DeltaEngine(db, deps))
         return seeded, swept
 
     compared = 0
@@ -396,11 +352,10 @@ def test_delta_build_seeded_from_kernel_flags_equals_full_sweep(monkeypatch):
         for step in range(1 + rng.randrange(1, 4)):
             if step:
                 DeltaEngine(db, deps).apply(_random_batch(db, rng))
-            for shards in (1, 2):
-                seeded, swept = builds(db, deps, shards)
-                assert seeded == swept, f"{case_id} step={step} shards={shards}"
-                compared += 1
-    assert compared >= 2 * (TOTAL_CASES + 450)
+            seeded, swept = builds(db, deps)
+            assert seeded == swept, f"{case_id} step={step}"
+            compared += 1
+    assert compared >= TOTAL_CASES + 450
 
 
 def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
@@ -430,7 +385,7 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
         "_evaluate",
         lambda self, key, group: calls.append(key) or evaluate(self, key, group),
     )
-    engine = DeltaEngine(db, deps, shards=1)
+    engine = DeltaEngine(db, deps)
     assert relation.indexes.stats.builds == builds_before
     assert calls == [] and engine.stats.eager_builds == 0
     assert all(
@@ -454,14 +409,12 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
 # ``DeltaEngine.ordered_violations()`` must be the list a fresh indexed
 # detection returns — not just the multiset: ``Session.detect`` serves it.
 
-ORDERED_SHARDS = (1, 2)
-
 
 def _assert_ordered_read(db, deps, engine, context):
     fresh = detect_violations_indexed(db, deps).violations
     ordered = engine.ordered_violations()
     assert violation_sequence(ordered) == violation_sequence(fresh), (
-        f"ordered read (shards={engine.shards}) is not the fresh list: {context}"
+        f"ordered read is not the fresh list: {context}"
     )
     # the stored objects, not re-derived ones
     stored = {id(v) for v in engine.violations()}
@@ -469,9 +422,9 @@ def _assert_ordered_read(db, deps, engine, context):
 
 
 def test_ordered_read_equals_fresh_detection_as_a_list():
-    """After the build, every edit batch, its undo and its redo — at 1 and
-    2 shards, all six classes — same dependency objects, same reasons,
-    same witness objects in the same orientation, in the same order."""
+    """After the build, every edit batch, its undo and its redo — all six
+    classes — same dependency objects, same reasons, same witness objects
+    in the same orientation, in the same order."""
     compared = 0
     classes_seen = set()
     for case_id, rng, make_deps in _cases():
@@ -479,31 +432,23 @@ def test_ordered_read_equals_fresh_detection_as_a_list():
         db = _random_instance(schema, rng)
         deps = make_deps(schema, rng)
         classes_seen.update(type(dep).__name__ for dep in deps)
-        twins = [(db, DeltaEngine(db, deps, shards=ORDERED_SHARDS[0]))]
-        for shards in ORDERED_SHARDS[1:]:
-            copy = db.copy()
-            twins.append((copy, DeltaEngine(copy, deps, shards=shards)))
+        engine = DeltaEngine(db, deps)
 
         def check(step):
             nonlocal compared
-            for twin_db, engine in twins:
-                _assert_ordered_read(twin_db, deps, engine, f"{case_id} {step}")
-                compared += 1
+            _assert_ordered_read(db, deps, engine, f"{case_id} {step}")
+            compared += 1
 
         check("initial")
         for batch_index in range(rng.randrange(1, 4)):
-            # generated against the first twin; the others resolve the
-            # batch's target tuples by value
             batch = _random_batch(db, rng)
-            undos = [engine.apply(batch).undo for _, engine in twins]
+            undo = engine.apply(batch).undo
             check(f"batch={batch_index}")
-            for (_, engine), undo in zip(twins, undos):
-                engine.apply(undo)
+            engine.apply(undo)
             check(f"batch={batch_index} undone")
-            for _, engine in twins:
-                engine.apply(batch)
+            engine.apply(batch)
             check(f"batch={batch_index} redone")
-    assert compared >= len(ORDERED_SHARDS) * (TOTAL_CASES + 3 * 450)
+    assert compared >= TOTAL_CASES + 3 * 450
     assert {"FD", "CFD", "ECFD", "IND", "CIND", "DenialConstraint"} <= classes_seen
 
 
@@ -535,16 +480,13 @@ def _ordered_case():
     return schema, deps
 
 
-def _ordered_twins(rows):
+def _ordered_engine(rows):
     schema, deps = _ordered_case()
-    twins = []
-    for shards in ORDERED_SHARDS:
-        db = DatabaseInstance(schema)
-        for row in rows:
-            db.relation("R").add(row)
-        db.relation("S").add(["c0", "y"])
-        twins.append((db, deps, DeltaEngine(db, deps, shards=shards)))
-    return twins
+    db = DatabaseInstance(schema)
+    for row in rows:
+        db.relation("R").add(row)
+    db.relation("S").add(["c0", "y"])
+    return db, deps, DeltaEngine(db, deps)
 
 
 def _row(a, b, c):
@@ -558,33 +500,31 @@ BASE_ROWS = [
 
 
 def _run_ordered(rows, *batches):
-    """Apply each batch (a list of ``(op, row[, cells])``) to a 1- and a
-    2-shard engine, checking the ordered read after the build and after
-    every batch; returns the engines for follow-up assertions."""
-    twins = _ordered_twins(rows)
-    for db, deps, engine in twins:
-        _assert_ordered_read(db, deps, engine, "build")
-        for index, batch in enumerate(batches):
-            changeset = Changeset()
-            for op, row, *cells in batch:
-                if op == "update":
-                    changeset.update("R", _row(*row), **cells[0])
-                else:
-                    getattr(changeset, op)("R", _row(*row))
-            engine.apply(changeset)
-            _assert_ordered_read(db, deps, engine, f"batch {index}")
-    return twins
+    """Apply each batch (a list of ``(op, row[, cells])``) to an engine,
+    checking the ordered read after the build and after every batch;
+    returns ``(db, deps, engine)`` for follow-up assertions."""
+    db, deps, engine = _ordered_engine(rows)
+    _assert_ordered_read(db, deps, engine, "build")
+    for index, batch in enumerate(batches):
+        changeset = Changeset()
+        for op, row, *cells in batch:
+            if op == "update":
+                changeset.update("R", _row(*row), **cells[0])
+            else:
+                getattr(changeset, op)("R", _row(*row))
+        engine.apply(changeset)
+        _assert_ordered_read(db, deps, engine, f"batch {index}")
+    return db, deps, engine
 
 
 def test_ordered_read_lookup_tasks_come_before_the_sweep():
     # k2 is the second partition, yet its constant-row (lookup) violations
     # lead the CFD's list, and inside k1 both singles precede both pairs
-    twins = _run_ordered(BASE_ROWS)
-    for db, deps, engine in twins:
-        cfd = [v for v in engine.ordered_violations() if v.dependency is deps[1]]
-        assert "'k2'" in cfd[0].reason and len(cfd[0].tuples) == 1
-        k1_wild = [v for v in cfd if v.tuples[-1][1]["A"] == "k1"]
-        assert [len(v.tuples) for v in k1_wild] == [1, 1, 2, 2]
+    _, deps, engine = _run_ordered(BASE_ROWS)
+    cfd = [v for v in engine.ordered_violations() if v.dependency is deps[1]]
+    assert "'k2'" in cfd[0].reason and len(cfd[0].tuples) == 1
+    k1_wild = [v for v in cfd if v.tuples[-1][1]["A"] == "k1"]
+    assert [len(v.tuples) for v in k1_wild] == [1, 1, 2, 2]
 
 
 def test_ordered_read_numbers_arrivals_per_op_not_per_partition():
@@ -633,16 +573,16 @@ def test_ordered_read_after_add_remove_add_of_one_tuple_in_one_batch():
 def test_ordered_read_after_a_failed_apply_renumbers():
     # the rollback re-adds the deleted pivot at the relation's end, so the
     # rebuilt engine must number the rows afresh
-    for db, deps, engine in _ordered_twins(BASE_ROWS):
-        bad = (
-            Changeset()
-            .delete("R", _row(*BASE_ROWS[0]))
-            .insert("R", _row("k0", "b1", "c1"))
-            .update("R", _row("no", "such", "row"), B="b0")
-        )
-        with pytest.raises(KeyError):
-            engine.apply(bad)
-        assert [t["A"] for t in db.relation("R")][-1] == "k1"
-        _assert_ordered_read(db, deps, engine, "after rollback")
-        engine.apply(Changeset().insert("R", _row("k1", "b3", "c3")))
-        _assert_ordered_read(db, deps, engine, "after the next apply")
+    db, deps, engine = _ordered_engine(BASE_ROWS)
+    bad = (
+        Changeset()
+        .delete("R", _row(*BASE_ROWS[0]))
+        .insert("R", _row("k0", "b1", "c1"))
+        .update("R", _row("no", "such", "row"), B="b0")
+    )
+    with pytest.raises(KeyError):
+        engine.apply(bad)
+    assert [t["A"] for t in db.relation("R")][-1] == "k1"
+    _assert_ordered_read(db, deps, engine, "after rollback")
+    engine.apply(Changeset().insert("R", _row("k1", "b3", "c3")))
+    _assert_ordered_read(db, deps, engine, "after the next apply")

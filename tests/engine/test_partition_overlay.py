@@ -85,10 +85,10 @@ def _columnar(schema, contents) -> DatabaseInstance:
 
 
 def _warm_engine(db, deps) -> DeltaEngine:
-    """An unsharded engine built after one detect: every scan state keeps
+    """An engine built after one detect: every scan state keeps
     the layout the detect cached as its base."""
     detect_violations_indexed(db, deps)
-    engine = DeltaEngine(db, deps, shards=1)
+    engine = DeltaEngine(db, deps)
     assert engine.stats.eager_builds == 0
     assert all(
         state.base is not None and not state.touched
@@ -372,7 +372,7 @@ def test_a_first_write_materialises_the_violations_not_the_relation():
     db = DatabaseInstance(generated.db.schema)
     db.adopt("customer", relation)
     deps = generated.cfds()
-    session = Session.from_instance(db, deps, shards=1)
+    session = Session.from_instance(db, deps)
     session.detect()
 
     names = source.schema.attribute_names

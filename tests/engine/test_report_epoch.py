@@ -3,8 +3,7 @@
 The epoch names what ``ordered_violations()`` returns — *by identity*:
 the dependency objects, the reasons, the witness ``Tuple`` objects and
 their order.  Two duties, checked over the differential corpus and a
-hypothesis changeset strategy at 1 and 2 shards on both storage
-backends:
+hypothesis changeset strategy on both storage backends:
 
 * whatever the epoch did, the ordered read is the list a fresh
   ``detect_violations_indexed`` returns (the memo never serves a stale
@@ -43,8 +42,8 @@ from tests.engine.test_differential import (
     _random_schema,
 )
 
-#: (shards, storage backend) of every twin a case runs on
-TWINS = [(1, "columnar"), (2, "columnar"), (1, "object"), (2, "object")]
+#: the storage backend of every twin a case runs on
+TWINS = ["columnar", "object"]
 
 
 def _on_backend(db: DatabaseInstance, storage: str) -> DatabaseInstance:
@@ -60,9 +59,9 @@ def _on_backend(db: DatabaseInstance, storage: str) -> DatabaseInstance:
 class _Reader:
     """One engine, read after every step against both duties."""
 
-    def __init__(self, db, deps, shards):
+    def __init__(self, db, deps):
         self.db, self.deps = db, deps
-        self.engine = DeltaEngine(db, deps, shards=shards)
+        self.engine = DeltaEngine(db, deps)
         self._previous = None
         self.read("build")
 
@@ -73,15 +72,15 @@ class _Reader:
         sequence = violation_sequence(ordered)
         fresh = detect_violations_indexed(self.db, self.deps).violations
         assert sequence == violation_sequence(fresh), (
-            f"ordered read is not the fresh list (shards={engine.shards}, "
-            f"epoch={engine.report_epoch}): {context}"
+            f"ordered read is not the fresh list "
+            f"(epoch={engine.report_epoch}): {context}"
         )
         previous = self._previous
         held = previous is not None and previous[0] == engine.report_epoch
         if held:
             assert sequence == previous[1], (
-                f"epoch {engine.report_epoch} held but the report moved "
-                f"(shards={engine.shards}): {context}"
+                f"epoch {engine.report_epoch} held but the report moved: "
+                f"{context}"
             )
         # ``ordered`` rides along: it keeps every id() in ``sequence`` alive
         self._previous = (engine.report_epoch, sequence, ordered)
@@ -97,10 +96,7 @@ def test_epoch_over_the_differential_corpus():
         schema = _random_schema(rng)
         db = _random_instance(schema, rng)
         deps = make_deps(schema, rng)
-        readers = [
-            _Reader(_on_backend(db, storage), deps, shards)
-            for shards, storage in TWINS
-        ]
+        readers = [_Reader(_on_backend(db, storage), deps) for storage in TWINS]
         for batch_index in range(rng.randrange(1, 4)):
             # generated against ``db``, which then follows the twins; they
             # resolve the batch's target tuples by value
@@ -150,15 +146,15 @@ S_DATA = [("c0",), ("c1",)]
 
 
 def _twins(deps=DEPS):
-    """A ``_Reader`` per (shards, backend) over the named-case data."""
+    """A ``_Reader`` per backend over the named-case data."""
     readers = []
-    for shards, storage in TWINS:
+    for storage in TWINS:
         db = DatabaseInstance(SCHEMA)
         for name, rows in (("R", R_DATA), ("S", S_DATA)):
             db.adopt(
                 name, RelationInstance(SCHEMA.relation(name), rows, storage=storage)
             )
-        readers.append(_Reader(db, deps, shards))
+        readers.append(_Reader(db, deps))
         assert len(readers[-1].engine.ordered_violations()) >= 3
     return readers
 
@@ -264,7 +260,7 @@ def test_a_re_add_that_renders_differently_moves_the_epoch():
     """``3 == 3.0``: equal tuples, different bytes on the wire."""
     schema = DatabaseSchema([RelationSchema("R", [("A", STRING), ("W", FLOAT)])])
     deps = [FD("R", ["A"], ["W"])]
-    for shards, storage in TWINS:
+    for storage in TWINS:
         db = DatabaseInstance(schema)
         db.adopt(
             "R",
@@ -272,7 +268,7 @@ def test_a_re_add_that_renders_differently_moves_the_epoch():
                 schema.relation("R"), [("k", 1.5), ("k", 3), ("j", 2.5)], storage=storage
             ),
         )
-        engine = DeltaEngine(db, deps, shards=shards)
+        engine = DeltaEngine(db, deps)
         (violation,) = engine.ordered_violations()
         assert repr(violation.tuples[-1][1]["W"]) == "3"
         epoch = engine.report_epoch
@@ -386,21 +382,20 @@ BATCHES = st.lists(st.one_of(R_OPS, S_OPS), min_size=1, max_size=6)
     rows=st.lists(R_ROWS, max_size=10, unique=True),
     s_rows=st.lists(S_ROWS, max_size=4, unique=True),
     batches=st.lists(BATCHES, min_size=1, max_size=5),
-    twin=st.sampled_from(TWINS),
+    storage=st.sampled_from(TWINS),
 )
 @settings(max_examples=200, deadline=None)
-def test_epoch_under_arbitrary_changesets(rows, s_rows, batches, twin):
+def test_epoch_under_arbitrary_changesets(rows, s_rows, batches, storage):
     """Small universe, so deletes of absent rows, duplicate inserts,
     delete + re-insert of an equal row, colliding and absent-target
     updates (a failed apply: rollback + ``refresh()``) all come up."""
-    shards, storage = twin
     schema, deps = _ordered_case()
     db = DatabaseInstance(schema)
     for row in rows:
         db.relation("R").add(list(row))
     for row in s_rows:
         db.relation("S").add(list(row))
-    reader = _Reader(_on_backend(db, storage), deps, shards)
+    reader = _Reader(_on_backend(db, storage), deps)
     for index, batch in enumerate(batches):
         changeset = Changeset()
         for op, relation, row, *cells in batch:

@@ -3,13 +3,12 @@
 Covers the corners the differential corpus cannot reach by construction:
 empty relations, fully-deleted bitmaps followed by re-insertion,
 dictionary growth past 2**16 distinct values, cross-type equality
-congruence (dict-key interning must agree with ``stable_shard``), and
+congruence (interning is dict-key equality), and
 ``Tuple`` materialization round-trip identity.
 """
 
 import pytest
 
-from repro.engine.parallel import stable_shard
 from repro.errors import DomainError
 from repro.relational.columnar import ColumnStore
 from repro.relational.domains import FLOAT, INT, STRING
@@ -135,17 +134,47 @@ class TestEqualityCongruence:
         assert store.probe((-0.0,)) == codes_zero
         assert store.probe((False,)) == codes_zero
 
-    def test_congruence_matches_stable_shard(self):
-        # The interning dictionaries and the shard router must agree on
-        # which values are "the same", or a columnar-sharded run would
-        # split a partition that the object-mode run keeps whole.
-        for shards in (2, 5, 8):
-            assert (
-                stable_shard((1,), shards)
-                == stable_shard((1.0,), shards)
-                == stable_shard((True,), shards)
-            )
-            assert stable_shard((0.0,), shards) == stable_shard((-0.0,), shards)
+    def test_congruence_matches_dict_key_equality(self):
+        # The interning dictionaries and the hash partitions (dicts keyed on
+        # value tuples) must agree on which values are "the same", or the
+        # columnar kernels would split a partition object mode keeps whole.
+        schema = RelationSchema("S", [("v", FLOAT)])
+        store = ColumnStore(schema)
+        for group in ((1, 1.0, True), (0.0, -0.0)):
+            assert len({(value,): None for value in group}) == 1
+            codes = {tuple(store.intern_row((value,))) for value in group}
+            assert len(codes) == 1, group
+
+    def test_mixed_numeric_keys_detect_equally(self):
+        # Rows carrying int 1 and float 1.0 share the logical partition
+        # {A: 1}: splitting it hides the FD pair violation and fabricates
+        # an IND violation.  Kernels, hash partitions and the maintained
+        # state must all keep it whole.
+        from repro.deps.fd import FD
+        from repro.deps.ind import IND
+        from repro.engine.delta import DeltaEngine, violation_multiset
+        from repro.engine.executor import detect_violations_indexed
+        from repro.engine.naive import detect_violations_naive
+        from repro.relational.instance import DatabaseInstance
+        from repro.relational.schema import DatabaseSchema
+
+        schema = DatabaseSchema(
+            [
+                RelationSchema("R", [("A", FLOAT), ("B", STRING)]),
+                RelationSchema("S", [("X", FLOAT)]),
+            ]
+        )
+        db = DatabaseInstance(schema)
+        db.relation("R").add((1, "x"))
+        db.relation("R").add((1.0, "y"))  # same A-partition as int 1
+        db.relation("R").add((2.5, "z"))
+        db.relation("S").add((1.0,))  # provides the key for int 1 demands
+        deps = [FD("R", ["A"], ["B"]), IND("R", ["A"], "S", ["X"])]
+        naive = violation_multiset(detect_violations_naive(db, deps).violations)
+        assert sum(naive.values()) == 2  # the FD pair, and 2.5 unprovided
+        indexed = detect_violations_indexed(db, deps).violations
+        assert violation_multiset(indexed) == naive
+        assert violation_multiset(DeltaEngine(db, deps).violations()) == naive
 
     def test_first_seen_representative_wins(self):
         schema = RelationSchema("S", [("v", FLOAT)])

@@ -176,3 +176,79 @@ class TestStream:
         main(args)
         second = capsys.readouterr().out
         assert stable(first) == stable(second)
+
+
+class TestCliBytes:
+    """``--format json`` output is byte-stable: what a pipeline diffs."""
+
+    def _stdout(self, capsys, argv):
+        main(argv)
+        return capsys.readouterr().out
+
+    def test_detect_json_bytes_invariant(self, workspace, capsys):
+        _, data, schema_path, rules, _ = workspace
+        argv = [
+            "detect", "--format", "json",
+            "--schema", str(schema_path), "--rules", str(rules), str(data),
+        ]
+        reference = self._stdout(capsys, argv)
+        assert json.loads(reference)["total"] == 4
+        assert self._stdout(capsys, argv) == reference
+        # the oracle scans report in the executor's order
+        naive = argv[:1] + ["--executor", "naive"] + argv[1:]
+        assert self._stdout(capsys, naive) == reference
+
+    def test_stream_json_bytes_invariant(self, workspace, capsys):
+        _, data, schema_path, rules, _ = workspace
+        argv = [
+            "stream", "--format", "json",
+            "--schema", str(schema_path), "--rules", str(rules),
+            "--batches", "4", "--batch-size", "3", "--seed", "11", str(data),
+        ]
+        reference = self._stdout(capsys, argv)
+        assert self._stdout(capsys, argv) == reference
+        # without --timings the document must contain no wall-clock field
+        assert "seconds" not in reference
+
+    def test_stream_timings_flag_restores_seconds(self, workspace, capsys):
+        _, data, schema_path, rules, _ = workspace
+        document = json.loads(
+            self._stdout(
+                capsys,
+                [
+                    "stream", "--format", "json", "--timings",
+                    "--schema", str(schema_path), "--rules", str(rules),
+                    "--batches", "2", "--batch-size", "2", "--seed", "11",
+                    str(data),
+                ],
+            )
+        )
+        assert all("seconds" in b for b in document["batches"])
+
+
+class TestRemovedShardingFlags:
+    """The sharded engine's flags are argparse errors, not silently eaten."""
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--shards", "2"], "--shards"), (["--executor", "parallel"], "'parallel'")],
+    )
+    def test_detect_refuses(self, workspace, capsys, flags, named):
+        _, data, schema_path, rules, _ = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["detect", *flags, "--schema", str(schema_path),
+                 "--rules", str(rules), str(data)]
+            )
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["repair", "stream"])
+    def test_repair_and_stream_refuse_shards(self, workspace, capsys, command):
+        _, data, schema_path, rules, _ = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [command, "--shards", "2", "--schema", str(schema_path),
+                 "--rules", str(rules), str(data)]
+            )
+        assert exit_info.value.code == 2

@@ -165,9 +165,7 @@ class TestDetect:
         _fresh(client, "exec")
         indexed = client.detect("exec")
         naive = client.detect("exec", executor="naive")
-        parallel = client.detect("exec", shards=2)
         assert naive["total"] == indexed["total"]
-        assert parallel["total"] == indexed["total"]
         with pytest.raises(ServerError) as err:
             client.detect("exec", executor="warp-drive")
         assert err.value.status == 400

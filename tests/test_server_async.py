@@ -281,6 +281,39 @@ class TestAsyncVerbs:
         assert '{"engine":' in json.loads(raw)["error"]
         client.delete_session("legacy")
 
+    @pytest.mark.parametrize(
+        "engine, named",
+        [({"shards": 2}, "'shards'"), ({"executor": "parallel"}, "'parallel'")],
+    )
+    def test_sharded_engine_options_are_refused_by_name(
+        self, client, engine, named
+    ):
+        """Not ignored: an old client learns its knob is gone, and what
+        the engine object still takes, from the 400 itself."""
+        surviving = '{"engine": {"executor": "indexed" | "naive"}}'
+        with pytest.raises(ServerError) as err:
+            client._request(
+                "POST",
+                "/sessions",
+                {"id": "gone", "schema": SCHEMA_DOC, "rules": RULES_DOC,
+                 "data": {"emp": list(ROWS)}, "engine": engine},
+            )
+        assert err.value.status == 400
+        assert named in str(err.value) and surviving in str(err.value)
+        assert "gone" not in [doc.session_id for doc in client.list_sessions()]
+
+        _fresh(client, "kept")
+        report = client.detect("kept")
+        hits = client.metrics()["snapshots"]["snapshot_hits_total"]
+        with pytest.raises(ServerError) as err:
+            client._request("POST", "/sessions/kept/detect", {"engine": engine})
+        assert err.value.status == 400
+        assert named in str(err.value) and surviving in str(err.value)
+        # the refusal cost the session nothing: the next read is still a hit
+        assert client.detect("kept") == report
+        assert client.metrics()["snapshots"]["snapshot_hits_total"] == hits + 1
+        client.delete_session("kept")
+
     def test_engine_error_text_matches_session_layer(self, client):
         from repro.errors import ReproError
         from repro.session import Session
@@ -633,51 +666,3 @@ def test_served_bytes_equal_the_in_process_core():
     finally:
         server.shutdown()
         core.manager.close_all()
-
-
-# --------------------------------------------------------------------------
-# Worker-pinned shards
-# --------------------------------------------------------------------------
-
-
-class TestPinnedWorkers:
-    def test_pinned_pool_report_is_byte_identical(self):
-        from repro.engine.parallel import ParallelExecutor
-        from repro.relational.instance import DatabaseInstance
-        from repro.rules_json import database_schema_from_dict, rules_from_list
-        from repro.session import ViolationReport
-
-        def canon(report):
-            return json.dumps(ViolationReport(report.violations).to_dict())
-
-        db = DatabaseInstance(database_schema_from_dict(SCHEMA_DOC))
-        for i in range(200):
-            db.relation("emp").add({"dept": f"d{i % 17}", "floor": i % 5})
-        deps = rules_from_list(RULES_DOC, db.schema)
-
-        plain = ParallelExecutor(
-            shards=2, workers=2, use_pool=True, pin_workers=False
-        )
-        pinned = ParallelExecutor(
-            shards=2, workers=2, use_pool=True, pin_workers=True
-        )
-        try:
-            baseline = canon(plain.detect(db, deps))
-            pinned.prewarm(db, deps)
-            assert canon(pinned.detect(db, deps)) == baseline
-            assert pinned.stats.pool_workers == 2
-            # the pinned pool is warm: repeated detects reuse it
-            assert canon(pinned.detect(db, deps)) == baseline
-        finally:
-            plain.close()
-            pinned.close()
-
-    def test_pin_workers_env_default(self, monkeypatch):
-        from repro.engine import parallel
-
-        monkeypatch.setenv(parallel.PIN_ENV, "1")
-        assert parallel.default_pin_workers() is True
-        monkeypatch.setenv(parallel.PIN_ENV, "0")
-        assert parallel.default_pin_workers() is False
-        monkeypatch.delenv(parallel.PIN_ENV)
-        assert parallel.default_pin_workers() is False

@@ -157,14 +157,20 @@ class TestDegradedLifecycle:
         """A malformed body refused *inside* a gated handler is the
         client's 400 like any other: ``BadRequest`` used to be missing
         from the status table, read as a 500 there, and the request that
-        crossed the threshold answered 503 and gated a healthy session."""
+        crossed the threshold answered 503 and gated a healthy session.
+        The refusals of the removed sharding options are such 400s."""
         _fresh(client, "deg-400")
         before = client.metrics()["degraded"]
-        for _ in range(THRESHOLD + 2):
-            with pytest.raises(ServerError) as err:
-                client._request("POST", "/sessions/deg-400/undo", {})
-            assert err.value.status == 400
-            assert err.value.document["type"] == "BadRequest"
+        for verb, body, error_type in (
+            ("undo", {}, "BadRequest"),
+            ("detect", {"engine": {"shards": 2}}, "ReproError"),
+            ("detect", {"engine": {"executor": "parallel"}}, "ReproError"),
+        ):
+            for _ in range(THRESHOLD + 2):
+                with pytest.raises(ServerError) as err:
+                    client._request("POST", f"/sessions/deg-400/{verb}", body)
+                assert err.value.status == 400
+                assert err.value.document["type"] == error_type
         after = client.metrics()["degraded"]
         assert after["handler_failures_total"] == before["handler_failures_total"]
         assert after["degraded_total"] == before["degraded_total"]

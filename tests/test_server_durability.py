@@ -819,7 +819,6 @@ def _reference_snapshot(journal, session, undo_items, undo_counter) -> bytes:
         "format": 1,
         "session": journal.session_id,
         "executor": session.executor,
-        "shards": session._shards,
         "schema": session.schema_document(),
         "rules": session.rules_documents(),
         "data": session.data_documents(),
@@ -968,6 +967,40 @@ class TestSnapshotWriter:
                 u.to_dict() for _, u in undo_items
             ]
             assert recovered.undo_counter == 3
+
+    def test_a_snapshot_from_the_sharded_engine_still_rehydrates(self, tmp_path):
+        """A format-1 snapshot an older server wrote for an
+        ``executor="parallel"``, 2-shard session loads on the one path
+        that is left, answers as an offline run does, and is rewritten
+        without the retired fields."""
+        from repro.server.durability import SessionJournal
+        from repro.workloads.soak import canonical, offline_detect
+
+        session = _emp_session(40)
+        store = SessionStore(tmp_path, fsync=False)
+        directory = store._session_dir("old")
+        directory.mkdir(parents=True)
+        journal = SessionJournal(store, "old", directory)
+        document = json.loads(_reference_snapshot(journal, session, [], 0))
+        document.update(executor="parallel", shards=2)
+        journal._snapshot_path(0).write_text(
+            json.dumps(document, separators=(",", ":")), encoding="utf-8"
+        )
+
+        server, client = _boot(tmp_path)
+        try:
+            assert client.cold_sessions() == ["old"]  # nothing read yet
+            assert canonical(client.detect("old")) == canonical(
+                offline_detect(session)
+            )
+            assert client.session_info("old").executor == "indexed"
+            client.apply("old", _insert("qa", 9))
+        finally:
+            server.shutdown()  # the flush writes the next generation
+        newest = sorted(directory.glob("snapshot-*.json"))[-1]
+        rewritten = json.loads(newest.read_text(encoding="utf-8"))
+        assert newest != journal._snapshot_path(0)
+        assert rewritten["executor"] == "indexed" and "shards" not in rewritten
 
     def test_failure_mid_stream_leaves_no_generation(self, tmp_path, monkeypatch):
         import repro.server.durability as durability

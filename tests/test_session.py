@@ -27,7 +27,7 @@ from repro.engine.delta import (
     violation_sequence,
 )
 from repro.engine.executor import detect_violations_indexed
-from repro.errors import RepairError, SchemaError
+from repro.errors import RepairError, ReproError, SchemaError
 from repro.paper import fig1_instance, fig2_cfds
 from repro.repair.urepair import repair_cfds
 from repro.session import RepairReport, Session, ViolationReport
@@ -174,6 +174,25 @@ class TestLifecycle:
         assert set(document) >= {"per_dependency", "violations", "single_tuple"}
         assert all("reason" in v and "tuples" in v for v in document["violations"])
         json.dumps(document, default=str)  # JSON-ready
+
+    @pytest.mark.parametrize("executor", ["mapreduce", "parallel"])
+    def test_session_rejects_unknown_executor(self, executor):
+        # "parallel" named the sharded engine: gone, so unknown like any
+        # other — in the one text every layer shares
+        from repro.engine.config import validate_executor
+
+        with pytest.raises(ReproError) as shared:
+            validate_executor(executor)
+        assert f"unknown executor {executor!r}" in str(shared.value)
+        assert "('indexed', 'naive')" in str(shared.value)
+        session = Session.from_instance(fig1_instance())
+        for refused in (
+            lambda: Session.from_instance(fig1_instance(), executor=executor),
+            lambda: session.detect(executor=executor),
+        ):
+            with pytest.raises(ReproError) as err:
+                refused()
+            assert str(err.value) == str(shared.value)
 
     def test_engine_is_lazy_and_cached(self):
         session = Session.from_instance(fig1_instance(), list(fig2_cfds().values()))
@@ -347,8 +366,6 @@ class TestMaintainedReads:
             lambda self: served.append(1) or read(self),
         )
         assert session.detect(executor="naive").total == total
-        assert session.detect(shards=2).total == total
-        assert session.detect(executor="parallel").total == total
         assert session.detect(engine=False).total == total
         assert not served and engine.stats.reports_served == 0
         assert session.detect(executor="indexed").total == total
