@@ -1,9 +1,11 @@
-"""COLUMNAR — bytes per tuple: object storage vs the encoded column store.
+"""COLUMNAR — bytes per tuple: a dict of ``Tuple`` objects vs the column store.
 
-Both backends hold the same customer relation; memory is measured by a
-``sys.getsizeof`` deep walk over everything the instance owns (containers
-followed recursively, shared values counted once via ``id``).  Object
-storage pays a ``Tuple`` object, its value-tuple and a dict slot per row;
+Both hold the same customer relation; memory is measured by a
+``sys.getsizeof`` deep walk over everything each one owns (containers
+followed recursively, shared values counted once via ``id``).  The
+"object" side is a plain ``{Tuple: None}`` dict of materialised tuples —
+what per-object storage holds — and pays a ``Tuple`` object, its
+value-tuple and a dict slot per row;
 the columnar store pays one machine-word code per cell plus one interned
 representative per *distinct* value, so bytes/tuple shrink with value
 repetition — the ``compression`` field is the per-size ratio.
@@ -26,6 +28,7 @@ if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.relational.instance import RelationInstance
+from repro.relational.tuples import Tuple
 from repro.workloads.customer import CustomerConfig, generate_customers
 
 SIZES = [10_000, 100_000]
@@ -58,13 +61,13 @@ def deep_sizeof(root: object) -> int:
     return total
 
 
-def _instance_bytes(schema, rows: Iterable[tuple], storage: str) -> int:
-    instance = RelationInstance(schema, storage=storage)
+def _object_bytes(schema, rows: Iterable[tuple]) -> int:
+    return deep_sizeof({Tuple(schema, row): None for row in rows})
+
+
+def _columnar_bytes(schema, rows: Iterable[tuple]) -> int:
+    instance = RelationInstance(schema)
     instance.extend_rows(rows, validate=False)
-    if storage == "object":
-        # Force the tuple materialization object storage always carries.
-        for t in instance:
-            t.values()
     return deep_sizeof(instance)
 
 
@@ -74,8 +77,8 @@ def measure(n_tuples: int) -> Dict:
     )
     relation = workload.db.relation("customer")
     rows = relation.to_rows()
-    object_bytes = _instance_bytes(relation.schema, rows, "object")
-    columnar_bytes = _instance_bytes(relation.schema, rows, "columnar")
+    object_bytes = _object_bytes(relation.schema, rows)
+    columnar_bytes = _columnar_bytes(relation.schema, rows)
     return {
         "n_tuples": n_tuples,
         "object_bytes": object_bytes,
@@ -99,7 +102,7 @@ def run(sizes=SIZES) -> Dict:
 
 
 def test_columnar_memory_smoke():
-    """Columnar must be strictly smaller per tuple than object storage."""
+    """Columnar must be strictly smaller per tuple than a dict of Tuples."""
     result = measure(5_000)
     assert result["columnar_bytes"] < result["object_bytes"]
     assert result["compression"] > 1.0

@@ -9,16 +9,13 @@ signature and resolves constant patterns by hash lookup, so detection cost
 is dominated by a fixed number of passes — the asymptotic win the paper's
 merged detection queries claim.
 
-Each size is additionally measured with the engine over legacy *object*
-storage (per-``Tuple`` Python objects): the ``columnar_speedup_*`` fields
-are the single-thread win of the columnar store + vectorized kernels over
-that pre-columnar baseline, gated at ≥5x cold on the top size.
-
 Run standalone to produce ``BENCH_engine.json``:
 
     python benchmarks/bench_engine_scaling.py [--out BENCH_engine.json]
 
-or under pytest for the smoke assertion (equivalence + speedup).
+or under pytest for the smoke assertion (equivalence + speedup).  The
+last columnar-vs-object figure (11.8x cold / 54.0x warm at 100k tuples)
+is frozen in ``docs/engine.md``; the object backend it timed is gone.
 """
 
 from __future__ import annotations
@@ -36,15 +33,11 @@ if __name__ == "__main__":  # allow running without an installed package
 from repro.cfd.model import CFD, UNNAMED
 from repro.engine.naive import detect_violations_naive
 from repro.engine.planner import plan_detection
-from repro.relational.instance import DatabaseInstance, RelationInstance
 from repro.session import Session
 from repro.workloads.customer import CustomerConfig, generate_customers
 
 SIZES = [1_000, 3_000, 10_000, 100_000]
 TARGET_SPEEDUP = 10.0
-#: columnar vs object single-thread detect at the top size (the tentpole
-#: claim of the storage-layer rebuild)
-COLUMNAR_TARGET_SPEEDUP = 5.0
 
 #: (CC, AC) → city constants, as in repro.workloads.customer
 _AREAS = {
@@ -140,16 +133,6 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def _with_storage(db: DatabaseInstance, storage: str) -> DatabaseInstance:
-    """The same database rebuilt on an explicit storage backend."""
-    relations = {}
-    for rel in db:
-        instance = RelationInstance(rel.schema, storage=storage)
-        instance.extend_rows(rel.to_rows(), validate=False)
-        relations[rel.schema.name] = instance
-    return DatabaseInstance(db.schema, relations)
-
-
 def measure(n_tuples: int, repeats: int = 3) -> Dict:
     # Low error rate: the comparison should measure scan structure, not the
     # (identical on both paths) cost of rendering violation messages.
@@ -175,28 +158,10 @@ def measure(n_tuples: int, repeats: int = 3) -> Dict:
     warm_session = Session.from_instance(workload.db, cfds)
     engine_warm_seconds = _time(warm_session.detect, repeats)
 
-    # The pre-columnar baseline: the same engine over legacy per-Tuple
-    # object storage.  The columnar speedup is the single-thread detect
-    # claim of the storage-layer rebuild.
-    object_db = _with_storage(workload.db, "object")
-    object_report = Session.from_instance(object_db.copy(), cfds).detect()
-    object_cold = [
-        Session.from_instance(object_db.copy(), cfds) for _ in range(repeats)
-    ]
-    object_iter = iter(object_cold)
-    object_cold_seconds = _time(lambda: next(object_iter).detect(), repeats)
-    object_warm_session = Session.from_instance(object_db, cfds)
-    object_warm_seconds = _time(object_warm_session.detect, repeats)
-
     if _multiset(engine_report.violations) != _multiset(naive_report.violations):
         raise AssertionError(
             f"engine and naive reports differ at n={n_tuples}: "
             f"{engine_report.total} vs {naive_report.total} violations"
-        )
-    if _multiset(object_report.violations) != _multiset(naive_report.violations):
-        raise AssertionError(
-            f"object-storage and naive reports differ at n={n_tuples}: "
-            f"{object_report.total} vs {naive_report.total} violations"
         )
 
     plan = plan_detection(cfds)
@@ -209,12 +174,8 @@ def measure(n_tuples: int, repeats: int = 3) -> Dict:
         "naive_seconds": naive_seconds,
         "engine_cold_seconds": engine_cold_seconds,
         "engine_warm_seconds": engine_warm_seconds,
-        "object_cold_seconds": object_cold_seconds,
-        "object_warm_seconds": object_warm_seconds,
         "speedup_cold": naive_seconds / engine_cold_seconds,
         "speedup_warm": naive_seconds / engine_warm_seconds,
-        "columnar_speedup_cold": object_cold_seconds / engine_cold_seconds,
-        "columnar_speedup_warm": object_warm_seconds / engine_warm_seconds,
     }
 
 
@@ -226,16 +187,10 @@ def run(sizes=SIZES, repeats: int = 3) -> Dict:
         "workload": "customer",
         "sizes": sizes,
         "target_speedup": TARGET_SPEEDUP,
-        "columnar_target_speedup": COLUMNAR_TARGET_SPEEDUP,
         "series": series,
         "top_speedup_cold": top["speedup_cold"],
         "top_speedup_warm": top["speedup_warm"],
-        "top_columnar_speedup_cold": top["columnar_speedup_cold"],
-        "top_columnar_speedup_warm": top["columnar_speedup_warm"],
-        "meets_target": (
-            top["speedup_cold"] >= TARGET_SPEEDUP
-            and top["columnar_speedup_cold"] >= COLUMNAR_TARGET_SPEEDUP
-        ),
+        "meets_target": top["speedup_cold"] >= TARGET_SPEEDUP,
     }
 
 
@@ -260,17 +215,11 @@ def main(argv: List[str]) -> int:
             f"n={row['n_tuples']:>6}  naive={row['naive_seconds']:.3f}s  "
             f"engine(cold)={row['engine_cold_seconds']:.3f}s  "
             f"engine(warm)={row['engine_warm_seconds']:.3f}s  "
-            f"object(cold)={row['object_cold_seconds']:.3f}s  "
-            f"speedup={row['speedup_cold']:.1f}x (warm {row['speedup_warm']:.1f}x)  "
-            f"columnar={row['columnar_speedup_cold']:.1f}x "
-            f"(warm {row['columnar_speedup_warm']:.1f}x)"
+            f"speedup={row['speedup_cold']:.1f}x (warm {row['speedup_warm']:.1f}x)"
         )
     print(
         f"top speedup vs naive: {result['top_speedup_cold']:.1f}x cold / "
-        f"{result['top_speedup_warm']:.1f}x warm (target ≥{TARGET_SPEEDUP:.0f}x); "
-        f"columnar vs object: {result['top_columnar_speedup_cold']:.1f}x cold / "
-        f"{result['top_columnar_speedup_warm']:.1f}x warm "
-        f"(target ≥{COLUMNAR_TARGET_SPEEDUP:.0f}x): "
+        f"{result['top_speedup_warm']:.1f}x warm (target ≥{TARGET_SPEEDUP:.0f}x): "
         f"{'MET' if result['meets_target'] else 'MISSED'}"
     )
     # --quick is a CI smoke run at reduced sizes; only the full run gates

@@ -81,8 +81,6 @@ METRICS: Dict[str, List[Tuple[str, Callable[[Dict[str, Any]], Dict[int, float]]]
     "engine_scaling": [
         ("speedup_warm", _series_metric("speedup_warm")),
         ("speedup_cold", _series_metric("speedup_cold")),
-        ("columnar_speedup_warm", _series_metric("columnar_speedup_warm")),
-        ("columnar_speedup_cold", _series_metric("columnar_speedup_cold")),
     ],
     "columnar_memory": [("compression", _series_metric("compression"))],
     "incremental_delta_maintenance": [

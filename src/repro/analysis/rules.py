@@ -73,8 +73,8 @@ class DeterminismRule(Rule):
     code = "REP001"
     name = "determinism"
     rationale = (
-        "Reports are contractually byte-identical across executors, runs "
-        "and storage backends (PRs 4/6)."
+        "Reports are contractually byte-identical across executors "
+        "(naive / indexed / delta / served) and runs."
     )
 
     SCOPES = ("repro.engine", "repro.relational", "repro.cfd", "repro.deps",

@@ -135,14 +135,14 @@ class CIND(Dependency):
         store = source.column_store
         layout = (
             source.indexes.group_layout(self.lhs_pattern_attrs)
-            if store is not None and self.lhs_pattern_attrs
+            if self.lhs_pattern_attrs
             else None
         )
-        if store is not None and (layout is not None or not self.lhs_pattern_attrs):
-            # Columnar: candidate rows come from the vectorized partition
-            # (or all live rows for an unconditional LHS); membership is
-            # decided once per distinct encoded X-key, and only violating
-            # rows are materialized — in insertion order, as before.
+        if layout is not None or not self.lhs_pattern_attrs:
+            # Candidate rows come from the vectorized partition (or all
+            # live rows for an unconditional LHS); membership is decided
+            # once per distinct encoded X-key, and only violating rows are
+            # materialized — in insertion order, as before.
             positions = [source.schema.index_of(a) for a in self.lhs_attrs]
             columns = [store.columns[p] for p in positions]
             decode = [store.decode[p] for p in positions]
@@ -175,13 +175,9 @@ class CIND(Dependency):
                             f"on {list(self.rhs_attrs)} with pattern {rhs_pat}",
                         )
             return
-        # Source tuples partitioned by Xp projection: each row touches only
-        # the tuples it conditions on instead of scanning the relation.
-        source_groups = (
-            source.indexes.group_index(self.lhs_pattern_attrs)
-            if self.lhs_pattern_attrs
-            else None
-        )
+        # Without a layout (numpy absent): source tuples partitioned by Xp
+        # projection, so each row touches only the tuples it conditions on.
+        source_groups = source.indexes.group_index(self.lhs_pattern_attrs)
         key_of = key_getter(source.schema, self.lhs_attrs)
         for row in self.tableau:
             lhs_pat = self.lhs_pattern(row)
@@ -189,12 +185,8 @@ class CIND(Dependency):
             matching_keys = target_index.get(
                 tuple(rhs_pat[a] for a in self.rhs_pattern_attrs), empty
             )
-            candidates = (
-                source_groups.get(
-                    tuple(lhs_pat[a] for a in self.lhs_pattern_attrs), ()
-                )
-                if source_groups is not None
-                else source
+            candidates = source_groups.get(
+                tuple(lhs_pat[a] for a in self.lhs_pattern_attrs), ()
             )
             for t1 in candidates:
                 if key_of(t1.values()) not in matching_keys:

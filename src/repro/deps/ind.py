@@ -16,7 +16,6 @@ import itertools
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple as PyTuple
 
 from repro.deps.base import Dependency, Violation
-from repro.engine.indexes import key_getter
 from repro.errors import DependencyError
 from repro.relational.instance import DatabaseInstance
 
@@ -63,30 +62,24 @@ class IND(Dependency):
         target = db.relation(self.rhs_relation).indexes.key_set(self.rhs_attrs)
         source = db.relation(self.lhs_relation)
         message = f"no {self.rhs_relation} tuple matches on {list(self.rhs_attrs)}"
+        # Decide membership once per distinct encoded key and materialize
+        # only the violating rows, in insertion order.
         store = source.column_store
-        if store is not None:
-            # Columnar: decide membership once per distinct encoded key and
-            # materialize only the violating rows, in insertion order.
-            positions = [source.schema.index_of(a) for a in self.lhs_attrs]
-            columns = [store.columns[p] for p in positions]
-            decode = [store.decode[p] for p in positions]
-            verdicts: dict = {}
-            for row in store.iter_live_rows():
-                codes = tuple(column[row] for column in columns)
-                bad = verdicts.get(codes)
-                if bad is None:
-                    key = tuple(d[c] for d, c in zip(decode, codes))
-                    bad = key not in target
-                    verdicts[codes] = bad
-                if bad:
-                    yield Violation(
-                        self, [(self.lhs_relation, store.tuple_at(row))], message
-                    )
-            return
-        key_of = key_getter(source.schema, self.lhs_attrs)
-        for t in source:
-            if key_of(t.values()) not in target:
-                yield Violation(self, [(self.lhs_relation, t)], message)
+        positions = [source.schema.index_of(a) for a in self.lhs_attrs]
+        columns = [store.columns[p] for p in positions]
+        decode = [store.decode[p] for p in positions]
+        verdicts: dict = {}
+        for row in store.iter_live_rows():
+            codes = tuple(column[row] for column in columns)
+            bad = verdicts.get(codes)
+            if bad is None:
+                key = tuple(d[c] for d, c in zip(decode, codes))
+                bad = key not in target
+                verdicts[codes] = bad
+            if bad:
+                yield Violation(
+                    self, [(self.lhs_relation, store.tuple_at(row))], message
+                )
 
     def __repr__(self) -> str:
         return (

@@ -432,7 +432,7 @@ class DeltaStats:
         #: the layouts, an explicit ``refresh()``
         self.rebuilds = 0
         #: scan states filled tuple by tuple because no layout could be
-        #: their base (object storage, numpy absent, a non-columnar task)
+        #: their base (numpy absent, a non-columnar task)
         self.eager_builds = 0
 
     def __repr__(self) -> str:
@@ -947,8 +947,8 @@ class _InclusionState:
         self.y_of = key_getter(target.schema, inclusion_group.key_attrs)
         #: Yp projection → (Y projection → provider count)
         # Seeded from the relation's cached counted key index (built from
-        # encoded columns on columnar stores, shared across states with the
-        # same signature); copied because apply() mutates the counts.
+        # encoded columns, shared across states with the same signature);
+        # copied because apply() mutates the counts.
         base = target.indexes.grouped_key_counts(
             inclusion_group.group_attrs, inclusion_group.key_attrs
         )
@@ -1144,13 +1144,13 @@ class DeltaEngine:
         db, plan, stats = self._db, self._plan, self.stats
         # Arrival numbers: one map per relation whose tuples witness a
         # maintained violation (scan relations, inclusion sources), shared
-        # by every state.  Relation order is insertion order with
-        # a re-added tuple at the end — on both storage backends — so a
-        # number that grows with arrival keeps "sorted by arrival" equal to
-        # "in relation order" without ever scanning the relation.  The map
-        # is sparse: a tuple is numbered when it enters maintained state —
-        # a base row by its row id when a scan state materialises it, every
-        # effective add (see ``apply``) by the next number after them.
+        # by every state.  Relation order is insertion order with a
+        # re-added tuple at the end, so a number that grows with arrival
+        # keeps "sorted by arrival" equal to "in relation order" without
+        # ever scanning the relation.  The map is sparse: a tuple is
+        # numbered when it enters maintained state — a base row by its row
+        # id when a scan state materialises it, every effective add (see
+        # ``apply``) by the next number after them.
         sources = {
             dep.lhs_relation
             for group in plan.inclusion_groups
@@ -1186,16 +1186,11 @@ class DeltaEngine:
         for rel in db:
             store = rel.column_store
             if rel.schema.name in sources:
-                self._arrivals[rel.schema.name].update(
-                    zip(rel, count() if store is None else store.iter_live_rows())
-                )
-            self._next_arrival = max(
-                self._next_arrival, len(rel) if store is None else store.n_rows
-            )
+                self._arrivals[rel.schema.name].update(zip(rel, store.iter_live_rows()))
+            self._next_arrival = max(self._next_arrival, store.n_rows)
         #: the column stores under the engine; row ids under the bases are
         #: good while their compaction count stands (``apply``)
-        stores = [rel.column_store for rel in db]
-        self._stores = [store for store in stores if store is not None]
+        self._stores = [rel.column_store for rel in db]
         self._compactions = self._compaction_count()
         #: names what :meth:`ordered_violations` returns: while it holds,
         #: that list is the same list, object for object.  ``apply``

@@ -74,7 +74,7 @@ def execute_plan(
         stats.partitions_built += 1
         stats.constant_lookups += len(lookups)
         stats.swept_patterns += len(sweep)
-        # Kernel path: when the relation is columnar and every task of the
+        # Kernel path: when numpy is present and every task of the
         # scan group declares its columnar decomposition, the vectorized
         # layout replaces the hash partition entirely.  The kernels flag
         # exactly the violating rows (code comparisons are congruent with

@@ -145,7 +145,7 @@ class RelationIndexes:
 
     @property
     def _store(self) -> Any:
-        return getattr(self._relation, "column_store", None)
+        return self._relation.column_store
 
     def _key_getter(self, attrs: PyTuple[str, ...]):
         return key_getter(self._relation.schema, attrs)
@@ -175,16 +175,12 @@ class RelationIndexes:
         if keys is None:
             self.stats.builds += 1
             store = self._store
-            if store is not None:
-                # Dedupe on code tuples, decode each distinct key once.
-                positions, rows = _code_rows(store, self._relation.schema, attrs)
-                decode = _decoder(store, positions)
-                # repro: allow[REP001] — the set feeds a frozenset, so
-                # iteration order cannot reach any output
-                keys = frozenset(decode(codes) for codes in set(rows))
-            else:
-                key_of = self._key_getter(attrs)
-                keys = frozenset(key_of(t.values()) for t in self._relation)
+            # Dedupe on code tuples, decode each distinct key once.
+            positions, rows = _code_rows(store, self._relation.schema, attrs)
+            decode = _decoder(store, positions)
+            # repro: allow[REP001] — the set feeds a frozenset, so
+            # iteration order cannot reach any output
+            keys = frozenset(decode(codes) for codes in set(rows))
             self._key_sets[attrs] = keys
         else:
             self.stats.hits += 1
@@ -205,26 +201,18 @@ class RelationIndexes:
         if grouped is None:
             self.stats.builds += 1
             store = self._store
+            schema = self._relation.schema
+            g_positions, g_rows = _code_rows(store, schema, cache_key[0])
+            k_positions, k_rows = _code_rows(store, schema, cache_key[1])
             raw: Dict[tuple, set] = {}
-            if store is not None:
-                schema = self._relation.schema
-                g_positions, g_rows = _code_rows(store, schema, cache_key[0])
-                k_positions, k_rows = _code_rows(store, schema, cache_key[1])
-                for g, k in zip(g_rows, k_rows):
-                    raw.setdefault(g, set()).add(k)
-                decode_g = _decoder(store, g_positions)
-                decode_k = _decoder(store, k_positions)
-                grouped = {
-                    decode_g(g): frozenset(decode_k(k) for k in keys)
-                    for g, keys in raw.items()
-                }
-            else:
-                group_of = self._key_getter(cache_key[0])
-                key_of = self._key_getter(cache_key[1])
-                for t in self._relation:
-                    values = t.values()
-                    raw.setdefault(group_of(values), set()).add(key_of(values))
-                grouped = {k: frozenset(v) for k, v in raw.items()}
+            for g, k in zip(g_rows, k_rows):
+                raw.setdefault(g, set()).add(k)
+            decode_g = _decoder(store, g_positions)
+            decode_k = _decoder(store, k_positions)
+            grouped = {
+                decode_g(g): frozenset(decode_k(k) for k in keys)
+                for g, keys in raw.items()
+            }
             self._grouped_keys[cache_key] = grouped
         else:
             self.stats.hits += 1
@@ -238,13 +226,9 @@ class RelationIndexes:
         if column is None:
             self.stats.builds += 1
             store = self._store
-            if store is not None:
-                positions, rows = _code_rows(store, self._relation.schema, attrs)
-                decode = _decoder(store, positions)
-                column = [decode(codes) for codes in rows]
-            else:
-                key_of = self._key_getter(attrs)
-                column = [key_of(t.values()) for t in self._relation]
+            positions, rows = _code_rows(store, self._relation.schema, attrs)
+            decode = _decoder(store, positions)
+            column = [decode(codes) for codes in rows]
             self._projections[attrs] = column
         else:
             self.stats.hits += 1
@@ -253,20 +237,19 @@ class RelationIndexes:
     def group_layout(self, attributes: Sequence[str]) -> Optional[Any]:
         """Vectorized partition layout for one signature, or ``None``.
 
-        Available only on columnar stores with numpy present; callers fall
-        back to :meth:`group_index` otherwise.  A layout build counts as
+        Available only with numpy present; callers fall back to
+        :meth:`group_index` otherwise.  A layout build counts as
         one index build — it plays the same role as the hash partition, so
         the build/hit accounting (and the tests pinning it) carry over.
         """
         self._sync()
-        store = self._store
-        if store is None or not kernels.AVAILABLE:
+        if not kernels.AVAILABLE:
             return None
         attrs = tuple(attributes)
         layout = self._layouts.get(attrs)
         if layout is None:
             self.stats.builds += 1
-            layout = kernels.build_layout(store, self._relation.schema, attrs)
+            layout = kernels.build_layout(self._store, self._relation.schema, attrs)
             self._layouts[attrs] = layout
         else:
             self.stats.hits += 1
@@ -307,29 +290,19 @@ class RelationIndexes:
         counts = self._grouped_counts.get(cache_key)
         if counts is None:
             store = self._store
-            counts = {}
-            if store is not None:
-                schema = self._relation.schema
-                g_positions, g_rows = _code_rows(store, schema, cache_key[0])
-                k_positions, k_rows = _code_rows(store, schema, cache_key[1])
-                raw: Dict[tuple, Dict[tuple, int]] = {}
-                for g, k in zip(g_rows, k_rows):
-                    bucket = raw.setdefault(g, {})
-                    bucket[k] = bucket.get(k, 0) + 1
-                decode_g = _decoder(store, g_positions)
-                decode_k = _decoder(store, k_positions)
-                counts = {
-                    decode_g(g): {decode_k(k): n for k, n in kc.items()}
-                    for g, kc in raw.items()
-                }
-            else:
-                group_of = self._key_getter(cache_key[0])
-                key_of = self._key_getter(cache_key[1])
-                for t in self._relation:
-                    values = t.values()
-                    bucket = counts.setdefault(group_of(values), {})
-                    key = key_of(values)
-                    bucket[key] = bucket.get(key, 0) + 1
+            schema = self._relation.schema
+            g_positions, g_rows = _code_rows(store, schema, cache_key[0])
+            k_positions, k_rows = _code_rows(store, schema, cache_key[1])
+            raw: Dict[tuple, Dict[tuple, int]] = {}
+            for g, k in zip(g_rows, k_rows):
+                bucket = raw.setdefault(g, {})
+                bucket[k] = bucket.get(k, 0) + 1
+            decode_g = _decoder(store, g_positions)
+            decode_k = _decoder(store, k_positions)
+            counts = {
+                decode_g(g): {decode_k(k): n for k, n in kc.items()}
+                for g, kc in raw.items()
+            }
             self._grouped_counts[cache_key] = counts
         return counts
 

@@ -28,8 +28,9 @@ group in insertion order, then pairs against the group's first tuple — so
 violation objects, their order and their rendered bytes are identical to
 the legacy sweep's.
 
-Everything degrades gracefully: without numpy (``AVAILABLE`` is False) or
-on object-storage instances the executor keeps the legacy per-tuple path.
+Everything degrades gracefully: without numpy (``AVAILABLE`` is False),
+or for a task with no columnar form, the executor keeps the per-tuple
+hash-partition sweep.
 """
 
 from __future__ import annotations

@@ -6,22 +6,11 @@ keeps examples and error reports deterministic.  A
 :class:`DatabaseInstance` maps relation names to relation instances and is
 the object every dependency's ``holds_on`` / violation detector consumes.
 
-Two storage backends sit behind the same public surface:
-
-* ``"columnar"`` (the default) — a dictionary-encoded
-  :class:`~repro.relational.columnar.ColumnStore`: one code column per
-  attribute, an alive map for O(1) deletes, lazy ``Tuple`` materialization
-  at the violation-report boundary, and zero-copy views for the vectorized
-  scan kernels in :mod:`repro.engine`;
-* ``"object"`` — the legacy insertion-ordered dict of ``Tuple`` objects,
-  kept for one release as a differential safety net (CI runs the tier-1
-  suite once under ``REPRO_STORAGE=object``).
-
-The backend is chosen per instance at construction time — explicitly via
-``storage=`` or process-wide via the ``REPRO_STORAGE`` environment
-variable — and is invisible to every consumer: iteration order, set
-semantics, report byte-format and the index/version invalidation contract
-are identical on both.
+Rows live in a dictionary-encoded
+:class:`~repro.relational.columnar.ColumnStore`: one code column per
+attribute, an alive map for O(1) deletes, lazy ``Tuple`` materialization
+at the violation-report boundary, and zero-copy views for the vectorized
+scan kernels in :mod:`repro.engine`.
 """
 
 from __future__ import annotations
@@ -36,17 +25,13 @@ from repro.relational.columnar import ColumnStore
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.tuples import Tuple
 
-__all__ = ["RelationInstance", "DatabaseInstance", "STORAGE_ENV"]
+__all__ = ["RelationInstance", "DatabaseInstance"]
 
-_MISSING = object()
-
-#: environment toggle for the default storage backend ("columnar"/"object")
-STORAGE_ENV = "REPRO_STORAGE"
-
-
-def _default_storage() -> str:
-    mode = os.environ.get(STORAGE_ENV, "").strip().lower()
-    return mode if mode in ("columnar", "object") else "columnar"
+if os.environ.get("REPRO_STORAGE", "").strip().lower() not in ("", "columnar"):
+    raise RuntimeError(
+        "REPRO_STORAGE: the object storage backend was removed and every "
+        "relation runs on the columnar store; unset REPRO_STORAGE"
+    )
 
 
 class RelationInstance:
@@ -56,29 +41,17 @@ class RelationInstance:
         self,
         schema: RelationSchema,
         tuples: Iterable[Tuple | Mapping | Sequence] = (),
-        storage: str | None = None,
     ):
         self.schema = schema
-        mode = storage or _default_storage()
-        if mode not in ("columnar", "object"):
-            raise ValueError(f"unknown storage backend {mode!r}")
-        self._store: ColumnStore | None = (
-            ColumnStore(schema) if mode == "columnar" else None
-        )
-        self._tuples: Dict[Tuple, None] = {}
+        self._store = ColumnStore(schema)
         self._version = 0
         self._indexes = None
         for t in tuples:
             self.add(t)
 
     @property
-    def storage(self) -> str:
-        """The backend this instance runs on (``"columnar"``/``"object"``)."""
-        return "object" if self._store is None else "columnar"
-
-    @property
-    def column_store(self) -> ColumnStore | None:
-        """The encoded column store, or ``None`` in legacy object mode.
+    def column_store(self) -> ColumnStore:
+        """The encoded column store.
 
         Read-only by contract for everyone but this instance: the engine
         layers (indexes, kernels) consume codes and
@@ -86,29 +59,19 @@ class RelationInstance:
         """
         return self._store
 
-    def _coerce(self, t: Tuple | Mapping | Sequence) -> Tuple:
-        if isinstance(t, Tuple):
-            if t.schema.attribute_names != self.schema.attribute_names:
-                raise SchemaError(
-                    f"tuple over {t.schema.name} cannot enter instance of {self.schema.name}"
-                )
-            return t
-        return Tuple(self.schema, t)
-
     def add(self, t: Tuple | Mapping | Sequence) -> Tuple:
         """Insert a tuple (idempotent under set semantics); return it.
 
-        ``version`` moves iff the tuple was new.
+        ``version`` moves iff the tuple was new.  A ``Tuple`` must be over
+        this relation — its schema name and attribute names — since
+        membership, like ``Tuple`` equality, is decided by name and values.
         """
         store = self._store
-        if store is None:
-            coerced = self._coerce(t)
-            if coerced not in self._tuples:
-                self._tuples[coerced] = None
-                self._version += 1
-            return coerced
         if isinstance(t, Tuple):
-            if t.schema.attribute_names != self.schema.attribute_names:
+            if (
+                t.schema.name != self.schema.name
+                or t.schema.attribute_names != self.schema.attribute_names
+            ):
                 raise SchemaError(
                     f"tuple over {t.schema.name} cannot enter instance of {self.schema.name}"
                 )
@@ -161,7 +124,8 @@ class RelationInstance:
         and the workload generators.  It makes every check
         :meth:`add` makes — attribute names and width, domain membership of
         every cell (``validate=False`` skips only that one) — and leaves
-        the same rows, order and rendering behind, but works a column at a
+        the same rows, order, rendering and ``version`` behind (one step
+        per new row), but works a column at a
         time (see :meth:`ColumnStore.extend_columns`) and builds no
         ``Tuple`` for a row whose cells render like their dictionary
         representatives.  A batch that is not uniformly shaped, or fails a
@@ -172,14 +136,12 @@ class RelationInstance:
         batch = rows if isinstance(rows, list) else list(rows)
         if not batch:
             return 0
-        store = self._store
-        columns = None if store is None else self._columns_of(batch)
+        columns = self._columns_of(batch)
         if columns is not None:
             domains = [a.domain for a in self.schema.attributes]
-            added = store.extend_columns(columns, domains if validate else None)
+            added = self._store.extend_columns(columns, domains if validate else None)
             if added is not None:
-                if added:
-                    self._version += 1
+                self._version += added
                 return added
         new: List[Tuple] = []
         try:
@@ -217,7 +179,6 @@ class RelationInstance:
         """``(codes, row)`` of ``t`` in the column store, or ``None`` if
         absent — one ``probe``, so a delete can hand both to ``kill_row``."""
         store = self._store
-        assert store is not None
         if not isinstance(t, Tuple) or t.schema.name != self.schema.name:
             return None
         codes = store.probe(t.values())
@@ -232,15 +193,10 @@ class RelationInstance:
         The row is located once (one ``ColumnStore.probe``); ``version``
         moves iff a row was deleted, which a raise rules out.
         """
-        store = self._store
-        if store is None:
-            del self._tuples[t]
-            self._version += 1
-            return
         located = self._locate(t)
         if located is None:
             raise KeyError(t)
-        store.kill_row(*located)
+        self._store.kill_row(*located)
         self._version += 1
 
     def discard(self, t: Tuple) -> None:
@@ -252,14 +208,9 @@ class RelationInstance:
         call instead of asking ``t in relation`` first
         (:meth:`repro.engine.delta.Changeset.apply_to` does).
         """
-        store = self._store
-        if store is None:
-            if self._tuples.pop(t, _MISSING) is not _MISSING:
-                self._version += 1
-            return
         located = self._locate(t)
         if located is not None:
-            store.kill_row(*located)
+            self._store.kill_row(*located)
             self._version += 1
 
     @property
@@ -290,65 +241,44 @@ class RelationInstance:
         self._indexes = None
 
     def __contains__(self, t: Tuple) -> bool:
-        if self._store is None:
-            return t in self._tuples
         return self._locate(t) is not None
 
     def __iter__(self) -> Iterator[Tuple]:
-        if self._store is None:
-            return iter(self._tuples)
         return self._store.iter_tuples()
 
     def __len__(self) -> int:
-        if self._store is None:
-            return len(self._tuples)
         return len(self._store)
-
-    def _value_set(self) -> set:
-        store = self._store
-        if store is None:
-            return {t.values() for t in self._tuples}
-        return {store.values_at(row) for row in store.iter_live_rows()}
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, RelationInstance)
             and self.schema == other.schema
-            and self._value_set() == other._value_set()
+            and set(self.to_rows()) == set(other.to_rows())
         )
 
     def tuples(self) -> List[Tuple]:
         """All tuples in insertion order (fresh list)."""
-        if self._store is None:
-            return list(self._tuples)
-        return list(self._store.iter_tuples())
+        return list(self)
 
     def copy(self) -> "RelationInstance":
-        """Independent instance with the same tuples and backend.
+        """Independent instance with the same tuples.
 
-        Columnar instances copy code columns and dictionaries directly —
-        O(n) small-int work with no re-hashing or re-validation.
+        Code columns and dictionaries are copied directly — O(n) small-int
+        work with no re-hashing or re-validation.
         """
-        store = self._store
-        if store is None:
-            return RelationInstance(self.schema, self._tuples, storage="object")
-        clone = RelationInstance(self.schema, storage="columnar")
-        clone._store = store.copy()
+        clone = RelationInstance(self.schema)
+        clone._store = self._store.copy()
         clone._version = len(clone._store)
         return clone
 
     def filter(self, predicate: Callable[[Tuple], bool]) -> "RelationInstance":
         """New instance with the tuples satisfying ``predicate``."""
-        return RelationInstance(
-            self.schema, (t for t in self if predicate(t)), storage=self.storage
-        )
+        return RelationInstance(self.schema, (t for t in self if predicate(t)))
 
     def project_values(self, attributes: Sequence[str]) -> List[tuple]:
         """List of value tuples for the projection on ``attributes``."""
         self.schema.check_attributes(attributes)
         store = self._store
-        if store is None:
-            return [t[list(attributes)] for t in self._tuples]
         positions = self.schema.projection_positions(attributes)
         columns = [store.columns[p] for p in positions]
         decode = [store.decode[p] for p in positions]
@@ -360,11 +290,6 @@ class RelationInstance:
     def active_domain(self, attribute: str) -> List[Any]:
         """Distinct values appearing in ``attribute``, in first-seen order."""
         store = self._store
-        if store is None:
-            seen: Dict[Any, None] = {}
-            for t in self._tuples:
-                seen.setdefault(t[attribute], None)
-            return list(seen)
         position = self.schema.index_of(attribute)
         column = store.columns[position]
         rep = store.decode[position]
@@ -386,11 +311,16 @@ class RelationInstance:
         return groups
 
     def to_rows(self) -> List[tuple]:
-        """All tuples as plain value tuples (schema attribute order)."""
+        """All tuples as plain value tuples (schema attribute order), each
+        rendered as its ``Tuple`` is — a row that kept its own ``Tuple``
+        because a cell prints unlike its code's representative (``3.0``
+        beside ``3``) reads from it."""
         store = self._store
-        if store is None:
-            return [t.values() for t in self._tuples]
-        return [store.values_at(row) for row in store.iter_live_rows()]
+        cache = store.cache
+        return [
+            store.values_at(row) if cache[row] is None else cache[row].values()
+            for row in store.iter_live_rows()
+        ]
 
     def pretty(self, max_rows: int | None = None) -> str:
         """ASCII table rendering (used by examples and error messages)."""

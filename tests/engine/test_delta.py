@@ -334,10 +334,10 @@ EDIT_SCHEMA = RelationSchema("E", [("K", STRING), ("V", STRING), ("N", INT)])
 _KEYS, _VALS, _NUMS = ("a", "b", "c", "d"), ("x", "y"), (0, 1)
 
 
-def edit_db(rows, storage):
-    """A one-relation database over ``EDIT_SCHEMA`` on the named backend."""
+def edit_db(rows):
+    """A one-relation database over ``EDIT_SCHEMA`` holding ``rows``."""
     db = DatabaseInstance(DatabaseSchema([EDIT_SCHEMA]))
-    db.adopt("E", RelationInstance(EDIT_SCHEMA, rows, storage=storage))
+    db.adopt("E", RelationInstance(EDIT_SCHEMA, rows))
     return db
 
 
@@ -381,7 +381,7 @@ def random_edit_case(rng):
     return rows, changeset, carried
 
 
-def assert_apply_to_matches_reference(rows, changeset, carried, storage):
+def assert_apply_to_matches_reference(rows, changeset, carried):
     """Run both forms on twin databases and compare everything a caller
     can observe: the outcome (ops or error), row order, ``version``."""
     def identity(effective):
@@ -395,7 +395,7 @@ def assert_apply_to_matches_reference(rows, changeset, carried, storage):
 
     outcomes = []
     for apply in (reference_apply_to, Changeset.apply_to):
-        db = edit_db(rows, storage)
+        db = edit_db(rows)
         relation = db.relation("E")
         version = relation.version
         try:
@@ -413,32 +413,27 @@ def assert_apply_to_matches_reference(rows, changeset, carried, storage):
     return outcomes[1][0]
 
 
-@pytest.mark.parametrize("storage", ["columnar", "object"])
 class TestApplyToAgainstReference:
-    def test_random_changesets(self, storage):
+    def test_random_changesets(self):
         rng = random.Random(20)
         seen = Counter()
         for _ in range(400):
             rows, changeset, carried = random_edit_case(rng)
-            outcome = assert_apply_to_matches_reference(
-                rows, changeset, carried, storage
-            )
+            outcome = assert_apply_to_matches_reference(rows, changeset, carried)
             seen[outcome if isinstance(outcome, type) else "ok"] += 1
         # the corpus reaches every way an application can end
         assert seen["ok"] > 50 and seen[KeyError] > 50 and seen[DomainError] > 0
 
-    def test_a_carried_tuple_is_the_one_recorded(self, storage):
+    def test_a_carried_tuple_is_the_one_recorded(self):
         t = Tuple(EDIT_SCHEMA, ("a", "x", 0))
-        db = edit_db([], storage)
+        db = edit_db([])
         added = Changeset().insert("E", t).apply_to(db)
         assert added["E"][0][1] is t and db.relation("E").tuples()[0] is t
         removed = Changeset().delete("E", t).apply_to(db)
         assert removed["E"][0][1] is t
 
-    def test_absent_target_is_a_key_error_before_the_cell_is_checked(
-        self, storage
-    ):
-        db = edit_db([("a", "x", 0), ("b", "y", 1)], storage)
+    def test_absent_target_is_a_key_error_before_the_cell_is_checked(self):
+        db = edit_db([("a", "x", 0), ("b", "y", 1)])
         relation = db.relation("E")
         changeset = (
             Changeset()
@@ -484,13 +479,13 @@ class TestOneLookupPerEdit:
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_probes_per_op(self, edit, probes):
         build, expected = self.EDITS[edit]
-        db = edit_db([("a", "x", 0), ("a", "y", 0)], "columnar")
+        db = edit_db([("a", "x", 0), ("a", "y", 0)])
         del probes[:]
         build().apply_to(db)
         assert len(probes) == expected
 
     def test_relation_edits_probe_once(self, probes):
-        relation = edit_db([("a", "x", 0), ("b", "y", 1)], "columnar").relation("E")
+        relation = edit_db([("a", "x", 0), ("b", "y", 1)]).relation("E")
         first, second = relation.tuples()
         for edit in (
             lambda: relation.remove(first),
@@ -510,7 +505,7 @@ class TestOneLookupPerEdit:
         one per op for the undo (375 and 375 before)."""
         names = EDIT_SCHEMA.attribute_names
         rows = [(f"k{i}", "x", i) for i in range(200)]
-        db = edit_db(rows, "columnar")
+        db = edit_db(rows)
         changeset = Changeset()
         for i in range(25):
             changeset.insert("E", dict(zip(names, (f"new{i}", "x", i))))

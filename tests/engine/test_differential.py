@@ -372,8 +372,6 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
     )
     db, deps = generated.db, generated.cfds()
     relation = db.relation("customer")
-    if relation.storage != "columnar":
-        pytest.skip("object storage has no layouts: the full sweep is its path")
     report = detect_violations_indexed(db, deps)
     builds_before = relation.indexes.stats.builds
     materialised_before = sum(t is not None for t in relation.column_store.cache)

@@ -1,6 +1,6 @@
 """A maintained partition is its layout segment plus the edits since.
 
-On columnar storage with numpy the delta engine copies no partition out
+With numpy present the delta engine copies no partition out
 of the relation: a scan state keeps the cached ``GroupLayout`` as its
 base and a record only for the keys a batch has touched.  The invariant,
 checked after every step of every sequence here on an engine built after
@@ -75,15 +75,6 @@ R_DATA = [
 ]
 
 
-def _columnar(schema, contents) -> DatabaseInstance:
-    db = DatabaseInstance(schema)
-    for name, rows in contents.items():
-        db.adopt(
-            name, RelationInstance(schema.relation(name), rows, storage="columnar")
-        )
-    return db
-
-
 def _warm_engine(db, deps) -> DeltaEngine:
     """An engine built after one detect: every scan state keeps
     the layout the detect cached as its base."""
@@ -153,7 +144,7 @@ def test_partition_invariant_under_apply_undo_redo(rows, s_rows, batches, scan_o
     schema, deps = _ordered_case()
     if scan_only:
         deps = SCAN_DEPS
-    db = _columnar(schema, {"R": rows, "S": s_rows})
+    db = DatabaseInstance(schema, {"R": rows, "S": s_rows})
     engine = _warm_engine(db, deps)
     _check(db, deps, engine, "build", UNIVERSE)
     for index, batch in enumerate(batches):
@@ -179,7 +170,7 @@ def test_partition_invariant_under_apply_undo_redo(rows, s_rows, batches, scan_o
 
 
 def _named():
-    db = _columnar(SCHEMA, {"R": R_DATA})
+    db = DatabaseInstance(SCHEMA, {"R": R_DATA})
     return db, _warm_engine(db, SCAN_DEPS)
 
 
@@ -235,7 +226,7 @@ def test_a_base_witness_removed_then_an_equal_row_that_renders_differently(
     the report shows what was inserted."""
     schema = DatabaseSchema([RelationSchema("R", [("A", STRING), ("W", FLOAT)])])
     deps = [FD("R", ["A"], ["W"])]
-    db = _columnar(schema, {"R": [("k", 1.5), ("k", 3), ("j", 2.5)]})
+    db = DatabaseInstance(schema, {"R": [("k", 1.5), ("k", 3), ("j", 2.5)]})
     engine = _warm_engine(db, deps)
     out, back = {"A": "k", "W": 3}, {"A": "k", "W": 3.0}
     if one_batch:
@@ -253,7 +244,7 @@ def test_a_batch_that_compacts_the_store_rebuilds_the_engine():
     """More than half the rows go in one batch: the store compacts as
     soon as the batch is patched, renumbering the rows under every base."""
     rows = [(f"k{i % 40}", f"b{i % 3}", f"c{i}") for i in range(4 * COMPACT_MIN_DEAD)]
-    db = _columnar(SCHEMA, {"R": rows})
+    db = DatabaseInstance(SCHEMA, {"R": rows})
     store = db.relation("R").column_store
     engine = _warm_engine(db, SCAN_DEPS)
     engine.apply(_changeset(("insert", ("k1", "b7", "c-first"))))
@@ -288,7 +279,7 @@ def test_a_compacting_batch_reports_the_delta_a_fresh_store_reports():
     engine whose store has no dead row (a served apply is compared with an
     offline replay that way)."""
     rows = [(f"k{i % 40}", f"b{i % 3}", f"c{i}") for i in range(4 * COMPACT_MIN_DEAD)]
-    db = _columnar(SCHEMA, {"R": rows})
+    db = DatabaseInstance(SCHEMA, {"R": rows})
     store = db.relation("R").column_store
     engine = _warm_engine(db, SCAN_DEPS)
     churn = rows[:60]
@@ -296,7 +287,7 @@ def test_a_compacting_batch_reports_the_delta_a_fresh_store_reports():
         engine.apply(_changeset(*[("delete", row) for row in churn]))
         engine.apply(_changeset(*[("insert", row) for row in churn]))
     assert (store.dead, store.compactions) == (180, 0)
-    twin_db = _columnar(SCHEMA, {"R": [t.values() for t in db.relation("R")]})
+    twin_db = DatabaseInstance(SCHEMA, {"R": [t.values() for t in db.relation("R")]})
     twin = _warm_engine(twin_db, SCAN_DEPS)
 
     def listed(delta):
@@ -319,7 +310,7 @@ def test_a_compacting_batch_reports_the_delta_a_fresh_store_reports():
 
 
 def test_an_engine_built_over_dead_rows():
-    db = _columnar(SCHEMA, {"R": R_DATA})
+    db = DatabaseInstance(SCHEMA, {"R": R_DATA})
     relation = db.relation("R")
     for row in (K1_PIVOT, K5_MEMBER):
         relation.remove(relation.tuples()[R_DATA.index(row)])
@@ -367,7 +358,7 @@ def test_a_first_write_materialises_the_violations_not_the_relation():
     )
     source = generated.db.relation("customer")
     rows = source.to_rows()
-    relation = RelationInstance(source.schema, storage="columnar")
+    relation = RelationInstance(source.schema)
     assert relation.extend_rows(rows) == len(rows) == 2000
     db = DatabaseInstance(generated.db.schema)
     db.adopt("customer", relation)

@@ -3,7 +3,7 @@
 The epoch names what ``ordered_violations()`` returns — *by identity*:
 the dependency objects, the reasons, the witness ``Tuple`` objects and
 their order.  Two duties, checked over the differential corpus and a
-hypothesis changeset strategy on both storage backends:
+hypothesis changeset strategy:
 
 * whatever the epoch did, the ordered read is the list a fresh
   ``detect_violations_indexed`` returns (the memo never serves a stale
@@ -41,20 +41,6 @@ from tests.engine.test_differential import (
     _random_instance,
     _random_schema,
 )
-
-#: the storage backend of every twin a case runs on
-TWINS = ["columnar", "object"]
-
-
-def _on_backend(db: DatabaseInstance, storage: str) -> DatabaseInstance:
-    """A copy of ``db`` whose relations live on the named backend."""
-    copy = DatabaseInstance(db.schema)
-    for rel in db:
-        copy.adopt(
-            rel.schema.name, RelationInstance(rel.schema, list(rel), storage=storage)
-        )
-    return copy
-
 
 class _Reader:
     """One engine, read after every step against both duties."""
@@ -96,24 +82,23 @@ def test_epoch_over_the_differential_corpus():
         schema = _random_schema(rng)
         db = _random_instance(schema, rng)
         deps = make_deps(schema, rng)
-        readers = [_Reader(_on_backend(db, storage), deps) for storage in TWINS]
+        reader = _Reader(db.copy(), deps)
         for batch_index in range(rng.randrange(1, 4)):
-            # generated against ``db``, which then follows the twins; they
-            # resolve the batch's target tuples by value
+            # generated against ``db``, which then follows the reader's
+            # copy; it resolves the batch's target tuples by value
             batch = _random_batch(db, rng)
             batch.apply_to(db)
-            undos = [reader.engine.apply(batch).undo for reader in readers]
-            for phase, changesets in (
+            undo = reader.engine.apply(batch).undo
+            for phase, changeset in (
                 ("applied", None),
-                ("undone", undos),
-                ("redone", [batch] * len(readers)),
+                ("undone", undo),
+                ("redone", batch),
             ):
-                for index, reader in enumerate(readers):
-                    if changesets is not None:
-                        reader.engine.apply(changesets[index])
-                    held += reader.read(f"{case_id} batch={batch_index} {phase}")
-                    steps += 1
-    assert steps >= len(TWINS) * 3 * TOTAL_CASES
+                if changeset is not None:
+                    reader.engine.apply(changeset)
+                held += reader.read(f"{case_id} batch={batch_index} {phase}")
+                steps += 1
+    assert steps >= 3 * TOTAL_CASES
     # both duties were exercised: a fair share of steps kept their epoch
     assert steps / 10 < held < steps
 
@@ -145,18 +130,14 @@ R_DATA = [
 S_DATA = [("c0",), ("c1",)]
 
 
-def _twins(deps=DEPS):
-    """A ``_Reader`` per backend over the named-case data."""
-    readers = []
-    for storage in TWINS:
-        db = DatabaseInstance(SCHEMA)
-        for name, rows in (("R", R_DATA), ("S", S_DATA)):
-            db.adopt(
-                name, RelationInstance(SCHEMA.relation(name), rows, storage=storage)
-            )
-        readers.append(_Reader(db, deps))
-        assert len(readers[-1].engine.ordered_violations()) >= 3
-    return readers
+def _reader(deps=DEPS):
+    """A ``_Reader`` over the named-case data."""
+    db = DatabaseInstance(SCHEMA)
+    for name, rows in (("R", R_DATA), ("S", S_DATA)):
+        db.adopt(name, RelationInstance(SCHEMA.relation(name), rows))
+    reader = _Reader(db, deps)
+    assert len(reader.engine.ordered_violations()) >= 3
+    return reader
 
 
 def _changeset(*ops) -> Changeset:
@@ -198,22 +179,22 @@ def _changeset(*ops) -> Changeset:
     ],
 )
 def test_report_neutral_edits_hold_the_epoch(batches):
-    for reader in _twins():
-        epoch = reader.engine.report_epoch
-        for batch in batches:
-            delta = reader.engine.apply(_changeset(*batch))
-            assert delta.added == delta.removed == []
-            assert reader.read(batch), "a report-neutral edit moved the epoch"
-        assert reader.engine.report_epoch == epoch
+    reader = _reader()
+    epoch = reader.engine.report_epoch
+    for batch in batches:
+        delta = reader.engine.apply(_changeset(*batch))
+        assert delta.added == delta.removed == []
+        assert reader.read(batch), "a report-neutral edit moved the epoch"
+    assert reader.engine.report_epoch == epoch
 
 
 def test_a_clean_pivot_delete_is_a_re_sweep_that_holds():
     # the hold above is not the O(1) patch path skipping the partition
-    for reader in _twins():
-        before = reader.engine.stats.keys_reevaluated
-        reader.engine.apply(_changeset(("delete", K5_PIVOT)))
-        assert reader.engine.stats.keys_reevaluated == before + 1
-        assert reader.read("clean pivot delete")
+    reader = _reader()
+    before = reader.engine.stats.keys_reevaluated
+    reader.engine.apply(_changeset(("delete", K5_PIVOT)))
+    assert reader.engine.stats.keys_reevaluated == before + 1
+    assert reader.read("clean pivot delete")
 
 
 @pytest.mark.parametrize(
@@ -230,11 +211,11 @@ def test_a_clean_pivot_delete_is_a_re_sweep_that_holds():
     ids=["witness-update", "violating-pivot-delete", "key-gained", "key-lost"],
 )
 def test_report_changing_edits_move_the_epoch(batch):
-    for reader in _twins():
-        epoch = reader.engine.report_epoch
-        reader.engine.apply(_changeset(*batch))
-        assert reader.engine.report_epoch > epoch
-        assert not reader.read(batch)
+    reader = _reader()
+    epoch = reader.engine.report_epoch
+    reader.engine.apply(_changeset(*batch))
+    assert reader.engine.report_epoch > epoch
+    assert not reader.read(batch)
 
 
 def _witness_ids(engine):
@@ -244,77 +225,74 @@ def _witness_ids(engine):
 def test_delete_and_insert_of_an_equal_witness_moves_the_epoch():
     """The reported delta nets out — ``added == removed == []`` — yet the
     report now holds the re-added row's ``Tuple`` object, at the end."""
-    for reader in _twins():
-        engine = reader.engine
-        epoch, before = engine.report_epoch, _witness_ids(engine)
-        delta = engine.apply(
-            _changeset(("delete", K1_WITNESS), ("insert", K1_WITNESS))
-        )
-        assert delta.added == delta.removed == []
-        assert engine.report_epoch > epoch
-        assert not reader.read("equal witness re-added")
-        assert _witness_ids(engine) - before, "the report holds the deleted object"
+    reader = _reader()
+    engine = reader.engine
+    epoch, before = engine.report_epoch, _witness_ids(engine)
+    delta = engine.apply(
+        _changeset(("delete", K1_WITNESS), ("insert", K1_WITNESS))
+    )
+    assert delta.added == delta.removed == []
+    assert engine.report_epoch > epoch
+    assert not reader.read("equal witness re-added")
+    assert _witness_ids(engine) - before, "the report holds the deleted object"
 
 
 def test_a_re_add_that_renders_differently_moves_the_epoch():
     """``3 == 3.0``: equal tuples, different bytes on the wire."""
     schema = DatabaseSchema([RelationSchema("R", [("A", STRING), ("W", FLOAT)])])
     deps = [FD("R", ["A"], ["W"])]
-    for storage in TWINS:
-        db = DatabaseInstance(schema)
-        db.adopt(
-            "R",
-            RelationInstance(
-                schema.relation("R"), [("k", 1.5), ("k", 3), ("j", 2.5)], storage=storage
-            ),
-        )
-        engine = DeltaEngine(db, deps)
-        (violation,) = engine.ordered_violations()
-        assert repr(violation.tuples[-1][1]["W"]) == "3"
-        epoch = engine.report_epoch
-        delta = engine.apply(
-            Changeset()
-            .delete("R", {"A": "k", "W": 3})
-            .insert("R", {"A": "k", "W": 3.0})
-        )
-        assert delta.added == delta.removed == []
-        assert engine.report_epoch > epoch
-        (violation,) = engine.ordered_violations()
-        assert repr(violation.tuples[-1][1]["W"]) == "3.0"
-        fresh = detect_violations_indexed(db, deps).violations
-        assert violation_sequence([violation]) == violation_sequence(fresh)
+    db = DatabaseInstance(schema)
+    db.adopt(
+        "R",
+        RelationInstance(schema.relation("R"), [("k", 1.5), ("k", 3), ("j", 2.5)]),
+    )
+    engine = DeltaEngine(db, deps)
+    (violation,) = engine.ordered_violations()
+    assert repr(violation.tuples[-1][1]["W"]) == "3"
+    epoch = engine.report_epoch
+    delta = engine.apply(
+        Changeset()
+        .delete("R", {"A": "k", "W": 3})
+        .insert("R", {"A": "k", "W": 3.0})
+    )
+    assert delta.added == delta.removed == []
+    assert engine.report_epoch > epoch
+    (violation,) = engine.ordered_violations()
+    assert repr(violation.tuples[-1][1]["W"]) == "3.0"
+    fresh = detect_violations_indexed(db, deps).violations
+    assert violation_sequence([violation]) == violation_sequence(fresh)
 
 
 def test_a_failed_apply_moves_the_epoch():
-    for reader in _twins():
-        epoch = reader.engine.report_epoch
-        bad = _changeset(
-            ("delete", K1_PIVOT), ("update", ("no", "such", "row"), {"B": "b0"})
-        )
-        with pytest.raises(KeyError):
-            reader.engine.apply(bad)
-        # the rollback re-added the pivot at the relation's end
-        assert reader.engine.report_epoch > epoch
-        assert not reader.read("after the rollback")
+    reader = _reader()
+    epoch = reader.engine.report_epoch
+    bad = _changeset(
+        ("delete", K1_PIVOT), ("update", ("no", "such", "row"), {"B": "b0"})
+    )
+    with pytest.raises(KeyError):
+        reader.engine.apply(bad)
+    # the rollback re-added the pivot at the relation's end
+    assert reader.engine.report_epoch > epoch
+    assert not reader.read("after the rollback")
 
 
 def test_touching_a_denial_constraints_relation_moves_the_epoch():
     """A fallback dependency is re-scanned whole: new ``Violation``s, and
     nothing says their order held."""
     deny = DenialConstraint(("R",), Comparison("@t0.B", "=", "b1"), name="no-b1")
-    for reader in _twins(DEPS + [deny]):
-        engine = reader.engine
-        epoch, rescans = engine.report_epoch, engine.stats.fallback_rescans
-        # the clean delete that holds the epoch without the denial rule
-        engine.apply(_changeset(("delete", K5_MEMBER)))
-        assert engine.stats.fallback_rescans == rescans + 1
-        assert engine.report_epoch > epoch
-        reader.read("denial relation touched")
-        # S is not one of its relations: an S-only edit still holds
-        epoch = engine.report_epoch
-        engine.apply(_changeset(("insert", "S", ("c7",))))
-        assert engine.report_epoch == epoch
-        assert reader.read("denial relation untouched")
+    reader = _reader(DEPS + [deny])
+    engine = reader.engine
+    epoch, rescans = engine.report_epoch, engine.stats.fallback_rescans
+    # the clean delete that holds the epoch without the denial rule
+    engine.apply(_changeset(("delete", K5_MEMBER)))
+    assert engine.stats.fallback_rescans == rescans + 1
+    assert engine.report_epoch > epoch
+    reader.read("denial relation touched")
+    # S is not one of its relations: an S-only edit still holds
+    epoch = engine.report_epoch
+    engine.apply(_changeset(("insert", "S", ("c7",))))
+    assert engine.report_epoch == epoch
+    assert reader.read("denial relation untouched")
 
 
 def test_no_two_engines_or_rebuilds_share_an_epoch():
@@ -336,18 +314,18 @@ def test_no_two_engines_or_rebuilds_share_an_epoch():
 
 
 def test_the_memo_hands_every_caller_a_list_of_its_own():
-    for reader in _twins():
-        engine = reader.engine
-        mine = engine.ordered_violations()
-        expected = list(mine)
-        assert engine.ordered_violations() is not mine
-        mine.reverse()
-        mine.pop()
-        assert engine.ordered_violations() == expected
-        # … and across a report-neutral edit, which serves the memo
-        engine.apply(_changeset(("insert", ("k7", "b0", "c0"))))
-        assert engine.ordered_violations() == expected
-        reader.read("after mutating a returned list")
+    reader = _reader()
+    engine = reader.engine
+    mine = engine.ordered_violations()
+    expected = list(mine)
+    assert engine.ordered_violations() is not mine
+    mine.reverse()
+    mine.pop()
+    assert engine.ordered_violations() == expected
+    # … and across a report-neutral edit, which serves the memo
+    engine.apply(_changeset(("insert", ("k7", "b0", "c0"))))
+    assert engine.ordered_violations() == expected
+    reader.read("after mutating a returned list")
 
 
 # -- hypothesis: arbitrary changesets over a small universe ----------------
@@ -382,10 +360,9 @@ BATCHES = st.lists(st.one_of(R_OPS, S_OPS), min_size=1, max_size=6)
     rows=st.lists(R_ROWS, max_size=10, unique=True),
     s_rows=st.lists(S_ROWS, max_size=4, unique=True),
     batches=st.lists(BATCHES, min_size=1, max_size=5),
-    storage=st.sampled_from(TWINS),
 )
 @settings(max_examples=200, deadline=None)
-def test_epoch_under_arbitrary_changesets(rows, s_rows, batches, storage):
+def test_epoch_under_arbitrary_changesets(rows, s_rows, batches):
     """Small universe, so deletes of absent rows, duplicate inserts,
     delete + re-insert of an equal row, colliding and absent-target
     updates (a failed apply: rollback + ``refresh()``) all come up."""
@@ -395,7 +372,7 @@ def test_epoch_under_arbitrary_changesets(rows, s_rows, batches, storage):
         db.relation("R").add(list(row))
     for row in s_rows:
         db.relation("S").add(list(row))
-    reader = _Reader(_on_backend(db, storage), deps)
+    reader = _Reader(db, deps)
     for index, batch in enumerate(batches):
         changeset = Changeset()
         for op, relation, row, *cells in batch:

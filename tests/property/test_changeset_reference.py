@@ -44,10 +44,9 @@ OPS = st.one_of(
 @given(
     rows=st.lists(ROWS, max_size=12, unique=True),
     ops=st.lists(OPS, min_size=1, max_size=12),
-    storage=st.sampled_from(["columnar", "object"]),
 )
 @settings(max_examples=300, deadline=None)
-def test_apply_to_matches_the_reference(rows, ops, storage):
+def test_apply_to_matches_the_reference(rows, ops):
     changeset = Changeset()
     carried = set()
     for kind, target, *cells in ops:
@@ -57,4 +56,4 @@ def test_apply_to_matches_the_reference(rows, ops, storage):
             changeset.update("E", target, **cells[0])
         else:
             getattr(changeset, kind)("E", target)
-    assert_apply_to_matches_reference(rows, changeset, carried, storage)
+    assert_apply_to_matches_reference(rows, changeset, carried)

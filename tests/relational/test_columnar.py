@@ -1,4 +1,4 @@
-"""Columnar storage edge cases: the encoded backend under stress.
+"""Columnar storage edge cases: the encoded store under stress.
 
 Covers the corners the differential corpus cannot reach by construction:
 empty relations, fully-deleted bitmaps followed by re-insertion,
@@ -15,6 +15,7 @@ from repro.relational.domains import FLOAT, INT, STRING
 from repro.relational.instance import RelationInstance
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import Tuple
+from tests.relational.reference import ReferenceRelation
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ def schema():
 
 @pytest.fixture
 def columnar(schema):
-    return RelationInstance(schema, storage="columnar")
+    return RelationInstance(schema)
 
 
 class TestEmptyRelation:
@@ -96,7 +97,7 @@ class TestAllDeletedThenReinsert:
 class TestDictionaryGrowth:
     def test_past_two_to_sixteen_distinct_values(self):
         schema = RelationSchema("wide", [("k", INT), ("tag", STRING)])
-        instance = RelationInstance(schema, storage="columnar")
+        instance = RelationInstance(schema)
         n = (1 << 16) + 500
         instance.extend_rows((i, f"t{i % 3}") for i in range(n))
         assert len(instance) == n
@@ -112,7 +113,7 @@ class TestDictionaryGrowth:
 
     def test_group_layout_survives_wide_dictionaries(self):
         schema = RelationSchema("wide", [("k", INT), ("tag", STRING)])
-        instance = RelationInstance(schema, storage="columnar")
+        instance = RelationInstance(schema)
         n = (1 << 16) + 10
         instance.extend_rows((i, f"t{i % 5}") for i in range(n))
         layout = instance.indexes.group_layout(("tag",))
@@ -137,7 +138,7 @@ class TestEqualityCongruence:
     def test_congruence_matches_dict_key_equality(self):
         # The interning dictionaries and the hash partitions (dicts keyed on
         # value tuples) must agree on which values are "the same", or the
-        # columnar kernels would split a partition object mode keeps whole.
+        # columnar kernels would split a partition the hash index keeps whole.
         schema = RelationSchema("S", [("v", FLOAT)])
         store = ColumnStore(schema)
         for group in ((1, 1.0, True), (0.0, -0.0)):
@@ -178,7 +179,7 @@ class TestEqualityCongruence:
 
     def test_first_seen_representative_wins(self):
         schema = RelationSchema("S", [("v", FLOAT)])
-        instance = RelationInstance(schema, storage="columnar")
+        instance = RelationInstance(schema)
         instance.add((1,))
         instance.add((1.0,))  # duplicate under ==; first-seen int survives
         assert len(instance) == 1
@@ -208,6 +209,21 @@ class TestTupleRoundTrip:
         second_pass = columnar.tuples()
         assert all(a is b for a, b in zip(first_pass, second_pass))
 
+    def test_to_rows_renders_what_was_inserted(self):
+        # 3.0 and -0.0 share the codes of 3 and 0.0; to_rows must print
+        # each row the way iteration does, not the code's representative
+        instance = RelationInstance(RelationSchema("S", [("k", INT), ("v", FLOAT)]))
+        instance.add((1, 3))
+        instance.add((2, 3.0))
+        instance.add((3, 0.0))
+        instance.extend_rows([(4, -0.0), (5, 3.0)])
+        assert [repr(row) for row in instance.to_rows()] == [
+            repr(t.values()) for t in instance
+        ]
+        assert repr(instance.to_rows()) == (
+            "[(1, 3), (2, 3.0), (3, 0.0), (4, -0.0), (5, 3.0)]"
+        )
+
     def test_duplicate_insert_rejects_bad_domain_value(self, columnar):
         columnar.add((1, "x"))
         with pytest.raises(DomainError):
@@ -215,16 +231,18 @@ class TestTupleRoundTrip:
 
 
 class TestObjectParity:
-    """The two backends must agree on every public observation."""
+    """The column store and a dict of ``Tuple`` objects must agree on
+    every public observation (the property in ``test_reference_relation``
+    drives random op sequences through both)."""
 
     def test_equality_across_backends(self, schema):
         rows = [(i % 13, f"s{i % 7}") for i in range(120)]
-        col = RelationInstance(schema, storage="columnar")
+        col = RelationInstance(schema)
         col.extend_rows(rows)
-        obj = RelationInstance(schema, storage="object")
+        obj = ReferenceRelation(schema)
         obj.extend_rows(rows)
-        assert col == obj
-        assert len(col) == len(obj)
+        assert [repr(t) for t in col] == [repr(t) for t in obj]
+        assert len(col) == len(obj) and col.version == obj.version
         assert col.to_rows() == obj.to_rows()
         assert col.project_values(["b"]) == obj.project_values(["b"])
         assert col.active_domain("a") == obj.active_domain("a")

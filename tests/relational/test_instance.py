@@ -1,11 +1,21 @@
 """Relation and database instances: set semantics, grouping, copying."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SchemaError
 from repro.relational.domains import INT, STRING
 from repro.relational.instance import DatabaseInstance, RelationInstance
 from repro.relational.schema import DatabaseSchema, RelationSchema
+from repro.relational.tuples import Tuple
+
+#: the directory ``repro`` was imported from, for child interpreters
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -34,10 +44,36 @@ class TestRelationInstance:
     def test_wrong_schema_tuple_rejected(self, schema):
         other = RelationSchema("S", [("c", INT)])
         rel = RelationInstance(schema)
-        from repro.relational.tuples import Tuple
-
         with pytest.raises(SchemaError):
             rel.add(Tuple(other, (1,)))
+
+    def test_tuple_over_a_same_shaped_schema_rejected(self, schema):
+        # same attribute names, another relation: stored, such a tuple
+        # could be neither found (``in``) nor removed by the object added
+        twin = RelationSchema("S", [("a", INT), ("b", STRING)])
+        rel = RelationInstance(schema, [(1, "x")])
+        version = rel.version
+        with pytest.raises(SchemaError, match="tuple over S cannot enter instance of R"):
+            rel.add(Tuple(twin, (2, "y")))
+        assert len(rel) == 1 and rel.version == version
+        assert rel.to_rows() == [(1, "x")]
+
+    def test_storage_argument_is_gone(self, schema):
+        with pytest.raises(TypeError, match="storage"):
+            RelationInstance(schema, storage="object")
+
+    def test_repro_storage_other_than_columnar_refuses_to_import(self):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        for value, refused in (("object", True), ("bogus", True), ("columnar", False)):
+            done = subprocess.run(
+                [sys.executable, "-c", "import repro.relational.instance"],
+                env={**os.environ, "PYTHONPATH": path, "REPRO_STORAGE": value},
+                capture_output=True,
+                text=True,
+            )
+            assert (done.returncode != 0) == refused, (value, done.stderr)
+            named = "RuntimeError: REPRO_STORAGE: the object storage backend was removed"
+            assert (named in done.stderr) == refused
 
     def test_remove_and_discard(self, schema, instance):
         t = instance.tuples()[0]

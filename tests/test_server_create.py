@@ -10,8 +10,6 @@ still prints ``3.0``.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.client import ServerClient
 from repro.relational.instance import DatabaseInstance
 from repro.relational.tuples import Tuple
@@ -89,8 +87,6 @@ def test_create_from_wire_rows_builds_no_tuple(monkeypatch):
         CustomerConfig(n_tuples=2000, error_rate=0.02, seed=3)
     )
     relation = generated.db.relation("customer")
-    if relation.storage != "columnar":
-        pytest.skip("the object backend stores Tuples: it builds one per row")
     rows = [t.as_dict() for t in relation]
     document = {
         "schema": database_schema_to_dict(generated.db.schema),
