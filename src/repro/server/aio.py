@@ -8,8 +8,9 @@ cost file descriptors, not threads), and requests split by verb class:
   bytes, validated against the session's relation-version fingerprint
   (:meth:`repro.session.Session.state_fingerprint`).  No session lock,
   no thread handoff: a reader can never queue behind a writer.
-* **write verbs** (``apply``/``undo``/``repair``/rules writes) serialize
-  per session on an :class:`asyncio.Lock` and run the shared
+* **write verbs** (``apply``/``undo``/``repair``/rules writes) and reads
+  that miss the snapshot serialize per session on an
+  :class:`asyncio.Lock` and run the shared
   :class:`~repro.server.core.ServiceCore` handler on a worker thread.
   Once the write completed, still under that lock, the session's
   snapshot is dropped and the next read re-publishes one at the new
@@ -18,6 +19,18 @@ cost file descriptors, not threads), and requests split by verb class:
   equals the one recorded at publication): that snapshot is *re-stamped*
   at the new fingerprint, and the read after such a write is a snapshot
   read.  On mostly clean data that is most writes.
+* **cheap edits** — an ``apply`` / ``undo`` on an in-memory (unjournaled),
+  non-degraded session whose lock no worker holds, and whose previous
+  edit's handler took less than ``sys.getswitchinterval()`` — run the
+  same handler *on the loop*, still under the asyncio lock.  A CPU-bound
+  handler on a worker holds the GIL until the interpreter's forced
+  switch anyway, so one shorter than the switch interval delays loop
+  callbacks no more inline than pooled, and inline it skips the thread
+  hand-off both ways.  A misprediction blocks the loop for one edit; the
+  time it records sends the session's next edit to the pool.  First
+  edits (they build the delta engine), journaled sessions (``fdatasync``
+  and the cadence snapshot stay off the loop) and recovery probes are
+  always pooled.
 * everything else (health, metrics, listings, creates) runs the core
   handler on a worker thread without session-level coordination — those
   paths are already lock-free or non-blocking by construction.
@@ -33,7 +46,10 @@ Snapshot-correctness argument, in one place:
   lock*, after the verb handler completed, with the fingerprint read
   under that lock — so the cached bytes and fingerprint always agree;
 * every mutating path on this server holds the same asyncio lock, so a
-  published fingerprint can only be observed concurrently with *reads*;
+  published fingerprint can only be observed concurrently with *reads*
+  (the lock is chosen from :func:`~repro.server.wire.split_target`, the
+  parse the core routes by, so no target reaches a write handler
+  without it);
 * relation versions are monotonic: any committed mutation bumps at least
   one version, so a hit (fingerprint equality, checked dirty) proves no
   mutation committed since the fingerprint was stamped — a torn read can
@@ -64,10 +80,11 @@ import asyncio
 import contextlib
 import functools
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, AsyncIterator, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, AsyncIterator, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.engine.config import engine_config_from_document
 from repro.server.core import (
@@ -85,7 +102,7 @@ from repro.server.hosting import (
     UnknownSessionError,
 )
 from repro.server.pool import VerbPool
-from repro.server.wire import split_wire_version
+from repro.server.wire import split_target, split_wire_version
 
 __all__ = ["AsyncReproServer", "SessionSnapshot"]
 
@@ -200,8 +217,8 @@ class AsyncReproServer:
         )
         self.server_address: Tuple[str, int] = self._socket.getsockname()[:2]
         # the core's verb handlers block (session locks, WAL fsync, CPU);
-        # they run here so the loop never does — sized for many concurrent
-        # sessions, not for CPU parallelism.
+        # all but the cheap edits run here so the loop does not — sized for
+        # many concurrent sessions, not for CPU parallelism.
         # Not ThreadPoolExecutor: see repro.server.pool for the race that
         # made its thread count, and so request cost, differ run to run
         self._executor = VerbPool(max_workers=32, thread_name_prefix="repro-verb")
@@ -438,11 +455,49 @@ class AsyncReproServer:
         if rejected is not None:
             return rejected
         async with self._session_lock(session_id):
-            response = await loop.run_in_executor(self._executor, call)
+            if verb in _EDIT_VERBS and method == "POST":
+                response = await self._edit(session_id, call)
+            else:
+                response = await loop.run_in_executor(self._executor, call)
             self._after_session_verb(
                 session_id, verb, method, target, body, response
             )
         return response
+
+    async def _edit(self, session_id: str, call: Callable[[], Response]) -> Response:
+        """Run an ``apply`` / ``undo`` under the session's asyncio lock —
+        on the loop itself when the session's previous edit showed it is
+        cheap, on the pool otherwise (the module docstring has the rule)."""
+        hosted = self.manager.peek(session_id)
+        inline = hosted is not None and self._cheap_edit(hosted)
+        if inline:
+            response = call()
+        else:
+            loop = asyncio.get_running_loop()
+            response = await loop.run_in_executor(self._executor, call)
+            if hosted is None:
+                # a cold durable session: the edit rehydrated it
+                hosted = self.manager.peek(session_id)
+        self.metrics.count("edits_inline_total" if inline else "edits_pooled_total")
+        if hosted is not None:
+            hosted.last_edit = (response.seconds, inline)
+        return response
+
+    @staticmethod
+    def _cheap_edit(hosted: HostedSession) -> bool:
+        """Whether the next edit on ``hosted`` may run on the loop: an
+        in-memory, healthy session whose lock no pool thread holds right
+        now (a dirty read — at worst the loop waits out one short
+        diagnostics read) and whose previous edit took less than one GIL
+        switch interval."""
+        last = hosted.last_edit
+        return (
+            last is not None
+            and last[0] < sys.getswitchinterval()
+            and hosted.journal is None
+            and not hosted.is_degraded
+            and not hosted.lock.locked()
+        )
 
     def _reject_behind_probe(
         self, session_id: str, verb: str, method: str, target: str
@@ -500,8 +555,7 @@ class AsyncReproServer:
         diagnostics — returns ``None`` and runs without the asyncio lock
         (their session access is lock-free or internally synchronized).
         """
-        path = target.split("?", 1)[0]
-        version, rest = split_wire_version(path)
+        version, rest, _query = split_target(target)
         if version != 1:
             return None
         parts = [p for p in rest.split("/") if p]
@@ -524,10 +578,11 @@ class AsyncReproServer:
         ``None`` on any miss — the caller falls through to the full path.
         """
         started = time.perf_counter()
-        path = target.split("?", 1)[0]
-        if "?" in target:
-            return None  # query strings never hit the cache
-        version, rest = split_wire_version(path)
+        if "?" in target or "#" in target:
+            # query strings never hit the cache, and the core refuses a
+            # fragment — which a hit would answer instead
+            return None
+        version, rest = split_wire_version(target)
         if version != 1:
             return None
         parts = [p for p in rest.split("/") if p]

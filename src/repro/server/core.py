@@ -50,10 +50,10 @@ from repro.server.wire import (
     SUPPORTED_WIRE_VERSIONS,
     encode,
     splice_array,
-    split_wire_version,
+    split_target,
     unsupported_version_document,
 )
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 __all__ = [
     "BadRequest",
@@ -105,7 +105,7 @@ class PlainText:
 class Response:
     """The fully rendered response a transport writes to its socket."""
 
-    __slots__ = ("status", "body", "content_type", "endpoint")
+    __slots__ = ("status", "body", "content_type", "endpoint", "seconds")
 
     def __init__(
         self,
@@ -119,6 +119,8 @@ class Response:
         self.content_type = content_type
         #: the metrics key this response was recorded under
         self.endpoint = endpoint
+        #: the handler time :meth:`ServiceCore.handle` recorded for it
+        self.seconds = 0.0
 
 
 #: a handler answers with a document, or with bytes it already encoded
@@ -213,6 +215,10 @@ class ServiceCore:
                 "snapshots_dropped_total",
             )
         }
+        document["edits"] = {
+            name: ops_counters[name]
+            for name in ("edits_inline_total", "edits_pooled_total")
+        }
         document["sessions"] = {
             "open": len(manager),
             "max_sessions": manager.max_sessions,
@@ -277,14 +283,12 @@ class ServiceCore:
         """
         started = time.perf_counter()
         response = self._handle(method, target, read_body)
-        self.metrics.record(
-            response.endpoint, response.status, time.perf_counter() - started
-        )
+        response.seconds = time.perf_counter() - started
+        self.metrics.record(response.endpoint, response.status, response.seconds)
         return response
 
     def _handle(self, method: str, target: str, read_body: ReadBody) -> Response:
-        split = urlsplit(target)
-        version, rest = split_wire_version(split.path)
+        version, rest, query = split_target(target)
         # the metrics key is the route *template* on the version-stripped
         # path (session ids → "{id}") whatever the outcome — raw paths or
         # per-version keys would grow the metrics table without bound
@@ -296,8 +300,11 @@ class ServiceCore:
                 endpoint, 404, unsupported_version_document(version)
             )
         try:
+            if "#" in target:
+                # origin form has no fragment (RFC 9112 §3.2.1)
+                raise BadRequest("a request target carries no #fragment")
             endpoint, status, document = self._route(
-                method, rest, split.query, read_body
+                method, rest, query, read_body
             )
             if isinstance(document, PlainText):
                 return Response(
@@ -319,7 +326,7 @@ class ServiceCore:
     def refuse(self, method: str, target: str, message: str) -> Response:
         """A recorded 400 ``BadRequest`` for a request the transport could
         not frame — no body was read, so no route or handler runs."""
-        _version, rest = split_wire_version(urlsplit(target).path)
+        _version, rest, _query = split_target(target)
         endpoint = self._endpoint_template(method, rest)
         self.metrics.record(endpoint, 400, 0.0)
         return self._json_response(
@@ -512,7 +519,7 @@ class ServiceCore:
         rejection = self._probe_rejection(hosted)
         if rejection is None:
             return None
-        _version, rest = split_wire_version(urlsplit(target).path)
+        _version, rest, _query = split_target(target)
         response = self._error_response(
             self._endpoint_template(method, rest), rejection
         )

@@ -172,6 +172,7 @@ class HostedSession:
         "lock_contended",
         "closed",
         "fragments",
+        "last_edit",
     )
 
     def __init__(
@@ -216,6 +217,12 @@ class HostedSession:
         #: the detect handler, cleared by whatever retires the rule objects
         #: or the session — always under ``lock``
         self.fragments = ReportFragments()
+        #: ``(seconds, inline)`` of the last ``apply`` / ``undo``: the
+        #: handler time ``ServiceCore.handle`` measured and whether it ran
+        #: on the event loop.  Set by the asyncio front end, read dirty;
+        #: ``None`` until then, so a new or rehydrated session's first
+        #: edit runs on the pool
+        self.last_edit: Optional[Tuple[float, bool]] = None
 
     def touch(self) -> None:
         self.last_used = time.time()
@@ -421,6 +428,7 @@ class HostedSession:
                 }
             degraded = self.degraded_document()
             degraded["degraded_total"] = self.degraded_total
+            last_edit = self.last_edit
             return {
                 "session": self.id,
                 "relations": {
@@ -438,6 +446,14 @@ class HostedSession:
                     "contended": self.lock_contended,
                 },
                 "degraded": degraded,
+                "last_edit": (
+                    None
+                    if last_edit is None
+                    else {
+                        "seconds": last_edit[0],
+                        "path": "inline" if last_edit[1] else "pooled",
+                    }
+                ),
                 "report_encoding": {
                     "fragments_cached": len(self.fragments),
                     "fragments_encoded_last": self.fragments.encoded_last,
@@ -918,9 +934,10 @@ class ServerMetrics:
         #: per-endpoint latency observations, one slot per LATENCY_BUCKETS
         #: bound plus the trailing +Inf overflow slot
         self._buckets: Dict[str, List[int]] = {}
-        #: named operational counters: the degraded gating lifecycle and
-        #: the transport's snapshot layer (reads served from cached bytes;
-        #: writes that left a snapshot standing / that ended one)
+        #: named operational counters: the degraded gating lifecycle, the
+        #: transport's snapshot layer (reads served from cached bytes;
+        #: writes that left a snapshot standing / that ended one) and
+        #: where its edits ran (on the event loop / on the verb pool)
         self.counters: Dict[str, int] = {
             "handler_failures_total": 0,
             "degraded_total": 0,
@@ -930,6 +947,8 @@ class ServerMetrics:
             "snapshot_hits_total": 0,
             "snapshots_kept_total": 0,
             "snapshots_dropped_total": 0,
+            "edits_inline_total": 0,
+            "edits_pooled_total": 0,
         }
 
     def record(self, endpoint: str, status: int, seconds: float) -> None:

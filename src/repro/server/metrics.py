@@ -68,6 +68,10 @@ _SCALARS: Tuple[Tuple[str, str, str, str, str], ...] = (
      "counter", "Writes that changed no report and left the snapshot standing."),
     ("snapshots", "snapshots_dropped_total", "repro_snapshots_dropped_total",
      "counter", "Writes (and deletes) that ended the session's snapshot."),
+    ("edits", "edits_inline_total", "repro_edits_inline_total", "counter",
+     "Edits (apply / undo) whose handler ran on the event loop."),
+    ("edits", "edits_pooled_total", "repro_edits_pooled_total", "counter",
+     "Edits (apply / undo) whose handler ran on a verb-pool thread."),
 )
 
 #: the DeltaStats counters the server reports: summed into /metrics
@@ -153,7 +157,9 @@ def prometheus_text(document: Mapping[str, Any]) -> str:
         return fam
 
     sections: Dict[str, Mapping[str, Any]] = {}
-    for key in ("sessions", "engines", "degraded", "snapshots", "durability"):
+    for key in (
+        "sessions", "engines", "degraded", "snapshots", "edits", "durability"
+    ):
         value = document.get(key)
         sections[key] = value if isinstance(value, Mapping) else {}
 

@@ -1,5 +1,14 @@
 """The thread pool the asyncio front end runs verb handlers on.
 
+Every handler runs here except a cheap edit — an ``apply`` / ``undo`` on
+an in-memory, healthy session whose previous edit took less than one GIL
+switch interval, which :mod:`repro.server.aio` runs on its loop.  So the
+pool still takes every create, delete, detect that misses the snapshot,
+repair and rules write, every edit on a journaled (``--state-dir``)
+session, a session's first edit, the edit after a slow one, recovery
+probes, and the service endpoints (health, metrics, listings,
+diagnostics).
+
 ``concurrent.futures.ThreadPoolExecutor`` made one run of the server differ
 from the next.  Its worker publishes a result *before* it marks itself idle,
 so a client whose next request arrives inside that window finds no idle

@@ -31,6 +31,7 @@ __all__ = [
     "encode_value",
     "envelope",
     "splice_array",
+    "split_target",
     "split_wire_version",
     "unsupported_version_document",
 ]
@@ -89,6 +90,21 @@ def splice_array(body: bytes, key: str, items: Iterable[bytes]) -> bytes:
     return b"".join(
         (body[:-2], b",", encode_value(key), b":[", b",".join(items), b"]}\n")
     )
+
+
+def split_target(target: str) -> Tuple[Optional[int], str, str]:
+    """Split a request target into (wire version, remaining path, query).
+
+    The one parse shared by the transport, which picks a session's lock
+    from the path, and the core, which picks its handler: the two must
+    never disagree on which verb a target names.  A target is taken in
+    origin form — nothing but ``?`` ends the path, so a scheme and
+    authority stay in it (and miss every route) — and a ``#fragment`` is
+    cut off here; the core refuses a target that carries one.
+    """
+    path, _, query = target.partition("#")[0].partition("?")
+    version, rest = split_wire_version(path)
+    return version, rest, query
 
 
 def split_wire_version(path: str) -> Tuple[Optional[int], str]:

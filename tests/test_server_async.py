@@ -14,14 +14,20 @@ Three acceptance bars from the async-service redesign:
 * **snapshot reads** — on the async server a warm ``detect`` against an
   unchanged engine is served from the session snapshot without entering
   the gated verb path; any write invalidates the snapshot.
+* **edit dispatch** — an ``apply`` / ``undo`` runs on the event loop
+  exactly when the session is in memory and healthy and its previous
+  edit took less than one GIL switch interval; every other edit runs on
+  the verb pool, and both paths answer the same bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import http.client
 import json
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -342,6 +348,48 @@ class TestAsyncVerbs:
             ServerClient()
 
 
+class TestRequestTargets:
+    """The transport picks a session's asyncio lock from the request target
+    and the core picks the handler from it, so the two must parse it alike.
+    They used to differ — the transport split on ``?``, the core ran
+    ``urlsplit`` (which also drops a ``#fragment``, reads an absolute-form
+    URL's path and deletes tabs) — and each target below ran a real
+    ``apply`` outside the session's lock."""
+
+    @pytest.mark.parametrize(
+        "target, status",
+        [
+            ("/v1/sessions/{id}/apply#x", 400),
+            ("http://localhost/v1/sessions/{id}/apply", 404),
+            ("/v1/sessions/{id}/ap\tply", 400),
+        ],
+    )
+    def test_no_target_edits_outside_the_session_lock(
+        self, client, server, target, status
+    ):
+        _fresh(client, "target")
+        body = json.dumps(
+            {"ops": [{"op": "insert", "relation": "emp",
+                      "row": {"dept": "qa", "floor": 7}}]}
+        ).encode("utf-8")
+        request = (
+            f"POST {target.format(id='target')} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        ).encode("latin-1") + body
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(request)
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        head, _, document = received.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == str(status).encode()
+        if status == 400:
+            assert json.loads(document)["type"] == "BadRequest"
+        # nothing was inserted, under the lock or outside it
+        assert client.session_info("target")["relations"] == {"emp": 3}
+        client.delete_session("target")
+
+
 # --------------------------------------------------------------------------
 # Lock-free reads
 # --------------------------------------------------------------------------
@@ -468,6 +516,158 @@ class TestBoundedTables:
         finally:
             conn.close()
         assert server._locks == {}
+
+
+# --------------------------------------------------------------------------
+# Edit dispatch: on the loop or on the pool
+# --------------------------------------------------------------------------
+
+
+def _insert(floor):
+    return {"ops": [{"op": "insert", "relation": "emp",
+                     "row": {"dept": "qa", "floor": floor}}]}
+
+
+def _edit_counts(server):
+    counters = server.metrics.counters_snapshot()
+    return counters["edits_inline_total"], counters["edits_pooled_total"]
+
+
+def _path(server, session_id):
+    """Where the session's last edit ran, as diagnostics names it."""
+    _seconds, inline = server.manager.peek(session_id).last_edit
+    return "inline" if inline else "pooled"
+
+
+@contextlib.contextmanager
+def _switch_interval(seconds):
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(seconds)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(saved)
+
+
+class TestEditDispatch:
+    """An edit runs on the loop when the session's previous edit fit in
+    one switch interval; a first edit, a journaled session, a degraded
+    one and an edit after a slow one go to the pool."""
+
+    def test_a_warm_session_edits_inline_after_its_first(self, client, server):
+        _fresh(client, "disp")
+        client.detect("disp")
+        before = _edit_counts(server)
+        paths = []
+        delta = None
+        for floor in (7, 8, 9):
+            delta = client.apply("disp", _insert(floor))
+            paths.append(_path(server, "disp"))
+        client.undo("disp", delta.undo_token)
+        paths.append(_path(server, "disp"))
+        assert paths == ["pooled", "inline", "inline", "inline"]
+        inline, pooled = _edit_counts(server)
+        assert (inline - before[0], pooled - before[1]) == (3, 1)
+        last = client.diagnostics("disp")["last_edit"]
+        assert last["path"] == "inline"
+        assert 0.0 < last["seconds"] < sys.getswitchinterval()
+        client.delete_session("disp")
+
+    def test_a_state_dir_server_never_edits_inline(self, tmp_path):
+        server = make_server(port=0, state_dir=tmp_path)
+        server.start_background()
+        try:
+            client = ServerClient(base_url=server.base_url)
+            _fresh(client, "durable")
+            for floor in (7, 8, 9, 10):
+                client.apply("durable", _insert(floor))
+                assert _path(server, "durable") == "pooled"
+            assert _edit_counts(server) == (0, 4)
+            assert client.metrics()["edits"] == {
+                "edits_inline_total": 0, "edits_pooled_total": 4,
+            }
+        finally:
+            server.shutdown()
+
+    def test_a_lowered_switch_interval_pools_every_edit(self, client, server):
+        _fresh(client, "tight")
+        with _switch_interval(1e-6):
+            for floor in (7, 8, 9):
+                client.apply("tight", _insert(floor))
+                assert _path(server, "tight") == "pooled"
+        client.delete_session("tight")
+
+    def test_an_edit_over_the_interval_sends_the_next_to_the_pool(
+        self, client, server
+    ):
+        _fresh(client, "slow")
+        client.apply("slow", _insert(7))
+        client.apply("slow", _insert(8))
+        assert _path(server, "slow") == "inline"
+        session = server.manager.peek("slow").session
+        real = session.apply
+
+        def slow_apply(changeset):
+            time.sleep(4 * sys.getswitchinterval())
+            return real(changeset)
+
+        session.apply = slow_apply
+        try:
+            client.apply("slow", _insert(9))  # mispredicted: blocks the loop once
+        finally:
+            session.apply = real
+        seconds, inline = server.manager.peek("slow").last_edit
+        assert inline and seconds > sys.getswitchinterval()
+        client.apply("slow", _insert(10))
+        assert _path(server, "slow") == "pooled"
+        client.apply("slow", _insert(11))
+        assert _path(server, "slow") == "inline"
+        client.delete_session("slow")
+
+    def test_delete_and_recreate_starts_on_the_pool(self, client, server):
+        _fresh(client, "again")
+        client.apply("again", _insert(7))
+        client.apply("again", _insert(8))
+        assert _path(server, "again") == "inline"
+        _fresh(client, "again")  # DELETE, then create under the same id
+        client.apply("again", _insert(7))
+        assert _path(server, "again") == "pooled"
+        client.delete_session("again")
+
+    def test_a_degraded_sessions_probe_is_pooled(self):
+        server = make_server(port=0, degraded_after=2)
+        server.start_background()
+        try:
+            client = ServerClient(base_url=server.base_url)
+            _fresh(client, "sick")
+            session = server.manager.peek("sick").session
+            real = session.apply
+            faults = {"left": 3}
+
+            def flaky(changeset):
+                if faults["left"]:
+                    faults["left"] -= 1
+                    raise RuntimeError("injected engine fault")
+                return real(changeset)
+
+            session.apply = flaky
+            outcomes = []
+            for floor in (7, 8, 9, 10, 11):
+                try:
+                    client.apply("sick", _insert(floor))
+                    status = 200
+                except ServerError as exc:
+                    status = exc.status
+                outcomes.append((status, _path(server, "sick")))
+            assert outcomes == [
+                (500, "pooled"),   # a first edit
+                (503, "inline"),   # the failure that degrades the session
+                (503, "pooled"),   # a failed recovery probe
+                (200, "pooled"),   # the probe that recovers it
+                (200, "inline"),
+            ]
+        finally:
+            server.shutdown()
 
 
 # --------------------------------------------------------------------------
@@ -663,6 +863,10 @@ def test_served_bytes_equal_the_in_process_core():
             # (the pre-/v1 redirect was the one response with more)
             assert "Location" not in headers, context
             assert "Deprecation" not in headers, context
+        # the undo, the reused-token 400 and the bad-ops 400 ran on the
+        # loop, the first apply on the pool: both paths matched the core
+        inline, pooled = _edit_counts(server)
+        assert inline >= 3 and pooled >= 1
     finally:
         server.shutdown()
         core.manager.close_all()

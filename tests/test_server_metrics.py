@@ -168,6 +168,30 @@ class TestPrometheusExposition:
             (sample,) = families[name]["samples"]
             assert sample[2] == pytest.approx(float(source[json_key]))
 
+    def test_every_scalar_section_leaf_is_in_the_table(self, client):
+        """A counter added to a section ``_SCALARS`` renders must be added
+        to the table too, or it would reach JSON and never the text."""
+        document = client.metrics()
+        tabled: dict = {}
+        for section, json_key, *_ in _SCALARS:
+            tabled.setdefault(section, set()).add(json_key)
+        for section, keys in tabled.items():
+            source = document[section] if section else document
+            leaves = {k for k, v in source.items() if not isinstance(v, dict)}
+            assert leaves == keys, section or "top level"
+
+    def test_edit_counters_exposed(self, client):
+        document = client.metrics()
+        edits = document["edits"]
+        # a --state-dir server journals every edit, so none ran inline
+        assert edits["edits_inline_total"] == 0
+        assert edits["edits_pooled_total"] >= 2  # the fixture's apply + undo
+        families = parse_prometheus(prometheus_text(document))
+        for key in ("edits_inline_total", "edits_pooled_total"):
+            family = families[f"repro_{key}"]
+            assert family["type"] == "counter"
+            assert family["samples"][0][2] == edits[key]
+
     def test_connection_counters_show_keep_alive_working(self, client):
         document = client.metrics()
         families = parse_prometheus(prometheus_text(document))
@@ -319,6 +343,11 @@ class TestDiagnostics:
         assert durability["generation"] >= 0
 
         assert isinstance(doc["undo_tokens"], list)
+
+        # the fixture's undo, on the pool: the session is journaled
+        last_edit = doc["last_edit"]
+        assert last_edit["path"] == "pooled"
+        assert last_edit["seconds"] > 0.0
 
     def test_unknown_session_404(self, client):
         with pytest.raises(ServerError) as err:
