@@ -197,31 +197,10 @@ class ECFD(Dependency):
                     )
                 )
 
-        def evaluate(group, out: list) -> None:
-            if rhs_checks:
-                for t in group:
-                    single(t, out)
-            if len(group) < 2:
-                return
-            first = group[0]
-            first_rhs = rhs_of(first.values())
-            for other in group[1:]:
-                if first_rhs != rhs_of(other.values()):
-                    out.append(
-                        Violation(
-                            self,
-                            [(self.relation_name, first), (self.relation_name, other)],
-                            pair_message,
-                        )
-                    )
-
         return [
             ScanTask(
                 None,
                 [],
-                evaluate,
-                skip_singletons=not rhs_checks,
-                match_fn=match,
                 single=single,
                 pair=pair,
                 columnar=ColumnarSpec(
@@ -235,17 +214,10 @@ class ECFD(Dependency):
                         for i, pat in lhs_checks
                     ],
                 ),
+                skip_singletons=not rhs_checks,
+                match_fn=match,
             )
         ]
-
-    def group_violations(self, group: Sequence[Tuple]) -> Iterator[Violation]:
-        """Violations within one X-partition whose key matched the LHS."""
-        group = list(group)
-        if not group:
-            return
-        out: List[Violation] = []
-        self.scan_tasks(group[0].schema)[0].evaluate(group, out)
-        yield from out
 
     def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
         from repro.engine.scan import run_scan_tasks

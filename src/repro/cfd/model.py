@@ -253,13 +253,14 @@ class CFD(Dependency):
         """
         return all(matches(v, tp.get(a)) for a, v in zip(signature, key))
 
-    def _compile_evaluator(self, tp: PatternTuple, schema: RelationSchema):
-        """Positional evaluator for one row within one X-partition.
+    def _compile_checks(self, tp: PatternTuple, schema: RelationSchema):
+        """Positional ``(single, pair)`` checks for one row within one
+        X-partition.
 
         Every tuple in a partition agrees on X, so the embedded FD can only
         be violated within it, and the single-tuple RHS-constant check is
         local to it as well.  Attribute names resolve to value positions
-        here, once, keeping the per-group loop free of name lookups.
+        here, once, keeping the per-tuple checks free of name lookups.
         """
         lhs = list(self.lhs)
         rhs = list(self.rhs)
@@ -276,18 +277,30 @@ class CFD(Dependency):
                 f"{ {a: t[a] for a in bad} } instead of {bad}",
             )
 
+        if len(rhs_constants) == 1:
+            # Overwhelmingly common shape: one constant to check, and a
+            # clean tuple exits on a single comparison.
+            [(position, attr, constant)] = rhs_constants
+            expected = {attr: constant}
+
+            def single(t: Tuple, out: list) -> None:
+                if t.values()[position] != constant:
+                    out.append(single_violation(t, expected))
+
+        else:
+
+            def single(t: Tuple, out: list) -> None:
+                if not rhs_constants:
+                    return
+                values = t.values()
+                bad = {a: c for p, a, c in rhs_constants if values[p] != c}
+                if bad:
+                    out.append(single_violation(t, bad))
+
         pair_message = (
             f"{self.name}: tuples agree on {lhs} (matching "
             f"{tp!r}) but differ on {rhs}"
         )
-
-        def single(t: Tuple, out: list) -> None:
-            if not rhs_constants:
-                return
-            values = t.values()
-            bad = {a: c for p, a, c in rhs_constants if values[p] != c}
-            if bad:
-                out.append(single_violation(t, bad))
 
         def pair(first: Tuple, other: Tuple, out: list) -> None:
             if rhs_of(first.values()) != rhs_of(other.values()):
@@ -299,47 +312,15 @@ class CFD(Dependency):
                     )
                 )
 
-        def evaluate(group: Sequence[Tuple], out: list) -> None:
-            if len(rhs_constants) == 1:
-                # Overwhelmingly common shape: one constant to check, and
-                # clean tuples exit on a single comparison.
-                p, a, c = rhs_constants[0]
-                for t in group:
-                    if t.values()[p] != c:
-                        out.append(single_violation(t, {a: c}))
-            elif rhs_constants:
-                for t in group:
-                    values = t.values()
-                    bad = {a: c for p, a, c in rhs_constants if values[p] != c}
-                    if bad:
-                        out.append(single_violation(t, bad))
-            if len(group) < 2:
-                return
-            first = group[0]
-            first_rhs = rhs_of(first.values())
-            for other in group[1:]:
-                if first_rhs != rhs_of(other.values()):
-                    out.append(
-                        Violation(
-                            self,
-                            [
-                                (self.relation_name, first),
-                                (self.relation_name, other),
-                            ],
-                            pair_message,
-                        )
-                    )
-
-        return evaluate, single, pair, bool(rhs_constants)
+        return single, pair
 
     def scan_tasks(self, schema: RelationSchema) -> List[ScanTask]:
         """One compiled :class:`~repro.engine.scan.ScanTask` per tableau row."""
         signature = self.scan_signature
         tasks: List[ScanTask] = []
         for tp in self.tableau:
-            evaluate, single, pair, has_rhs_constants = self._compile_evaluator(
-                tp, schema
-            )
+            single, pair = self._compile_checks(tp, schema)
+            rhs_constants = tp.constants_on(self.rhs)
             if tp.is_constant_on(signature):
                 # Fully-constant pattern: the matching partition is a
                 # single hash lookup instead of a sweep.
@@ -356,33 +337,17 @@ class CFD(Dependency):
                 ScanTask(
                     lookup,
                     key_constants,
-                    evaluate,
-                    skip_singletons=not has_rhs_constants,
                     single=single,
                     pair=pair,
                     columnar=ColumnarSpec(
                         pair_attrs=self.rhs,
-                        singles=[
-                            ("eq", a, c)
-                            for a, c in tp.constants_on(self.rhs).items()
-                        ],
+                        singles=[("eq", a, c) for a, c in rhs_constants.items()],
                         key_checks=[("eq", i, c) for i, c in key_constants],
                     ),
+                    skip_singletons=not rhs_constants,
                 )
             )
         return tasks
-
-    def pattern_group_violations(
-        self, tp: PatternTuple, group: Sequence[Tuple]
-    ) -> Iterator[Violation]:
-        """Violations of one pattern row within one X-partition."""
-        group = list(group)
-        if not group:
-            return
-        evaluate, _, _, _ = self._compile_evaluator(tp, group[0].schema)
-        out: List[Violation] = []
-        evaluate(group, out)
-        yield from out
 
     def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
         relation = db.relation(self.relation_name)

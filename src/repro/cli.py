@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--quiet", action="store_true", help="suppress per-request log lines"
+        "--quiet",
+        action="store_true",
+        help="do not print the listening banner (the one line serve prints)",
     )
 
     soak = sub.add_parser(
@@ -413,7 +415,7 @@ def _cmd_serve(args) -> int:
             if args.degraded_after is not None
             else DEFAULT_DEGRADED_AFTER
         ),
-        verbose=not args.quiet,
+        quiet=args.quiet,
     )
 
 

@@ -85,41 +85,16 @@ class FD(Dependency):
         def single(t, out: list) -> None:  # FDs have no single-tuple shape
             return None
 
-        def evaluate(group, out: list) -> None:
-            if len(group) < 2:
-                return
-            first = group[0]
-            first_rhs = rhs_of(first.values())
-            for other in group[1:]:
-                if first_rhs != rhs_of(other.values()):
-                    out.append(
-                        Violation(
-                            self,
-                            [(self.relation_name, first), (self.relation_name, other)],
-                            message,
-                        )
-                    )
-
         return [
             ScanTask(
                 None,
                 [],
-                evaluate,
-                skip_singletons=True,
                 single=single,
                 pair=pair,
                 columnar=ColumnarSpec(pair_attrs=self.rhs),
+                skip_singletons=True,
             )
         ]
-
-    def group_violations(self, group: Sequence["object"]) -> Iterator[Violation]:
-        """Pair violations within one X-partition (all tuples agree on X)."""
-        group = list(group)
-        if len(group) < 2:
-            return
-        out: List[Violation] = []
-        self.scan_tasks(group[0].schema)[0].evaluate(group, out)
-        yield from out
 
     def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
         from repro.engine.scan import run_scan_tasks

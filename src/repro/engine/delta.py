@@ -432,7 +432,7 @@ class DeltaStats:
         #: the layouts, an explicit ``refresh()``
         self.rebuilds = 0
         #: scan states filled tuple by tuple because no layout could be
-        #: their base (numpy absent, a non-columnar task)
+        #: their base (numpy absent)
         self.eager_builds = 0
 
     def __repr__(self) -> str:
@@ -482,10 +482,10 @@ class _ScanState:
 
     A partition reads as ``RelationIndexes.group_index`` would build it from
     scratch — tuples in relation insertion order — but is never copied out
-    of the relation.  Under the condition the batch executor's kernel path
-    runs on (a vectorized layout for the signature, every task ``columnar``
-    + ``supports_incremental``) the state keeps that
-    :class:`~repro.engine.kernels.GroupLayout` as its immutable ``base``:
+    of the relation.  Whenever the batch executor's kernel path runs (numpy
+    importable, so ``group_layout`` returns a vectorized layout) the state
+    keeps that :class:`~repro.engine.kernels.GroupLayout` as its immutable
+    ``base``:
     row ids are append-only and a deleted row keeps its column values until
     the store compacts (the engine rebuilds then), so a key's partition is
     the live rows of its base segment followed by the tuples added since.
@@ -501,7 +501,7 @@ class _ScanState:
 
     Violations are updated per touched partition key on one of two paths:
 
-    * **incremental** — every FD/CFD/eCFD violation is either a
+    * **incremental** — every scan-task violation is either a
       single-tuple check or a first-vs-other pair check
       (``ScanTask.single`` / ``.pair``).  As long as the partition's
       *first* tuple survives the batch, each added tuple contributes
@@ -517,9 +517,7 @@ class _ScanState:
     the producing task's index in ``tasks`` for a single and one more for
     a pair.  A retraction is therefore one ``pop`` of the removed tuple,
     whatever else the partition holds, and :meth:`ordered_entries` can
-    rank every entry by task, kind and witness.  A state with a task that
-    has no ``single``/``pair`` decomposition keeps each partition's whole
-    sweep, in sweep order, under ``None``.
+    rank every entry by task, kind and witness.
     """
 
     __slots__ = (
@@ -527,7 +525,6 @@ class _ScanState:
         "signature",
         "key_of",
         "tasks",
-        "incremental_ok",
         "base",
         "touched",
         "violations",
@@ -560,9 +557,6 @@ class _ScanState:
                 self.tasks.append((len(self._positions), task))
                 self._positions += (position, position)
                 self._lookup_slots += (task.lookup_key is not None,) * 2
-        self.incremental_ok = all(
-            task.supports_incremental for _, task in self.tasks
-        )
         # Tasks that match every partition key (all-wildcard patterns) are
         # split out once; only the rest pay a per-key pattern check.
         self._universal: List[PyTuple[int, Any]] = [
@@ -579,18 +573,9 @@ class _ScanState:
         #: the engine's arrival numbers for this relation (shared): a base
         #: row's is its row id, recorded whenever the row is materialised
         self._arrival = arrival
-        self.base: Any = (
-            relation.indexes.group_layout(self.signature)
-            if all(
-                task.columnar is not None and task.supports_incremental
-                for _, task in self.tasks
-            )
-            else None
-        )
+        self.base: Any = relation.indexes.group_layout(self.signature)
         self.touched: Dict[tuple, _Partition] = {}
-        self.violations: Dict[
-            tuple, Dict[Optional[Tuple], List[PyTuple[int, Violation]]]
-        ] = {}
+        self.violations: Dict[tuple, Dict[Tuple, List[PyTuple[int, Violation]]]] = {}
         if self.base is not None:
             self._seed(relation.indexes)
             return
@@ -611,8 +596,8 @@ class _ScanState:
 
         The flags are exact and name the violating rows (after a detect
         both layout and flags are cache hits), so only those rows — and
-        each flagged partition's pivot — are materialised and run through
-        ``single`` / ``pair``, filed exactly as :meth:`_evaluate` files a
+        each flagged partition's pivot — are materialised and filed
+        (:meth:`_file`) exactly as :meth:`_evaluate` files a
         whole-partition sweep: partitions by layout rank (first-seen key
         order), tasks in order, singles before pairs, rows in relation
         order.  No partition is built.
@@ -625,32 +610,23 @@ class _ScanState:
         ranks: set = set()
         for task_flags in flags.values():
             ranks |= task_flags.candidate_set
-        out: List[Violation] = []
         for rank in sorted(ranks):
             key = layout.decoded_key(rank)
             singleton = int(layout.sizes[rank]) < 2
             first = None
-            stored: Dict[Optional[Tuple], List[PyTuple[int, Violation]]] = {}
+            stored: Dict[Tuple, List[PyTuple[int, Violation]]] = {}
             for slot, task in self._applicable(key):
                 if rank not in flags[slot].candidate_set or (
                     singleton and task.skip_singletons
                 ):
                     continue
-                singles, pairs = flagged_rows(layout, flags[slot], rank)
+                singles, pairs = (
+                    [self._tuple(row) for row in rows]
+                    for rows in flagged_rows(layout, flags[slot], rank)
+                )
                 if pairs and first is None:
                     first = self._tuple(int(layout.rows_sorted[layout.starts[rank]]))
-                for kind, rows in enumerate((singles, pairs)):
-                    for row in rows:
-                        t = self._tuple(row)
-                        if kind:
-                            task.pair(first, t, out)
-                        else:
-                            task.single(t, out)
-                        if out:
-                            stored.setdefault(t, []).extend(
-                                [(slot + kind, v) for v in out]
-                            )
-                            out.clear()
+                self._file(stored, slot, task, first, singles, pairs)
             if stored:
                 self.violations[key] = stored
 
@@ -721,8 +697,7 @@ class _ScanState:
         executor emits them: lookup tasks first (rank −1) in task order,
         then the swept partitions by the arrival of their first live tuple
         — the layout's first-seen rank — each with its tasks in order,
-        singles before pairs, witnesses in relation order.  (An undivided
-        sweep under ``None`` is already in that order; the sort is stable.)
+        singles before pairs, witnesses in relation order.
         """
         arrival = arrivals[self.relation_name]
         positions = self._positions
@@ -730,7 +705,7 @@ class _ScanState:
         for key, stored in self.violations.items():
             rank = arrival[self.first(self._partition(key))]
             for t, contribution in stored.items():
-                arrived = 0 if t is None else arrival[t]
+                arrived = arrival[t]
                 for slot, violation in contribution:
                     out.append(
                         (
@@ -758,35 +733,48 @@ class _ScanState:
 
     def _evaluate(
         self, key: tuple, group: Sequence[Tuple]
-    ) -> Dict[Optional[Tuple], List[PyTuple[int, Violation]]]:
-        """Sweep one partition and file every violation under the member
-        that contributes it: a single under its tuple, a pair under the
-        non-pivot tuple (the witness shapes of ``ScanTask.single`` /
-        ``.pair``, whose sum ``evaluate`` is)."""
-        singleton = len(group) < 2
-        divided = self.incremental_ok
-        stored: Dict[Optional[Tuple], List[PyTuple[int, Violation]]] = {}
+    ) -> Dict[Tuple, List[PyTuple[int, Violation]]]:
+        """Sweep one partition (``ScanTask.evaluate``'s order) and file
+        every violation under the member that contributes it."""
+        first, others = group[0], group[1:]
+        stored: Dict[Tuple, List[PyTuple[int, Violation]]] = {}
         for slot, task in self._applicable(key):
-            if singleton and task.skip_singletons:
-                continue
-            out: List[Violation] = []
-            task.evaluate(group, out)
-            for v in out:
-                if divided:
-                    witnesses = v.tuples
-                    stored.setdefault(witnesses[-1][1], []).append(
-                        (slot + (len(witnesses) > 1), v)
-                    )
-                else:
-                    stored.setdefault(None, []).append((slot, v))
+            singles = () if task.skip_singletons else group
+            self._file(stored, slot, task, first, singles, others)
         return stored
+
+    @staticmethod
+    def _file(
+        stored: Dict[Tuple, List[PyTuple[int, Violation]]],
+        slot: int,
+        task: Any,
+        first: Optional[Tuple],
+        singles: Sequence[Tuple],
+        pairs: Sequence[Tuple],
+    ) -> None:
+        """Run ``task.single(t)`` for each of ``singles``, then
+        ``task.pair(first, t)`` for each of ``pairs``, filing what each
+        call finds under ``t``: a single at ``slot``, a pair at ``slot + 1``
+        (the witness shapes of ``ScanTask.single`` / ``.pair``)."""
+        out: List[Violation] = []
+        for t in singles:
+            task.single(t, out)
+            if out:
+                stored.setdefault(t, []).extend([(slot, v) for v in out])
+                out.clear()
+        for t in pairs:
+            task.pair(first, t, out)
+            if out:
+                stored.setdefault(t, []).extend([(slot + 1, v) for v in out])
+                out.clear()
 
     @staticmethod
     def _contribution(
         tasks: Sequence[PyTuple[int, Any]], first: Tuple, t: Tuple
     ) -> List[PyTuple[int, Violation]]:
         """The entries tuple ``t`` contributes to its partition, given
-        the partition's (surviving, distinct) first tuple."""
+        the partition's (surviving, distinct) first tuple — what
+        :meth:`_file` files under ``t``, in one loop: this runs per edit."""
         found: List[PyTuple[int, Violation]] = []
         out: List[Violation] = []
         for slot, task in tasks:
@@ -801,7 +789,7 @@ class _ScanState:
 
     @staticmethod
     def _flatten(
-        stored: Mapping[Optional[Tuple], List[PyTuple[int, Violation]]],
+        stored: Mapping[Tuple, List[PyTuple[int, Violation]]],
     ) -> List[PyTuple[int, Violation]]:
         """One partition's stored entries as one list."""
         return [entry for contribution in stored.values() for entry in contribution]
@@ -823,10 +811,8 @@ class _ScanState:
                 part = touched[key] = self._segment(key)
             tail = part.tail
             first = self.first(part)
-            pivot_safe = (
-                self.incremental_ok
-                and first is not None
-                and not any(kind == "remove" and t == first for kind, t in key_ops)
+            pivot_safe = first is not None and not any(
+                kind == "remove" and t == first for kind, t in key_ops
             )
             if pivot_safe:
                 stats.keys_patched += 1

@@ -74,25 +74,18 @@ def execute_plan(
         stats.partitions_built += 1
         stats.constant_lookups += len(lookups)
         stats.swept_patterns += len(sweep)
-        # Kernel path: when numpy is present and every task of the
-        # scan group declares its columnar decomposition, the vectorized
-        # layout replaces the hash partition entirely.  The kernels flag
-        # exactly the violating rows (code comparisons are congruent with
-        # the value comparisons the closures make), so the executor
-        # materializes only flagged rows — plus each flagged group's first
-        # tuple — and routes them through the original ``single``/``pair``
-        # closures in legacy emission order: groups in first-seen key
-        # order, tasks in member order, singles before pairs within each
-        # group.  Emitted violations are identical, object for object, to
-        # the legacy sweep below.
-        layout = (
-            relation.indexes.group_layout(scan.signature)
-            if all(
-                task.columnar is not None and task.supports_incremental
-                for _, task in lookups + sweep
-            )
-            else None
-        )
+        # Kernel path: whenever numpy is present the vectorized layout
+        # replaces the hash partition entirely (every task declares its
+        # columnar decomposition).  The kernels flag exactly the violating
+        # rows (code comparisons are congruent with the value comparisons
+        # the closures make), so the executor materializes only flagged
+        # rows — plus each flagged group's first tuple — and routes them
+        # through the tasks' ``single``/``pair`` closures in the order
+        # ``ScanTask.evaluate`` emits: groups in first-seen key order,
+        # tasks in member order, singles before pairs within each group.
+        # Emitted violations are identical, object for object, to the
+        # per-tuple sweep below.
+        layout = relation.indexes.group_layout(scan.signature)
         if layout is not None:
             from repro.engine.kernels import flagged_rows
 

@@ -107,7 +107,7 @@ class IndexStats:
 
 
 class RelationIndexes:
-    """Per-instance cache of hash indexes and columnar projections.
+    """Per-instance cache of hash indexes and vectorized layouts.
 
     All returned structures are **read-only by contract**: they are shared
     between every detector that asks for the same signature, and mutating
@@ -125,7 +125,6 @@ class RelationIndexes:
             PyTuple[PyTuple[str, ...], PyTuple[str, ...]],
             Dict[tuple, FrozenSet[tuple]],
         ] = {}
-        self._projections: Dict[PyTuple[str, ...], List[tuple]] = {}
         self._layouts: Dict[PyTuple[str, ...], Any] = {}
         self._sweeps: Dict[tuple, Any] = {}
         self._grouped_counts: Dict[tuple, Dict[tuple, Dict[tuple, int]]] = {}
@@ -136,7 +135,6 @@ class RelationIndexes:
             self._groups.clear()
             self._key_sets.clear()
             self._grouped_keys.clear()
-            self._projections.clear()
             self._layouts.clear()
             self._sweeps.clear()
             self._grouped_counts.clear()
@@ -217,22 +215,6 @@ class RelationIndexes:
         else:
             self.stats.hits += 1
         return grouped
-
-    def projection(self, attributes: Sequence[str]) -> Sequence[tuple]:
-        """Columnar projection: one value tuple per relation tuple, in order."""
-        self._sync()
-        attrs = tuple(attributes)
-        column = self._projections.get(attrs)
-        if column is None:
-            self.stats.builds += 1
-            store = self._store
-            positions, rows = _code_rows(store, self._relation.schema, attrs)
-            decode = _decoder(store, positions)
-            column = [decode(codes) for codes in rows]
-            self._projections[attrs] = column
-        else:
-            self.stats.hits += 1
-        return column
 
     def group_layout(self, attributes: Sequence[str]) -> Optional[Any]:
         """Vectorized partition layout for one signature, or ``None``.

@@ -21,16 +21,17 @@ and evaluated through the ordinary compiled
 
 Because codes are equality-congruent with values, code comparisons decide
 exactly what the decoded comparisons would — the flags are *exact*, not a
-superset.  The executor materializes only flagged rows (plus each flagged
-group's first tuple) and routes them through the original task's
-``single``/``pair`` closures in legacy emission order — singles over the
+superset.  Every scan task carries its ``ColumnarSpec`` next to its
+``single``/``pair`` closures, so the one condition for this path is numpy.
+The executor materializes only flagged rows (plus each flagged group's
+first tuple) and routes them through the task's ``single``/``pair`` in
+:meth:`~repro.engine.scan.ScanTask.evaluate`'s order — singles over the
 group in insertion order, then pairs against the group's first tuple — so
 violation objects, their order and their rendered bytes are identical to
-the legacy sweep's.
+the per-tuple sweep's.
 
-Everything degrades gracefully: without numpy (``AVAILABLE`` is False),
-or for a task with no columnar form, the executor keeps the per-tuple
-hash-partition sweep.
+Without numpy (``AVAILABLE`` is False) the executor keeps that per-tuple
+hash-partition sweep, ``ScanTask.evaluate`` over ``group_index``.
 """
 
 from __future__ import annotations

@@ -7,33 +7,35 @@ eCFD expose ``scan_tasks(schema)``; both their own ``violations`` methods
 and the batch executor evaluate through the same compiled tasks, so the
 fast path and the facade cannot diverge.
 
-Task anatomy:
+Task anatomy — every FD/CFD/eCFD task supplies all of it:
 
 * ``lookup_key`` — set when the pattern is constant on the whole scan
   signature: the single matching partition is a hash lookup, no sweep;
 * ``key_constants`` / ``match_fn`` — for swept patterns, how to decide
   from a partition *key* alone whether the group participates (pattern
   matching on X depends only on t[X]);
-* ``skip_singletons`` — true when the row can only produce pair
-  violations, letting the sweep skip size-1 groups without a call;
-* ``evaluate(group, out)`` — append the row's violations within one
-  matching partition to ``out``;
-* ``single(t, out)`` / ``pair(first, other, out)`` — the same semantics
-  decomposed per tuple: every FD/CFD/eCFD violation is either a
-  *single-tuple* check on one tuple or a *first-vs-other* pair check
-  against the partition's first tuple, and ``evaluate`` is exactly "run
-  ``single`` on every member, then ``pair`` on every non-first member".
-  The delta engine (:mod:`repro.engine.delta`) uses the decomposition to
-  update a partition's violations in O(1) per edited tuple instead of
-  re-sweeping the partition, and files every violation under the tuple
-  that contributes it — so a ``single`` violation is witnessed by its
+* ``single(t, out)`` / ``pair(first, other, out)`` — the row's semantics
+  per tuple: every violation is either a *single-tuple* check on one
+  tuple (an RHS value clashing with a pattern constant — Q1 of
+  :mod:`repro.cfd.sqlgen`) or a *first-vs-other* pair check against the
+  partition's first tuple (the embedded FD disagreeing — Q2).  The delta
+  engine (:mod:`repro.engine.delta`) updates a partition's violations in
+  O(1) per edited tuple through them, and files every violation under the
+  tuple that contributes it — a ``single`` violation is witnessed by its
   tuple alone and a ``pair`` violation by ``(first, other)``, in that
-  order.
-* ``columnar`` — an optional :class:`ColumnarSpec` declaring the same
-  semantics a third way, as primitive checks over encoded columns, so the
-  vectorized kernels (:mod:`repro.engine.kernels`) can decide *which*
-  partitions could violate without touching a ``Tuple``; tasks without a
-  spec (denial / custom constraints) keep the per-tuple sweep.
+  order;
+* ``skip_singletons`` — true when ``single`` never emits, so the row can
+  only produce pair violations: sweeps skip size-1 groups without a call
+  and :meth:`ScanTask.evaluate` skips the singles;
+* ``columnar`` — a :class:`ColumnarSpec` declaring the same semantics a
+  third way, as primitive checks over encoded columns, so the vectorized
+  kernels (:mod:`repro.engine.kernels`) can decide *which* partitions
+  could violate without touching a ``Tuple``.
+
+:meth:`ScanTask.evaluate` — one partition's violations — is derived from
+``single`` / ``pair``, not written per class: ``single`` on every member,
+then ``pair`` of the first member against every other one.  That is also
+the order the executor's kernel path emits flagged rows in.
 """
 
 from __future__ import annotations
@@ -95,7 +97,6 @@ class ScanTask:
         "key_constants",
         "match_fn",
         "skip_singletons",
-        "evaluate",
         "single",
         "pair",
         "columnar",
@@ -105,29 +106,34 @@ class ScanTask:
         self,
         lookup_key: Optional[tuple],
         key_constants: Sequence[PyTuple[int, object]],
-        evaluate: Callable[[Sequence, list], None],
+        *,
+        single: Callable[[Any, list], None],
+        pair: Callable[[Any, Any, list], None],
+        columnar: ColumnarSpec,
         skip_singletons: bool = False,
         match_fn: Optional[Callable[[tuple], bool]] = None,
-        single: Optional[Callable[[object, list], None]] = None,
-        pair: Optional[Callable[[object, object, list], None]] = None,
-        columnar: Optional[ColumnarSpec] = None,
     ):
         self.lookup_key = lookup_key
         self.key_constants = list(key_constants)
         self.match_fn = match_fn
         self.skip_singletons = skip_singletons
-        self.evaluate = evaluate
-        # Per-tuple decomposition (see module docstring); both present ⟺
-        # the task supports incremental partition maintenance.
         self.single = single
         self.pair = pair
-        # Encoded-column decomposition; present ⟺ the vectorized kernels
-        # can pre-filter partitions for this task.
         self.columnar = columnar
 
-    @property
-    def supports_incremental(self) -> bool:
-        return self.single is not None and self.pair is not None
+    def evaluate(self, group: Sequence, out: list) -> None:
+        """Append the row's violations within one matching partition to
+        ``out``: ``single`` on every member, then ``pair`` of the first
+        member against every other one."""
+        if not self.skip_singletons:
+            single = self.single
+            for t in group:
+                single(t, out)
+        if len(group) > 1:
+            pair = self.pair
+            first = group[0]
+            for other in group[1:]:
+                pair(first, other, out)
 
     def matches(self, key: tuple) -> bool:
         """Does the partition with this key participate in the row?"""

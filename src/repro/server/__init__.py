@@ -120,7 +120,6 @@ def make_server(
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     fsync: bool = True,
     degraded_after: int = DEFAULT_DEGRADED_AFTER,
-    verbose: bool = False,
 ) -> AsyncReproServer:
     """Build the server (not yet serving); ``port=0`` picks a free port.
 
@@ -129,7 +128,7 @@ def make_server(
     return AsyncReproServer(
         (host, port), max_sessions=max_sessions, data_root=data_root,
         state_dir=state_dir, snapshot_every=snapshot_every, fsync=fsync,
-        degraded_after=degraded_after, verbose=verbose,
+        degraded_after=degraded_after,
     )
 
 
@@ -141,26 +140,29 @@ def serve(
     state_dir: Optional[Path] = None,
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     degraded_after: int = DEFAULT_DEGRADED_AFTER,
-    verbose: bool = True,
+    quiet: bool = False,
 ) -> int:
-    """Blocking entry point for ``repro serve`` (Ctrl-C to stop)."""
+    """Blocking entry point for ``repro serve`` (Ctrl-C to stop).
+
+    Prints one line, the listening banner on stderr, unless ``quiet``."""
     import sys
 
     server = make_server(
         host, port, max_sessions=max_sessions, data_root=data_root,
         state_dir=state_dir, snapshot_every=snapshot_every,
-        degraded_after=degraded_after, verbose=verbose,
+        degraded_after=degraded_after,
     )
-    durable = ""
-    if state_dir is not None:
-        cold = len(server.manager.cold_session_ids())
-        durable = f", durable state in {state_dir} ({cold} recoverable)"
-    print(
-        f"repro server listening on {server.base_url} "
-        f"(max {max_sessions} sessions{durable})",
-        file=sys.stderr,
-        flush=True,
-    )
+    if not quiet:
+        durable = ""
+        if state_dir is not None:
+            cold = len(server.manager.cold_session_ids())
+            durable = f", durable state in {state_dir} ({cold} recoverable)"
+        print(
+            f"repro server listening on {server.base_url} "
+            f"(max {max_sessions} sessions{durable})",
+            file=sys.stderr,
+            flush=True,
+        )
     try:
         server.serve_forever()
     except KeyboardInterrupt:

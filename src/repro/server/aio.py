@@ -195,7 +195,6 @@ class AsyncReproServer:
         snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         fsync: bool = True,
         degraded_after: int = DEFAULT_DEGRADED_AFTER,
-        verbose: bool = False,
     ) -> None:
         self.manager = SessionManager(
             max_sessions,
@@ -208,7 +207,6 @@ class AsyncReproServer:
         self.core = ServiceCore(self.manager, self.metrics, degraded_after)
         self.degraded_after = self.core.degraded_after
         self.started = self.core.started
-        self.verbose = verbose
         # bind eagerly so base_url is valid before the loop starts; a deep
         # listen backlog keeps benchmark-scale connection fan-in (hundreds
         # of clients connecting at once) from seeing resets
@@ -454,7 +452,10 @@ class AsyncReproServer:
         rejected = self._reject_behind_probe(session_id, verb, method, target)
         if rejected is not None:
             return rejected
+        queued_from = time.perf_counter()
         async with self._session_lock(session_id):
+            # the time spent queued here is the request's lock wait
+            call = functools.partial(call, queued=time.perf_counter() - queued_from)
             if verb in _EDIT_VERBS and method == "POST":
                 response = await self._edit(session_id, call)
             else:

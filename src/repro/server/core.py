@@ -274,20 +274,28 @@ class ServiceCore:
 
     # -- request handling --------------------------------------------------
 
-    def handle(self, method: str, target: str, read_body: ReadBody) -> Response:
+    def handle(
+        self, method: str, target: str, read_body: ReadBody, queued: float = 0.0
+    ) -> Response:
         """Resolve one request end-to-end and record its metrics.
+
+        ``queued`` is how long the transport already held the request in
+        a per-session queue of its own (the asyncio front end's session
+        lock); a gated verb counts it into the session's lock wait.
 
         Never raises: every handler exception renders as the matching
         JSON error document (transport-level I/O failures while *writing*
         the response are the transport's problem).
         """
         started = time.perf_counter()
-        response = self._handle(method, target, read_body)
+        response = self._handle(method, target, read_body, queued)
         response.seconds = time.perf_counter() - started
         self.metrics.record(response.endpoint, response.status, response.seconds)
         return response
 
-    def _handle(self, method: str, target: str, read_body: ReadBody) -> Response:
+    def _handle(
+        self, method: str, target: str, read_body: ReadBody, queued: float
+    ) -> Response:
         version, rest, query = split_target(target)
         # the metrics key is the route *template* on the version-stripped
         # path (session ids → "{id}") whatever the outcome — raw paths or
@@ -304,7 +312,7 @@ class ServiceCore:
                 # origin form has no fragment (RFC 9112 §3.2.1)
                 raise BadRequest("a request target carries no #fragment")
             endpoint, status, document = self._route(
-                method, rest, query, read_body
+                method, rest, query, read_body, queued
             )
             if isinstance(document, PlainText):
                 return Response(
@@ -346,7 +354,7 @@ class ServiceCore:
     # -- routing ---------------------------------------------------------
 
     def _route(
-        self, method: str, path: str, query: str, read_body: ReadBody
+        self, method: str, path: str, query: str, read_body: ReadBody, queued: float
     ) -> RouteResult:
         """Resolve one request; returns (endpoint template, status, doc)."""
         parts = [p for p in path.split("/") if p]
@@ -410,13 +418,18 @@ class ServiceCore:
                     )
             elif len(parts) == 3:
                 return self._route_session_verb(
-                    method, parts[1], parts[2], read_body
+                    method, parts[1], parts[2], read_body, queued
                 )
 
         raise BadRequest(f"no route for {method} {path}")
 
     def _route_session_verb(
-        self, method: str, session_id: str, verb: str, read_body: ReadBody
+        self,
+        method: str,
+        session_id: str,
+        verb: str,
+        read_body: ReadBody,
+        queued: float,
     ) -> VerbResult:
         manager = self.manager
         if verb == "diagnostics" and method == "GET":
@@ -451,6 +464,7 @@ class ServiceCore:
             return self._run_gated(
                 session_id,
                 lambda hosted: self._handle_rules_write(hosted, method, body),
+                queued,
             )
         if method != "POST":
             raise BadRequest(
@@ -459,19 +473,19 @@ class ServiceCore:
         body = read_body()
         if verb == "detect":
             return self._run_gated(
-                session_id, lambda hosted: self._handle_detect(hosted, body)
+                session_id, lambda hosted: self._handle_detect(hosted, body), queued
             )
         if verb == "apply":
             return self._run_gated(
-                session_id, lambda hosted: self._handle_apply(hosted, body)
+                session_id, lambda hosted: self._handle_apply(hosted, body), queued
             )
         if verb == "undo":
             return self._run_gated(
-                session_id, lambda hosted: self._handle_undo(hosted, body)
+                session_id, lambda hosted: self._handle_undo(hosted, body), queued
             )
         if verb == "repair":
             return self._run_gated(
-                session_id, lambda hosted: self._handle_repair(hosted, body)
+                session_id, lambda hosted: self._handle_repair(hosted, body), queued
             )
         raise BadRequest(f"no route for POST /sessions/{{id}}/{verb}")
 
@@ -481,6 +495,7 @@ class ServiceCore:
         self,
         session_id: str,
         handler: Callable[[HostedSession], VerbResult],
+        queued: float,
     ) -> VerbResult:
         """Resolve the session and run ``handler`` under degraded gating.
 
@@ -490,7 +505,7 @@ class ServiceCore:
         truly gone."""
         while True:
             hosted = self.manager.get(session_id)
-            result = self.gated_verb(hosted, handler)
+            result = self.gated_verb(hosted, handler, queued)
             if result is not None:
                 return result
 
@@ -532,6 +547,7 @@ class ServiceCore:
         self,
         hosted: HostedSession,
         handler: Callable[[HostedSession], VerbResult],
+        queued: float,
     ) -> Optional[VerbResult]:
         """Run one verb handler under the session lock with degraded gating.
 
@@ -543,7 +559,8 @@ class ServiceCore:
         handler.  Failure accounting is 5xx-only — client errors (bad
         documents, unknown undo tokens) say nothing about session health.
         The lock is released on every path: a degraded session can never
-        poison it.
+        poison it.  The request's lock wait — ``queued`` in front of the
+        core plus the wait for ``hosted.lock`` — is noted once.
 
         Returns ``None`` when the session object was closed before the
         lock was won — the caller (:meth:`_run_gated`) re-resolves.
@@ -556,7 +573,7 @@ class ServiceCore:
         with hosted.lock:
             if hosted.closed:
                 return None
-            hosted.note_lock_wait(time.perf_counter() - wait_from)
+            hosted.note_lock_wait(queued + time.perf_counter() - wait_from)
             probing = bool(threshold) and hosted.is_degraded
             if probing:
                 hosted.probe_in_flight = True

@@ -399,7 +399,8 @@ class HostedSession:
 
     # repro: lock-held — the gated-verb path calls this right after acquiring
     def note_lock_wait(self, seconds: float) -> None:
-        """Aggregate how long this request queued for the session lock."""
+        """Aggregate how long this request queued for the session: behind
+        the transport's per-session lock, then for ``lock``."""
         self.lock_acquisitions += 1
         self.lock_wait_seconds_total += seconds
         if seconds > self.lock_wait_seconds_max:

@@ -201,9 +201,14 @@ class Session:
     """One database instance + one rule set + the engines that serve them.
 
     ``executor`` selects the detection path — ``"indexed"`` (default, the
-    PR-1 batch executor) or ``"naive"`` (the per-dependency oracle
-    scans).  Both yield the same violation multiset — the differential
-    corpus pins them together.
+    PR-1 batch executor) or ``"naive"``: each dependency's own indexed
+    ``violations()`` in turn, the per-dependency loop of
+    :func:`repro.cfd.detect.detect_violations` with ``engine=False``.
+    Both yield the same violation multiset — the differential corpus pins
+    them together — though not always in the same order (a multi-row
+    tableau's violations come row by row there, partition by partition
+    here).  The correctness oracle, :mod:`repro.engine.naive`, is neither:
+    no executor name reaches it.
     """
 
     def __init__(
@@ -392,19 +397,13 @@ class Session:
 
     # -- detection -------------------------------------------------------
 
-    def detect(
-        self,
-        engine: bool = True,
-        *,
-        executor: Optional[str] = None,
-    ) -> ViolationReport:
+    def detect(self, *, executor: Optional[str] = None) -> ViolationReport:
         """Batch violation detection over the configured execution engine.
 
         Every executor reports the same violation multiset as the free
         function :func:`repro.cfd.detect.detect_violations` (the
         differential corpus pins them equal).  ``executor`` overrides the
-        session-level configuration for this call; ``engine=False`` keeps
-        its historical meaning (the naive per-dependency loop).
+        session-level configuration for this call.
 
         When the call resolves to the ``"indexed"`` executor and the delta
         engine is warm and current (an ``apply`` built it and nothing has
@@ -416,8 +415,6 @@ class Session:
         chosen = (
             validate_executor(executor) if executor is not None else self._executor
         )
-        if not engine:
-            chosen = "naive"
         maintained = self._current_engine() if chosen == "indexed" else None
         if maintained is not None:
             maintained.stats.reports_served += 1

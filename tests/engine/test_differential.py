@@ -358,6 +358,36 @@ def test_delta_build_seeded_from_kernel_flags_equals_full_sweep(monkeypatch):
     assert compared >= TOTAL_CASES + 450
 
 
+def test_executor_kernel_path_equals_per_tuple_sweep_as_a_list(monkeypatch):
+    """The executor's two scan paths emit one list.
+
+    Over the whole corpus, before and after every edit batch, a detect on
+    the kernel path (flagged rows through ``single`` / ``pair``) and one
+    with the kernels switched off (``ScanTask.evaluate`` over hash
+    partitions) return the same violations in the same order — same
+    dependency objects, reasons and witness objects."""
+    if not kernels.AVAILABLE:
+        pytest.skip("needs numpy: without it both detects take the per-tuple sweep")
+
+    compared = 0
+    for case_id, rng, make_deps in _cases():
+        schema = _random_schema(rng)
+        db = _random_instance(schema, rng)
+        deps = make_deps(schema, rng)
+        for step in range(1 + rng.randrange(1, 4)):
+            if step:
+                DeltaEngine(db, deps).apply(_random_batch(db, rng))
+            vectorized = detect_violations_indexed(db, deps).violations
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "AVAILABLE", False)
+                swept = detect_violations_indexed(db, deps).violations
+            assert violation_sequence(vectorized) == violation_sequence(swept), (
+                f"{case_id} step={step}"
+            )
+            compared += 1
+    assert compared >= TOTAL_CASES + 450
+
+
 def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
     """Count guard: the first engine build after a detect sweeps no
     partition and copies none — it reads the violating rows off the kernel

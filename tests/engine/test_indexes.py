@@ -70,10 +70,6 @@ class TestKeySets:
         grouped = rel.indexes.grouped_key_sets((), ("A",))
         assert grouped == {(): frozenset({("a",), ("b",)})}
 
-    def test_projection(self):
-        rel = _rel([("a", "x", "1"), ("b", "y", "2")])
-        assert list(rel.indexes.projection(("B", "A"))) == [("x", "a"), ("y", "b")]
-
 
 class TestInvalidation:
     def test_add_bumps_version_and_invalidates(self):
@@ -133,10 +129,13 @@ class TestInvalidation:
         assert set(filtered.indexes.group_index(("A",))) == {("a",)}
         assert set(rel.indexes.group_index(("A",))) == {("a",), ("b",)}
 
-    def test_grouped_and_projection_invalidate_too(self):
+    def test_grouped_key_sets_and_counts_invalidate_too(self):
         rel = _rel([("a", "x", "1")])
         rel.indexes.grouped_key_sets(("A",), ("B",))
-        rel.indexes.projection(("A",))
+        rel.indexes.grouped_key_counts(("A",), ("B",))
         rel.add(("b", "y", "2"))
         assert ("b",) in rel.indexes.grouped_key_sets(("A",), ("B",))
-        assert list(rel.indexes.projection(("A",))) == [("a",), ("b",)]
+        assert rel.indexes.grouped_key_counts(("A",), ("B",)) == {
+            ("a",): {("x",): 1},
+            ("b",): {("y",): 1},
+        }

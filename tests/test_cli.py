@@ -252,3 +252,36 @@ class TestRemovedShardingFlags:
                  "--rules", str(rules), str(data)]
             )
         assert exit_info.value.code == 2
+
+
+class TestServe:
+    """``repro serve`` prints one line, the listening banner; ``--quiet``
+    suppresses it.  The loop is stubbed to stop at once."""
+
+    @pytest.fixture(autouse=True)
+    def _no_loop(self, monkeypatch):
+        from repro.server.aio import AsyncReproServer
+
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(AsyncReproServer, "serve_forever", interrupted)
+
+    def test_serve_prints_the_listening_banner(self, capsys):
+        assert main(["serve", "--port", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro server listening on")
+
+    def test_quiet_suppresses_the_banner(self, capsys):
+        assert main(["serve", "--port", "0", "--quiet"]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_the_verbose_knob_is_gone(self):
+        from repro.server import make_server, serve
+
+        with pytest.raises(TypeError):
+            make_server(port=0, verbose=True)
+        with pytest.raises(TypeError):
+            serve(port=0, verbose=True)

@@ -670,6 +670,48 @@ class TestEditDispatch:
             server.shutdown()
 
 
+class TestLockDiagnostics:
+    def test_requests_queued_on_the_session_count_their_wait(
+        self, client, server
+    ):
+        """Concurrent writes queue on the session's asyncio lock, not on
+        the core's lock; diagnostics' ``locks`` must still see the queue,
+        counting each request once."""
+        _fresh(client, "queue")
+        session = server.manager.peek("queue").session
+        real = session.apply
+        handler_seconds = []
+
+        def slow_apply(changeset):
+            started = time.perf_counter()
+            time.sleep(0.05)
+            result = real(changeset)
+            handler_seconds.append(time.perf_counter() - started)
+            return result
+
+        session.apply = slow_apply
+        before = client.diagnostics("queue")["locks"]
+        try:
+            threads = [
+                threading.Thread(target=client.apply, args=("queue", _insert(floor)))
+                for floor in (7, 8, 9, 10)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            session.apply = real
+        locks = client.diagnostics("queue")["locks"]
+        assert len(handler_seconds) == 4
+        assert locks["acquisitions"] - before["acquisitions"] == 4
+        assert locks["contended"] - before["contended"] >= 1
+        # the last of the four waited out at least one whole handler
+        assert locks["wait_seconds_max"] > max(handler_seconds)
+        client.delete_session("queue")
+
+
 # --------------------------------------------------------------------------
 # Graceful stop
 # --------------------------------------------------------------------------

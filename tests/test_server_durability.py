@@ -558,10 +558,12 @@ class TestSigkillSubprocess:
     def _spawn(self, state_dir: Path) -> tuple:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        # no --quiet: the listening banner is how a port-0 server says
+        # where it listens
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--state-dir", str(state_dir), "--quiet",
+                "--port", "0", "--state-dir", str(state_dir),
             ],
             stderr=subprocess.PIPE,
             env=env,

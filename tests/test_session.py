@@ -366,7 +366,8 @@ class TestMaintainedReads:
             lambda self: served.append(1) or read(self),
         )
         assert session.detect(executor="naive").total == total
-        assert session.detect(engine=False).total == total
+        with pytest.raises(TypeError):  # the old spelling of "naive"
+            session.detect(engine=False)
         assert not served and engine.stats.reports_served == 0
         assert session.detect(executor="indexed").total == total
         assert len(served) == 1
