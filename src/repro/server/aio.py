@@ -1,16 +1,20 @@
 """The asyncio front end of the constraint service.
 
 One event loop accepts every connection (256 idle keep-alive clients
-cost file descriptors, not threads), and requests split by verb class:
+cost file descriptors, not threads), and requests split by the row of
+the core's route table they name (:class:`~repro.server.core.Route`,
+``.verb``; this module lists no verb of its own):
 
-* **snapshot reads** — ``detect`` on an unchanged engine and
-  ``GET .../rules`` — answer *inline on the loop* from cached response
-  bytes, validated against the session's relation-version fingerprint
-  (:meth:`repro.session.Session.state_fingerprint`).  No session lock,
-  no thread handoff: a reader can never queue behind a writer.
-* **write verbs** (``apply``/``undo``/``repair``/rules writes) and reads
-  that miss the snapshot serialize per session on an
-  :class:`asyncio.Lock` and run the shared
+* **snapshot reads** — the cached routes, ``detect`` on an unchanged
+  engine and ``GET .../rules`` — answer *inline on the loop* from cached
+  response bytes, validated against the session's relation-version
+  fingerprint (:meth:`repro.session.Session.state_fingerprint`).  No
+  session lock, no thread handoff: a reader can never queue behind a
+  writer.  The body is parsed once, here, for the snapshot key, and the
+  core's handler reads that parse on a miss.
+* **serialized routes** — the writes (``apply``/``undo``/``repair``/rules
+  writes, ``DELETE``) and the cached reads that miss — serialize per
+  session on an :class:`asyncio.Lock` and run the shared
   :class:`~repro.server.core.ServiceCore` handler on a worker thread.
   Once the write completed, still under that lock, the session's
   snapshot is dropped and the next read re-publishes one at the new
@@ -47,9 +51,9 @@ Snapshot-correctness argument, in one place:
   under that lock — so the cached bytes and fingerprint always agree;
 * every mutating path on this server holds the same asyncio lock, so a
   published fingerprint can only be observed concurrently with *reads*
-  (the lock is chosen from :func:`~repro.server.wire.split_target`, the
-  parse the core routes by, so no target reaches a write handler
-  without it);
+  (the lock is chosen from the :class:`~repro.server.core.Route` the core
+  dispatches on — the same table row, built by the same parse — so no
+  target reaches a write handler without it);
 * relation versions are monotonic: any committed mutation bumps at least
   one version, so a hit (fingerprint equality, checked dirty) proves no
   mutation committed since the fingerprint was stamped — a torn read can
@@ -84,13 +88,15 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, AsyncIterator, Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import AsyncIterator, Callable, Dict, Optional, Set, Tuple
 
-from repro.engine.config import engine_config_from_document
 from repro.server.core import (
     Response,
+    Route,
     ServiceCore,
-    parse_body_bytes,
+    Verb,
+    body_reader,
+    outlives_edit,
     status_reason,
 )
 from repro.server.durability import DEFAULT_SNAPSHOT_EVERY
@@ -102,21 +108,8 @@ from repro.server.hosting import (
     UnknownSessionError,
 )
 from repro.server.pool import VerbPool
-from repro.server.wire import split_target, split_wire_version
 
 __all__ = ["AsyncReproServer", "SessionSnapshot"]
-
-#: session verbs that mutate state: their completion drops the session's
-#: snapshot or, for the two below, re-stamps it (rules handles PUT and POST)
-_WRITE_VERBS = frozenset({"apply", "undo", "repair", "rules"})
-
-#: the write verbs that go through the delta engine, which can say that a
-#: write left the report as it was (``Session.report_epoch``)
-_EDIT_VERBS = frozenset({"apply", "undo"})
-
-#: verbs that serialize on the session's asyncio lock — the write verbs
-#: plus the two snapshot-publishing reads (publication must be raceless)
-_LOCKED_VERBS = frozenset({"detect", "apply", "undo", "repair", "rules"})
 
 #: how long a stop waits for requests already read to be answered
 _DRAIN_SECONDS = 5.0
@@ -135,9 +128,9 @@ class _LockEntry:
 class SessionSnapshot:
     """Immutable read cache for one session at one fingerprint.
 
-    ``cache`` maps read keys — ``("rules",)`` or
-    ``("detect", executor, include_violations)`` — to fully
-    rendered :class:`Response` objects.  ``pinned`` holds the database
+    ``cache`` maps read keys (:meth:`Route.snapshot_key
+    <repro.server.core.Route.snapshot_key>`) to fully rendered
+    :class:`Response` objects.  ``pinned`` holds the database
     and rules objects whose ``id()``s appear in the fingerprint.
     ``token`` is the session's ``report_epoch()`` at publication
     (``None``: no maintained report to compare a later one with); an edit
@@ -159,22 +152,6 @@ class SessionSnapshot:
         self.pinned = pinned
         self.token = token
         self.cache: Dict[tuple, Response] = {}
-
-
-def _detect_cache_key(body: Any) -> Optional[tuple]:
-    """The canonical cache key of a detect body, or ``None`` when the
-    body is anything but a plain well-formed detect request."""
-    if body is None:
-        body = {}
-    if not isinstance(body, Mapping):
-        return None
-    if set(body) - {"engine", "include_violations"}:
-        return None
-    try:
-        executor = engine_config_from_document(body)
-    except Exception:
-        return None
-    return ("detect", executor, bool(body.get("include_violations", True)))
 
 
 class AsyncReproServer:
@@ -372,52 +349,61 @@ class AsyncReproServer:
                 request_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
             )
         except ValueError:
-            self._write_response(
-                writer,
-                self.core.refuse(
-                    "BAD", "/v1/__malformed__", "malformed request line"
-                ),
-                keep_alive=False,
+            await self._refuse(
+                writer, "BAD", "/v1/__malformed__", "malformed request line"
             )
-            await writer.drain()
             return None
         headers: Dict[str, str] = {}
+        # a body is framed by one Content-Length or not at all, and a head
+        # that frames it two ways (RFC 9112 §5.1, §6.3) is no better: what
+        # follows cannot be told from the next request, so it is answered
+        # once and the connection closed with the rest unread
+        unframed: Optional[str] = None
         while True:
             line = await reader.readline()
             if not line:
                 return None
             if line in (b"\r\n", b"\n"):
                 break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        # a body is framed by Content-Length or not at all: whatever else
-        # follows such a head cannot be told from the next request, so it
-        # is answered once and the connection closed with the rest unread
+            name, colon, value = line.decode("latin-1").partition(":")
+            field = name.lower()
+            if unframed is not None:
+                continue
+            if not colon:
+                unframed = "a header line has no ':' separator"
+            elif name.split() != [name]:
+                unframed = f"header field name {name!r} has whitespace in it"
+            elif field == "content-length" and field in headers:
+                unframed = "Content-Length is sent more than once"
+            headers[field] = value.strip()
         declared = headers.get("content-length", "0")
-        unframed: Optional[str] = None
-        if "transfer-encoding" in headers:
+        if unframed is None and "transfer-encoding" in headers:
             unframed = (
                 "Transfer-Encoding is not supported; send the body with "
                 "a Content-Length"
             )
-        elif not (declared.isascii() and declared.isdigit()):
+        elif unframed is None and not (declared.isascii() and declared.isdigit()):
             unframed = (
                 f"Content-Length must be a non-negative integer, "
                 f"got {declared!r}"
             )
         if unframed is not None:
-            self._write_response(
-                writer,
-                self.core.refuse(method.upper(), target, unframed),
-                keep_alive=False,
-            )
-            await writer.drain()
+            await self._refuse(writer, method.upper(), target, unframed)
             return None
         length = int(declared)
         body = await reader.readexactly(length) if length > 0 else b""
         connection = headers.get("connection", "").lower()
         keep_alive = version.upper() != "HTTP/1.0" and connection != "close"
         return method.upper(), target, keep_alive, body
+
+    async def _refuse(
+        self, writer: asyncio.StreamWriter, method: str, target: str, message: str
+    ) -> None:
+        """Answer a request that cannot be framed with the core's 400, and
+        leave the connection to close."""
+        response = self.core.refuse(Route(method, target), message)
+        self._write_response(writer, response, keep_alive=False)
+        await writer.drain()
 
     def _write_response(
         self,
@@ -439,30 +425,33 @@ class AsyncReproServer:
     # -- dispatch --------------------------------------------------------
 
     async def _respond(self, method: str, target: str, body: bytes) -> Response:
-        fast = self._snapshot_read(method, target, body)
-        if fast is not None:
-            return fast
-        read_body = functools.partial(parse_body_bytes, body)
+        started = time.perf_counter()
+        route = Route(method, target)
+        read_body = body_reader(body)
+        key = route.snapshot_key(read_body)
+        if key is not None:
+            cached = self._snapshot_read(route.session_id, key, started)
+            if cached is not None:
+                return cached
         call = functools.partial(self.core.handle, method, target, read_body)
         loop = asyncio.get_running_loop()
-        route = self._session_route(method, target)
-        if route is None:
+        verb = route.verb
+        if verb is None or not verb.serialized:
             return await loop.run_in_executor(self._executor, call)
-        session_id, verb = route
-        rejected = self._reject_behind_probe(session_id, verb, method, target)
-        if rejected is not None:
-            return rejected
+        session_id = route.session_id
+        if verb.gated:
+            rejected = self._reject_behind_probe(route)
+            if rejected is not None:
+                return rejected
         queued_from = time.perf_counter()
         async with self._session_lock(session_id):
             # the time spent queued here is the request's lock wait
             call = functools.partial(call, queued=time.perf_counter() - queued_from)
-            if verb in _EDIT_VERBS and method == "POST":
+            if verb.edit:
                 response = await self._edit(session_id, call)
             else:
                 response = await loop.run_in_executor(self._executor, call)
-            self._after_session_verb(
-                session_id, verb, method, target, body, response
-            )
+            self._after_session_verb(session_id, verb, key, response)
         return response
 
     async def _edit(self, session_id: str, call: Callable[[], Response]) -> Response:
@@ -500,11 +489,10 @@ class AsyncReproServer:
             and not hosted.lock.locked()
         )
 
-    def _reject_behind_probe(
-        self, session_id: str, verb: str, method: str, target: str
-    ) -> Optional[Response]:
-        """The degraded gate's fast 503 for a request that would otherwise
-        queue on the asyncio lock behind an in-flight recovery probe.
+    def _reject_behind_probe(self, route: Route) -> Optional[Response]:
+        """The degraded gate's fast 503 for a gated request that would
+        otherwise queue on the asyncio lock behind an in-flight recovery
+        probe.
 
         The gate itself sits behind that lock (``ServiceCore.gated_verb``
         runs inside the handler), so a contended request has to be turned
@@ -514,16 +502,13 @@ class AsyncReproServer:
         race the request queues like any other, so no verb runs outside
         the lock.
         """
-        entry = self._locks.get(session_id)
+        entry = self._locks.get(route.session_id)
         if entry is None or not entry.lock.locked():
             return None
-        # the gated verbs: every POST, and the rules PUT
-        if method != "POST" and not (method == "PUT" and verb == "rules"):
-            return None
-        hosted = self.manager.peek(session_id)
+        hosted = self.manager.peek(route.session_id)
         if hosted is None:
             return None
-        return self.core.reject_behind_probe(method, target, hosted)
+        return self.core.reject_behind_probe(route, hosted)
 
     @contextlib.asynccontextmanager
     async def _session_lock(self, session_id: str) -> AsyncIterator[None]:
@@ -547,29 +532,10 @@ class AsyncReproServer:
             if not entry.users:
                 del self._locks[session_id]
 
-    @staticmethod
-    def _session_route(method: str, target: str) -> Optional[Tuple[str, str]]:
-        """``(session_id, verb)`` for requests that serialize per session.
-
-        ``verb`` is ``""`` for ``DELETE /v1/sessions/{id}``.  Everything
-        else — service endpoints, listings, creates, info reads,
-        diagnostics — returns ``None`` and runs without the asyncio lock
-        (their session access is lock-free or internally synchronized).
-        """
-        version, rest, _query = split_target(target)
-        if version != 1:
-            return None
-        parts = [p for p in rest.split("/") if p]
-        if len(parts) == 2 and parts[0] == "sessions" and method == "DELETE":
-            return parts[1], ""
-        if len(parts) == 3 and parts[0] == "sessions" and parts[2] in _LOCKED_VERBS:
-            return parts[1], parts[2]
-        return None
-
     # -- the snapshot layer ----------------------------------------------
 
     def _snapshot_read(
-        self, method: str, target: str, body: bytes
+        self, session_id: str, key: tuple, started: float
     ) -> Optional[Response]:
         """Serve a read from cached bytes when provably still current.
 
@@ -578,29 +544,6 @@ class AsyncReproServer:
         request accounting, never held across verb handlers).  Returns
         ``None`` on any miss — the caller falls through to the full path.
         """
-        started = time.perf_counter()
-        if "?" in target or "#" in target:
-            # query strings never hit the cache, and the core refuses a
-            # fragment — which a hit would answer instead
-            return None
-        version, rest = split_wire_version(target)
-        if version != 1:
-            return None
-        parts = [p for p in rest.split("/") if p]
-        if len(parts) != 3 or parts[0] != "sessions":
-            return None
-        session_id, verb = parts[1], parts[2]
-        if verb == "rules" and method == "GET":
-            key: Optional[tuple] = ("rules",)
-        elif verb == "detect" and method == "POST":
-            try:
-                key = _detect_cache_key(parse_body_bytes(body) if body else None)
-            except Exception:
-                return None  # unparseable body: the slow path renders the 400
-        else:
-            return None
-        if key is None:
-            return None
         snapshot = self._snapshots.get(session_id)
         if snapshot is None:
             return None
@@ -629,46 +572,27 @@ class AsyncReproServer:
         return cached
 
     def _after_session_verb(
-        self,
-        session_id: str,
-        verb: str,
-        method: str,
-        target: str,
-        body: bytes,
-        response: Response,
+        self, session_id: str, verb: Verb, key: Optional[tuple], response: Response
     ) -> None:
-        """Maintain the snapshot layer after a locked verb completed.
+        """Maintain the snapshot layer after a serialized verb completed.
 
         Called while still holding the session's asyncio lock, so the
         fingerprint and report epoch read here cannot race another writer
-        on this server.
+        on this server.  ``key`` is the request's snapshot key, if any.
         """
-        if verb == "" or (verb in _WRITE_VERBS and method != "GET"):
+        if verb.writes:
             # session deleted or mutated: whatever was cached is stale,
             # unless the engine vouches that this edit changed no report
             snapshot = self._snapshots.get(session_id)
             if snapshot is None:
                 return
-            if verb in _EDIT_VERBS and self._restamp(session_id, snapshot):
+            if verb.edit and self._restamp(session_id, snapshot):
                 self.metrics.count("snapshots_kept_total")
             else:
                 del self._snapshots[session_id]
                 self.metrics.count("snapshots_dropped_total")
             return
-        if response.status != 200:
-            return
-        if verb == "rules" and method == "GET":
-            key: Optional[tuple] = ("rules",)
-        elif verb == "detect" and method == "POST":
-            if "?" in target:
-                return
-            try:
-                key = _detect_cache_key(parse_body_bytes(body) if body else None)
-            except Exception:
-                return
-        else:
-            return
-        if key is None:
+        if key is None or response.status != 200:
             return
         try:
             hosted = self.manager.get(session_id)
@@ -706,10 +630,8 @@ class AsyncReproServer:
         (the module docstring has the argument).
 
         Called under the session's asyncio lock.  Only the fingerprint
-        moves, and what stays cached is what the engine speaks for: the
-        rule documents (an edit cannot touch them) and the detects
-        ``Session.detect`` answers from the maintained set — the ones
-        resolving to the indexed executor.
+        moves, and what stays cached is what the engine speaks for
+        (:func:`~repro.server.core.outlives_edit`).
         """
         hosted = self.manager.peek(session_id)
         if (
@@ -726,7 +648,6 @@ class AsyncReproServer:
         snapshot.cache = {
             key: response
             for key, response in snapshot.cache.items()
-            if key == ("rules",)
-            or (key[1] or session.executor) == "indexed"
+            if outlives_edit(key, session.executor)
         }
         return True

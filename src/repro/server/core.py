@@ -19,14 +19,29 @@ A request flows::
 
 ``read_body`` is a transport-supplied thunk returning the parsed JSON
 body (or raising :class:`BadRequest`); the core calls it lazily so
-unrouted requests never pay the parse.
+unrouted requests never pay the parse, and :func:`body_reader` makes one
+that parses once however often it is called.
+
+The core dispatches on a :class:`Route` — the target parsed once, and
+its row of the one route table :data:`_ROUTES` — and a transport takes
+its lock, probe and snapshot decisions off the same ``Route``.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.engine.config import engine_config_from_document
 from repro.engine.delta import Changeset, StaleEngineError
@@ -45,7 +60,7 @@ from repro.server.hosting import (
     SessionManager,
     UnknownSessionError,
 )
-from repro.server.metrics import DELTA_STAT_FIELDS, prometheus_text
+from repro.server.metrics import DELTA_STAT_FIELDS, OPS_COUNTERS, prometheus_text
 from repro.server.wire import (
     SUPPORTED_WIRE_VERSIONS,
     encode,
@@ -59,7 +74,9 @@ __all__ = [
     "BadRequest",
     "PlainText",
     "Response",
+    "Route",
     "ServiceCore",
+    "Verb",
 ]
 
 
@@ -123,9 +140,9 @@ class Response:
         self.seconds = 0.0
 
 
-#: a handler answers with a document, or with bytes it already encoded
-VerbResult = Tuple[str, int, Union[Dict[str, Any], bytes]]
-RouteResult = Tuple[str, int, Union[Dict[str, Any], bytes, PlainText]]
+#: a handler answers with a status and a document, or bytes it encoded
+VerbResult = Tuple[int, Union[Dict[str, Any], bytes]]
+RouteResult = Tuple[int, Union[Dict[str, Any], bytes, PlainText]]
 ReadBody = Callable[[], Any]
 
 
@@ -137,6 +154,174 @@ def parse_body_bytes(raw: bytes) -> Any:
         return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise BadRequest(f"request body is not valid JSON: {exc}") from exc
+
+
+def body_reader(raw: bytes) -> ReadBody:
+    """The ``read_body`` of one request: parses ``raw`` on its first call
+    and hands back that document on every later one, so a request that is
+    keyed, answered and cached parses its body once.  A body that does not
+    parse raises on every call."""
+    parsed: List[Any] = []
+
+    def read_body() -> Any:
+        if not parsed:
+            parsed.append(parse_body_bytes(raw))
+        return parsed[0]
+
+    return read_body
+
+
+def _detect_key(read_body: ReadBody) -> Optional[tuple]:
+    """A detect's cache key — the executor it resolves to and whether it
+    lists violations — or ``None`` for a body that is anything but a
+    plain well-formed detect request (the handler answers it uncached)."""
+    try:
+        body = read_body() or {}
+        if not isinstance(body, Mapping):
+            return None
+        if set(body) - {"engine", "include_violations"}:
+            return None
+        executor = engine_config_from_document(body)
+    except Exception:
+        return None
+    return ("detect", executor, bool(body.get("include_violations", True)))
+
+
+def outlives_edit(key: tuple, executor: str) -> bool:
+    """Whether the read cached under ``key`` outlives an edit that left
+    the report standing: the rule documents, and the detects
+    ``Session.detect`` answers from the maintained set — the ones that
+    resolve (``executor``: the session's default) to the indexed one."""
+    return key == ("rules",) or (key[1] or executor) == "indexed"
+
+
+class Verb(NamedTuple):
+    """One row of the route table: the handler, and what a transport does
+    around it."""
+
+    #: the :class:`ServiceCore` method answering it, looked up per request
+    handler: str
+    #: runs under the degraded gate, on the hosted session's lock
+    gated: bool = False
+    #: changes the session: its completion ends the session's snapshot
+    writes: bool = False
+    #: an ``apply`` / ``undo``: the delta engine can vouch that it left
+    #: the report as it was, and the snapshot then outlives it
+    edit: bool = False
+    #: a read the snapshot layer answers from cached bytes: its key function
+    cache: Optional[Callable[[ReadBody], Optional[tuple]]] = None
+
+    @property
+    def serialized(self) -> bool:
+        """Whether a transport queues it on a lock of the session's own:
+        every write, and every cached read (publication must be raceless)."""
+        return self.writes or self.cache is not None
+
+
+def _route_key(endpoint: str) -> Tuple[str, Tuple[str, ...]]:
+    method, _, path = endpoint.partition(" /")
+    return method, tuple(path.split("/"))
+
+
+#: every route the service answers, by its metrics endpoint: the one list
+#: the core dispatches on and a transport takes its decisions from
+_ROUTES: Dict[Tuple[str, Tuple[str, ...]], Verb] = {
+    _route_key(endpoint): verb
+    for endpoint, verb in {
+        "GET /healthz": Verb("_health"),
+        "GET /metrics": Verb("_metrics"),
+        "GET /sessions": Verb("_list_sessions"),
+        "POST /sessions": Verb("_create_session"),
+        "GET /sessions/{id}": Verb("_session_info"),
+        "DELETE /sessions/{id}": Verb("_remove_session", writes=True),
+        "GET /sessions/{id}/diagnostics": Verb("_diagnostics"),
+        "GET /sessions/{id}/rules": Verb(
+            "_rules", cache=lambda read_body: ("rules",)
+        ),
+        "PUT /sessions/{id}/rules": Verb(
+            "_handle_rules_put", gated=True, writes=True
+        ),
+        "POST /sessions/{id}/rules": Verb(
+            "_handle_rules_post", gated=True, writes=True
+        ),
+        "POST /sessions/{id}/detect": Verb(
+            "_handle_detect", gated=True, cache=_detect_key
+        ),
+        "POST /sessions/{id}/apply": Verb(
+            "_handle_apply", gated=True, writes=True, edit=True
+        ),
+        "POST /sessions/{id}/undo": Verb(
+            "_handle_undo", gated=True, writes=True, edit=True
+        ),
+        "POST /sessions/{id}/repair": Verb(
+            "_handle_repair", gated=True, writes=True
+        ),
+    }.items()
+}
+
+
+class Route:
+    """One request, its target parsed once (:func:`split_target`).
+
+    ``verb`` is the :data:`_ROUTES` row the request names — ``None`` for
+    an unsupported version prefix, a target carrying a ``#fragment``, and
+    any method and path the table lacks — and ``session_id`` the id of a
+    ``/sessions/{id}/...`` path (``""`` for any other).  The core
+    dispatches on ``verb``; a transport takes its lock, gate and snapshot
+    decisions off the same row.  ``endpoint``, the metrics key, is built
+    when read.
+    """
+
+    __slots__ = (
+        "method",
+        "version",
+        "parts",
+        "query",
+        "fragment",
+        "session_id",
+        "template",
+        "verb",
+    )
+
+    def __init__(self, method: str, target: str) -> None:
+        version, parts, query = split_target(target)
+        self.method = method
+        self.version = version
+        self.parts = parts
+        self.query = query
+        self.fragment = "#" in target
+        if len(parts) > 1 and parts[0] == "sessions":
+            self.session_id = parts[1]
+            # session ids -> "{id}" and nothing past the verb: a key per
+            # raw path would grow the metrics table without bound under
+            # probes against many distinct ids
+            template: Tuple[str, ...] = ("sessions", "{id}", *parts[2:3])
+        else:
+            self.session_id = ""
+            template = tuple(parts)
+        self.template = template
+        routed = (
+            version in SUPPORTED_WIRE_VERSIONS
+            and not self.fragment
+            and len(template) == len(parts)
+        )
+        self.verb = _ROUTES.get((method, template)) if routed else None
+
+    @property
+    def endpoint(self) -> str:
+        """The metrics key: the route template on the version-stripped
+        path, whatever the outcome (so an unknown ``/v999`` prefix adds no
+        key of its own either)."""
+        return f"{self.method} /" + "/".join(self.template)
+
+    def snapshot_key(self, read_body: ReadBody) -> Optional[tuple]:
+        """The snapshot-cache key of this request, or ``None`` when it may
+        neither hit nor publish: not a cached read, a query string, or a
+        body its key function turns down."""
+        verb = self.verb
+        if verb is None or verb.cache is None or self.query:
+            return None
+        return verb.cache(read_body)
 
 
 class ServiceCore:
@@ -197,28 +382,18 @@ class ServiceCore:
                 if hosted.is_degraded:
                     degraded_sessions += 1
         document = self.metrics_document_base()
-        ops_counters = self.metrics.counters_snapshot()
+        counters = self.metrics.counters_snapshot()
+        sections = {
+            section: {name: counters[name] for name in names}
+            for section, names in OPS_COUNTERS.items()
+        }
         document["degraded"] = {
             "threshold": self.degraded_after,
             "sessions_degraded": degraded_sessions,
-            "degraded_total": ops_counters["degraded_total"],
-            "handler_failures_total": ops_counters["handler_failures_total"],
-            "probes_total": ops_counters["probes_total"],
-            "recoveries_total": ops_counters["recoveries_total"],
-            "rejected_total": ops_counters["rejected_total"],
+            **sections["degraded"],
         }
-        document["snapshots"] = {
-            name: ops_counters[name]
-            for name in (
-                "snapshot_hits_total",
-                "snapshots_kept_total",
-                "snapshots_dropped_total",
-            )
-        }
-        document["edits"] = {
-            name: ops_counters[name]
-            for name in ("edits_inline_total", "edits_pooled_total")
-        }
+        document["snapshots"] = sections["snapshots"]
+        document["edits"] = sections["edits"]
         document["sessions"] = {
             "open": len(manager),
             "max_sessions": manager.max_sessions,
@@ -288,32 +463,30 @@ class ServiceCore:
         the response are the transport's problem).
         """
         started = time.perf_counter()
-        response = self._handle(method, target, read_body, queued)
+        response = self._handle(Route(method, target), read_body, queued)
         response.seconds = time.perf_counter() - started
         self.metrics.record(response.endpoint, response.status, response.seconds)
         return response
 
-    def _handle(
-        self, method: str, target: str, read_body: ReadBody, queued: float
-    ) -> Response:
-        version, rest, query = split_target(target)
-        # the metrics key is the route *template* on the version-stripped
-        # path (session ids → "{id}") whatever the outcome — raw paths or
-        # per-version keys would grow the metrics table without bound
-        # under probes against many distinct ids or /v999 prefixes
-        endpoint = self._endpoint_template(method, rest)
-        if version not in SUPPORTED_WIRE_VERSIONS:
+    def _handle(self, route: Route, read_body: ReadBody, queued: float) -> Response:
+        endpoint = route.endpoint
+        if route.version not in SUPPORTED_WIRE_VERSIONS:
             # an unknown prefix or (``None``) no prefix at all
             return self._json_response(
-                endpoint, 404, unsupported_version_document(version)
+                endpoint, 404, unsupported_version_document(route.version)
             )
         try:
-            if "#" in target:
-                # origin form has no fragment (RFC 9112 §3.2.1)
-                raise BadRequest("a request target carries no #fragment")
-            endpoint, status, document = self._route(
-                method, rest, query, read_body, queued
-            )
+            verb = route.verb
+            if verb is None:
+                raise BadRequest(self._no_route(route, read_body))
+            handler = getattr(self, verb.handler)
+            if verb.gated:
+                body = read_body()
+                status, document = self._run_gated(
+                    route.session_id, lambda hosted: handler(hosted, body), queued
+                )
+            else:
+                status, document = handler(route, read_body)
             if isinstance(document, PlainText):
                 return Response(
                     status,
@@ -324,170 +497,94 @@ class ServiceCore:
             if isinstance(document, bytes):
                 return Response(status, document, "application/json", endpoint=endpoint)
             return self._json_response(endpoint, status, document)
-        except BadRequest as exc:
-            return self._json_response(
-                endpoint, 400, {"error": str(exc), "type": "BadRequest"}
-            )
         except Exception as exc:
             return self._error_response(endpoint, exc)
 
-    def refuse(self, method: str, target: str, message: str) -> Response:
+    def refuse(self, route: Route, message: str) -> Response:
         """A recorded 400 ``BadRequest`` for a request the transport could
         not frame — no body was read, so no route or handler runs."""
-        _version, rest, _query = split_target(target)
-        endpoint = self._endpoint_template(method, rest)
-        self.metrics.record(endpoint, 400, 0.0)
+        self.metrics.record(route.endpoint, 400, 0.0)
         return self._json_response(
-            endpoint, 400, {"error": message, "type": "BadRequest"}
+            route.endpoint, 400, {"error": message, "type": "BadRequest"}
         )
 
+    # -- routing: the ungated handlers take (route, read_body) ------------
+
     @staticmethod
-    def _endpoint_template(method: str, path: str) -> str:
-        parts = [p for p in path.split("/") if p]
-        if parts and parts[0] == "sessions":
-            if len(parts) == 2:
-                parts = ["sessions", "{id}"]
-            elif len(parts) >= 3:
-                parts = ["sessions", "{id}", parts[2]]
-        return f"{method} /" + "/".join(parts)
+    def _no_route(route: Route, read_body: ReadBody) -> str:
+        """Why a request of a supported version names no route."""
+        if route.fragment:
+            # origin form has no fragment (RFC 9112 §3.2.1)
+            return "a request target carries no #fragment"
+        if route.session_id and len(route.parts) == 3:
+            if route.method == "POST":
+                read_body()  # a malformed body is named before the verb
+            return f"no route for {route.endpoint}"
+        return f"no route for {route.method} /" + "/".join(route.parts)
 
-    # -- routing ---------------------------------------------------------
+    def _health(self, route: Route, read_body: ReadBody) -> RouteResult:
+        return 200, self.health_document()
 
-    def _route(
-        self, method: str, path: str, query: str, read_body: ReadBody, queued: float
-    ) -> RouteResult:
-        """Resolve one request; returns (endpoint template, status, doc)."""
-        parts = [p for p in path.split("/") if p]
+    def _metrics(self, route: Route, read_body: ReadBody) -> RouteResult:
+        fmt = parse_qs(route.query).get("format", ["json"])[-1]
+        if fmt not in ("json", "prometheus"):
+            raise BadRequest(
+                f"unknown metrics format {fmt!r} (expected json or prometheus)"
+            )
+        document = self.metrics_document()
+        if fmt == "prometheus":
+            return 200, PlainText(
+                prometheus_text(document),
+                "text/plain; version=0.0.4; charset=utf-8",
+            )
+        return 200, document
 
-        if parts == ["healthz"] and method == "GET":
-            return "GET /healthz", 200, self.health_document()
-        if parts == ["metrics"] and method == "GET":
-            fmt = parse_qs(query).get("format", ["json"])[-1]
-            if fmt not in ("json", "prometheus"):
-                raise BadRequest(
-                    f"unknown metrics format {fmt!r} (expected json or "
-                    "prometheus)"
-                )
-            metrics_doc = self.metrics_document()
-            if fmt == "prometheus":
-                return (
-                    "GET /metrics",
-                    200,
-                    PlainText(
-                        prometheus_text(metrics_doc),
-                        "text/plain; version=0.0.4; charset=utf-8",
-                    ),
-                )
-            return "GET /metrics", 200, metrics_doc
-
+    def _list_sessions(self, route: Route, read_body: ReadBody) -> RouteResult:
+        # lock-free by construction: ``info()`` reads dirty snapshots, so
+        # a wedged verb handler on one session cannot hang the enumeration
         manager = self.manager
-        if parts and parts[0] == "sessions":
-            if len(parts) == 1:
-                if method == "GET":
-                    # lock-free by construction: ``info()`` reads dirty
-                    # snapshots, so a wedged verb handler on one session
-                    # cannot hang the whole enumeration
-                    document: Dict[str, Any] = {
-                        "sessions": [h.info() for h in manager.list()]
-                    }
-                    if manager.store is not None:
-                        document["cold_sessions"] = manager.cold_session_ids()
-                    return "GET /sessions", 200, document
-                if method == "POST":
-                    body = read_body() or {}
-                    if not isinstance(body, Mapping):
-                        raise BadRequest(
-                            "session creation body must be a JSON object"
-                        )
-                    hosted = manager.create(body)
-                    return "POST /sessions", 201, hosted.info()
-            elif len(parts) == 2:
-                session_id = parts[1]
-                if method == "GET":
-                    return (
-                        "GET /sessions/{id}",
-                        200,
-                        manager.get(session_id).info(),
-                    )
-                if method == "DELETE":
-                    removed = manager.remove(session_id)
-                    return (
-                        "DELETE /sessions/{id}",
-                        200,
-                        {"session": removed, "closed": True},
-                    )
-            elif len(parts) == 3:
-                return self._route_session_verb(
-                    method, parts[1], parts[2], read_body, queued
-                )
+        document: Dict[str, Any] = {"sessions": [h.info() for h in manager.list()]}
+        if manager.store is not None:
+            document["cold_sessions"] = manager.cold_session_ids()
+        return 200, document
 
-        raise BadRequest(f"no route for {method} {path}")
+    def _create_session(self, route: Route, read_body: ReadBody) -> RouteResult:
+        body = read_body() or {}
+        if not isinstance(body, Mapping):
+            raise BadRequest("session creation body must be a JSON object")
+        return 201, self.manager.create(body).info()
 
-    def _route_session_verb(
-        self,
-        method: str,
-        session_id: str,
-        verb: str,
-        read_body: ReadBody,
-        queued: float,
-    ) -> VerbResult:
-        manager = self.manager
-        if verb == "diagnostics" and method == "GET":
-            # ungated: diagnostics must stay readable while degraded
-            while True:
-                hosted = manager.get(session_id)
-                try:
-                    document = hosted.diagnostics()
-                except Exception:
-                    if hosted.closed:
-                        continue  # read a dying session; re-resolve
-                    raise
+    def _session_info(self, route: Route, read_body: ReadBody) -> RouteResult:
+        return 200, self.manager.get(route.session_id).info()
+
+    def _remove_session(self, route: Route, read_body: ReadBody) -> RouteResult:
+        removed = self.manager.remove(route.session_id)
+        return 200, {"session": removed, "closed": True}
+
+    def _diagnostics(self, route: Route, read_body: ReadBody) -> RouteResult:
+        # ungated: diagnostics must stay readable while degraded
+        while True:
+            hosted = self.manager.get(route.session_id)
+            try:
+                document = hosted.diagnostics()
+            except Exception:
+                if hosted.closed:
+                    continue  # read a dying session; re-resolve
+                raise
+            if hosted.closed:
+                continue  # evicted under us; re-resolve
+            return 200, document
+
+    def _rules(self, route: Route, read_body: ReadBody) -> RouteResult:
+        # ungated read: serving the rule documents never runs the engine,
+        # so it says nothing about (and needs nothing from) the session's
+        # health
+        while True:
+            hosted = self.manager.get(route.session_id)
+            with hosted.lock:
                 if hosted.closed:
                     continue  # evicted under us; re-resolve
-                return ("GET /sessions/{id}/diagnostics", 200, document)
-        if verb == "rules" and method == "GET":
-            # ungated read: serving the rule documents never runs the
-            # engine, so it says nothing about (and needs nothing from)
-            # the session's health
-            while True:
-                hosted = manager.get(session_id)
-                with hosted.lock:
-                    if hosted.closed:
-                        continue  # evicted under us; re-resolve
-                    return (
-                        "GET /sessions/{id}/rules",
-                        200,
-                        {"rules": hosted.session.rules_documents()},
-                    )
-        if verb == "rules" and method in ("PUT", "POST"):
-            body = read_body()
-            return self._run_gated(
-                session_id,
-                lambda hosted: self._handle_rules_write(hosted, method, body),
-                queued,
-            )
-        if method != "POST":
-            raise BadRequest(
-                f"no route for {method} /sessions/{{id}}/{verb}"
-            )
-        body = read_body()
-        if verb == "detect":
-            return self._run_gated(
-                session_id, lambda hosted: self._handle_detect(hosted, body), queued
-            )
-        if verb == "apply":
-            return self._run_gated(
-                session_id, lambda hosted: self._handle_apply(hosted, body), queued
-            )
-        if verb == "undo":
-            return self._run_gated(
-                session_id, lambda hosted: self._handle_undo(hosted, body), queued
-            )
-        if verb == "repair":
-            return self._run_gated(
-                session_id, lambda hosted: self._handle_repair(hosted, body), queued
-            )
-        raise BadRequest(f"no route for POST /sessions/{{id}}/{verb}")
+                return 200, {"rules": hosted.session.rules_documents()}
 
     # -- degraded gating ---------------------------------------------------
 
@@ -524,7 +621,7 @@ class ServiceCore:
         )
 
     def reject_behind_probe(
-        self, method: str, target: str, hosted: HostedSession
+        self, route: Route, hosted: HostedSession
     ) -> Optional[Response]:
         """That 503 as a finished, recorded response — for a transport
         about to park a gated request on a lock of its own in front of
@@ -534,10 +631,7 @@ class ServiceCore:
         rejection = self._probe_rejection(hosted)
         if rejection is None:
             return None
-        _version, rest, _query = split_target(target)
-        response = self._error_response(
-            self._endpoint_template(method, rest), rejection
-        )
+        response = self._error_response(route.endpoint, rejection)
         self.metrics.record(
             response.endpoint, response.status, time.perf_counter() - started
         )
@@ -611,10 +705,9 @@ class ServiceCore:
             raise BadRequest("detect body must be a JSON object (or empty)")
         executor = engine_config_from_document(body)
         report = hosted.session.detect(executor=executor)
-        endpoint = "POST /sessions/{id}/detect"
         summary = report.to_dict(include_violations=False)
         if not body.get("include_violations", True):
-            return endpoint, 200, summary
+            return 200, summary
         # the witness list is spliced from per-violation bytes: only the
         # violations the previous report did not have are encoded
         encoded = splice_array(
@@ -622,7 +715,7 @@ class ServiceCore:
             "violations",
             hosted.fragments.encode(report.violations),
         )
-        return endpoint, 200, encoded
+        return 200, encoded
 
     @staticmethod
     def _delta_document(hosted: HostedSession, delta: Any) -> Dict[str, Any]:
@@ -660,7 +753,7 @@ class ServiceCore:
             hosted.session.apply(delta.undo)
             hosted.restore_undo_state(saved_undo)
             raise
-        return "POST /sessions/{id}/apply", 200, document
+        return 200, document
 
     def _handle_undo(self, hosted: HostedSession, body: Any) -> VerbResult:
         if not isinstance(body, Mapping) or "token" not in body:
@@ -682,7 +775,7 @@ class ServiceCore:
             hosted.session.apply(delta.undo)
             hosted.restore_undo_state(saved_undo)
             raise
-        return "POST /sessions/{id}/undo", 200, document
+        return 200, document
 
     @staticmethod
     def _handle_repair(hosted: HostedSession, body: Any) -> VerbResult:
@@ -709,11 +802,17 @@ class ServiceCore:
             # wholesale instance swap: no changeset to WAL — capture the
             # adopted state as a fresh snapshot instead
             hosted.persist_snapshot()
-        return "POST /sessions/{id}/repair", 200, report.to_dict()
+        return 200, report.to_dict()
+
+    def _handle_rules_put(self, hosted: HostedSession, body: Any) -> VerbResult:
+        return self._handle_rules_write(hosted, body, replace=True)
+
+    def _handle_rules_post(self, hosted: HostedSession, body: Any) -> VerbResult:
+        return self._handle_rules_write(hosted, body, replace=False)
 
     @staticmethod
     def _handle_rules_write(
-        hosted: HostedSession, method: str, body: Any
+        hosted: HostedSession, body: Any, replace: bool
     ) -> VerbResult:
         from repro.rules_json import rules_from_list, rules_to_list
 
@@ -730,24 +829,20 @@ class ServiceCore:
         previous = list(session.rules)
         # fragments name rule objects this write is about to retire
         hosted.fragments.clear()
-        if method == "PUT":
+        if replace:
             session.replace_rules(parsed)
         else:
             session.add_rules(*parsed)
         try:
             hosted.persist_rules(
-                rules_to_list(parsed), replace=method == "PUT"
+                rules_to_list(parsed), replace=replace
             )
         except BaseException:
             # journal failure: put the previous rule set back so the
             # client's error response matches the session's state
             session.replace_rules(previous)
             raise
-        return (
-            f"{method} /sessions/{{id}}/rules",
-            200,
-            {"session": hosted.id, "rules": len(session.rules)},
-        )
+        return 200, {"session": hosted.id, "rules": len(session.rules)}
 
 
 _STATUS_REASONS = {

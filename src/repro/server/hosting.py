@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -33,7 +34,7 @@ from repro.server.durability import (
     SessionJournal,
     SessionStore,
 )
-from repro.server.metrics import DELTA_STAT_FIELDS, LATENCY_BUCKETS
+from repro.server.metrics import DELTA_STAT_FIELDS, LATENCY_BUCKETS, OPS_COUNTERS
 from repro.server.wire import encode_value
 from repro.session import Session, ViolationReport
 
@@ -935,21 +936,11 @@ class ServerMetrics:
         #: per-endpoint latency observations, one slot per LATENCY_BUCKETS
         #: bound plus the trailing +Inf overflow slot
         self._buckets: Dict[str, List[int]] = {}
-        #: named operational counters: the degraded gating lifecycle, the
-        #: transport's snapshot layer (reads served from cached bytes;
-        #: writes that left a snapshot standing / that ended one) and
-        #: where its edits ran (on the event loop / on the verb pool)
+        #: named operational counters, the ones ``OPS_COUNTERS`` names: the
+        #: degraded gating lifecycle, the transport's snapshot layer and
+        #: where its edits ran
         self.counters: Dict[str, int] = {
-            "handler_failures_total": 0,
-            "degraded_total": 0,
-            "probes_total": 0,
-            "recoveries_total": 0,
-            "rejected_total": 0,
-            "snapshot_hits_total": 0,
-            "snapshots_kept_total": 0,
-            "snapshots_dropped_total": 0,
-            "edits_inline_total": 0,
-            "edits_pooled_total": 0,
+            name: 0 for names in OPS_COUNTERS.values() for name in names
         }
 
     def record(self, endpoint: str, status: int, seconds: float) -> None:
@@ -957,21 +948,18 @@ class ServerMetrics:
             self.requests_total += 1
             key = str(status)
             self.responses[key] = self.responses.get(key, 0) + 1
-            stats = self.endpoints.setdefault(
-                endpoint, {"count": 0, "seconds_total": 0.0, "seconds_max": 0.0}
-            )
+            stats = self.endpoints.get(endpoint)
+            if stats is None:
+                stats = self.endpoints[endpoint] = {
+                    "count": 0, "seconds_total": 0.0, "seconds_max": 0.0
+                }
+                self._buckets[endpoint] = [0] * (len(LATENCY_BUCKETS) + 1)
             stats["count"] += 1
             stats["seconds_total"] += seconds
-            stats["seconds_max"] = max(stats["seconds_max"], seconds)
-            buckets = self._buckets.setdefault(
-                endpoint, [0] * (len(LATENCY_BUCKETS) + 1)
-            )
-            for index, bound in enumerate(LATENCY_BUCKETS):
-                if seconds <= bound:
-                    buckets[index] += 1
-                    break
-            else:
-                buckets[-1] += 1
+            if seconds > stats["seconds_max"]:
+                stats["seconds_max"] = seconds
+            # the first bound at or above ``seconds``; past the last, +Inf
+            self._buckets[endpoint][bisect_left(LATENCY_BUCKETS, seconds)] += 1
 
     def connection_opened(self) -> None:
         with self._lock:
@@ -985,7 +973,7 @@ class ServerMetrics:
     def count(self, name: str) -> None:
         """Bump one named operational counter."""
         with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + 1
+            self.counters[name] += 1
 
     def counters_snapshot(self) -> Dict[str, int]:
         with self._lock:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Tuple
 
-__all__ = ["DELTA_STAT_FIELDS", "LATENCY_BUCKETS", "prometheus_text"]
+from repro.engine.delta import DeltaStats
+
+__all__ = ["DELTA_STAT_FIELDS", "LATENCY_BUCKETS", "OPS_COUNTERS", "prometheus_text"]
 
 #: upper bounds (seconds) of the request-latency histogram buckets; the
 #: implicit ``+Inf`` bucket is appended by the recorder.
@@ -74,20 +76,22 @@ _SCALARS: Tuple[Tuple[str, str, str, str, str], ...] = (
      "Edits (apply / undo) whose handler ran on a verb-pool thread."),
 )
 
+#: ServerMetrics' named counters by /metrics section — the degraded gate's
+#: lifecycle, the transport's snapshot layer and where its edits ran — in
+#: ``_SCALARS`` order: a counter is named once, in the table above
+OPS_COUNTERS: Dict[str, Tuple[str, ...]] = {
+    section: tuple(
+        key
+        for where, key, _, kind, _ in _SCALARS
+        if where == section and kind == "counter"
+    )
+    for section in ("degraded", "snapshots", "edits")
+}
+
 #: the DeltaStats counters the server reports: summed into /metrics
 #: ``engines.delta_stats``, listed per session in diagnostics, and rendered
 #: here as repro_delta_<field>_total.
-DELTA_STAT_FIELDS: Tuple[str, ...] = (
-    "batches",
-    "ops_applied",
-    "keys_patched",
-    "keys_reevaluated",
-    "inclusion_keys_touched",
-    "fallback_rescans",
-    "reports_served",
-    "rebuilds",
-    "eager_builds",
-)
+DELTA_STAT_FIELDS: Tuple[str, ...] = DeltaStats.__slots__
 
 #: durability counters from SessionStore.counters_snapshot().
 _DURABILITY_COUNTERS: Tuple[str, ...] = (

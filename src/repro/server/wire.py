@@ -10,7 +10,10 @@ from future breaking changes, which will mount as ``/v2`` alongside.
 Any other prefix — an *unknown* version (``/v2/...``) or none at all
 (``GET /healthz``, the pre-versioning form) — answers 404 with a document
 naming the versions this server speaks, so a too-new or too-old client
-fails with an actionable error instead of a bare route miss.
+fails with an actionable error instead of a bare route miss.  The prefix
+is read by :func:`split_target`, the one parse of a request target: the
+core builds its :class:`~repro.server.core.Route` on it, and the
+transport takes its lock and snapshot decisions off that same ``Route``.
 
 This module also owns the one response encoder (:func:`encode`): bodies
 are *compact* JSON — no whitespace between tokens, one trailing newline —
@@ -21,8 +24,7 @@ of the wire version: clients compare parsed documents, never bytes.
 from __future__ import annotations
 
 import json
-import re
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "WIRE_VERSION",
@@ -32,7 +34,6 @@ __all__ = [
     "envelope",
     "splice_array",
     "split_target",
-    "split_wire_version",
     "unsupported_version_document",
 ]
 
@@ -41,9 +42,6 @@ WIRE_VERSION = 1
 
 #: every version prefix the server will route (currently just /v1)
 SUPPORTED_WIRE_VERSIONS: Tuple[int, ...] = (WIRE_VERSION,)
-
-#: a path segment that *claims* to be a version prefix: "v" + digits
-_VERSION_SEGMENT = re.compile(r"^v(\d+)$")
 
 
 def envelope(document: Mapping[str, Any]) -> Dict[str, Any]:
@@ -92,36 +90,25 @@ def splice_array(body: bytes, key: str, items: Iterable[bytes]) -> bytes:
     )
 
 
-def split_target(target: str) -> Tuple[Optional[int], str, str]:
-    """Split a request target into (wire version, remaining path, query).
+def split_target(target: str) -> Tuple[Optional[int], List[str], str]:
+    """Split a request target into (claimed wire version, path segments,
+    query).
 
-    The one parse shared by the transport, which picks a session's lock
-    from the path, and the core, which picks its handler: the two must
-    never disagree on which verb a target names.  A target is taken in
-    origin form — nothing but ``?`` ends the path, so a scheme and
+    ``/v1/sessions/x?q`` -> ``(1, ["sessions", "x"], "q")``.  Only the
+    first segment can claim a version (a *session* named ``v1`` is
+    ``/v1/sessions/v1``); empty segments are dropped.  A target is taken
+    in origin form — nothing but ``?`` ends the path, so a scheme and
     authority stay in it (and miss every route) — and a ``#fragment`` is
-    cut off here; the core refuses a target that carries one.
+    cut off (:class:`repro.server.core.Route` notes it: no route).
     """
     path, _, query = target.partition("#")[0].partition("?")
-    version, rest = split_wire_version(path)
-    return version, rest, query
-
-
-def split_wire_version(path: str) -> Tuple[Optional[int], str]:
-    """Split a request path into (claimed wire version, remaining path).
-
-    ``/v1/sessions/x`` -> ``(1, "/sessions/x")``; a path whose first
-    segment is not ``v<digits>`` returns ``(None, path)`` untouched.
-    Only the first segment is inspected — a *session* named ``v1`` is
-    addressable as ``/v1/sessions/v1``.
-    """
     segments = [p for p in path.split("/") if p]
     if segments:
-        match = _VERSION_SEGMENT.match(segments[0])
-        if match is not None:
-            rest = "/" + "/".join(segments[1:])
-            return int(match.group(1)), rest
-    return None, path
+        head = segments[0]
+        # "v" + decimal digits: what ``int`` reads back
+        if head[:1] == "v" and head[1:].isdecimal():
+            return int(head[1:]), segments[1:], query
+    return None, segments, query
 
 
 def unsupported_version_document(version: Optional[int]) -> Dict[str, Any]:

@@ -114,6 +114,24 @@ def _raw(base_url, method, path, body=None):
         conn.close()
 
 
+def _exchange(server, payload):
+    """Send raw bytes, read until the server hangs up; returns the one
+    response's head lines and its body (exactly Content-Length bytes)."""
+    with socket.create_connection(server.server_address, timeout=10) as sock:
+        sock.sendall(payload)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, document = received.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    (length,) = [
+        int(line.split(":")[1]) for line in lines
+        if line.startswith("Content-Length")
+    ]
+    assert len(document) == length, "more than one response"
+    return lines, document
+
+
 # --------------------------------------------------------------------------
 # Wire versioning
 # --------------------------------------------------------------------------
@@ -273,6 +291,54 @@ class TestAsyncVerbs:
         assert error["type"] == "BadRequest" and named in error["error"]
         assert server.metrics.snapshot()["requests_total"] == before + 1
 
+    @pytest.mark.parametrize(
+        "head, smuggled",
+        [
+            # a front end honouring the first length sees one GET; the
+            # server used to honour the last, answer the GET and then run
+            # the body as a second request
+            ("GET /v1/healthz HTTP/1.1\r\nHost: t\r\n"
+             "Content-Length: {n}\r\nContent-Length: 0", "smuggled"),
+            ("POST /v1/sessions HTTP/1.1\r\nHost: t\r\n"
+             "Content-Length : {n}", "spaced"),
+            ("POST /v1/sessions HTTP/1.1\r\nHost: t\r\nX-No-Colon\r\n"
+             "Content-Length: {n}", "colonless"),
+            ("POST /v1/sessions HTTP/1.1\r\nHost: t\r\n"
+             " Content-Length: {n}", "folded"),
+        ],
+        ids=["repeated-length", "space-before-colon", "no-colon", "folded"],
+    )
+    def test_a_head_that_frames_two_ways_is_one_400_then_close(
+        self, server, head, smuggled
+    ):
+        """RFC 9112 §5.1 / §6.3: a repeated Content-Length, whitespace
+        before a colon or a line that is no field leaves the body's extent
+        to whoever reads the head — each used to be answered (a 200 that
+        created the body's session behind it, or a 201)."""
+        create = json.dumps({
+            "schema": SCHEMA_DOC, "rules": RULES_DOC,
+            "data": {"emp": ROWS}, "id": smuggled,
+        }).encode("utf-8")
+        if smuggled == "smuggled":
+            body = (
+                b"POST /v1/sessions HTTP/1.1\r\nHost: t\r\n"
+                + f"Content-Length: {len(create)}\r\n\r\n".encode("latin-1")
+                + create
+            )
+        else:
+            body = create
+        payload = (
+            head.format(n=len(body)).encode("latin-1") + b"\r\n\r\n" + body
+        )
+        before = server.metrics.snapshot()["requests_total"]
+        lines, document = _exchange(server, payload)
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" in lines
+        assert json.loads(document)["type"] == "BadRequest"
+        # one request answered, and nothing after the head was run
+        assert server.metrics.snapshot()["requests_total"] == before + 1
+        assert server.manager.peek(smuggled) is None
+
     def test_legacy_executor_keys_rejected_with_schema_hint(
         self, client, server
     ):
@@ -389,6 +455,105 @@ class TestRequestTargets:
         assert client.session_info("target")["relations"] == {"emp": 3}
         client.delete_session("target")
 
+    #: every route that writes: (method, verb, body); "" is the session
+    WRITES = [
+        ("POST", "apply", {"ops": [{"op": "insert", "relation": "emp",
+                                    "row": {"dept": "qa", "floor": 7}}]}),
+        ("POST", "undo", {"token": "undo-1"}),
+        ("POST", "repair", {"strategy": "u"}),
+        ("PUT", "rules", {"rules": RULES_DOC + [EXTRA_RULE]}),
+        ("POST", "rules", {"rules": [EXTRA_RULE]}),
+        ("DELETE", "", None),
+    ]
+
+    #: spellings of one target, and whether the write handler runs
+    SPELLINGS = {
+        "plain": (lambda path: path, True),
+        "query": (lambda path: path + "?q", True),
+        "fragment": (lambda path: path + "#f", False),
+        "absolute": (lambda path: "http://localhost" + path, False),
+        # a tab in the last segment: a verb no route has, or another id
+        "tab": (lambda path: path[:-1] + "\t" + path[-1], None),
+        "v01": (lambda path: path.replace("/v1/", "/v01/"), True),
+        "slashes": (lambda path: path.replace("/", "//") + "/", True),
+        "fourth segment": (lambda path: path + "/extra", False),
+        "wrong method": (lambda path: path, False),
+    }
+
+    #: the handlers that write, on the core, and the manager's remove
+    HANDLERS = (
+        "_handle_apply", "_handle_undo", "_handle_repair", "_handle_rules_write"
+    )
+
+    @pytest.mark.parametrize(
+        "method, verb, body",
+        WRITES,
+        ids=["apply", "undo", "repair", "rules-put", "rules-post", "delete"],
+    )
+    def test_every_write_runs_under_the_session_lock_for_every_spelling(
+        self, monkeypatch, method, verb, body
+    ):
+        """Whenever a write handler runs, the session's asyncio lock is
+        held — whatever the spelling of the target that reached it — and
+        every spelling answers what ``ServiceCore.handle`` answers on a
+        twin that saw the same requests (a server of its own: a 404 names
+        every open session)."""
+        server = make_server(port=0)
+        server.start_background()
+        twin = ServiceCore(SessionManager(), ServerMetrics(), DEFAULT_DEGRADED_AFTER)
+        ran = []
+
+        def watched(name, original):
+            def run(subject, *args, **kwargs):
+                session_id = getattr(subject, "id", subject)
+                entry = server._locks.get(session_id)
+                ran.append((name, entry is not None and entry.lock.locked()))
+                return original(subject, *args, **kwargs)
+            return run
+
+        for name in self.HANDLERS:
+            monkeypatch.setattr(
+                server.core, name, watched(name, getattr(server.core, name))
+            )
+        monkeypatch.setattr(
+            server.manager, "remove", watched("remove", server.manager.remove)
+        )
+
+        def both(method, target, document=None):
+            payload = b"" if document is None else json.dumps(document).encode()
+            reference = twin.handle(
+                method, target, lambda: parse_body_bytes(payload)
+            )
+            request = (
+                f"{method} {target} HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+            ).encode("latin-1") + payload
+            lines, served = _exchange(server, request)
+            context = f"{method} {target!r}"
+            assert lines[0].split(" ")[1] == str(reference.status), context
+            _assert_same_bytes(context, reference.body, served)
+            return reference.status
+
+        path = "/v1/sessions/w" + (f"/{verb}" if verb else "")
+        try:
+            for spelling, (spell, runs) in self.SPELLINGS.items():
+                both("DELETE", "/v1/sessions/w")
+                assert both("POST", "/v1/sessions", {
+                    "schema": SCHEMA_DOC, "rules": RULES_DOC,
+                    "data": {"emp": ROWS}, "id": "w",
+                }) == 201
+                assert both("POST", "/v1/sessions/w/apply", self.WRITES[0][2]) == 200
+                ran.clear()
+                wrong = "PATCH" if spelling == "wrong method" else method
+                both(wrong, spell(path), body)
+                assert all(held for _, held in ran), (spelling, ran)
+                if runs is None:
+                    runs = not verb  # a tab in the id still names a session
+                assert bool(ran) == runs, (spelling, ran)
+        finally:
+            server.shutdown()
+            twin.manager.close_all()
+
 
 # --------------------------------------------------------------------------
 # Lock-free reads
@@ -469,6 +634,36 @@ class TestSnapshotReads:
         assert after["total"] == 0
         client.undo("inval", delta.undo_token)
         assert client.detect("inval") == before
+
+    def test_a_detect_body_is_parsed_once(self, client, server, monkeypatch):
+        """The snapshot key, the handler and the publication read one
+        parse: a detect that misses, runs and publishes used to parse its
+        body three times."""
+        from repro.server import aio, core
+
+        calls = []
+        real = core.parse_body_bytes
+
+        def counting(raw):
+            calls.append(raw)
+            return real(raw)
+
+        for module in (aio, core):
+            monkeypatch.setattr(module, "parse_body_bytes", counting, raising=False)
+        _fresh(client, "once")
+        hits = server.metrics.counters_snapshot()["snapshot_hits_total"]
+        answers = []
+        for _ in range(2):  # a miss that publishes, then a hit
+            calls.clear()
+            status, _headers, raw = _raw(
+                server.base_url, "POST", "/v1/sessions/once/detect",
+                {"include_violations": True},
+            )
+            assert status == 200 and len(calls) == 1
+            answers.append(raw)
+        assert answers[0] == answers[1]
+        assert server.metrics.counters_snapshot()["snapshot_hits_total"] == hits + 1
+        client.delete_session("once")
 
     def test_summary_and_full_detect_cache_separately(self, client):
         _fresh(client, "keys")
