@@ -1,6 +1,7 @@
-"""COLUMNAR — bytes per tuple: a dict of ``Tuple`` objects vs the column store.
+"""COLUMNAR — bytes per tuple: a dict of ``Tuple`` objects vs the column store,
+and what a warm served session holds per tuple.
 
-Both hold the same customer relation; memory is measured by a
+Both stores hold the same customer relation; memory is measured by a
 ``sys.getsizeof`` deep walk over everything each one owns (containers
 followed recursively, shared values counted once via ``id``).  The
 "object" side is a plain ``{Tuple: None}`` dict of materialised tuples —
@@ -9,6 +10,15 @@ value-tuple and a dict slot per row;
 the columnar store pays one machine-word code per cell plus one interned
 representative per *distinct* value, so bytes/tuple shrink with value
 repetition — the ``compression`` field is the per-size ratio.
+
+A session holds more than its store: layouts, kernel flags, the delta
+engine, encoded report fragments and, with a state directory, its
+journal.  ``tracemalloc`` counts the bytes an in-process
+:class:`~repro.server.core.ServiceCore` still holds after
+create → detect → first apply, once in memory and once durable; the
+``*_session_tuples_per_mb`` fields are those figures inverted, so a
+session that starts keeping a ``Tuple`` per row (or an index per group)
+shows as a drop the regression gate catches.
 
 Run standalone to produce ``BENCH_columnar.json``:
 
@@ -19,16 +29,24 @@ or under pytest for the smoke assertion (columnar strictly smaller).
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
-from typing import Dict, Iterable, List, Set
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.registry import encode
 from repro.relational.instance import RelationInstance
 from repro.relational.tuples import Tuple
+from repro.rules_json import database_schema_to_dict
+from repro.server import DEFAULT_DEGRADED_AFTER
+from repro.server.core import ServiceCore
+from repro.server.hosting import ServerMetrics, SessionManager
 from repro.workloads.customer import CustomerConfig, generate_customers
 
 SIZES = [10_000, 100_000]
@@ -71,6 +89,62 @@ def _columnar_bytes(schema, rows: Iterable[tuple]) -> int:
     return deep_sizeof(instance)
 
 
+def _first_changeset(relation) -> Dict[str, Any]:
+    """Ten edits over spread-out rows: four inserts under fresh phone
+    numbers, three deletes, three name updates."""
+    names = relation.schema.attribute_names
+    rows = [dict(zip(names, values)) for values in relation.to_rows()]
+    step = len(rows) // 11
+    ops: List[Dict[str, Any]] = []
+    for k in range(1, 5):
+        row = dict(rows[k * step])
+        row["phn"] = 9_000_000_000 + k
+        ops.append({"op": "insert", "relation": "customer", "row": row})
+    for k in range(5, 8):
+        ops.append({"op": "delete", "relation": "customer", "row": rows[k * step]})
+    for k in range(8, 11):
+        ops.append({
+            "op": "update", "relation": "customer", "row": rows[k * step],
+            "cells": {"name": "Zed"},
+        })
+    return {"ops": ops}
+
+
+def _session_bytes(workload, state_dir: Optional[Path]) -> int:
+    """Bytes an in-process service still holds after create → detect →
+    first apply of one session (``tracemalloc``, after a collection)."""
+    relation = workload.db.relation("customer")
+    names = relation.schema.attribute_names
+    create = {
+        "schema": database_schema_to_dict(workload.db.schema),
+        "rules": [encode(rule) for rule in workload.cfds()],
+        "data": {"customer": [dict(zip(names, v)) for v in relation.to_rows()]},
+        "id": "s",
+    }
+    requests = [
+        ("POST", "/v1/sessions", create),
+        ("POST", "/v1/sessions/s/detect", {"include_violations": True}),
+        ("POST", "/v1/sessions/s/apply", _first_changeset(relation)),
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        manager = SessionManager(state_dir=state_dir, fsync=False)
+        core = ServiceCore(manager, ServerMetrics(), DEFAULT_DEGRADED_AFTER)
+        for method, target, document in requests:
+            response = core.handle(method, target, lambda: document)
+            if response.status >= 300:
+                raise RuntimeError(f"{method} {target}: {response.body[:200]!r}")
+        del response
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    manager.close_all()
+    return held
+
+
 def measure(n_tuples: int) -> Dict:
     workload = generate_customers(
         CustomerConfig(n_tuples=n_tuples, error_rate=0.005, seed=17)
@@ -79,6 +153,9 @@ def measure(n_tuples: int) -> Dict:
     rows = relation.to_rows()
     object_bytes = _object_bytes(relation.schema, rows)
     columnar_bytes = _columnar_bytes(relation.schema, rows)
+    memory_bytes = _session_bytes(workload, None)
+    with tempfile.TemporaryDirectory() as state_dir:
+        durable_bytes = _session_bytes(workload, Path(state_dir))
     return {
         "n_tuples": n_tuples,
         "object_bytes": object_bytes,
@@ -86,6 +163,10 @@ def measure(n_tuples: int) -> Dict:
         "object_bytes_per_tuple": object_bytes / n_tuples,
         "columnar_bytes_per_tuple": columnar_bytes / n_tuples,
         "compression": object_bytes / columnar_bytes,
+        "memory_session_bytes_per_tuple": memory_bytes / n_tuples,
+        "durable_session_bytes_per_tuple": durable_bytes / n_tuples,
+        "memory_session_tuples_per_mb": n_tuples * 1e6 / memory_bytes,
+        "durable_session_tuples_per_mb": n_tuples * 1e6 / durable_bytes,
     }
 
 
@@ -102,10 +183,16 @@ def run(sizes=SIZES) -> Dict:
 
 
 def test_columnar_memory_smoke():
-    """Columnar must be strictly smaller per tuple than a dict of Tuples."""
+    """Columnar must be strictly smaller per tuple than a dict of Tuples,
+    and a durable session must hold what an in-memory one does: its
+    snapshots read columns, they cache no ``Tuple`` per row."""
     result = measure(5_000)
     assert result["columnar_bytes"] < result["object_bytes"]
     assert result["compression"] > 1.0
+    assert (
+        result["durable_session_bytes_per_tuple"]
+        < 1.1 * result["memory_session_bytes_per_tuple"]
+    )
 
 
 def main(argv: List[str]) -> int:
@@ -122,7 +209,9 @@ def main(argv: List[str]) -> int:
             f"n={row['n_tuples']:>6}  "
             f"object={row['object_bytes_per_tuple']:.0f} B/tuple  "
             f"columnar={row['columnar_bytes_per_tuple']:.0f} B/tuple  "
-            f"compression={row['compression']:.1f}x"
+            f"compression={row['compression']:.1f}x  "
+            f"session={row['memory_session_bytes_per_tuple']:.0f} B/tuple "
+            f"(durable {row['durable_session_bytes_per_tuple']:.0f})"
         )
     print(f"top compression: {result['top_compression']:.1f}x")
     return 0

@@ -12,6 +12,9 @@ runs this checker::
         BENCH_engine.json BENCH_incremental.json \
         BENCH_columnar.json BENCH_concurrency.json
 
+Every gated figure is higher-is-better: a speedup, a duration inverted
+to a rate, or a session's ``tracemalloc`` bytes inverted to tuples per MB.
+
 Speedups are size-dependent (they grow with the data), and the smoke
 drivers run smaller sizes than the committed full-size baselines — so
 comparisons are made **per size**: each fresh data point is matched to
@@ -82,7 +85,14 @@ METRICS: Dict[str, List[Tuple[str, Callable[[Dict[str, Any]], Dict[int, float]]]
         ("speedup_warm", _series_metric("speedup_warm")),
         ("speedup_cold", _series_metric("speedup_cold")),
     ],
-    "columnar_memory": [("compression", _series_metric("compression"))],
+    "columnar_memory": [
+        ("compression", _series_metric("compression")),
+        # a warm session's bytes, inverted so that higher is better
+        ("memory_session_tuples_per_mb",
+         _series_metric("memory_session_tuples_per_mb")),
+        ("durable_session_tuples_per_mb",
+         _series_metric("durable_session_tuples_per_mb")),
+    ],
     "incremental_delta_maintenance": [
         ("speedup", _series_metric("speedup")),
         ("builds_per_second", _rate_metric("build_seconds")),

@@ -36,6 +36,7 @@ hash-partition sweep, ``ScanTask.evaluate`` over ``group_index``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 try:  # numpy is optional; kernels self-disable without it
@@ -95,11 +96,23 @@ class GroupLayout:
         "key_codes",
         "n_groups",
         "n_rows",
+        "code_sizes",
+        "seg_keys",
+        "segment_rank",
         "_sorted_columns",
-        "_rank_index",
     )
 
-    def __init__(self, store, positions, rows_sorted, seg_starts, seg_sizes, perm):
+    def __init__(
+        self,
+        store,
+        positions,
+        rows_sorted,
+        seg_starts,
+        seg_sizes,
+        perm,
+        code_sizes,
+        seg_keys,
+    ):
         self.store = store
         self.positions: PyTuple[int, ...] = positions
         self.rows_sorted = rows_sorted
@@ -115,8 +128,18 @@ class GroupLayout:
         self.key_codes: List[Any] = []
         self.n_groups = len(seg_starts)
         self.n_rows = len(rows_sorted)
+        # The lookup side of the segments (``rank_of_key``): each
+        # attribute's code-space size at build time, the sorted segment
+        # keys — one packed ``int64`` per group when ``code_sizes`` fit
+        # in one, else one code column per attribute — and ``perm``'s
+        # inverse, segment → rank.  Memoryviews: ``bisect`` reads them as
+        # Python ints, a probe costs no array conversion.
+        self.code_sizes: PyTuple[int, ...] = code_sizes
+        self.seg_keys = [memoryview(keys) for keys in seg_keys]
+        segment_rank = _np.empty_like(perm)
+        segment_rank[perm] = _np.arange(len(perm))
+        self.segment_rank = memoryview(segment_rank)
         self._sorted_columns: Dict[int, Any] = {}
-        self._rank_index: Optional[Dict[tuple, int]] = None
 
     def sorted_column(self, position: int):
         """Codes of one attribute over live rows, in group-segment order."""
@@ -132,11 +155,6 @@ class GroupLayout:
         start = self.starts[rank]
         return [int(r) for r in self.rows_sorted[start : start + self.sizes[rank]]]
 
-    def materialize(self, rank: int) -> list:
-        """One group as ``Tuple`` objects (the report boundary)."""
-        tuple_at = self.store.tuple_at
-        return [tuple_at(row) for row in self.group_rows(rank)]
-
     def decoded_key(self, rank: int) -> tuple:
         """The group's partition key, decoded in signature order."""
         decode = self.store.decode
@@ -146,25 +164,40 @@ class GroupLayout:
         )
 
     def rank_of_key(self, key: tuple) -> Optional[int]:
-        """Rank of the group holding ``key`` (hash-lookup resolution).
+        """Rank of the group holding ``key``, or ``None``.
 
-        A key with any never-interned value has no group; otherwise the
-        lazily-built code-key index answers in O(1).
+        The key is encoded and packed the way the build packed its rows,
+        then found by binary search (``bisect``) over the sorted segment
+        keys — no per-group index.  A value never interned, or interned
+        after the build (a code at or above its build-time size), has no
+        group.
         """
         encode = self.store.encode
         codes = []
-        for p, value in zip(self.positions, key):
+        for p, size, value in zip(self.positions, self.code_sizes, key):
             code = encode[p].get(value)
-            if code is None:
+            if code is None or code >= size:
                 return None
             codes.append(code)
-        if self._rank_index is None:
-            columns = [c.tolist() for c in self.key_codes]
-            self._rank_index = {
-                key_codes: rank
-                for rank, key_codes in enumerate(zip(*columns))
-            } if columns else {(): 0} if self.n_groups else {}
-        return self._rank_index.get(tuple(codes))
+        if len(self.seg_keys) == 1:  # packed (one attribute packs to itself)
+            packed = 0
+            for size, code in zip(self.code_sizes, codes):
+                packed = packed * size + code
+            codes = [packed]
+        # Segments are in lexicographic key order, so each column narrows
+        # the window the previous one left.
+        lo, hi = 0, self.n_groups
+        for column, code in zip(self.seg_keys, codes):
+            lo = bisect_left(column, code, lo, hi)
+            hi = bisect_right(column, code, lo, hi)
+            if lo == hi:
+                return None
+        return self.segment_rank[lo]
+
+
+#: packed keys must stay below this (``int64`` with headroom); a signature
+#: whose code spaces multiply past it is sorted and searched per column
+_PACK_LIMIT = 1 << 62
 
 
 def build_layout(store, schema, signature: Sequence[str]) -> Optional[GroupLayout]:
@@ -172,6 +205,7 @@ def build_layout(store, schema, signature: Sequence[str]) -> Optional[GroupLayou
     if _np is None:
         return None
     positions = tuple(schema.index_of(a) for a in signature)
+    code_sizes = tuple(max(1, len(store.decode[p])) for p in positions)
     n_physical = store.n_rows
     if store.dead:
         live = _np.frombuffer(bytes(store.alive), dtype=_np.uint8)
@@ -181,48 +215,42 @@ def build_layout(store, schema, signature: Sequence[str]) -> Optional[GroupLayou
     n = len(rows)
     empty = _np.empty(0, dtype=_np.int64)
     if n == 0:
-        layout = GroupLayout(store, positions, rows, empty, empty, empty)
+        layout = GroupLayout(
+            store, positions, rows, empty, empty, empty, code_sizes, [empty]
+        )
         layout.key_codes = [empty for _ in positions]
         return layout
     columns = [
         _np.frombuffer(store.columns[p], dtype=_np.int64)[rows] for p in positions
     ]
     if not columns:
-        # Empty signature: one global group holding every live row.
+        # Empty signature: one global group holding every live row, whose
+        # (empty) key packs to 0.
+        zero = _np.zeros(1, dtype=_np.int64)
+        sizes = _np.array([n], dtype=_np.int64)
         return GroupLayout(
-            store,
-            positions,
-            rows,
-            _np.zeros(1, dtype=_np.int64),
-            _np.array([n], dtype=_np.int64),
-            _np.zeros(1, dtype=_np.int64),
+            store, positions, rows, zero, sizes, zero, code_sizes, [zero]
         )
-    if len(columns) == 1:
+    radix = 1
+    for size in code_sizes:
+        radix *= size
+    if radix < _PACK_LIMIT:
+        # Mix the key's codes into one int64 (mixed radix: the order is
+        # lexicographic on the codes) and sort that.
         combined = columns[0]
+        for size, column in zip(code_sizes[1:], columns[1:]):
+            combined = combined * size + column
+        order = _np.argsort(combined, kind="stable")
+        sorted_keys = [combined[order]]
     else:
-        # Mix multi-attribute keys into one int64 when the code spaces
-        # fit; otherwise lexsort the raw columns.
-        radix = 1
-        for p in positions:
-            radix *= max(1, len(store.decode[p]))
-        if radix < (1 << 62):
-            combined = columns[0]
-            for p, column in zip(positions[1:], columns[1:]):
-                combined = combined * max(1, len(store.decode[p])) + column
-        else:  # pragma: no cover - needs ~2**62 distinct key combinations
-            combined = None
+        order = _np.lexsort(tuple(reversed(columns)))
+        sorted_keys = [column[order] for column in columns]
     boundaries = _np.empty(n, dtype=bool)
     boundaries[0] = True
-    if combined is not None:
-        order = _np.argsort(combined, kind="stable")
-        sorted_key = combined[order]
-        _np.not_equal(sorted_key[1:], sorted_key[:-1], out=boundaries[1:])
-    else:  # pragma: no cover
-        order = _np.lexsort(tuple(reversed(columns)))
-        boundaries[1:] = False
-        for column in columns:
-            sorted_key = column[order]
-            boundaries[1:] |= sorted_key[1:] != sorted_key[:-1]
+    head = sorted_keys[0]
+    _np.not_equal(head[1:], head[:-1], out=boundaries[1:])
+    for sorted_key in sorted_keys[1:]:
+        boundaries[1:] |= sorted_key[1:] != sorted_key[:-1]
     seg_starts = _np.flatnonzero(boundaries)
     seg_sizes = _np.diff(_np.append(seg_starts, n))
     # The sort is stable, so each segment's first element carries the
@@ -230,7 +258,10 @@ def build_layout(store, schema, signature: Sequence[str]) -> Optional[GroupLayou
     # the legacy partition's first-seen iteration order.
     first_seen = order[seg_starts]
     perm = _np.argsort(first_seen)
-    layout = GroupLayout(store, positions, rows[order], seg_starts, seg_sizes, perm)
+    seg_keys = [sorted_key[seg_starts] for sorted_key in sorted_keys]
+    layout = GroupLayout(
+        store, positions, rows[order], seg_starts, seg_sizes, perm, code_sizes, seg_keys
+    )
     layout.key_codes = [column[order][layout.starts] for column in columns]
     return layout
 

@@ -33,8 +33,9 @@ equality because the per-column dictionaries are equality-congruent).
 from __future__ import annotations
 
 from array import array
-from itertools import compress
+from itertools import chain, compress, count, repeat
 from math import copysign
+from operator import is_not
 from typing import (
     Any,
     Dict,
@@ -55,6 +56,9 @@ __all__ = ["ColumnStore"]
 #: live-row count — keeps compaction O(edits) amortized and row indices
 #: stable for typical delete-light workloads
 COMPACT_MIN_DEAD = 64
+
+#: physical rows decoded per column slice by ``ColumnStore.iter_values``
+_DECODE_ROWS = 1024
 
 #: hash-table slot markers (row indices are always >= 0)
 _EMPTY = -1
@@ -449,6 +453,33 @@ class ColumnStore:
                     self._materialize_from(row)
                     t = cache[row]
                 yield t
+
+    def iter_values(self) -> Iterator[PyTuple[Any, ...]]:
+        """Live rows as value tuples, in insertion order, each rendered as
+        its ``Tuple`` is — without building or caching one.
+
+        Columns are decoded ``_DECODE_ROWS`` physical rows at a time; a
+        row that holds a ``Tuple`` (its own rendering, ``3.0`` beside
+        ``3``, or one materialized earlier) reads from it.
+        """
+        return chain.from_iterable(
+            map(self._values_block, range(0, len(self.alive), _DECODE_ROWS))
+        )
+
+    def _values_block(self, start: int) -> Iterable[PyTuple[Any, ...]]:
+        """The live rows among the ``_DECODE_ROWS`` from ``start`` on."""
+        end = start + _DECODE_ROWS
+        decoded = zip(
+            *(
+                map(rep.__getitem__, column[start:end])
+                for rep, column in zip(self.decode, self.columns)
+            )
+        )
+        block = list(decoded)
+        cached = self.cache[start:end]
+        for offset in compress(count(), map(is_not, cached, repeat(None))):
+            block[offset] = cached[offset].values()
+        return compress(block, self.alive[start:end]) if self.dead else block
 
     def iter_live_rows(self) -> Iterator[int]:
         """Live row indices in insertion order."""

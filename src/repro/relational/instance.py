@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Mapping
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -314,13 +315,15 @@ class RelationInstance:
         """All tuples as plain value tuples (schema attribute order), each
         rendered as its ``Tuple`` is — a row that kept its own ``Tuple``
         because a cell prints unlike its code's representative (``3.0``
-        beside ``3``) reads from it."""
-        store = self._store
-        cache = store.cache
-        return [
-            store.values_at(row) if cache[row] is None else cache[row].values()
-            for row in store.iter_live_rows()
-        ]
+        beside ``3``) reads from it.  Builds no ``Tuple``."""
+        return list(self._store.iter_values())
+
+    def row_documents(self) -> Iterator[Dict[str, Any]]:
+        """Live rows as ``{attribute: value}`` mappings, in insertion
+        order, rendered as :meth:`to_rows` renders them (builds no
+        ``Tuple``)."""
+        names = repeat(self.schema.attribute_names)
+        return map(dict, map(zip, names, self._store.iter_values()))
 
     def pretty(self, max_rows: int | None = None) -> str:
         """ASCII table rendering (used by examples and error messages)."""

@@ -152,7 +152,8 @@ def parse_body_bytes(raw: bytes) -> Any:
         return None
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # bytes that are not UTF-8 are not a JSON text either
         raise BadRequest(f"request body is not valid JSON: {exc}") from exc
 
 

@@ -77,9 +77,12 @@ def _dumps(value: Any) -> str:
     ``json.dumps`` (never ``json.dump`` to a handle, which is the one form
     that leaves the C encoder and issues a ``write`` per token).  Spelled
     here and not borrowed from :mod:`repro.server.wire`: what is on disk
-    is versioned by ``_SNAPSHOT_FORMAT``, not by the wire version.
+    is versioned by ``_SNAPSHOT_FORMAT``, not by the wire version.  Every
+    value is a freshly built, acyclic document (row mappings of scalar
+    cells, registry documents), so the encoder skips its per-container
+    cycle bookkeeping; the bytes are the same.
     """
-    return json.dumps(value, separators=(",", ":"), default=str)
+    return json.dumps(value, separators=(",", ":"), default=str, check_circular=False)
 
 
 def _fsync_dir(path: Path) -> None:
@@ -250,7 +253,9 @@ class SessionJournal:
         ``undo`` (``[[token, changeset document], ...]``, oldest first)
         and ``undo_counter`` — but rows are encoded
         ``_SNAPSHOT_CHUNK_ROWS`` at a time and undo entries one at a
-        time, so peak memory does not grow with the session.
+        time, so peak memory does not grow with the session.  Rows are
+        read off the column store (:meth:`RelationInstance.row_documents`),
+        so writing a snapshot builds and caches no ``Tuple``.
         """
         head = {
             "format": _SNAPSHOT_FORMAT,
@@ -262,11 +267,9 @@ class SessionJournal:
         yield _dumps(head)[:-1] + ',"data":{'
         for index, relation in enumerate(session.database):
             yield ("," if index else "") + _dumps(relation.schema.name) + ":["
-            rows = iter(relation)
+            rows = relation.row_documents()
             separator = ""
-            while batch := [
-                t.as_dict() for t in islice(rows, _SNAPSHOT_CHUNK_ROWS)
-            ]:
+            while batch := list(islice(rows, _SNAPSHOT_CHUNK_ROWS)):
                 yield separator + _dumps(batch)[1:-1]
                 separator = ","
             yield "]"

@@ -651,12 +651,10 @@ class Session:
         same shape the server's session-creation endpoint accepts as
         inline ``data``, and what the durability layer snapshots.
         Rebuilding a relation by adding these rows in order reproduces
-        the instance exactly (detection output is byte-identical).
+        the instance exactly (detection output is byte-identical).  Rows
+        are read off the columns: no ``Tuple`` is built or cached.
         """
-        return {
-            rel.schema.name: [t.as_dict() for t in rel]
-            for rel in self._db
-        }
+        return {rel.schema.name: list(rel.row_documents()) for rel in self._db}
 
     # -- helpers ---------------------------------------------------------
 

@@ -244,6 +244,44 @@ class TestAsyncVerbs:
         finally:
             conn.close()
 
+    def test_a_body_that_is_not_utf8_is_400_bad_request(self, server):
+        """Bytes that do not decode as UTF-8 are not JSON either: the same
+        ``BadRequest`` as ``{nope`` — it used to surface the codec's own
+        ``UnicodeDecodeError`` — and the connection stays usable."""
+        body = b'{"id": "\xff"}'
+        payload = (
+            b"POST /v1/sessions HTTP/1.1\r\nHost: t\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1")
+            + body
+            + b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(payload)
+            received = b""
+            responses = []
+            while len(responses) < 2:
+                chunk = sock.recv(65536)
+                assert chunk, f"server hung up after {responses!r}"
+                received += chunk
+                while b"\r\n\r\n" in received:
+                    head, _, rest = received.partition(b"\r\n\r\n")
+                    lines = head.decode("latin-1").split("\r\n")
+                    (length,) = [
+                        int(line.split(":")[1]) for line in lines
+                        if line.startswith("Content-Length")
+                    ]
+                    if len(rest) < length:
+                        break
+                    responses.append((lines, json.loads(rest[:length])))
+                    received = rest[length:]
+        (lines, error), (second, health) = responses
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        assert "Connection: close" not in lines
+        assert error["type"] == "BadRequest"
+        assert error["error"].startswith("request body is not valid JSON: ")
+        assert second[0] == "HTTP/1.1 200 OK"
+        assert health["wire_version"] == 1
+
     @pytest.mark.parametrize(
         "framing, named",
         [

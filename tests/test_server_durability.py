@@ -813,6 +813,16 @@ class TestJournalFailure:
 # --------------------------------------------------------------------------
 
 
+def _tuple_documents(session):
+    """Every relation's rows rendered from ``Tuple`` objects — those of a
+    copy, so the session's own store materialises nothing — independent
+    of the column reader the writer and ``data_documents`` share."""
+    return {
+        relation.schema.name: [t.as_dict() for t in relation.copy()]
+        for relation in session.database
+    }
+
+
 def _reference_snapshot(journal, session, undo_items, undo_counter) -> bytes:
     """The whole-document form ``write_snapshot`` had before it streamed:
     assemble everything, encode it in one go.  The streamed file must be
@@ -823,7 +833,7 @@ def _reference_snapshot(journal, session, undo_items, undo_counter) -> bytes:
         "executor": session.executor,
         "schema": session.schema_document(),
         "rules": session.rules_documents(),
-        "data": session.data_documents(),
+        "data": _tuple_documents(session),
         "undo": [[token, undo.to_dict()] for token, undo in undo_items],
         "undo_counter": undo_counter,
     }
@@ -879,6 +889,31 @@ def _odd_cells_session():
     return Session.from_instance(db, [])
 
 
+def _rendered_cells_session():
+    """A chunk and one more live rows whose cells render unlike their
+    code's representative (``3.0`` beside ``3``, ``-0.0`` beside
+    ``0.0``), with dead rows left between them."""
+    from repro.relational.domains import FLOAT, INT
+    from repro.relational.instance import DatabaseInstance
+    from repro.relational.schema import DatabaseSchema, RelationSchema
+    from repro.relational.tuples import Tuple
+    from repro.session import Session
+
+    schema = RelationSchema("m", [("k", INT), ("w", FLOAT)])
+    db = DatabaseInstance(DatabaseSchema([schema]))
+    cells = [3, 3.0, 0.0, -0.0, 1.5]
+    dead = 40
+    n_rows = _SNAPSHOT_CHUNK_ROWS + 1 + dead
+    rows = [(i, cells[i % len(cells)]) for i in range(n_rows)]
+    relation = db.relation("m")
+    relation.extend_rows(rows)
+    for row in rows[7 :: len(rows) // dead][:dead]:
+        relation.remove(Tuple(schema, row))
+    assert len(relation) == _SNAPSHOT_CHUNK_ROWS + 1
+    assert relation.column_store.dead == dead
+    return Session.from_instance(db, [])
+
+
 def _undo_table(n_tokens: int):
     from repro.engine.delta import Changeset
 
@@ -905,6 +940,7 @@ _SNAPSHOT_CASES = {
     ),
     "empty-relation-first": (_two_relation_session, 2),
     "odd-cells": (_odd_cells_session, 0),
+    "rendered-cells-dead-rows": (_rendered_cells_session, 1),
 }
 
 
@@ -935,6 +971,30 @@ class TestSnapshotWriter:
             )
         finally:
             journal.close()
+
+    def test_a_durable_create_and_its_snapshots_build_no_tuple(self, tmp_path):
+        """The gen-0 snapshot of a create and every later one read the
+        rows off the columns: no row of the session gets a ``Tuple``."""
+        from repro.server.hosting import SessionManager
+
+        manager = SessionManager(state_dir=tmp_path, fsync=False)
+        try:
+            hosted = manager.create({
+                "schema": SCHEMA_DOC,
+                "rules": RULES_DOC,
+                "data": {"emp": [
+                    {"dept": f"d{i // 2}", "floor": i % 3}
+                    for i in range(10_000)
+                ]},
+                "id": "big",
+            })
+            cache = hosted.session.database.relation("emp").column_store.cache
+            assert sum(t is not None for t in cache) == 0
+            hosted.persist_snapshot()
+            assert sum(t is not None for t in cache) == 0
+            assert hosted.journal.generation == 1
+        finally:
+            manager.close_all()
 
     def test_state_dirs_are_interchangeable_with_the_reference(self, tmp_path):
         """A snapshot written whole (the old writer) recovers here, and
