@@ -141,12 +141,6 @@ class ECFD(Dependency):
         """Canonical LHS signature; shares partitions with FDs and CFDs."""
         return canonical_signature(self.lhs)
 
-    def lhs_key_matches(self, signature: Sequence[str], key: tuple) -> bool:
-        """LHS set-pattern match on a partition key (projection on
-        ``signature``); depends only on t[X], so it decides whole groups."""
-        by_attr = dict(zip(signature, key))
-        return all(_matches(by_attr[a], self.pattern[a]) for a in self.lhs)
-
     def scan_tasks(self, schema: RelationSchema) -> List["ScanTask"]:
         """One compiled sweep task with set-pattern key matching."""
         from repro.engine.scan import ColumnarSpec, ScanTask

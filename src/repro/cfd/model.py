@@ -197,11 +197,6 @@ class CFD(Dependency):
         self.tableau = tableau
         self.name = name or f"cfd:{list(self.lhs)}->{list(self.rhs)}"
 
-    @property
-    def embedded_fd(self) -> FD:
-        """The FD X → Y embedded in this CFD."""
-        return FD(self.relation_name, self.lhs, self.rhs)
-
     def relations(self) -> PyTuple[str, ...]:
         return (self.relation_name,)
 
@@ -241,17 +236,6 @@ class CFD(Dependency):
     def scan_signature(self) -> PyTuple[str, ...]:
         """Canonical LHS signature; CFDs sharing it share one partition."""
         return canonical_signature(self.lhs)
-
-    def pattern_key_matches(
-        self, tp: PatternTuple, signature: Sequence[str], key: tuple
-    ) -> bool:
-        """Does a partition key (projection on ``signature``) match tp on X?
-
-        Pattern matching on X depends only on t[X], so whole partitions
-        match or fail together — the engine tests the key once per group
-        instead of once per tuple.
-        """
-        return all(matches(v, tp.get(a)) for a, v in zip(signature, key))
 
     def _compile_checks(self, tp: PatternTuple, schema: RelationSchema):
         """Positional ``(single, pair)`` checks for one row within one

@@ -47,7 +47,6 @@ import json
 import sys
 from typing import Dict, Mapping, Sequence, Union
 
-from repro.engine.config import EXECUTORS
 from repro.relational.csvio import dump_csv
 from repro.rules_json import rules_to_list
 from repro.session import Session
@@ -84,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (json: one machine-readable document on stdout)",
-    )
-    detect.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="indexed",
-        help="detection path (default: indexed)",
     )
     _add_data_argument(detect)
 
@@ -287,7 +280,6 @@ def _session(args, with_rules: bool = True) -> Session:
         args.schema,
         args.rules if with_rules else None,
         _data_mapping(args.data),
-        executor=getattr(args, "executor", "indexed"),
     )
 
 

@@ -278,10 +278,6 @@ class SessionInfoDocument(WireDocument):
         return str(self["session"])
 
     @property
-    def executor(self) -> str:
-        return str(self["executor"])
-
-    @property
     def degraded(self) -> bool:
         return bool(self["degraded"])
 
@@ -510,16 +506,15 @@ class ServerClient:
         rules: Union[Sequence[Mapping[str, Any]], str, None] = None,
         data: Optional[Mapping[str, Any]] = None,
         session_id: Optional[str] = None,
-        executor: str = "indexed",
     ) -> SessionInfoDocument:
         """Create a hosted session; returns its info document.
 
         ``schema``/``rules``/``data`` values may be inline documents (row
         lists for data) or server-side paths, exactly as the endpoint
-        accepts them.  Engine configuration travels in the unified
-        ``{"engine": {"executor": ...}}`` wire object.
+        accepts them.  The body names the one detection path,
+        ``{"engine": {"executor": "indexed"}}``, which selects nothing.
         """
-        body: Dict[str, Any] = {"schema": schema, "engine": {"executor": executor}}
+        body: Dict[str, Any] = {"schema": schema, "engine": {"executor": "indexed"}}
         if rules is not None:
             body["rules"] = rules
         if data is not None:
@@ -548,13 +543,10 @@ class ServerClient:
     def detect(
         self,
         session_id: str,
-        executor: Optional[str] = None,
         include_violations: bool = True,
     ) -> DetectDocument:
         """Run detection; returns the CLI's ``--format json`` document."""
-        body: Dict[str, Any] = {"include_violations": include_violations}
-        if executor is not None:
-            body["engine"] = {"executor": executor}
+        body = {"include_violations": include_violations}
         return self._request(
             "POST", f"/sessions/{session_id}/detect", body, cls=DetectDocument
         )

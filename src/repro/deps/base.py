@@ -38,10 +38,6 @@ class Violation:
         self.tuples = tuple(tuples)
         self.reason = reason
 
-    def involved_tuples(self) -> PyTuple[Tuple, ...]:
-        """Just the tuples, without relation names."""
-        return tuple(t for _, t in self.tuples)
-
     def __repr__(self) -> str:
         witnesses = "; ".join(f"{rel}:{t!r}" for rel, t in self.tuples)
         return f"Violation({self.reason}; witnesses: {witnesses})"

@@ -171,10 +171,6 @@ class Changeset:
     def __bool__(self) -> bool:
         return bool(self._ops)
 
-    def relations(self) -> List[str]:
-        """Relation names mentioned by the batch, in first-mention order."""
-        return list(dict.fromkeys(rel for _, rel, _ in self._ops))
-
     @staticmethod
     def _coerce(relation: RelationInstance, t: Tuple | Mapping | Sequence) -> Tuple:
         if isinstance(t, Tuple):
@@ -390,10 +386,6 @@ class ViolationDelta:
     def clean_after(self) -> bool:
         """True iff the database satisfies Σ after the batch."""
         return self.remaining == 0
-
-    @property
-    def net(self) -> int:
-        return len(self.added) - len(self.removed)
 
     def __repr__(self) -> str:
         return (

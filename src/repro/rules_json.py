@@ -51,7 +51,6 @@ __all__ = [
     "database_schema_to_dict",
     "rules_from_list",
     "rules_to_list",
-    "load_schema",
     "load_database_schema",
     "load_rules",
 ]
@@ -196,25 +195,6 @@ def rules_from_list(
 def rules_to_list(rules: Sequence[Dependency]) -> List[Dict[str, Any]]:
     """Serialize dependencies back to plain documents via the registry."""
     return [registry.encode(rule) for rule in rules]
-
-
-def load_schema(path) -> RelationSchema:
-    """Read a single-relation schema document from a JSON file.
-
-    Multi-relation documents are accepted when they declare exactly one
-    relation; use :func:`load_database_schema` for the general case.
-    """
-    with open(path) as handle:
-        document = json.load(handle)
-    if "relations" in document:
-        relations = document["relations"]
-        if len(relations) != 1:
-            raise SchemaError(
-                f"schema file {path} declares {len(relations)} relations; "
-                "use load_database_schema for multi-relation documents"
-            )
-        return schema_from_dict(relations[0])
-    return schema_from_dict(document)
 
 
 def load_database_schema(path) -> DatabaseSchema:

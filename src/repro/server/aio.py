@@ -67,8 +67,7 @@ Snapshot-correctness argument, in one place:
   mean the cached list *is* the list a fresh executor run returns now
   (the engine's standing contract), so the cached bytes are the bytes the
   handler would produce; a snapshot published without a maintained report
-  (token ``None``), or whose cached detect ran another executor, is never
-  carried over;
+  (token ``None``) is never carried over;
 * the snapshot pins strong references to the database and rules objects
   backing its ``id()``-based fingerprint components, so a recycled id
   can never alias a new object into a false hit;
@@ -96,7 +95,6 @@ from repro.server.core import (
     ServiceCore,
     Verb,
     body_reader,
-    outlives_edit,
     status_reason,
 )
 from repro.server.durability import DEFAULT_SNAPSHOT_EVERY
@@ -630,8 +628,8 @@ class AsyncReproServer:
         (the module docstring has the argument).
 
         Called under the session's asyncio lock.  Only the fingerprint
-        moves, and what stays cached is what the engine speaks for
-        (:func:`~repro.server.core.outlives_edit`).
+        moves: every cached read — the detects the engine's report answers,
+        and the rule documents no edit touches — outlives the edit.
         """
         hosted = self.manager.peek(session_id)
         if (
@@ -645,9 +643,4 @@ class AsyncReproServer:
         if session.report_epoch() != snapshot.token:
             return False
         snapshot.fingerprint = session.state_fingerprint()
-        snapshot.cache = {
-            key: response
-            for key, response in snapshot.cache.items()
-            if outlives_edit(key, session.executor)
-        }
         return True

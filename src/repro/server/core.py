@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import time
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Dict,
@@ -43,7 +44,7 @@ from typing import (
     Union,
 )
 
-from repro.engine.config import engine_config_from_document
+from repro.engine.config import check_engine
 from repro.engine.delta import Changeset, StaleEngineError
 from repro.errors import (
     DependencyError,
@@ -172,28 +173,48 @@ def body_reader(raw: bytes) -> ReadBody:
     return read_body
 
 
+def _strict_body(
+    what: str, body: Any, fields: AbstractSet[str], flags: Tuple[str, ...] = ()
+) -> Mapping[str, Any]:
+    """``body`` read strictly: a JSON object (no body is ``{}``) with no
+    key outside ``fields`` and a JSON boolean under every ``flags`` key,
+    else a :class:`BadRequest` naming the field — an ignored key or a
+    truthy string would let a typo change what the verb does.  An engine
+    object is checked first, so a retired key is refused in its own words."""
+    if body is None:
+        body = {}
+    if not isinstance(body, Mapping):
+        raise BadRequest(f"{what} body must be a JSON object")
+    if "engine" in fields:
+        check_engine(body)
+    unknown = sorted(set(body) - fields)
+    if unknown:
+        raise BadRequest(
+            f"unknown {what} field(s) {unknown}; expected some of {sorted(fields)}"
+        )
+    for flag in flags:
+        if not isinstance(body.get(flag, False), bool):
+            raise BadRequest(
+                f"{what} field {flag!r} must be true or false, got {body[flag]!r}"
+            )
+    return body
+
+
+def _lists_violations(body: Any) -> bool:
+    """Whether a detect body asks for the witness list: the one parse the
+    snapshot key and the handler share."""
+    fields = {"engine", "include_violations"}
+    detect = _strict_body("detect", body, fields, ("include_violations",))
+    return bool(detect.get("include_violations", True))
+
+
 def _detect_key(read_body: ReadBody) -> Optional[tuple]:
-    """A detect's cache key — the executor it resolves to and whether it
-    lists violations — or ``None`` for a body that is anything but a
-    plain well-formed detect request (the handler answers it uncached)."""
+    """A detect's cache key — whether it lists violations — or ``None``
+    for a body the handler refuses (it answers that uncached)."""
     try:
-        body = read_body() or {}
-        if not isinstance(body, Mapping):
-            return None
-        if set(body) - {"engine", "include_violations"}:
-            return None
-        executor = engine_config_from_document(body)
+        return ("detect", _lists_violations(read_body()))
     except Exception:
         return None
-    return ("detect", executor, bool(body.get("include_violations", True)))
-
-
-def outlives_edit(key: tuple, executor: str) -> bool:
-    """Whether the read cached under ``key`` outlives an edit that left
-    the report standing: the rule documents, and the detects
-    ``Session.detect`` answers from the maintained set — the ones that
-    resolve (``executor``: the session's default) to the indexed one."""
-    return key == ("rules",) or (key[1] or executor) == "indexed"
 
 
 class Verb(NamedTuple):
@@ -550,9 +571,9 @@ class ServiceCore:
         return 200, document
 
     def _create_session(self, route: Route, read_body: ReadBody) -> RouteResult:
-        body = read_body() or {}
-        if not isinstance(body, Mapping):
-            raise BadRequest("session creation body must be a JSON object")
+        body = _strict_body(
+            "session creation", read_body(), {"id", "schema", "rules", "data", "engine"}
+        )
         return 201, self.manager.create(body).info()
 
     def _session_info(self, route: Route, read_body: ReadBody) -> RouteResult:
@@ -701,13 +722,10 @@ class ServiceCore:
 
     @staticmethod
     def _handle_detect(hosted: HostedSession, body: Any) -> VerbResult:
-        body = body or {}
-        if not isinstance(body, Mapping):
-            raise BadRequest("detect body must be a JSON object (or empty)")
-        executor = engine_config_from_document(body)
-        report = hosted.session.detect(executor=executor)
+        lists_violations = _lists_violations(body)
+        report = hosted.session.detect()
         summary = report.to_dict(include_violations=False)
-        if not body.get("include_violations", True):
+        if not lists_violations:
             return 200, summary
         # the witness list is spliced from per-violation bytes: only the
         # violations the previous report did not have are encoded
@@ -735,11 +753,7 @@ class ServiceCore:
         }
 
     def _handle_apply(self, hosted: HostedSession, body: Any) -> VerbResult:
-        if not isinstance(body, Mapping):
-            raise BadRequest(
-                "apply body must be a changeset document {\"ops\": [...]}"
-            )
-        changeset = Changeset.from_dict(body)
+        changeset = Changeset.from_dict(_strict_body("apply", body, {"ops"}))
         saved_undo = hosted.undo_state()
         delta = hosted.session.apply(changeset)
         document = self._delta_document(hosted, delta)
@@ -757,7 +771,8 @@ class ServiceCore:
         return 200, document
 
     def _handle_undo(self, hosted: HostedSession, body: Any) -> VerbResult:
-        if not isinstance(body, Mapping) or "token" not in body:
+        body = _strict_body("undo", body, {"token"})
+        if "token" not in body:
             raise BadRequest("undo body must be {\"token\": \"...\"}")
         token = body["token"]
         # peek, don't pop: a failed apply rolls the database back
@@ -780,15 +795,15 @@ class ServiceCore:
 
     @staticmethod
     def _handle_repair(hosted: HostedSession, body: Any) -> VerbResult:
-        body = body or {}
-        if not isinstance(body, Mapping):
-            raise BadRequest("repair body must be a JSON object (or empty)")
+        body = _strict_body(
+            "repair", body, {"strategy", "adopt", "max_passes", "limit"}, ("adopt",)
+        )
         kwargs: Dict[str, Any] = {}
         if "max_passes" in body:
             kwargs["max_passes"] = int(body["max_passes"])
         if "limit" in body:
             kwargs["limit"] = int(body["limit"])
-        adopt = bool(body.get("adopt", False))
+        adopt = body.get("adopt", False)
         report = hosted.session.repair(
             strategy=body.get("strategy", "u"),
             adopt=adopt,
@@ -817,10 +832,10 @@ class ServiceCore:
     ) -> VerbResult:
         from repro.rules_json import rules_from_list, rules_to_list
 
-        if isinstance(body, Mapping):
-            documents = body.get("rules")
-        else:
+        if isinstance(body, (list, tuple)):
             documents = body
+        else:
+            documents = _strict_body("rules", body, {"rules"}).get("rules")
         if not isinstance(documents, (list, tuple)):
             raise BadRequest(
                 "rules body must be a rules list (or {\"rules\": [...]})"

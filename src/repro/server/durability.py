@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 from urllib.parse import quote, unquote
 
+from repro.engine.config import EXECUTOR
 from repro.engine.delta import Changeset
 from repro.errors import ReproError
 from repro.registry import wal_record_to_bytes, wal_records_from_bytes
@@ -260,7 +261,7 @@ class SessionJournal:
         head = {
             "format": _SNAPSHOT_FORMAT,
             "session": self.session_id,
-            "executor": session.executor,
+            "executor": EXECUTOR,
             "schema": session.schema_document(),
             "rules": session.rules_documents(),
         }
@@ -499,13 +500,10 @@ class SessionStore:
         db = DatabaseInstance(db_schema)
         for rel_name, rows in (snapshot_doc.get("data") or {}).items():
             db.relation(rel_name).extend_rows(rows)
-        # A format-1 snapshot from before the sharded engine left may say
-        # "executor": "parallel" (and a "shards" count, not read): the same
-        # report from the one path that is left.
-        executor = snapshot_doc.get("executor", "indexed")
-        session = Session.from_instance(
-            db, rules, executor="indexed" if executor == "parallel" else executor
-        )
+        # "executor" is not read: a format-1 snapshot naming a retired path
+        # ("naive", or the sharded engine's "parallel" with a "shards"
+        # count) loads on the one path that is left.
+        session = Session.from_instance(db, rules)
         undo: "OrderedDict[str, Changeset]" = OrderedDict(
             (token, Changeset.from_dict(undo_doc))
             for token, undo_doc in snapshot_doc.get("undo", [])

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.deps.base import Violation
-from repro.engine.config import engine_config_from_document
+from repro.engine.config import EXECUTOR
 from repro.engine.delta import Changeset
 from repro.errors import (
     DependencyError,
@@ -418,7 +418,7 @@ class HostedSession:
             engine = session.warm_engine
             engine_doc: Dict[str, Any] = {
                 "warm_delta_engine": engine is not None,
-                "executor": session.executor,
+                "executor": EXECUTOR,
                 "maintained_violations": None,
                 "delta_stats": None,
             }
@@ -476,7 +476,7 @@ class HostedSession:
         verb handler hang the whole listing (and, transitively, every
         client polling it).  Every field is safe to read dirty:
 
-        * scalars (``executor``, ``requests``, degraded flags, journal
+        * scalars (``requests``, degraded flags, journal
           generation) are single attribute reads — atomic in CPython;
         * ``undo_tokens`` reads the immutable ``undo_tokens_view`` tuple
           republished under the lock on every token-table mutation;
@@ -492,7 +492,7 @@ class HostedSession:
                 rel.schema.name: len(rel) for rel in session.database
             },
             "rules": len(session.rules),
-            "executor": session.executor,
+            "executor": EXECUTOR,
             "warm_engine": session.has_warm_engine,
             "degraded": self.is_degraded,
             "requests": self.requests,
@@ -758,13 +758,7 @@ class SessionManager:
                     f"data for relation {rel_name!r} must be a row list or "
                     "a server-side CSV path"
                 )
-
-        # the unified engine schema (shared with Session kwargs and the
-        # CLI flags): {"engine": {"executor": ...}}
-        executor = engine_config_from_document(
-            document, default_executor="indexed"
-        )
-        return Session.from_instance(db, rules, executor=executor)
+        return Session.from_instance(db, rules)
 
     def create(self, document: Mapping[str, Any]) -> HostedSession:
         """Build and register a session from a creation document.

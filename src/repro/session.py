@@ -46,7 +46,7 @@ from repro.cfd.discovery import DiscoveredCFD, discover_cfds
 from repro.cfd.model import CFD, fd_as_cfd
 from repro.deps.base import Dependency, Violation
 from repro.deps.fd import FD
-from repro.engine.config import EXECUTORS, validate_executor
+from repro.engine.config import EXECUTOR, check_executor
 from repro.engine.delta import Changeset, DeltaEngine, ViolationDelta
 from repro.errors import RepairError, ReproError, SchemaError
 from repro.relational.csvio import dump_csv, load_csv
@@ -191,24 +191,13 @@ def _load_data_files(
     return db
 
 
-#: executor names accepted by Session(executor=...) and Session.detect —
-#: re-exported from the shared config schema so Session kwargs, CLI flags
-#: and wire fields agree on names *and* error text
-_EXECUTORS = EXECUTORS
-
-
 class Session:
     """One database instance + one rule set + the engines that serve them.
 
-    ``executor`` selects the detection path — ``"indexed"`` (default, the
-    PR-1 batch executor) or ``"naive"``: each dependency's own indexed
-    ``violations()`` in turn, the per-dependency loop of
-    :func:`repro.cfd.detect.detect_violations` with ``engine=False``.
-    Both yield the same violation multiset — the differential corpus pins
-    them together — though not always in the same order (a multi-row
-    tableau's violations come row by row there, partition by partition
-    here).  The correctness oracle, :mod:`repro.engine.naive`, is neither:
-    no executor name reaches it.
+    Detection has one path (:meth:`detect`).  ``executor`` names it for
+    callers that still pass it: only ``"indexed"`` is accepted, and a
+    retired name (``"naive"``, ``"parallel"``) is refused by name
+    (:func:`repro.engine.config.check_executor`).
     """
 
     def __init__(
@@ -216,11 +205,11 @@ class Session:
         db: DatabaseInstance,
         rules: Iterable[Dependency] = (),
         engine: Optional[DeltaEngine] = None,
-        executor: str = "indexed",
+        executor: str = EXECUTOR,
     ) -> None:
+        check_executor(executor)
         self._db = db
         self._rules: List[Dependency] = list(rules)
-        self._executor = validate_executor(executor)
         if engine is not None and engine.database is not db:
             raise ReproError("engine was built over a different database instance")
         self._engine: Optional[DeltaEngine] = engine
@@ -234,7 +223,7 @@ class Session:
         db: DatabaseInstance,
         rules: Iterable[Dependency] = (),
         engine: Optional[DeltaEngine] = None,
-        executor: str = "indexed",
+        executor: str = EXECUTOR,
     ) -> "Session":
         """Wrap an in-memory database (and optionally a live delta engine)."""
         return cls(db, rules, engine=engine, executor=executor)
@@ -245,7 +234,6 @@ class Session:
         schema: Union[str, Path],
         rules: Union[str, Path, None],
         data: Union[str, Path, Mapping[str, Union[str, Path]]],
-        executor: str = "indexed",
     ) -> "Session":
         """Load schema JSON + rules JSON + CSV data into a session.
 
@@ -258,7 +246,7 @@ class Session:
 
         db_schema = load_database_schema(schema)
         parsed = load_rules(rules, db_schema) if rules is not None else []
-        return cls(_load_data_files(db_schema, data), parsed, executor=executor)
+        return cls(_load_data_files(db_schema, data), parsed)
 
     # -- state -----------------------------------------------------------
 
@@ -327,11 +315,6 @@ class Session:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    @property
-    def executor(self) -> str:
-        """The configured detection executor name."""
-        return self._executor
-
     def state_fingerprint(self) -> tuple:
         """A version fingerprint of everything a detect answer depends on.
 
@@ -397,30 +380,21 @@ class Session:
 
     # -- detection -------------------------------------------------------
 
-    def detect(self, *, executor: Optional[str] = None) -> ViolationReport:
-        """Batch violation detection over the configured execution engine.
+    def detect(self) -> ViolationReport:
+        """Batch violation detection: the list the planned batch executor
+        returns (:func:`repro.cfd.detect.detect_violations`).
 
-        Every executor reports the same violation multiset as the free
-        function :func:`repro.cfd.detect.detect_violations` (the
-        differential corpus pins them equal).  ``executor`` overrides the
-        session-level configuration for this call.
-
-        When the call resolves to the ``"indexed"`` executor and the delta
-        engine is warm and current (an ``apply`` built it and nothing has
-        changed behind it), the report is read from the set that engine
-        maintains — :meth:`DeltaEngine.ordered_violations`, the list the
-        executor would return, without partitioning anything.  In every
-        other case the executor runs; a detect never builds the engine.
+        When the delta engine is warm and current (an ``apply`` built it
+        and nothing has changed behind it), the report is read from the
+        set that engine maintains — :meth:`DeltaEngine.ordered_violations`,
+        the same list, without partitioning anything.  Otherwise the
+        executor runs; a detect never builds the engine.
         """
-        chosen = (
-            validate_executor(executor) if executor is not None else self._executor
-        )
-        maintained = self._current_engine() if chosen == "indexed" else None
+        maintained = self._current_engine()
         if maintained is not None:
             maintained.stats.reports_served += 1
             return ViolationReport(maintained.ordered_violations())
-        report = detect_violations(self._db, self._rules, engine=chosen == "indexed")
-        return ViolationReport(report.violations)
+        return ViolationReport(detect_violations(self._db, self._rules).violations)
 
     def is_clean(self) -> bool:
         """True iff the instance currently satisfies every rule (the

@@ -194,9 +194,6 @@ class TestCliBytes:
         reference = self._stdout(capsys, argv)
         assert json.loads(reference)["total"] == 4
         assert self._stdout(capsys, argv) == reference
-        # the oracle scans report in the executor's order
-        naive = argv[:1] + ["--executor", "naive"] + argv[1:]
-        assert self._stdout(capsys, naive) == reference
 
     def test_stream_json_bytes_invariant(self, workspace, capsys):
         _, data, schema_path, rules, _ = workspace
@@ -227,11 +224,12 @@ class TestCliBytes:
 
 
 class TestRemovedShardingFlags:
-    """The sharded engine's flags are argparse errors, not silently eaten."""
+    """The sharded engine's flags, and the executor selection, are argparse
+    errors, not silently eaten: detection has one path."""
 
     @pytest.mark.parametrize(
         "flags, named",
-        [(["--shards", "2"], "--shards"), (["--executor", "parallel"], "'parallel'")],
+        [(["--shards", "2"], "--shards"), (["--executor", "indexed"], "--executor")],
     )
     def test_detect_refuses(self, workspace, capsys, flags, named):
         _, data, schema_path, rules, _ = workspace

@@ -39,6 +39,19 @@ ROWS = [
     {"dept": "eng", "floor": 2},  # violates dept -> floor
     {"dept": "ops", "floor": 3},
 ]
+#: a 2-row tableau (a wildcard row and a constant row) over four rows:
+#: the batch executor lists its violations partition by partition, the
+#: per-dependency loop row by row of the tableau — one multiset, two lists
+PROBE_RULES = [{
+    "type": "cfd", "relation": "emp", "lhs": ["dept"], "rhs": ["floor"],
+    "tableau": [{"dept": "_", "floor": "_"}, {"dept": "eng", "floor": 1}],
+}]
+PROBE_ROWS = [
+    {"dept": "eng", "floor": 1},
+    {"dept": "ops", "floor": 3},
+    {"dept": "eng", "floor": 2},
+    {"dept": "ops", "floor": 4},
+]
 
 
 @pytest.fixture(scope="module")
@@ -162,13 +175,52 @@ class TestDetect:
             assert client.detect("warm") == first
 
     def test_detect_executor_override(self, client):
+        """Detection has one path: a detect body may name it, and any other
+        executor is a 400 that names the removal."""
         _fresh(client, "exec")
         indexed = client.detect("exec")
-        naive = client.detect("exec", executor="naive")
-        assert naive["total"] == indexed["total"]
-        with pytest.raises(ServerError) as err:
-            client.detect("exec", executor="warp-drive")
-        assert err.value.status == 400
+        engine = {"engine": {"executor": "indexed"}}
+        assert client._request("POST", "/sessions/exec/detect", engine) == indexed
+        for executor, named in (
+            ("naive", "executor 'naive' was removed"),
+            ("warp-drive", "executor 'warp-drive' is unknown"),
+        ):
+            with pytest.raises(ServerError) as err:
+                client._request(
+                    "POST", "/sessions/exec/detect",
+                    {"engine": {"executor": executor}},
+                )
+            assert err.value.status == 400 and named in str(err.value)
+
+    def test_every_accepted_detect_body_answers_one_list(self, client):
+        """Whatever detect body the server accepts, the 2-row-tableau probe
+        answers one violation list: no body selects another order."""
+        try:
+            client.delete_session("probe")
+        except ServerError:
+            pass
+        client.create_session(
+            schema=SCHEMA_DOC, rules=PROBE_RULES,
+            data={"emp": PROBE_ROWS}, session_id="probe",
+        )
+        lists = set()
+        for body in (
+            None,
+            {},
+            {"include_violations": True},
+            {"engine": {}},
+            {"engine": {"executor": "indexed"}},
+            {"engine": {"executor": "naive"}},
+            {"engine": {"executor": "naive"}, "include_violations": True},
+        ):
+            try:
+                document = client._request("POST", "/sessions/probe/detect", body)
+            except ServerError as err:
+                assert err.status == 400
+                continue
+            lists.add(json.dumps(document["violations"]))
+        assert len(lists) == 1
+        assert len(json.loads(lists.pop())) == 4
 
 
 class TestApplyUndo:
@@ -271,6 +323,46 @@ class TestApplyUndo:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "verb, body, field",
+        [
+            ("repair", {"strategy": "x", "adopt": "false"}, "adopt"),
+            ("detect", {"include_violation": False}, "include_violation"),
+            ("detect", {"include_violations": "false"}, "include_violations"),
+            ("apply", {"ops": [{"op": "delete", "relation": "emp",
+                                "row": {"dept": "ops", "floor": 3}}],
+                       "dry_run": True}, "dry_run"),
+            ("undo", {"force": True}, "force"),
+            ("rules", {"rules": RULES_DOC, "mode": "append"}, "mode"),
+            ("create", {"schema": SCHEMA_DOC, "engines": {}}, "engines"),
+        ],
+    )
+    def test_verb_bodies_are_read_strictly(self, client, verb, body, field):
+        """An unknown top-level key or a non-boolean flag is a 400 that
+        names the field — never ignored, never read as truthy — and the
+        session is left as it was."""
+        _fresh(client, "strict")
+        token = client.apply(
+            "strict",
+            {"ops": [{"op": "insert", "relation": "emp",
+                      "row": {"dept": "qa", "floor": 5}}]},
+        )["undo_token"]
+        before = client.session_info("strict")
+        sessions = len(client.list_sessions())
+        if verb == "undo":  # a live token: only the extra key is wrong
+            body = dict(body, token=token)
+        method, path = {
+            "rules": ("PUT", "/sessions/strict/rules"),
+            "create": ("POST", "/sessions"),
+        }.get(verb, ("POST", f"/sessions/strict/{verb}"))
+        with pytest.raises(ServerError) as err:
+            client._request(method, path, body)
+        assert err.value.status == 400 and err.value.kind == "BadRequest"
+        assert repr(field) in str(err.value)
+        after = client.session_info("strict")
+        for key in ("relations", "rules", "undo_tokens"):
+            assert after[key] == before[key]
+        assert len(client.list_sessions()) == sessions
     def test_error_metrics_use_route_templates(self, client, server):
         """404s/400s against arbitrary session ids must aggregate under the
         '{id}' template, not mint one metrics entry per probed path."""

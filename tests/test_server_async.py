@@ -400,7 +400,7 @@ class TestAsyncVerbs:
     ):
         """Not ignored: an old client learns its knob is gone, and what
         the engine object still takes, from the 400 itself."""
-        surviving = '{"engine": {"executor": "indexed" | "naive"}}'
+        surviving = '{"engine": {"executor": "indexed"}}'
         with pytest.raises(ServerError) as err:
             client._request(
                 "POST",
@@ -426,23 +426,26 @@ class TestAsyncVerbs:
 
     def test_engine_error_text_matches_session_layer(self, client):
         from repro.errors import ReproError
+        from repro.relational.instance import DatabaseInstance
+        from repro.rules_json import database_schema_from_dict
         from repro.session import Session
 
-        # the kwarg layer
-        with pytest.raises(ReproError) as local:
-            from repro.relational.instance import DatabaseInstance
-            from repro.rules_json import database_schema_from_dict
-
-            Session.from_instance(
-                DatabaseInstance(database_schema_from_dict(SCHEMA_DOC)),
-                [],
-                executor="warp-drive",
-            )
-        # the wire layer
         _fresh(client, "errs")
-        with pytest.raises(ServerError) as served:
-            client.detect("errs", executor="warp-drive")
-        assert str(local.value) in str(served.value)
+        for executor in ("warp-drive", "naive"):
+            # the kwarg layer
+            with pytest.raises(ReproError) as local:
+                Session.from_instance(
+                    DatabaseInstance(database_schema_from_dict(SCHEMA_DOC)),
+                    [],
+                    executor=executor,
+                )
+            # the wire layer
+            with pytest.raises(ServerError) as served:
+                client._request(
+                    "POST", "/sessions/errs/detect",
+                    {"engine": {"executor": executor}},
+                )
+            assert str(local.value) in str(served.value)
         client.delete_session("errs")
 
     def test_client_constructor_is_keyword_only(self, server):

@@ -830,7 +830,7 @@ def _reference_snapshot(journal, session, undo_items, undo_counter) -> bytes:
     document = {
         "format": 1,
         "session": journal.session_id,
-        "executor": session.executor,
+        "executor": "indexed",
         "schema": session.schema_document(),
         "rules": session.rules_documents(),
         "data": _tuple_documents(session),
@@ -1055,7 +1055,7 @@ class TestSnapshotWriter:
             assert canonical(client.detect("old")) == canonical(
                 offline_detect(session)
             )
-            assert client.session_info("old").executor == "indexed"
+            assert client.session_info("old")["executor"] == "indexed"
             client.apply("old", _insert("qa", 9))
         finally:
             server.shutdown()  # the flush writes the next generation
@@ -1063,6 +1063,45 @@ class TestSnapshotWriter:
         rewritten = json.loads(newest.read_text(encoding="utf-8"))
         assert newest != journal._snapshot_path(0)
         assert rewritten["executor"] == "indexed" and "shards" not in rewritten
+
+    def test_a_snapshot_naming_the_naive_executor_answers_the_indexed_report(
+        self, tmp_path
+    ):
+        """A format-1 snapshot an older server wrote for an
+        ``executor="naive"`` session loads on the one path: its detect is
+        the list a fresh executor run returns, not the per-dependency
+        loop's order."""
+        from repro.cfd.detect import detect_violations
+        from repro.server.durability import SessionJournal
+        from repro.session import ViolationReport
+        from repro.workloads.soak import canonical, offline_detect
+
+        # a 2-row tableau: the two paths list its violations differently
+        session = _emp_session(8, rules=[{
+            "type": "cfd", "relation": "emp", "lhs": ["dept"], "rhs": ["floor"],
+            "tableau": [{"dept": "_", "floor": "_"}, {"dept": "d0", "floor": 0}],
+        }])
+        expected = offline_detect(session)
+        looped = ViolationReport(
+            detect_violations(session.database, session.rules, engine=False).violations
+        ).to_dict()
+        assert canonical(looped) != canonical(expected)
+        store = SessionStore(tmp_path, fsync=False)
+        directory = store._session_dir("old")
+        directory.mkdir(parents=True)
+        journal = SessionJournal(store, "old", directory)
+        document = json.loads(_reference_snapshot(journal, session, [], 0))
+        document.update(executor="naive")
+        journal._snapshot_path(0).write_text(
+            json.dumps(document, separators=(",", ":")), encoding="utf-8"
+        )
+
+        server, client = _boot(tmp_path)
+        try:
+            assert canonical(client.detect("old")) == canonical(expected)
+            assert client.session_info("old")["executor"] == "indexed"
+        finally:
+            server.shutdown()
 
     def test_failure_mid_stream_leaves_no_generation(self, tmp_path, monkeypatch):
         import repro.server.durability as durability

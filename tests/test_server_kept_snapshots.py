@@ -180,20 +180,25 @@ def test_other_writes_always_drop(served, write):
     assert "s" not in served.server._snapshots
 
 
-def test_a_naive_detect_is_not_carried_across_a_kept_write(served):
-    """The engine speaks for the indexed executor's report only."""
+def test_every_cached_read_is_carried_across_a_kept_write(served, monkeypatch):
+    """The engine's report speaks for every detect, and no edit touches
+    the rule documents: after a report-neutral ``apply`` the full detect,
+    the summary detect and the rules read are all hits."""
     served.warm()
-    served.detect(executor="naive")
     served.detect(include_violations=False)
+    assert served.client.get_rules("s") == RULES  # published
     before = served.counts()
     served.apply(CLEAN_DELETE)
-    assert served.moved(before)["kept"] == 1
+    core, ran = served.server.core, []
+    for name in ("_handle_detect", "_rules"):
+        handler = getattr(core, name)
+        monkeypatch.setattr(
+            core, name, lambda *args, _h=handler, _n=name: ran.append(_n) or _h(*args)
+        )
     served.detect()
     served.detect(include_violations=False)
-    assert served.moved(before)["hits"] == 2
-    served.detect(executor="naive")  # ran: its entry was dropped
-    assert served.moved(before)["hits"] == 2
-    served.detect(executor="naive")  # … and was re-published
+    assert served.client.get_rules("s") == RULES
+    assert ran == []
     assert served.moved(before) == {"kept": 1, "dropped": 0, "hits": 3, "served": 0}
 
 

@@ -175,24 +175,31 @@ class TestLifecycle:
         assert all("reason" in v and "tuples" in v for v in document["violations"])
         json.dumps(document, default=str)  # JSON-ready
 
-    @pytest.mark.parametrize("executor", ["mapreduce", "parallel"])
+    @pytest.mark.parametrize("executor", ["mapreduce", "parallel", "naive"])
     def test_session_rejects_unknown_executor(self, executor):
-        # "parallel" named the sharded engine: gone, so unknown like any
-        # other — in the one text every layer shares
-        from repro.engine.config import validate_executor
+        # detection has one path: "indexed" is the only name a session
+        # takes, and a retired one ("parallel" named the sharded engine,
+        # "naive" the per-dependency loop) is refused by name — in the
+        # one text every layer shares
+        from repro.engine.config import check_executor
 
         with pytest.raises(ReproError) as shared:
-            validate_executor(executor)
-        assert f"unknown executor {executor!r}" in str(shared.value)
-        assert "('indexed', 'naive')" in str(shared.value)
-        session = Session.from_instance(fig1_instance())
+            check_executor(executor)
+        named = {
+            "mapreduce": "executor 'mapreduce' is unknown",
+            "parallel": "executor 'parallel' was removed with the sharded engine",
+            "naive": "executor 'naive' was removed: detection has one path",
+        }
+        assert str(shared.value).startswith(named[executor])
         for refused in (
+            lambda: Session(fig1_instance(), executor=executor),
             lambda: Session.from_instance(fig1_instance(), executor=executor),
-            lambda: session.detect(executor=executor),
         ):
             with pytest.raises(ReproError) as err:
                 refused()
             assert str(err.value) == str(shared.value)
+        kept = Session.from_instance(fig1_instance(), executor="indexed")
+        assert kept.detect().total == 0
 
     def test_engine_is_lazy_and_cached(self):
         session = Session.from_instance(fig1_instance(), list(fig2_cfds().values()))
@@ -365,11 +372,13 @@ class TestMaintainedReads:
             "ordered_violations",
             lambda self: served.append(1) or read(self),
         )
-        assert session.detect(executor="naive").total == total
-        with pytest.raises(TypeError):  # the old spelling of "naive"
-            session.detect(engine=False)
+        # detect() takes no selection: every old spelling of one is a
+        # TypeError before anything is read
+        for override in ({"executor": "naive"}, {"executor": "indexed"}, {"engine": False}):
+            with pytest.raises(TypeError):
+                session.detect(**override)
         assert not served and engine.stats.reports_served == 0
-        assert session.detect(executor="indexed").total == total
+        assert session.detect().total == total
         assert len(served) == 1
 
     def test_dropped_engine_means_one_executor_run(self, monkeypatch):
