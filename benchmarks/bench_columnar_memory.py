@@ -18,7 +18,11 @@ journal.  ``tracemalloc`` counts the bytes an in-process
 create → detect → first apply, once in memory and once durable; the
 ``*_session_tuples_per_mb`` fields are those figures inverted, so a
 session that starts keeping a ``Tuple`` per row (or an index per group)
-shows as a drop the regression gate catches.
+shows as a drop the regression gate catches.  Every request goes in as
+raw bytes, parsed under the trace, so ``create_peak_bytes_per_tuple`` is
+the create request's peak with its body's parse included — ingest that
+keeps a per-row object, or holds the parsed rows while it encodes, lifts
+it above the parse; ``create_peak_tuples_per_mb`` is it inverted, gated.
 
 Run standalone to produce ``BENCH_columnar.json``:
 
@@ -35,7 +39,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple as PyTuple
 
 if __name__ == "__main__":  # allow running without an installed package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -45,7 +49,7 @@ from repro.relational.instance import RelationInstance
 from repro.relational.tuples import Tuple
 from repro.rules_json import database_schema_to_dict
 from repro.server import DEFAULT_DEGRADED_AFTER
-from repro.server.core import ServiceCore
+from repro.server.core import ServiceCore, body_reader
 from repro.server.hosting import ServerMetrics, SessionManager
 from repro.workloads.customer import CustomerConfig, generate_customers
 
@@ -110,9 +114,13 @@ def _first_changeset(relation) -> Dict[str, Any]:
     return {"ops": ops}
 
 
-def _session_bytes(workload, state_dir: Optional[Path]) -> int:
+def _session_bytes(workload, state_dir: Optional[Path]) -> PyTuple[int, int]:
     """Bytes an in-process service still holds after create → detect →
-    first apply of one session (``tracemalloc``, after a collection)."""
+    first apply of one session, and the create request's peak
+    (``tracemalloc``, after a collection).  Each request arrives as raw
+    bytes and is parsed under the trace, through ``body_reader``, as a
+    transport hands it over — so the values the store keeps are counted,
+    and so is the create's parsed body while it lives."""
     relation = workload.db.relation("customer")
     names = relation.schema.attribute_names
     create = {
@@ -126,23 +134,28 @@ def _session_bytes(workload, state_dir: Optional[Path]) -> int:
         ("POST", "/v1/sessions/s/detect", {"include_violations": True}),
         ("POST", "/v1/sessions/s/apply", _first_changeset(relation)),
     ]
+    bodies = [(m, t, json.dumps(document).encode()) for m, t, document in requests]
+    del create, requests
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         manager = SessionManager(state_dir=state_dir, fsync=False)
         core = ServiceCore(manager, ServerMetrics(), DEFAULT_DEGRADED_AFTER)
-        for method, target, document in requests:
-            response = core.handle(method, target, lambda: document)
+        create_peak = 0
+        for method, target, raw in bodies:
+            response = core.handle(method, target, body_reader(raw))
             if response.status >= 300:
                 raise RuntimeError(f"{method} {target}: {response.body[:200]!r}")
+            if not create_peak:
+                create_peak = tracemalloc.get_traced_memory()[1] - before
         del response
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     manager.close_all()
-    return held
+    return held, create_peak
 
 
 def measure(n_tuples: int) -> Dict:
@@ -153,9 +166,9 @@ def measure(n_tuples: int) -> Dict:
     rows = relation.to_rows()
     object_bytes = _object_bytes(relation.schema, rows)
     columnar_bytes = _columnar_bytes(relation.schema, rows)
-    memory_bytes = _session_bytes(workload, None)
+    memory_bytes, create_peak = _session_bytes(workload, None)
     with tempfile.TemporaryDirectory() as state_dir:
-        durable_bytes = _session_bytes(workload, Path(state_dir))
+        durable_bytes, _ = _session_bytes(workload, Path(state_dir))
     return {
         "n_tuples": n_tuples,
         "object_bytes": object_bytes,
@@ -167,6 +180,8 @@ def measure(n_tuples: int) -> Dict:
         "durable_session_bytes_per_tuple": durable_bytes / n_tuples,
         "memory_session_tuples_per_mb": n_tuples * 1e6 / memory_bytes,
         "durable_session_tuples_per_mb": n_tuples * 1e6 / durable_bytes,
+        "create_peak_bytes_per_tuple": create_peak / n_tuples,
+        "create_peak_tuples_per_mb": n_tuples * 1e6 / create_peak,
     }
 
 
@@ -211,7 +226,8 @@ def main(argv: List[str]) -> int:
             f"columnar={row['columnar_bytes_per_tuple']:.0f} B/tuple  "
             f"compression={row['compression']:.1f}x  "
             f"session={row['memory_session_bytes_per_tuple']:.0f} B/tuple "
-            f"(durable {row['durable_session_bytes_per_tuple']:.0f})"
+            f"(durable {row['durable_session_bytes_per_tuple']:.0f})  "
+            f"create peak={row['create_peak_bytes_per_tuple']:.0f} B/tuple"
         )
     print(f"top compression: {result['top_compression']:.1f}x")
     return 0

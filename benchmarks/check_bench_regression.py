@@ -92,6 +92,9 @@ METRICS: Dict[str, List[Tuple[str, Callable[[Dict[str, Any]], Dict[int, float]]]
          _series_metric("memory_session_tuples_per_mb")),
         ("durable_session_tuples_per_mb",
          _series_metric("durable_session_tuples_per_mb")),
+        # a create request's peak, its body's parse included, inverted
+        ("create_peak_tuples_per_mb",
+         _series_metric("create_peak_tuples_per_mb")),
     ],
     "incremental_delta_maintenance": [
         ("speedup", _series_metric("speedup")),

@@ -35,7 +35,7 @@ from __future__ import annotations
 from array import array
 from itertools import chain, compress, count, repeat
 from math import copysign
-from operator import is_not
+from operator import and_, eq, is_, is_not
 from typing import (
     Any,
     Dict,
@@ -278,13 +278,16 @@ class ColumnStore:
         """Bulk-append a batch given as one value sequence per attribute.
 
         Works a column at a time: each *distinct* value is validated
-        (against ``domains``, unless ``None``) and interned once, codes are
-        mapped in one pass, duplicate rows — within the batch and against
-        the store — are dropped first-wins, and the membership table is
-        sized once and filled from the code tuples already in hand.  A
-        cell that does not render like its representative (see
-        :func:`_renders_as`) is validated on its own and its row keeps a
-        materialized ``Tuple``, exactly as a single-row insert caches one.
+        (against ``domains``, unless ``None``) and interned once, and codes
+        are mapped in one pass.  A column whose cells all have a type its
+        domain admits whole (``Domain.exact_types``) asks the domain
+        nothing.  Rows already in the store are dropped; so are repeats
+        within the batch, first-wins — unless some column holds no value
+        twice, which rules repeats out, so no code tuple is kept per row:
+        row hashes stream from the code columns into the membership table,
+        sized once.  A cell that does not render like its representative
+        (see :func:`_renders_as`) is validated on its own and its row keeps
+        a materialized ``Tuple``, exactly as a single-row insert caches one.
 
         Returns how many rows were new, or ``None`` — with the store
         untouched — when some value is outside its domain or unhashable:
@@ -294,33 +297,36 @@ class ColumnStore:
         n = len(columns[0])
         fresh: List[List[Any]] = []
         own: set = set()
+        distinct = False
         for position, column in enumerate(columns):
             try:
-                # value → the representative it decodes to after this batch
+                # the column's distinct values, in first-seen order
                 lookup = dict.fromkeys(column)
             except TypeError:
                 return None
+            distinct = distinct or len(lookup) == n
             mapping = self.encode[position]
             rep = self.decode[position]
-            domain = None if domains is None else domains[position]
-            unseen: List[Any] = []
-            for value in lookup:
-                code = mapping.get(value)
-                if code is not None:
-                    lookup[value] = rep[code]
-                elif domain is None or domain.contains(value):
-                    lookup[value] = value
-                    unseen.append(value)
-                else:
-                    return None
-            fresh.append(unseen)
             types = set(map(type, column))
+            domain = None if domains is None else domains[position]
+            if domain is not None and types <= domain.exact_types:
+                domain = None  # every cell is of a type the domain admits
+            found = list(map(mapping.get, lookup))
+            unseen = list(compress(lookup, map(is_, found, repeat(None))))
+            if domain is not None and not all(map(domain.contains, unseen)):
+                return None
+            fresh.append(unseen)
+            # an unseen value is its own representative
+            known = [rep[code] for code in found if code is not None]
             if (
                 len(types) == 1
-                and types == set(map(type, lookup.values()))
+                and types.issuperset(map(type, known))
                 and not (float in types and 0.0 in lookup)
             ):
                 continue
+            # value → the representative it decodes to after this batch
+            for value, code in zip(lookup, found):
+                lookup[value] = value if code is None else rep[code]
             for offset, value in enumerate(column):
                 if not _renders_as(value, lookup[value]):
                     if domain is not None and not domain.contains(value):
@@ -328,34 +334,48 @@ class ColumnStore:
                     own.add(offset)
 
         # Every check passed: from here on the batch cannot fail.
-        code_columns = []
+        code_columns: List[array] = []
         for mapping, rep, unseen, column in zip(
             self.encode, self.decode, fresh, columns
         ):
-            for value in unseen:
-                mapping[value] = len(rep)
-                rep.append(value)
-            code_columns.append(list(map(mapping.__getitem__, column)))
-        code_rows = list(zip(*code_columns))
-        # each distinct row's first batch offset, ascending: first wins
-        first = dict(zip(reversed(code_rows), range(n - 1, -1, -1)))
-        offsets = sorted(first.values())
+            mapping.update(zip(unseen, count(len(rep))))
+            rep.extend(unseen)
+            coded = array("q")
+            # ``fromlist`` leaves the growth slack an appended column has,
+            # so a first edit appends without moving the column
+            coded.fromlist(list(map(mapping.__getitem__, column)))
+            code_columns.append(coded)
+        keep: Optional[List[bool]] = None
+        if not distinct:
+            # each distinct row's first batch offset: first wins
+            code_rows = list(zip(*code_columns))
+            first = dict(zip(reversed(code_rows), range(n - 1, -1, -1)))
+            keep = list(map(eq, map(first.__getitem__, code_rows), count()))
+            del code_rows, first
         if self.live:
             find_row = self.find_row
-            offsets = [o for o in offsets if find_row(code_rows[o]) is None]
+            absent = [find_row(row) is None for row in zip(*code_columns)]
+            keep = absent if keep is None else list(map(and_, keep, absent))
+        offsets: Sequence[int] = range(n)
+        if keep is not None and not all(keep):
+            offsets = list(compress(offsets, keep))
+            code_columns = [
+                array("q", compress(coded, keep)) for coded in code_columns
+            ]
         added = len(offsets)
         if not added:
             return 0
-        if added < n:
-            code_rows = [code_rows[o] for o in offsets]
-            code_columns = list(zip(*code_rows))
         if 3 * (self.used + added) >= 2 * (self.mask + 1):
             self._rebuild_table(reserve=added)
         start = len(self.alive)
         # repro: allow[REP001] — int-tuple hash, seed-independent
-        self._place(map(hash, code_rows), range(start, start + added))
-        for column, codes in zip(self.columns, code_columns):
-            column.extend(codes)
+        self._place(map(hash, zip(*code_columns)), range(start, start + added))
+        if start:
+            for column, coded in zip(self.columns, code_columns):
+                column.extend(coded)
+        else:
+            # an empty store adopts the batch's arrays: no second copy
+            self.columns = code_columns
         self.alive.extend(b"\x01" * added)
         self.cache.extend([None] * added)
         self.live += added

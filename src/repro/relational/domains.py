@@ -40,6 +40,12 @@ class Domain(ABC):
     #: short human-readable name, e.g. ``"int"`` or ``"enum{a,b}"``
     name: str
 
+    #: Python types every value of which is a member: a value whose exact
+    #: type is listed passes :meth:`contains` without the call (the bulk
+    #: loader checks a column by its cell types first); empty means every
+    #: value is asked
+    exact_types: FrozenSet[type] = frozenset()
+
     @abstractmethod
     def contains(self, value: Any) -> bool:
         """Return True iff ``value`` is a member of this domain."""
@@ -94,6 +100,7 @@ class IntDomain(Domain):
     """All Python ints (a countably infinite domain)."""
 
     name = "int"
+    exact_types = frozenset({int})
 
     def contains(self, value: Any) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
@@ -113,6 +120,7 @@ class FloatDomain(Domain):
     """All Python floats (treated as an infinite domain)."""
 
     name = "float"
+    exact_types = frozenset({float, int})
 
     def contains(self, value: Any) -> bool:
         return isinstance(value, (float, int)) and not isinstance(value, bool)
@@ -133,6 +141,7 @@ class StringDomain(Domain):
     """All Python strings (infinite domain)."""
 
     name = "string"
+    exact_types = frozenset({str})
 
     def contains(self, value: Any) -> bool:
         return isinstance(value, str)
@@ -194,6 +203,8 @@ class EnumDomain(Domain):
 
 class BoolDomain(EnumDomain):
     """The two-valued boolean domain of Example 4.1."""
+
+    exact_types = frozenset({bool})
 
     def __init__(self) -> None:
         super().__init__((True, False), name="bool")

@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from repro.errors import DomainError, SchemaError
 from repro.relational.columnar import ColumnStore
 from repro.relational.schema import DatabaseSchema, RelationSchema
-from repro.relational.tuples import Tuple
+from repro.relational.tuples import Tuple, row_values
 
 __all__ = ["RelationInstance", "DatabaseInstance"]
 
@@ -87,7 +87,7 @@ class RelationInstance:
             return t
         if isinstance(t, Mapping):
             return self.add(Tuple(self.schema, t))
-        values = tuple(t)
+        values = row_values(self.schema, t)
         if len(values) != len(self.schema):
             raise SchemaError(
                 f"tuple for {self.schema.name} has {len(values)} values, "
@@ -129,24 +129,39 @@ class RelationInstance:
         per new row), but works a column at a
         time (see :meth:`ColumnStore.extend_columns`) and builds no
         ``Tuple`` for a row whose cells render like their dictionary
-        representatives.  A batch that is not uniformly shaped, or fails a
-        check, goes through ``add`` row by row, so the error is whatever
-        ``add`` raises for the first failing row; either way the batch is
-        all-or-nothing: a raise leaves the row set as it was.
+        representatives.  Once the batch is transposed this method holds
+        no reference to ``rows``, so a caller that passes its only one
+        lets the row objects go before the columns are encoded.  A batch
+        that is not uniformly shaped, or fails a check, goes through
+        ``add`` row by row (rebuilt from the columns, in the shape they
+        came in), so the error is whatever ``add`` raises for the first
+        failing row; either way the batch is all-or-nothing: a raise
+        leaves the row set as it was.
         """
         batch = rows if isinstance(rows, list) else list(rows)
+        del rows
         if not batch:
             return 0
         columns = self._columns_of(batch)
-        if columns is not None:
-            domains = [a.domain for a in self.schema.attributes]
-            added = self._store.extend_columns(columns, domains if validate else None)
-            if added is not None:
-                self._version += added
-                return added
+        if columns is None:
+            return self._add_each(batch)
+        mappings = type(batch[0]) is dict
+        del batch  # the columns hold every value: the rows may go now
+        domains = [a.domain for a in self.schema.attributes]
+        added = self._store.extend_columns(columns, domains if validate else None)
+        if added is not None:
+            self._version += added
+            return added
+        replay: Iterable[Any] = zip(*columns)
+        if mappings:
+            replay = map(dict, map(zip, repeat(self.schema.attribute_names), replay))
+        return self._add_each(replay)
+
+    def _add_each(self, rows: Iterable[Any]) -> int:
+        """``add`` every row; on a raise, remove the ones that were new."""
         new: List[Tuple] = []
         try:
-            for row in batch:
+            for row in rows:
                 size = len(self)
                 t = self.add(row)
                 if len(self) != size:

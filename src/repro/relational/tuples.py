@@ -17,6 +17,22 @@ from repro.relational.schema import RelationSchema
 __all__ = ["Tuple"]
 
 
+def row_values(schema: RelationSchema, row: Any) -> PyTuple[Any, ...]:
+    """``row``'s values as a tuple.  A row that is not a sequence of
+    values (``1``, ``None``, ``"ab"``) is a :class:`SchemaError` naming
+    its type, not a ``TypeError`` — or a row of characters."""
+    if not isinstance(row, (str, bytes)):
+        try:
+            return tuple(row)
+        except TypeError:
+            if hasattr(row, "__iter__"):
+                raise
+    raise SchemaError(
+        f"row for {schema.name} must be a mapping or a sequence of "
+        f"values, got {type(row).__name__}"
+    )
+
+
 class Tuple:
     """An immutable tuple conforming to a :class:`RelationSchema`."""
 
@@ -38,7 +54,7 @@ class Tuple:
                 raise SchemaError(f"tuple for {schema.name} has unknown attributes {extra}")
             ordered = tuple(values[a] for a in schema.attribute_names)
         else:
-            ordered = tuple(values)
+            ordered = row_values(schema, values)
             if len(ordered) != len(schema):
                 raise SchemaError(
                     f"tuple for {schema.name} has {len(ordered)} values, "

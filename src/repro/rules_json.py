@@ -64,27 +64,69 @@ _TYPE_TO_DOMAIN: Dict[str, Domain] = {
 _DOMAIN_TO_TYPE = {v.name: k for k, v in _TYPE_TO_DOMAIN.items()}
 
 
+#: the keys an attribute spec may carry (``values`` with type ``enum`` only)
+_ATTRIBUTE_KEYS = ("name", "type", "values")
+
+
 def schema_from_dict(document: Mapping[str, Any]) -> RelationSchema:
-    """Parse a single-relation schema document into a :class:`RelationSchema`."""
+    """Parse a single-relation schema document into a :class:`RelationSchema`.
+
+    Attribute specs are read strictly: each must be an object with a
+    string ``name``, an optional ``type`` and — for an enum only — its
+    ``values``; any other key is a :class:`SchemaError` naming it, since
+    a misspelt ``type`` would otherwise leave a string column.
+    """
+    if not isinstance(document, Mapping):
+        raise SchemaError(f"schema document must be an object, got {document!r}")
     try:
         name = document["name"]
         specs = document["attributes"]
     except KeyError as exc:
         raise SchemaError(f"schema document missing key {exc}") from exc
-    attributes: List[Attribute] = []
-    for spec in specs:
-        type_name = spec.get("type", "string")
-        if type_name == "enum":
-            domain: Domain = EnumDomain(spec["values"])
-        elif type_name in _TYPE_TO_DOMAIN:
-            domain = _TYPE_TO_DOMAIN[type_name]
-        else:
-            raise SchemaError(
-                f"unknown attribute type {type_name!r}; "
-                f"expected one of {sorted(_TYPE_TO_DOMAIN)} or 'enum'"
-            )
-        attributes.append(Attribute(spec["name"], domain))
+    if not isinstance(specs, (list, tuple)):
+        raise SchemaError(f"relation {name!r}: 'attributes' must be a list")
+    attributes = [
+        _attribute(spec, f"{name!r} attribute #{index}")
+        for index, spec in enumerate(specs)
+    ]
     return RelationSchema(name, attributes)
+
+
+def _attribute(spec: Any, where: str) -> Attribute:
+    """One attribute spec read strictly; ``where`` names it in errors."""
+    if not isinstance(spec, Mapping):
+        raise SchemaError(f"relation {where} must be an object, got {spec!r}")
+    unknown = sorted(set(spec) - set(_ATTRIBUTE_KEYS))
+    if unknown:
+        raise SchemaError(
+            f"relation {where}: unknown key(s) {unknown}; "
+            f"an attribute spec has {list(_ATTRIBUTE_KEYS)}"
+        )
+    attr_name = spec.get("name")
+    if not isinstance(attr_name, str) or not attr_name:
+        raise SchemaError(f"relation {where}: needs a non-empty string 'name'")
+    type_name = spec.get("type", "string")
+    if type_name == "enum":
+        values = spec.get("values")
+        if not isinstance(values, (list, tuple)):
+            raise SchemaError(
+                f"relation {where} ({attr_name!r}): an enum needs a 'values' list"
+            )
+        try:
+            return Attribute(attr_name, EnumDomain(values))
+        except (TypeError, DomainError) as exc:
+            raise SchemaError(f"relation {where} ({attr_name!r}): {exc}") from exc
+    if "values" in spec:
+        raise SchemaError(
+            f"relation {where} ({attr_name!r}): 'values' is for type 'enum' only"
+        )
+    if not isinstance(type_name, str) or type_name not in _TYPE_TO_DOMAIN:
+        raise SchemaError(
+            f"relation {where} ({attr_name!r}): "
+            f"unknown attribute type {type_name!r}; "
+            f"expected one of {sorted(_TYPE_TO_DOMAIN)} or 'enum'"
+        )
+    return Attribute(attr_name, _TYPE_TO_DOMAIN[type_name])
 
 
 def schema_to_dict(schema: RelationSchema) -> Dict[str, Any]:
@@ -115,10 +157,11 @@ def database_schema_from_dict(document: Mapping[str, Any]) -> DatabaseSchema:
     A ``{"relations": [...]}`` document yields one relation per entry; a
     plain single-relation document yields a one-relation database schema.
     """
-    if "relations" in document:
-        return DatabaseSchema(
-            [schema_from_dict(spec) for spec in document["relations"]]
-        )
+    if isinstance(document, Mapping) and "relations" in document:
+        relations = document["relations"]
+        if not isinstance(relations, (list, tuple)):
+            raise SchemaError("'relations' must be a list of relation documents")
+        return DatabaseSchema([schema_from_dict(spec) for spec in relations])
     return DatabaseSchema([schema_from_dict(document)])
 
 
@@ -170,6 +213,8 @@ def rules_from_list(
     db_schema = _as_database_schema(schema)
     rules: List[Dependency] = []
     for i, doc in enumerate(documents):
+        if not isinstance(doc, Mapping):
+            raise DependencyError(f"rule #{i} must be an object, got {doc!r}")
         kind = doc.get("type")
         try:
             codec = registry.codec_for_tag(kind)

@@ -498,8 +498,10 @@ class SessionStore:
         db_schema = database_schema_from_dict(snapshot_doc["schema"])
         rules = rules_from_list(snapshot_doc.get("rules", []), db_schema)
         db = DatabaseInstance(db_schema)
-        for rel_name, rows in (snapshot_doc.get("data") or {}).items():
-            db.relation(rel_name).extend_rows(rows)
+        data = snapshot_doc.get("data") or {}
+        for rel_name in list(data):
+            # popped, so the parsed rows go as soon as they are columns
+            db.relation(rel_name).extend_rows(data.pop(rel_name))
         # "executor" is not read: a format-1 snapshot naming a retired path
         # ("naive", or the sharded engine's "parallel" with a "shards"
         # count) loads on the one path that is left.

@@ -16,7 +16,16 @@ import time
 from bisect import bisect_left
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Tuple,
+)
 
 from repro.deps.base import Violation
 from repro.engine.config import EXECUTOR
@@ -706,6 +715,11 @@ class SessionManager:
                 f"server-side path {path!r} escapes the data root "
                 f"{str(self.data_root)!r}"
             )
+        if not resolved.is_file():
+            raise ReproError(
+                f"server-side path {path!r} names no file under the data root "
+                f"{str(self.data_root)!r}"
+            )
         return resolved
 
     def _build_session(self, document: Mapping[str, Any]) -> Session:
@@ -741,18 +755,19 @@ class SessionManager:
 
         db = DatabaseInstance(db_schema)
         data = document.get("data") or {}
-        if not isinstance(data, Mapping):
+        if not isinstance(data, MutableMapping):
             raise SchemaError(
                 "'data' must map relation names to row lists or CSV paths"
             )
-        for rel_name, payload in data.items():
+        for rel_name in list(data):
             relation = db.relation(rel_name)
-            if isinstance(payload, str):
-                db.adopt(
-                    rel_name, load_csv(relation.schema, self._resolve_path(payload))
-                )
-            elif isinstance(payload, (list, tuple)):
-                relation.extend_rows(payload)
+            if isinstance(data[rel_name], str):
+                path = self._resolve_path(data[rel_name])
+                db.adopt(rel_name, load_csv(relation.schema, path))
+            elif isinstance(data[rel_name], (list, tuple)):
+                # taken out of the document, the rows are the loader's
+                # alone, and it lets them go once they are columns
+                relation.extend_rows(data.pop(rel_name))
             else:
                 raise SchemaError(
                     f"data for relation {rel_name!r} must be a row list or "
@@ -765,7 +780,10 @@ class SessionManager:
 
         The session is built *outside* the manager lock (data upload and
         index construction can be slow); only the table insert and any
-        LRU eviction hold it.
+        LRU eviction hold it.  The document's inline row lists are
+        consumed: each is popped from ``document["data"]`` as its relation
+        loads, so the parsed rows are freed once they are columns — a
+        caller that still needs them passes a copy.
         """
         session_id = document.get("id")
         if session_id is not None and not isinstance(session_id, str):
