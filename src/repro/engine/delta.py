@@ -48,21 +48,11 @@ the sorted list is kept until it does.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from itertools import count
 from operator import itemgetter
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple as PyTuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as PyTuple
 
 from repro.deps.base import Dependency, Violation
 from repro.engine.indexes import key_getter
@@ -146,6 +136,13 @@ class Changeset:
 
     _INSERT, _DELETE, _UPDATE = "insert", "delete", "update"
 
+    #: the keys of an op document, per kind: every one is required
+    _KEYS = {
+        _INSERT: ("op", "relation", "row"),
+        _DELETE: ("op", "relation", "row"),
+        _UPDATE: ("op", "relation", "row", "cells"),
+    }
+
     def __init__(self) -> None:
         self._ops: List[PyTuple[str, str, Any]] = []
 
@@ -199,8 +196,8 @@ class Changeset:
         update keeps its order of checks — absent target (``KeyError``)
         before ``replace`` can reject a cell, ``new == old`` before any
         edit (removing and re-adding would move the row to the end) — so
-        it looks up the target, removes it and adds the replacement:
-        three lookups at most.
+        it locates the target, kills the row it found and adds the
+        replacement: two lookups at most.
         """
         effective: Dict[str, List[PyTuple[str, Tuple]]] = {}
         try:
@@ -222,12 +219,13 @@ class Changeset:
                 else:  # update
                     old, cells = payload
                     old = self._coerce(relation, old)
-                    if old not in relation:
+                    located = relation.locate(old)
+                    if located is None:
                         raise KeyError(f"update target {old!r} not in {rel_name}")
                     new = old.replace(**cells)
                     if new == old:
                         continue
-                    relation.remove(old)
+                    relation.kill(located)
                     ops.append(("remove", old))
                     version = relation.version
                     relation.add(new)
@@ -309,7 +307,8 @@ class Changeset:
         tuples against the live schema at apply time, so a document can be
         parsed without a database at hand.  Raises
         :class:`~repro.errors.DependencyError` on a malformed document,
-        naming the offending op index.
+        naming the offending op index — an op carrying a key its kind does
+        not read (``cells`` on an insert) included.
         """
         ops = document.get("ops")
         if not isinstance(ops, Sequence) or isinstance(ops, (str, bytes)):
@@ -334,28 +333,30 @@ class Changeset:
                 raise DependencyError(
                     f"changeset op #{i} needs a 'row' mapping or list"
                 )
-            if kind == cls._INSERT:
-                changeset.insert(rel_name, row)
-            elif kind == cls._DELETE:
-                changeset.delete(rel_name, row)
-            elif kind == cls._UPDATE:
+            keys = cls._KEYS.get(kind) if isinstance(kind, str) else None
+            if keys is None:
+                raise DependencyError(
+                    f"changeset op #{i} has unknown op {kind!r}; expected "
+                    "'insert', 'delete' or 'update'"
+                )
+            if kind == cls._UPDATE:
                 cells = op.get("cells")
                 if not isinstance(cells, Mapping) or not cells:
                     raise DependencyError(
                         f"changeset op #{i} (update) needs a non-empty "
                         "'cells' mapping"
                     )
-                # append directly rather than via update(**cells): an
-                # attribute literally named "relation" or "t" would
-                # collide with the method's positional parameters
-                changeset._ops.append(
-                    (cls._UPDATE, rel_name, (row, dict(cells)))
-                )
-            else:
+            if len(op) != len(keys):  # every key of ``keys`` is present
+                unknown = [key for key in op if key not in keys]
                 raise DependencyError(
-                    f"changeset op #{i} has unknown op {kind!r}; expected "
-                    "'insert', 'delete' or 'update'"
+                    f"changeset op #{i} ({kind}) has unknown key(s) {unknown}; "
+                    f"expected {list(keys)}"
                 )
+            # append directly rather than via update(**cells): an
+            # attribute literally named "relation" or "t" would collide
+            # with the method's positional parameters
+            payload = (row, dict(cells)) if kind == cls._UPDATE else row
+            changeset._ops.append((kind, rel_name, payload))
         return changeset
 
     def __repr__(self) -> str:
@@ -526,6 +527,7 @@ class _ScanState:
         "_conditional",
         "_positions",
         "_lookup_slots",
+        "_table",
     )
 
     def __init__(
@@ -561,6 +563,7 @@ class _ScanState:
         self._conditional: List[PyTuple[int, Any]] = [
             entry for entry in self.tasks if entry not in self._universal
         ]
+        self._table = self._constant_table()
         self._store: Any = relation.column_store
         #: the engine's arrival numbers for this relation (shared): a base
         #: row's is its row id, recorded whenever the row is materialised
@@ -709,10 +712,39 @@ class _ScanState:
                         )
                     )
 
+    def _constant_table(self) -> Optional[PyTuple[Any, Dict[Any, List[Any]]]]:
+        """``(getter, table)`` when every conditional task is a constant
+        pattern on the same key positions: ``table.get(getter(key))`` is
+        what :meth:`_applicable` answers (absent: the universal tasks).
+        ``None`` for any other shape, or for a constant a dict key cannot
+        stand in for (unhashable, or unequal to itself)."""
+        tasks = [task for _, task in self._conditional]
+        shapes = {tuple(p for p, _ in task.key_constants) for task in tasks}
+        if len(shapes) != 1 or any(
+            task.lookup_key is not None or task.match_fn is not None
+            for task in tasks
+        ):
+            return None
+        getter = itemgetter(*shapes.pop())
+        table: Dict[Any, List[PyTuple[int, Any]]] = {}
+        for entry in self._conditional:
+            constants = dict(entry[1].key_constants)
+            if any(value != value for value in constants.values()):
+                return None
+            try:
+                chosen = table.setdefault(getter(constants), list(self._universal))
+            except TypeError:  # an unhashable constant
+                return None
+            chosen.append(entry)
+        return getter, table
+
     def _applicable(self, key: tuple) -> List[PyTuple[int, Any]]:
         """The member tasks whose pattern admits this partition key."""
         if not self._conditional:
             return self._universal
+        if self._table is not None:
+            getter, table = self._table
+            return table.get(getter(key), self._universal)
         chosen = list(self._universal)
         for slot, task in self._conditional:
             if task.lookup_key is not None:
@@ -803,9 +835,7 @@ class _ScanState:
                 part = touched[key] = self._segment(key)
             tail = part.tail
             first = self.first(part)
-            pivot_safe = first is not None and not any(
-                kind == "remove" and t == first for kind, t in key_ops
-            )
+            pivot_safe = first is not None and ("remove", first) not in key_ops
             if pivot_safe:
                 stats.keys_patched += 1
                 tasks = self._applicable(key)
@@ -848,8 +878,16 @@ class _ScanState:
                 # equal entries or not, they now pair against (and rank
                 # by) another pivot, and a re-added witness is a new object
                 repivoted = True
-                old = self._flatten(held or {})
+                # A partition files each (slot, member) entry once, so
+                # with one side empty the other side is the diff, in order.
                 new = self._flatten(swept)
+                if not held:
+                    added.extend(new)
+                    continue
+                old = self._flatten(held)
+                if not new:
+                    removed.extend(old)
+                    continue
                 if old == new:
                     continue
                 gained = Counter(new) - Counter(old)

@@ -142,13 +142,12 @@ class ColumnStore:
         h = hash(codes)
         i = h & mask
         perturb = h & 0x7FFFFFFFFFFFFFFF
+        expected = list(codes)  # one list comparison per candidate row
         while True:
             row = table[i]
             if row == _EMPTY:
                 return None
-            if row != _TOMBSTONE and all(
-                column[row] == code for column, code in zip(columns, codes)
-            ):
+            if row != _TOMBSTONE and [column[row] for column in columns] == expected:
                 return row
             perturb >>= 5
             i = (5 * i + perturb + 1) & mask

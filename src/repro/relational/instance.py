@@ -69,7 +69,7 @@ class RelationInstance:
         """
         store = self._store
         if isinstance(t, Tuple):
-            if (
+            if t.schema is not self.schema and (
                 t.schema.name != self.schema.name
                 or t.schema.attribute_names != self.schema.attribute_names
             ):
@@ -191,9 +191,10 @@ class RelationInstance:
         except KeyError:
             return None
 
-    def _locate(self, t: Tuple) -> tuple[tuple[int, ...], int] | None:
+    def locate(self, t: Tuple) -> tuple[tuple[int, ...], int] | None:
         """``(codes, row)`` of ``t`` in the column store, or ``None`` if
-        absent — one ``probe``, so a delete can hand both to ``kill_row``."""
+        absent — one ``probe``.  :meth:`kill` deletes the row it names, as
+        long as no edit came in between."""
         store = self._store
         if not isinstance(t, Tuple) or t.schema.name != self.schema.name:
             return None
@@ -203,17 +204,21 @@ class RelationInstance:
         row = store.find_row(codes)
         return None if row is None else (codes, row)
 
+    def kill(self, located: tuple[tuple[int, ...], int]) -> None:
+        """Delete the row :meth:`locate` just found (no second lookup)."""
+        self._store.kill_row(*located)
+        self._version += 1
+
     def remove(self, t: Tuple) -> None:
         """Delete a tuple (KeyError if absent).
 
         The row is located once (one ``ColumnStore.probe``); ``version``
         moves iff a row was deleted, which a raise rules out.
         """
-        located = self._locate(t)
+        located = self.locate(t)
         if located is None:
             raise KeyError(t)
-        self._store.kill_row(*located)
-        self._version += 1
+        self.kill(located)
 
     def discard(self, t: Tuple) -> None:
         """Delete a tuple if present.
@@ -224,10 +229,9 @@ class RelationInstance:
         call instead of asking ``t in relation`` first
         (:meth:`repro.engine.delta.Changeset.apply_to` does).
         """
-        located = self._locate(t)
+        located = self.locate(t)
         if located is not None:
-            self._store.kill_row(*located)
-            self._version += 1
+            self.kill(located)
 
     @property
     def version(self) -> int:
@@ -257,7 +261,7 @@ class RelationInstance:
         self._indexes = None
 
     def __contains__(self, t: Tuple) -> bool:
-        return self._locate(t) is not None
+        return self.locate(t) is not None
 
     def __iter__(self) -> Iterator[Tuple]:
         return self._store.iter_tuples()

@@ -33,6 +33,20 @@ def row_values(schema: RelationSchema, row: Any) -> PyTuple[Any, ...]:
     )
 
 
+def _mapping_values(
+    schema: RelationSchema, row: Mapping[str, Any]
+) -> PyTuple[Any, ...]:
+    """``row``'s values in schema order; a missing or an unknown attribute
+    is a :class:`SchemaError` naming them (missing ones first)."""
+    missing = [a for a in schema.attribute_names if a not in row]
+    if missing:
+        raise SchemaError(f"tuple for {schema.name} missing attributes {missing}")
+    extra = [k for k in row if k not in schema]
+    if extra:
+        raise SchemaError(f"tuple for {schema.name} has unknown attributes {extra}")
+    return tuple(row[a] for a in schema.attribute_names)
+
+
 class Tuple:
     """An immutable tuple conforming to a :class:`RelationSchema`."""
 
@@ -45,27 +59,30 @@ class Tuple:
         validate: bool = True,
     ):
         self.schema = schema
-        if isinstance(values, Mapping):
-            missing = [a for a in schema.attribute_names if a not in values]
-            if missing:
-                raise SchemaError(f"tuple for {schema.name} missing attributes {missing}")
-            extra = [k for k in values if k not in schema]
-            if extra:
-                raise SchemaError(f"tuple for {schema.name} has unknown attributes {extra}")
-            ordered = tuple(values[a] for a in schema.attribute_names)
+        names = schema.attribute_names
+        if type(values) is dict and len(values) == len(names):
+            # a plain dict is read in one pass; any other mapping (a
+            # ``Counter``, a ``defaultdict``) could make up a missing cell
+            try:
+                ordered = tuple(map(values.__getitem__, names))
+            except KeyError:
+                ordered = _mapping_values(schema, values)  # raises: one is missing
+        elif isinstance(values, Mapping):
+            ordered = _mapping_values(schema, values)
         else:
             ordered = row_values(schema, values)
-            if len(ordered) != len(schema):
+            if len(ordered) != len(names):
                 raise SchemaError(
                     f"tuple for {schema.name} has {len(ordered)} values, "
                     f"schema has {len(schema)} attributes"
                 )
         if validate:
             for attr, value in zip(schema.attributes, ordered):
-                if not attr.domain.contains(value):
+                domain = attr.domain
+                if type(value) not in domain.exact_types and not domain.contains(value):
                     raise DomainError(
                         f"value {value!r} for {schema.name}.{attr.name} "
-                        f"not in domain {attr.domain.name}"
+                        f"not in domain {domain.name}"
                     )
         self._values: PyTuple[Any, ...] = ordered
         # repro: allow[REP001] — cached __hash__ value; placement-only,
@@ -128,7 +145,7 @@ class Tuple:
                     f"not in domain {domain.name}"
                 )
             values[position] = value
-        return Tuple(self.schema, tuple(values), validate=False)
+        return Tuple.trusted(self.schema, tuple(values))
 
     def agrees_with(self, other: "Tuple", attributes: Sequence[str]) -> bool:
         """True iff both tuples have equal projections on ``attributes``."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from repro.deps.fd import FD
 from repro.deps.ind import IND
 from repro.engine.delta import Changeset, DeltaEngine, StaleEngineError
 from repro.engine.executor import detect_violations_indexed
-from repro.errors import DomainError
+from repro.errors import DependencyError, DomainError
 from repro.relational.columnar import ColumnStore
 from repro.relational.domains import INT, STRING
 from repro.relational.instance import DatabaseInstance, RelationInstance
@@ -448,9 +449,98 @@ class TestApplyToAgainstReference:
         assert relation.to_rows() == [("b", "y", 1), ("a", "x", 0)]
 
 
+class TestStrictOpKeys:
+    """``Changeset.from_dict`` reads each op's keys strictly: what
+    ``to_dict`` writes (so every WAL record) parses back, and a key the
+    op's kind does not read is an error naming the op and the key."""
+
+    def test_to_dict_parses_back(self):
+        changeset = (
+            Changeset()
+            .insert("E", {"K": "a", "V": "x", "N": 0})
+            .delete("E", ("b", "y", 1))
+            .update("E", {"K": "a", "V": "x", "N": 0}, V="y")
+        )
+        document = changeset.to_dict()
+        assert Changeset.from_dict(document).to_dict() == document
+
+    @pytest.mark.parametrize(
+        "op, unknown",
+        [
+            ({"op": "insert", "cells": {"V": "y"}}, "(insert) has unknown key(s) ['cells']"),
+            ({"op": "delete", "cells": {"V": "y"}}, "(delete) has unknown key(s) ['cells']"),
+            ({"op": "update", "cells": {"V": "y"}, "to": 1}, "(update) has unknown key(s) ['to']"),
+        ],
+    )
+    def test_unknown_key_is_named(self, op, unknown):
+        row = {"K": "a", "V": "x", "N": 0}
+        ops = [{"op": "delete", "relation": "E", "row": row}]
+        ops.append({"relation": "E", "row": row, **op})
+        with pytest.raises(DependencyError, match=re.escape(f"op #1 {unknown}")):
+            Changeset.from_dict({"ops": ops})
+
+
+class TestApplicableTable:
+    """A scan state whose conditional rows are all constants on the same
+    key positions answers ``_applicable`` from one table lookup — the
+    tasks the per-row check chooses, in its order; any other shape keeps
+    the per-row check."""
+
+    KEYS = [(k, v, n) for k in _KEYS + ("z",) for v in _VALS for n in _NUMS]
+
+    @staticmethod
+    def _state(tableau):
+        rule = CFD("E", ["K", "N"], ["V"], tableau, name="t")
+        engine = DeltaEngine(edit_db([("a", "x", 0), ("b", "y", 1)]), [rule])
+        (state,) = engine._scan_states
+        return state
+
+    @staticmethod
+    def _checked(state, key):
+        table, state._table = state._table, None
+        try:
+            return state._applicable(key)
+        finally:
+            state._table = table
+
+    def test_table_answers_what_the_check_does(self):
+        wild = {"K": UNNAMED, "N": UNNAMED, "V": UNNAMED}
+        state = self._state(
+            [
+                dict(wild, K="a", V="x"),
+                wild,
+                dict(wild, K="b"),
+                dict(wild, K="a"),  # a second row on "a": both tasks
+                dict(wild, K="c", V="y"),
+            ]
+        )
+        assert state._table is not None
+        key_of = state.key_of
+        for key in map(key_of, self.KEYS):
+            assert state._applicable(key) == self._checked(state, key), key
+        chosen = state._applicable(key_of(("a", "x", 1)))
+        assert [slot for slot, _ in chosen] == [2, 0, 6]
+        assert state._applicable(key_of(("z", "x", 1))) == state._universal
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"K": "a", "N": UNNAMED}, {"K": UNNAMED, "N": 0}],  # two shapes
+            [{"K": "a", "N": 0}, {"K": "b", "N": UNNAMED}],  # a lookup row
+        ],
+    )
+    def test_other_shapes_keep_the_check(self, rows):
+        state = self._state([{"V": UNNAMED, **row} for row in rows])
+        assert state._table is None
+        for key in map(state.key_of, self.KEYS):
+            assert state._applicable(key) == self._checked(state, key)
+
+
 class TestOneLookupPerEdit:
     """The edit decides membership, so the column store is asked where a
-    row is once per insert / delete and at most three times per update."""
+    row is once per insert / delete and at most twice per update: the
+    target is located once and that row is killed, then the replacement
+    is added."""
 
     @pytest.fixture
     def probes(self, monkeypatch):
@@ -469,9 +559,9 @@ class TestOneLookupPerEdit:
         "insert-duplicate": (lambda: Changeset().insert("E", ("a", "x", 0)), 1),
         "delete-present": (lambda: Changeset().delete("E", ("a", "x", 0)), 1),
         "delete-absent": (lambda: Changeset().delete("E", ("n", "x", 0)), 1),
-        "update": (lambda: Changeset().update("E", ("a", "x", 0), V="z"), 3),
+        "update": (lambda: Changeset().update("E", ("a", "x", 0), V="z"), 2),
         "update-colliding": (
-            lambda: Changeset().update("E", ("a", "x", 0), V="y"), 3,
+            lambda: Changeset().update("E", ("a", "x", 0), V="y"), 2,
         ),
         "update-noop": (lambda: Changeset().update("E", ("a", "x", 0), V="x"), 1),
     }
@@ -501,8 +591,9 @@ class TestOneLookupPerEdit:
 
     def test_stream_shaped_changeset(self, probes):
         """25 inserts / 25 deletes / 50 updates, the ``durable_stream``
-        changeset of ``benchmarks/e2e``: 25 + 25 + 3 * 50 lookups, and
-        one per op for the undo (375 and 375 before)."""
+        changeset of ``benchmarks/e2e``: 25 + 25 + 2 * 50 lookups, and
+        one per op for the undo (375 and 375 when every step asked first,
+        200 and 150 while an update looked its target up twice)."""
         names = EDIT_SCHEMA.attribute_names
         rows = [(f"k{i}", "x", i) for i in range(200)]
         db = edit_db(rows)
@@ -515,7 +606,7 @@ class TestOneLookupPerEdit:
             changeset.update("E", dict(zip(names, row)), V="y")
         del probes[:]
         effective = changeset.apply_to(db)
-        assert len(probes) == 200
+        assert len(probes) == 150
         undo = Changeset.inverse_of(effective)
         assert len(undo) == 150
         del probes[:]

@@ -614,3 +614,97 @@ def test_ordered_read_after_a_failed_apply_renumbers():
     _assert_ordered_read(db, deps, engine, "after rollback")
     engine.apply(Changeset().insert("R", _row("k1", "b3", "c3")))
     _assert_ordered_read(db, deps, engine, "after the next apply")
+
+
+#: U(K, G, V) with K unique: every [K, G] partition is a singleton, so every
+#: key a batch touches is re-swept (its one row is its pivot)
+KEY_UNIQUE_SCHEMA = DatabaseSchema(
+    [RelationSchema("U", [("K", STRING), ("G", STRING), ("V", STRING)])]
+)
+GROUPS = ["g0", "g1", "g2", "g3"]  # g3 has no constant row
+
+
+def _key_unique_rules():
+    wildcard = {"K": UNNAMED, "G": UNNAMED, "V": UNNAMED}
+    constants = [{"K": UNNAMED, "G": g, "V": f"v{i}"} for i, g in enumerate(GROUPS[:3])]
+    return [CFD("U", ["K", "G"], ["V"], [wildcard] + constants, name="key-unique")]
+
+
+def _key_unique_row(rng: random.Random, key: str) -> dict:
+    group = rng.choice(GROUPS)
+    right = f"v{GROUPS.index(group)}"
+    return {"K": key, "G": group, "V": right if rng.random() < 0.6 else "bad"}
+
+
+def _key_unique_batch(db, rng: random.Random, tag: str) -> Changeset:
+    """Fresh-key inserts, pivot deletes and pivot-replacing updates (a new
+    V, a new G or a fresh K), each key touched once and the targets in
+    relation order — so a new witness arrives in op order, and a fresh
+    detection lists what the batch added and removed in op order too."""
+    live = db.relation("U").tuples()
+    targets = sorted(rng.sample(range(len(live)), rng.randrange(2, 9)))
+    inserts = [_key_unique_row(rng, f"{tag}-n{j}") for j in range(rng.randrange(1, 6))]
+    batch = Changeset()
+    while targets or inserts:
+        if inserts and (not targets or rng.random() < 0.4):
+            batch.insert("U", inserts.pop())
+            continue
+        t = live[targets.pop(0)]
+        change = rng.randrange(4)
+        if change == 0:
+            batch.delete("U", t.as_dict())
+        elif change == 1:
+            batch.update("U", t.as_dict(), V="bad" if t["V"] != "bad" else "v0")
+        elif change == 2:
+            batch.update("U", t.as_dict(), G=rng.choice(GROUPS))
+        else:
+            batch.update("U", t.as_dict(), K=f"{tag}-{t['K']}")
+    return batch
+
+
+@pytest.mark.parametrize("kernel_path", [True, False])
+def test_key_unique_signature_as_a_list(kernel_path, monkeypatch):
+    """On a signature whose partitions are all singletons — every touched
+    key re-swept, one side of its diff often empty — the ordered read is
+    a fresh detection's list after every batch and its undo, and each
+    delta's ``added`` / ``removed`` are what the two fresh lists differ
+    by, in their order (an undo retracts in reverse)."""
+    if kernel_path and not kernels.AVAILABLE:
+        pytest.skip("needs numpy for the layout-based build")
+    monkeypatch.setattr(kernels, "AVAILABLE", kernel_path and kernels.AVAILABLE)
+    deps = _key_unique_rules()
+
+    def fresh(db):
+        return violation_sequence(detect_violations_indexed(db, deps).violations)
+
+    def difference(first, second):
+        kept = set(second)
+        return [entry for entry in first if entry not in kept]
+
+    batches = 0
+    for seed in range(12):
+        rng = random.Random(31_000 + seed)
+        db = DatabaseInstance(KEY_UNIQUE_SCHEMA)
+        db.relation("U").extend_rows(
+            [_key_unique_row(rng, f"k{i}") for i in range(rng.randrange(20, 60))]
+        )
+        engine = DeltaEngine(db, deps)
+        for index in range(6):
+            context = f"seed={seed} batch={index}"
+            before = fresh(db)
+            delta = engine.apply(_key_unique_batch(db, rng, f"b{index}"))
+            after = fresh(db)
+            assert violation_sequence(engine.ordered_violations()) == after, context
+            added, removed = difference(after, before), difference(before, after)
+            assert violation_sequence(delta.added) == added, context
+            assert violation_sequence(delta.removed) == removed, context
+            if index % 2:
+                undone = engine.apply(delta.undo)
+                restored = fresh(db)
+                assert violation_sequence(engine.ordered_violations()) == restored
+                assert violation_sequence(undone.added) == difference(restored, after)
+                retracted = difference(after, restored)
+                assert violation_sequence(undone.removed) == retracted[::-1]
+            batches += 1
+        assert engine.stats.keys_patched == 0  # every touched key re-swept
+    assert batches == 72

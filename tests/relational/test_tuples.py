@@ -1,11 +1,15 @@
 """Tuples: construction, validation, projection, replace."""
 
+import enum
+import re
+from collections import Counter, OrderedDict, defaultdict
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DomainError, SchemaError
-from repro.relational.domains import INT, STRING
+from repro.relational.domains import FLOAT, INT, STRING, EnumDomain
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import Tuple
 
@@ -44,6 +48,93 @@ class TestConstruction:
     def test_validation_can_be_skipped(self, schema):
         t = Tuple(schema, ("anything", object()), validate=False)
         assert len(t) == 2
+
+
+class TestFromMapping:
+    """The mapping contract: a plain ``dict`` is read in one pass, every
+    other mapping asks for each name — the outcomes and error texts are
+    the same either way."""
+
+    @pytest.fixture
+    def ints(self):
+        return RelationSchema("N", [("a", INT), ("b", INT)])
+
+    def _raises(self, error, text, schema, row):
+        with pytest.raises(error, match=re.escape(text)):
+            Tuple(schema, row)
+
+    @pytest.mark.parametrize("kind", [dict, OrderedDict])
+    def test_missing_attributes(self, schema, kind):
+        self._raises(
+            SchemaError, "tuple for R missing attributes ['b']",
+            schema, kind(a=1),
+        )
+
+    @pytest.mark.parametrize("kind", [dict, OrderedDict])
+    def test_unknown_attributes(self, schema, kind):
+        self._raises(
+            SchemaError, "tuple for R has unknown attributes ['c', 'd']",
+            schema, kind(a=1, b="x", c=2, d=3),
+        )
+
+    @pytest.mark.parametrize("kind", [dict, OrderedDict])
+    def test_missing_is_reported_before_unknown(self, schema, kind):
+        # as wide as the schema, so the one-pass read is tried and fails
+        self._raises(
+            SchemaError, "tuple for R missing attributes ['b']",
+            schema, kind(a=1, c="x"),
+        )
+        self._raises(
+            SchemaError, "tuple for R missing attributes ['a', 'b']",
+            schema, kind(c=1, d="x", e=2),
+        )
+
+    def test_counter_makes_up_no_cell(self, ints):
+        row = Counter(a=1)
+        self._raises(SchemaError, "tuple for N missing attributes ['b']", ints, row)
+        self._raises(
+            SchemaError, "tuple for N missing attributes ['b']",
+            ints, Counter(a=1, c=2),
+        )
+        assert Tuple(ints, Counter(a=1, b=2)).values() == (1, 2)
+
+    def test_defaultdict_makes_up_no_cell(self, ints):
+        row = defaultdict(int, a=1, c=5)
+        self._raises(SchemaError, "tuple for N missing attributes ['b']", ints, row)
+        assert "b" not in row  # nothing was asked for by indexing
+        assert Tuple(ints, defaultdict(int, a=1, b=2)).values() == (1, 2)
+
+    def test_true_in_an_int_column(self, ints):
+        self._raises(
+            DomainError, "value True for N.a not in domain int",
+            ints, {"a": True, "b": 2},
+        )
+
+    def test_float_column_keeps_what_it_was_given(self):
+        floats = RelationSchema("F", [("x", FLOAT), ("y", FLOAT)])
+        t = Tuple(floats, {"x": 3.0, "y": 3})
+        assert [type(v) for v in t.values()] == [float, int]
+        assert repr(t) == "F(x=3.0, y=3)"
+        self._raises(
+            DomainError, "value '3' for F.x not in domain float",
+            floats, {"x": "3", "y": 3},
+        )
+
+    def test_intenum_member_in_enum_and_int_domains(self):
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = 2
+
+        levels = RelationSchema(
+            "L", [("e", EnumDomain([1, 2], name="level")), ("n", INT)]
+        )
+        t = Tuple(levels, {"e": Level.HIGH, "n": Level.LOW})
+        assert t.values() == (2, 1)
+        assert [type(v) for v in t.values()] == [Level, Level]
+        self._raises(
+            DomainError, "value 3 for L.e not in domain level",
+            levels, {"e": 3, "n": 1},
+        )
 
 
 class TestProjection:

@@ -405,6 +405,38 @@ class TestErrorPaths:
             assert err.value.kind == "DependencyError"
             assert fragment in str(err.value)
 
+    def test_changeset_op_keys_read_strictly(self, client):
+        """An op key its kind does not read — ``cells`` on an insert or a
+        delete, a typo — is a 400 naming the op and the key, and the
+        batch is not applied (it used to be dropped, and the WAL record
+        then lost it)."""
+        _fresh(client, "strict-ops")
+        row = {"dept": "eng", "floor": 1}
+        valid = {"op": "insert", "relation": "emp",
+                 "row": {"dept": "new", "floor": 9}}
+        cases = [
+            ({"op": "insert", "relation": "emp",
+              "row": {"dept": "qa", "floor": 4}, "cells": {"floor": 5}},
+             "#1 (insert) has unknown key(s) ['cells']"),
+            ({"op": "delete", "relation": "emp", "row": row,
+              "cells": {"floor": 5}},
+             "#1 (delete) has unknown key(s) ['cells']"),
+            ({"op": "update", "relation": "emp", "row": row,
+              "cells": {"floor": 5}, "cell": {"floor": 6}},
+             "#1 (update) has unknown key(s) ['cell']"),
+            ({"op": "delete", "relation": "emp", "row": row, "dry_run": True},
+             "#1 (delete) has unknown key(s) ['dry_run']"),
+        ]
+        before = client.detect("strict-ops")
+        for op, fragment in cases:
+            with pytest.raises(ServerError) as err:
+                client.apply("strict-ops", {"ops": [valid, op]})
+            assert err.value.status == 400, op
+            assert err.value.kind == "DependencyError"
+            assert fragment in str(err.value)
+        assert client.session_info("strict-ops")["relations"] == {"emp": 3}
+        assert client.detect("strict-ops") == before
+
     def test_unknown_rule_type_400_lists_registered_tags(self, client):
         _fresh(client, "tags")
         with pytest.raises(ServerError) as err:
