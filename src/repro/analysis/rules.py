@@ -330,16 +330,21 @@ class LockDisciplineRule(Rule):
 
 
 class DurabilityOrderingRule(Rule):
-    """REP003 — WAL-append → fsync → respond; no raw writes bypass the WAL.
+    """REP003 — mutate → journal → respond; no raw writes bypass the WAL.
 
     (a) In ``repro.server`` outside ``durability`` itself, raw
     filesystem writes (``open(..., 'w')``, ``write_text``, ``rmtree``,
     ``rename`` ...) are forbidden — all session state flows through
     ``repro.server.durability``.
-    (b) In ``_handle_*`` verbs: every state mutator needs a following
-    ``persist_*`` call, no mutator may run after the last persist, and
-    persists (which append+fsync) must sit in a ``try`` whose handler
-    re-raises so failures roll back rather than acknowledge.
+    (b) In the methods of ``HostedSession`` — the one write path — every
+    state mutator needs a following journal write (a WAL append or a
+    snapshot), no mutator may run after the last journal write, and every
+    journal write must sit in a ``try`` whose handler re-raises, so a
+    failure rolls back rather than acknowledges.
+    (c) A ``_handle_*`` verb never mutates the session itself — no
+    ``session.apply`` / ``replace_rules`` / ``add_rules`` /
+    ``swap_database``, no adopting ``session.repair``, no undo-table
+    method: it calls the ``HostedSession`` write method, which journals.
     """
 
     code = "REP003"
@@ -360,16 +365,17 @@ class DurabilityOrderingRule(Rule):
     AMBIGUOUS_WRITE_ATTRS = {"remove", "rename", "replace", "removedirs"}
     FS_BASES = {"os", "shutil"}
     WRITE_MODES = ("w", "a", "x", "+")
-    MUTATORS = {
-        "apply", "replace_rules", "add_rules", "repair",
+    #: the class whose methods are the write path
+    WRITE_PATH = "HostedSession"
+    #: session mutators, called on ``session`` / ``<x>.session``
+    SESSION_MUTATORS = {"apply", "replace_rules", "add_rules", "swap_database"}
+    UNDO_TABLE = {
         "remember_undo", "consume_undo", "clear_undo", "restore_undo_state",
     }
-    PERSISTS = {
-        "persist_apply", "persist_undo", "persist_rules", "persist_snapshot",
+    JOURNAL_WRITES = {
+        "log_apply", "log_undo", "log_rules", "write_snapshot",
+        "persist_snapshot",
     }
-    # Snapshot writes are tmp+fsync+rename outside the WAL-append path;
-    # they do not need the rollback-guard shape the journal appends do.
-    UNGUARDED_PERSISTS = {"persist_snapshot"}
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
         if not _in_scope(module.module, self.SCOPES):
@@ -378,7 +384,11 @@ class DurabilityOrderingRule(Rule):
         if not _in_scope(module.module, self.EXEMPT_MODULES):
             findings.extend(self._check_raw_writes(module))
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.FunctionDef) and node.name.startswith(
+            if isinstance(node, ast.ClassDef) and node.name == self.WRITE_PATH:
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        findings.extend(self._check_write_method(module, method))
+            elif isinstance(node, ast.FunctionDef) and node.name.startswith(
                 "_handle_"
             ):
                 findings.extend(self._check_handler(module, node))
@@ -428,54 +438,92 @@ class DurabilityOrderingRule(Rule):
             isinstance(a, ast.ExceptHandler) for a in module.parent_chain(node)
         )
 
+    @staticmethod
+    def _adopting(call: ast.Call) -> bool:
+        """A ``repair(...)`` call that may swap the instance: its ``adopt``
+        keyword is anything but a literal ``False``."""
+        for keyword in call.keywords:
+            if keyword.arg == "adopt":
+                value = keyword.value
+                return not (isinstance(value, ast.Constant) and value.value is False)
+        return False
+
+    @staticmethod
+    def _on_session(receiver: ast.expr) -> bool:
+        """``session`` or ``<anything>.session``."""
+        if isinstance(receiver, ast.Attribute):
+            return receiver.attr == "session"
+        return isinstance(receiver, ast.Name) and receiver.id == "session"
+
+    def _mutates(self, call: ast.Call) -> bool:
+        assert isinstance(call.func, ast.Attribute)
+        name = call.func.attr
+        if name == "repair":
+            return self._adopting(call)
+        return name in self.SESSION_MUTATORS or name in self.UNDO_TABLE
+
+    def _check_write_method(
+        self, module: ModuleInfo, method: ast.FunctionDef
+    ) -> Iterator[Finding]:
+        mutator_calls: List[ast.Call] = []
+        journal_calls: List[ast.Call] = []
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Call) or not isinstance(
+                node.func, ast.Attribute
+            ):
+                continue
+            if node.func.attr in self.JOURNAL_WRITES:
+                journal_calls.append(node)
+            elif self._mutates(node) and not self._in_except(module, node):
+                mutator_calls.append(node)
+        if not mutator_calls:
+            return
+        if not journal_calls:
+            yield module.finding(
+                self.code,
+                method,
+                f"write method {method.name} mutates session state but "
+                "never writes the journal",
+            )
+            return
+        last_journal_line = max(call.lineno for call in journal_calls)
+        for call in mutator_calls:
+            if call.lineno > last_journal_line:
+                yield module.finding(
+                    self.code,
+                    call,
+                    f"state mutation after the last journal write in "
+                    f"{method.name}; the response would acknowledge "
+                    "unjournaled state",
+                )
+        for call in journal_calls:
+            if not self._persist_guarded(module, call):
+                yield module.finding(
+                    self.code,
+                    call,
+                    f"journal write in {method.name} is not inside a try "
+                    "whose except re-raises; journal failures must roll "
+                    "back, not acknowledge",
+                )
+
     def _check_handler(
         self, module: ModuleInfo, handler: ast.FunctionDef
     ) -> Iterator[Finding]:
-        mutator_calls: List[ast.Call] = []
-        persist_calls: List[ast.Call] = []
         for node in ast.walk(handler):
             if not isinstance(node, ast.Call) or not isinstance(
                 node.func, ast.Attribute
             ):
                 continue
             name = node.func.attr
-            if name in self.PERSISTS:
-                persist_calls.append(node)
-            elif name in self.MUTATORS and not self._in_except(module, node):
-                mutator_calls.append(node)
-        if not mutator_calls:
-            return
-        if not persist_calls:
-            yield module.finding(
-                self.code,
-                handler,
-                f"write handler {handler.name} mutates session state but "
-                "never calls a persist_* journal helper",
-            )
-            return
-        last_persist_line = max(call.lineno for call in persist_calls)
-        for call in mutator_calls:
-            if call.lineno > last_persist_line:
-                yield module.finding(
-                    self.code,
-                    call,
-                    f"state mutation after the last persist_* call in "
-                    f"{handler.name}; the response would acknowledge "
-                    "unjournaled state",
-                )
-        for call in persist_calls:
-            if (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr in self.UNGUARDED_PERSISTS
+            if name in self.UNDO_TABLE or (
+                self._on_session(node.func.value) and self._mutates(node)
             ):
-                continue
-            if not self._persist_guarded(module, call):
                 yield module.finding(
                     self.code,
-                    call,
-                    f"persist call in {handler.name} is not inside a try "
-                    "whose except re-raises; journal failures must roll "
-                    "back, not acknowledge",
+                    node,
+                    f"handler {handler.name} calls {name} itself; a write "
+                    f"goes through the {self.WRITE_PATH} write method, "
+                    "which journals it and rolls it back on failure",
                 )
 
     def _persist_guarded(self, module: ModuleInfo, call: ast.Call) -> bool:

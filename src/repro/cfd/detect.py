@@ -69,26 +69,18 @@ class DetectionReport:
 
 
 def detect_violations(
-    db: DatabaseInstance, dependencies: Iterable[Dependency], engine: bool = True
+    db: DatabaseInstance, dependencies: Iterable[Dependency]
 ) -> DetectionReport:
     """Batch violation detection, aggregated into a report.
 
-    With ``engine=True`` (the default) the dependency set is planned and
-    executed over shared relation indexes — each relation is partitioned
-    once per LHS signature no matter how many dependencies or tableau rows
-    share it.  ``engine=False`` keeps the per-dependency loop (each
-    detector still hits the shared index cache; this switch only disables
-    the cross-dependency plan).
+    The dependency set is planned and executed over shared relation
+    indexes — each relation is partitioned once per LHS signature no
+    matter how many dependencies or tableau rows share it.  The
+    per-dependency loop is :func:`repro.deps.all_violations`.
     """
-    deps = list(dependencies)
-    if engine:
-        from repro.engine.executor import detect_violations_indexed
+    from repro.engine.executor import detect_violations_indexed
 
-        return detect_violations_indexed(db, deps)
-    found: List[Violation] = []
-    for dep in deps:
-        found.extend(dep.violations(db))
-    return DetectionReport(found)
+    return detect_violations_indexed(db, list(dependencies))
 
 
 def violating_tuples(

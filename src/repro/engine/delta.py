@@ -187,7 +187,8 @@ class Changeset:
         (unlike a delete, an update has no sensible no-op reading — the
         caller's view of the cell is stale).  Application is atomic: if any
         op fails, the already-applied prefix is rolled back before the
-        error propagates, so the database is never left half-edited.
+        error propagates (:meth:`DatabaseInstance.savepoint`: every row
+        back where it was), so the database is never left half-edited.
 
         The edit itself decides membership: ``RelationInstance.version``
         moves on exactly the effective ``add`` / ``discard`` calls, so an
@@ -200,46 +201,43 @@ class Changeset:
         replacement: two lookups at most.
         """
         effective: Dict[str, List[PyTuple[str, Tuple]]] = {}
-        try:
-            for kind, rel_name, payload in self._ops:
-                relation = db.relation(rel_name)
-                ops = effective.setdefault(rel_name, [])
-                if kind == self._INSERT:
-                    t = self._coerce(relation, payload)
-                    version = relation.version
-                    relation.add(t)
-                    if relation.version != version:
-                        ops.append(("add", t))
-                elif kind == self._DELETE:
-                    t = self._coerce(relation, payload)
-                    version = relation.version
-                    relation.discard(t)
-                    if relation.version != version:
-                        ops.append(("remove", t))
-                else:  # update
-                    old, cells = payload
-                    old = self._coerce(relation, old)
-                    located = relation.locate(old)
-                    if located is None:
-                        raise KeyError(f"update target {old!r} not in {rel_name}")
-                    new = old.replace(**cells)
-                    if new == old:
-                        continue
-                    relation.kill(located)
-                    ops.append(("remove", old))
-                    version = relation.version
-                    relation.add(new)
-                    if relation.version != version:
-                        ops.append(("add", new))
-        except Exception:
-            for rel_name, ops in effective.items():
-                relation = db.relation(rel_name)
-                for kind, t in reversed(ops):
-                    if kind == "add":
-                        relation.remove(t)
-                    else:
+        with db.savepoint() as savepoint:
+            try:
+                for kind, rel_name, payload in self._ops:
+                    relation = db.relation(rel_name)
+                    ops = effective.setdefault(rel_name, [])
+                    if kind == self._INSERT:
+                        t = self._coerce(relation, payload)
+                        version = relation.version
                         relation.add(t)
-            raise
+                        if relation.version != version:
+                            ops.append(("add", t))
+                    elif kind == self._DELETE:
+                        t = self._coerce(relation, payload)
+                        version = relation.version
+                        relation.discard(t)
+                        if relation.version != version:
+                            ops.append(("remove", t))
+                    else:  # update
+                        old, cells = payload
+                        old = self._coerce(relation, old)
+                        located = relation.locate(old)
+                        if located is None:
+                            raise KeyError(
+                                f"update target {old!r} not in {rel_name}"
+                            )
+                        new = old.replace(**cells)
+                        if new == old:
+                            continue
+                        relation.kill(located)
+                        ops.append(("remove", old))
+                        version = relation.version
+                        relation.add(new)
+                        if relation.version != version:
+                            ops.append(("add", new))
+            except Exception:
+                savepoint.rollback()
+                raise
         return {rel: ops for rel, ops in effective.items() if ops}
 
     @staticmethod
@@ -1349,8 +1347,8 @@ class DeltaEngine:
         """Apply the batch to the database and return the violation delta.
 
         If the changeset fails mid-application (e.g. an update targeting an
-        absent tuple), ``apply_to`` rolls the database back to its prior
-        *content*; the rollback can reorder tuples, so the engine rebuilds
+        absent tuple), ``apply_to`` puts every row back where it was; the
+        relation versions have moved all the same, so the engine rebuilds
         its maintained state before re-raising (as it does should the
         maintenance itself raise) — the database and the violation set stay
         consistent either way.

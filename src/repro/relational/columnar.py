@@ -96,6 +96,7 @@ class ColumnStore:
         "dead",
         "compactions",
         "pinned",
+        "edits",
     )
 
     def __init__(self, schema: RelationSchema):
@@ -126,6 +127,11 @@ class ColumnStore:
         #: … and sets this while a batch of edits must not move them:
         #: ``kill_row`` then leaves compaction to ``compact_if_due()``
         self.pinned = False
+        #: while a savepoint is open (``DatabaseInstance.savepoint``): the
+        #: rows appended ``(row, None, None)`` and killed ``(row, codes,
+        #: cached Tuple)`` since, which :meth:`rollback` puts back; it holds
+        #: compaction as well, since compaction renumbers the rows
+        self.edits: Optional[List[PyTuple[int, Any, Optional[Tuple]]]] = None
 
     def __len__(self) -> int:
         return self.live
@@ -269,6 +275,8 @@ class ColumnStore:
         self._insert_slot(codes, row)
         self.alive.append(1)
         self.cache.append(materialized)
+        if self.edits is not None:
+            self.edits.append((row, None, None))
         return row
 
     def extend_columns(
@@ -389,6 +397,8 @@ class ColumnStore:
     def kill_row(self, codes: PyTuple[int, ...], row: int) -> None:
         """Mark a live row dead (O(1)); compact when dead rows dominate
         (unless ``pinned``)."""
+        if self.edits is not None:
+            self.edits.append((row, codes, self.cache[row]))
         self._delete_slot(codes, row)
         self.alive[row] = 0
         self.cache[row] = None
@@ -397,9 +407,38 @@ class ColumnStore:
             self.compact_if_due()
 
     def compact_if_due(self) -> None:
-        """Compact once dead rows dominate (see ``COMPACT_MIN_DEAD``)."""
-        if self.dead > COMPACT_MIN_DEAD and self.dead > self.live:
+        """Compact once dead rows dominate (see ``COMPACT_MIN_DEAD``),
+        unless a savepoint is open."""
+        if (
+            self.edits is None
+            and self.dead > COMPACT_MIN_DEAD
+            and self.dead > self.live
+        ):
             self._compact()
+
+    def rollback(self, mark: int) -> bool:
+        """Undo the appends and kills logged after the first ``mark``
+        edits, newest first: an appended row is cut off the end again, a
+        killed one revives in its place with its cached ``Tuple``.  The
+        rows end where they were — an inverse changeset would re-add a
+        deleted row at the end.  Returns whether anything changed."""
+        edits = self.edits
+        assert edits is not None
+        changed = len(edits) > mark
+        while len(edits) > mark:
+            row, codes, cached = edits.pop()
+            if codes is None:
+                self._delete_slot(tuple([column[row] for column in self.columns]), row)
+                for column in self.columns:
+                    column.pop()
+                self.alive.pop()
+                self.cache.pop()
+            else:
+                self._insert_slot(codes, row)
+                self.alive[row] = 1
+                self.cache[row] = cached
+                self.dead -= 1
+        return changed
 
     def _compact(self) -> None:
         """Drop dead rows, renumbering the live ones in insertion order.
@@ -525,6 +564,7 @@ class ColumnStore:
         clone.dead = self.dead
         clone.compactions = self.compactions
         clone.pinned = False
+        clone.edits = None
         return clone
 
     def __repr__(self) -> str:

@@ -26,7 +26,7 @@ from repro.relational.columnar import ColumnStore
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.tuples import Tuple, row_values
 
-__all__ = ["RelationInstance", "DatabaseInstance"]
+__all__ = ["RelationInstance", "DatabaseInstance", "Savepoint"]
 
 if os.environ.get("REPRO_STORAGE", "").strip().lower() not in ("", "columnar"):
     raise RuntimeError(
@@ -412,6 +412,11 @@ class DatabaseInstance:
     def __len__(self) -> int:
         return len(self._relations)
 
+    def savepoint(self) -> "Savepoint":
+        """Start logging the rows every relation appends and deletes; see
+        :class:`Savepoint`."""
+        return Savepoint(self)
+
     def total_tuples(self) -> int:
         """Total number of tuples across all relations."""
         return sum(len(rel) for rel in self._relations.values())
@@ -434,3 +439,48 @@ class DatabaseInstance:
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{len(r)}" for n, r in self._relations.items())
         return f"DatabaseInstance({inner})"
+
+
+class Savepoint:
+    """The rows a database's relations append and delete while it is open.
+
+    :meth:`rollback` undoes them, leaving each row where it was (an
+    inverse changeset re-adds a deleted row at the end).  Savepoints nest,
+    and compaction, which would renumber the logged rows, waits for the
+    outermost to close.
+    """
+
+    __slots__ = ("_marks", "_opened")
+
+    def __init__(self, db: DatabaseInstance) -> None:
+        self._marks: List[tuple[RelationInstance, int]] = []
+        self._opened: List[ColumnStore] = []
+        for relation in db:
+            store = relation._store
+            if store.edits is None:
+                store.edits = []
+                self._opened.append(store)
+            self._marks.append((relation, len(store.edits)))
+
+    def __enter__(self) -> "Savepoint":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def rollback(self) -> None:
+        """Undo every append and delete since the savepoint opened."""
+        for relation, mark in self._marks:
+            if relation._store.rollback(mark):
+                relation._version += 1
+
+    def close(self) -> bool:
+        """Stop logging; returns whether a compaction it held ran."""
+        compacted = False
+        for store in self._opened:
+            store.edits = None
+            if not store.pinned:
+                before = store.compactions
+                store.compact_if_due()
+                compacted = compacted or store.compactions != before
+        return compacted

@@ -76,12 +76,12 @@ from repro.server.aio import AsyncReproServer
 from repro.server.core import ServiceCore
 from repro.server.durability import (
     DEFAULT_SNAPSHOT_EVERY,
-    MAX_UNDO_TOKENS,
     SessionJournal,
     SessionStore,
 )
 from repro.server.hosting import (
     DEFAULT_DEGRADED_AFTER,
+    MAX_UNDO_TOKENS,
     DuplicateSessionError,
     HostedSession,
     ServerMetrics,

@@ -737,7 +737,7 @@ class ServiceCore:
         return 200, encoded
 
     @staticmethod
-    def _delta_document(hosted: HostedSession, delta: Any) -> Dict[str, Any]:
+    def _delta_document(delta: Any, token: str) -> Dict[str, Any]:
         from repro.session import ViolationReport
 
         return {
@@ -749,49 +749,18 @@ class ServiceCore:
             ],
             "remaining": delta.remaining,
             "clean": delta.clean_after,
-            "undo_token": hosted.remember_undo(delta.undo),
+            "undo_token": token,
         }
 
     def _handle_apply(self, hosted: HostedSession, body: Any) -> VerbResult:
         changeset = Changeset.from_dict(_strict_body("apply", body, {"ops"}))
-        saved_undo = hosted.undo_state()
-        delta = hosted.session.apply(changeset)
-        document = self._delta_document(hosted, delta)
-        # WAL after the apply committed, before the response does: the
-        # canonical changeset (not the raw body) replays deterministically
-        try:
-            hosted.persist_apply(changeset.to_dict(), document["undo_token"])
-        except BaseException:
-            # the record did not durably commit: roll the in-memory apply
-            # back so memory, journal and the client's error response all
-            # agree the write never happened (a retry is safe)
-            hosted.session.apply(delta.undo)
-            hosted.restore_undo_state(saved_undo)
-            raise
-        return 200, document
+        return 200, self._delta_document(*hosted.apply(changeset))
 
     def _handle_undo(self, hosted: HostedSession, body: Any) -> VerbResult:
         body = _strict_body("undo", body, {"token"})
         if "token" not in body:
             raise BadRequest("undo body must be {\"token\": \"...\"}")
-        token = body["token"]
-        # peek, don't pop: a failed apply rolls the database back
-        # (delta-engine atomicity), so the token must stay valid — and in
-        # its original eviction slot — instead of burning on the attempt
-        undo = hosted.peek_undo(token)
-        saved_undo = hosted.undo_state()
-        delta = hosted.session.apply(undo)
-        hosted.consume_undo(token)
-        document = self._delta_document(hosted, delta)
-        try:
-            hosted.persist_undo(token, document["undo_token"])
-        except BaseException:
-            # roll the replay back: the database reverts and the taken
-            # token returns to its original eviction slot, still valid
-            hosted.session.apply(delta.undo)
-            hosted.restore_undo_state(saved_undo)
-            raise
-        return 200, document
+        return 200, self._delta_document(*hosted.undo(body["token"]))
 
     @staticmethod
     def _handle_repair(hosted: HostedSession, body: Any) -> VerbResult:
@@ -803,21 +772,9 @@ class ServiceCore:
             kwargs["max_passes"] = int(body["max_passes"])
         if "limit" in body:
             kwargs["limit"] = int(body["limit"])
-        adopt = body.get("adopt", False)
-        report = hosted.session.repair(
-            strategy=body.get("strategy", "u"),
-            adopt=adopt,
-            **kwargs,
+        report = hosted.repair(
+            body.get("strategy", "u"), body.get("adopt", False), **kwargs
         )
-        if adopt:
-            # the instance the stored undo changesets were recorded
-            # against is gone; replaying one on the repaired instance
-            # would silently corrupt it
-            hosted.clear_undo()
-            hosted.fragments.clear()
-            # wholesale instance swap: no changeset to WAL — capture the
-            # adopted state as a fresh snapshot instead
-            hosted.persist_snapshot()
         return 200, report.to_dict()
 
     def _handle_rules_put(self, hosted: HostedSession, body: Any) -> VerbResult:
@@ -830,7 +787,7 @@ class ServiceCore:
     def _handle_rules_write(
         hosted: HostedSession, body: Any, replace: bool
     ) -> VerbResult:
-        from repro.rules_json import rules_from_list, rules_to_list
+        from repro.rules_json import rules_from_list
 
         if isinstance(body, (list, tuple)):
             documents = body
@@ -840,25 +797,8 @@ class ServiceCore:
             raise BadRequest(
                 "rules body must be a rules list (or {\"rules\": [...]})"
             )
-        session = hosted.session
-        parsed = rules_from_list(documents, session.schema)
-        previous = list(session.rules)
-        # fragments name rule objects this write is about to retire
-        hosted.fragments.clear()
-        if replace:
-            session.replace_rules(parsed)
-        else:
-            session.add_rules(*parsed)
-        try:
-            hosted.persist_rules(
-                rules_to_list(parsed), replace=replace
-            )
-        except BaseException:
-            # journal failure: put the previous rule set back so the
-            # client's error response matches the session's state
-            session.replace_rules(previous)
-            raise
-        return 200, {"session": hosted.id, "rules": len(session.rules)}
+        hosted.write_rules(rules_from_list(documents, hosted.session.schema), replace)
+        return 200, {"session": hosted.id, "rules": len(hosted.session.rules)}
 
 
 _STATUS_REASONS = {

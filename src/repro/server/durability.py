@@ -17,13 +17,15 @@ them survive it.  Each hosted session owns a directory under the server's
   atomically (tmp + rename) after ``snapshot_every`` WAL records, after
   which the previous generation's snapshot and WAL are retired.
 
-Recovery rebuilds a session from the newest snapshot plus its WAL tail:
-replaying a logged changeset through :meth:`Changeset.apply_to`
-regenerates exactly the effective ops (and therefore the undo changeset)
-the original request produced, so undo tokens survive restarts with their
-ids, contents and LRU order intact.  Recovery is *lazy*: the manager
-rehydrates a session on first touch, so a restart (or an eviction, which
-becomes flush-then-drop) costs nothing until the session is asked for.
+This module knows bytes on disk, not what a write does to a session:
+:meth:`SessionStore.recover` hands back the newest snapshot document and
+the WAL tail's records, and the hosting layer rebuilds the session from
+them through its own write path
+(:meth:`~repro.server.hosting.HostedSession.redo`), so undo tokens survive
+restarts with their ids, contents and LRU order intact.  Recovery is
+*lazy*: the manager rehydrates a session on first touch, so a restart (or
+an eviction, which becomes flush-then-drop) costs nothing until the
+session is asked for.
 
 The fsync unit is one HTTP write verb, not one edit op — a 100-op
 changeset is framed as a single record and hardened by a single fsync,
@@ -37,7 +39,6 @@ import json
 import os
 import shutil
 import threading
-from collections import OrderedDict
 from itertools import islice
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -51,18 +52,12 @@ from repro.session import Session
 
 __all__ = [
     "DEFAULT_SNAPSHOT_EVERY",
-    "MAX_UNDO_TOKENS",
-    "RecoveredSession",
     "SessionJournal",
     "SessionStore",
 ]
 
 #: WAL records per generation before a snapshot retires the log
 DEFAULT_SNAPSHOT_EVERY = 64
-
-#: undo tokens remembered per session (oldest dropped first); lives here so
-#: recovery enforces the same bound the live server does
-MAX_UNDO_TOKENS = 32
 
 _SNAPSHOT_FORMAT = 1
 
@@ -98,34 +93,6 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def _undo_token_ordinal(token: str) -> int:
-    """The numeric suffix of an ``undo-<n>`` token (0 when unparseable)."""
-    _, _, suffix = token.partition("-")
-    try:
-        return int(suffix)
-    except ValueError:
-        return 0
-
-
-class RecoveredSession:
-    """What :meth:`SessionStore.recover` hands back: the rebuilt session
-    plus the server-side state that must survive with it."""
-
-    __slots__ = ("session", "undo", "undo_counter", "wal_records")
-
-    def __init__(
-        self,
-        session: Session,
-        undo: "OrderedDict[str, Changeset]",
-        undo_counter: int,
-        wal_records: int,
-    ) -> None:
-        self.session = session
-        self.undo = undo
-        self.undo_counter = undo_counter
-        self.wal_records = wal_records
-
-
 class SessionJournal:
     """One session's durability handle: WAL appends + snapshot cycling.
 
@@ -145,10 +112,9 @@ class SessionJournal:
         #: WAL records appended since that snapshot
         self.wal_records = 0
         #: non-None: the WAL cannot take appends (an earlier append left
-        #: bytes that could not be cut back out, or a snapshot failed with
-        #: memory ahead of disk).  Cleared by the next successful
-        #: snapshot, which the write verbs fall back to (see
-        #: :meth:`HostedSession._persist_record`).
+        #: bytes that could not be cut back out, or a snapshot failed).
+        #: Cleared by the next successful snapshot, which the write verbs
+        #: fall back to (see :meth:`HostedSession._journal`).
         self.blocked: Optional[str] = None
         self._wal_handle: Optional[Any] = None
 
@@ -308,10 +274,10 @@ class SessionJournal:
                     os.fsync(handle.fileno())
             os.replace(tmp, target)
         except BaseException:
-            # memory may now be ahead of disk (repair-adopt snapshots the
-            # instance swap directly); suspend WAL appends — the next
-            # write verb retries a full snapshot, which both captures that
-            # write and reopens a fresh log
+            # the journal cannot tell whether its caller rolls memory
+            # back; suspend WAL appends — the next write verb retries a
+            # full snapshot, which both captures that write and reopens a
+            # fresh log
             self.blocked = "a snapshot failed; memory may be ahead of disk"
             raise
         self.blocked = None
@@ -450,18 +416,15 @@ class SessionStore:
 
     def recover(
         self, session_id: str
-    ) -> Tuple[SessionJournal, RecoveredSession]:
-        """Rebuild a session from its newest snapshot plus the WAL tail.
+    ) -> Tuple[SessionJournal, Dict[str, Any], List[Dict[str, Any]]]:
+        """Read a session's newest snapshot document and its WAL tail.
 
-        A torn final WAL record (crash mid-write) is truncated away; the
-        journal comes back open on the recovered generation, ready to
-        append.  Raises :class:`~repro.errors.ReproError` when no usable
-        snapshot exists or the WAL names state the snapshot cannot
-        explain (corruption beyond a torn tail).
+        A torn final WAL record (crash mid-write) is truncated away, and
+        generations the snapshot superseded are retired; the journal comes
+        back open on the snapshot's generation, counting the tail's
+        records, ready to append.  Raises
+        :class:`~repro.errors.ReproError` when no usable snapshot exists.
         """
-        from repro.relational.instance import DatabaseInstance
-        from repro.rules_json import database_schema_from_dict, rules_from_list
-
         directory = self._session_dir(session_id)
         if not directory.is_dir():
             # purged (DELETE) between the existence check and recovery
@@ -495,23 +458,6 @@ class SessionStore:
             )
         generation = int(newest.stem.split("-")[1])
 
-        db_schema = database_schema_from_dict(snapshot_doc["schema"])
-        rules = rules_from_list(snapshot_doc.get("rules", []), db_schema)
-        db = DatabaseInstance(db_schema)
-        data = snapshot_doc.get("data") or {}
-        for rel_name in list(data):
-            # popped, so the parsed rows go as soon as they are columns
-            db.relation(rel_name).extend_rows(data.pop(rel_name))
-        # "executor" is not read: a format-1 snapshot naming a retired path
-        # ("naive", or the sharded engine's "parallel" with a "shards"
-        # count) loads on the one path that is left.
-        session = Session.from_instance(db, rules)
-        undo: "OrderedDict[str, Changeset]" = OrderedDict(
-            (token, Changeset.from_dict(undo_doc))
-            for token, undo_doc in snapshot_doc.get("undo", [])
-        )
-        undo_counter = int(snapshot_doc.get("undo_counter", 0))
-
         journal = SessionJournal(self, session_id, directory)
         journal.generation = generation
         wal_path = journal._wal_path(generation)
@@ -527,22 +473,7 @@ class SessionStore:
                     handle.flush()
                     if self.fsync:
                         os.fsync(handle.fileno())
-
-        for index, record in enumerate(records):
-            try:
-                self._replay(record, session, undo)
-            except Exception as exc:
-                raise ReproError(
-                    f"session {session_id!r}: WAL record #{index} "
-                    f"({record.get('kind')!r}) failed to replay: {exc}"
-                ) from exc
-            token = record.get("token")
-            if isinstance(token, str):
-                undo_counter = max(undo_counter, _undo_token_ordinal(token))
-            while len(undo) > MAX_UNDO_TOKENS:
-                undo.popitem(last=False)
         journal.wal_records = len(records)
-        session.mark_clean()
 
         # retire generations the snapshot superseded but a crash left behind
         for stale in sorted(directory.glob("snapshot-*.json")):
@@ -553,43 +484,4 @@ class SessionStore:
                 stale.unlink(missing_ok=True)
         for leftover in sorted(directory.glob("*.json.tmp")):
             leftover.unlink(missing_ok=True)
-
-        self._count("rehydrated_total")
-        return journal, RecoveredSession(
-            session, undo, undo_counter, len(records)
-        )
-
-    @staticmethod
-    def _replay(
-        record: Mapping[str, Any],
-        session: Session,
-        undo: "OrderedDict[str, Changeset]",
-    ) -> None:
-        """Re-apply one WAL record to the session being rebuilt.
-
-        Changesets go through :meth:`Changeset.apply_to` directly (no
-        delta engine: recovery does not need violation maintenance, and
-        the engine builds lazily on the first post-recovery request);
-        the inverse of the effective ops is byte-identical to the undo
-        changeset the live request stored, because the live path
-        (:meth:`DeltaEngine.apply`) derives it the same way.
-        """
-        from repro.rules_json import rules_from_list
-
-        kind = record.get("kind")
-        if kind == "apply":
-            changeset = Changeset.from_dict(record["changeset"])
-            effective = changeset.apply_to(session.database)
-            undo[record["token"]] = Changeset.inverse_of(effective)
-        elif kind == "undo":
-            taken = undo.pop(record["taken"])
-            effective = taken.apply_to(session.database)
-            undo[record["token"]] = Changeset.inverse_of(effective)
-        elif kind == "rules":
-            parsed = rules_from_list(record.get("rules", []), session.schema)
-            if record.get("replace", True):
-                session.replace_rules(parsed)
-            else:
-                session.add_rules(*parsed)
-        else:
-            raise ReproError(f"unknown WAL record kind {kind!r}")
+        return journal, snapshot_doc, records

@@ -18,6 +18,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -27,9 +28,9 @@ from typing import (
     Tuple,
 )
 
-from repro.deps.base import Violation
+from repro.deps.base import Dependency, Violation
 from repro.engine.config import EXECUTOR
-from repro.engine.delta import Changeset
+from repro.engine.delta import Changeset, ViolationDelta
 from repro.errors import (
     DependencyError,
     ReproError,
@@ -39,16 +40,16 @@ from repro.relational.csvio import load_csv
 from repro.relational.instance import DatabaseInstance
 from repro.server.durability import (
     DEFAULT_SNAPSHOT_EVERY,
-    MAX_UNDO_TOKENS,
     SessionJournal,
     SessionStore,
 )
 from repro.server.metrics import DELTA_STAT_FIELDS, LATENCY_BUCKETS, OPS_COUNTERS
 from repro.server.wire import encode_value
-from repro.session import Session, ViolationReport
+from repro.session import RepairReport, Session, ViolationReport
 
 __all__ = [
     "DEFAULT_DEGRADED_AFTER",
+    "MAX_UNDO_TOKENS",
     "HostedSession",
     "SessionManager",
     "ServerMetrics",
@@ -59,6 +60,9 @@ __all__ = [
 
 #: consecutive server-side handler failures before a session is degraded
 DEFAULT_DEGRADED_AFTER = 5
+
+#: undo tokens remembered per session (oldest dropped first)
+MAX_UNDO_TOKENS = 32
 
 #: a lock acquired slower than this waited on another request (an
 #: uncontended ``threading.Lock`` acquires in well under a microsecond)
@@ -190,8 +194,6 @@ class HostedSession:
         session_id: str,
         session: Session,
         journal: Optional[SessionJournal] = None,
-        undo: Optional["OrderedDict[str, Changeset]"] = None,
-        undo_counter: int = 0,
     ) -> None:
         self.id = session_id
         self.session = session
@@ -200,14 +202,12 @@ class HostedSession:
         self.last_used = self.created
         self.requests = 0
         self.journal = journal
-        self._undo: "OrderedDict[str, Changeset]" = (
-            undo if undo is not None else OrderedDict()
-        )
-        self._undo_counter = undo_counter
+        self._undo: "OrderedDict[str, Changeset]" = OrderedDict()
+        self._undo_counter = 0
         #: immutable published copy of the token order; lock-free readers
         #: (``info`` and the async snapshot layer) read this instead of
         #: iterating ``_undo`` while a write verb mutates it
-        self.undo_tokens_view: Tuple[str, ...] = tuple(self._undo)
+        self.undo_tokens_view: Tuple[str, ...] = ()
         #: degraded gating: consecutive 5xx-class handler failures
         self.failures = 0
         self.degraded_since: Optional[float] = None
@@ -238,15 +238,18 @@ class HostedSession:
         self.last_used = time.time()
         self.requests += 1
 
-    # repro: lock-held — verb handlers call this under ``self.lock``
+    # -- the undo table (all called under ``lock``) ----------------------
+
+    # repro: lock-held — the write methods call this under ``self.lock``
     def remember_undo(self, undo: Changeset) -> str:
         """Store an undo changeset; returns its single-use token.
 
-        This is the *only* place the ``MAX_UNDO_TOKENS`` bound is
-        enforced — tokens leave the table through :meth:`consume_undo`
-        (successful replay), :meth:`clear_undo` (instance swap) or the
-        LRU eviction here, never by re-insertion, so the eviction order
-        is exactly token-creation order.
+        This is the *only* place a token is minted and the
+        ``MAX_UNDO_TOKENS`` bound is enforced — live writes and WAL replay
+        (:meth:`redo`) both come through here.  Tokens leave the table
+        through :meth:`consume_undo` (successful replay), :meth:`clear_undo`
+        (instance swap) or the LRU eviction here, never by re-insertion, so
+        the eviction order is exactly token-creation order.
         """
         self._undo_counter += 1
         token = f"undo-{self._undo_counter}"
@@ -270,25 +273,25 @@ class HostedSession:
                 f"unknown or already-used undo token {token!r}"
             ) from None
 
-    # repro: lock-held — verb handlers call this under ``self.lock``
+    # repro: lock-held — the write methods call this under ``self.lock``
     def consume_undo(self, token: str) -> None:
         """Retire a token after its replay succeeded (tokens are
         single-use)."""
         self._undo.pop(token, None)
         self.undo_tokens_view = tuple(self._undo)
 
-    # repro: lock-held — verb handlers call this under ``self.lock``
+    # repro: lock-held — the write methods call this under ``self.lock``
     def clear_undo(self) -> None:
         """Drop every stored token — the instance they were recorded
-        against has been replaced (e.g. ``repair(adopt=True)``)."""
+        against has been replaced (``repair(adopt=True)``)."""
         self._undo.clear()
         self.undo_tokens_view = ()
 
     def undo_state(self) -> Tuple[List[Tuple[str, Changeset]], int]:
-        """Copy of the token table + counter, for journal-failure rollback."""
+        """Copy of the token table (oldest first) + counter."""
         return list(self._undo.items()), self._undo_counter
 
-    # repro: lock-held — rollback paths call this under ``self.lock``
+    # repro: lock-held — the write methods roll back under ``self.lock``
     def restore_undo_state(
         self, state: Tuple[List[Tuple[str, Changeset]], int]
     ) -> None:
@@ -299,27 +302,126 @@ class HostedSession:
         self._undo_counter = counter
         self.undo_tokens_view = tuple(self._undo)
 
+    # -- the write verbs: mutate, mint or retire tokens, journal; a journal
+    # failure rolls memory back (REP003 pins the shape) -----------------
+
+    # repro: lock-held — the apply handler calls this under ``self.lock``
+    def apply(self, changeset: Changeset) -> Tuple[ViolationDelta, str]:
+        """Apply a changeset; returns its delta and the undo token."""
+        saved = self.undo_state()
+        with self.session.savepoint() as savepoint:
+            delta = self.session.apply(changeset)
+            token = self.remember_undo(delta.undo)
+            try:
+                # the canonical changeset (not the request body) replays
+                # deterministically
+                self._journal(
+                    lambda journal: journal.log_apply(changeset.to_dict(), token)
+                )
+            except BaseException:
+                savepoint.rollback()
+                self.restore_undo_state(saved)
+                raise
+        return delta, token
+
+    # repro: lock-held — the undo handler calls this under ``self.lock``
+    def undo(self, taken: str) -> Tuple[ViolationDelta, str]:
+        """Replay the undo changeset stored under ``taken``; returns the
+        delta and the token that undoes the undo."""
+        # peek, don't pop: a failed apply rolls the database back
+        # (delta-engine atomicity), so the token must stay valid — and in
+        # its original eviction slot — instead of burning on the attempt
+        changeset = self.peek_undo(taken)
+        saved = self.undo_state()
+        with self.session.savepoint() as savepoint:
+            delta = self.session.apply(changeset)
+            self.consume_undo(taken)
+            token = self.remember_undo(delta.undo)
+            try:
+                self._journal(lambda journal: journal.log_undo(taken, token))
+            except BaseException:
+                savepoint.rollback()
+                self.restore_undo_state(saved)
+                raise
+        return delta, token
+
+    # repro: lock-held — the rules handlers call this under ``self.lock``
+    def write_rules(self, rules: List[Dependency], replace: bool) -> None:
+        """Replace the rule set (a PUT) or append to it (a POST)."""
+        from repro.rules_json import rules_to_list
+
+        session = self.session
+        previous = list(session.rules)
+        # fragments name rule objects this write is about to retire
+        self.fragments.clear()
+        if replace:
+            session.replace_rules(rules)
+        else:
+            session.add_rules(*rules)
+        try:
+            self._journal(
+                lambda journal: journal.log_rules(rules_to_list(rules), replace)
+            )
+        except BaseException:
+            session.replace_rules(previous)
+            raise
+
+    # repro: lock-held — the repair handler calls this under ``self.lock``
+    def repair(self, strategy: str, adopt: bool, **kwargs: Any) -> RepairReport:
+        """Repair the instance; ``adopt`` swaps the session to the result,
+        with a snapshot for its durability point (no changeset to log) and
+        without the undo tokens, recorded against the instance it replaced."""
+        if not adopt:
+            return self.session.repair(strategy, **kwargs)
+        previous = self.session.database
+        saved = self.undo_state()
+        report = self.session.repair(strategy, adopt=True, **kwargs)
+        self.clear_undo()
+        self.fragments.clear()
+        try:
+            self.persist_snapshot()
+        except BaseException:
+            self.session.swap_database(previous)
+            self.restore_undo_state(saved)
+            raise
+        return report
+
+    # repro: allow[REP003] — replays a record the WAL already holds
+    # repro: lock-held — rehydration replays under ``self.lock``
+    def redo(self, record: Mapping[str, Any]) -> None:
+        """Replay one WAL record on a session being rehydrated.
+
+        Off the delta engine: :meth:`Changeset.apply_to` needs no violation
+        maintenance, and :meth:`Changeset.inverse_of` the effective ops is
+        the undo the live write stored.  It is stored under the token
+        :meth:`remember_undo` mints, which must be the one logged.
+        """
+        from repro.rules_json import rules_from_list
+
+        kind = record.get("kind")
+        if kind == "rules":
+            parsed = rules_from_list(record.get("rules", []), self.session.schema)
+            if record.get("replace", True):
+                self.session.replace_rules(parsed)
+            else:
+                self.session.add_rules(*parsed)
+            return
+        if kind == "apply":
+            changeset = Changeset.from_dict(record["changeset"])
+        elif kind == "undo":
+            changeset = self.peek_undo(record["taken"])
+            self.consume_undo(record["taken"])
+        else:
+            raise ReproError(f"unknown WAL record kind {kind!r}")
+        effective = changeset.apply_to(self.session.database)
+        token = self.remember_undo(Changeset.inverse_of(effective))
+        if token != record["token"]:
+            raise ReproError(
+                f"the record logged undo token {record['token']!r} where "
+                f"replay mints {token!r}"
+            )
+
     # -- durability (all called under ``lock``) --------------------------
-
-    def persist_apply(
-        self, changeset_doc: Mapping[str, Any], token: str
-    ) -> None:
-        """WAL a successful apply (fsync'd before the response commits)."""
-        self._persist_record(
-            lambda journal: journal.log_apply(changeset_doc, token)
-        )
-
-    def persist_undo(self, taken: str, token: str) -> None:
-        """WAL a successful undo replay."""
-        self._persist_record(lambda journal: journal.log_undo(taken, token))
-
-    def persist_rules(
-        self, rules_docs: List[Dict[str, Any]], replace: bool
-    ) -> None:
-        """WAL a rules replace/append."""
-        self._persist_record(
-            lambda journal: journal.log_rules(rules_docs, replace)
-        )
 
     def persist_snapshot(self) -> None:
         """Capture full session state now, retiring the WAL generation."""
@@ -328,38 +430,31 @@ class HostedSession:
                 self.session, list(self._undo.items()), self._undo_counter
             )
 
-    def _persist_record(self, append: Any) -> None:
-        """Make one write verb durable: a WAL append, normally.
+    def _journal(self, append: Callable[[SessionJournal], None]) -> None:
+        """Make one write durable: a WAL append, normally.
 
         A *blocked* journal (an earlier append left bytes it could not
-        remove, or a snapshot failed with memory ahead of disk) cannot
-        take appends; a full snapshot both captures this write — the
-        in-memory mutation and its undo token land before this runs —
-        and reopens a fresh WAL generation, clearing the block.  Either
-        path raising means the write did not durably commit; the handler
-        rolls the in-memory mutation back and the client sees the error.
+        remove, or a snapshot failed) cannot take appends; a full snapshot
+        both captures this write — the in-memory mutation and its undo
+        token land before this runs — and reopens a fresh WAL generation,
+        clearing the block.  Either path raising means the write did not
+        durably commit, and the caller rolls it back.
         """
-        if self.journal is None:
+        journal = self.journal
+        if journal is None:
             return
-        if self.journal.blocked is not None:
+        if journal.blocked is not None:
             self.persist_snapshot()
             return
-        append(self.journal)
-        self._maybe_snapshot()
-
-    def _maybe_snapshot(self) -> None:
-        if (
-            self.journal is not None
-            and self.journal.wal_records >= self.journal.store.snapshot_every
-        ):
+        append(journal)
+        if journal.wal_records >= journal.store.snapshot_every:
             try:
                 self.persist_snapshot()
             except Exception:
-                # the triggering write is already durable in the WAL, so a
-                # failed cadence snapshot must not fail its request; the
-                # WAL stays open and the next write retries (via the
-                # journal's blocked fallback in ``_persist_record``)
-                self.journal.store._count("snapshot_failures_total")
+                # the write is already durable in the WAL, so a failed
+                # cadence snapshot must not fail its request; the next
+                # write retries (via the blocked fallback above)
+                journal.store._count("snapshot_failures_total")
 
     # -- degraded gating (mutations under ``lock``) ----------------------
 
@@ -620,48 +715,66 @@ class SessionManager:
             return self._sessions.get(session_id)
 
     def _rehydrate(self, session_id: str) -> Optional[HostedSession]:
-        """Recover a cold durable session and publish it in the table."""
+        """Recover a cold durable session and publish it in the table.
+
+        The newest snapshot is a create document's inline shape, so the
+        create path builds the session; the WAL tail then replays through
+        :meth:`HostedSession.redo`, record by record.
+        """
         assert self.store is not None
         try:
-            journal, recovered = self.store.recover(session_id)
+            journal, snapshot, records = self.store.recover(session_id)
         except FileNotFoundError:
             return None
-        hosted = HostedSession(
-            session_id,
-            recovered.session,
-            journal=journal,
-            undo=recovered.undo,
-            undo_counter=recovered.undo_counter,
-        )
+        hosted = HostedSession(session_id, self._build_session(snapshot), journal)
         evicted: List[HostedSession] = []
         with hosted.lock:
+            undo = [
+                (token, Changeset.from_dict(document))
+                for token, document in snapshot.get("undo", [])
+            ]
+            hosted.restore_undo_state((undo, int(snapshot.get("undo_counter", 0))))
+            for index, record in enumerate(records):
+                try:
+                    hosted.redo(record)
+                except Exception as exc:
+                    raise ReproError(
+                        f"session {session_id!r}: WAL record #{index} "
+                        f"({record.get('kind')!r}) failed to replay: {exc}"
+                    ) from exc
+            hosted.session.mark_clean()
+            self.store._count("rehydrated_total")
             with self._lock:
                 existing = self._sessions.get(session_id)
                 if existing is not None:
                     # a concurrent create() won the id; its state superseded
                     # the on-disk copy we just read
                     journal.close()
-                    recovered.session.close()
+                    hosted.session.close()
                     existing.touch()
                     return existing
-                self._sessions[session_id] = hosted
                 hosted.touch()
-                while len(self._sessions) > self.max_sessions:
-                    _, lru = self._sessions.popitem(last=False)
-                    if lru is hosted:
-                        # pathological max_sessions=1 churn: keep the
-                        # session we were asked for, drop nothing else
-                        self._sessions[session_id] = hosted
-                        break
-                    evicted.append(lru)
-                    self._evicting[lru.id] = threading.Event()
-                    self.evicted_total += 1
-            if recovered.wal_records >= journal.store.snapshot_every:
+                evicted = self._admit(hosted)
+            if len(records) >= journal.store.snapshot_every:
                 # long tail replayed — fold it into a snapshot now rather
                 # than replaying it again on the next restart
                 hosted.persist_snapshot()
         self._evict_all(evicted)
         return hosted
+
+    # repro: lock-held — callers hold the manager lock
+    def _admit(self, hosted: HostedSession) -> List[HostedSession]:
+        """Publish ``hosted`` in the table; returns the least-recently-used
+        sessions popped past ``max_sessions``, each under a tombstone, for
+        :meth:`_evict_all` to flush and close outside the lock."""
+        self._sessions[hosted.id] = hosted
+        evicted: List[HostedSession] = []
+        while len(self._sessions) > self.max_sessions:
+            _, lru = self._sessions.popitem(last=False)
+            evicted.append(lru)
+            self._evicting[lru.id] = threading.Event()
+            self.evicted_total += 1
+        return evicted
 
     def _evict_all(self, evicted: List[HostedSession]) -> None:
         """Flush-and-close popped LRU victims, then release their
@@ -823,13 +936,8 @@ class SessionManager:
                         "first or create under a fresh id"
                     )
                 hosted = HostedSession(session_id, session)
-                self._sessions[session_id] = hosted
                 self.created_total += 1
-                while len(self._sessions) > self.max_sessions:
-                    _, lru = self._sessions.popitem(last=False)
-                    evicted.append(lru)
-                    self._evicting[lru.id] = threading.Event()
-                    self.evicted_total += 1
+                evicted = self._admit(hosted)
             if self.store is not None:
                 # hold the session lock across the durable create so no
                 # request can land on the published session before its

@@ -50,7 +50,7 @@ from repro.engine.config import EXECUTOR, check_executor
 from repro.engine.delta import Changeset, DeltaEngine, ViolationDelta
 from repro.errors import RepairError, ReproError, SchemaError
 from repro.relational.csvio import dump_csv, load_csv
-from repro.relational.instance import DatabaseInstance
+from repro.relational.instance import DatabaseInstance, Savepoint
 from repro.relational.schema import DatabaseSchema
 
 if TYPE_CHECKING:
@@ -490,10 +490,17 @@ class Session:
             changes=changes,
         )
         if adopt:
-            self._db = repaired
-            self._engine = None
-            self._dirty = True
+            self.swap_database(repaired)
         return report
+
+    def swap_database(self, db: DatabaseInstance) -> None:
+        """Make ``db`` the session's instance; the delta engine is rebuilt
+        on next use.  ``repair(adopt=True)`` swaps in the repaired instance
+        this way, and a server rolling a failed adopt back swaps the
+        previous one back in."""
+        self._db = db
+        self._engine = None
+        self._dirty = True
 
     def discover(
         self,
@@ -519,6 +526,11 @@ class Session:
         delta = self.engine.apply(changeset)
         self._dirty = True
         return delta
+
+    def savepoint(self) -> "SessionSavepoint":
+        """A :class:`Savepoint` over the session's database that keeps the
+        delta engine right; see :class:`SessionSavepoint`."""
+        return SessionSavepoint(self)
 
     def stream(
         self,
@@ -646,3 +658,30 @@ class Session:
             f"Session({self._db!r}, {len(self._rules)} rules, "
             f"engine={engine})"
         )
+
+
+class SessionSavepoint(Savepoint):
+    """A :class:`Savepoint` over a session's database that keeps the
+    session's delta engine right.  The engine has seen the edits, so a
+    rollback rebuilds it, as a failed ``apply`` does (its counters carry
+    on); it addresses rows by id, so a compaction the savepoint held, run
+    when it closes, rebuilds it too."""
+
+    __slots__ = ("_session",)
+
+    def __init__(self, session: Session) -> None:
+        super().__init__(session.database)
+        self._session = session
+
+    def rollback(self) -> None:
+        super().rollback()
+        engine = self._session._engine
+        if engine is not None:
+            engine.refresh()
+
+    def close(self) -> bool:
+        compacted = super().close()
+        engine = self._session._engine
+        if compacted and engine is not None:
+            engine.refresh()
+        return compacted

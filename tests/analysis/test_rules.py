@@ -199,44 +199,70 @@ def test_rep002_init_is_exempt(tree):
 
 def test_rep003_flags_handler_without_persist(tree):
     tree.write(
-        "repro/server/handlers.py",
+        "repro/server/hosting.py",
         """
-        def _handle_apply(hosted, body):
-            delta = hosted.session.apply(body)
-            token = hosted.remember_undo(delta.undo)
-            return 200, {"undo_token": token}
+        class HostedSession:
+            # repro: lock-held
+            def apply(self, changeset):
+                delta = self.session.apply(changeset)
+                token = self.remember_undo(delta.undo)
+                return delta, token
         """,
     )
     findings = tree.by_code()["REP003"]
-    assert any("never calls a persist_*" in f.message for f in findings)
+    assert any("never writes the journal" in f.message for f in findings)
 
 
 def test_rep003_flags_mutation_after_last_persist(tree):
     tree.write(
-        "repro/server/handlers.py",
+        "repro/server/hosting.py",
         """
-        def _handle_apply(hosted, body):
-            delta = hosted.session.apply(body)
-            try:
-                hosted.persist_apply(delta, "t")
-            except BaseException:
-                raise
-            token = hosted.remember_undo(delta.undo)
-            return 200, {"undo_token": token}
+        class HostedSession:
+            # repro: lock-held
+            def apply(self, changeset):
+                delta = self.session.apply(changeset)
+                try:
+                    self.journal.log_apply(changeset.to_dict(), "t")
+                except BaseException:
+                    raise
+                token = self.remember_undo(delta.undo)
+                return delta, token
         """,
     )
     findings = tree.by_code()["REP003"]
-    assert any("after the last persist_*" in f.message for f in findings)
+    assert any("after the last journal write" in f.message for f in findings)
 
 
 def test_rep003_flags_unguarded_persist(tree):
     tree.write(
-        "repro/server/handlers.py",
+        "repro/server/hosting.py",
         """
-        def _handle_apply(hosted, body):
-            delta = hosted.session.apply(body)
-            hosted.persist_apply(delta, "t")
-            return 200, {}
+        class HostedSession:
+            # repro: lock-held
+            def apply(self, changeset):
+                delta = self.session.apply(changeset)
+                token = self.remember_undo(delta.undo)
+                self.journal.log_apply(changeset.to_dict(), token)
+                return delta, token
+        """,
+    )
+    findings = tree.by_code()["REP003"]
+    assert any("re-raises" in f.message for f in findings)
+
+
+def test_rep003_flags_unguarded_adopt_snapshot(tree):
+    """A snapshot is the journal write of an adopt, and is guarded like
+    any other: an adopt that cannot roll back acknowledges nothing."""
+    tree.write(
+        "repro/server/hosting.py",
+        """
+        class HostedSession:
+            # repro: lock-held
+            def repair(self, strategy, adopt):
+                report = self.session.repair(strategy, adopt=adopt)
+                self.clear_undo()
+                self.persist_snapshot()
+                return report
         """,
     )
     findings = tree.by_code()["REP003"]
@@ -245,17 +271,80 @@ def test_rep003_flags_unguarded_persist(tree):
 
 def test_rep003_canonical_handler_shape_is_clean(tree):
     tree.write(
-        "repro/server/handlers.py",
+        "repro/server/hosting.py",
+        """
+        class HostedSession:
+            # repro: lock-held
+            def apply(self, changeset):
+                saved = self.undo_state()
+                delta = self.session.apply(changeset)
+                token = self.remember_undo(delta.undo)
+                try:
+                    self._journal(
+                        lambda journal: journal.log_apply(changeset, token)
+                    )
+                except BaseException:
+                    self.session.apply(delta.undo)
+                    self.restore_undo_state(saved)
+                    raise
+                return delta, token
+
+            # repro: lock-held
+            def repair(self, strategy, adopt):
+                if not adopt:
+                    return self.session.repair(strategy)
+                previous = self.session.database
+                report = self.session.repair(strategy, adopt=True)
+                try:
+                    self.persist_snapshot()
+                except BaseException:
+                    self.session.swap_database(previous)
+                    raise
+                return report
+        """,
+    )
+    assert "REP003" not in tree.codes()
+
+
+def test_rep003_flags_handler_mutating_the_session_itself(tree):
+    tree.write(
+        "repro/server/core.py",
         """
         def _handle_apply(hosted, body):
             delta = hosted.session.apply(body)
-            token = hosted.remember_undo(delta.undo)
-            try:
-                hosted.persist_apply(delta, token)
-            except BaseException:
-                hosted.session.apply(delta.undo)
-                raise
+            return 200, {"remaining": delta.remaining}
+
+
+        def _handle_undo(hosted, body):
+            hosted.consume_undo(body["token"])
+            return 200, {}
+
+
+        def _handle_repair(hosted, body):
+            report = hosted.session.repair(adopt=body["adopt"])
+            return 200, report.to_dict()
+        """,
+    )
+    findings = tree.by_code()["REP003"]
+    assert len(findings) == 3
+    assert all("itself" in f.message for f in findings)
+
+
+def test_rep003_handler_calling_the_write_path_is_clean(tree):
+    tree.write(
+        "repro/server/core.py",
+        """
+        def _handle_apply(hosted, body):
+            delta, token = hosted.apply(body)
             return 200, {"undo_token": token}
+
+
+        def _handle_repair(hosted, body):
+            if body.get("adopt"):
+                report = hosted.repair("u", True)
+            else:
+                report = hosted.session.repair("u", adopt=False)
+            return 200, report.to_dict()
         """,
     )
     assert "REP003" not in tree.codes()

@@ -290,7 +290,10 @@ class TestFallbackAndGuards:
 def reference_apply_to(changeset, db):
     """``Changeset.apply_to`` in its ask-then-edit form — ``t in relation``
     before every ``add`` / ``remove`` — kept as the oracle the one-lookup
-    form must match: same effective ops, same row order, same rollback."""
+    form must match: same effective ops, same row order, same rollback.
+    A failure rebuilds every relation the prefix touched from the rows it
+    held before, in their order."""
+    before = {relation.schema.name: relation.tuples() for relation in db}
     effective = {}
     try:
         for kind, rel_name, payload in changeset._ops:
@@ -320,13 +323,12 @@ def reference_apply_to(changeset, db):
                     relation.add(new)
                     ops.append(("add", new))
     except Exception:
-        for rel_name, ops in effective.items():
+        for rel_name in effective:
             relation = db.relation(rel_name)
-            for kind, t in reversed(ops):
-                if kind == "add":
-                    relation.remove(t)
-                else:
-                    relation.add(t)
+            for t in relation.tuples():
+                relation.remove(t)
+            for t in before[rel_name]:
+                relation.add(t)
         raise
     return {rel: ops for rel, ops in effective.items() if ops}
 
@@ -402,9 +404,8 @@ def assert_apply_to_matches_reference(rows, changeset, carried):
         try:
             effective = apply(changeset, db)
         except (KeyError, DomainError) as exc:
-            # the prefix was rolled back: the same rows (a re-added row
-            # may have moved to the end — identically on both sides)
-            assert set(relation.to_rows()) == set(rows)
+            # the prefix was rolled back: the same rows, in their order
+            assert relation.to_rows() == rows
             outcomes.append((type(exc), relation.to_rows()))
         else:
             n_ops = sum(map(len, effective.values()))
@@ -443,10 +444,10 @@ class TestApplyToAgainstReference:
         )
         with pytest.raises(KeyError):
             changeset.apply_to(db)
-        assert relation.to_rows() == [("b", "y", 1), ("a", "x", 0)]
+        assert relation.to_rows() == [("a", "x", 0), ("b", "y", 1)]
         with pytest.raises(DomainError):
             Changeset().update("E", ("b", "y", 1), N="not-an-int").apply_to(db)
-        assert relation.to_rows() == [("b", "y", 1), ("a", "x", 0)]
+        assert relation.to_rows() == [("a", "x", 0), ("b", "y", 1)]
 
 
 class TestStrictOpKeys:

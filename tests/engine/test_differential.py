@@ -599,9 +599,10 @@ def test_ordered_read_after_add_remove_add_of_one_tuple_in_one_batch():
 
 
 def test_ordered_read_after_a_failed_apply_renumbers():
-    # the rollback re-adds the deleted pivot at the relation's end, so the
-    # rebuilt engine must number the rows afresh
+    # the rollback puts the deleted pivot back in its place and cuts the
+    # insert off again, and the rebuilt engine numbers the rows afresh
     db, deps, engine = _ordered_engine(BASE_ROWS)
+    before = [t.values() for t in db.relation("R")]
     bad = (
         Changeset()
         .delete("R", _row(*BASE_ROWS[0]))
@@ -610,7 +611,7 @@ def test_ordered_read_after_a_failed_apply_renumbers():
     )
     with pytest.raises(KeyError):
         engine.apply(bad)
-    assert [t["A"] for t in db.relation("R")][-1] == "k1"
+    assert [t.values() for t in db.relation("R")] == before
     _assert_ordered_read(db, deps, engine, "after rollback")
     engine.apply(Changeset().insert("R", _row("k1", "b3", "c3")))
     _assert_ordered_read(db, deps, engine, "after the next apply")

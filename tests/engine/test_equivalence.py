@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.cfd.detect import detect_violations
 from repro.cfd.model import CFD, UNNAMED
 from repro.cind.model import CIND
+from repro.deps import all_violations
 from repro.deps.fd import FD
 from repro.deps.ind import IND
 from repro.engine.executor import ExecutionStats, execute_plan
@@ -43,7 +44,7 @@ def _multiset(violations):
 
 
 def assert_equivalent(db, deps):
-    engine = detect_violations(db, deps, engine=True)
+    engine = detect_violations(db, deps)
     naive = detect_violations_naive(db, deps)
     assert _multiset(engine.violations) == _multiset(naive.violations)
     # the per-dependency facade agrees as well
@@ -84,7 +85,7 @@ class TestExecutorBehaviour:
         # fully-constant LHS patterns → hash lookups, no partition sweep
         assert stats.constant_lookups == 2
         assert stats.swept_patterns == 0
-        report = detect_violations(db, [constant], engine=True)
+        report = detect_violations(db, [constant])
         assert report.total == 1  # ("b", "y") clashes with the B="z" constant
 
     def test_partition_built_once_for_twenty_cfds(self):
@@ -101,18 +102,20 @@ class TestExecutorBehaviour:
             for i in range(20)
         ]
         relation = workload.db.relation("customer")
-        report = detect_violations(workload.db, clones, engine=True)
+        report = detect_violations(workload.db, clones)
         assert relation.indexes.stats.builds == 1
         assert report.total == 20 * len(
             list(naive_violations(clones[0], workload.db))
         )
 
     def test_engine_flag_off_matches_on(self):
+        """The per-dependency loop (what ``engine=False`` once selected)
+        finds what the planned engine finds."""
         db = fig1_instance()
         deps = list(fig2_cfds().values()) + fig1_fds()
-        on = detect_violations(db, deps, engine=True)
-        off = detect_violations(db, deps, engine=False)
-        assert _multiset(on.violations) == _multiset(off.violations)
+        on = detect_violations(db, deps)
+        off = all_violations(db, deps)
+        assert _multiset(on.violations) == _multiset(off)
 
 
 def _random_db_and_deps(rng: random.Random):

@@ -273,6 +273,48 @@ def test_a_batch_that_compacts_the_store_rebuilds_the_engine():
     _check(db, SCAN_DEPS, engine, "after the rebuild")
 
 
+def test_a_compaction_a_savepoint_held_rebuilds_the_engine_on_close():
+    """Under a session savepoint (a served write journals inside one) the
+    store compacts when the savepoint closes, not when the batch is
+    patched; the engine, which addresses the rows by id, rebuilds then."""
+    rows = [(f"k{i % 40}", f"b{i % 3}", f"c{i}") for i in range(4 * COMPACT_MIN_DEAD)]
+    db = DatabaseInstance(SCHEMA, {"R": rows})
+    store = db.relation("R").column_store
+    session = Session.from_instance(db, SCAN_DEPS)
+    session.apply(_changeset(("insert", ("k1", "b7", "c-first"))))
+    engine = session.warm_engine
+    doomed = rows[: 2 * COMPACT_MIN_DEAD + 10]
+    with session.savepoint():
+        session.apply(_changeset(*[("delete", row) for row in doomed]))
+        assert (store.compactions, engine.stats.rebuilds) == (0, 0)
+    assert (store.compactions, engine.stats.rebuilds) == (1, 1)
+    assert session.warm_engine is engine
+    _check(db, SCAN_DEPS, engine, "compacted on close")
+    session.apply(_changeset(("insert", ("k1", "b8", "c-next"))))
+    _check(db, SCAN_DEPS, engine, "after the rebuild")
+
+
+def test_a_savepoint_rollback_puts_the_rows_back_and_rebuilds_the_engine():
+    rows = [(f"k{i % 4}", f"b{i % 3}", f"c{i}") for i in range(12)]
+    db = DatabaseInstance(SCHEMA, {"R": rows})
+    session = Session.from_instance(db, SCAN_DEPS)
+    report = session.detect().to_dict()
+    with session.savepoint() as savepoint:
+        session.apply(
+            _changeset(("delete", rows[0]), ("insert", ("k0", "b9", "c-new")))
+        )
+        engine = session.warm_engine
+        batches = engine.stats.batches
+        savepoint.rollback()
+    assert [t.values() for t in db.relation("R")] == rows
+    assert session.warm_engine is engine and engine.is_current()
+    assert (engine.stats.rebuilds, engine.stats.batches) == (1, batches)
+    _check(db, SCAN_DEPS, engine, "rolled back")
+    assert session.detect().to_dict() == report
+    session.apply(_changeset(("delete", rows[1])))
+    _check(db, SCAN_DEPS, engine, "next batch")
+
+
 def test_a_compacting_batch_reports_the_delta_a_fresh_store_reports():
     """Compaction is held until the batch is patched, so *when* a store
     compacts never shows in a delta: same lists, entry for entry, as an
@@ -330,6 +372,7 @@ def test_a_failed_apply_rebuilds_and_keeps_the_counters():
     engine.apply(_changeset(("insert", ("k1", "b2", "c5"))))
     stats = engine.stats
     counted = (stats.batches, stats.ops_applied, stats.keys_patched)
+    before = [t.values() for t in db.relation("R").tuples()]
     bad = _changeset(
         ("delete", K1_PIVOT), ("update", ("no", "such", "row"), {"B": "b0"})
     )
@@ -337,8 +380,8 @@ def test_a_failed_apply_rebuilds_and_keeps_the_counters():
         engine.apply(bad)
     assert stats is engine.stats and stats.rebuilds == 1
     assert (stats.batches, stats.ops_applied, stats.keys_patched) == counted
-    # the rollback re-added the pivot at the relation's end
-    assert db.relation("R").tuples()[-1].values() == K1_PIVOT
+    # the rollback put the pivot back in its place
+    assert [t.values() for t in db.relation("R").tuples()] == before
     _check(db, SCAN_DEPS, engine, "rolled back", UNIVERSE)
     engine.apply(_changeset(("delete", K1_WITNESS)))
     _check(db, SCAN_DEPS, engine, "next batch", UNIVERSE)

@@ -10,10 +10,10 @@ congruence (interning is dict-key equality), and
 import pytest
 
 from repro.errors import DomainError
-from repro.relational.columnar import ColumnStore
+from repro.relational.columnar import COMPACT_MIN_DEAD, ColumnStore
 from repro.relational.domains import FLOAT, INT, STRING
-from repro.relational.instance import RelationInstance
-from repro.relational.schema import RelationSchema
+from repro.relational.instance import DatabaseInstance, RelationInstance
+from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.tuples import Tuple
 from tests.relational.reference import ReferenceRelation
 
@@ -92,6 +92,62 @@ class TestAllDeletedThenReinsert:
             columnar.remove(Tuple(columnar.schema, (2, "y")))
         columnar.discard(Tuple(columnar.schema, (2, "y")))  # no-op
         assert len(columnar) == 1
+
+
+class TestSavepoint:
+    """``DatabaseInstance.savepoint``: a rollback puts every row back where
+    it was — a deleted one in its old place with the ``Tuple`` it cached,
+    an added one cut off the end — and compaction waits for the outermost
+    savepoint to close."""
+
+    @staticmethod
+    def _db(schema, n_rows):
+        db = DatabaseInstance(DatabaseSchema([schema]))
+        relation = db.relation(schema.name)
+        for i in range(n_rows):
+            relation.add((i, f"v{i}"))
+        return db, relation
+
+    def test_a_rollback_puts_every_row_back_in_place(self, schema):
+        db, relation = self._db(schema, 4)
+        kept = relation.tuples()
+        version = relation.version
+        with db.savepoint() as savepoint:
+            relation.remove(kept[0])
+            relation.add((9, "z"))
+            relation.remove(kept[2])
+            relation.add(kept[0].values())  # a re-add goes to the end
+            savepoint.rollback()
+        assert all(a is b for a, b in zip(relation.tuples(), kept, strict=True))
+        assert relation.version > version
+        store = relation.column_store
+        assert (len(store.alive), store.dead, store.edits) == (4, 0, None)
+        relation.add((9, "z"))
+        assert relation.to_rows()[-1] == (9, "z")
+
+    def test_savepoints_nest(self, schema):
+        db, relation = self._db(schema, 3)
+        kept = relation.tuples()
+        with db.savepoint() as outer:
+            relation.remove(kept[1])
+            with db.savepoint() as inner:
+                relation.remove(kept[0])
+                relation.add((7, "x"))
+                inner.rollback()
+            assert relation.to_rows() == [(0, "v0"), (2, "v2")]
+            outer.rollback()
+        assert relation.tuples() == kept
+
+    def test_compaction_waits_for_the_outermost_savepoint(self, schema):
+        db, relation = self._db(schema, 3 * COMPACT_MIN_DEAD)
+        store = relation.column_store
+        doomed = relation.tuples()[: 2 * COMPACT_MIN_DEAD]
+        with db.savepoint():
+            with db.savepoint():
+                for t in doomed:
+                    relation.remove(t)
+            assert (store.compactions, store.dead) == (0, 2 * COMPACT_MIN_DEAD)
+        assert (store.compactions, store.dead) == (1, 0)
 
 
 class TestDictionaryGrowth:

@@ -32,8 +32,11 @@ from hypothesis import strategies as st
 from repro.client import ServerClient, ServerError
 from repro.errors import ReproError
 from repro.registry import wal_record_to_bytes, wal_records_from_bytes
-from repro.server import SessionStore, make_server
-from repro.server.durability import _SNAPSHOT_CHUNK_ROWS, MAX_UNDO_TOKENS
+from repro.server import MAX_UNDO_TOKENS, SessionStore, make_server
+from repro.server.core import ServiceCore, body_reader
+from repro.server.durability import _SNAPSHOT_CHUNK_ROWS, SessionJournal
+from repro.server.hosting import ServerMetrics, SessionManager
+from repro.workloads.soak import canonical
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +48,7 @@ SCHEMA_DOC = {
     ],
 }
 RULES_DOC = [{"type": "fd", "relation": "emp", "lhs": ["dept"], "rhs": ["floor"]}]
+EXTRA_RULE = {"type": "fd", "relation": "emp", "lhs": ["floor"], "rhs": ["dept"]}
 ROWS = [
     {"dept": "eng", "floor": 1},
     {"dept": "eng", "floor": 2},  # violates dept -> floor
@@ -122,6 +126,43 @@ def _raw_status(base_url: str, method: str, path: str) -> int:
         return response.status
     finally:
         conn.close()
+
+
+def _core(state_dir: Path, snapshot_every: int = 64) -> ServiceCore:
+    """An in-process service over ``state_dir``: no fsync, no degraded
+    gating."""
+    manager = SessionManager(
+        state_dir=state_dir, snapshot_every=snapshot_every, fsync=False
+    )
+    return ServiceCore(manager, ServerMetrics(), 0)
+
+
+def _call(core: ServiceCore, method: str, path: str, body=None):
+    raw = b"" if body is None else json.dumps(body).encode()
+    response = core.handle(method, "/v1" + path, body_reader(raw))
+    return response.status, json.loads(response.body)
+
+
+def _create_in(core: ServiceCore, session_id: str) -> None:
+    status, document = _call(core, "POST", "/sessions", {
+        "id": session_id, "schema": SCHEMA_DOC, "rules": RULES_DOC,
+        "data": {"emp": list(ROWS)},
+    })
+    assert status == 201, document
+
+
+def _state(core: ServiceCore, session_id: str):
+    """What a rehydration must reproduce: the canonical ``detect``
+    document and the undo table — tokens, order, counter and changeset
+    documents."""
+    status, detect = _call(core, "POST", f"/sessions/{session_id}/detect")
+    assert status == 200, detect
+    items, counter = core.manager.get(session_id).undo_state()
+    return canonical(detect), [(t, undo.to_dict()) for t, undo in items], counter
+
+
+def _boom(*args, **kwargs):
+    raise OSError(28, "injected: no space left on device")
 
 
 def _current_wal(state_dir: Path, session_id: str) -> Path:
@@ -740,6 +781,60 @@ class TestJournalFailure:
         finally:
             server.shutdown()
 
+    def test_failed_adopt_snapshot_rolls_the_adopt_back(self, tmp_path, monkeypatch):
+        """An adopt's journal write is its snapshot; when that fails, the
+        repaired instance and the cleared undo table go back, so memory
+        and disk both still hold the unrepaired session."""
+        core = _core(tmp_path)
+        recovered = None
+        try:
+            _create_in(core, "a")
+            _call(core, "POST", "/sessions/a/apply", _insert("qa", 9))
+            before = _state(core, "a")
+            assert json.loads(before[0])["total"] == 1
+            assert [token for token, _ in before[1]] == ["undo-1"]
+
+            monkeypatch.setattr(SessionJournal, "write_snapshot", _boom)
+            status, error = _call(core, "POST", "/sessions/a/repair", {"adopt": True})
+            monkeypatch.undo()
+            assert status == 500, error
+            assert _state(core, "a") == before
+            core.manager.close_all(flush=False)
+
+            recovered = _core(tmp_path)
+            assert _state(recovered, "a") == before
+        finally:
+            core.manager.close_all(flush=False)
+            if recovered is not None:
+                recovered.manager.close_all(flush=False)
+
+    def test_a_rolled_back_delete_keeps_its_row_in_place(self, tmp_path):
+        """Rolling a delete back revives the row where it was: re-adding
+        it at the end would reorder the live report away from the one a
+        recovery replays from the WAL, which never saw the delete."""
+        core = _core(tmp_path)
+        recovered = None
+        try:
+            _create_in(core, "a")
+            before = _state(core, "a")
+            journal = core.manager.get("a").journal
+            journal.log_apply = _boom
+            status, error = _call(core, "POST", "/sessions/a/apply", _delete("eng", 1))
+            del journal.log_apply
+            assert status == 500, error
+            assert _state(core, "a") == before
+            status, delta = _call(core, "POST", "/sessions/a/apply", _delete("eng", 1))
+            assert status == 200 and delta["remaining"] == 0, delta
+            before = _state(core, "a")
+            core.manager.close_all(flush=False)
+
+            recovered = _core(tmp_path)
+            assert _state(recovered, "a") == before
+        finally:
+            core.manager.close_all(flush=False)
+            if recovered is not None:
+                recovered.manager.close_all(flush=False)
+
     def test_failed_fsync_truncates_partial_record(self, tmp_path, monkeypatch):
         store = SessionStore(tmp_path)
         journal = store.create("j", _bare_session())
@@ -1000,6 +1095,7 @@ class TestSnapshotWriter:
         """A snapshot written whole (the old writer) recovers here, and
         recovers to the same session as the streamed one."""
         from repro.server.durability import SessionJournal
+        from repro.server.hosting import SessionManager
 
         session = _emp_session(_SNAPSHOT_CHUNK_ROWS + 7)
         undo_items = _undo_table(3)
@@ -1019,16 +1115,24 @@ class TestSnapshotWriter:
         )
 
         for store in (streamed, whole):
-            journal, recovered = store.recover("s")
-            journal.close()
-            assert journal.generation == 1
-            assert _dump(recovered.session.detect().to_dict()) == expected
-            assert recovered.session.data_documents() == session.data_documents()
-            assert list(recovered.undo) == [token for token, _ in undo_items]
-            assert [u.to_dict() for u in recovered.undo.values()] == [
-                u.to_dict() for _, u in undo_items
-            ]
-            assert recovered.undo_counter == 3
+            manager = SessionManager(state_dir=store.root, fsync=False)
+            try:
+                recovered = manager.get("s")
+                assert recovered.journal.generation == 1
+                assert _dump(recovered.session.detect().to_dict()) == expected
+                assert (
+                    recovered.session.data_documents() == session.data_documents()
+                )
+                items, counter = recovered.undo_state()
+                assert [token for token, _ in items] == [
+                    token for token, _ in undo_items
+                ]
+                assert [u.to_dict() for _, u in items] == [
+                    u.to_dict() for _, u in undo_items
+                ]
+                assert counter == 3
+            finally:
+                manager.close_all(flush=False)
 
     def test_a_snapshot_from_the_sharded_engine_still_rehydrates(self, tmp_path):
         """A format-1 snapshot an older server wrote for an
@@ -1071,7 +1175,7 @@ class TestSnapshotWriter:
         ``executor="naive"`` session loads on the one path: its detect is
         the list a fresh executor run returns, not the per-dependency
         loop's order."""
-        from repro.cfd.detect import detect_violations
+        from repro.deps import all_violations
         from repro.server.durability import SessionJournal
         from repro.session import ViolationReport
         from repro.workloads.soak import canonical, offline_detect
@@ -1083,7 +1187,7 @@ class TestSnapshotWriter:
         }])
         expected = offline_detect(session)
         looped = ViolationReport(
-            detect_violations(session.database, session.rules, engine=False).violations
+            all_violations(session.database, session.rules)
         ).to_dict()
         assert canonical(looped) != canonical(expected)
         store = SessionStore(tmp_path, fsync=False)
@@ -1202,3 +1306,175 @@ class TestByteCounters:
             assert f"repro_durability_wal_bytes_total {wal}" in exposition
         finally:
             server.shutdown()
+
+
+# --------------------------------------------------------------------------
+# One write path: a rehydrated session is the live one
+# --------------------------------------------------------------------------
+
+
+class TestLiveEqualsRehydrated:
+    """Every write goes through ``HostedSession``, and a rehydration
+    replays the WAL through it too; whatever a history of writes did, a
+    crash-shaped stop and a rehydration must give back the live session."""
+
+    DEPTS = ("eng", "ops", "qa", "hr")
+    RULE_SETS = (RULES_DOC, [], RULES_DOC + [EXTRA_RULE], [EXTRA_RULE])
+
+    STEPS = st.lists(
+        st.tuples(
+            st.sampled_from([
+                "insert", "delete", "update", "batch", "undo",
+                "rules_put", "rules_post", "adopt",
+            ]),
+            st.integers(min_value=0, max_value=63),
+            # a journal method that raises during the step
+            st.sampled_from([None, None, None, "append", "snapshot"]),
+            # a journal blocked before the step (it snapshots instead)
+            st.sampled_from([False, False, False, True]),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+
+    @classmethod
+    def _row(cls, pick: int):
+        return {"dept": cls.DEPTS[pick % 4], "floor": (pick // 4) % 4}
+
+    @classmethod
+    def _request(cls, verb: str, pick: int, issued: list):
+        """``(method, path, body)`` of one step; ``issued`` holds every
+        undo token handed out so far, live or spent."""
+        row = cls._row(pick)
+        if verb in ("insert", "delete"):
+            return "POST", "/sessions/h/apply", {
+                "ops": [{"op": verb, "relation": "emp", "row": row}]
+            }
+        if verb == "update":
+            return "POST", "/sessions/h/apply", {"ops": [{
+                "op": "update", "relation": "emp", "row": row,
+                "cells": {"floor": (row["floor"] + 1) % 4},
+            }]}
+        if verb == "batch":
+            # the update may miss, failing the changeset after its delete
+            return "POST", "/sessions/h/apply", {"ops": [
+                {"op": "delete", "relation": "emp", "row": cls._row(pick + 1)},
+                {"op": "insert", "relation": "emp", "row": cls._row(pick + 6)},
+                {"op": "update", "relation": "emp", "row": row,
+                 "cells": {"dept": cls.DEPTS[(pick + 1) % 4]}},
+            ]}
+        if verb == "undo":
+            token = issued[pick % len(issued)] if issued else "undo-1"
+            return "POST", "/sessions/h/undo", {"token": token}
+        if verb == "rules_put":
+            return "PUT", "/sessions/h/rules", {
+                "rules": cls.RULE_SETS[pick % len(cls.RULE_SETS)]
+            }
+        if verb == "rules_post":
+            return "POST", "/sessions/h/rules", {
+                "rules": [EXTRA_RULE] if pick % 2 else RULES_DOC
+            }
+        return "POST", "/sessions/h/repair", {
+            "adopt": True, "strategy": "ux"[pick % 2]
+        }
+
+    @given(steps=STEPS)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_rehydration_gives_back_the_live_session(self, steps):
+        state_dir = Path(tempfile.mkdtemp(prefix="repro-write-path-"))
+        core = _core(state_dir, snapshot_every=3)
+        recovered = None
+        failing = {
+            "append": ("log_apply", "log_undo", "log_rules"),
+            "snapshot": ("write_snapshot",),
+        }
+        try:
+            _create_in(core, "h")
+            issued: list = []
+            for verb, pick, fail, blocked in steps:
+                method, path, body = self._request(verb, pick, issued)
+                before = _state(core, "h")
+                journal = core.manager.get("h").journal
+                if blocked:
+                    journal.blocked = "injected: a WAL append left bytes behind"
+                names = failing.get(fail, ())
+                for name in names:
+                    setattr(journal, name, _boom)
+                try:
+                    status, document = _call(core, method, path, body)
+                finally:
+                    for name in names:
+                        delattr(journal, name)
+                # nothing edits the session behind its engine: a 409 (stale
+                # engine) would mean a rollback left the engine behind
+                assert status in (200, 400, 500), (verb, status, document)
+                if status == 200 and "undo_token" in document:
+                    issued.append(document["undo_token"])
+                elif status >= 400:
+                    # an error means the write is in neither memory nor disk
+                    assert _state(core, "h") == before, (verb, status, document)
+            live = _state(core, "h")
+            core.manager.close_all(flush=False)
+
+            recovered = _core(state_dir, snapshot_every=3)
+            assert _state(recovered, "h") == live
+        finally:
+            core.manager.close_all(flush=False)
+            if recovered is not None:
+                recovered.manager.close_all(flush=False)
+            shutil.rmtree(state_dir, ignore_errors=True)
+
+    def test_a_token_that_skips_an_ordinal_fails_rehydration(self, tmp_path):
+        """Replay mints each undo token the way the live write did; a WAL
+        whose second record logged another token is refused, and the
+        error names the record."""
+        core = _core(tmp_path)
+        try:
+            _create_in(core, "a")
+            _call(core, "POST", "/sessions/a/apply", _insert("qa", 9))
+            _call(core, "POST", "/sessions/a/apply", _insert("hr", 4))
+        finally:
+            core.manager.close_all(flush=False)
+        wal = _current_wal(tmp_path, "a")
+        records, _ = wal_records_from_bytes(wal.read_bytes())
+        assert [record["token"] for record in records] == ["undo-1", "undo-2"]
+        records[1]["token"] = "undo-3"
+        wal.write_bytes(b"".join(map(wal_record_to_bytes, records)))
+
+        manager = SessionManager(state_dir=tmp_path, fsync=False)
+        try:
+            with pytest.raises(
+                ReproError,
+                match=r"WAL record #1 \('apply'\).*'undo-3'.*'undo-2'",
+            ):
+                manager.get("a")
+            assert manager.cold_session_ids() == ["a"]
+        finally:
+            manager.close_all(flush=False)
+
+    def test_a_state_dir_from_before_the_move_rehydrates_unchanged(self, tmp_path):
+        """``tests/data/format1_state`` was written by the server whose
+        write verbs lived in the core's handlers and whose recovery
+        replayed the WAL on its own: a snapshot plus a four-record tail
+        (an apply, a rules POST, an undo, a rules PUT), and the detect
+        document and undo table that server served before it stopped."""
+        fixture = Path(__file__).parent / "data" / "format1_state"
+        shutil.copytree(fixture / "state", tmp_path / "state")
+        expected = json.loads((fixture / "expected.json").read_text())
+        core = _core(tmp_path / "state")
+        try:
+            status, detect = _call(core, "POST", "/sessions/legacy/detect")
+            assert status == 200, detect
+            assert canonical(detect) == canonical(expected["detect"])
+            hosted = core.manager.get("legacy")
+            items, counter = hosted.undo_state()
+            assert [[t, undo.to_dict()] for t, undo in items] == expected["undo"]
+            assert counter == expected["undo_counter"]
+            durability = hosted.info()["durability"]
+            assert (durability["generation"], durability["wal_records"]) == (1, 4)
+        finally:
+            core.manager.close_all(flush=False)

@@ -245,7 +245,7 @@ def test_a_degraded_session_is_never_kept(monkeypatch):
         def journal_down(*_args):
             raise OSError("injected journal failure")
 
-        monkeypatch.setattr(HostedSession, "persist_apply", journal_down)
+        monkeypatch.setattr(HostedSession, "_journal", journal_down)
         before = harness.client.metrics()["snapshots"]
         with pytest.raises(ServerError) as err:
             harness.client.apply("s", CLEAN_DELETE)
