@@ -143,16 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "WAL records per session before a snapshot retires the log "
-            "(default: 64; only meaningful with --state-dir)"
-        ),
-    )
-    serve.add_argument(
         "--degraded-after",
         type=int,
         default=None,
@@ -383,25 +373,14 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.server import (
-        DEFAULT_DEGRADED_AFTER,
-        DEFAULT_SNAPSHOT_EVERY,
-        serve,
-    )
+    from repro.server import DEFAULT_DEGRADED_AFTER, serve
 
-    if args.snapshot_every is not None and args.state_dir is None:
-        raise SystemExit("--snapshot-every requires --state-dir")
     return serve(
         host=args.host,
         port=args.port,
         max_sessions=args.max_sessions,
         data_root=args.data_root,
         state_dir=args.state_dir,
-        snapshot_every=(
-            args.snapshot_every
-            if args.snapshot_every is not None
-            else DEFAULT_SNAPSHOT_EVERY
-        ),
         degraded_after=(
             args.degraded_after
             if args.degraded_after is not None

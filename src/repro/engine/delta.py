@@ -1462,7 +1462,10 @@ class DeltaEngine:
         )
 
     def probe(self, changeset: Changeset) -> ViolationDelta:
-        """Apply, record the delta, and revert — a what-if without a copy."""
+        """Apply, record the delta, and apply its undo — a what-if without
+        a copy, but not a clean one: the undo re-adds a deleted row at the
+        end of its relation, so the violation *set* comes back while the
+        ordered report (and row order) can differ afterwards."""
         delta = self.apply(changeset)
         self.apply(delta.undo)
         return delta

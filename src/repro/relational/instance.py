@@ -468,11 +468,15 @@ class Savepoint:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def rollback(self) -> None:
-        """Undo every append and delete since the savepoint opened."""
+    def rollback(self) -> bool:
+        """Undo every append and delete since the savepoint opened;
+        returns whether there was any."""
+        changed = False
         for relation, mark in self._marks:
             if relation._store.rollback(mark):
                 relation._version += 1
+                changed = True
+        return changed
 
     def close(self) -> bool:
         """Stop logging; returns whether a compaction it held ran."""

@@ -22,7 +22,11 @@ least-recently-used one is evicted through ``Session.close()``.
 With ``--state-dir`` the server is *durable*
 (:mod:`repro.server.durability`): every write verb appends a CRC-framed,
 fsync'd record to a per-session changeset WAL before the response
-commits, snapshots retire the log every ``--snapshot-every`` records,
+commits, a snapshot retires the log once the WAL bytes since the last
+snapshot reach that snapshot's size (the cadence snapshots, all but the
+newest, then weigh no more than the WAL written, and a crash leaves at
+most one snapshot's bytes plus one record to replay; the rule has no
+option — it replaced a records-per-snapshot flag, now removed),
 eviction becomes flush-then-drop, and on restart (or on first touch of
 an evicted session) the manager lazily rehydrates the session from
 snapshot + WAL tail — undo tokens included.  Kill -9 the process at any
@@ -74,11 +78,7 @@ from typing import Optional
 
 from repro.server.aio import AsyncReproServer
 from repro.server.core import ServiceCore
-from repro.server.durability import (
-    DEFAULT_SNAPSHOT_EVERY,
-    SessionJournal,
-    SessionStore,
-)
+from repro.server.durability import SessionJournal, SessionStore
 from repro.server.hosting import (
     DEFAULT_DEGRADED_AFTER,
     MAX_UNDO_TOKENS,
@@ -102,7 +102,6 @@ __all__ = [
     "SessionDegradedError",
     "DEFAULT_DEGRADED_AFTER",
     "MAX_UNDO_TOKENS",
-    "DEFAULT_SNAPSHOT_EVERY",
     "WIRE_VERSION",
     "SessionJournal",
     "SessionStore",
@@ -117,7 +116,6 @@ def make_server(
     max_sessions: int = 64,
     data_root: Optional[Path] = None,
     state_dir: Optional[Path] = None,
-    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     fsync: bool = True,
     degraded_after: int = DEFAULT_DEGRADED_AFTER,
 ) -> AsyncReproServer:
@@ -127,7 +125,7 @@ def make_server(
     / ``shutdown()``."""
     return AsyncReproServer(
         (host, port), max_sessions=max_sessions, data_root=data_root,
-        state_dir=state_dir, snapshot_every=snapshot_every, fsync=fsync,
+        state_dir=state_dir, fsync=fsync,
         degraded_after=degraded_after,
     )
 
@@ -138,7 +136,6 @@ def serve(
     max_sessions: int = 64,
     data_root: Optional[Path] = None,
     state_dir: Optional[Path] = None,
-    snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     degraded_after: int = DEFAULT_DEGRADED_AFTER,
     quiet: bool = False,
 ) -> int:
@@ -149,8 +146,7 @@ def serve(
 
     server = make_server(
         host, port, max_sessions=max_sessions, data_root=data_root,
-        state_dir=state_dir, snapshot_every=snapshot_every,
-        degraded_after=degraded_after,
+        state_dir=state_dir, degraded_after=degraded_after,
     )
     if not quiet:
         durable = ""

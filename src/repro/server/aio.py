@@ -97,7 +97,6 @@ from repro.server.core import (
     body_reader,
     status_reason,
 )
-from repro.server.durability import DEFAULT_SNAPSHOT_EVERY
 from repro.server.hosting import (
     DEFAULT_DEGRADED_AFTER,
     HostedSession,
@@ -167,7 +166,6 @@ class AsyncReproServer:
         max_sessions: int = 64,
         data_root: Optional[Path] = None,
         state_dir: Optional[Path] = None,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         fsync: bool = True,
         degraded_after: int = DEFAULT_DEGRADED_AFTER,
     ) -> None:
@@ -175,7 +173,6 @@ class AsyncReproServer:
             max_sessions,
             data_root=data_root,
             state_dir=state_dir,
-            snapshot_every=snapshot_every,
             fsync=fsync,
         )
         self.metrics = ServerMetrics()

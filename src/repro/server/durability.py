@@ -11,11 +11,23 @@ them survive it.  Each hosted session owns a directory under the server's
   HTTP response commits.  A crash at any byte boundary leaves at worst a
   torn final record, which :func:`repro.registry.wal_records_from_bytes`
   detects and recovery truncates;
-* **periodic snapshots** (``snapshot-<gen>.json``) — the full session
-  state (schema + rules + data documents through the registry codecs,
-  plus the undo-token table) streamed out in bounded chunks and landed
-  atomically (tmp + rename) after ``snapshot_every`` WAL records, after
-  which the previous generation's snapshot and WAL are retired.
+* **snapshots** (``snapshot-<gen>.json``) — the full session state
+  (schema + rules + data documents through the registry codecs, plus the
+  undo-token table) streamed out in bounded chunks and landed atomically
+  (tmp + rename), after which the previous generation's snapshot and WAL
+  are retired.
+
+A durable session writes its *cadence* snapshot once the WAL bytes
+appended since its last snapshot reach that snapshot's size
+(``wal_bytes >= snapshot_bytes``; the hosting layer's
+:meth:`~repro.server.hosting.HostedSession._journal` decides, this module
+measures both).  The rule has no option and bounds both costs by the
+session's own size: every cadence snapshot follows at least as many WAL
+bytes as the snapshot before it weighs, so the cadence snapshots written,
+all but the newest, weigh no more than the WAL written; and a crash leaves at
+most one snapshot's bytes plus one record to replay.  It replaced a
+records-per-snapshot flag (removed), under which a 10-row and a 1M-row
+session snapshotted equally often.
 
 This module knows bytes on disk, not what a write does to a session:
 :meth:`SessionStore.recover` hands back the newest snapshot document and
@@ -51,13 +63,9 @@ from repro.registry import wal_record_to_bytes, wal_records_from_bytes
 from repro.session import Session
 
 __all__ = [
-    "DEFAULT_SNAPSHOT_EVERY",
     "SessionJournal",
     "SessionStore",
 ]
-
-#: WAL records per generation before a snapshot retires the log
-DEFAULT_SNAPSHOT_EVERY = 64
 
 _SNAPSHOT_FORMAT = 1
 
@@ -109,8 +117,11 @@ class SessionJournal:
         self.directory = directory
         #: snapshot generation currently on disk (-1: none yet)
         self.generation = -1
-        #: WAL records appended since that snapshot
+        #: WAL records appended since that snapshot, and their frame bytes
         self.wal_records = 0
+        self.wal_bytes = 0
+        #: file bytes of that snapshot: the WAL bytes that call for the next
+        self.snapshot_bytes = 0
         #: non-None: the WAL cannot take appends (an earlier append left
         #: bytes that could not be cut back out, or a snapshot failed).
         #: Cleared by the next successful snapshot, which the write verbs
@@ -176,6 +187,7 @@ class SessionJournal:
                 self._wal_handle = None
             raise
         self.wal_records += 1
+        self.wal_bytes += len(frame)
         self.store._count("wal_records_total")
         self.store._count("wal_bytes_total", len(frame))
 
@@ -288,6 +300,8 @@ class SessionJournal:
         old_generation = self.generation
         self.generation = next_generation
         self.wal_records = 0
+        self.wal_bytes = 0
+        self.snapshot_bytes = size
         if old_generation >= 0:
             self._wal_path(old_generation).unlink(missing_ok=True)
             self._snapshot_path(old_generation).unlink(missing_ok=True)
@@ -306,7 +320,8 @@ class SessionJournal:
             "enabled": True,
             "generation": self.generation,
             "wal_records": self.wal_records,
-            "snapshot_every": self.store.snapshot_every,
+            "wal_bytes": self.wal_bytes,
+            "snapshot_bytes": self.snapshot_bytes,
             "dirty": session.dirty,
         }
         if self.blocked is not None:
@@ -328,16 +343,8 @@ class SessionStore:
     protocol accepts maps to a directory.
     """
 
-    def __init__(
-        self,
-        root: Path,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
-        fsync: bool = True,
-    ) -> None:
-        if snapshot_every < 1:
-            raise ReproError("snapshot_every must be >= 1")
+    def __init__(self, root: Path, fsync: bool = True) -> None:
         self.root = Path(root)
-        self.snapshot_every = snapshot_every
         self.fsync = fsync
         self.sessions_dir = self.root / "sessions"
         self.sessions_dir.mkdir(parents=True, exist_ok=True)
@@ -422,7 +429,7 @@ class SessionStore:
         A torn final WAL record (crash mid-write) is truncated away, and
         generations the snapshot superseded are retired; the journal comes
         back open on the snapshot's generation, counting the tail's
-        records, ready to append.  Raises
+        records and bytes and the snapshot's bytes, ready to append.  Raises
         :class:`~repro.errors.ReproError` when no usable snapshot exists.
         """
         directory = self._session_dir(session_id)
@@ -444,6 +451,7 @@ class SessionStore:
         newest = snapshot_paths[0]
         try:
             with open(newest, encoding="utf-8") as handle:
+                snapshot_bytes = os.fstat(handle.fileno()).st_size
                 snapshot_doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ReproError(
@@ -460,8 +468,10 @@ class SessionStore:
 
         journal = SessionJournal(self, session_id, directory)
         journal.generation = generation
+        journal.snapshot_bytes = snapshot_bytes
         wal_path = journal._wal_path(generation)
         records: List[Dict[str, Any]] = []
+        clean_length = 0
         if wal_path.exists():
             data = wal_path.read_bytes()
             records, clean_length = wal_records_from_bytes(data)
@@ -474,6 +484,7 @@ class SessionStore:
                     if self.fsync:
                         os.fsync(handle.fileno())
         journal.wal_records = len(records)
+        journal.wal_bytes = clean_length
 
         # retire generations the snapshot superseded but a crash left behind
         for stale in sorted(directory.glob("snapshot-*.json")):

@@ -38,11 +38,7 @@ from repro.errors import (
 )
 from repro.relational.csvio import load_csv
 from repro.relational.instance import DatabaseInstance
-from repro.server.durability import (
-    DEFAULT_SNAPSHOT_EVERY,
-    SessionJournal,
-    SessionStore,
-)
+from repro.server.durability import SessionJournal, SessionStore
 from repro.server.metrics import DELTA_STAT_FIELDS, LATENCY_BUCKETS, OPS_COUNTERS
 from repro.server.wire import encode_value
 from repro.session import RepairReport, Session, ViolationReport
@@ -310,9 +306,11 @@ class HostedSession:
         """Apply a changeset; returns its delta and the undo token."""
         saved = self.undo_state()
         with self.session.savepoint() as savepoint:
-            delta = self.session.apply(changeset)
-            token = self.remember_undo(delta.undo)
             try:
+                # the engine's own rollback covers a failed edit, not a
+                # failed maintenance: that refreshes onto the edited rows
+                delta = self.session.apply(changeset)
+                token = self.remember_undo(delta.undo)
                 # the canonical changeset (not the request body) replays
                 # deterministically
                 self._journal(
@@ -334,10 +332,10 @@ class HostedSession:
         changeset = self.peek_undo(taken)
         saved = self.undo_state()
         with self.session.savepoint() as savepoint:
-            delta = self.session.apply(changeset)
-            self.consume_undo(taken)
-            token = self.remember_undo(delta.undo)
             try:
+                delta = self.session.apply(changeset)
+                self.consume_undo(taken)
+                token = self.remember_undo(delta.undo)
                 self._journal(lambda journal: journal.log_undo(taken, token))
             except BaseException:
                 savepoint.rollback()
@@ -433,21 +431,26 @@ class HostedSession:
     def _journal(self, append: Callable[[SessionJournal], None]) -> None:
         """Make one write durable: a WAL append, normally.
 
-        A *blocked* journal (an earlier append left bytes it could not
-        remove, or a snapshot failed) cannot take appends; a full snapshot
-        both captures this write — the in-memory mutation and its undo
-        token land before this runs — and reopens a fresh WAL generation,
-        clearing the block.  Either path raising means the write did not
+        The cadence snapshot is due once the WAL bytes since the last
+        snapshot reach that snapshot's size, so snapshots cost a bounded
+        share of the bytes written and a crash leaves at most one
+        snapshot's bytes plus one record to replay.  A WAL cannot take an
+        append while it is *blocked* (an earlier append left bytes it
+        could not remove, or a snapshot failed) or already outweighs its
+        snapshot (its cadence snapshot failed before a crash); a full
+        snapshot then both captures this write — the in-memory mutation
+        and its undo token land before this runs — and reopens a fresh
+        WAL generation.  Either path raising means the write did not
         durably commit, and the caller rolls it back.
         """
         journal = self.journal
         if journal is None:
             return
-        if journal.blocked is not None:
+        if journal.blocked is not None or journal.wal_bytes >= journal.snapshot_bytes:
             self.persist_snapshot()
             return
         append(journal)
-        if journal.wal_records >= journal.store.snapshot_every:
+        if journal.wal_bytes >= journal.snapshot_bytes:
             try:
                 self.persist_snapshot()
             except Exception:
@@ -625,7 +628,6 @@ class SessionManager:
         max_sessions: int = 64,
         data_root: Optional[Path] = None,
         state_dir: Optional[Path] = None,
-        snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
         fsync: bool = True,
     ) -> None:
         if max_sessions < 1:
@@ -634,7 +636,7 @@ class SessionManager:
         self.data_root = Path(data_root) if data_root is not None else Path.cwd()
         self._data_root_resolved = self.data_root.resolve()
         self.store: Optional[SessionStore] = (
-            SessionStore(Path(state_dir), snapshot_every=snapshot_every, fsync=fsync)
+            SessionStore(Path(state_dir), fsync=fsync)
             if state_dir is not None
             else None
         )
@@ -755,10 +757,6 @@ class SessionManager:
                     return existing
                 hosted.touch()
                 evicted = self._admit(hosted)
-            if len(records) >= journal.store.snapshot_every:
-                # long tail replayed — fold it into a snapshot now rather
-                # than replaying it again on the next restart
-                hosted.persist_snapshot()
         self._evict_all(evicted)
         return hosted
 

@@ -663,9 +663,10 @@ class Session:
 class SessionSavepoint(Savepoint):
     """A :class:`Savepoint` over a session's database that keeps the
     session's delta engine right.  The engine has seen the edits, so a
-    rollback rebuilds it, as a failed ``apply`` does (its counters carry
-    on); it addresses rows by id, so a compaction the savepoint held, run
-    when it closes, rebuilds it too."""
+    rollback that undid any rebuilds it, as a failed ``apply`` does (its
+    counters carry on; a failed ``apply`` that put its rows back itself
+    costs one rebuild, not two); it addresses rows by id, so a compaction
+    the savepoint held, run when it closes, rebuilds it too."""
 
     __slots__ = ("_session",)
 
@@ -673,11 +674,12 @@ class SessionSavepoint(Savepoint):
         super().__init__(session.database)
         self._session = session
 
-    def rollback(self) -> None:
-        super().rollback()
+    def rollback(self) -> bool:
+        changed = super().rollback()
         engine = self._session._engine
-        if engine is not None:
+        if changed and engine is not None:
             engine.refresh()
+        return changed
 
     def close(self) -> bool:
         compacted = super().close()

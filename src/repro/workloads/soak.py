@@ -103,7 +103,6 @@ class SoakConfig:
         max_undo_stash: int = 4,
         restarts: int = 1,
         max_sessions: int = 48,
-        snapshot_every: int = 16,
         degraded_after: int = 5,
     ) -> None:
         if tenants < 1 or ops < 1 or workers < 1:
@@ -121,7 +120,6 @@ class SoakConfig:
         self.max_undo_stash = max(1, max_undo_stash)
         self.restarts = max(0, restarts)
         self.max_sessions = max_sessions
-        self.snapshot_every = snapshot_every
         self.degraded_after = degraded_after
 
     def to_dict(self) -> Dict[str, Any]:
@@ -139,7 +137,6 @@ class SoakConfig:
             "max_undo_stash": self.max_undo_stash,
             "restarts": self.restarts,
             "max_sessions": self.max_sessions,
-            "snapshot_every": self.snapshot_every,
             "degraded_after": self.degraded_after,
         }
 
@@ -157,7 +154,6 @@ def smoke_config(seed: int = 20260807) -> SoakConfig:
         verify_every=12,
         restarts=1,
         max_sessions=6,
-        snapshot_every=8,
     )
 
 
@@ -231,13 +227,11 @@ class ServerProcess:
         self,
         state_dir: Optional[Path],
         max_sessions: int,
-        snapshot_every: int = 16,
         degraded_after: int = 5,
         port: Optional[int] = None,
     ) -> None:
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.max_sessions = max_sessions
-        self.snapshot_every = snapshot_every
         self.degraded_after = degraded_after
         self.port = port if port is not None else _free_port()
         self.process: Optional[subprocess.Popen[bytes]] = None
@@ -263,12 +257,7 @@ class ServerProcess:
             "--quiet",
         ]
         if self.state_dir is not None:
-            command += [
-                "--state-dir",
-                str(self.state_dir),
-                "--snapshot-every",
-                str(self.snapshot_every),
-            ]
+            command += ["--state-dir", str(self.state_dir)]
         env = dict(os.environ)
         import repro
 
@@ -1067,7 +1056,6 @@ def run_from_args(args: Any) -> int:
             server = ServerProcess(
                 state_dir=state_dir,
                 max_sessions=config.max_sessions,
-                snapshot_every=config.snapshot_every,
                 degraded_after=config.degraded_after,
             )
         server.start()

@@ -70,6 +70,25 @@ class TestJointConsistency:
         assert result.verdict == Verdict.CONSISTENT
         assert holds(result.witness, list(cfds) + list(cinds))
 
+    def test_a_cfd_pair_conflict_across_two_target_tuples(self):
+        """Two CINDs copy R.a into S.c with S.d pinned 'x' and 'y': the
+        search must add two S tuples that agree on c, and the variable
+        CFD c -> d refuses that *pair* (``_cfd_ok_pair``) though each
+        tuple alone matches its pattern."""
+        cfds = [CFD("S", ["c"], ["d"], [{"c": UNNAMED, "d": UNNAMED}])]
+        cinds = [
+            CIND(
+                "R", ["a"], "S", ["c"],
+                rhs_pattern_attrs=["d"], tableau=[{"d": value}],
+            )
+            for value in ("x", "y")
+        ]
+        result = check_joint_consistency(
+            _schema(), cfds, cinds, nonempty_relation="R"
+        )
+        assert result.verdict == Verdict.INCONSISTENT
+        assert not result.bound_hit
+
     def test_pattern_clash_with_copied_value(self):
         """The CIND wants S.d = 'x' but also copies R.b (= 'y') into S.d."""
         cfds = [CFD("R", ["a"], ["b"], [{"a": UNNAMED, "b": "y"}])]

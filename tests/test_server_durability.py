@@ -23,6 +23,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.client import ServerClient, ServerError
+from repro.engine.delta import Changeset, DeltaEngine
 from repro.errors import ReproError
 from repro.registry import wal_record_to_bytes, wal_records_from_bytes
 from repro.server import MAX_UNDO_TOKENS, SessionStore, make_server
@@ -128,12 +130,10 @@ def _raw_status(base_url: str, method: str, path: str) -> int:
         conn.close()
 
 
-def _core(state_dir: Path, snapshot_every: int = 64) -> ServiceCore:
+def _core(state_dir: Path, max_sessions: int = 64) -> ServiceCore:
     """An in-process service over ``state_dir``: no fsync, no degraded
     gating."""
-    manager = SessionManager(
-        state_dir=state_dir, snapshot_every=snapshot_every, fsync=False
-    )
+    manager = SessionManager(max_sessions, state_dir=state_dir, fsync=False)
     return ServiceCore(manager, ServerMetrics(), 0)
 
 
@@ -179,12 +179,14 @@ class TestDurableLifecycle:
         try:
             _create(client, "a")
             assert _session_files(tmp_path, "a") == ["snapshot-00000000.json"]
+            snapshot = tmp_path / "sessions" / "a" / "snapshot-00000000.json"
             info = client.session_info("a")
             assert info["durability"] == {
                 "enabled": True,
                 "generation": 0,
                 "wal_records": 0,
-                "snapshot_every": 64,
+                "wal_bytes": 0,
+                "snapshot_bytes": snapshot.stat().st_size,
                 "dirty": False,
             }
         finally:
@@ -298,17 +300,26 @@ class TestDurableLifecycle:
             server2.shutdown()
 
     def test_snapshot_cycle_retires_old_generation(self, tmp_path):
-        server, client = _boot(tmp_path, snapshot_every=2)
+        server, client = _boot(tmp_path)
         try:
             _create(client, "a")
-            for i in range(5):
-                client.apply("a", _insert(f"g{i}", 500 + i))
+            writes = 0
+            while client.session_info("a")["durability"]["generation"] < 2:
+                client.apply("a", _insert(f"g{writes}", 500 + writes))
+                writes += 1
+            # the second cycle's snapshot outweighs the 3-row first: it
+            # takes more writes to reach
+            assert 2 < writes < 40
+            client.apply("a", _insert("tail", 999))
             info = client.session_info("a")["durability"]
-            # 5 records at snapshot_every=2: two cycles, one tail record
+            # two cycles, one tail record
             assert info["generation"] == 2
             assert info["wal_records"] == 1
             files = _session_files(tmp_path, "a")
             assert files == ["snapshot-00000002.json", "wal-00000002.log"]
+            directory = tmp_path / "sessions" / "a"
+            assert info["wal_bytes"] == (directory / files[1]).stat().st_size
+            assert info["snapshot_bytes"] == (directory / files[0]).stat().st_size
         finally:
             server.shutdown()
 
@@ -418,6 +429,66 @@ class TestEvictionAndColdSessions:
             server2.shutdown()
 
 
+    def test_a_failing_snapshot_during_rehydration_still_evicts(
+        self, tmp_path, monkeypatch
+    ):
+        """Rehydrating a session whose cadence snapshot failed before the
+        crash evicts another one; with every snapshot failing, both still
+        answer, no eviction tombstone is left for a resolver to wait on
+        forever, and the outweighing tail is folded by the next write."""
+        core = _core(tmp_path)
+        recovered = None
+        try:
+            _create_in(core, "a")
+            _create_in(core, "b")
+            journal = core.manager.get("a").journal
+            with monkeypatch.context() as patch:
+                patch.setattr(SessionJournal, "write_snapshot", _boom)
+                floor = 0
+                while journal.wal_bytes < journal.snapshot_bytes:
+                    floor += 1
+                    status, document = _call(
+                        core, "POST", "/sessions/a/apply", _insert("qa", floor)
+                    )
+                    assert status == 200, document  # acknowledged from the WAL
+            assert journal.generation == 0
+            for floor in (7, 8):
+                _call(core, "POST", "/sessions/b/apply", _insert("hr", floor))
+            before = {sid: _state(core, sid) for sid in ("a", "b")}
+            core.manager.close_all(flush=False)
+
+            recovered = _core(tmp_path, max_sessions=1)
+            monkeypatch.setattr(SessionJournal, "write_snapshot", _boom)
+            for session_id in ("b", "a", "b", "a"):
+                states = []
+                worker = threading.Thread(
+                    target=lambda: states.append(_state(recovered, session_id)),
+                    daemon=True,
+                )
+                worker.start()
+                worker.join(timeout=10)
+                assert not worker.is_alive(), f"{session_id} hung"
+                assert states == [before[session_id]]
+                assert recovered.manager._evicting == {}
+            counters = recovered.manager.store.counters_snapshot()
+            assert counters["snapshot_failures_total"] >= 3
+            monkeypatch.undo()
+
+            hosted = recovered.manager.get("a")
+            assert hosted.journal.wal_bytes >= hosted.journal.snapshot_bytes
+            generation = hosted.journal.generation
+            status, document = _call(
+                recovered, "POST", "/sessions/a/apply", _insert("ops", 4)
+            )
+            assert status == 200, document
+            assert hosted.journal.generation == generation + 1
+            assert (hosted.journal.wal_records, hosted.journal.wal_bytes) == (0, 0)
+        finally:
+            core.manager.close_all(flush=False)
+            if recovered is not None:
+                recovered.manager.close_all(flush=False)
+
+
 class TestTornTail:
     """A crash mid-write leaves at worst a torn final WAL record; recovery
     must truncate it and land on the last fully-acknowledged state."""
@@ -432,13 +503,16 @@ class TestTornTail:
         server, client = _boot(tmp_path)
         _create(client, "a")
         checkpoints = [client.detect("a")]
-        for i in range(3):
+        # two, not three: a third insert's bytes would outweigh the 3-row
+        # snapshot and retire this WAL
+        for i in range(2):
             client.apply("a", _insert(f"t{i}", 700 + i))
             checkpoints.append(client.detect("a"))
         _crash(server)
 
         wal = _current_wal(tmp_path, "a")
         data, records = self._framed(wal)
+        assert len(records) == 2
         last_frame = wal_record_to_bytes(records[-1])
         # cut into the final record's payload: a torn write
         wal.write_bytes(data[: len(data) - len(last_frame) // 2])
@@ -547,7 +621,7 @@ class TestCrashRecoveryProperties:
         server = None
         server2 = None
         try:
-            server, client = _boot(state_dir, snapshot_every=3)
+            server, client = _boot(state_dir)
             _create(client, "p")
             checkpoints = [client.detect("p")]
             tokens: list = []
@@ -583,7 +657,7 @@ class TestCrashRecoveryProperties:
                 # dropping the final record rewinds exactly one checkpoint
                 expected = checkpoints[-1 - 1]
 
-            server2, client2 = _boot(state_dir, snapshot_every=3)
+            server2, client2 = _boot(state_dir)
             assert _dump(client2.detect("p")) == _dump(expected)
         finally:
             for srv in (server, server2):
@@ -835,6 +909,45 @@ class TestJournalFailure:
             if recovered is not None:
                 recovered.manager.close_all(flush=False)
 
+    @pytest.mark.parametrize("durable", [True, False], ids=["durable", "in-memory"])
+    @pytest.mark.parametrize("verb", ["apply", "undo"])
+    def test_a_failed_maintenance_keeps_no_edit(
+        self, tmp_path, monkeypatch, verb, durable
+    ):
+        """The delta engine puts the rows back when the edit fails, not
+        when its violation maintenance does (it refreshes onto the edited
+        rows); the write's own rollback covers that too, so the 500 leaves
+        the rows, the report and the undo table as they were."""
+        core = (
+            _core(tmp_path)
+            if durable
+            else ServiceCore(SessionManager(), ServerMetrics(), 0)
+        )
+        recovered = None
+        try:
+            _create_in(core, "a")
+            status, delta = _call(core, "POST", "/sessions/a/apply", _insert("qa", 9))
+            assert status == 200, delta
+            before = _state(core, "a")
+            if verb == "apply":
+                path, body = "/sessions/a/apply", _delete("eng", 1)
+            else:
+                path, body = "/sessions/a/undo", {"token": delta["undo_token"]}
+            monkeypatch.setattr(DeltaEngine, "_maintain", _boom)
+            status, error = _call(core, "POST", path, body)
+            monkeypatch.undo()
+            assert status == 500, error
+            assert core.manager.get("a").info()["relations"] == {"emp": 4}
+            assert _state(core, "a") == before
+            if durable:
+                core.manager.close_all(flush=False)
+                recovered = _core(tmp_path)
+                assert _state(recovered, "a") == before
+        finally:
+            core.manager.close_all(flush=False)
+            if recovered is not None:
+                recovered.manager.close_all(flush=False)
+
     def test_failed_fsync_truncates_partial_record(self, tmp_path, monkeypatch):
         store = SessionStore(tmp_path)
         journal = store.create("j", _bare_session())
@@ -879,10 +992,12 @@ class TestJournalFailure:
             server2.shutdown()
 
     def test_corrupt_newest_snapshot_fails_loudly(self, tmp_path):
-        server, client = _boot(tmp_path, snapshot_every=2)
+        server, client = _boot(tmp_path)
         _create(client, "a")
         client.apply("a", _insert("x", 1))
-        client.apply("a", _insert("y", 2))  # cadence snapshot: generation 1
+        client.apply("a", _insert("y", 2))
+        client.apply("a", _insert("z", 3))  # cadence snapshot: generation 1
+        assert client.session_info("a")["durability"]["generation"] == 1
         _crash(server)
 
         directory = tmp_path / "sessions" / "a"
@@ -891,7 +1006,7 @@ class TestJournalFailure:
         corrupt = directory / f"snapshot-{generation + 1:08d}.json"
         corrupt.write_text("{ this is not a snapshot", encoding="utf-8")
 
-        server2, client2 = _boot(tmp_path, snapshot_every=2)
+        server2, client2 = _boot(tmp_path)
         try:
             # recovery must refuse to silently rewind to generation 1
             # (its predecessor's WAL is gone) — corruption is loud
@@ -1238,19 +1353,21 @@ class TestSnapshotWriter:
     def test_failed_fsync_blocks_until_the_next_write_snapshots(
         self, tmp_path, monkeypatch
     ):
-        server, client = _boot(tmp_path, snapshot_every=2)
+        server, client = _boot(tmp_path)
         _create(client, "a")
         client.apply("a", _insert("x", 1))
+        client.apply("a", _insert("y", 2))
         hosted = server.manager.get("a")
 
         def boom(fd):
             raise OSError(5, "injected I/O error")
         monkeypatch.setattr(os, "fsync", boom)
         # crosses the cadence: acknowledged from the WAL, snapshot fails
-        client.apply("a", _insert("y", 2))
+        client.apply("a", _insert("w", 4))
         monkeypatch.undo()
         info = client.session_info("a")["durability"]
-        assert (info["generation"], info["wal_records"]) == (0, 2)
+        assert (info["generation"], info["wal_records"]) == (0, 3)
+        assert info["wal_bytes"] >= info["snapshot_bytes"]
         assert info["blocked"] == hosted.journal.blocked
         assert hosted.journal.blocked is not None
         assert client.metrics()["durability"]["snapshot_failures_total"] == 1
@@ -1264,7 +1381,7 @@ class TestSnapshotWriter:
         before = client.detect("a")
         _crash(server)
 
-        server2, client2 = _boot(tmp_path, snapshot_every=2)
+        server2, client2 = _boot(tmp_path)
         try:
             assert _dump(client2.detect("a")) == _dump(before)
         finally:
@@ -1308,6 +1425,80 @@ class TestByteCounters:
             server.shutdown()
 
 
+class TestSnapshotCadence:
+    """A durable session snapshots once the WAL bytes since its last
+    snapshot reach that snapshot's size — no option, no record count."""
+
+    @given(
+        sizes=st.lists(
+            st.integers(min_value=1, max_value=40), min_size=1, max_size=24
+        )
+    )
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_a_snapshot_lands_exactly_when_the_wal_outweighs_the_last(self, sizes):
+        state_dir = Path(tempfile.mkdtemp(prefix="repro-cadence-"))
+        core = _core(state_dir)
+        recovered = None
+        try:
+            _create_in(core, "c")
+            journal = core.manager.get("c").journal
+            directory = state_dir / "sessions" / "c"
+            frame = 0
+            for step, size in enumerate(sizes):
+                body = {"ops": [
+                    {"op": "insert", "relation": "emp",
+                     "row": {"dept": f"w{step}-{k}", "floor": k}}
+                    for k in range(size)
+                ]}
+                generation, wal_bytes, snapshot_bytes = (
+                    journal.generation, journal.wal_bytes, journal.snapshot_bytes
+                )
+                status, delta = _call(core, "POST", "/sessions/c/apply", body)
+                assert status == 200, delta
+                frame = len(wal_record_to_bytes({
+                    "kind": "apply",
+                    "changeset": Changeset.from_dict(body).to_dict(),
+                    "token": delta["undo_token"],
+                }))
+                snapshot = journal._snapshot_path(journal.generation)
+                if wal_bytes + frame >= snapshot_bytes:
+                    assert journal.generation == generation + 1
+                    assert (journal.wal_records, journal.wal_bytes) == (0, 0)
+                    assert _session_files(state_dir, "c") == [snapshot.name]
+                else:
+                    assert journal.generation == generation
+                    assert journal.wal_bytes == wal_bytes + frame
+                    assert journal.wal_bytes == _current_wal(
+                        state_dir, "c"
+                    ).stat().st_size
+                assert journal.snapshot_bytes == snapshot.stat().st_size
+            live = _state(core, "c")
+            core.manager.close_all(flush=False)
+
+            # what a crash leaves: all but the last record weigh less than
+            # the newest snapshot
+            snapshot = sorted(directory.glob("snapshot-*.json"))[-1]
+            wal = _current_wal(state_dir, "c")
+            tail = wal.stat().st_size if wal.exists() else 0
+            assert tail < snapshot.stat().st_size + frame
+
+            recovered = _core(state_dir)
+            assert _state(recovered, "c") == live
+            rehydrated = recovered.manager.get("c").journal
+            assert (rehydrated.wal_bytes, rehydrated.snapshot_bytes) == (
+                tail, snapshot.stat().st_size
+            )
+        finally:
+            core.manager.close_all(flush=False)
+            if recovered is not None:
+                recovered.manager.close_all(flush=False)
+            shutil.rmtree(state_dir, ignore_errors=True)
+
+
 # --------------------------------------------------------------------------
 # One write path: a rehydrated session is the live one
 # --------------------------------------------------------------------------
@@ -1324,7 +1515,7 @@ class TestLiveEqualsRehydrated:
     STEPS = st.lists(
         st.tuples(
             st.sampled_from([
-                "insert", "delete", "update", "batch", "undo",
+                "insert", "delete", "update", "batch", "bulk", "undo",
                 "rules_put", "rules_post", "adopt",
             ]),
             st.integers(min_value=0, max_value=63),
@@ -1363,6 +1554,13 @@ class TestLiveEqualsRehydrated:
                 {"op": "update", "relation": "emp", "row": row,
                  "cells": {"dept": cls.DEPTS[(pick + 1) % 4]}},
             ]}
+        if verb == "bulk":
+            # six inserts outweigh the 3-row snapshot on their own: the
+            # byte rule's cadence snapshot lands inside short histories
+            return "POST", "/sessions/h/apply", {"ops": [
+                {"op": "insert", "relation": "emp", "row": cls._row(pick + k)}
+                for k in range(6)
+            ]}
         if verb == "undo":
             token = issued[pick % len(issued)] if issued else "undo-1"
             return "POST", "/sessions/h/undo", {"token": token}
@@ -1386,7 +1584,7 @@ class TestLiveEqualsRehydrated:
     )
     def test_rehydration_gives_back_the_live_session(self, steps):
         state_dir = Path(tempfile.mkdtemp(prefix="repro-write-path-"))
-        core = _core(state_dir, snapshot_every=3)
+        core = _core(state_dir)
         recovered = None
         failing = {
             "append": ("log_apply", "log_undo", "log_rules"),
@@ -1420,7 +1618,7 @@ class TestLiveEqualsRehydrated:
             live = _state(core, "h")
             core.manager.close_all(flush=False)
 
-            recovered = _core(state_dir, snapshot_every=3)
+            recovered = _core(state_dir)
             assert _state(recovered, "h") == live
         finally:
             core.manager.close_all(flush=False)

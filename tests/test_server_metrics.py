@@ -45,9 +45,7 @@ ROWS = [
 
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
-    server = make_server(
-        port=0, state_dir=tmp_path_factory.mktemp("state"), snapshot_every=4
-    )
+    server = make_server(port=0, state_dir=tmp_path_factory.mktemp("state"))
     server.start_background()
     yield server
     server.shutdown()

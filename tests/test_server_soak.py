@@ -170,9 +170,7 @@ class TestInterleavingProperty:
 
 class TestMiniSoak:
     def test_durable_soak_with_crash_restart(self, tmp_path):
-        server = InProcessServer(
-            port=0, max_sessions=4, state_dir=tmp_path, snapshot_every=8
-        )
+        server = InProcessServer(port=0, max_sessions=4, state_dir=tmp_path)
         config = SoakConfig(
             tenants=8,
             ops=120,
