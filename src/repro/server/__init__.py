@@ -27,11 +27,12 @@ snapshot reach that snapshot's size (the cadence snapshots, all but the
 newest, then weigh no more than the WAL written, and a crash leaves at
 most one snapshot's bytes plus one record to replay; the rule has no
 option — it replaced a records-per-snapshot flag, now removed),
-eviction becomes flush-then-drop, and on restart (or on first touch of
-an evicted session) the manager lazily rehydrates the session from
-snapshot + WAL tail — undo tokens included.  Kill -9 the process at any
-byte boundary, restart on the same state dir, and every session answers
-``detect`` byte-identically to an uninterrupted run.
+eviction and shutdown close the journals without a snapshot, and on
+restart (or on first touch of an evicted session) the manager lazily
+rehydrates the session from snapshot + WAL tail — undo tokens included.
+Kill -9 the process at any byte boundary, restart on the same state dir,
+and every session answers ``detect`` byte-identically to an
+uninterrupted run.
 
 The wire protocol is versioned (:mod:`repro.server.wire`): every
 endpoint mounts under ``/v1/...`` and every JSON response carries
@@ -139,9 +140,11 @@ def serve(
     degraded_after: int = DEFAULT_DEGRADED_AFTER,
     quiet: bool = False,
 ) -> int:
-    """Blocking entry point for ``repro serve`` (Ctrl-C to stop).
+    """Blocking entry point for ``repro serve``: Ctrl-C or SIGTERM stops
+    it, draining the open connections, and it returns 0.
 
     Prints one line, the listening banner on stderr, unless ``quiet``."""
+    import signal
     import sys
 
     server = make_server(
@@ -159,11 +162,16 @@ def serve(
             file=sys.stderr,
             flush=True,
         )
+    # a supervisor's stop is SIGTERM: end the loop the way shutdown() does
+    previous = signal.signal(
+        signal.SIGTERM, lambda signum, frame: server._signal_stop()
+    )
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.manager.close_all()
         server.server_close()
     return 0

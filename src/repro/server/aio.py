@@ -111,6 +111,10 @@ __all__ = ["AsyncReproServer", "SessionSnapshot"]
 #: how long a stop waits for requests already read to be answered
 _DRAIN_SECONDS = 5.0
 
+#: header lines one request head may carry (stdlib ``http.client``'s
+#: ``_MAXHEADERS``); past it the head is refused unread
+_MAX_HEADERS = 100
+
 
 class _LockEntry:
     """A session's asyncio lock and how many requests hold or await it."""
@@ -157,7 +161,7 @@ class AsyncReproServer:
     The listening socket binds in ``__init__`` (``port=0`` resolves
     immediately), ``serve_forever()`` blocks, ``start_background()``
     serves from a daemon thread, and ``shutdown()`` stops the loop and
-    flushes every session.
+    closes every session.
     """
 
     def __init__(
@@ -265,19 +269,18 @@ class AsyncReproServer:
         if loop is not None and stop is not None and loop.is_running():
             loop.call_soon_threadsafe(stop.set)
 
-    def shutdown(self, flush: bool = True) -> None:
-        """Stop serving, flush every session, release the socket.
+    def shutdown(self) -> None:
+        """Stop serving, close every session, release the socket.
 
-        ``flush=False`` is the crash-like stop (tests, the soak): journals
-        close without a snapshot, as after a SIGKILL — every acknowledged
-        write is already fdatasync'd, so a server booted on the same
-        ``state_dir`` recovers by replaying the WAL tails.
+        Journals close without a snapshot, as after a SIGKILL — every
+        acknowledged write is already fdatasync'd, so a server booted on
+        the same ``state_dir`` recovers by replaying the WAL tails.
         """
         self._signal_stop()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-        self.manager.close_all(flush=flush)
+        self.manager.close_all()
         self.server_close()
 
     def server_close(self) -> None:
@@ -354,12 +357,22 @@ class AsyncReproServer:
         # follows cannot be told from the next request, so it is answered
         # once and the connection closed with the rest unread
         unframed: Optional[str] = None
+        lines = 0
         while True:
             line = await reader.readline()
             if not line:
                 return None
             if line in (b"\r\n", b"\n"):
                 break
+            lines += 1
+            if lines > _MAX_HEADERS:
+                await self._refuse(
+                    writer,
+                    method.upper(),
+                    target,
+                    f"the request head has more than {_MAX_HEADERS} header lines",
+                )
+                return None
             name, colon, value = line.decode("latin-1").partition(":")
             field = name.lower()
             if unframed is not None:

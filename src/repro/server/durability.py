@@ -36,8 +36,15 @@ them through its own write path
 (:meth:`~repro.server.hosting.HostedSession.redo`), so undo tokens survive
 restarts with their ids, contents and LRU order intact.  Recovery is
 *lazy*: the manager rehydrates a session on first touch, so a restart (or
-an eviction, which becomes flush-then-drop) costs nothing until the
-session is asked for.
+an eviction) costs nothing until the session is asked for.
+
+Closing a session — eviction, ``DELETE``, shutdown — closes its journal
+and writes no snapshot: every acknowledged write is already fdatasync'd
+in the WAL, and the byte rule above bounds the tail a returning session
+replays, which is the replay a crash would cost anyway.  The one
+exception is a *blocked* journal (:attr:`SessionJournal.blocked`), whose
+WAL may hold bytes that memory rolled back; the hosting layer snapshots
+it at close so that record never replays.
 
 The fsync unit is one HTTP write verb, not one edit op — a 100-op
 changeset is framed as a single record and hardened by a single fsync,
@@ -125,7 +132,8 @@ class SessionJournal:
         #: non-None: the WAL cannot take appends (an earlier append left
         #: bytes that could not be cut back out, or a snapshot failed).
         #: Cleared by the next successful snapshot, which the write verbs
-        #: fall back to (see :meth:`HostedSession._journal`).
+        #: fall back to (see :meth:`HostedSession._journal`) and a close
+        #: writes (see :meth:`SessionManager._close`).
         self.blocked: Optional[str] = None
         self._wal_handle: Optional[Any] = None
 
@@ -305,24 +313,17 @@ class SessionJournal:
         if old_generation >= 0:
             self._wal_path(old_generation).unlink(missing_ok=True)
             self._snapshot_path(old_generation).unlink(missing_ok=True)
-        session.mark_clean()
         self.store._count("snapshots_total")
         self.store._count("snapshot_bytes_total", size)
 
-    @property
-    def needs_flush(self) -> bool:
-        """True iff state accrued since the last snapshot (WAL tail)."""
-        return self.wal_records > 0
-
-    def status(self, session: Session) -> Dict[str, Any]:
+    def status(self) -> Dict[str, Any]:
         """The durability section of the session info document."""
-        document = {
+        document: Dict[str, Any] = {
             "enabled": True,
             "generation": self.generation,
             "wal_records": self.wal_records,
             "wal_bytes": self.wal_bytes,
             "snapshot_bytes": self.snapshot_bytes,
-            "dirty": session.dirty,
         }
         if self.blocked is not None:
             document["blocked"] = self.blocked
@@ -359,7 +360,6 @@ class SessionStore:
             "wal_records_total": 0,
             "wal_bytes_total": 0,
             "rehydrated_total": 0,
-            "flushed_total": 0,
         }
 
     def _count(self, counter: str, amount: int = 1) -> None:

@@ -569,7 +569,7 @@ class HostedSession:
                 },
                 "undo_tokens": list(self._undo),
                 "durability": (
-                    self.journal.status(session)
+                    self.journal.status()
                     if self.journal is not None
                     else {"enabled": False}
                 ),
@@ -607,7 +607,7 @@ class HostedSession:
             "idle_seconds": time.time() - self.last_used,
             "undo_tokens": list(self.undo_tokens_view),
             "durability": (
-                self.journal.status(session)
+                self.journal.status()
                 if self.journal is not None
                 else {"enabled": False}
             ),
@@ -645,10 +645,11 @@ class SessionManager:
         #: session ids mid-rehydration → event the losers wait on; guarded
         #: by the manager lock (the recovery itself runs outside it)
         self._rehydrating: Dict[str, threading.Event] = {}
-        #: session ids mid-eviction (popped from the table, flush-and-close
-        #: still running outside the lock) → event; resolution must wait for
-        #: the flush to land before rehydrating, or it races the snapshot
-        #: retirement and reads state missing the victim's in-flight verb
+        #: session ids mid-eviction (popped from the table, the close still
+        #: running outside the lock) → event.  The close waits on the
+        #: victim's lock for an in-flight verb, which may still append to
+        #: the WAL or cut a cadence snapshot; resolution must wait for that
+        #: write to land before rehydrating, or it reads state missing it
         self._evicting: Dict[str, threading.Event] = {}
         self._auto_counter = 0
         self.created_total = 0
@@ -669,9 +670,9 @@ class SessionManager:
                 evicting = self._evicting.get(session_id)
             if evicting is not None:
                 # the session was just popped by LRU pressure and its
-                # flush-and-close is still running; re-resolve once the
-                # on-disk state is complete (rehydrating mid-flush reads
-                # a snapshot generation the flush is about to retire)
+                # close is still waiting out an in-flight verb; re-resolve
+                # once that verb's WAL append or cadence snapshot landed
+                # (rehydrating before it reads state missing that write)
                 evicting.wait()
                 continue
             with self._lock:
@@ -744,7 +745,6 @@ class SessionManager:
                         f"session {session_id!r}: WAL record #{index} "
                         f"({record.get('kind')!r}) failed to replay: {exc}"
                     ) from exc
-            hosted.session.mark_clean()
             self.store._count("rehydrated_total")
             with self._lock:
                 existing = self._sessions.get(session_id)
@@ -764,7 +764,7 @@ class SessionManager:
     def _admit(self, hosted: HostedSession) -> List[HostedSession]:
         """Publish ``hosted`` in the table; returns the least-recently-used
         sessions popped past ``max_sessions``, each under a tombstone, for
-        :meth:`_evict_all` to flush and close outside the lock."""
+        :meth:`_evict_all` to close outside the lock."""
         self._sessions[hosted.id] = hosted
         evicted: List[HostedSession] = []
         while len(self._sessions) > self.max_sessions:
@@ -775,11 +775,11 @@ class SessionManager:
         return evicted
 
     def _evict_all(self, evicted: List[HostedSession]) -> None:
-        """Flush-and-close popped LRU victims, then release their
-        eviction tombstones so waiting resolvers may rehydrate."""
+        """Close popped LRU victims, then release their eviction
+        tombstones so waiting resolvers may rehydrate."""
         for lru in evicted:
             try:
-                self._close(lru, flush=True)
+                self._close(lru)
             finally:
                 with self._lock:
                     event = self._evicting.pop(lru.id, None)
@@ -985,13 +985,13 @@ class SessionManager:
                 if hosted is not None:
                     self.closed_total += 1
             if hosted is None and event is not None:
-                # a rehydration or eviction flush is in flight; let it
-                # land, then remove whatever it produced
+                # a rehydration or an eviction's close is in flight; let
+                # it land, then remove whatever it produced
                 event.wait()
                 continue
             break
         if hosted is not None:
-            self._close(hosted, flush=False)
+            self._close(hosted)
         if self.store is not None:
             self.store.purge(session_id)
             if hosted is None:
@@ -999,39 +999,36 @@ class SessionManager:
                     self.closed_total += 1
         return session_id
 
-    def close_all(self, flush: bool = True) -> None:
-        """Flush every dirty journal and close every session (shutdown).
-
-        ``flush=False`` closes the journals as they are — what a crash
-        leaves: recovery replays each WAL tail."""
+    def close_all(self) -> None:
+        """Close every session (shutdown): the journals close as a crash
+        would leave them, and recovery replays each WAL tail."""
         with self._lock:
             sessions = list(self._sessions.values())
             self._sessions.clear()
         for hosted in sessions:
-            self._close(hosted, flush)
+            self._close(hosted)
 
     @staticmethod
-    def _close(hosted: HostedSession, flush: bool) -> None:
-        """Close one session, snapshotting pending state first on the
-        eviction/shutdown path (``flush``).
+    def _close(hosted: HostedSession) -> None:
+        """Close one session and its journal, writing no snapshot.
 
-        With durability on, eviction means *flush then drop* — the session
-        leaves memory but stays recoverable (and is lazily rehydrated on
-        the next request that names it)."""
+        Every acknowledged write is already durable in the WAL, so a
+        durable session leaves memory as it is and the next request that
+        names it rehydrates from snapshot + WAL tail.  A *blocked* journal
+        is the exception: its WAL may hold a record memory rolled back
+        (an append whose bytes could not be cut back out), so it snapshots
+        memory first, and that record never replays."""
         with hosted.lock:
             hosted.closed = True
             hosted.fragments.clear()
             journal = hosted.journal
             if journal is not None:
-                if flush and (journal.needs_flush or hosted.session.dirty):
+                if journal.blocked is not None:
                     try:
                         hosted.persist_snapshot()
-                        journal.store._count("flushed_total")
                     except Exception:
-                        # every acknowledged write is already durable in
-                        # the snapshot + WAL on disk; a failed eviction
-                        # flush only loses the chance to fold the WAL
-                        # tail into a snapshot before dropping the session
+                        # nothing is left to retry it: the WAL stays as
+                        # it is, stray record and all, for recovery
                         journal.store._count("snapshot_failures_total")
                 journal.close()
             hosted.session.close()

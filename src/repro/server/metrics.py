@@ -101,7 +101,6 @@ _DURABILITY_COUNTERS: Tuple[str, ...] = (
     "wal_records_total",
     "wal_bytes_total",
     "rehydrated_total",
-    "flushed_total",
 )
 
 

@@ -213,7 +213,6 @@ class Session:
         if engine is not None and engine.database is not db:
             raise ReproError("engine was built over a different database instance")
         self._engine: Optional[DeltaEngine] = engine
-        self._dirty = False  # mutated since the last mark_clean()
 
     # -- construction ----------------------------------------------------
 
@@ -269,31 +268,13 @@ class Session:
         """Add rules; the delta engine is rebuilt on next use."""
         self._rules.extend(rules)
         self._engine = None
-        self._dirty = True
         return self
 
     def replace_rules(self, rules: Iterable[Dependency]) -> "Session":
         """Swap the whole rule set; the delta engine is rebuilt on next use."""
         self._rules = list(rules)
         self._engine = None
-        self._dirty = True
         return self
-
-    @property
-    def dirty(self) -> bool:
-        """True iff the session mutated since the last :meth:`mark_clean`.
-
-        This is the persistence seam: ``apply``/``stream``, rule-set edits
-        and ``repair(adopt=True)`` set it; a caller that has durably
-        captured the session's state (e.g. the server's snapshot writer)
-        calls :meth:`mark_clean`.  The ``save_*`` methods deliberately do
-        *not* clear it — saving one relation is not a full capture.
-        """
-        return self._dirty
-
-    def mark_clean(self) -> None:
-        """Declare the current state durably captured (see :attr:`dirty`)."""
-        self._dirty = False
 
     def close(self) -> None:
         """Release engine resources: the warm delta engine state and the
@@ -500,7 +481,6 @@ class Session:
         previous one back in."""
         self._db = db
         self._engine = None
-        self._dirty = True
 
     def discover(
         self,
@@ -523,9 +503,7 @@ class Session:
     def apply(self, changeset: Changeset) -> ViolationDelta:
         """Apply a batch of edits through the delta engine (PR 2 semantics:
         returns added/removed violations plus the undo changeset)."""
-        delta = self.engine.apply(changeset)
-        self._dirty = True
-        return delta
+        return self.engine.apply(changeset)
 
     def savepoint(self) -> "SessionSavepoint":
         """A :class:`Savepoint` over the session's database that keeps the
@@ -568,7 +546,6 @@ class Session:
         for index, batch in enumerate(batches):
             started = time.perf_counter()  # repro: allow[REP001]
             delta = engine.apply(batch)
-            self._dirty = True
             # timings are opt-in diagnostics, excluded from the
             # byte-stable report surface
             elapsed = time.perf_counter() - started  # repro: allow[REP001]

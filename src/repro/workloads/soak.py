@@ -27,9 +27,9 @@ Three server arrangements:
   cycles are real ``SIGKILL`` + restart on the same state dir (the CLI
   path, ``repro soak``);
 * :class:`InProcessServer` — ``make_server`` in this process with a
-  crash-*like* hard restart (``shutdown(flush=False)``: journals closed
-  without a snapshot, so recovery replays the WAL tail) — what the
-  tier-1 tests use;
+  crash-*like* hard restart (``shutdown()``: journals closed without a
+  snapshot, so recovery replays the WAL tail) — what the tier-1 tests
+  use;
 * :class:`ExternalServer` — any ``--url``; no restarts.
 """
 
@@ -297,7 +297,7 @@ class InProcessServer:
     """A ``make_server`` instance with a crash-*like* hard restart.
 
     The restart stops the listener and closes every journal *without*
-    flushing a snapshot, so recovery exercises the WAL-tail replay path
+    writing a snapshot, so recovery exercises the WAL-tail replay path
     — the closest to SIGKILL an in-process arrangement can get (every
     acknowledged write is already fsync'd, exactly as after a crash)."""
 
@@ -324,7 +324,7 @@ class InProcessServer:
         pass
 
     def restart(self) -> None:
-        self._server.shutdown(flush=False)
+        self._server.shutdown()
         self._server = self._make_server(**self._kwargs)
         self._server.start_background()
         ServerClient(base_url=self.base_url).wait_ready(

@@ -377,6 +377,26 @@ class TestAsyncVerbs:
         assert server.metrics.snapshot()["requests_total"] == before + 1
         assert server.manager.peek(smuggled) is None
 
+    @pytest.mark.parametrize("count, status", [(100, 200), (101, 400)])
+    def test_a_head_past_100_header_lines_is_one_400_then_close(
+        self, server, count, status
+    ):
+        """A head may carry stdlib ``http.client``'s 100 header lines; the
+        101st is refused with the cap named, the rest of the head unread,
+        and the connection closed — the head used to grow without bound."""
+        fillers = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(count - 2))
+        payload = (
+            "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n" + fillers
+            + "Connection: close\r\n\r\n"
+        ).encode("latin-1")
+        lines, document = _exchange(server, payload)
+        assert lines[0].split(" ")[1] == str(status)
+        if status == 400:
+            assert "Connection: close" in lines
+            error = json.loads(document)
+            assert error["type"] == "BadRequest"
+            assert "100 header lines" in error["error"]
+
     def test_legacy_executor_keys_rejected_with_schema_hint(
         self, client, server
     ):
@@ -969,10 +989,7 @@ class TestGracefulStop:
         assert response.status == 200
         return conn
 
-    @pytest.mark.parametrize("flush", [True, False])
-    def test_idle_keep_alive_connections_stop_quietly(
-        self, flush, capfd, caplog
-    ):
+    def test_idle_keep_alive_connections_stop_quietly(self, capfd, caplog):
         server = make_server(port=0)
         server.start_background()
         conns = [self._idle_connection(server) for _ in range(3)]
@@ -980,7 +997,7 @@ class TestGracefulStop:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ResourceWarning)
                 started = time.perf_counter()
-                server.shutdown(flush=flush)
+                server.shutdown()
                 elapsed = time.perf_counter() - started
                 gc.collect()
             assert elapsed < 1.0

@@ -5,12 +5,11 @@ boundary — including mid-record — restart it on the same ``--state-dir``,
 and every session (resident or evicted) must answer ``detect``
 byte-identically to an uninterrupted twin, with its undo tokens intact.
 
-Crashes are simulated in-process by stopping the server *without* the
-flush a graceful ``shutdown()`` runs (``shutdown(flush=False)``: journals
-close with their WAL tails unsnapshotted) — valid because the WAL is
-fsync'd inside each request, so whatever a client saw acknowledged is on
-disk the moment the response commits.  One subprocess test does the real
-thing with SIGKILL.
+Crashes are simulated in-process with ``shutdown()``, which writes no
+snapshot: journals close with their WAL tails unsnapshotted, as a crash
+leaves them — valid because the WAL is fsync'd inside each request, so
+whatever a client saw acknowledged is on disk the moment the response
+commits.  One subprocess test does the real thing with SIGKILL.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ def _boot(state_dir: Path, **kwargs):
 
 
 def _crash(server) -> None:
-    """Kill the server without the graceful-shutdown flush."""
-    server.shutdown(flush=False)
+    """Stop the server as a crash would: ``shutdown()`` snapshots nothing."""
+    server.shutdown()
 
 
 def _create(client: ServerClient, session_id: str, rows=ROWS):
@@ -165,6 +164,20 @@ def _boom(*args, **kwargs):
     raise OSError(28, "injected: no space left on device")
 
 
+class _NoTruncate:
+    """A WAL handle whose ``truncate`` fails: a failed append's bytes
+    cannot be cut back out."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def truncate(self, size=None):
+        raise OSError(5, "injected: truncate failed")
+
+
 def _current_wal(state_dir: Path, session_id: str) -> Path:
     directory = state_dir / "sessions" / session_id
     snapshots = sorted(directory.glob("snapshot-*.json"))
@@ -187,7 +200,6 @@ class TestDurableLifecycle:
                 "wal_records": 0,
                 "wal_bytes": 0,
                 "snapshot_bytes": snapshot.stat().st_size,
-                "dirty": False,
             }
         finally:
             server.shutdown()
@@ -323,23 +335,8 @@ class TestDurableLifecycle:
         finally:
             server.shutdown()
 
-    def test_graceful_shutdown_flushes_to_snapshot(self, tmp_path):
-        server, client = _boot(tmp_path)
-        _create(client, "a")
-        client.apply("a", _insert("qa", 9))
-        before = client.detect("a")
-        server.shutdown()  # graceful: close_all flushes the WAL tail
-        files = _session_files(tmp_path, "a")
-        assert files == ["snapshot-00000001.json"]
-
-        server2, client2 = _boot(tmp_path)
-        try:
-            assert _dump(client2.detect("a")) == _dump(before)
-        finally:
-            server2.shutdown()
-
     def test_unflushed_shutdown_leaves_the_wal_tail(self, tmp_path):
-        """``shutdown(flush=False)`` is the crash every other test here
+        """A graceful ``shutdown()`` is the crash every other test here
         simulates with: it must cut no snapshot generation, leave exactly
         the acknowledged records in the WAL, and stop serving."""
         server, client = _boot(tmp_path)
@@ -348,8 +345,10 @@ class TestDurableLifecycle:
         client.apply("a", _delete("ops", 3))
         before = client.detect("a")
         hosted = server.manager.get("a")
-        _crash(server)
+        server.shutdown()
         assert hosted.closed and hosted.journal._wal_handle is None
+        counters = server.manager.store.counters_snapshot()
+        assert counters["snapshots_total"] == 1  # the create's, no other
         assert _session_files(tmp_path, "a") == [
             "snapshot-00000000.json", "wal-00000000.log",
         ]
@@ -373,22 +372,100 @@ class TestDurableLifecycle:
 
 class TestEvictionAndColdSessions:
     def test_eviction_flushes_then_drops(self, tmp_path):
+        """Eviction closes the journal and drops the session: no snapshot,
+        the WAL tail stays, and the next touch replays it."""
         server, client = _boot(tmp_path, max_sessions=1)
         try:
             _create(client, "a")
             client.apply("a", _insert("qa", 9))
             before = client.detect("a")
-            _create(client, "b")  # evicts "a" (flush-then-drop)
+            _create(client, "b")  # evicts "a" (close-then-drop)
             assert {s["session"] for s in client.list_sessions()} == {"b"}
             assert client.cold_sessions() == ["a"]
+            assert _session_files(tmp_path, "a") == [
+                "snapshot-00000000.json", "wal-00000000.log",
+            ]
             # first touch rehydrates "a" transparently (and evicts "b")
             assert _dump(client.detect("a")) == _dump(before)
             assert client.cold_sessions() == ["b"]
             metrics = client.metrics()["durability"]
-            assert metrics["flushed_total"] >= 1
+            assert metrics["snapshots_total"] == 2  # the two creates'
             assert metrics["rehydrated_total"] == 1
         finally:
             server.shutdown()
+
+    def test_eviction_churn_writes_only_the_cadence_snapshots(self, tmp_path):
+        """Two durable sessions evict each other on every write; the
+        snapshots written are the two creates' and the cadence snapshots
+        the byte rule calls for — as many as a twin that never evicts
+        writes — and both rehydrate to the twin's detect and undo table."""
+        churn = _core(tmp_path / "churn", max_sessions=1)
+        twin = _core(tmp_path / "twin", max_sessions=2)
+        try:
+            for core in (churn, twin):
+                _create_in(core, "a")
+                _create_in(core, "b")
+                for floor in range(12):
+                    for session_id in ("a", "b"):
+                        status, document = _call(
+                            core, "POST", f"/sessions/{session_id}/apply",
+                            _insert(session_id, floor),
+                        )
+                        assert status == 200, document
+            assert churn.manager.evicted_total >= 20  # each one >= 10 times
+            assert twin.manager.evicted_total == 0
+            churned, cadenced = (
+                core.manager.store.counters_snapshot()["snapshots_total"]
+                for core in (churn, twin)
+            )
+            assert churned == cadenced > 2
+            for session_id in ("a", "b"):
+                assert _state(churn, session_id) == _state(twin, session_id)
+            assert churn.manager.store.counters_snapshot()["rehydrated_total"] > 20
+        finally:
+            churn.manager.close_all()
+            twin.manager.close_all()
+
+    def test_a_blocked_journal_snapshots_at_close(self, tmp_path, monkeypatch):
+        """An apply whose ``fdatasync`` and ``truncate`` both fail leaves a
+        whole frame in a blocked WAL while memory rolls the apply back.
+        Closing snapshots that memory, so the rehydrated session is the
+        live, rolled-back one: the stray record never replays."""
+        # fsync on: the append's fdatasync is the call that fails
+        manager = SessionManager(state_dir=tmp_path)
+        core = ServiceCore(manager, ServerMetrics(), 0)
+        recovered = None
+        try:
+            _create_in(core, "a")
+            _call(core, "POST", "/sessions/a/apply", _insert("qa", 9))
+            before = _state(core, "a")
+            journal = manager.get("a").journal
+            journal._wal_handle = _NoTruncate(journal._wal_handle)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fdatasync", _boom, raising=False)
+                status, document = _call(
+                    core, "POST", "/sessions/a/apply", _insert("hr", 4)
+                )
+            assert status == 500, document
+            assert journal.blocked is not None
+            assert _state(core, "a") == before
+            records, _ = wal_records_from_bytes(
+                _current_wal(tmp_path, "a").read_bytes()
+            )
+            assert [r["token"] for r in records] == ["undo-1", "undo-2"]
+            snapshots = manager.store.counters_snapshot()["snapshots_total"]
+            manager.close_all()
+            assert manager.store.counters_snapshot()["snapshots_total"] == (
+                snapshots + 1
+            )
+            assert _session_files(tmp_path, "a") == ["snapshot-00000001.json"]
+
+            recovered = _core(tmp_path)
+            assert _state(recovered, "a") == before
+        finally:
+            manager.close_all()
+            if recovered is not None:
+                recovered.manager.close_all()
 
     def test_delete_purges_cold_session(self, tmp_path):
         server, client = _boot(tmp_path, max_sessions=1)
@@ -434,8 +511,9 @@ class TestEvictionAndColdSessions:
     ):
         """Rehydrating a session whose cadence snapshot failed before the
         crash evicts another one; with every snapshot failing, both still
-        answer, no eviction tombstone is left for a resolver to wait on
-        forever, and the outweighing tail is folded by the next write."""
+        answer, no eviction so much as tries a snapshot, no eviction
+        tombstone is left for a resolver to wait on forever, and the
+        outweighing tail is folded by the next write."""
         core = _core(tmp_path)
         recovered = None
         try:
@@ -455,7 +533,7 @@ class TestEvictionAndColdSessions:
             for floor in (7, 8):
                 _call(core, "POST", "/sessions/b/apply", _insert("hr", floor))
             before = {sid: _state(core, sid) for sid in ("a", "b")}
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
 
             recovered = _core(tmp_path, max_sessions=1)
             monkeypatch.setattr(SessionJournal, "write_snapshot", _boom)
@@ -471,7 +549,8 @@ class TestEvictionAndColdSessions:
                 assert states == [before[session_id]]
                 assert recovered.manager._evicting == {}
             counters = recovered.manager.store.counters_snapshot()
-            assert counters["snapshot_failures_total"] >= 3
+            assert recovered.manager.evicted_total >= 3
+            assert counters["snapshot_failures_total"] == 0
             monkeypatch.undo()
 
             hosted = recovered.manager.get("a")
@@ -484,9 +563,9 @@ class TestEvictionAndColdSessions:
             assert hosted.journal.generation == generation + 1
             assert (hosted.journal.wal_records, hosted.journal.wal_bytes) == (0, 0)
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
             if recovered is not None:
-                recovered.manager.close_all(flush=False)
+                recovered.manager.close_all()
 
 
 class TestTornTail:
@@ -716,6 +795,34 @@ class TestSigkillSubprocess:
             proc2.wait(timeout=30)
             proc2.stderr.close()
 
+    def test_sigterm_stops_like_ctrl_c_then_restart_recovers(self, tmp_path):
+        """SIGTERM, the stop a supervisor sends, drains and closes as
+        Ctrl-C does: exit 0, no traceback, and the next process serves
+        the same detect."""
+        proc, client = self._spawn(tmp_path)
+        try:
+            _create(client, "t")
+            client.apply("t", _insert("qa", 9))
+            before = client.detect("t")
+            proc.send_signal(signal.SIGTERM)
+            returncode = proc.wait(timeout=10)
+            stderr = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stderr.close()
+        assert returncode == 0
+        assert "Traceback" not in stderr, stderr
+
+        proc2, client2 = self._spawn(tmp_path)
+        try:
+            assert _dump(client2.detect("t")) == _dump(before)
+        finally:
+            proc2.terminate()
+            proc2.wait(timeout=30)
+            proc2.stderr.close()
+
 
 class TestSessionIdConfinement:
     """'.'/'..' are directory syntax, not session names: they must map to
@@ -873,14 +980,14 @@ class TestJournalFailure:
             monkeypatch.undo()
             assert status == 500, error
             assert _state(core, "a") == before
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
 
             recovered = _core(tmp_path)
             assert _state(recovered, "a") == before
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
             if recovered is not None:
-                recovered.manager.close_all(flush=False)
+                recovered.manager.close_all()
 
     def test_a_rolled_back_delete_keeps_its_row_in_place(self, tmp_path):
         """Rolling a delete back revives the row where it was: re-adding
@@ -900,14 +1007,14 @@ class TestJournalFailure:
             status, delta = _call(core, "POST", "/sessions/a/apply", _delete("eng", 1))
             assert status == 200 and delta["remaining"] == 0, delta
             before = _state(core, "a")
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
 
             recovered = _core(tmp_path)
             assert _state(recovered, "a") == before
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
             if recovered is not None:
-                recovered.manager.close_all(flush=False)
+                recovered.manager.close_all()
 
     @pytest.mark.parametrize("durable", [True, False], ids=["durable", "in-memory"])
     @pytest.mark.parametrize("verb", ["apply", "undo"])
@@ -940,13 +1047,13 @@ class TestJournalFailure:
             assert core.manager.get("a").info()["relations"] == {"emp": 4}
             assert _state(core, "a") == before
             if durable:
-                core.manager.close_all(flush=False)
+                core.manager.close_all()
                 recovered = _core(tmp_path)
                 assert _state(recovered, "a") == before
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
             if recovered is not None:
-                recovered.manager.close_all(flush=False)
+                recovered.manager.close_all()
 
     def test_failed_fsync_truncates_partial_record(self, tmp_path, monkeypatch):
         store = SessionStore(tmp_path)
@@ -1247,7 +1354,7 @@ class TestSnapshotWriter:
                 ]
                 assert counter == 3
             finally:
-                manager.close_all(flush=False)
+                manager.close_all()
 
     def test_a_snapshot_from_the_sharded_engine_still_rehydrates(self, tmp_path):
         """A format-1 snapshot an older server wrote for an
@@ -1275,9 +1382,15 @@ class TestSnapshotWriter:
                 offline_detect(session)
             )
             assert client.session_info("old")["executor"] == "indexed"
-            client.apply("old", _insert("qa", 9))
+            # one write that outweighs the snapshot cuts the next generation
+            client.apply("old", {"ops": [
+                {"op": "insert", "relation": "emp",
+                 "row": {"dept": f"bulk{i}", "floor": i}}
+                for i in range(100)
+            ]})
+            assert client.session_info("old")["durability"]["generation"] == 1
         finally:
-            server.shutdown()  # the flush writes the next generation
+            server.shutdown()
         newest = sorted(directory.glob("snapshot-*.json"))[-1]
         rewritten = json.loads(newest.read_text(encoding="utf-8"))
         assert newest != journal._snapshot_path(0)
@@ -1477,7 +1590,7 @@ class TestSnapshotCadence:
                     ).stat().st_size
                 assert journal.snapshot_bytes == snapshot.stat().st_size
             live = _state(core, "c")
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
 
             # what a crash leaves: all but the last record weigh less than
             # the newest snapshot
@@ -1493,9 +1606,9 @@ class TestSnapshotCadence:
                 tail, snapshot.stat().st_size
             )
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
             if recovered is not None:
-                recovered.manager.close_all(flush=False)
+                recovered.manager.close_all()
             shutil.rmtree(state_dir, ignore_errors=True)
 
 
@@ -1616,14 +1729,14 @@ class TestLiveEqualsRehydrated:
                     # an error means the write is in neither memory nor disk
                     assert _state(core, "h") == before, (verb, status, document)
             live = _state(core, "h")
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
 
             recovered = _core(state_dir)
             assert _state(recovered, "h") == live
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
             if recovered is not None:
-                recovered.manager.close_all(flush=False)
+                recovered.manager.close_all()
             shutil.rmtree(state_dir, ignore_errors=True)
 
     def test_a_token_that_skips_an_ordinal_fails_rehydration(self, tmp_path):
@@ -1636,7 +1749,7 @@ class TestLiveEqualsRehydrated:
             _call(core, "POST", "/sessions/a/apply", _insert("qa", 9))
             _call(core, "POST", "/sessions/a/apply", _insert("hr", 4))
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
         wal = _current_wal(tmp_path, "a")
         records, _ = wal_records_from_bytes(wal.read_bytes())
         assert [record["token"] for record in records] == ["undo-1", "undo-2"]
@@ -1652,7 +1765,7 @@ class TestLiveEqualsRehydrated:
                 manager.get("a")
             assert manager.cold_session_ids() == ["a"]
         finally:
-            manager.close_all(flush=False)
+            manager.close_all()
 
     def test_a_state_dir_from_before_the_move_rehydrates_unchanged(self, tmp_path):
         """``tests/data/format1_state`` was written by the server whose
@@ -1675,4 +1788,4 @@ class TestLiveEqualsRehydrated:
             durability = hosted.info()["durability"]
             assert (durability["generation"], durability["wal_records"]) == (1, 4)
         finally:
-            core.manager.close_all(flush=False)
+            core.manager.close_all()
