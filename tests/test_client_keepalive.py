@@ -179,23 +179,36 @@ def test_prometheus_metrics_has_every_endpoints_errors_and_retries():
     assert all(b"Accept: text/plain" in r for r in peer.requests)
 
 
-def test_a_stopped_servers_parked_connection_is_seen_stale():
+@pytest.mark.parametrize("durable", [True, False])
+def test_a_stopped_servers_parked_connection_is_seen_stale(durable, tmp_path):
     """The stop closed the parked connection (PR 20's drain); the probe
     reads that EOF, so the next request dials the new server instead of
-    failing once on a dead socket — ``retries=0`` throughout."""
-    first = make_server(port=0)
+    failing once on a dead socket — ``retries=0`` throughout.  A durable
+    server's stop closes its sessions' journals on the way, and the
+    restarted one lists the session as cold over the same connection."""
+    state_dir = tmp_path if durable else None
+    first = make_server(port=0, state_dir=state_dir, fsync=False)
     first.start_background()
     port = first.server_address[1]
     client = ServerClient(base_url=first.base_url, retries=0)
     assert client.healthz().status == "ok"
+    if durable:
+        client.create_session(
+            schema=SCHEMA_DOC, rules=RULES_DOC, data={"emp": []},
+            session_id="s",
+        )
+        client.apply("s", INSERT)
     first.shutdown()
-    second = make_server(port=port)
+    second = make_server(port=port, state_dir=state_dir, fsync=False)
     second.start_background()
     try:
         assert client.healthz().status == "ok"
         assert _accepted(second) == 1
         assert client.healthz().status == "ok"
         assert _accepted(second) == 1
+        if durable:
+            assert client.cold_sessions() == ["s"]
+            assert _accepted(second) == 1
     finally:
         second.shutdown()
 

@@ -989,10 +989,30 @@ class TestGracefulStop:
         assert response.status == 200
         return conn
 
-    def test_idle_keep_alive_connections_stop_quietly(self, capfd, caplog):
-        server = make_server(port=0)
+    @pytest.mark.parametrize("durable", [True, False])
+    def test_idle_keep_alive_connections_stop_quietly(
+        self, durable, tmp_path, capfd, caplog
+    ):
+        """A durable server's stop also closes its sessions' journals; that
+        must leave the connection wind-down just as quiet and quick."""
+        server = make_server(
+            port=0, state_dir=tmp_path if durable else None, fsync=False
+        )
         server.start_background()
         conns = [self._idle_connection(server) for _ in range(3)]
+        if durable:
+            conns[0].request(
+                "POST", "/v1/sessions",
+                body=json.dumps({
+                    "schema": SCHEMA_DOC, "rules": RULES_DOC,
+                    "data": {"emp": ROWS}, "id": "idle",
+                }).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conns[0].getresponse()
+            response.read()
+            assert response.status == 201
+            hosted = server.manager.get("idle")
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", ResourceWarning)
@@ -1007,6 +1027,8 @@ class TestGracefulStop:
             assert capfd.readouterr().err == ""
             assert [str(w.message) for w in caught] == []
             assert not server._handlers and not server._parked
+            if durable:
+                assert hosted.closed and hosted.journal._wal_handle is None
             # the server hung up: each client reads EOF, not a timeout
             for conn in conns:
                 assert conn.sock.recv(1) == b""

@@ -335,6 +335,37 @@ class TestDurableLifecycle:
         finally:
             server.shutdown()
 
+    def test_graceful_shutdown_flushes_to_snapshot(self, tmp_path, monkeypatch):
+        """The one journal a graceful ``shutdown()`` still snapshots is a
+        blocked one: its WAL holds a frame memory rolled back, so the
+        stop writes memory down and the restart serves the rolled-back
+        state, never the stray record."""
+        server, client = _boot(tmp_path)  # fsync on: fdatasync can fail
+        try:
+            _create(client, "a")
+            client.apply("a", _insert("qa", 9))
+            before = client.detect("a")
+            journal = server.manager.get("a").journal
+            journal._wal_handle = _NoTruncate(journal._wal_handle)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fdatasync", _boom, raising=False)
+                with pytest.raises(ServerError) as err:
+                    ServerClient(base_url=server.base_url, retries=0).apply(
+                        "a", _insert("hr", 4)
+                    )
+            assert err.value.status == 500
+            assert journal.blocked is not None
+            assert _dump(client.detect("a")) == _dump(before)
+        finally:
+            server.shutdown()
+        assert _session_files(tmp_path, "a") == ["snapshot-00000001.json"]
+
+        server2, client2 = _boot(tmp_path)
+        try:
+            assert _dump(client2.detect("a")) == _dump(before)
+        finally:
+            server2.shutdown()
+
     def test_unflushed_shutdown_leaves_the_wal_tail(self, tmp_path):
         """A graceful ``shutdown()`` is the crash every other test here
         simulates with: it must cut no snapshot generation, leave exactly
