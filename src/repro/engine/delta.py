@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
 from itertools import count
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as PyTuple
@@ -419,8 +418,8 @@ class DeltaStats:
         self.fallback_rescans = 0
         #: detects answered from the maintained set (no executor run)
         self.reports_served = 0
-        #: whole-state rebuilds: a failed apply, a store compaction under
-        #: the layouts, an explicit ``refresh()``
+        #: whole-state rebuilds: ``settle`` after a rollback that moved
+        #: rows (a failed apply) or a compaction, an explicit ``refresh()``
         self.rebuilds = 0
         #: scan states filled tuple by tuple because no layout could be
         #: their base (numpy absent)
@@ -1156,6 +1155,8 @@ class DeltaEngine:
     def _build(self) -> None:
         """(Re)derive all maintained state from the current instance."""
         db, plan, stats = self._db, self._plan, self.stats
+        # no relation is current until the build completes
+        self._versions: Dict[str, int] = {}
         # Arrival numbers: one map per relation whose tuples witness a
         # maintained violation (scan relations, inclusion sources), shared
         # by every state.  Relation order is insertion order with a
@@ -1214,9 +1215,7 @@ class DeltaEngine:
         self.report_epoch = next(_REPORT_EPOCHS)
         #: (epoch, the sorted list) of the last ``ordered_violations()``
         self._ordered: Optional[PyTuple[int, List[Violation]]] = None
-        self._versions: Dict[str, int] = {
-            rel.schema.name: rel.version for rel in db
-        }
+        self._versions = {rel.schema.name: rel.version for rel in db}
 
     def _compaction_count(self) -> int:
         """Total ``ColumnStore.compactions`` over the database."""
@@ -1343,46 +1342,37 @@ class DeltaEngine:
         self.stats.rebuilds += 1
         self._build()
 
+    def settle(self) -> None:
+        """Rebuild iff rows moved under the engine: a relation version it
+        did not apply itself (a rollback), or a compaction (renumbered
+        rows).  A rebuild that raises leaves the engine stale for good
+        (``_build``), for its owner to drop."""
+        if not self.is_current() or self._compaction_count() != self._compactions:
+            self.refresh()
+
     def apply(self, changeset: Changeset) -> ViolationDelta:
         """Apply the batch to the database and return the violation delta.
 
-        If the changeset fails mid-application (e.g. an update targeting an
-        absent tuple), ``apply_to`` puts every row back where it was; the
-        relation versions have moved all the same, so the engine rebuilds
-        its maintained state before re-raising (as it does should the
-        maintenance itself raise) — the database and the violation set stay
-        consistent either way.
-
-        The scan states address base rows by id, and a batch is patched
-        after it is applied, so the column stores hold their compaction
-        until the patch is done (the delta is the one an engine whose store
-        was nowhere near compacting reports, list for list).  If one then
-        compacts — the row ids are renumbered — the engine rebuilds: a
-        build costs what the violations cost, not the relation.
+        One transaction: the edit and its maintenance run under one
+        :meth:`DatabaseInstance.savepoint`.  If either raises (an update
+        targeting an absent tuple, a dependency's check), every row goes
+        back where it was before the error propagates, and :meth:`settle`
+        rebuilds iff one had moved.  The scan states address base rows by
+        id, and a batch is patched after it is applied, so the savepoint
+        also holds compaction until the patch is done (the delta is the
+        one an engine whose store was nowhere near compacting reports,
+        list for list); if a store then compacts, :meth:`settle` rebuilds.
         """
         self._check_versions()
         try:
-            with self._rows_pinned():
-                delta = self._maintain(changeset.apply_to(self._db))
-        except Exception:
-            self.refresh()
-            raise
-        if self._compaction_count() != self._compactions:
-            self.refresh()
-        return delta
-
-    @contextmanager
-    def _rows_pinned(self) -> Iterator[None]:
-        """Hold every column store's compaction for the duration; what fell
-        due meanwhile runs on the way out."""
-        for store in self._stores:
-            store.pinned = True
-        try:
-            yield
+            with self._db.savepoint() as savepoint:
+                try:
+                    return self._maintain(changeset.apply_to(self._db))
+                except BaseException:
+                    savepoint.rollback()
+                    raise
         finally:
-            for store in self._stores:
-                store.pinned = False
-                store.compact_if_due()
+            self.settle()
 
     def _maintain(
         self, effective: Dict[str, List[PyTuple[str, Tuple]]]

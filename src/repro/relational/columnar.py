@@ -95,7 +95,6 @@ class ColumnStore:
         "cache",
         "dead",
         "compactions",
-        "pinned",
         "edits",
     )
 
@@ -122,11 +121,8 @@ class ColumnStore:
         self.cache: List[Optional[Tuple]] = []
         self.dead = 0
         #: how many times ``_compact`` renumbered the rows; whoever holds
-        #: row indices across edits (the delta engine) compares it …
+        #: row indices across edits (the delta engine) compares it
         self.compactions = 0
-        #: … and sets this while a batch of edits must not move them:
-        #: ``kill_row`` then leaves compaction to ``compact_if_due()``
-        self.pinned = False
         #: while a savepoint is open (``DatabaseInstance.savepoint``): the
         #: rows appended ``(row, None, None)`` and killed ``(row, codes,
         #: cached Tuple)`` since, which :meth:`rollback` puts back; it holds
@@ -395,16 +391,14 @@ class ColumnStore:
         return added
 
     def kill_row(self, codes: PyTuple[int, ...], row: int) -> None:
-        """Mark a live row dead (O(1)); compact when dead rows dominate
-        (unless ``pinned``)."""
+        """Mark a live row dead (O(1)); compact when dead rows dominate."""
         if self.edits is not None:
             self.edits.append((row, codes, self.cache[row]))
         self._delete_slot(codes, row)
         self.alive[row] = 0
         self.cache[row] = None
         self.dead += 1
-        if not self.pinned:
-            self.compact_if_due()
+        self.compact_if_due()
 
     def compact_if_due(self) -> None:
         """Compact once dead rows dominate (see ``COMPACT_MIN_DEAD``),
@@ -563,7 +557,6 @@ class ColumnStore:
         clone.cache = list(self.cache)
         clone.dead = self.dead
         clone.compactions = self.compactions
-        clone.pinned = False
         clone.edits = None
         return clone
 

@@ -468,23 +468,15 @@ class Savepoint:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def rollback(self) -> bool:
-        """Undo every append and delete since the savepoint opened;
-        returns whether there was any."""
-        changed = False
+    def rollback(self) -> None:
+        """Undo every append and delete since the savepoint opened; a
+        relation that had any moves to a new version."""
         for relation, mark in self._marks:
             if relation._store.rollback(mark):
                 relation._version += 1
-                changed = True
-        return changed
 
-    def close(self) -> bool:
-        """Stop logging; returns whether a compaction it held ran."""
-        compacted = False
+    def close(self) -> None:
+        """Stop logging, and run the compaction held meanwhile if due."""
         for store in self._opened:
             store.edits = None
-            if not store.pinned:
-                before = store.compactions
-                store.compact_if_due()
-                compacted = compacted or store.compactions != before
-        return compacted
+            store.compact_if_due()

@@ -307,8 +307,8 @@ class HostedSession:
         saved = self.undo_state()
         with self.session.savepoint() as savepoint:
             try:
-                # the engine's own rollback covers a failed edit, not a
-                # failed maintenance: that refreshes onto the edited rows
+                # the engine rolls a failed edit or maintenance back
+                # itself; this savepoint covers a failed journal write
                 delta = self.session.apply(changeset)
                 token = self.remember_undo(delta.undo)
                 # the canonical changeset (not the request body) replays

@@ -47,7 +47,7 @@ from repro.cfd.model import CFD, fd_as_cfd
 from repro.deps.base import Dependency, Violation
 from repro.deps.fd import FD
 from repro.engine.config import EXECUTOR, check_executor
-from repro.engine.delta import Changeset, DeltaEngine, ViolationDelta
+from repro.engine.delta import Changeset, DeltaEngine, StaleEngineError, ViolationDelta
 from repro.errors import RepairError, ReproError, SchemaError
 from repro.relational.csvio import dump_csv, load_csv
 from repro.relational.instance import DatabaseInstance, Savepoint
@@ -501,9 +501,28 @@ class Session:
     # -- incremental maintenance -----------------------------------------
 
     def apply(self, changeset: Changeset) -> ViolationDelta:
-        """Apply a batch of edits through the delta engine (PR 2 semantics:
-        returns added/removed violations plus the undo changeset)."""
-        return self.engine.apply(changeset)
+        """Apply a batch of edits through the delta engine; returns the
+        added/removed violations plus the undo changeset.  Atomic: a failed
+        batch leaves the rows as they were, and an engine whose rebuild
+        then raised is dropped (a stale one is still reported)."""
+        try:
+            return self.engine.apply(changeset)
+        except StaleEngineError:
+            raise
+        except BaseException:
+            self._settle_engine()
+            raise
+
+    def _settle_engine(self) -> None:
+        """:meth:`DeltaEngine.settle` the warm engine; one whose rebuild
+        raises is half-built, so it is dropped and the next ``apply``
+        builds a fresh one."""
+        engine = self._engine
+        if engine is not None:
+            try:
+                engine.settle()
+            except Exception:
+                self._engine = None
 
     def savepoint(self) -> "SessionSavepoint":
         """A :class:`Savepoint` over the session's database that keeps the
@@ -639,11 +658,9 @@ class Session:
 
 class SessionSavepoint(Savepoint):
     """A :class:`Savepoint` over a session's database that keeps the
-    session's delta engine right.  The engine has seen the edits, so a
-    rollback that undid any rebuilds it, as a failed ``apply`` does (its
-    counters carry on; a failed ``apply`` that put its rows back itself
-    costs one rebuild, not two); it addresses rows by id, so a compaction
-    the savepoint held, run when it closes, rebuilds it too."""
+    session's delta engine right: its rollback and its close (which runs
+    the compaction it held) rebuild the engine iff rows moved under it
+    (:meth:`DeltaEngine.settle`), and drop one whose rebuild raises."""
 
     __slots__ = ("_session",)
 
@@ -651,16 +668,10 @@ class SessionSavepoint(Savepoint):
         super().__init__(session.database)
         self._session = session
 
-    def rollback(self) -> bool:
-        changed = super().rollback()
-        engine = self._session._engine
-        if changed and engine is not None:
-            engine.refresh()
-        return changed
+    def rollback(self) -> None:
+        super().rollback()
+        self._session._settle_engine()
 
-    def close(self) -> bool:
-        compacted = super().close()
-        engine = self._session._engine
-        if compacted and engine is not None:
-            engine.refresh()
-        return compacted
+    def close(self) -> None:
+        super().close()
+        self._session._settle_engine()

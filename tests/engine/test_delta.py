@@ -10,10 +10,16 @@ import pytest
 
 from repro.cfd.model import CFD, UNNAMED
 from repro.cind.model import CIND
+from repro.deps.base import Dependency
 from repro.deps.denial import fd_as_denial
 from repro.deps.fd import FD
 from repro.deps.ind import IND
-from repro.engine.delta import Changeset, DeltaEngine, StaleEngineError
+from repro.engine.delta import (
+    Changeset,
+    DeltaEngine,
+    StaleEngineError,
+    violation_sequence,
+)
 from repro.engine.executor import detect_violations_indexed
 from repro.errors import DependencyError, DomainError
 from repro.relational.columnar import ColumnStore
@@ -43,6 +49,26 @@ def _assert_in_sync(engine, db, deps):
     assert _counts(engine.violations()) == _counts(
         detect_violations_indexed(db, deps).violations
     )
+
+
+class RaisingCheck(Dependency):
+    """A test-only dependency with no scan tasks — the delta engine re-runs
+    its ``violations()`` whenever a batch touches its relation, and so
+    does every build — that finds nothing, and raises on each of the
+    next ``failures`` calls."""
+
+    def __init__(self, relation: str) -> None:
+        self.relation = relation
+        self.failures = 0
+
+    def relations(self):
+        return (self.relation,)
+
+    def violations(self, db):
+        if self.failures:
+            self.failures -= 1
+            raise RuntimeError("injected: a dependency check failed")
+        return iter(())
 
 
 class TestChangeset:
@@ -243,6 +269,42 @@ class TestFallbackAndGuards:
         delta = engine.apply(Changeset().insert("R", ("a", "y", "2")))
         assert len(delta.added) == 1
         _assert_in_sync(engine, db, deps)
+
+    @pytest.mark.parametrize(
+        "failure, rebuilds",
+        [("first-op", 0), ("maintenance", 1)],
+    )
+    def test_a_failed_apply_rebuilds_iff_rows_moved(self, failure, rebuilds):
+        """A failed batch — its edit or its maintenance — is one
+        transaction: every row goes back in place, the report comes back
+        list for list, and the engine rebuilds once iff a row had moved
+        under it: a batch whose first op fails moved none (one failing
+        later is ``test_partition_overlay``'s counters test)."""
+        check = RaisingCheck("R")
+        deps = [FD("R", ["A"], ["B"]), IND("R", ["A"], "S", ["X"]), check]
+        db = _db([("a", "x", "1"), ("a", "y", "2"), ("b", "x", "3")], [("a", "p")])
+        engine = DeltaEngine(db, deps)
+        engine.apply(Changeset().insert("R", ("c", "z", "4")))
+        relation = db.relation("R")
+        rows = relation.tuples()
+        report = violation_sequence(engine.ordered_violations())
+        assert len(report) == 3
+        ghost = Tuple(relation.schema, ("q", "q", "q"))
+        if failure == "maintenance":
+            bad = Changeset().delete("R", rows[0]).insert("R", ("b", "w", "5"))
+            check.failures, error = 1, RuntimeError
+        else:
+            bad = Changeset().update("R", ghost, B="z").insert("R", ("b", "w", "5"))
+            error = KeyError
+        with pytest.raises(error):
+            engine.apply(bad)
+        assert engine.stats.rebuilds == rebuilds and engine.is_current()
+        assert all(a is b for a, b in zip(relation.tuples(), rows, strict=True))
+        assert violation_sequence(engine.ordered_violations()) == report
+        engine.apply(Changeset().delete("R", rows[1]))
+        assert violation_sequence(engine.ordered_violations()) == violation_sequence(
+            detect_violations_indexed(db, deps).violations
+        )
 
     def test_external_mutation_detected(self):
         db = _db([("a", "x", "1")])

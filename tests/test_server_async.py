@@ -1165,21 +1165,24 @@ def test_served_bytes_equal_the_in_process_core():
     server = make_server(port=0)
     server.start_background()
     try:
-        for index, (method, path, body) in enumerate(_history()):
-            payload = b"" if body is None else json.dumps(body).encode("utf-8")
-            reference = core.handle(
-                method, path, lambda: parse_body_bytes(payload)
-            )
-            status, headers, raw = _raw(server.base_url, method, path, body)
-            context = f"step {index}: {method} {path}"
-            assert status == reference.status, context
-            _assert_same_bytes(context, reference.body, raw)
-            _assert_wire_contract(context, headers, raw)
-            assert headers.get("Content-Type") == reference.content_type, context
-            # the core renders status, content type and body — nothing else
-            # (the pre-/v1 redirect was the one response with more)
-            assert "Location" not in headers, context
-            assert "Deprecation" not in headers, context
+        # a switch interval no edit reaches: every edit after a session's
+        # first runs inline, however slow the machine
+        with _switch_interval(1.0):
+            for index, (method, path, body) in enumerate(_history()):
+                payload = b"" if body is None else json.dumps(body).encode("utf-8")
+                reference = core.handle(
+                    method, path, lambda: parse_body_bytes(payload)
+                )
+                status, headers, raw = _raw(server.base_url, method, path, body)
+                context = f"step {index}: {method} {path}"
+                assert status == reference.status, context
+                _assert_same_bytes(context, reference.body, raw)
+                _assert_wire_contract(context, headers, raw)
+                assert headers.get("Content-Type") == reference.content_type, context
+                # the core renders status, content type and body — nothing
+                # else (the pre-/v1 redirect was the one response with more)
+                assert "Location" not in headers, context
+                assert "Deprecation" not in headers, context
         # the undo, the reused-token 400 and the bad-ops 400 ran on the
         # loop, the first apply on the pool: both paths matched the core
         inline, pooled = _edit_counts(server)

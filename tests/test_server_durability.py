@@ -29,15 +29,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cfd.detect import detect_violations
 from repro.client import ServerClient, ServerError
-from repro.engine.delta import Changeset, DeltaEngine
+from repro.deps.fd import FD
+from repro.engine.delta import Changeset, DeltaEngine, violation_sequence
 from repro.errors import ReproError
 from repro.registry import wal_record_to_bytes, wal_records_from_bytes
+from repro.relational.instance import DatabaseInstance
+from repro.rules_json import database_schema_from_dict
 from repro.server import MAX_UNDO_TOKENS, SessionStore, make_server
 from repro.server.core import ServiceCore, body_reader
 from repro.server.durability import _SNAPSHOT_CHUNK_ROWS, SessionJournal
-from repro.server.hosting import ServerMetrics, SessionManager
+from repro.server.hosting import HostedSession, ServerMetrics, SessionManager
+from repro.session import Session
 from repro.workloads.soak import canonical
+
+from tests.engine.test_delta import RaisingCheck
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -1052,10 +1059,10 @@ class TestJournalFailure:
     def test_a_failed_maintenance_keeps_no_edit(
         self, tmp_path, monkeypatch, verb, durable
     ):
-        """The delta engine puts the rows back when the edit fails, not
-        when its violation maintenance does (it refreshes onto the edited
-        rows); the write's own rollback covers that too, so the 500 leaves
-        the rows, the report and the undo table as they were."""
+        """A failed violation maintenance is rolled back with its edit, in
+        the delta engine's own transaction: the 500 leaves the rows, the
+        report and the undo table as they were, and the engine rebuilt
+        once — the write's rollback finds nothing left to put back."""
         core = (
             _core(tmp_path)
             if durable
@@ -1067,6 +1074,8 @@ class TestJournalFailure:
             status, delta = _call(core, "POST", "/sessions/a/apply", _insert("qa", 9))
             assert status == 200, delta
             before = _state(core, "a")
+            engine = core.manager.get("a").session.warm_engine
+            rebuilds = engine.stats.rebuilds
             if verb == "apply":
                 path, body = "/sessions/a/apply", _delete("eng", 1)
             else:
@@ -1075,6 +1084,8 @@ class TestJournalFailure:
             status, error = _call(core, "POST", path, body)
             monkeypatch.undo()
             assert status == 500, error
+            assert core.manager.get("a").session.warm_engine is engine
+            assert engine.stats.rebuilds == rebuilds + 1
             assert core.manager.get("a").info()["relations"] == {"emp": 4}
             assert _state(core, "a") == before
             if durable:
@@ -1085,6 +1096,47 @@ class TestJournalFailure:
             core.manager.close_all()
             if recovered is not None:
                 recovered.manager.close_all()
+
+    def test_a_rollback_whose_rebuild_raises_drops_the_engine(self):
+        """A journal failure rolls the write back, and the engine must
+        rebuild under the restored rows; when that rebuild raises too, the
+        session drops the engine instead of the rollback raising, so the
+        undo table is restored, the client sees the journal's error, and
+        the next write builds a fresh engine."""
+        check = RaisingCheck("emp")
+
+        class Journal:
+            blocked = None
+            wal_bytes, snapshot_bytes = 0, 1 << 30
+
+            def log_apply(self, *args):
+                check.failures = 99  # every rebuild from here on raises
+                raise OSError(28, "injected: no space left on device")
+
+        db = DatabaseInstance(database_schema_from_dict(SCHEMA_DOC))
+        for row in ROWS:
+            db.relation("emp").add(row)
+        rules = [FD("emp", ["dept"], ["floor"]), check]
+        hosted = HostedSession("a", Session.from_instance(db, rules))
+        hosted.apply(Changeset().insert("emp", {"dept": "qa", "floor": 9}))
+        hosted.journal = Journal()
+        relation = db.relation("emp")
+        rows = relation.tuples()
+        report = violation_sequence(hosted.session.detect().violations)
+        undo = hosted.undo_state()
+        with pytest.raises(OSError):
+            hosted.apply(Changeset().delete("emp", rows[0]))
+        assert hosted.session.warm_engine is None
+        assert hosted.undo_state() == undo
+        assert all(a is b for a, b in zip(relation.tuples(), rows, strict=True))
+        check.failures = 0
+        assert violation_sequence(hosted.session.detect().violations) == report
+        hosted.journal = None
+        hosted.apply(Changeset().delete("emp", rows[0]))
+        assert hosted.session.warm_engine.is_current()
+        assert violation_sequence(hosted.session.detect().violations) == (
+            violation_sequence(detect_violations(db, rules).violations)
+        )
 
     def test_failed_fsync_truncates_partial_record(self, tmp_path, monkeypatch):
         store = SessionStore(tmp_path)
@@ -1646,6 +1698,110 @@ class TestSnapshotCadence:
 # --------------------------------------------------------------------------
 # One write path: a rehydrated session is the live one
 # --------------------------------------------------------------------------
+
+
+class TestFailedWritesLeaveNoTrace:
+    """A served apply that fails — at its k-th op, in its violation
+    maintenance, or in its journal's ``fdatasync`` — leaves the rows, the
+    detect list and the undo table as they were, rebuilds the delta
+    engine once at most, and the next successful apply reads as a fresh
+    detect."""
+
+    DEPTS = ("eng", "ops", "qa", "hr")
+    OPS = st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "update"]),
+            st.integers(min_value=0, max_value=15),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+    FAILURES = st.one_of(
+        st.none(),
+        st.sampled_from(["maintenance", "journal"]),
+        st.integers(min_value=0, max_value=6),  # an absent update at op k
+    )
+
+    @classmethod
+    def _op(cls, kind: str, pick: int):
+        row = {"dept": cls.DEPTS[pick % 4], "floor": (pick // 4) % 4}
+        op = {"op": kind, "relation": "emp", "row": row}
+        if kind == "update":
+            op["cells"] = {"floor": (row["floor"] + 1) % 4}
+        return op
+
+    @staticmethod
+    def _seen(session):
+        """The rows (as ``Tuple`` objects) and the detect list."""
+        return (
+            session.database.relation("emp").tuples(),
+            violation_sequence(session.detect().violations),
+        )
+
+    @given(steps=st.lists(st.tuples(OPS, FAILURES), min_size=1, max_size=8))
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_a_failed_apply_leaves_no_trace(self, steps):
+        from repro.engine.delta import _ScanState
+
+        state_dir = Path(tempfile.mkdtemp(prefix="repro-failed-write-"))
+        manager = SessionManager(state_dir=state_dir, fsync=True)
+        core = ServiceCore(manager, ServerMetrics(), 0)
+        maintain = _ScanState.apply
+
+        def broken(state, *args):
+            maintain(state, *args)  # a half-patched state, then the error
+            raise RuntimeError("injected: maintenance failed")
+
+        try:
+            status, document = _call(core, "POST", "/sessions", {
+                "id": "h", "schema": SCHEMA_DOC, "rules": RULES_DOC + [EXTRA_RULE],
+                "data": {"emp": list(ROWS)},
+            })
+            assert status == 201, document
+            assert _call(core, "POST", "/sessions/h/apply", _insert("qa", 9))[0] == 200
+            hosted = manager.get("h")
+            session = hosted.session
+            engine = session.warm_engine
+            for fresh, (ops, failure) in enumerate(steps):
+                body = {"ops": [self._op(kind, pick) for kind, pick in ops]}
+                if isinstance(failure, int):
+                    body["ops"].insert(min(failure, len(ops)), {
+                        "op": "update", "relation": "emp",
+                        "row": {"dept": "nobody", "floor": 0},
+                        "cells": {"floor": 1},
+                    })
+                rows, report = self._seen(session)
+                undo, rebuilds = hosted.undo_state(), engine.stats.rebuilds
+                with pytest.MonkeyPatch.context() as patch:
+                    if failure == "maintenance":
+                        patch.setattr(_ScanState, "apply", broken)
+                    elif failure == "journal":
+                        patch.setattr(os, "fdatasync", _boom, raising=False)
+                    status, document = _call(core, "POST", "/sessions/h/apply", body)
+                if status == 200:
+                    continue
+                assert status in (400, 500), document
+                assert session.warm_engine is engine
+                assert engine.stats.rebuilds <= rebuilds + 1
+                after_rows, after_report = self._seen(session)
+                assert all(a is b for a, b in zip(after_rows, rows, strict=True))
+                assert after_report == report
+                assert hosted.undo_state() == undo
+                # the next successful apply reads as a fresh detect
+                status, document = _call(
+                    core, "POST", "/sessions/h/apply", _insert("new", fresh)
+                )
+                assert status == 200, document
+                assert self._seen(session)[1] == violation_sequence(
+                    detect_violations(session.database, session.rules).violations
+                )
+        finally:
+            manager.close_all()
+            shutil.rmtree(state_dir, ignore_errors=True)
 
 
 class TestLiveEqualsRehydrated:

@@ -277,7 +277,9 @@ class TestPrometheusExposition:
 
     def test_delta_counters_survive_an_engine_rebuild(self, client):
         """``repro_delta_*_total`` are counters: a failed apply — a client
-        error that makes the engine rebuild its state — may not reset them."""
+        error that makes the engine rebuild its state — may not reset them.
+        The insert ahead of the failing update moves a row, so its rollback
+        puts one back under the engine, which is what rebuilds it."""
 
         def delta_totals():
             families = parse_prometheus(client.prometheus_metrics())
@@ -303,7 +305,9 @@ class TestPrometheusExposition:
         with pytest.raises(ServerError) as err:
             client.apply(
                 "counters",
-                {"ops": [{"op": "update", "relation": "emp",
+                {"ops": [{"op": "insert", "relation": "emp",
+                          "row": {"dept": "eng", "floor": 9}},
+                         {"op": "update", "relation": "emp",
                           "row": {"dept": "nobody", "floor": 0},
                           "cells": {"floor": 1}}]},
             )

@@ -32,6 +32,7 @@ from repro.paper import fig1_instance, fig2_cfds
 from repro.repair.urepair import repair_cfds
 from repro.session import RepairReport, Session, ViolationReport
 
+from tests.engine.test_delta import RaisingCheck
 from tests.engine.test_differential import (
     N_CASES,
     _random_batch,
@@ -217,6 +218,31 @@ class TestLifecycle:
         delta = session.apply(Changeset().delete("customer", t))
         session.apply(delta.undo)
         assert session.engine.total_violations() == before
+
+    def test_a_rebuild_that_raises_drops_the_engine(self):
+        """A failed apply whose rebuild raises too would leave a half-built
+        engine that answers every later apply with ``StaleEngineError``;
+        the session drops it, the rows are back, and the next apply builds
+        a fresh one."""
+        db = fig1_instance()
+        check = RaisingCheck("customer")
+        session = Session.from_instance(db, list(fig2_cfds().values()) + [check])
+        relation = db.relation("customer")
+        session.apply(Changeset().delete("customer", relation.tuples()[-1]))
+        rows = relation.tuples()
+        report = violation_sequence(session.detect().violations)
+        check.failures = 99  # the maintenance and every rebuild after it
+        with pytest.raises(RuntimeError):
+            session.apply(Changeset().delete("customer", rows[0]))
+        assert session.warm_engine is None
+        assert all(a is b for a, b in zip(relation.tuples(), rows, strict=True))
+        check.failures = 0
+        assert violation_sequence(session.detect().violations) == report
+        session.apply(Changeset().delete("customer", rows[1]))
+        assert session.warm_engine.is_current()
+        assert violation_sequence(session.detect().violations) == violation_sequence(
+            detect_violations(db, session.rules).violations
+        )
 
     def test_close_lets_a_dropped_session_take_its_data_along(self):
         """A relation and its index cache point at each other; ``close()``
