@@ -22,12 +22,11 @@ plus one or two fresh values.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple as PyTuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple as PyTuple
 
-from repro.deps.base import Dependency, Violation
+from repro.deps.base import ScanDependency, Violation
 from repro.engine.indexes import canonical_signature, key_getter
 from repro.errors import DependencyError
-from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import Tuple
 
@@ -92,7 +91,7 @@ def _matches(value: Any, pattern: Any) -> bool:
     return True if pattern is ANY else pattern.matches(value)
 
 
-class ECFD(Dependency):
+class ECFD(ScanDependency):
     """ψ = (R: X → Y, row) with set/negated-set patterns (single row).
 
     Multi-row tableaux are expressed as several ECFDs; the paper's analyses
@@ -212,13 +211,6 @@ class ECFD(Dependency):
                 match_fn=match,
             )
         ]
-
-    def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
-        from repro.engine.scan import run_scan_tasks
-
-        relation = db.relation(self.relation_name)
-        groups = relation.indexes.group_index(self.scan_signature)
-        yield from run_scan_tasks(groups, self.scan_tasks(relation.schema))
 
     def __repr__(self) -> str:
         rendered = ", ".join(f"{a}{self.pattern[a]!r}" for a in self.lhs + self.rhs)

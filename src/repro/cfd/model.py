@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple as PyTuple
 
-from repro.deps.base import Dependency, Violation
+from repro.deps.base import ScanDependency, Violation
 from repro.deps.fd import FD
 from repro.engine.indexes import canonical_signature, key_getter
-from repro.engine.scan import ColumnarSpec, ScanTask, run_scan_tasks
+from repro.engine.scan import ColumnarSpec, ScanTask
 from repro.errors import DependencyError
-from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import RelationSchema
 from repro.relational.tuples import Tuple
 
@@ -170,7 +169,7 @@ class PatternTableau:
         return "\n".join(lines)
 
 
-class CFD(Dependency):
+class CFD(ScanDependency):
     """ϕ = (R: X → Y, Tp)."""
 
     def __init__(
@@ -332,11 +331,6 @@ class CFD(Dependency):
                 )
             )
         return tasks
-
-    def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
-        relation = db.relation(self.relation_name)
-        groups = relation.indexes.group_index(self.scan_signature)
-        yield from run_scan_tasks(groups, self.scan_tasks(relation.schema))
 
     def __repr__(self) -> str:
         return (

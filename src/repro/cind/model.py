@@ -17,7 +17,6 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro.deps.base import Dependency, Violation
 from repro.deps.ind import IND
-from repro.engine.indexes import key_getter
 from repro.errors import DependencyError
 from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema
@@ -138,63 +137,40 @@ class CIND(Dependency):
             if self.lhs_pattern_attrs
             else None
         )
-        if layout is not None or not self.lhs_pattern_attrs:
-            # Candidate rows come from the vectorized partition (or all
-            # live rows for an unconditional LHS); membership is decided
-            # once per distinct encoded X-key, and only violating rows are
-            # materialized — in insertion order, as before.
-            positions = [source.schema.index_of(a) for a in self.lhs_attrs]
-            columns = [store.columns[p] for p in positions]
-            decode = [store.decode[p] for p in positions]
-            for row in self.tableau:
-                lhs_pat = self.lhs_pattern(row)
-                rhs_pat = self.rhs_pattern(row)
-                matching_keys = target_index.get(
-                    tuple(rhs_pat[a] for a in self.rhs_pattern_attrs), empty
-                )
-                if layout is not None:
-                    rank = layout.rank_of_key(
-                        tuple(lhs_pat[a] for a in self.lhs_pattern_attrs)
-                    )
-                    rows = layout.group_rows(rank) if rank is not None else ()
-                else:
-                    rows = store.iter_live_rows()
-                verdicts: Dict[tuple, bool] = {}
-                for r in rows:
-                    codes = tuple(column[r] for column in columns)
-                    bad = verdicts.get(codes)
-                    if bad is None:
-                        key = tuple(d[c] for d, c in zip(decode, codes))
-                        bad = key not in matching_keys
-                        verdicts[codes] = bad
-                    if bad:
-                        yield Violation(
-                            self,
-                            [(self.lhs_relation, store.tuple_at(r))],
-                            f"{self.name}: no {self.rhs_relation} tuple matches "
-                            f"on {list(self.rhs_attrs)} with pattern {rhs_pat}",
-                        )
-            return
-        # Without a layout (numpy absent): source tuples partitioned by Xp
-        # projection, so each row touches only the tuples it conditions on.
-        source_groups = source.indexes.group_index(self.lhs_pattern_attrs)
-        key_of = key_getter(source.schema, self.lhs_attrs)
+        # Candidate rows come from the vectorized partition on Xp (or all
+        # live rows for an unconditional LHS); membership is decided once
+        # per distinct encoded X-key, and only violating rows are
+        # materialized — in insertion order.
+        positions = [source.schema.index_of(a) for a in self.lhs_attrs]
+        columns = [store.columns[p] for p in positions]
+        decode = [store.decode[p] for p in positions]
         for row in self.tableau:
             lhs_pat = self.lhs_pattern(row)
             rhs_pat = self.rhs_pattern(row)
             matching_keys = target_index.get(
                 tuple(rhs_pat[a] for a in self.rhs_pattern_attrs), empty
             )
-            candidates = source_groups.get(
-                tuple(lhs_pat[a] for a in self.lhs_pattern_attrs), ()
-            )
-            for t1 in candidates:
-                if key_of(t1.values()) not in matching_keys:
+            if layout is not None:
+                rank = layout.rank_of_key(
+                    tuple(lhs_pat[a] for a in self.lhs_pattern_attrs)
+                )
+                rows = layout.group_rows(rank) if rank is not None else ()
+            else:
+                rows = store.iter_live_rows()
+            verdicts: Dict[tuple, bool] = {}
+            for r in rows:
+                codes = tuple(column[r] for column in columns)
+                bad = verdicts.get(codes)
+                if bad is None:
+                    key = tuple(d[c] for d, c in zip(decode, codes))
+                    bad = key not in matching_keys
+                    verdicts[codes] = bad
+                if bad:
                     yield Violation(
                         self,
-                        [(self.lhs_relation, t1)],
-                        f"{self.name}: no {self.rhs_relation} tuple matches on "
-                        f"{list(self.rhs_attrs)} with pattern {rhs_pat}",
+                        [(self.lhs_relation, store.tuple_at(r))],
+                        f"{self.name}: no {self.rhs_relation} tuple matches "
+                        f"on {list(self.rhs_attrs)} with pattern {rhs_pat}",
                     )
 
     def __repr__(self) -> str:

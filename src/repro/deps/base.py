@@ -10,12 +10,16 @@ repairing edits them away, consistent query answering reasons around them.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterator, Sequence, Tuple as PyTuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple as PyTuple
 
 from repro.relational.instance import DatabaseInstance
 from repro.relational.tuples import Tuple
 
-__all__ = ["Dependency", "Violation", "holds", "all_violations"]
+if TYPE_CHECKING:
+    from repro.engine.scan import ScanTask
+    from repro.relational.schema import RelationSchema
+
+__all__ = ["Dependency", "ScanDependency", "Violation", "holds", "all_violations"]
 
 
 class Violation:
@@ -67,6 +71,26 @@ class Dependency(ABC):
     @abstractmethod
     def relations(self) -> PyTuple[str, ...]:
         """Names of the relations the dependency is defined on."""
+
+
+class ScanDependency(Dependency):
+    """A dependency the batch executor evaluates as compiled scan tasks
+    over one relation's LHS partitions: FD, CFD and eCFD, which supply
+    ``relation_name``, ``lhs`` and ``scan_tasks(schema)``.
+
+    One alone detects as a one-member plan, so it reports what a batch
+    reports for it, in the same order.
+    """
+
+    @abstractmethod
+    def scan_tasks(self, schema: RelationSchema) -> List[ScanTask]:
+        """The dependency compiled against ``schema``, one task per
+        pattern row."""
+
+    def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
+        from repro.engine.executor import detect_violations_indexed
+
+        return iter(detect_violations_indexed(db, [self]).violations)
 
 
 def holds(db: DatabaseInstance, dependencies: Sequence[Dependency]) -> bool:

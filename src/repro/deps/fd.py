@@ -10,11 +10,10 @@ computation, and violation detection over instances.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple as PyTuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple as PyTuple
 
-from repro.deps.base import Dependency, Violation
+from repro.deps.base import ScanDependency, Violation
 from repro.errors import DependencyError
-from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import RelationSchema
 
 __all__ = [
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 
-class FD(Dependency):
+class FD(ScanDependency):
     """A functional dependency R: X → Y."""
 
     __slots__ = ("relation_name", "lhs", "rhs")
@@ -95,15 +94,6 @@ class FD(Dependency):
                 skip_singletons=True,
             )
         ]
-
-    def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
-        from repro.engine.scan import run_scan_tasks
-
-        relation = db.relation(self.relation_name)
-        # Empty-LHS FDs require all tuples to agree on rhs; the index puts
-        # everything in one group keyed by (), which handles that uniformly.
-        groups = relation.indexes.group_index(self.scan_signature)
-        yield from run_scan_tasks(groups, self.scan_tasks(relation.schema))
 
     def __repr__(self) -> str:
         return f"FD({self.relation_name}: {list(self.lhs)} -> {list(self.rhs)})"

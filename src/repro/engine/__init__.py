@@ -40,7 +40,7 @@ from repro.engine.planner import (
     ScanGroup,
     plan_detection,
 )
-from repro.engine.scan import ScanTask, run_scan_tasks
+from repro.engine.scan import ScanTask
 
 __all__ = [
     "Changeset",
@@ -61,6 +61,5 @@ __all__ = [
     "execute_plan",
     "naive_violations",
     "plan_detection",
-    "run_scan_tasks",
     "violation_multiset",
 ]

@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as PyTuple
 
 from repro.deps.base import Dependency, Violation
 from repro.engine.indexes import key_getter
-from repro.engine.kernels import flagged_rows
+from repro.engine.kernels import GroupLayout, flagged_rows
 from repro.engine.planner import InclusionGroup, ScanGroup, plan_detection
 from repro.errors import DependencyError, ReproError
 from repro.relational.instance import DatabaseInstance, RelationInstance
@@ -404,7 +404,6 @@ class DeltaStats:
         "fallback_rescans",
         "reports_served",
         "rebuilds",
-        "eager_builds",
     )
 
     def __init__(self) -> None:
@@ -421,9 +420,6 @@ class DeltaStats:
         #: whole-state rebuilds: ``settle`` after a rollback that moved
         #: rows (a failed apply) or a compaction, an explicit ``refresh()``
         self.rebuilds = 0
-        #: scan states filled tuple by tuple because no layout could be
-        #: their base (numpy absent)
-        self.eager_builds = 0
 
     def __repr__(self) -> str:
         return (
@@ -433,7 +429,7 @@ class DeltaStats:
             f"inclusion_keys_touched={self.inclusion_keys_touched}, "
             f"fallback_rescans={self.fallback_rescans}, "
             f"reports_served={self.reports_served}, "
-            f"rebuilds={self.rebuilds}, eager_builds={self.eager_builds})"
+            f"rebuilds={self.rebuilds})"
         )
 
 
@@ -472,10 +468,9 @@ class _ScanState:
 
     A partition reads as ``RelationIndexes.group_index`` would build it from
     scratch — tuples in relation insertion order — but is never copied out
-    of the relation.  Whenever the batch executor's kernel path runs (numpy
-    importable, so ``group_layout`` returns a vectorized layout) the state
-    keeps that :class:`~repro.engine.kernels.GroupLayout` as its immutable
-    ``base``:
+    of the relation: the state keeps the
+    :class:`~repro.engine.kernels.GroupLayout` the batch executor caches
+    (``group_layout``) as its immutable ``base``:
     row ids are append-only and a deleted row keeps its column values until
     the store compacts (the engine rebuilds then), so a key's partition is
     the live rows of its base segment followed by the tuples added since.
@@ -485,9 +480,7 @@ class _ScanState:
     ``tail`` of tuples added since.  An untouched key has no record — its
     partition is its whole segment — and a base row's removal needs no
     bookkeeping at all: the store already marked it dead, and no dead row
-    is ever materialised.  Without a base (``eager_builds``) every tuple
-    sits in its key's tail: the same record, the same reads
-    (:meth:`first` / :meth:`members`).
+    is ever materialised.
 
     Violations are updated per touched partition key on one of two paths:
 
@@ -532,7 +525,6 @@ class _ScanState:
         relation: RelationInstance,
         scan_group: ScanGroup,
         arrival: Dict[Tuple, int],
-        stats: DeltaStats,
     ) -> None:
         self.relation_name = scan_group.relation_name
         self.signature = scan_group.signature
@@ -565,23 +557,10 @@ class _ScanState:
         #: the engine's arrival numbers for this relation (shared): a base
         #: row's is its row id, recorded whenever the row is materialised
         self._arrival = arrival
-        self.base: Any = relation.indexes.group_layout(self.signature)
+        self.base: GroupLayout = relation.indexes.group_layout(self.signature)
         self.touched: Dict[tuple, _Partition] = {}
         self.violations: Dict[tuple, Dict[Tuple, List[PyTuple[int, Violation]]]] = {}
-        if self.base is not None:
-            self._seed(relation.indexes)
-            return
-        stats.eager_builds += 1
-        for t in relation:
-            key = self.key_of(t.values())
-            part = self.touched.get(key)
-            if part is None:
-                part = self.touched[key] = _Partition(0, 0)
-            part.tail[t] = None
-        for key, part in self.touched.items():
-            found = self._evaluate(key, list(part.tail))
-            if found:
-                self.violations[key] = found
+        self._seed(relation.indexes)
 
     def _seed(self, indexes: Any) -> None:
         """The initial violations, read off the kernel flags.
@@ -634,11 +613,10 @@ class _ScanState:
     def _segment(self, key: tuple) -> _Partition:
         """A fresh record for an untouched key: its whole base segment."""
         start = size = 0
-        if self.base is not None:
-            rank = self.base.rank_of_key(key)
-            if rank is not None:
-                start = int(self.base.starts[rank])
-                size = int(self.base.sizes[rank])
+        rank = self.base.rank_of_key(key)
+        if rank is not None:
+            start = int(self.base.starts[rank])
+            size = int(self.base.sizes[rank])
         return _Partition(start, start + size)
 
     def _partition(self, key: tuple) -> _Partition:
@@ -755,8 +733,9 @@ class _ScanState:
     def _evaluate(
         self, key: tuple, group: Sequence[Tuple]
     ) -> Dict[Tuple, List[PyTuple[int, Violation]]]:
-        """Sweep one partition (``ScanTask.evaluate``'s order) and file
-        every violation under the member that contributes it."""
+        """Sweep one partition — ``single`` on every member, then ``pair``
+        of the first against every other — and file every violation under
+        the member that contributes it."""
         first, others = group[0], group[1:]
         stored: Dict[Tuple, List[PyTuple[int, Violation]]] = {}
         for slot, task in self._applicable(key):
@@ -1154,7 +1133,7 @@ class DeltaEngine:
 
     def _build(self) -> None:
         """(Re)derive all maintained state from the current instance."""
-        db, plan, stats = self._db, self._plan, self.stats
+        db, plan = self._db, self._plan
         # no relation is current until the build completes
         self._versions: Dict[str, int] = {}
         # Arrival numbers: one map per relation whose tuples witness a
@@ -1180,7 +1159,6 @@ class DeltaEngine:
                 db.relation(group.relation_name),
                 group,
                 self._arrivals[group.relation_name],
-                stats,
             )
             for group in plan.scan_groups
         ]
@@ -1191,12 +1169,8 @@ class DeltaEngine:
             (position, dep, list(dep.violations(db))) for position, dep in plan.fallback
         ]
         self._total = sum(1 for _ in self._found())
-        # Whoever iterated the whole relation anyway — an inclusion state
-        # over its source, a scan state without a base — holds any of its
-        # tuples: number them all, on the scale the base rows are on.
-        sources.update(
-            state.relation_name for state in self._scan_states if state.base is None
-        )
+        # An inclusion state iterated its whole source anyway and holds any
+        # of its tuples: number them all, on the scale the base rows are on.
         self._next_arrival = 0
         for rel in db:
             store = rel.column_store

@@ -2,10 +2,10 @@
 
 The executor walks a :class:`~repro.engine.planner.DetectionPlan`:
 
-* for each scan group it fetches the one shared partition of the relation,
-  resolves fully-constant pattern tuples by direct hash lookup, and sweeps
-  the remaining pattern tuples of *all* member dependencies over the
-  partition in a single pass;
+* for each scan group it fetches the one shared vectorized layout of the
+  relation (:mod:`repro.engine.kernels`), resolves fully-constant pattern
+  tuples by one key lookup, and visits, in a single pass, only the groups
+  the kernels flag for the remaining pattern tuples of *all* members;
 * for each inclusion group it warms the shared target key index once and
   runs every member against it;
 * fallback dependencies run through their own ``violations`` method.
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.deps.base import Dependency, Violation
+from repro.engine.kernels import flagged_rows
 from repro.engine.planner import DetectionPlan, plan_detection
 from repro.relational.instance import DatabaseInstance
 
@@ -61,7 +62,7 @@ def execute_plan(
     for scan in plan.scan_groups:
         relation = db.relation(scan.relation_name)
         # Compile every member's pattern rows once against the relation
-        # schema; fully-constant rows resolve by one hash lookup, the rest
+        # schema; fully-constant rows resolve by one key lookup, the rest
         # join the shared sweep.
         lookups: List[tuple] = []
         sweep: List[tuple] = []
@@ -74,78 +75,54 @@ def execute_plan(
         stats.partitions_built += 1
         stats.constant_lookups += len(lookups)
         stats.swept_patterns += len(sweep)
-        # Kernel path: whenever numpy is present the vectorized layout
-        # replaces the hash partition entirely (every task declares its
-        # columnar decomposition).  The kernels flag exactly the violating
-        # rows (code comparisons are congruent with the value comparisons
-        # the closures make), so the executor materializes only flagged
-        # rows — plus each flagged group's first tuple — and routes them
-        # through the tasks' ``single``/``pair`` closures in the order
-        # ``ScanTask.evaluate`` emits: groups in first-seen key order,
-        # tasks in member order, singles before pairs within each group.
-        # Emitted violations are identical, object for object, to the
-        # per-tuple sweep below.
+        # The vectorized layout partitions the relation, and the kernels
+        # flag exactly the violating rows (code comparisons are congruent
+        # with the value comparisons the closures make), so only flagged
+        # rows — plus each flagged group's first tuple — are materialized
+        # and routed through the tasks' ``single``/``pair`` closures:
+        # groups in first-seen key order, tasks in member order, and
+        # within a group ``single`` on its flagged members, then ``pair``
+        # of its first tuple against the flagged others.
         layout = relation.indexes.group_layout(scan.signature)
-        if layout is not None:
-            from repro.engine.kernels import flagged_rows
+        indexes = relation.indexes
+        tuple_at = layout.store.tuple_at
 
-            indexes = relation.indexes
-            tuple_at = layout.store.tuple_at
+        def emit(task, flags, rank: int, out: List[Violation], first=None):
+            singles, pairs = flagged_rows(layout, flags, rank)
+            for row in singles:
+                task.single(tuple_at(row), out)
+            if pairs:
+                if first is None:
+                    first = tuple_at(int(layout.rows_sorted[layout.starts[rank]]))
+                for row in pairs:
+                    task.pair(first, tuple_at(row), out)
+            return first
 
-            def emit(task, flags, rank: int, out: List[Violation], first=None):
-                singles, pairs = flagged_rows(layout, flags, rank)
-                for row in singles:
-                    task.single(tuple_at(row), out)
-                if pairs:
-                    if first is None:
-                        first = tuple_at(int(layout.rows_sorted[layout.starts[rank]]))
-                    for row in pairs:
-                        task.pair(first, tuple_at(row), out)
-                return first
-
-            for position, task in lookups:
-                rank = layout.rank_of_key(task.lookup_key)
-                if rank is not None:
-                    emit(task, indexes.task_flags(scan.signature, task.columnar),
-                         rank, results[position])
-            if not sweep:
-                continue
-            flagged: List[tuple] = []
-            union: set = set()
-            for position, task in sweep:
-                flags = indexes.task_flags(scan.signature, task.columnar)
-                flagged.append((position, task, flags))
-                union |= flags.candidate_set
-            for rank in sorted(union):
-                stats.groups_swept += 1
-                singleton = int(layout.sizes[rank]) < 2
-                key = layout.decoded_key(rank)
-                first = None
-                for position, task, flags in flagged:
-                    if rank not in flags.candidate_set:
-                        continue
-                    if singleton and task.skip_singletons:
-                        continue
-                    if task.matches(key):
-                        first = emit(task, flags, rank, results[position], first)
-            continue
-        groups = relation.indexes.group_index(scan.signature)
         for position, task in lookups:
-            group = groups.get(task.lookup_key)
-            if group:
-                task.evaluate(group, results[position])
+            rank = layout.rank_of_key(task.lookup_key)
+            if rank is not None:
+                emit(task, indexes.task_flags(scan.signature, task.columnar),
+                     rank, results[position])
         if not sweep:
             continue
-        # One pass over the shared partitions evaluates every remaining
-        # pattern row of every member dependency.
-        for key, group in groups.items():
+        flagged: List[tuple] = []
+        union: set = set()
+        for position, task in sweep:
+            flags = indexes.task_flags(scan.signature, task.columnar)
+            flagged.append((position, task, flags))
+            union |= flags.candidate_set
+        for rank in sorted(union):
             stats.groups_swept += 1
-            singleton = len(group) < 2
-            for position, task in sweep:
+            singleton = int(layout.sizes[rank]) < 2
+            key = layout.decoded_key(rank)
+            first = None
+            for position, task, flags in flagged:
+                if rank not in flags.candidate_set:
+                    continue
                 if singleton and task.skip_singletons:
                     continue
                 if task.matches(key):
-                    task.evaluate(group, results[position])
+                    first = emit(task, flags, rank, results[position], first)
 
     for inclusion in plan.inclusion_groups:
         # Warm the shared target index once; members hit the cache.

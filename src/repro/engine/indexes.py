@@ -18,7 +18,7 @@ and ``filter`` build fresh instances, which start with empty caches.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple as PyTuple
 
 from repro.engine import kernels
 from repro.relational.tuples import Tuple
@@ -125,7 +125,7 @@ class RelationIndexes:
             PyTuple[PyTuple[str, ...], PyTuple[str, ...]],
             Dict[tuple, FrozenSet[tuple]],
         ] = {}
-        self._layouts: Dict[PyTuple[str, ...], Any] = {}
+        self._layouts: Dict[PyTuple[str, ...], kernels.GroupLayout] = {}
         self._sweeps: Dict[tuple, Any] = {}
         self._grouped_counts: Dict[tuple, Dict[tuple, Dict[tuple, int]]] = {}
         self.stats = IndexStats()
@@ -216,17 +216,14 @@ class RelationIndexes:
             self.stats.hits += 1
         return grouped
 
-    def group_layout(self, attributes: Sequence[str]) -> Optional[Any]:
-        """Vectorized partition layout for one signature, or ``None``.
+    def group_layout(self, attributes: Sequence[str]) -> kernels.GroupLayout:
+        """Vectorized partition layout for one signature.
 
-        Available only with numpy present; callers fall back to
-        :meth:`group_index` otherwise.  A layout build counts as
-        one index build — it plays the same role as the hash partition, so
-        the build/hit accounting (and the tests pinning it) carry over.
+        A layout build counts as one index build — it plays the role of
+        the hash partition (:meth:`group_index`) on every detection path,
+        so the build/hit accounting (and the tests pinning it) carry over.
         """
         self._sync()
-        if not kernels.AVAILABLE:
-            return None
         attrs = tuple(attributes)
         layout = self._layouts.get(attrs)
         if layout is None:

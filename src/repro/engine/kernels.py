@@ -2,16 +2,16 @@
 
 The indexed executor's inner loop — "for every partition, for every
 pattern row, compare tuples" — is where the per-tuple interpreter constant
-lives.  This module replaces that loop's *decision* work with array
-arithmetic over the :class:`~repro.relational.columnar.ColumnStore` code
-columns, leaving only the (sparse) violating partitions to be materialized
-and evaluated through the ordinary compiled
-:class:`~repro.engine.scan.ScanTask` path:
+lives.  This module does that loop's *decision* work as array arithmetic
+over the :class:`~repro.relational.columnar.ColumnStore` code columns
+(numpy is a dependency of the package), leaving only the violating rows
+to be materialized and run through the task's ``single`` / ``pair``
+closures (:class:`~repro.engine.scan.ScanTask`):
 
 * :class:`GroupLayout` partitions a relation on a scan signature in one
-  vectorized pass: rows are ranked by *first-seen* key order (the exact
-  iteration order of the legacy hash partition), and per-group segment
-  boundaries expose every column as ``column[order]`` slices;
+  vectorized pass: rows are ranked by *first-seen* key order (the
+  iteration order of ``RelationIndexes.group_index``), and per-group
+  segment boundaries expose every column as ``column[order]`` slices;
 * :func:`task_flags` evaluates one task's
   :class:`~repro.engine.scan.ColumnarSpec` against a layout and returns
   per-row violation flags plus the ranks of every group holding one:
@@ -21,17 +21,13 @@ and evaluated through the ordinary compiled
 
 Because codes are equality-congruent with values, code comparisons decide
 exactly what the decoded comparisons would — the flags are *exact*, not a
-superset.  Every scan task carries its ``ColumnarSpec`` next to its
-``single``/``pair`` closures, so the one condition for this path is numpy.
-The executor materializes only flagged rows (plus each flagged group's
-first tuple) and routes them through the task's ``single``/``pair`` in
-:meth:`~repro.engine.scan.ScanTask.evaluate`'s order — singles over the
-group in insertion order, then pairs against the group's first tuple — so
-violation objects, their order and their rendered bytes are identical to
-the per-tuple sweep's.
-
-Without numpy (``AVAILABLE`` is False) the executor keeps that per-tuple
-hash-partition sweep, ``ScanTask.evaluate`` over ``group_index``.
+superset.  The executor materializes only flagged rows (plus each flagged
+group's first tuple) and routes them through ``single`` / ``pair`` in one
+fixed order — groups in first-seen key order, and within a group
+``single`` on the flagged members, then ``pair`` of the group's first
+tuple against the flagged others, both in insertion order — so a report's
+violations, their order and their rendered bytes are a function of the
+data alone.
 """
 
 from __future__ import annotations
@@ -39,15 +35,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
 
-try:  # numpy is optional; kernels self-disable without it
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-AVAILABLE = _np is not None
+import numpy as _np
 
 __all__ = [
-    "AVAILABLE",
     "GroupLayout",
     "TaskFlags",
     "build_layout",
@@ -81,7 +71,7 @@ class GroupLayout:
     order survives within each group); ``starts``/``sizes`` delimit the
     per-group segments; ``key_codes[i]`` holds each group's code on the
     i-th signature attribute.  Group rank follows first-seen key order —
-    the iteration order of the legacy dict-based partition.
+    the iteration order of ``RelationIndexes.group_index``.
     """
 
     __slots__ = (
@@ -200,10 +190,8 @@ class GroupLayout:
 _PACK_LIMIT = 1 << 62
 
 
-def build_layout(store, schema, signature: Sequence[str]) -> Optional[GroupLayout]:
+def build_layout(store, schema, signature: Sequence[str]) -> GroupLayout:
     """Vectorized partition of ``store`` on ``signature`` (one stable sort)."""
-    if _np is None:
-        return None
     positions = tuple(schema.index_of(a) for a in signature)
     code_sizes = tuple(max(1, len(store.decode[p])) for p in positions)
     n_physical = store.n_rows
@@ -255,7 +243,7 @@ def build_layout(store, schema, signature: Sequence[str]) -> Optional[GroupLayou
     seg_sizes = _np.diff(_np.append(seg_starts, n))
     # The sort is stable, so each segment's first element carries the
     # group's earliest original position; ranking segments by it yields
-    # the legacy partition's first-seen iteration order.
+    # ``group_index``'s first-seen iteration order.
     first_seen = order[seg_starts]
     perm = _np.argsort(first_seen)
     seg_keys = [sorted_key[seg_starts] for sorted_key in sorted_keys]
@@ -314,7 +302,7 @@ def task_flags(layout: GroupLayout, schema, spec) -> TaskFlags:
     Code comparisons are congruent with the value comparisons the task
     closures perform (equal values share a code); the one scalar quirk —
     ``x != c`` is always true for a NaN constant — is special-cased, so
-    the flags match the legacy per-tuple checks row for row.
+    the flags match the task closures' checks row for row.
     """
     store = layout.store
     n_groups = layout.n_groups

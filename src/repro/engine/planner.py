@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple as PyTuple
 
-from repro.deps.base import Dependency
+from repro.deps.base import Dependency, ScanDependency
 from repro.engine.indexes import canonical_signature
 
 __all__ = ["ScanGroup", "InclusionGroup", "DetectionPlan", "plan_detection"]
@@ -122,10 +122,7 @@ class DetectionPlan:
 
 def plan_detection(dependencies: Iterable[Dependency]) -> DetectionPlan:
     """Group the dependency set by the indexes each member needs."""
-    from repro.cfd.ecfd import ECFD
-    from repro.cfd.model import CFD
     from repro.cind.model import CIND
-    from repro.deps.fd import FD
     from repro.deps.ind import IND
 
     plan = DetectionPlan(list(dependencies))
@@ -157,7 +154,7 @@ def plan_detection(dependencies: Iterable[Dependency]) -> DetectionPlan:
         return group
 
     for position, dep in enumerate(plan.dependencies):
-        if isinstance(dep, (CFD, ECFD, FD)):
+        if isinstance(dep, ScanDependency):
             signature = canonical_signature(dep.lhs)
             scan_group(dep.relation_name, signature).members.append(
                 (position, dep)

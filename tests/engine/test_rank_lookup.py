@@ -18,19 +18,16 @@ import itertools
 import tracemalloc
 from unittest import mock
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-pytest.importorskip("numpy")
-
-from repro.engine import kernels  # noqa: E402
-from repro.engine.delta import Changeset  # noqa: E402
-from repro.relational.domains import FLOAT, INT, EnumDomain  # noqa: E402
-from repro.relational.instance import RelationInstance  # noqa: E402
-from repro.relational.schema import RelationSchema  # noqa: E402
-from repro.relational.tuples import Tuple  # noqa: E402
-from repro.session import Session  # noqa: E402
-from repro.workloads.customer import CustomerConfig, generate_customers  # noqa: E402
+from repro.engine import kernels
+from repro.engine.delta import Changeset
+from repro.relational.domains import FLOAT, INT, EnumDomain
+from repro.relational.instance import RelationInstance
+from repro.relational.schema import RelationSchema
+from repro.relational.tuples import Tuple
+from repro.session import Session
+from repro.workloads.customer import CustomerConfig, generate_customers
 
 SCHEMA = RelationSchema(
     "R", [("k", INT), ("w", FLOAT), ("e", EnumDomain([1, 3, "x"]))]

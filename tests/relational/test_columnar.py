@@ -48,9 +48,8 @@ class TestEmptyRelation:
 
     def test_empty_group_layout(self, columnar):
         layout = columnar.indexes.group_layout(("a",))
-        if layout is not None:  # None only when numpy is unavailable
-            assert layout.n_groups == 0
-            assert layout.rank_of_key((1,)) is None
+        assert layout.n_groups == 0
+        assert layout.rank_of_key((1,)) is None
 
 
 class TestAllDeletedThenReinsert:
@@ -173,10 +172,9 @@ class TestDictionaryGrowth:
         n = (1 << 16) + 10
         instance.extend_rows((i, f"t{i % 5}") for i in range(n))
         layout = instance.indexes.group_layout(("tag",))
-        if layout is not None:
-            assert layout.n_groups == 5
-            total = sum(int(layout.sizes[rank]) for rank in range(5))
-            assert total == n
+        assert layout.n_groups == 5
+        total = sum(int(layout.sizes[rank]) for rank in range(5))
+        assert total == n
 
 
 class TestEqualityCongruence:

@@ -1,8 +1,14 @@
 """Public-API smoke tests: every exported name resolves and is documented."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 PACKAGES = [
     "repro",
@@ -66,3 +72,28 @@ def test_public_callables_documented(name):
         obj = getattr(module, symbol)
         if callable(obj):
             assert obj.__doc__, f"{name}.{symbol} lacks a docstring"
+
+
+def test_an_import_without_numpy_fails_at_import_naming_numpy():
+    """numpy is a dependency, not an option: with it unimportable,
+    ``import repro.engine`` itself raises one ``ImportError`` that names
+    numpy — no detect has to run for the missing dependency to show."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "try:\n"
+        "    import repro.engine\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+        "    sys.exit(3)\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 3, (done.stdout, done.stderr)
+    assert "numpy" in done.stdout and done.stderr == ""

@@ -1484,14 +1484,15 @@ class TestSnapshotWriter:
     ):
         """A format-1 snapshot an older server wrote for an
         ``executor="naive"`` session loads on the one path: its detect is
-        the list a fresh executor run returns, not the per-dependency
-        loop's order."""
+        the list a fresh executor run returns.  The per-dependency loop
+        that name once selected lists a 2-row tableau the same way now —
+        a single rule detects as a one-member plan."""
         from repro.deps import all_violations
         from repro.server.durability import SessionJournal
         from repro.session import ViolationReport
         from repro.workloads.soak import canonical, offline_detect
 
-        # a 2-row tableau: the two paths list its violations differently
+        # a 2-row tableau: task-major order would list it differently
         session = _emp_session(8, rules=[{
             "type": "cfd", "relation": "emp", "lhs": ["dept"], "rhs": ["floor"],
             "tableau": [{"dept": "_", "floor": "_"}, {"dept": "d0", "floor": 0}],
@@ -1500,7 +1501,7 @@ class TestSnapshotWriter:
         looped = ViolationReport(
             all_violations(session.database, session.rules)
         ).to_dict()
-        assert canonical(looped) != canonical(expected)
+        assert canonical(looped) == canonical(expected)
         store = SessionStore(tmp_path, fsync=False)
         directory = store._session_dir("old")
         directory.mkdir(parents=True)
