@@ -13,18 +13,17 @@ is expressed by leaving it out of Xp/Yp).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple as PyTuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple as PyTuple
 
-from repro.deps.base import Dependency, Violation
+from repro.deps.base import InclusionDependency
 from repro.deps.ind import IND
 from repro.errors import DependencyError
-from repro.relational.instance import DatabaseInstance
 from repro.relational.schema import DatabaseSchema
 
 __all__ = ["CIND", "ind_as_cind"]
 
 
-class CIND(Dependency):
+class CIND(InclusionDependency):
     """ψ = (R1[X; Xp] ⊆ R2[Y; Yp], Tp)."""
 
     def __init__(
@@ -120,58 +119,17 @@ class CIND(Dependency):
         """Yp constants of one tableau row, keyed by plain attribute name."""
         return {a: row[f"R.{a}"] for a in self.rhs_pattern_attrs}
 
-    def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
-        source = db.relation(self.lhs_relation)
-        target = db.relation(self.rhs_relation)
-        # Target tuples indexed by Yp projection → set of Y projections,
-        # built once per (relation, Yp, Y) signature and cached on the
-        # relation, so it is shared across tableau rows *and* across every
-        # CIND with the same signature (previously rebuilt per row).
-        target_index = target.indexes.grouped_key_sets(
-            self.rhs_pattern_attrs, self.rhs_attrs
-        )
-        empty: frozenset = frozenset()
-        store = source.column_store
-        layout = (
-            source.indexes.group_layout(self.lhs_pattern_attrs)
-            if self.lhs_pattern_attrs
-            else None
-        )
-        # Candidate rows come from the vectorized partition on Xp (or all
-        # live rows for an unconditional LHS); membership is decided once
-        # per distinct encoded X-key, and only violating rows are
-        # materialized — in insertion order.
-        positions = [source.schema.index_of(a) for a in self.lhs_attrs]
-        columns = [store.columns[p] for p in positions]
-        decode = [store.decode[p] for p in positions]
+    def inclusion_rows(self) -> List[PyTuple[tuple, tuple, str]]:
+        rows = []
         for row in self.tableau:
-            lhs_pat = self.lhs_pattern(row)
             rhs_pat = self.rhs_pattern(row)
-            matching_keys = target_index.get(
-                tuple(rhs_pat[a] for a in self.rhs_pattern_attrs), empty
+            reason = (
+                f"{self.name}: no {self.rhs_relation} tuple matches on "
+                f"{list(self.rhs_attrs)} with pattern {rhs_pat}"
             )
-            if layout is not None:
-                rank = layout.rank_of_key(
-                    tuple(lhs_pat[a] for a in self.lhs_pattern_attrs)
-                )
-                rows = layout.group_rows(rank) if rank is not None else ()
-            else:
-                rows = store.iter_live_rows()
-            verdicts: Dict[tuple, bool] = {}
-            for r in rows:
-                codes = tuple(column[r] for column in columns)
-                bad = verdicts.get(codes)
-                if bad is None:
-                    key = tuple(d[c] for d, c in zip(decode, codes))
-                    bad = key not in matching_keys
-                    verdicts[codes] = bad
-                if bad:
-                    yield Violation(
-                        self,
-                        [(self.lhs_relation, store.tuple_at(r))],
-                        f"{self.name}: no {self.rhs_relation} tuple matches "
-                        f"on {list(self.rhs_attrs)} with pattern {rhs_pat}",
-                    )
+            xp = tuple(row[f"L.{a}"] for a in self.lhs_pattern_attrs)
+            rows.append((xp, tuple(rhs_pat.values()), reason))
+        return rows
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,14 @@ if TYPE_CHECKING:
     from repro.engine.scan import ScanTask
     from repro.relational.schema import RelationSchema
 
-__all__ = ["Dependency", "ScanDependency", "Violation", "holds", "all_violations"]
+__all__ = [
+    "Dependency",
+    "InclusionDependency",
+    "ScanDependency",
+    "Violation",
+    "holds",
+    "all_violations",
+]
 
 
 class Violation:
@@ -88,21 +95,66 @@ class ScanDependency(Dependency):
         pattern row."""
 
     def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
-        from repro.engine.executor import detect_violations_indexed
+        return _one_member_plan(self, db)
 
-        return iter(detect_violations_indexed(db, [self]).violations)
+
+class InclusionDependency(Dependency):
+    """A dependency the batch executor decides on the source relation's
+    layout against a counted target index: IND and CIND.
+
+    Each supplies the source ``lhs_relation`` with its attributes X
+    (``lhs_attrs``) and pattern attributes Xp (``lhs_pattern_attrs``), the
+    target ``rhs_relation`` with Y (``rhs_attrs``) and Yp
+    (``rhs_pattern_attrs``), and :meth:`inclusion_rows`.  An IND is the
+    case with no pattern attributes and one row.  One alone detects as a
+    one-member plan, so it reports what a batch reports for it, in the
+    same order.
+    """
+
+    lhs_relation: str
+    rhs_relation: str
+    lhs_attrs: PyTuple[str, ...]
+    rhs_attrs: PyTuple[str, ...]
+    lhs_pattern_attrs: PyTuple[str, ...]
+    rhs_pattern_attrs: PyTuple[str, ...]
+
+    @abstractmethod
+    def inclusion_rows(self) -> List[PyTuple[tuple, tuple, str]]:
+        """Per tableau row: its Xp constants (in ``lhs_pattern_attrs``
+        order), its Yp key (in ``rhs_pattern_attrs`` order) and the reason
+        its violations carry."""
+
+    def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
+        return _one_member_plan(self, db)
+
+
+def _one_member_plan(dep: Dependency, db: DatabaseInstance) -> Iterator[Violation]:
+    from repro.engine.executor import detect_violations_indexed
+
+    return iter(detect_violations_indexed(db, [dep]).violations)
 
 
 def holds(db: DatabaseInstance, dependencies: Sequence[Dependency]) -> bool:
-    """D ⊨ Σ: true iff every dependency in the set holds."""
-    return all(dep.holds_on(db) for dep in dependencies)
+    """D ⊨ Σ: true iff every dependency in the set holds.
+
+    The planned dependencies run as one plan; the rest (denial
+    constraints) stop at their first violation, since listing them all
+    can take quadratic time.
+    """
+    from repro.engine.executor import execute_plan
+    from repro.engine.planner import plan_detection
+
+    plan = plan_detection(dependencies)
+    fallback, plan.fallback = plan.fallback, []
+    return execute_plan(db, plan).is_clean() and all(
+        dep.holds_on(db) for _, dep in fallback
+    )
 
 
 def all_violations(
     db: DatabaseInstance, dependencies: Sequence[Dependency]
 ) -> list[Violation]:
-    """Collect every violation of every dependency in the set."""
-    found: list[Violation] = []
-    for dep in dependencies:
-        found.extend(dep.violations(db))
-    return found
+    """Collect every violation of every dependency in the set (one plan)."""
+    from repro.engine.executor import detect_violations_indexed
+
+    return detect_violations_indexed(db, dependencies).violations

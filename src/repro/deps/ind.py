@@ -15,17 +15,20 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple as PyTuple
 
-from repro.deps.base import Dependency, Violation
+from repro.deps.base import InclusionDependency
 from repro.errors import DependencyError
-from repro.relational.instance import DatabaseInstance
 
 __all__ = ["IND", "ind_implies", "is_acyclic"]
 
 
-class IND(Dependency):
-    """An inclusion dependency R1[X] ⊆ R2[Y] with |X| = |Y|."""
+class IND(InclusionDependency):
+    """An inclusion dependency R1[X] ⊆ R2[Y] with |X| = |Y|: the CIND with
+    no pattern attributes."""
 
     __slots__ = ("lhs_relation", "lhs_attrs", "rhs_relation", "rhs_attrs")
+
+    lhs_pattern_attrs: PyTuple[str, ...] = ()
+    rhs_pattern_attrs: PyTuple[str, ...] = ()
 
     def __init__(
         self,
@@ -56,30 +59,10 @@ class IND(Dependency):
         db_schema.relation(self.lhs_relation).check_attributes(self.lhs_attrs)
         db_schema.relation(self.rhs_relation).check_attributes(self.rhs_attrs)
 
-    def violations(self, db: DatabaseInstance) -> Iterator[Violation]:
-        # The target key set is a cached index: built once per
-        # (relation, attrs) and shared across every IND/CIND that needs it.
-        target = db.relation(self.rhs_relation).indexes.key_set(self.rhs_attrs)
-        source = db.relation(self.lhs_relation)
-        message = f"no {self.rhs_relation} tuple matches on {list(self.rhs_attrs)}"
-        # Decide membership once per distinct encoded key and materialize
-        # only the violating rows, in insertion order.
-        store = source.column_store
-        positions = [source.schema.index_of(a) for a in self.lhs_attrs]
-        columns = [store.columns[p] for p in positions]
-        decode = [store.decode[p] for p in positions]
-        verdicts: dict = {}
-        for row in store.iter_live_rows():
-            codes = tuple(column[row] for column in columns)
-            bad = verdicts.get(codes)
-            if bad is None:
-                key = tuple(d[c] for d, c in zip(decode, codes))
-                bad = key not in target
-                verdicts[codes] = bad
-            if bad:
-                yield Violation(
-                    self, [(self.lhs_relation, store.tuple_at(row))], message
-                )
+    def inclusion_rows(self) -> List[PyTuple[tuple, tuple, str]]:
+        """One row with no pattern constants."""
+        reason = f"no {self.rhs_relation} tuple matches on {list(self.rhs_attrs)}"
+        return [((), (), reason)]
 
     def __repr__(self) -> str:
         return (

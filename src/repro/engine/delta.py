@@ -18,12 +18,15 @@ batch executor, localized to what the delta touches:
   record of its own, so the build materialises the violating rows and
   nothing else, and a batch re-evaluates the compiled scan tasks only on
   the partition keys it touched;
-* **IND/CIND** — the engine keeps a reference-counted target key index per
-  (target relation, Yp, Y) signature and, per dependency tableau row, the
-  set of source tuples demanding each key.  A batch then resolves to key
-  *gains* (count 0 → >0: violations of the demanders disappear) and key
-  *losses* (count >0 → 0: the surviving demanders become violations), plus
-  the added/removed source tuples themselves — all hash lookups;
+* **IND/CIND** — per (target relation, Yp, Y) signature the engine keeps
+  the target's cached counted key index as a base plus the counts batches
+  moved, and per source layout on Xp + X the same base-plus-touched-keys
+  partitions as a scan group, with violations held per partition key:
+  the build reads the violating partitions off the layout, as the
+  executor does, and materialises only their rows.  A batch then
+  resolves to the source keys it touched and the target keys whose being
+  provided it flipped (a gain clears its partition's violations, a loss
+  makes every live member one) — all hash lookups;
 * **anything else** (denial constraints, MDs, …) falls back to a targeted
   re-scan, and only when the batch touches one of the dependency's
   relations.
@@ -53,10 +56,15 @@ from itertools import count
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple as PyTuple
 
-from repro.deps.base import Dependency, Violation
+from repro.deps.base import Dependency, InclusionDependency, Violation
 from repro.engine.indexes import key_getter
-from repro.engine.kernels import GroupLayout, flagged_rows
-from repro.engine.planner import InclusionGroup, ScanGroup, plan_detection
+from repro.engine.kernels import GroupLayout, flagged_rows, inclusion_ranks
+from repro.engine.planner import (
+    InclusionGroup,
+    ScanGroup,
+    inclusion_signature,
+    plan_detection,
+)
 from repro.errors import DependencyError, ReproError
 from repro.relational.instance import DatabaseInstance, RelationInstance
 from repro.relational.tuples import Tuple
@@ -463,8 +471,8 @@ class _Partition:
         self.tail: Dict[Tuple, None] = {}
 
 
-class _ScanState:
-    """Maintained partition + violations for one (relation, signature) group.
+class _LayoutState:
+    """One relation's rows partitioned on one signature, never copied.
 
     A partition reads as ``RelationIndexes.group_index`` would build it from
     scratch — tuples in relation insertion order — but is never copied out
@@ -480,128 +488,35 @@ class _ScanState:
     ``tail`` of tuples added since.  An untouched key has no record — its
     partition is its whole segment — and a base row's removal needs no
     bookkeeping at all: the store already marked it dead, and no dead row
-    is ever materialised.
-
-    Violations are updated per touched partition key on one of two paths:
-
-    * **incremental** — every scan-task violation is either a
-      single-tuple check or a first-vs-other pair check
-      (``ScanTask.single`` / ``.pair``).  As long as the partition's
-      *first* tuple survives the batch, each added tuple contributes
-      exactly ``single(t) + pair(first, t)`` and each removed tuple
-      retracts exactly the same — O(1) per op, no re-sweep;
-    * **re-evaluate** — if the batch removes the partition's first tuple
-      (the pair pivot changes) or the partition is new, the partition is
-      re-swept and the violation multisets diffed.
-
-    ``violations`` keeps, under each violating partition key, every
-    member's *contribution* under that member: the ``(slot, violation)``
-    entries it witnesses as the non-pivot tuple, where ``slot`` is twice
-    the producing task's index in ``tasks`` for a single and one more for
-    a pair.  A retraction is therefore one ``pop`` of the removed tuple,
-    whatever else the partition holds, and :meth:`ordered_entries` can
-    rank every entry by task, kind and witness.
+    is ever materialised.  A base row is materialised only when a state
+    reports or reads it, and is numbered then by its row id.
     """
 
     __slots__ = (
         "relation_name",
         "signature",
         "key_of",
-        "tasks",
         "base",
         "touched",
-        "violations",
         "_store",
         "_arrival",
-        "_universal",
-        "_conditional",
-        "_positions",
-        "_lookup_slots",
-        "_table",
     )
 
     def __init__(
         self,
         relation: RelationInstance,
-        scan_group: ScanGroup,
+        signature: PyTuple[str, ...],
         arrival: Dict[Tuple, int],
     ) -> None:
-        self.relation_name = scan_group.relation_name
-        self.signature = scan_group.signature
-        self.key_of = key_getter(relation.schema, self.signature)
-        #: (single slot, task) in the executor's (member, tableau row) order
-        self.tasks: List[PyTuple[int, Any]] = []
-        #: slot → the producing dependency's position in the input
-        self._positions: List[int] = []
-        #: slot → produced by a lookup task (reported before every sweep)
-        self._lookup_slots: List[bool] = []
-        for position, dep in scan_group.members:
-            for task in dep.scan_tasks(relation.schema):
-                self.tasks.append((len(self._positions), task))
-                self._positions += (position, position)
-                self._lookup_slots += (task.lookup_key is not None,) * 2
-        # Tasks that match every partition key (all-wildcard patterns) are
-        # split out once; only the rest pay a per-key pattern check.
-        self._universal: List[PyTuple[int, Any]] = [
-            (slot, task)
-            for slot, task in self.tasks
-            if task.lookup_key is None
-            and not task.key_constants
-            and task.match_fn is None
-        ]
-        self._conditional: List[PyTuple[int, Any]] = [
-            entry for entry in self.tasks if entry not in self._universal
-        ]
-        self._table = self._constant_table()
+        self.relation_name = relation.schema.name
+        self.signature = signature
+        self.key_of = key_getter(relation.schema, signature)
         self._store: Any = relation.column_store
         #: the engine's arrival numbers for this relation (shared): a base
         #: row's is its row id, recorded whenever the row is materialised
         self._arrival = arrival
-        self.base: GroupLayout = relation.indexes.group_layout(self.signature)
+        self.base: GroupLayout = relation.indexes.group_layout(signature)
         self.touched: Dict[tuple, _Partition] = {}
-        self.violations: Dict[tuple, Dict[Tuple, List[PyTuple[int, Violation]]]] = {}
-        self._seed(relation.indexes)
-
-    def _seed(self, indexes: Any) -> None:
-        """The initial violations, read off the kernel flags.
-
-        The flags are exact and name the violating rows (after a detect
-        both layout and flags are cache hits), so only those rows — and
-        each flagged partition's pivot — are materialised and filed
-        (:meth:`_file`) exactly as :meth:`_evaluate` files a
-        whole-partition sweep: partitions by layout rank (first-seen key
-        order), tasks in order, singles before pairs, rows in relation
-        order.  No partition is built.
-        """
-        layout = self.base
-        flags = {
-            slot: indexes.task_flags(self.signature, task.columnar)
-            for slot, task in self.tasks
-        }
-        ranks: set = set()
-        for task_flags in flags.values():
-            ranks |= task_flags.candidate_set
-        for rank in sorted(ranks):
-            key = layout.decoded_key(rank)
-            singleton = int(layout.sizes[rank]) < 2
-            first = None
-            stored: Dict[Tuple, List[PyTuple[int, Violation]]] = {}
-            for slot, task in self._applicable(key):
-                if rank not in flags[slot].candidate_set or (
-                    singleton and task.skip_singletons
-                ):
-                    continue
-                singles, pairs = (
-                    [self._tuple(row) for row in rows]
-                    for rows in flagged_rows(layout, flags[slot], rank)
-                )
-                if pairs and first is None:
-                    first = self._tuple(int(layout.rows_sorted[layout.starts[rank]]))
-                self._file(stored, slot, task, first, singles, pairs)
-            if stored:
-                self.violations[key] = stored
-
-    # -- the partition read path ------------------------------------------
 
     def _tuple(self, row: int) -> Tuple:
         """A live base row as the store's one ``Tuple`` for it, numbered
@@ -649,6 +564,115 @@ class _ScanState:
         """The live tuples under ``key`` now (a fresh list)."""
         return self.members(self._partition(key))
 
+
+class _ScanState(_LayoutState):
+    """Maintained partitions + violations for one (relation, signature)
+    scan group, on the shared :class:`_LayoutState` base.
+
+    Violations are updated per touched partition key on one of two paths:
+
+    * **incremental** — every scan-task violation is either a
+      single-tuple check or a first-vs-other pair check
+      (``ScanTask.single`` / ``.pair``).  As long as the partition's
+      *first* tuple survives the batch, each added tuple contributes
+      exactly ``single(t) + pair(first, t)`` and each removed tuple
+      retracts exactly the same — O(1) per op, no re-sweep;
+    * **re-evaluate** — if the batch removes the partition's first tuple
+      (the pair pivot changes) or the partition is new, the partition is
+      re-swept and the violation multisets diffed.
+
+    ``violations`` keeps, under each violating partition key, every
+    member's *contribution* under that member: the ``(slot, violation)``
+    entries it witnesses as the non-pivot tuple, where ``slot`` is twice
+    the producing task's index in ``tasks`` for a single and one more for
+    a pair.  A retraction is therefore one ``pop`` of the removed tuple,
+    whatever else the partition holds, and :meth:`ordered_entries` can
+    rank every entry by task, kind and witness.
+    """
+
+    __slots__ = (
+        "tasks",
+        "violations",
+        "_universal",
+        "_conditional",
+        "_positions",
+        "_lookup_slots",
+        "_table",
+    )
+
+    def __init__(
+        self,
+        relation: RelationInstance,
+        scan_group: ScanGroup,
+        arrival: Dict[Tuple, int],
+    ) -> None:
+        super().__init__(relation, scan_group.signature, arrival)
+        #: (single slot, task) in the executor's (member, tableau row) order
+        self.tasks: List[PyTuple[int, Any]] = []
+        #: slot → the producing dependency's position in the input
+        self._positions: List[int] = []
+        #: slot → produced by a lookup task (reported before every sweep)
+        self._lookup_slots: List[bool] = []
+        for position, dep in scan_group.members:
+            for task in dep.scan_tasks(relation.schema):
+                self.tasks.append((len(self._positions), task))
+                self._positions += (position, position)
+                self._lookup_slots += (task.lookup_key is not None,) * 2
+        # Tasks that match every partition key (all-wildcard patterns) are
+        # split out once; only the rest pay a per-key pattern check.
+        self._universal: List[PyTuple[int, Any]] = [
+            (slot, task)
+            for slot, task in self.tasks
+            if task.lookup_key is None
+            and not task.key_constants
+            and task.match_fn is None
+        ]
+        self._conditional: List[PyTuple[int, Any]] = [
+            entry for entry in self.tasks if entry not in self._universal
+        ]
+        self._table = self._constant_table()
+        self.violations: Dict[tuple, Dict[Tuple, List[PyTuple[int, Violation]]]] = {}
+        self._seed(relation.indexes)
+
+    def _seed(self, indexes: Any) -> None:
+        """The initial violations, read off the kernel flags.
+
+        The flags are exact and name the violating rows (after a detect
+        both layout and flags are cache hits), so only those rows — and
+        each flagged partition's pivot — are materialised and filed
+        (:meth:`_file`) exactly as :meth:`_evaluate` files a
+        whole-partition sweep: partitions by layout rank (first-seen key
+        order), tasks in order, singles before pairs, rows in relation
+        order.  No partition is built.
+        """
+        layout = self.base
+        flags = {
+            slot: indexes.task_flags(self.signature, task.columnar)
+            for slot, task in self.tasks
+        }
+        ranks: set = set()
+        for task_flags in flags.values():
+            ranks |= task_flags.candidate_set
+        for rank in sorted(ranks):
+            key = layout.decoded_key(rank)
+            singleton = int(layout.sizes[rank]) < 2
+            first = None
+            stored: Dict[Tuple, List[PyTuple[int, Violation]]] = {}
+            for slot, task in self._applicable(key):
+                if rank not in flags[slot].candidate_set or (
+                    singleton and task.skip_singletons
+                ):
+                    continue
+                singles, pairs = (
+                    [self._tuple(row) for row in rows]
+                    for rows in flagged_rows(layout, flags[slot], rank)
+                )
+                if pairs and first is None:
+                    first = self._tuple(int(layout.rows_sorted[layout.starts[rank]]))
+                self._file(stored, slot, task, first, singles, pairs)
+            if stored:
+                self.violations[key] = stored
+
     def iter_found(self) -> Iterator[PyTuple[int, Violation]]:
         """All stored (position, violation) entries, per-partition order."""
         positions = self._positions
@@ -657,9 +681,7 @@ class _ScanState:
                 for slot, violation in contribution:
                     yield positions[slot], violation
 
-    def ordered_entries(
-        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
-    ) -> None:
+    def ordered_entries(self, out: List[tuple]) -> None:
         """Append ``(position, partition rank, slot, witness arrival,
         violation)`` per stored entry.
 
@@ -669,7 +691,7 @@ class _ScanState:
         — the layout's first-seen rank — each with its tasks in order,
         singles before pairs, witnesses in relation order.
         """
-        arrival = arrivals[self.relation_name]
+        arrival = self._arrival
         positions = self._positions
         lookup = self._lookup_slots
         for key, stored in self.violations.items():
@@ -879,232 +901,180 @@ class _ScanState:
 
 
 class _InclusionRow:
-    """Maintained demand/violation state for one tableau row of one IND/CIND."""
+    """One tableau row of one IND / CIND member, and the violations it
+    holds per source partition key (its Xp constants, then X)."""
 
-    __slots__ = ("position", "dep", "lhs_pat", "yp_key", "reason", "demand", "violating")
+    __slots__ = (
+        "position",
+        "dep",
+        "ordinal",
+        "constants",
+        "width",
+        "yp_key",
+        "reason",
+        "violations",
+    )
 
     def __init__(
         self,
         position: int,
-        dep: Dependency,
-        lhs_pat: Dict[str, Any],
-        rhs_pat: Dict[str, Any],
+        dep: InclusionDependency,
+        ordinal: int,
+        spec: PyTuple[tuple, tuple, str],
     ) -> None:
-        from repro.cind.model import CIND
-
+        self.constants, self.yp_key, self.reason = spec
+        #: where X starts in a partition key
+        self.width = len(self.constants)
         self.position = position
         self.dep = dep
-        self.lhs_pat = list(lhs_pat.items())
-        if isinstance(dep, CIND):
-            self.yp_key = tuple(rhs_pat[a] for a in dep.rhs_pattern_attrs)
-            self.reason = (
-                f"{dep.name}: no {dep.rhs_relation} tuple matches on "
-                f"{list(dep.rhs_attrs)} with pattern {rhs_pat}"
-            )
-        else:
-            self.yp_key = ()
-            self.reason = (
-                f"no {dep.rhs_relation} tuple matches on {list(dep.rhs_attrs)}"
-            )
-        #: demanded key → source tuples matching Xp, in insertion order
-        self.demand: Dict[tuple, Dict[Tuple, None]] = {}
-        #: source tuple → its live Violation record
-        self.violating: Dict[Tuple, Violation] = {}
+        #: the row's place in its state: tableau order within a member
+        self.ordinal = ordinal
+        #: partition key → its violating source tuples
+        self.violations: Dict[tuple, Dict[Tuple, Violation]] = {}
 
-    def matches_source(self, t: Tuple) -> bool:
-        return all(t[a] == v for a, v in self.lhs_pat)
-
-    def make_violation(self, t: Tuple) -> Violation:
+    def violation(self, t: Tuple) -> Violation:
         return Violation(self.dep, [(self.dep.lhs_relation, t)], self.reason)
 
 
-class _InclusionState:
-    """One (target relation, Yp, Y) signature: shared counted key index."""
+class _InclusionState(_LayoutState):
+    """The tableau rows of one inclusion group's members that read one
+    source relation on one signature, Xp + X, on the :class:`_LayoutState`
+    base.
 
-    __slots__ = (
-        "relation_name",
-        "yp_of",
-        "y_of",
-        "provided",
-        "rows",
-        "sources",
-    )
+    The target side is the group's cached counted index
+    (``grouped_key_counts``) as an immutable base plus the counts batches
+    have moved since.  A source partition's X projection is provided or
+    not for all its members at once, so the build reads the violating
+    partitions off the layout (:func:`~repro.engine.kernels.inclusion_ranks`,
+    as the executor does) and materialises their rows only.  A batch
+    counts its target ops in first, then patches the source keys it
+    touched — an added tuple is violating iff its key is not provided
+    after the batch, a removed one takes its violation with it — and the
+    partitions demanding a target key whose being provided it flipped: a
+    gain clears their violations, a loss makes every live member one.
+    """
 
-    def __init__(self, db: DatabaseInstance, inclusion_group: InclusionGroup) -> None:
-        from repro.cind.model import CIND
+    __slots__ = ("target_name", "yp_of", "y_of", "counts", "moved", "rows")
 
-        self.relation_name = inclusion_group.relation_name
-        target = db.relation(self.relation_name)
-        self.yp_of = key_getter(target.schema, inclusion_group.group_attrs)
-        self.y_of = key_getter(target.schema, inclusion_group.key_attrs)
-        #: Yp projection → (Y projection → provider count)
-        # Seeded from the relation's cached counted key index (built from
-        # encoded columns, shared across states with the same signature);
-        # copied because apply() mutates the counts.
-        base = target.indexes.grouped_key_counts(
-            inclusion_group.group_attrs, inclusion_group.key_attrs
-        )
-        self.provided: Dict[tuple, Dict[tuple, int]] = {
-            yp: dict(counts) for yp, counts in base.items()
-        }
-
-        self.rows: List[_InclusionRow] = []
-        #: source relation → (key getter on X, rows reading that source)
-        self.sources: Dict[str, PyTuple[Any, List[_InclusionRow]]] = {}
-        for position, dep in inclusion_group.members:
-            if isinstance(dep, CIND):
-                row_specs = [
-                    (dep.lhs_pattern(row), dep.rhs_pattern(row))
-                    for row in dep.tableau
-                ]
-            else:
-                row_specs = [({}, {})]
-            for lhs_pat, rhs_pat in row_specs:
-                row = _InclusionRow(position, dep, lhs_pat, rhs_pat)
-                self.rows.append(row)
-                source = db.relation(dep.lhs_relation)
-                entry = self.sources.get(dep.lhs_relation)
-                if entry is None:
-                    entry = self.sources[dep.lhs_relation] = (
-                        {},  # per-attribute-list key getters, see below
-                        [],
-                    )
-                getters, rows = entry
-                if dep.lhs_attrs not in getters:
-                    getters[dep.lhs_attrs] = key_getter(source.schema, dep.lhs_attrs)
-                rows.append(row)
-        # Initial demand/violation state: one pass per source relation.
-        for source_name, (getters, rows) in self.sources.items():
-            source = db.relation(source_name)
-            for t in source:
-                for row in rows:
-                    if not row.matches_source(t):
-                        continue
-                    key = getters[row.dep.lhs_attrs](t.values())
-                    row.demand.setdefault(key, {})[t] = None
-                    if not self._is_provided(row.yp_key, key):
-                        row.violating[t] = row.make_violation(t)
-
-    def ordered_entries(
-        self, arrivals: Mapping[str, Mapping[Tuple, int]], out: List[tuple]
+    def __init__(
+        self,
+        relation: RelationInstance,
+        signature: PyTuple[str, ...],
+        arrival: Dict[Tuple, int],
+        target: RelationInstance,
+        group: InclusionGroup,
     ) -> None:
+        super().__init__(relation, signature, arrival)
+        self.target_name = group.relation_name
+        self.yp_of = key_getter(target.schema, group.group_attrs)
+        self.y_of = key_getter(target.schema, group.key_attrs)
+        self.counts = target.indexes.grouped_key_counts(
+            group.group_attrs, group.key_attrs
+        )
+        #: (Yp key, Y key) → its count now, once a batch has moved it
+        self.moved: Dict[PyTuple[tuple, tuple], int] = {}
+        self.rows: List[_InclusionRow] = []
+
+    def add(self, position: int, dep: InclusionDependency) -> None:
+        """Take one member's tableau rows, seeded with their violations."""
+        layout = self.base
+        for spec in dep.inclusion_rows():
+            row = _InclusionRow(position, dep, len(self.rows), spec)
+            self.rows.append(row)
+            provided = self.counts.get(row.yp_key, {})
+            for rank in inclusion_ranks(layout, row.constants, provided):
+                row.violations[layout.decoded_key(rank)] = {
+                    t: row.violation(t)
+                    for t in map(self._tuple, layout.group_rows(rank))
+                }
+
+    def count(self, yp: tuple, y: tuple) -> int:
+        """How many live target rows provide ``y`` under ``yp``."""
+        n = self.moved.get((yp, y))
+        if n is None:
+            return self.counts.get(yp, {}).get(y, 0)
+        return n
+
+    def iter_found(self) -> Iterator[PyTuple[int, Violation]]:
+        for row in self.rows:
+            for held in row.violations.values():
+                for violation in held.values():
+                    yield row.position, violation
+
+    def ordered_entries(self, out: List[tuple]) -> None:
         """Append ``(position, tableau row, 0, source arrival, violation)``
-        per violating source tuple — sorted, the order ``IND`` / ``CIND``
-        ``violations()`` scans in: row by row, sources in relation order."""
-        for ordinal, row in enumerate(self.rows):
-            if row.violating:
-                arrival = arrivals[row.dep.lhs_relation]
-                for t, violation in row.violating.items():
-                    out.append((row.position, ordinal, 0, arrival[t], violation))
-
-    def _is_provided(self, yp_key: tuple, y_key: tuple) -> bool:
-        counts = self.provided.get(yp_key)
-        return bool(counts) and counts.get(y_key, 0) > 0
-
-    @staticmethod
-    def _net(ops: Sequence[PyTuple[str, Tuple]]) -> PyTuple[List[Tuple], List[Tuple]]:
-        """Net (removed, added) tuples of an effective op sequence.
-
-        An add followed by its remove nets out; a remove followed by an
-        add of an equal tuple does not — the relation now holds the *new*
-        ``Tuple`` object, at its end, and every witness of it must be that
-        object (equal values can render differently, ``3`` / ``3.0``).
-        """
-        removed: Dict[Tuple, None] = {}
-        added: Dict[Tuple, None] = {}
-        for kind, t in ops:
-            if kind == "add":
-                added[t] = None
-            elif t in added:
-                del added[t]
-            else:
-                removed[t] = None
-        return list(removed), list(added)
+        per violating source tuple — sorted, the order the executor emits
+        in: row by row, sources in relation order."""
+        arrival = self._arrival
+        for row in self.rows:
+            for held in row.violations.values():
+                for t, violation in held.items():
+                    out.append((row.position, row.ordinal, 0, arrival[t], violation))
 
     def apply(
         self,
         effective: Mapping[str, Sequence[PyTuple[str, Tuple]]],
         stats: DeltaStats,
     ) -> _StateDelta:
-        added_v: List[PyTuple[int, Violation]] = []
-        removed_v: List[PyTuple[int, Violation]] = []
-
-        # 1. Net source removals leave the demand maps first, so key losses
-        #    below only ever strand *surviving* demanders.
-        for source_name, (getters, rows) in self.sources.items():
-            ops = effective.get(source_name)
-            if not ops:
-                continue
-            net_removed, _ = self._net(ops)
-            for t in net_removed:
-                for row in rows:
-                    if not row.matches_source(t):
-                        continue
-                    key = getters[row.dep.lhs_attrs](t.values())
-                    demanders = row.demand.get(key)
-                    if demanders is not None:
-                        demanders.pop(t, None)
-                        if not demanders:
-                            del row.demand[key]
-                    violation = row.violating.pop(t, None)
-                    if violation is not None:
-                        removed_v.append((row.position, violation))
-
-        # 2. Target key count transitions: a key gained (0 → >0) clears the
-        #    violations of its demanders; a key lost (>0 → 0) creates them.
-        target_ops = effective.get(self.relation_name)
-        if target_ops:
-            transitions: Dict[PyTuple[tuple, tuple], int] = {}
-            for kind, t in target_ops:
-                values = t.values()
-                yp, y = self.yp_of(values), self.y_of(values)
-                counts = self.provided.setdefault(yp, {})
-                before = counts.get(y, 0)
-                transitions.setdefault((yp, y), before)
-                after = before + (1 if kind == "add" else -1)
-                if after:
-                    counts[y] = after
+        added: List[PyTuple[int, Violation]] = []
+        removed: List[PyTuple[int, Violation]] = []
+        before: Dict[PyTuple[tuple, tuple], int] = {}
+        for kind, t in effective.get(self.target_name, ()):
+            values = t.values()
+            target_key = (self.yp_of(values), self.y_of(values))
+            n = self.count(*target_key)
+            before.setdefault(target_key, n)
+            self.moved[target_key] = n + 1 if kind == "add" else n - 1
+        by_key: Dict[tuple, List[PyTuple[str, Tuple]]] = {}
+        for kind, t in effective.get(self.relation_name, ()):
+            by_key.setdefault(self.key_of(t.values()), []).append((kind, t))
+        for key, key_ops in by_key.items():
+            rows = [row for row in self.rows if row.constants == key[: row.width]]
+            if not rows:
+                continue  # no row reads this partition
+            part = self.touched.get(key)
+            if part is None:
+                part = self.touched[key] = self._segment(key)
+            for kind, t in key_ops:
+                if kind == "add":
+                    part.tail[t] = None
                 else:
-                    counts.pop(y, None)
-                    if not counts:
-                        del self.provided[yp]
-            for (yp, y), before in transitions.items():
-                now = self._is_provided(yp, y)
-                was = before > 0
-                if was == now:
-                    continue
-                stats.inclusion_keys_touched += 1
-                for row in self.rows:
-                    if row.yp_key != yp:
-                        continue
-                    for t in row.demand.get(y, ()):  # iterates demander tuples
-                        if now:
-                            violation = row.violating.pop(t, None)
-                            if violation is not None:
-                                removed_v.append((row.position, violation))
-                        elif t not in row.violating:
-                            violation = row.make_violation(t)
-                            row.violating[t] = violation
-                            added_v.append((row.position, violation))
-
-        # 3. Net source additions check against the post-batch key index.
-        for source_name, (getters, rows) in self.sources.items():
-            ops = effective.get(source_name)
-            if not ops:
+                    part.tail.pop(t, None)  # a base row: the store killed it
+            if not part.tail and not part.end:
+                del self.touched[key]  # no base segment to shadow
+            for row in rows:
+                bad = not self.count(row.yp_key, key[row.width :])
+                held = row.violations.setdefault(key, {})
+                for kind, t in key_ops:
+                    if kind == "remove":
+                        if held.get(t) is not None:
+                            removed.append((row.position, held.pop(t)))
+                    elif bad:
+                        held[t] = row.violation(t)
+                        added.append((row.position, held[t]))
+                if not held:
+                    del row.violations[key]
+        for (yp, y), n in before.items():
+            provided = self.moved[(yp, y)] > 0
+            if provided == (n > 0):
                 continue
-            _, net_added = self._net(ops)
-            for t in net_added:
-                for row in rows:
-                    if not row.matches_source(t):
-                        continue
-                    key = getters[row.dep.lhs_attrs](t.values())
-                    row.demand.setdefault(key, {})[t] = None
-                    if not self._is_provided(row.yp_key, key):
-                        violation = row.make_violation(t)
-                        row.violating[t] = violation
-                        added_v.append((row.position, violation))
-        # every change to a row's ``violating`` is in one of the two lists
-        return added_v, removed_v, bool(added_v or removed_v)
+            stats.inclusion_keys_touched += 1
+            for row in self.rows:
+                if row.yp_key != yp:
+                    continue
+                key = row.constants + y
+                held = row.violations.pop(key, {})
+                if provided:
+                    removed.extend((row.position, v) for v in held.values())
+                    continue
+                for t in self.partition(key):
+                    if t not in held:
+                        held[t] = row.violation(t)
+                        added.append((row.position, held[t]))
+                if held:
+                    row.violations[key] = held
+        # every change to a row's ``violations`` is in one of the two lists
+        return added, removed, bool(added or removed)
 
 
 class DeltaEngine:
@@ -1143,7 +1113,7 @@ class DeltaEngine:
         # keeps "sorted by arrival" equal to "in relation order" without
         # ever scanning the relation.  The map is sparse: a tuple is
         # numbered when it enters maintained state — a base row by its row
-        # id when a scan state materialises it, every effective add (see
+        # id when a state materialises it, every effective add (see
         # ``apply``) by the next number after them.
         sources = {
             dep.lhs_relation
@@ -1162,21 +1132,28 @@ class DeltaEngine:
             )
             for group in plan.scan_groups
         ]
-        self._inclusion_states = [
-            _InclusionState(db, group) for group in plan.inclusion_groups
-        ]
+        #: per inclusion group, one state per (source, signature) it reads
+        states: Dict[tuple, _InclusionState] = {}
+        for group in plan.inclusion_groups:
+            target = db.relation(group.relation_name)
+            for position, dep in group.members:
+                source, signature = dep.lhs_relation, inclusion_signature(dep)
+                key = (group, source, signature)
+                if key not in states:
+                    states[key] = _InclusionState(
+                        db.relation(source),
+                        signature,
+                        self._arrivals[source],
+                        target,
+                        group,
+                    )
+                states[key].add(position, dep)
+        self._inclusion_states = list(states.values())
         self._fallback: List[PyTuple[int, Dependency, List[Violation]]] = [
             (position, dep, list(dep.violations(db))) for position, dep in plan.fallback
         ]
         self._total = sum(1 for _ in self._found())
-        # An inclusion state iterated its whole source anyway and holds any
-        # of its tuples: number them all, on the scale the base rows are on.
-        self._next_arrival = 0
-        for rel in db:
-            store = rel.column_store
-            if rel.schema.name in sources:
-                self._arrivals[rel.schema.name].update(zip(rel, store.iter_live_rows()))
-            self._next_arrival = max(self._next_arrival, store.n_rows)
+        self._next_arrival = max((rel.column_store.n_rows for rel in db), default=0)
         #: the column stores under the engine; row ids under the bases are
         #: good while their compaction count stands (``apply``)
         self._stores = [rel.column_store for rel in db]
@@ -1191,18 +1168,18 @@ class DeltaEngine:
         self._ordered: Optional[PyTuple[int, List[Violation]]] = None
         self._versions = {rel.schema.name: rel.version for rel in db}
 
+    def _states(self) -> List[_ScanState | _InclusionState]:
+        """Every scan and inclusion state, in plan order."""
+        return [*self._scan_states, *self._inclusion_states]
+
     def _compaction_count(self) -> int:
         """Total ``ColumnStore.compactions`` over the database."""
         return sum(store.compactions for store in self._stores)
 
     def _found(self) -> Iterator[PyTuple[int, Violation]]:
         """Every maintained ``(position, violation)``, maintenance order."""
-        for state in self._scan_states:
+        for state in self._states():
             yield from state.iter_found()
-        for state in self._inclusion_states:
-            for row in state.rows:
-                for violation in row.violating.values():
-                    yield row.position, violation
         for position, _, found in self._fallback:
             for violation in found:
                 yield position, violation
@@ -1251,10 +1228,8 @@ class DeltaEngine:
         if memo is not None and memo[0] == self.report_epoch:
             return list(memo[1])
         entries: List[tuple] = []
-        for state in self._scan_states:
-            state.ordered_entries(self._arrivals, entries)
-        for state in self._inclusion_states:
-            state.ordered_entries(self._arrivals, entries)
+        for state in self._states():
+            state.ordered_entries(entries)
         entries.sort(key=_REPORT_ORDER)
         results: List[List[Violation]] = [[] for _ in self.dependencies]
         for entry in entries:
@@ -1384,9 +1359,8 @@ class DeltaEngine:
                     removed.extend(lost)
                     report_moved |= moved
             for inclusion in self._inclusion_states:
-                if inclusion.relation_name in touched or any(
-                    name in touched for name in inclusion.sources
-                ):
+                relations = (inclusion.relation_name, inclusion.target_name)
+                if touched.intersection(relations):
                     gained, lost, moved = inclusion.apply(effective, self.stats)
                     added.extend(gained)
                     removed.extend(lost)
@@ -1438,6 +1412,6 @@ class DeltaEngine:
         return (
             f"DeltaEngine({len(self.dependencies)} deps, "
             f"{len(self._scan_states)} scan groups, "
-            f"{len(self._inclusion_states)} inclusion groups, "
+            f"{len(self._inclusion_states)} inclusion states, "
             f"{self._total} current violations, {self.stats!r})"
         )

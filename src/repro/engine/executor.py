@@ -6,8 +6,11 @@ The executor walks a :class:`~repro.engine.planner.DetectionPlan`:
   relation (:mod:`repro.engine.kernels`), resolves fully-constant pattern
   tuples by one key lookup, and visits, in a single pass, only the groups
   the kernels flag for the remaining pattern tuples of *all* members;
-* for each inclusion group it warms the shared target key index once and
-  runs every member against it;
+* for each inclusion group it fetches the one counted target key index
+  and, per member tableau row, flags the groups of the member's source
+  layout whose key the target does not provide
+  (:func:`~repro.engine.kernels.inclusion_ranks`), materializing only
+  their rows, in relation order;
 * fallback dependencies run through their own ``violations`` method.
 
 Violations are reassembled in input-dependency order, so the resulting
@@ -20,8 +23,8 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from repro.deps.base import Dependency, Violation
-from repro.engine.kernels import flagged_rows
-from repro.engine.planner import DetectionPlan, plan_detection
+from repro.engine.kernels import flagged_rows, inclusion_ranks, rows_of_ranks
+from repro.engine.planner import DetectionPlan, inclusion_signature, plan_detection
 from repro.relational.instance import DatabaseInstance
 
 __all__ = ["ExecutionStats", "execute_plan", "detect_violations_indexed"]
@@ -54,7 +57,6 @@ def execute_plan(
 ):
     """Run the plan on ``db`` and aggregate a DetectionReport."""
     from repro.cfd.detect import DetectionReport
-    from repro.cind.model import CIND
 
     stats = stats if stats is not None else ExecutionStats()
     results: List[List[Violation]] = [[] for _ in plan.dependencies]
@@ -125,17 +127,21 @@ def execute_plan(
                     first = emit(task, flags, rank, results[position], first)
 
     for inclusion in plan.inclusion_groups:
-        # Warm the shared target index once; members hit the cache.
-        target_indexes = db.relation(inclusion.relation_name).indexes
-        if any(isinstance(dep, CIND) for _, dep in inclusion.members):
-            target_indexes.grouped_key_sets(
-                inclusion.group_attrs, inclusion.key_attrs
-            )
-        if any(not isinstance(dep, CIND) for _, dep in inclusion.members):
-            target_indexes.key_set(inclusion.key_attrs)
+        counts = db.relation(inclusion.relation_name).indexes.grouped_key_counts(
+            inclusion.group_attrs, inclusion.key_attrs
+        )
         stats.partitions_built += 1
         for position, dep in inclusion.members:
-            results[position].extend(dep.violations(db))
+            source = db.relation(dep.lhs_relation)
+            layout = source.indexes.group_layout(inclusion_signature(dep))
+            tuple_at = layout.store.tuple_at
+            out = results[position]
+            for constants, yp_key, reason in dep.inclusion_rows():
+                ranks = inclusion_ranks(layout, constants, counts.get(yp_key, {}))
+                for row in rows_of_ranks(layout, ranks):
+                    out.append(
+                        Violation(dep, [(dep.lhs_relation, tuple_at(row))], reason)
+                    )
 
     for position, dep in plan.fallback:
         results[position].extend(dep.violations(db))

@@ -18,7 +18,7 @@ and ``filter`` build fresh instances, which start with empty caches.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple as PyTuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple as PyTuple
 
 from repro.engine import kernels
 from repro.relational.tuples import Tuple
@@ -120,11 +120,6 @@ class RelationIndexes:
         self._relation = relation
         self._version = relation.version
         self._groups: Dict[PyTuple[str, ...], Dict[tuple, List[Tuple]]] = {}
-        self._key_sets: Dict[PyTuple[str, ...], FrozenSet[tuple]] = {}
-        self._grouped_keys: Dict[
-            PyTuple[PyTuple[str, ...], PyTuple[str, ...]],
-            Dict[tuple, FrozenSet[tuple]],
-        ] = {}
         self._layouts: Dict[PyTuple[str, ...], kernels.GroupLayout] = {}
         self._sweeps: Dict[tuple, Any] = {}
         self._grouped_counts: Dict[tuple, Dict[tuple, Dict[tuple, int]]] = {}
@@ -133,8 +128,6 @@ class RelationIndexes:
     def _sync(self) -> None:
         if self._version != self._relation.version:
             self._groups.clear()
-            self._key_sets.clear()
-            self._grouped_keys.clear()
             self._layouts.clear()
             self._sweeps.clear()
             self._grouped_counts.clear()
@@ -164,57 +157,6 @@ class RelationIndexes:
         else:
             self.stats.hits += 1
         return groups
-
-    def key_set(self, attributes: Sequence[str]) -> FrozenSet[tuple]:
-        """Distinct projections on ``attributes`` (IND/CIND membership)."""
-        self._sync()
-        attrs = tuple(attributes)
-        keys = self._key_sets.get(attrs)
-        if keys is None:
-            self.stats.builds += 1
-            store = self._store
-            # Dedupe on code tuples, decode each distinct key once.
-            positions, rows = _code_rows(store, self._relation.schema, attrs)
-            decode = _decoder(store, positions)
-            # repro: allow[REP001] — the set feeds a frozenset, so
-            # iteration order cannot reach any output
-            keys = frozenset(decode(codes) for codes in set(rows))
-            self._key_sets[attrs] = keys
-        else:
-            self.stats.hits += 1
-        return keys
-
-    def grouped_key_sets(
-        self, group_attributes: Sequence[str], key_attributes: Sequence[str]
-    ) -> Mapping[tuple, FrozenSet[tuple]]:
-        """Per ``group_attributes`` value, the key set on ``key_attributes``.
-
-        This is the CIND target index: grouped by the Yp projection, keyed
-        by the Y projection, built once per (relation, Yp, Y) and reused
-        across every tableau row of every CIND with that signature.
-        """
-        self._sync()
-        cache_key = (tuple(group_attributes), tuple(key_attributes))
-        grouped = self._grouped_keys.get(cache_key)
-        if grouped is None:
-            self.stats.builds += 1
-            store = self._store
-            schema = self._relation.schema
-            g_positions, g_rows = _code_rows(store, schema, cache_key[0])
-            k_positions, k_rows = _code_rows(store, schema, cache_key[1])
-            raw: Dict[tuple, set] = {}
-            for g, k in zip(g_rows, k_rows):
-                raw.setdefault(g, set()).add(k)
-            decode_g = _decoder(store, g_positions)
-            decode_k = _decoder(store, k_positions)
-            grouped = {
-                decode_g(g): frozenset(decode_k(k) for k in keys)
-                for g, keys in raw.items()
-            }
-            self._grouped_keys[cache_key] = grouped
-        else:
-            self.stats.hits += 1
-        return grouped
 
     def group_layout(self, attributes: Sequence[str]) -> kernels.GroupLayout:
         """Vectorized partition layout for one signature.
@@ -257,17 +199,21 @@ class RelationIndexes:
     def grouped_key_counts(
         self, group_attributes: Sequence[str], key_attributes: Sequence[str]
     ) -> Mapping[tuple, Mapping[tuple, int]]:
-        """Per ``group_attributes`` value, multiplicity of each key value.
+        """Per ``group_attributes`` value, how many rows carry each value
+        on ``key_attributes``.
 
-        The delta engine's inclusion-state seed: like
-        :meth:`grouped_key_sets` but counting rows per key, so incremental
-        removals know when the last provider of a key disappears.  Returned
-        mappings are shared and read-only; callers who mutate must copy.
+        The one inclusion target index: grouped by the Yp projection,
+        keyed by the Y projection, built once per (relation, Yp, Y) and
+        shared by every tableau row of every IND / CIND with that
+        signature — the executor asks it whether a key is provided, the
+        delta engine keeps it as the base its counts move from.  Returned
+        mappings are shared and read-only.
         """
         self._sync()
         cache_key = (tuple(group_attributes), tuple(key_attributes))
         counts = self._grouped_counts.get(cache_key)
         if counts is None:
+            self.stats.builds += 1
             store = self._store
             schema = self._relation.schema
             g_positions, g_rows = _code_rows(store, schema, cache_key[0])
@@ -283,11 +229,13 @@ class RelationIndexes:
                 for g, kc in raw.items()
             }
             self._grouped_counts[cache_key] = counts
+        else:
+            self.stats.hits += 1
         return counts
 
     def __repr__(self) -> str:
         return (
             f"RelationIndexes({self._relation.schema.name}@v{self._version}, "
-            f"{len(self._groups)} groups, {len(self._key_sets)} key sets, "
-            f"{len(self._grouped_keys)} grouped key sets, {self.stats!r})"
+            f"{len(self._groups)} groups, {len(self._layouts)} layouts, "
+            f"{len(self._grouped_counts)} counted key indexes, {self.stats!r})"
         )

@@ -12,6 +12,10 @@ closures (:class:`~repro.engine.scan.ScanTask`):
   vectorized pass: rows are ranked by *first-seen* key order (the
   iteration order of ``RelationIndexes.group_index``), and per-group
   segment boundaries expose every column as ``column[order]`` slices;
+* :func:`inclusion_ranks` decides one IND / CIND tableau row once per
+  group of its source layout (on Xp + X): the groups carrying the row's
+  Xp constants whose decoded X projection the target does not provide,
+  and :func:`rows_of_ranks` turns them into row ids in relation order;
 * :func:`task_flags` evaluates one task's
   :class:`~repro.engine.scan.ColumnarSpec` against a layout and returns
   per-row violation flags plus the ranks of every group holding one:
@@ -33,7 +37,7 @@ data alone.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple as PyTuple
 
 import numpy as _np
 
@@ -42,6 +46,8 @@ __all__ = [
     "TaskFlags",
     "build_layout",
     "flagged_rows",
+    "inclusion_ranks",
+    "rows_of_ranks",
     "task_flags",
 ]
 
@@ -360,3 +366,41 @@ def task_flags(layout: GroupLayout, schema, spec) -> TaskFlags:
     if match is not None:
         violating &= match
     return TaskFlags(single_rows, pair_rows, _np.flatnonzero(violating))
+
+
+def inclusion_ranks(
+    layout: GroupLayout, constants: tuple, provided: Mapping[tuple, int]
+) -> List[int]:
+    """Ascending ranks of the groups one inclusion tableau row flags.
+
+    ``layout`` partitions the source on Xp + X (``inclusion_signature``).
+    A group is flagged iff its key carries ``constants`` on Xp — decided
+    on codes, as a scan task's key check is — and its X projection,
+    decoded once per group, is not a key of ``provided`` (the target's
+    counted index under the row's Yp key), so ``3`` meets ``3.0`` as a
+    value comparison does.
+    """
+    store = layout.store
+    match = _np.ones(layout.n_groups, dtype=bool)
+    for i, value in enumerate(constants):
+        match &= layout.key_codes[i] == _encoded(store, layout.positions[i], value)
+    ranks = _np.flatnonzero(match)
+    columns = [
+        [store.decode[position][code] for code in codes[ranks].tolist()]
+        for position, codes in zip(
+            layout.positions[len(constants) :], layout.key_codes[len(constants) :]
+        )
+    ]
+    return [
+        rank for rank, key in zip(ranks.tolist(), zip(*columns)) if key not in provided
+    ]
+
+
+def rows_of_ranks(layout: GroupLayout, ranks: Sequence[int]) -> List[int]:
+    """The row ids of the given groups, ascending (relation order)."""
+    if not ranks:
+        return []
+    chosen = _np.zeros(layout.n_groups, dtype=bool)
+    chosen[layout.perm[list(ranks)]] = True  # rank → segment
+    rows = layout.rows_sorted[_np.repeat(chosen, layout.seg_sizes)]
+    return _np.sort(rows).tolist()

@@ -8,9 +8,12 @@ each one needs and groups them so every index is built exactly once:
   on that signature and every pattern tuple of every member is evaluated
   against the shared partitions (the in-memory analogue of the paper's
   merged detection queries);
-* INDs and CINDs with the same target (relation, Yp, Y) signature form one
-  :class:`InclusionGroup` — the target key index is built once and reused
-  across every tableau row of every member;
+* INDs and CINDs (every
+  :class:`~repro.deps.base.InclusionDependency`) with the same target
+  (relation, Yp, Y) signature form one :class:`InclusionGroup` — the
+  counted target key index is built once and reused across every tableau
+  row of every member, and each member reads its source relation's
+  layout on :func:`inclusion_signature`;
 * anything else (denial constraints, MDs, …) goes to the fallback list and
   runs through its own ``violations`` method.
 
@@ -23,10 +26,23 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple as PyTuple
 
-from repro.deps.base import Dependency, ScanDependency
+from repro.deps.base import Dependency, InclusionDependency, ScanDependency
 from repro.engine.indexes import canonical_signature
 
-__all__ = ["ScanGroup", "InclusionGroup", "DetectionPlan", "plan_detection"]
+__all__ = [
+    "ScanGroup",
+    "InclusionGroup",
+    "DetectionPlan",
+    "inclusion_signature",
+    "plan_detection",
+]
+
+
+def inclusion_signature(dep: InclusionDependency) -> PyTuple[str, ...]:
+    """The source layout an inclusion member is decided on: Xp, then X,
+    in declared order, so a partition key is a tableau row's Xp
+    constants followed by the X projection it demands."""
+    return dep.lhs_pattern_attrs + dep.lhs_attrs
 
 
 class ScanGroup:
@@ -65,7 +81,7 @@ class InclusionGroup:
         self.relation_name = relation_name
         self.group_attrs = group_attrs
         self.key_attrs = key_attrs
-        self.members: List[PyTuple[int, Dependency]] = []
+        self.members: List[PyTuple[int, InclusionDependency]] = []
 
     def __repr__(self) -> str:
         return (
@@ -122,9 +138,6 @@ class DetectionPlan:
 
 def plan_detection(dependencies: Iterable[Dependency]) -> DetectionPlan:
     """Group the dependency set by the indexes each member needs."""
-    from repro.cind.model import CIND
-    from repro.deps.ind import IND
-
     plan = DetectionPlan(list(dependencies))
     scans: Dict[PyTuple[str, PyTuple[str, ...]], ScanGroup] = {}
     inclusions: Dict[
@@ -159,14 +172,10 @@ def plan_detection(dependencies: Iterable[Dependency]) -> DetectionPlan:
             scan_group(dep.relation_name, signature).members.append(
                 (position, dep)
             )
-        elif isinstance(dep, CIND):
+        elif isinstance(dep, InclusionDependency):
             inclusion_group(
                 dep.rhs_relation, dep.rhs_pattern_attrs, dep.rhs_attrs
             ).members.append((position, dep))
-        elif isinstance(dep, IND):
-            inclusion_group(dep.rhs_relation, (), dep.rhs_attrs).members.append(
-                (position, dep)
-            )
         else:
             plan.fallback.append((position, dep))
     return plan

@@ -21,9 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, List, Sequence, Set, Tuple as PyTuple
 
-from repro.cind.model import CIND
-from repro.deps.base import Dependency
-from repro.deps.ind import IND
+from repro.deps.base import Dependency, InclusionDependency
 from repro.engine.delta import Changeset, DeltaEngine
 from repro.relational.instance import DatabaseInstance
 from repro.relational.tuples import Tuple
@@ -36,7 +34,7 @@ Cell = PyTuple[str, Tuple]
 
 def is_denial_class(dependencies: Sequence[Dependency]) -> bool:
     """True iff no dependency has existential (inclusion) semantics."""
-    return not any(isinstance(d, (IND, CIND)) for d in dependencies)
+    return not any(isinstance(d, InclusionDependency) for d in dependencies)
 
 
 def symmetric_difference(
@@ -62,24 +60,12 @@ def _insertion_candidates(
     unconstrained attributes drawn from the active domain."""
     candidates: List[Cell] = []
     for dep in dependencies:
-        if isinstance(dep, IND):
-            specs = [
-                (dep.lhs_relation, dep.lhs_attrs, dep.rhs_relation, dep.rhs_attrs, {})
-            ]
-        elif isinstance(dep, CIND):
-            specs = [
-                (
-                    dep.lhs_relation,
-                    dep.lhs_attrs,
-                    dep.rhs_relation,
-                    dep.rhs_attrs,
-                    dep.rhs_pattern(row),
-                )
-                for row in dep.tableau
-            ]
-        else:
+        if not isinstance(dep, InclusionDependency):
             continue
-        for lhs_rel, lhs_attrs, rhs_rel, rhs_attrs, pinned in specs:
+        lhs_rel, lhs_attrs = dep.lhs_relation, dep.lhs_attrs
+        rhs_rel, rhs_attrs = dep.rhs_relation, dep.rhs_attrs
+        for _, yp_key, _ in dep.inclusion_rows():
+            pinned = dict(zip(dep.rhs_pattern_attrs, yp_key))
             target_schema = db.relation(rhs_rel).schema
             free_attrs = [
                 a

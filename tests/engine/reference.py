@@ -8,8 +8,11 @@ order the executor emits: lookup tasks first, then each partition in key
 order with its tasks in member order, ``single`` on every member, then
 ``pair`` of the first member against every other one.  No code column,
 layout or flag is read, so a kernel that flags a wrong row or skips a
-group shows up as a different list.  Inclusion and fallback members run
-through their own ``violations``, as in the executor.
+group shows up as a different list.  Inclusion members run through the
+naive oracle's full scans (:func:`repro.engine.naive.naive_violations`:
+tableau row by tableau row, sources in relation order, no layout or
+counted index read), fallback members through their own ``violations``,
+as in the executor.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Sequence
 
 from repro.deps.base import Dependency, Violation
+from repro.engine.naive import naive_violations
 from repro.engine.planner import plan_detection
 from repro.relational.instance import DatabaseInstance
 
@@ -55,7 +59,7 @@ def swept_violations(
                     _evaluate(task, group, results[position])
     for inclusion in plan.inclusion_groups:
         for position, dep in inclusion.members:
-            results[position].extend(dep.violations(db))
+            results[position].extend(naive_violations(dep, db))
     for position, dep in plan.fallback:
         results[position].extend(dep.violations(db))
     return [v for found in results for v in found]

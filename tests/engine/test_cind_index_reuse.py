@@ -1,14 +1,16 @@
 """Regression: CIND detection must not rebuild the target index per row.
 
 The seed's CIND detector rebuilt the (Yp → Y-keys) target index once per
-pattern tableau row — the hotspot PR 1 removed by routing the lookup
-through the shared ``grouped_key_sets`` cache.  These tests pin the fix
-with the index build counters: however many rows the tableau has and
-however many CINDs share the (target, Yp, Y) signature, the index is built
-exactly once.
+pattern tableau row.  The lookup goes through the one counted target
+index, ``grouped_key_counts``, cached per (target, Yp, Y) and counted in
+``IndexStats`` like every other index.  These tests pin that with the
+index build counters: however many rows the tableau has, however many
+CINDs share the signature, and whether the executor or the delta engine
+asks, the index is built exactly once.
 """
 
 from repro.cind.model import CIND
+from repro.engine.delta import DeltaEngine, violation_sequence
 from repro.engine.executor import detect_violations_indexed
 from repro.relational.domains import STRING
 from repro.relational.instance import DatabaseInstance
@@ -45,7 +47,7 @@ class TestTargetIndexBuiltOnce:
         cind = _multi_row_cind()
         list(cind.violations(db))
         stats = db.relation("S").indexes.stats
-        assert stats.builds == 1  # one grouped_key_sets build for 3 rows
+        assert stats.builds == 1  # one counted index build for 3 rows
         assert stats.invalidations == 0
 
     def test_repeated_detection_hits_the_cache(self):
@@ -77,3 +79,17 @@ class TestTargetIndexBuiltOnce:
         # row Y='v' provides {b} → strands a, c;
         # row Y='w' provides nothing → strands a, b, c.
         assert witnesses == ["a", "a", "b", "b", "c", "c", "c"]
+
+    def test_engine_build_after_a_detect_hits_the_detects_index(self):
+        """The delta engine seeds its target counts from the index the
+        detect built: S's index is built once, and hit after."""
+        db = _db()
+        deps = [_multi_row_cind()]
+        report = detect_violations_indexed(db, deps)
+        stats = db.relation("S").indexes.stats
+        assert (stats.builds, stats.hits) == (1, 0)
+        engine = DeltaEngine(db, deps)
+        assert (stats.builds, stats.hits) == (1, 1)
+        assert violation_sequence(engine.ordered_violations()) == (
+            violation_sequence(report.violations)
+        )

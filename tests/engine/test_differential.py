@@ -16,12 +16,16 @@ rule sets under key-churning edit batches) and a denial-focused phase
 (single-atom, FD-shaped and cross-relation denial constraints) — so all
 six constraint classes meet batched inserts, deletes and cell updates.
 The comparison is exact — multisets over (dependency, ordered witness
-tuples), so even witness order inside a pair violation must match.
+tuples), so even witness order inside a pair violation must match.  A
+fourth, independent oracle — a sqlite3 ``NOT EXISTS`` anti-join per
+tableau row — checks every IND/CIND witness list of the detect and of
+the delta engine's ordered read.
 """
 
 from __future__ import annotations
 
 import random
+import sqlite3
 from typing import List
 
 import pytest
@@ -403,20 +407,14 @@ def test_one_rule_detects_in_the_batch_order():
 
 
 def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
-    """Count guard: the first engine build after a detect sweeps no
-    partition and copies none — it reads the violating rows off the kernel
-    flags, on layouts it did not build, and materialises only those rows
-    and the flagged partitions' pivots."""
+    """Count guard: the first engine build after a detect builds no index,
+    sweeps no partition and copies none — it reads the violating rows off
+    what the detect flagged (a scan group's kernel flags, an inclusion
+    member's flagged layout ranks), on layouts and target indexes it did
+    not build, and materialises no row the detect did not.  Two inputs:
+    the Fig. 4 CINDs over generated orders, and the customer CFDs."""
     from repro.workloads.customer import CustomerConfig, generate_customers
-
-    generated = generate_customers(
-        CustomerConfig(n_tuples=2000, error_rate=0.03, seed=5)
-    )
-    db, deps = generated.db, generated.cfds()
-    relation = db.relation("customer")
-    report = detect_violations_indexed(db, deps)
-    builds_before = relation.indexes.stats.builds
-    materialised_before = sum(t is not None for t in relation.column_store.cache)
+    from repro.workloads.orders import OrdersConfig, generate_orders
 
     calls = []
     evaluate = _ScanState._evaluate
@@ -425,20 +423,258 @@ def test_delta_build_after_detect_sweeps_candidate_groups_only(monkeypatch):
         "_evaluate",
         lambda self, key, group: calls.append(key) or evaluate(self, key, group),
     )
+    customers = generate_customers(
+        CustomerConfig(n_tuples=2000, error_rate=0.03, seed=5)
+    )
+    orders = generate_orders(OrdersConfig(n_orders=2000))
+    for generated, deps in [
+        (orders.db, orders.cinds()),
+        (customers.db, customers.cfds()),
+    ]:
+        # reloaded column-wise: no row has a ``Tuple`` yet
+        db = DatabaseInstance(generated.schema)
+        for rel in generated:
+            db.relation(rel.schema.name).extend_rows([t.values() for t in rel])
+        report = detect_violations_indexed(db, deps)
+        builds_before = [rel.indexes.stats.builds for rel in db]
+        materialised_before = [
+            sum(t is not None for t in rel.column_store.cache) for rel in db
+        ]
+        engine = DeltaEngine(db, deps)
+        assert [rel.indexes.stats.builds for rel in db] == builds_before
+        # the detect already materialised every witness and pivot
+        assert [
+            sum(t is not None for t in rel.column_store.cache) for rel in db
+        ] == materialised_before
+        assert calls == []
+        assert all(not state.touched for state in engine._states())
+        flagged = sum(len(state.violations) for state in engine._scan_states) + sum(
+            len(row.violations)
+            for state in engine._inclusion_states
+            for row in state.rows
+        )
+        assert 0 < flagged < sum(len(rel) for rel in db) / 10
+        assert violation_multiset(engine.violations()) == violation_multiset(
+            report.violations
+        )
+
+
+# -- the SQL oracle --------------------------------------------------------
+#
+# Every IND / CIND witness list is checked against an anti-join sqlite3
+# runs: one ``NOT EXISTS`` query per tableau row, over a copy of the
+# relations in untyped columns, so sqlite's own comparison decides whether
+# ``3`` meets ``3.0`` and ``True`` meets ``1``.
+
+
+def _sqlite_copy(db):
+    """``(connection, rids)``: every relation as a table with a ``rid``
+    column numbering its rows in relation order, and per relation the
+    ``Tuple`` → rid map."""
+    connection = sqlite3.connect(":memory:")
+    rids = {}
+    for relation in db:
+        name = relation.schema.name
+        columns = ", ".join(f'"{a}"' for a in relation.schema.attribute_names)
+        connection.execute(f'CREATE TABLE "{name}" (rid, {columns})')
+        rows = list(relation)
+        marks = ", ".join("?" * (len(relation.schema) + 1))
+        connection.executemany(
+            f'INSERT INTO "{name}" VALUES ({marks})',
+            [(rid, *t.values()) for rid, t in enumerate(rows)],
+        )
+        rids[name] = {t: rid for rid, t in enumerate(rows)}
+    return connection, rids
+
+
+def _anti_join(connection, dep) -> list:
+    """The rids of ``dep``'s violating source rows, tableau row by tableau
+    row, each row's in relation order."""
+    if isinstance(dep, CIND):
+        patterns = [(dep.lhs_pattern(row), dep.rhs_pattern(row)) for row in dep.tableau]
+    else:
+        patterns = [({}, {})]
+    found = []
+    for lhs_pattern, rhs_pattern in patterns:
+        joined = [
+            f's."{y}" = r."{x}"' for x, y in zip(dep.lhs_attrs, dep.rhs_attrs)
+        ] + [f's."{a}" = ?' for a in rhs_pattern]
+        selected = [f'r."{a}" = ?' for a in lhs_pattern] + [
+            f'NOT EXISTS (SELECT 1 FROM "{dep.rhs_relation}" AS s '
+            f"WHERE {' AND '.join(joined)})"
+        ]
+        query = (
+            f'SELECT r.rid FROM "{dep.lhs_relation}" AS r '
+            f"WHERE {' AND '.join(selected)} ORDER BY r.rid"
+        )
+        parameters = [*lhs_pattern.values(), *rhs_pattern.values()]
+        found.extend(rid for (rid,) in connection.execute(query, parameters))
+    return found
+
+
+def _assert_sql_agrees(db, deps, reports, context):
+    """Each IND / CIND's witnesses in each report, as rids, are the
+    anti-join's list."""
+    connection, rids = _sqlite_copy(db)
+    try:
+        for dep in deps:
+            if not isinstance(dep, (IND, CIND)):
+                continue
+            expected = _anti_join(connection, dep)
+            for label, violations in reports.items():
+                witnesses = [
+                    rids[dep.lhs_relation][v.tuples[0][1]]
+                    for v in violations
+                    if v.dependency is dep
+                ]
+                assert witnesses == expected, f"{label} vs sqlite: {context} {dep!r}"
+    finally:
+        connection.close()
+
+
+def _assert_sql_leg(db, deps, engine, context):
+    _assert_sql_agrees(
+        db,
+        deps,
+        {
+            "detect": detect_violations_indexed(db, deps).violations,
+            "engine": engine.ordered_violations(),
+        },
+        context,
+    )
+
+
+def test_inclusion_witnesses_equal_a_sqlite_anti_join():
+    """Every corpus case with an IND or CIND, after the build and after
+    each edit batch: the detect's and the engine's witnesses, per
+    dependency, are the rows sqlite's ``NOT EXISTS`` anti-join returns,
+    tableau row by tableau row, in relation order."""
+    compared = 0
+    for case_id, rng, make_deps in _cases():
+        schema = _random_schema(rng)
+        db = _random_instance(schema, rng)
+        deps = make_deps(schema, rng)
+        inclusion = any(isinstance(dep, (IND, CIND)) for dep in deps)
+        engine = DeltaEngine(db, deps)
+        if inclusion:
+            _assert_sql_leg(db, deps, engine, f"{case_id} initial")
+            compared += 1
+        for batch_index in range(rng.randrange(1, 4)):
+            engine.apply(_random_batch(db, rng))
+            if inclusion:
+                _assert_sql_leg(db, deps, engine, f"{case_id} batch={batch_index}")
+                compared += 1
+    assert compared >= 250
+
+
+def test_sqlite_decides_numeric_and_boolean_equality_as_the_engine_does():
+    """Values that compare equal across types (``3`` / ``3.0``, ``True`` /
+    ``1``) provide each other's keys, and a string never provides a
+    number — as sqlite's comparison decides — before and after edits."""
+    from repro.relational.domains import BOOL, FLOAT, INT
+
+    schema = DatabaseSchema(
+        [
+            RelationSchema(
+                "R", [("F", FLOAT), ("B", BOOL), ("I", INT), ("T", STRING)]
+            ),
+            RelationSchema("S", [("F", FLOAT), ("I", INT), ("T", STRING)]),
+        ]
+    )
+    db = DatabaseInstance(schema)
+    db.relation("R").extend_rows(
+        [
+            (3.0, True, 1, "3"),
+            (2.5, False, 3, "x"),
+            (1.0, True, 0, "y"),
+            (3, False, 5, "1"),
+        ]
+    )
+    db.relation("S").extend_rows([(1.0, 3, "x"), (0.0, 1, "y"), (3.5, 0, "x")])
+    deps = [
+        IND("R", ["F"], "S", ["I"]),
+        IND("R", ["B"], "S", ["I"]),
+        IND("R", ["I"], "S", ["F"]),
+        IND("R", ["T"], "S", ["I"]),
+        CIND(
+            "R", ["F"], "S", ["I"],
+            lhs_pattern_attrs=["B"], rhs_pattern_attrs=["T"],
+            tableau=[{"B": True, "T": "x"}, {"B": False, "T": "y"}],
+        ),
+    ]
     engine = DeltaEngine(db, deps)
-    assert relation.indexes.stats.builds == builds_before
-    assert calls == []
-    assert all(not state.touched for state in engine._scan_states)
-    flagged = sum(len(state.violations) for state in engine._scan_states)
-    assert 0 < flagged < len(relation) / 10
-    # the detect already materialised every witness and pivot
-    assert (
-        sum(t is not None for t in relation.column_store.cache)
-        == materialised_before
-    )
-    assert violation_multiset(engine.violations()) == violation_multiset(
-        report.violations
-    )
+    _assert_sql_leg(db, deps, engine, "initial")
+    batches = [
+        Changeset().insert("S", (2.0, 1, "y")).delete("S", (1.0, 3, "x")),
+        Changeset().insert("S", (5, 3, "x")).insert("R", (1, True, 3, "2")),
+        Changeset().update("S", (0.0, 1, "y"), I=2).insert("S", (3.0, 0, "y")),
+    ]
+    for index, batch in enumerate(batches):
+        engine.apply(batch)
+        _assert_sql_leg(db, deps, engine, f"batch={index}")
+
+
+def _self_inclusion_dependencies(rng: random.Random) -> list:
+    """Inclusions the corpus never draws: R into R itself, an X that
+    repeats an attribute, and two CINDs on one source signature (one
+    maintained state) with different tableaux."""
+    lhs = [rng.choice(["A0", "A1"])] * 2  # X repeats an attribute
+    pattern = rng.choice(["A2", "A3"])
+    return [
+        IND("R", ["A0"], "R", ["A1"]),
+        CIND("R", lhs, "R", ["A2", "A3"]),
+        CIND(
+            "R", ["A1"], "R", ["A0"],
+            lhs_pattern_attrs=[pattern], rhs_pattern_attrs=["A3"],
+            tableau=[{f"L.{pattern}": v, "R.A3": rng.choice(VALUES)} for v in VALUES],
+        ),
+        CIND(
+            "R", ["A1"], "S", ["X0"],
+            lhs_pattern_attrs=[pattern],
+            tableau=[{pattern: rng.choice(VALUES)}],
+        ),
+        CIND(
+            "R", ["A1"], "S", ["X1"],
+            lhs_pattern_attrs=[pattern],
+            tableau=[{pattern: rng.choice(VALUES)}],
+        ),
+    ]
+
+
+def test_self_inclusion_and_repeated_attributes_against_sqlite():
+    """R ⊆ R (an edit is a target and a source edit at once), an X that
+    repeats an attribute (a target key whose two values differ demands
+    no partition) and two members sharing one source signature: after
+    the build and every batch, its undo and its redo, the detect and the
+    engine agree with sqlite's anti-join, the naive oracle's multiset,
+    and a fresh detection's list."""
+    for seed in range(40):
+        rng = random.Random(61_000 + seed)
+        schema = DatabaseSchema(
+            [
+                RelationSchema("R", [(f"A{i}", STRING) for i in range(4)]),
+                RelationSchema("S", [("X0", STRING), ("X1", STRING)]),
+            ]
+        )
+        db = _random_instance(schema, rng)
+        deps = _self_inclusion_dependencies(rng)
+        engine = DeltaEngine(db, deps)
+
+        def check(step):
+            context = f"seed={seed} {step}"
+            _assert_sql_leg(db, deps, engine, context)
+            _assert_all_paths_agree(db, deps, engine, context)
+            _assert_ordered_read(db, deps, engine, context)
+
+        check("initial")
+        for index in range(4):
+            batch = _random_batch(db, rng)
+            undo = engine.apply(batch).undo
+            check(f"batch={index}")
+            engine.apply(undo)
+            check(f"batch={index} undone")
+            engine.apply(batch)
+            check(f"batch={index} redone")
 
 
 # -- the ordered read ------------------------------------------------------
