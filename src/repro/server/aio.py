@@ -5,24 +5,23 @@ cost file descriptors, not threads), and requests split by the row of
 the core's route table they name (:class:`~repro.server.core.Route`,
 ``.verb``; this module lists no verb of its own):
 
-* **snapshot reads** — the cached routes, ``detect`` on an unchanged
-  engine and ``GET .../rules`` — answer *inline on the loop* from cached
-  response bytes, validated against the session's relation-version
-  fingerprint (:meth:`repro.session.Session.state_fingerprint`).  No
-  session lock, no thread handoff: a reader can never queue behind a
-  writer.  The body is parsed once, here, for the snapshot key, and the
-  core's handler reads that parse on a miss.
+* **snapshot reads** — the cached routes, ``detect`` and
+  ``GET .../rules`` — answer *inline on the loop* from cached response
+  bytes while the session still reports the report epoch they were
+  published at (:meth:`repro.session.Session.report_epoch`).  No session
+  lock, no thread handoff: a reader can never queue behind a writer.  The
+  body is parsed once, here, for the snapshot key, and the core's handler
+  reads that parse on a miss.
 * **serialized routes** — the writes (``apply``/``undo``/``repair``/rules
   writes, ``DELETE``) and the cached reads that miss — serialize per
   session on an :class:`asyncio.Lock` and run the shared
   :class:`~repro.server.core.ServiceCore` handler on a worker thread.
   Once the write completed, still under that lock, the session's
-  snapshot is dropped and the next read re-publishes one at the new
-  fingerprint — except after an ``apply`` / ``undo`` the delta engine
-  vouches changed no report (the session's ``report_epoch()`` still
-  equals the one recorded at publication): that snapshot is *re-stamped*
-  at the new fingerprint, and the read after such a write is a snapshot
-  read.  On mostly clean data that is most writes.
+  snapshot is dropped and the next read publishes one at the new epoch —
+  except after an ``apply`` / ``undo`` the delta engine vouches changed
+  no report (the session's ``report_epoch()`` still equals the
+  snapshot's): that snapshot is *kept*, and the read after such a write
+  is a snapshot read.  On mostly clean data that is most writes.
 * **cheap edits** — an ``apply`` / ``undo`` on an in-memory (unjournaled),
   non-degraded session whose lock no worker holds, and whose previous
   edit's handler took less than ``sys.getswitchinterval()`` — run the
@@ -31,10 +30,11 @@ the core's route table they name (:class:`~repro.server.core.Route`,
   switch anyway, so one shorter than the switch interval delays loop
   callbacks no more inline than pooled, and inline it skips the thread
   hand-off both ways.  A misprediction blocks the loop for one edit; the
-  time it records sends the session's next edit to the pool.  First
-  edits (they build the delta engine), journaled sessions (``fdatasync``
-  and the cadence snapshot stay off the loop) and recovery probes are
-  always pooled.
+  time it records sends the session's next edit to the pool.  A
+  session's first edit (nothing has timed one yet; with no detect before
+  it, it builds the delta engine), journaled sessions (``fdatasync`` and
+  the cadence snapshot stay off the loop) and recovery probes are always
+  pooled.
 * everything else (health, metrics, listings, creates) runs the core
   handler on a worker thread without session-level coordination — those
   paths are already lock-free or non-blocking by construction.
@@ -46,31 +46,28 @@ test replays one history against a served instance and an in-process
 
 Snapshot-correctness argument, in one place:
 
+* every served report is the delta engine's — a session's first
+  ``detect`` builds it (``ServiceCore._handle_detect``) — and a snapshot
+  is published only while the session reports an epoch: a read with no
+  engine answering for it (a rules ``GET`` before any detect) publishes
+  nothing;
 * a snapshot is published only *while holding the session's asyncio
-  lock*, after the verb handler completed, with the fingerprint read
-  under that lock — so the cached bytes and fingerprint always agree;
+  lock*, after the verb handler completed, with the epoch read under that
+  lock — so the cached bytes and the epoch always agree;
 * every mutating path on this server holds the same asyncio lock, so a
-  published fingerprint can only be observed concurrently with *reads*
-  (the lock is chosen from the :class:`~repro.server.core.Route` the core
+  published epoch can only be observed concurrently with *reads* (the
+  lock is chosen from the :class:`~repro.server.core.Route` the core
   dispatches on — the same table row, built by the same parse — so no
   target reaches a write handler without it);
-* relation versions are monotonic: any committed mutation bumps at least
-  one version, so a hit (fingerprint equality, checked dirty) proves no
-  mutation committed since the fingerprint was stamped — a torn read can
-  only *miss*;
-* a fingerprint is re-stamped only under the same lock, right after an
-  ``apply`` / ``undo``, and only when the snapshot's token and the
-  session's are equal reads of one engine's ``report_epoch`` — a value
-  that engine replaces in the very ``apply`` that changes its ordered
-  violation list, by identity, and that no other engine or rebuild ever
-  repeats.  Equal tokens read under the lock every writer holds therefore
-  mean the cached list *is* the list a fresh executor run returns now
-  (the engine's standing contract), so the cached bytes are the bytes the
-  handler would produce; a snapshot published without a maintained report
-  (token ``None``) is never carried over;
-* the snapshot pins strong references to the database and rules objects
-  backing its ``id()``-based fingerprint components, so a recycled id
-  can never alias a new object into a false hit;
+* a session reports an epoch only while its engine is current, and the
+  engine moves ``report_epoch`` *before* its recorded relation versions
+  catch up (``DeltaEngine._maintain`` and ``_build``), so a lock-free
+  reader that sees the engine current after a report-changing write sees
+  the new epoch.  Epochs come from one process-wide counter, never
+  repeated by another engine or a rebuild, so an equal epoch means the
+  cached list *is* the list a fresh executor run returns now (the
+  engine's standing contract); the rule documents change only with a
+  rules write, which drops the engine;
 * hits additionally require the hosted session to be the manager's
   current, non-closed, non-degraded resident — degraded sessions answer
   through the gated (503-producing) path, and evicted/rehydrated
@@ -127,32 +124,30 @@ class _LockEntry:
 
 
 class SessionSnapshot:
-    """Immutable read cache for one session at one fingerprint.
+    """Immutable read cache for one session at one report epoch.
 
     ``cache`` maps read keys (:meth:`Route.snapshot_key
     <repro.server.core.Route.snapshot_key>`) to fully rendered
-    :class:`Response` objects.  ``pinned`` holds the database
-    and rules objects whose ``id()``s appear in the fingerprint.
-    ``token`` is the session's ``report_epoch()`` at publication
-    (``None``: no maintained report to compare a later one with); an edit
-    that leaves it standing moves ``fingerprint`` forward instead of
-    ending the snapshot.
+    :class:`Response` objects, good while the session's
+    ``report_epoch()`` equals ``epoch``, the one it had at publication.
     """
 
-    __slots__ = ("hosted", "fingerprint", "pinned", "token", "cache")
+    __slots__ = ("hosted", "epoch", "cache")
 
-    def __init__(
-        self,
-        hosted: HostedSession,
-        fingerprint: tuple,
-        pinned: tuple,
-        token: Optional[int],
-    ) -> None:
+    def __init__(self, hosted: HostedSession, epoch: int) -> None:
         self.hosted = hosted
-        self.fingerprint = fingerprint
-        self.pinned = pinned
-        self.token = token
+        self.epoch = epoch
         self.cache: Dict[tuple, Response] = {}
+
+    def answers_for(self, hosted: Optional[HostedSession]) -> bool:
+        """Whether the cached bytes are ``hosted``'s answers now: the same
+        resident, open and healthy, at the same report epoch."""
+        return (
+            hosted is self.hosted
+            and not self.hosted.closed
+            and not self.hosted.is_degraded
+            and self.hosted.session.report_epoch() == self.epoch
+        )
 
 
 class AsyncReproServer:
@@ -566,12 +561,7 @@ class AsyncReproServer:
             hosted = self.manager.get(session_id)
         except UnknownSessionError:
             return None
-        if (
-            hosted is not snapshot.hosted
-            or hosted.closed
-            or hosted.is_degraded
-            or hosted.session.state_fingerprint() != snapshot.fingerprint
-        ):
+        if not snapshot.answers_for(hosted):
             return None
         self.metrics.count("snapshot_hits_total")
         self.metrics.record(
@@ -585,8 +575,8 @@ class AsyncReproServer:
         """Maintain the snapshot layer after a serialized verb completed.
 
         Called while still holding the session's asyncio lock, so the
-        fingerprint and report epoch read here cannot race another writer
-        on this server.  ``key`` is the request's snapshot key, if any.
+        report epoch read here cannot race another writer on this server.
+        ``key`` is the request's snapshot key, if any.
         """
         if verb.writes:
             # session deleted or mutated: whatever was cached is stale,
@@ -594,7 +584,7 @@ class AsyncReproServer:
             snapshot = self._snapshots.get(session_id)
             if snapshot is None:
                 return
-            if verb.edit and self._restamp(session_id, snapshot):
+            if verb.edit and snapshot.answers_for(self.manager.peek(session_id)):
                 self.metrics.count("snapshots_kept_total")
             else:
                 del self._snapshots[session_id]
@@ -608,20 +598,12 @@ class AsyncReproServer:
             return
         if hosted.closed or hosted.is_degraded:
             return
-        session = hosted.session
-        fingerprint = session.state_fingerprint()
+        epoch = hosted.session.report_epoch()
+        if epoch is None:
+            return  # no engine names the report yet (a rules read first)
         snapshot = self._snapshots.get(session_id)
-        if (
-            snapshot is None
-            or snapshot.hosted is not hosted
-            or snapshot.fingerprint != fingerprint
-        ):
-            snapshot = SessionSnapshot(
-                hosted,
-                fingerprint,
-                pinned=(session.database, session.rules),
-                token=session.report_epoch(),
-            )
+        if snapshot is None or snapshot.hosted is not hosted or snapshot.epoch != epoch:
+            snapshot = SessionSnapshot(hosted, epoch)
             self._snapshots[session_id] = snapshot
             # LRU eviction closes sessions without a request naming them:
             # sweep here, where the table grows, so it never holds more
@@ -631,26 +613,3 @@ class AsyncReproServer:
             ]:
                 del self._snapshots[stale]
         snapshot.cache[key] = response
-
-    def _restamp(self, session_id: str, snapshot: SessionSnapshot) -> bool:
-        """Carry ``snapshot`` across the ``apply`` / ``undo`` that just
-        completed, if the report it caches is still the session's report
-        (the module docstring has the argument).
-
-        Called under the session's asyncio lock.  Only the fingerprint
-        moves: every cached read — the detects the engine's report answers,
-        and the rule documents no edit touches — outlives the edit.
-        """
-        hosted = self.manager.peek(session_id)
-        if (
-            snapshot.token is None
-            or hosted is not snapshot.hosted
-            or hosted.closed
-            or hosted.is_degraded
-        ):
-            return False
-        session = hosted.session
-        if session.report_epoch() != snapshot.token:
-            return False
-        snapshot.fingerprint = session.state_fingerprint()
-        return True

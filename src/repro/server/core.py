@@ -723,6 +723,9 @@ class ServiceCore:
     @staticmethod
     def _handle_detect(hosted: HostedSession, body: Any) -> VerbResult:
         lists_violations = _lists_violations(body)
+        # every served report is the delta engine's: the first read builds
+        # it, so the report epoch names whatever a snapshot caches
+        hosted.session.engine
         report = hosted.session.detect()
         summary = report.to_dict(include_violations=False)
         if not lists_violations:

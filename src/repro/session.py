@@ -303,10 +303,9 @@ class Session:
         calls returning equal fingerprints bracket a window with no
         observable mutation — relation versions are bumped on every
         mutation, rule-set edits swap the rules list, and repair-adopt
-        swaps the database object.  The server's snapshot layer uses this
-        to serve reads against cached response bytes without the session
-        lock; callers comparing fingerprints must hold strong references
-        to the session (id reuse after collection would alias).
+        swaps the database object.  Callers comparing fingerprints must
+        hold strong references to the session (id reuse after collection
+        would alias).
         """
         return (
             id(self._db),

@@ -676,3 +676,91 @@ class TestOneLookupPerEdit:
         undo.apply_to(db)
         assert len(probes) == 150
         assert sorted(db.relation("E").to_rows()) == sorted(rows)
+
+
+class _VersionLog(dict):
+    """A ``DeltaEngine._versions`` that notes the engine's epoch at every
+    write after which the engine is current."""
+
+    def __init__(self, engine, items) -> None:
+        super().__init__(items)
+        self.engine = engine
+
+    def __setitem__(self, name, version) -> None:
+        super().__setitem__(name, version)
+        self.note()
+
+    def note(self) -> None:
+        if self.engine.is_current():
+            self.engine.seen.append(getattr(self.engine, "report_epoch", None))
+
+
+class _WatchedEngine(DeltaEngine):
+    """A delta engine whose every ``_versions`` — the dict a build assigns
+    and each entry ``apply`` writes — is a :class:`_VersionLog`."""
+
+    def __init__(self, db, deps) -> None:
+        self.seen = []
+        super().__init__(db, deps)
+
+    def __setattr__(self, name, value) -> None:
+        if name == "_versions":
+            value = _VersionLog(self, value)
+        super().__setattr__(name, value)
+        if name == "_versions":
+            value.note()
+
+
+class TestEpochMovesBeforeVersions:
+    """The served read cache keys on ``report_epoch`` and checks it
+    without a lock, while a write runs: so the moment the engine turns
+    current after a report-changing ``apply`` or a rebuild, the epoch
+    must already be the new one (``repro.server.aio``'s argument)."""
+
+    def _engine(self):
+        deps = [FD("R", ["A"], ["B"]), IND("R", ["A"], "S", ["X"])]
+        db = _db([("a", "x", "1"), ("b", "x", "2")], [("a", "-"), ("b", "-")])
+        return db, _WatchedEngine(db, deps)
+
+    def _turned_current_at(self, engine, step) -> int:
+        old, engine.seen = engine.report_epoch, []
+        step()
+        assert engine.seen, "the engine never turned current"
+        assert set(engine.seen) == {engine.report_epoch}
+        return old
+
+    def test_a_build_sets_the_epoch_first(self):
+        _, engine = self._engine()
+        assert engine.seen == [engine.report_epoch]
+
+    def test_a_report_changing_apply_moves_it_first(self):
+        db, engine = self._engine()
+        # both relations move: an FD pair and an IND source appear
+        old = self._turned_current_at(
+            engine,
+            lambda: engine.apply(
+                Changeset().insert("R", ("a", "y", "3")).delete("S", ("b", "-"))
+            ),
+        )
+        assert engine.report_epoch != old
+
+    def test_a_neutral_apply_keeps_it(self):
+        _, engine = self._engine()
+        old = self._turned_current_at(
+            engine, lambda: engine.apply(Changeset().insert("S", ("c", "-")))
+        )
+        assert engine.report_epoch == old
+
+    def test_a_rebuild_moves_it_first(self):
+        db, engine = self._engine()
+        old = self._turned_current_at(engine, engine.refresh)
+        assert engine.report_epoch != old
+        # a failed apply that moved a row rolls back and rebuilds
+        failing = Changeset().insert("R", ("c", "z", "4"))
+        failing.update("R", ("q", "q", "q"), B="w")  # no such row
+        old = engine.report_epoch
+        engine.seen = []
+        with pytest.raises(KeyError):
+            engine.apply(failing)
+        assert engine.stats.rebuilds == 2
+        assert engine.seen and set(engine.seen) == {engine.report_epoch} != {old}

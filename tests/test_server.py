@@ -714,6 +714,8 @@ class TestEvictionAndMetrics:
                 data={"emp": ROWS}, session_id="m",
             )
             client.detect("m")
+            # the first read built the engine it was answered from
+            assert client.session_info("m")["warm_engine"] is True
             client.apply(
                 "m",
                 {"ops": [
@@ -737,6 +739,7 @@ class TestEvictionAndMetrics:
             assert engines["warm_delta_engines"] == 1
             assert engines["delta_stats"]["batches"] == 1
             assert engines["delta_stats"]["ops_applied"] == 1
+            assert engines["delta_stats"]["reports_served"] == 1
             assert metrics["sessions"]["open"] == 1
         finally:
             server.shutdown()

@@ -1,10 +1,11 @@
 """A write that changes no report leaves the session's snapshot standing.
 
+A snapshot is keyed on the session's ``report_epoch()`` at publication,
+and a session's first ``detect`` builds the delta engine that names it.
 After an ``apply`` / ``undo`` the asyncio front end compares the
-session's ``report_epoch()`` with the one its snapshot recorded at
-publication; equal means the delta engine vouches that the ordered
-violation list did not change, and the snapshot is re-stamped at the new
-fingerprint instead of dropped — the ``detect`` after such a write is a
+session's epoch with the snapshot's; equal means the delta engine vouches
+that the ordered violation list did not change, and the snapshot stands
+instead of being dropped — the ``detect`` after such a write is a
 snapshot read.  These are count guards, not timings: ``/v1/metrics``
 says how many writes kept a snapshot, how many ended one and how many
 reads were served from one, ``delta_stats.reports_served`` says how many
@@ -15,6 +16,8 @@ fresh offline executor run (``workloads.soak.offline_detect``).
 from __future__ import annotations
 
 import json
+import random
+import sys
 import threading
 
 import pytest
@@ -151,13 +154,27 @@ def test_a_witness_update_drops_and_the_next_detect_is_maintained(served):
     assert served.moved(before) == {"kept": 1, "dropped": 1, "hits": 2, "served": 1}
 
 
-def test_a_snapshot_published_before_the_engine_was_warm_is_never_kept(served):
-    # only read so far: the executor answered and no engine holds an epoch
+def test_the_first_detects_snapshot_outlives_a_neutral_write(served):
+    # the first read built the engine, so its snapshot carries an epoch
+    # (when a read ran the executor, the write dropped it: dropped 1)
     served.detect()
     before = served.counts()
     served.apply(CLEAN_DELETE)
     served.detect()
-    assert served.moved(before) == {"kept": 0, "dropped": 1, "hits": 0, "served": 1}
+    assert served.moved(before) == {"kept": 1, "dropped": 0, "hits": 1, "served": 0}
+
+
+def test_a_read_with_no_engine_publishes_nothing(served):
+    """A rules read before any detect finds no engine and so no epoch to
+    key a snapshot on: it publishes none, and the read after a write
+    misses — it reaches the handler, and publishes at the engine's epoch."""
+    before = served.counts()
+    assert served.client.get_rules("s") == RULES
+    assert "s" not in served.server._snapshots
+    served.apply(CLEAN_DELETE)
+    assert served.client.get_rules("s") == RULES
+    assert served.moved(before) == {"kept": 0, "dropped": 0, "hits": 0, "served": 0}
+    assert "s" in served.server._snapshots
 
 
 @pytest.mark.parametrize(
@@ -261,6 +278,31 @@ def test_a_concurrent_reader_only_sees_legal_bodies(served):
     """One connection writes 200 cycles — a neutral delete, its undo, a
     witness update, its undo — while another reads in a loop: every body
     it gets is the report before or after the update, nothing else."""
+    moved = _race(served, cycles=200)
+    # every neutral write met the snapshot the writer's own detect left
+    assert moved["kept"] >= 200 and moved["dropped"] >= 400
+
+
+def test_a_lock_free_reader_racing_pooled_writes_only_sees_legal_bodies(tmp_path):
+    """The same race on a journaled session, whose edits all run on a pool
+    thread while the loop answers snapshot reads without a lock, with the
+    interpreter switching threads every 10 µs: a read that lands between
+    an edit's row changes and its engine catching up may only miss."""
+    harness = _Served(state_dir=tmp_path, fsync=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        moved = _race(harness, cycles=60)
+        assert harness.client.metrics()["edits"]["edits_inline_total"] == 0
+    finally:
+        sys.setswitchinterval(interval)
+        harness.server.shutdown()
+    assert moved["kept"] >= 60 and moved["dropped"] >= 120
+
+
+def _race(served, cycles: int) -> dict:
+    """Write ``cycles`` cycles while a second client reads; returns how
+    the counters moved."""
     # one cycle first: the update's undo re-appends the witness at the
     # relation's end, which is where every later cycle leaves it
     served.undo(served.apply(WITNESS_UPDATE).undo_token)
@@ -287,7 +329,7 @@ def test_a_concurrent_reader_only_sees_legal_bodies(served):
     reader = threading.Thread(target=read)
     reader.start()
     try:
-        for _ in range(200):
+        for _ in range(cycles):
             delta = served.apply(CLEAN_DELETE)
             assert _canonical(served.client.detect("s")) == base
             served.undo(delta.undo_token)
@@ -299,6 +341,76 @@ def test_a_concurrent_reader_only_sees_legal_bodies(served):
         reader.join(timeout=30)
     assert not reader.is_alive() and not failures
     assert seen and set(seen) <= legal
-    moved = served.moved(before)
-    # every neutral write met the snapshot the writer's own detect left
-    assert moved["kept"] >= 200 and moved["dropped"] >= 400
+    return served.moved(before)
+
+
+def test_the_counters_account_for_every_request_of_a_seeded_history(
+    served, monkeypatch
+):
+    """One session, 300 seeded steps of full and summary detects, rules
+    reads, neutral and report-changing applies, undos and rules writes:
+    every read is a hit or reaches its handler, every write made while a
+    snapshot stood kept or dropped it, and every detect equals a fresh
+    offline executor run."""
+    core, handled = served.server.core, []
+    for name in ("_handle_detect", "_rules"):
+        handler = getattr(core, name)
+        monkeypatch.setattr(
+            core, name, lambda *args, _h=handler: handled.append(1) or _h(*args)
+        )
+    schema = served.shadow.schema
+    tokens = []
+
+    def neutral(step):
+        # a department of its own: one row, no violation
+        row = {"dept": f"n{step}", "city": "a", "floor": step}
+        tokens.append(served.apply({"ops": [{"op": "insert", "relation": "emp",
+                                             "row": row}]}).undo_token)
+
+    def changing(step):
+        # a second floor for ``eng``: one more violation against its pivot
+        row = {"dept": "eng", "city": f"c{step}", "floor": 100 + step}
+        delta = served.apply({"ops": [{"op": "insert", "relation": "emp",
+                                       "row": row}]})
+        assert len(delta.added) == 1
+        tokens.append(delta.undo_token)
+
+    def undo(step):
+        served.undo(tokens.pop())
+
+    def put_rules(step):
+        served.client.set_rules("s", RULES)
+        served.shadow.replace_rules(rules_from_list(RULES, schema))
+
+    def get_rules(step):
+        assert served.client.get_rules("s") == RULES
+
+    reads = {
+        "detect": lambda step: served.detect(),
+        "summary": lambda step: served.detect(include_violations=False),
+        "rules": get_rules,
+    }
+    writes = {"neutral": neutral, "changing": changing, "undo": undo,
+              "put_rules": put_rules}
+    weights = {"detect": 4, "summary": 2, "rules": 2, "neutral": 4,
+               "changing": 1, "undo": 2, "put_rules": 1}
+    rng = random.Random(43)
+    before = served.client.metrics()["snapshots"]
+    sent = standing = 0
+    for step in range(300):
+        kind = rng.choices(list(weights), weights=list(weights.values()))[0]
+        if kind in reads:
+            sent += 1
+            reads[kind](step)
+        elif kind != "undo" or tokens:
+            standing += "s" in served.server._snapshots
+            writes[kind](step)
+    after = served.client.metrics()["snapshots"]
+    moved = {name: after[name] - before[name] for name in after}
+    assert moved["snapshot_hits_total"] + len(handled) == sent
+    assert (
+        moved["snapshots_kept_total"] + moved["snapshots_dropped_total"] == standing
+    )
+    # the history exercised every outcome
+    assert min(moved["snapshot_hits_total"], moved["snapshots_kept_total"],
+               moved["snapshots_dropped_total"], len(handled)) > 0

@@ -1,18 +1,21 @@
-"""A served ``detect`` after a write is read from the delta engine.
+"""A served ``detect`` is read from the delta engine.
 
-Once an ``apply`` has built a session's delta engine, a full ``detect``
-is answered from the violation set that engine maintains — sorted into
-the batch executor's order — instead of a fresh executor run.  The wire
-contract does not move: one durable session is driven through every kind
-of edit that reorders a report (a plain delete, its undo, a pivot delete,
-a delete + insert of an equal row that renders differently, a
-witness-cell update, eviction + rehydration), and after each step the
-served body must equal, **byte for byte**, the body a freshly created —
-cold, executor-served — session over the same rows serves.
+A session's first served ``detect`` builds its delta engine, and every
+full ``detect`` is answered from the violation set that engine maintains
+— sorted into the batch executor's order — instead of a fresh executor
+run.  The wire contract does not move: one durable session is driven
+through every kind of edit that reorders a report (a plain delete, its
+undo, a pivot delete, a delete + insert of an equal row that renders
+differently, a witness-cell update, eviction + rehydration), and after
+each step the served body must equal, **byte for byte**, the body a
+freshly created session over the same rows serves (whose first read
+builds an engine of its own), and the parsed document must equal a fresh
+executor run over the offline shadow (``workloads.soak.offline_detect``).
 """
 
 from __future__ import annotations
 
+import json
 from urllib.request import Request, urlopen
 
 import pytest
@@ -23,6 +26,7 @@ from repro.relational.instance import DatabaseInstance
 from repro.rules_json import database_schema_from_dict, rules_from_list
 from repro.server import make_server
 from repro.session import Session
+from repro.workloads.soak import canonical, offline_detect
 
 SCHEMA_DOC = {
     "relations": [
@@ -97,9 +101,13 @@ def _served(client: ServerClient, session_id: str = "s") -> int:
 
 
 def _check(client: ServerClient, base_url: str, shadow: Session) -> int:
-    """The served body equals a cold session's over the same rows; returns
-    how many fragments the served report had to encode."""
+    """The served body equals a fresh session's over the same rows, and a
+    fresh executor run's; returns how many fragments the served report had
+    to encode."""
     body = _detect_bytes(base_url, "s")
+    served = json.loads(body)
+    assert served.pop("wire_version") == 1
+    assert canonical(served) == canonical(offline_detect(shadow))
     encoded = client.diagnostics("s")["report_encoding"]["fragments_encoded_last"]
     client.create_session(
         schema=SCHEMA_DOC, rules=RULES, data=shadow.data_documents(),
@@ -107,7 +115,8 @@ def _check(client: ServerClient, base_url: str, shadow: Session) -> int:
     )
     try:
         assert body == _detect_bytes(base_url, "cold")
-        assert _served(client, "cold") == 0
+        # the fresh session's one read built its engine and was read off it
+        assert _served(client, "cold") == 1
     finally:
         client.delete_session("cold")
     return encoded
@@ -122,16 +131,16 @@ def _edit(client: ServerClient, shadow: Session, ops: list):
 def test_warm_detect_is_byte_equal_to_a_cold_sessions(served):
     (client, base_url), shadow = served, _shadow()
 
-    # cold: the executor answers, nothing is maintained yet
+    # the first read builds the engine and is read off it
     assert _check(client, base_url, shadow) == shadow.detect().total > 6
-    assert _served(client) == 0
+    assert _served(client) == 1
 
-    # a 1-row delete warms the engine: from here on reads are maintained
+    # a 1-row delete: the next read is maintained too
     delta, offline = _edit(
         client, shadow, [{"op": "delete", "relation": "emp", "row": EMP[3]}]
     )
     assert _check(client, base_url, shadow) <= len(delta.added) == 0
-    assert _served(client) == 1
+    assert _served(client) == 2
 
     # its undo re-appends the row at the relation's end
     undone = client.undo("s", delta.undo_token)
@@ -174,10 +183,10 @@ def test_warm_detect_is_byte_equal_to_a_cold_sessions(served):
     )
     assert 1 <= _check(client, base_url, shadow) <= len(delta.added)
     warm_reads = _served(client)
-    assert warm_reads == 6
+    assert warm_reads == 7
 
     # evict (two other sessions take both slots), then rehydrate: the
-    # engine is gone, the executor answers, the bytes stay
+    # engine is gone, the first read builds a new one, the bytes stay
     for other in ("x", "y"):
         client.create_session(
             schema=SCHEMA_DOC, rules=RULES, data=DATA, session_id=other
@@ -185,4 +194,4 @@ def test_warm_detect_is_byte_equal_to_a_cold_sessions(served):
     assert "s" in client.cold_sessions()
     client.delete_session("x")
     assert _check(client, base_url, shadow) == shadow.detect().total
-    assert _served(client) == 0
+    assert _served(client) == 1
