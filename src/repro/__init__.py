@@ -9,7 +9,7 @@ Subpackages
 -----------
 ``repro.session``      the unified Session facade: detect/repair/discover/stream
 ``repro.server``       long-running HTTP/JSON service over warm named Sessions
-``repro.client``       stdlib urllib client for the server's wire protocol
+``repro.client``       stdlib HTTP/1.1 client for the server's wire protocol
 ``repro.registry``     pluggable constraint registry: JSON codecs per class
 ``repro.relational``   typed domains, schemas, instances, algebra, queries
 ``repro.engine``       indexed execution: shared scans, batch planning, deltas

@@ -27,21 +27,22 @@ stripped version as a ``.wire_version`` attribute — returns are *typed*
 ``json.dumps``/key access keep working) with properties for the fields
 each endpoint guarantees.
 
-**Transport.**  Every request leaves through one function,
-:func:`urlopen` — a ``urllib.request`` opener (proxies, redirects,
-``https`` and the ``HTTPError`` mapping are urllib's) whose ``http``
-handler keeps its connection: one ``http.client`` connection per
-*calling thread* is parked between requests and reused for the next
-request to the same origin.  The connection belongs to the thread, not
-to the :class:`ServerClient`, so a client object stays stateless — it
-can be shared between threads, and there is nothing to close: a thread
-that ends closes its connection with it.  Before a parked connection is
-reused its socket is probed; one the peer closed while it sat idle (a
-server stop, a SIGKILL), one to another origin, or one whose last
-response said ``Connection: close`` is closed and the request dials
-afresh.  A request whose send or read fails is **never sent a second
-time** beneath :func:`urlopen` — ``apply`` is not idempotent — it
-surfaces as a retriable :class:`ServerError` and the caller's
+**Transport.**  Plain HTTP/1.1, as the server speaks it (no TLS, so
+``base_url`` is ``http://host[:port]``; no proxy, no redirects).  Every
+request leaves through one function, :func:`urlopen`, as one
+``sendall`` of a minimal head plus the body on the *calling thread's*
+socket, parked between requests; a response body must be framed by
+``Content-Length``, and any other framing is a transport failure.  A
+path with a space or a control character is refused before anything is
+sent: it would split the request line.  The socket belongs to the
+thread, not to the :class:`ServerClient`, so a client object stays
+stateless — it can be shared between threads, and there is nothing to
+close: a thread that ends closes its socket with it.  A parked socket
+the peer closed while it sat idle (a server stop, a SIGKILL), one to
+another origin, or one whose last response said ``Connection: close``
+is not reused.  A request whose send or read fails is **never sent a
+second time** beneath :func:`urlopen` — ``apply`` is not idempotent —
+it surfaces as a retriable :class:`ServerError` and the caller's
 ``retries=`` decides.
 
 With ``retries=N`` the client retransmits a failed request up to ``N``
@@ -60,14 +61,15 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
+import select
 import socket
 import threading
 import time
-from http.client import HTTPConnection, HTTPException, HTTPResponse
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Type, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
 from urllib.error import HTTPError, URLError
-from urllib.request import HTTPHandler, Request, build_opener
-from urllib.response import addinfourl
+from urllib.parse import urlsplit
+from urllib.request import Request
 
 from repro.errors import ReproError
 
@@ -123,117 +125,167 @@ class ServerError(ReproError):
 
 
 # --------------------------------------------------------------------------
-# Transport: urllib's opener over one parked connection per thread
+# Transport: HTTP/1.1 over one parked socket per thread
 # --------------------------------------------------------------------------
 
+#: ``http.client``'s caps on a response head: header lines, bytes a line.
+_MAX_HEADERS = 100
+_MAX_LINE = 65536
+#: Bytes that would end the request target or the request line early.
+_UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")
+#: A final status: no 1xx answer is ever asked for.
+_STATUS_LINE = re.compile(r"HTTP/1\.[01] ([2-9][0-9][0-9])(?: (.*))?")
 
-class _ParkedConnection(HTTPConnection):
-    """A connection that closes with whoever held the last reference —
-    the thread-local slot of a thread that ended, or a failed request."""
 
-    def __init__(self, origin: str, timeout: Any) -> None:
-        super().__init__(origin, timeout=timeout)
+class _BadResponse(Exception):
+    """A response that is not one framed HTTP/1.1 answer."""
+
+
+class _Parked:
+    """A socket to ``origin`` that closes with whoever held the last
+    reference: the slot of a thread that ended, or a failed request."""
+
+    def __init__(self, origin: str, sock: socket.socket) -> None:
+        self.sock = sock
         self.origin = origin
-
-    def still_idle(self) -> bool:
-        """Whether the parked socket is silent.  Readable means the peer
-        closed it (EOF or a reset) or sent bytes no request asked for;
-        either way the next request must not go out on it."""
-        if self.sock is None:
-            return False
-        self.sock.settimeout(0)
-        try:
-            self.sock.recv(1, socket.MSG_PEEK)
-        except BlockingIOError:
-            return True
-        except OSError:
-            return False
-        return False
+        self.poller = select.poll()
+        self.poller.register(sock, select.POLLIN)
 
     def __del__(self) -> None:
-        self.close()
+        self.sock.close()
 
 
-class _Reply(addinfourl):
-    """A response already read off its connection, in the shape urllib's
-    processors and ``HTTPError`` expect of ``http_open``'s result."""
+def _read_response(
+    sock: socket.socket,
+) -> Tuple[int, str, Dict[str, str], bytes, bool]:
+    """Status, reason, headers (lower-cased names), body, and whether the
+    socket may carry the next request.  The body must be framed by
+    ``Content-Length``, as every ``repro serve`` answer is; any other
+    framing is refused."""
+    buffer = bytearray()
+    pos = 0
 
-    def __init__(self, body: bytes, response: HTTPResponse, url: str) -> None:
-        super().__init__(
-            io.BytesIO(body), response.headers, url, response.status
-        )
-        self.msg = response.reason
+    def line() -> str:
+        nonlocal pos
+        while (end := buffer.find(b"\n", pos, pos + _MAX_LINE)) < 0:
+            if len(buffer) - pos >= _MAX_LINE:
+                raise _BadResponse(f"a head line is over {_MAX_LINE} bytes")
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise _BadResponse("the peer closed before the head ended")
+            buffer.extend(chunk)
+        start = pos
+        pos = end + 1
+        return buffer[start:end].rstrip(b"\r").decode("latin-1")
+
+    status_line = line()
+    status = _STATUS_LINE.fullmatch(status_line)
+    if status is None:
+        raise _BadResponse(f"malformed status line {status_line[:80]!r}")
+    code, reason = status.groups()
+    fields = []
+    while field := line():
+        if len(fields) == _MAX_HEADERS:
+            raise _BadResponse(f"the head has more than {_MAX_HEADERS} header lines")
+        fields.append(field.partition(":"))
+    headers = {name.lower(): value.strip() for name, _, value in fields}
+    if "transfer-encoding" in headers:
+        raise _BadResponse("Transfer-Encoding is not supported")
+    tokens = headers.get("connection", "").lower().split(",")
+    close = "close" in map(str.strip, tokens)
+    declared = headers.get("content-length", "")
+    if not (declared.isascii() and declared.isdigit()):
+        raise _BadResponse(f"the body has no Content-Length ({declared!r})")
+    rest = buffer[pos:]
+    missing = int(declared) - len(rest)
+    close = close or missing < 0  # bytes past the body: keep it, not the socket
+    chunks = [rest[: int(declared)]]
+    while missing > 0:
+        chunk = sock.recv(min(missing, 1 << 20))
+        if not chunk:
+            raise _BadResponse(
+                f"the body ended {missing} bytes short of its Content-Length"
+            )
+        chunks.append(chunk)
+        missing -= len(chunk)
+    return int(code), reason or "", headers, b"".join(chunks), not close
 
 
-class _KeepAliveHandler(HTTPHandler):
-    """``http_open`` that parks its connection between requests.
+#: The calling thread's parked socket, taken out for each request.
+_slot = threading.local()
 
-    The slot is thread-local: a request takes the calling thread's
-    connection *out* of it and puts it back only after the response was
-    read whole, so a connection is never shared, a failed or abandoned
-    exchange leaves nothing behind to be reused, and every request is
-    written to a socket exactly once.
-    """
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._slot = threading.local()
-        os.register_at_fork(after_in_child=self._drop_inherited)
+def _claim() -> Optional[_Parked]:
+    parked: Optional[_Parked] = getattr(_slot, "parked", None)
+    _slot.parked = None
+    return parked
 
-    def _claim(self) -> Optional[_ParkedConnection]:
-        connection = getattr(self._slot, "connection", None)
-        self._slot.connection = None
-        return connection
 
-    def _drop_inherited(self) -> None:
-        """A forked child holds a copy of the parent's socket, not its
-        conversation: close the copy (the parent's end is unaffected)."""
-        connection = self._claim()
-        if connection is not None:
-            connection.close()
+# A forked child holds a copy of the parent's socket, not its
+# conversation: claiming the copy drops, and so closes, it (the parent's
+# end is unaffected).
+os.register_at_fork(after_in_child=_claim)
 
-    def http_open(self, req: Request) -> _Reply:  # type: ignore[override]
-        connection = self._claim()
-        if (
-            connection is not None
-            and connection.origin == req.host
-            and connection.still_idle()
-        ):
-            connection.sock.settimeout(req.timeout)
-        else:
-            if connection is not None:
-                connection.close()
-            connection = _ParkedConnection(req.host, req.timeout)
-        # what do_open sends, minus its "Connection: close"
-        merged = {**req.headers, **req.unredirected_hdrs}
-        headers = {name.title(): value for name, value in merged.items()}
+
+def _exchange(
+    request: Request, timeout: float
+) -> Tuple[int, str, Dict[str, str], bytes]:
+    """One request written, one response read, on the calling thread's
+    socket.  The socket is taken *out* of the thread's slot and put back
+    only once a response was read whole and framed, so it is never
+    shared, a failed exchange leaves nothing to reuse, and every request
+    is written exactly once."""
+    parked = _claim()
+    # readable while parked: the peer closed it (a stop, a SIGKILL) or
+    # sent bytes no request asked for; nothing may go out on it
+    if parked is not None and (
+        parked.origin != request.host or parked.poller.poll(0)
+    ):
+        parked.sock.close()
+        parked = None
+    if parked is None:
+        address = urlsplit(request.full_url)
         try:
-            try:
-                connection.request(
-                    req.get_method(), req.selector, req.data, headers
-                )
-            except OSError as err:  # as do_open: refused, unresolvable, ...
-                raise URLError(err) from None
-            response = connection.getresponse()
-            body = response.read()
-        except BaseException:
-            connection.close()
-            raise
-        if connection.sock is not None:
-            # http.client closed it already on a "Connection: close"
-            self._slot.connection = connection
-        return _Reply(body, response, req.full_url)
+            sock = socket.create_connection(
+                (address.hostname, address.port or 80), timeout
+            )
+        except OSError as err:  # refused, unresolvable, timed out
+            raise URLError(err) from None
+        parked = _Parked(request.host, sock)
+    lines = [
+        f"{request.get_method()} {request.selector} HTTP/1.1",
+        f"Host: {request.host}",
+        *(f"{name.title()}: {value}" for name, value in request.header_items()),
+    ]
+    if request.data is not None:  # a GET or a DELETE frames no body
+        lines.append(f"Content-Length: {len(request.data)}")
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    try:
+        if parked.sock.gettimeout() != timeout:
+            parked.sock.settimeout(timeout)
+        parked.sock.sendall(head + (request.data or b""))
+        status, reason, headers, body, reusable = _read_response(parked.sock)
+    except BaseException:
+        parked.sock.close()
+        raise
+    if reusable:
+        _slot.parked = parked
+    else:
+        parked.sock.close()
+    return status, reason, headers, body
 
 
-_opener = build_opener(_KeepAliveHandler)
-
-
-def urlopen(request: Request, timeout: float) -> addinfourl:
+def urlopen(request: Request, timeout: float) -> io.BytesIO:
     """The one function every request leaves through (and the seam a
-    test substitutes): ``urllib.request.urlopen``'s contract — a context
-    manager with ``read()``, ``HTTPError`` on a non-2xx status — over
-    the keep-alive opener."""
-    return _opener.open(request, timeout=timeout)
+    test substitutes): ``urllib.request.urlopen``'s contract for plain
+    ``http`` — the body as a file on a 2xx, ``HTTPError`` on any other
+    status, ``URLError`` when the connect fails.  The ``HTTPError`` is
+    raised out of the frame that held the socket, so an error a caller
+    keeps does not keep the socket open."""
+    status, reason, headers, body = _exchange(request, timeout)
+    if 200 <= status < 300:
+        return io.BytesIO(body)
+    raise HTTPError(request.full_url, status, reason, headers, io.BytesIO(body))
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +399,17 @@ class ServerClient:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.base_url = base_url.rstrip("/")
+        address = urlsplit(self.base_url)
+        address.port  # a malformed port is a ValueError here, not at a request
+        if (
+            self.base_url != f"http://{address.netloc}"
+            or not address.hostname
+            or "@" in address.netloc
+        ):
+            raise ValueError(
+                f"base_url must be http://host[:port], got {base_url!r}: "
+                "the server speaks plain HTTP, with no TLS (docs/server.md)"
+            )
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
@@ -386,6 +449,14 @@ class ServerClient:
         cls: Type[WireDocument],
         accept: str,
     ) -> Any:
+        if _UNSENDABLE.search(path):
+            # http.client refused these too: a space would cut the path
+            # short, a CR/LF would start a second request on the socket
+            raise ServerError(
+                f"{method} {path!r}: a request path may not hold spaces or "
+                "control characters",
+                retriable=False,
+            )
         url = f"{self.base_url}/v1{path}"
         data = None
         headers = {"Accept": accept}
@@ -421,18 +492,17 @@ class ServerClient:
                 f"({exc.reason})",
                 retriable=True,
             ) from None
-        except (HTTPException, OSError) as exc:
-            # urllib leaks raw socket/protocol errors raised *after* the
-            # connection is up (RemoteDisconnected, ConnectionResetError,
-            # IncompleteRead, timeouts) — same failure class as URLError.
+        except (_BadResponse, OSError) as exc:
+            # a failure *after* the connection is up (a reset, a timeout,
+            # a torn or unframed response) — same failure class as URLError
             raise ServerError(
                 f"{method} {path}: transport failure talking to "
                 f"{self.base_url} ({exc!r})",
                 retriable=True,
             ) from None
         except json.JSONDecodeError as exc:
-            # A torn/truncated 2xx body (e.g. the server was SIGKILLed
-            # mid-response) is a transport failure, not a client bug.
+            # A 2xx body that is not JSON (a peer that is not a repro
+            # server) is a transport failure, not a client bug.
             raise ServerError(
                 f"{method} {path}: invalid JSON in response from "
                 f"{self.base_url} ({exc})",

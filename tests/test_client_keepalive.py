@@ -4,12 +4,15 @@ Count guards, not timings.  What the server *accepted* is read from its
 own ``connections_accepted_total`` (in process, off ``server.metrics`` —
 a metrics request would itself ride a connection), and what a peer was
 *sent* from a scripted stub listener, so "reused", "not reused" and
-"sent exactly once" are each a number.
+"sent exactly once" are each a number.  The stub also scripts the
+answers the client's HTTP/1.1 reader must refuse: each is one retriable
+transport error, never a hang and never a re-send.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import socket
 import subprocess
 import sys
@@ -365,7 +368,9 @@ class _StubPeer:
                             break
                         self.requests.append(request)
                         self._script.pop(0)(conn)
-                except _HangUp:
+                except (_HangUp, ConnectionResetError):
+                    # a client that refused an answer it did not read to
+                    # the end closes on unread bytes: a reset
                     pass
 
     def _read_request(self, conn: socket.socket) -> Optional[bytes]:
@@ -432,3 +437,213 @@ def test_timeout_is_per_request_on_a_reused_socket():
         assert time.monotonic() - started < 1.5
         assert err.value.status == 0 and err.value.retriable
         assert peer.accepted == 1  # the stall met the parked connection
+
+
+# --------------------------------------------------------------------------
+# The response parser's unhappy paths, and what goes out on the wire
+# --------------------------------------------------------------------------
+
+OK = b'{"wire_version": 1, "status": "ok", "sessions": 0}'
+
+
+def _raw(data: bytes, hang_up: bool = False, per_byte: bool = False) -> Answer:
+    """Answer with exactly ``data`` — in one send, or one byte a send —
+    then hang up or keep the connection."""
+    def answer(conn: socket.socket) -> None:
+        if per_byte:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in data:
+                conn.sendall(bytes([byte]))
+                time.sleep(0.0005)
+        else:
+            conn.sendall(data)
+        if hang_up:
+            raise _HangUp
+    return answer
+
+
+def _transport_error(client: ServerClient) -> ServerError:
+    with pytest.raises(ServerError) as err:
+        client.healthz()
+    assert err.value.status == 0 and err.value.retriable
+    assert "transport failure" in str(err.value)
+    return err.value
+
+
+def test_a_body_cut_short_is_a_transport_error_and_nothing_is_parked():
+    short = b"HTTP/1.1 200 OK\r\nContent-Length: 400\r\n\r\n" + OK
+    with _StubPeer([_raw(short, hang_up=True), _respond(200, OK)]) as peer:
+        client = ServerClient(base_url=peer.base_url, retries=0)
+        with pytest.raises(ServerError) as err:
+            client.apply("s", INSERT)
+        assert err.value.status == 0 and err.value.retriable
+        assert "short of its Content-Length" in str(err.value)
+        assert client.healthz().status == "ok"
+        # the torn answer's socket was not reused, and nothing was re-sent
+        assert peer.accepted == 2
+        assert [r.split(b" ", 1)[0] for r in peer.requests] == [b"POST", b"GET"]
+
+
+@pytest.mark.parametrize("head", [
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n",
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n",
+], ids=["chunked", "unframed", "close-delimited"])
+def test_a_body_framed_any_other_way_is_refused_at_once(head):
+    """``repro serve`` frames every body with ``Content-Length``; any
+    other framing is refused at the head, not waited out to the timeout."""
+    body = hex(len(OK))[2:].encode() + b"\r\n" + OK + b"\r\n0\r\n\r\n"
+    with _StubPeer([_raw(head + body)]) as peer:
+        client = ServerClient(base_url=peer.base_url, timeout=5.0)
+        started = time.monotonic()
+        _transport_error(client)
+        assert time.monotonic() - started < 2.5
+        assert len(peer.requests) == 1
+
+
+def test_a_response_sent_one_byte_at_a_time_parses_to_the_same_document():
+    with _StubPeer([_respond(200, OK)]) as peer:
+        expected = ServerClient(base_url=peer.base_url).healthz()
+    head = (
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {len(OK)}\r\n\r\n"
+    ).encode()
+    with _StubPeer([_raw(head + OK, per_byte=True), _respond(200, OK)]) as peer:
+        client = ServerClient(base_url=peer.base_url)
+        document = client.healthz()
+        assert document == expected and document.wire_version == 1
+        assert client.healthz() == expected
+        assert peer.accepted == 1
+
+
+def test_bytes_past_the_body_keep_the_answer_but_not_the_socket():
+    framed = (
+        b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(OK) + OK
+    )
+    with _StubPeer([_raw(framed + b"HTTP/1.1 200 OK\r\n"),
+                    _respond(200, OK)]) as peer:
+        client = ServerClient(base_url=peer.base_url)
+        assert client.healthz().status == "ok"
+        assert client.healthz().status == "ok"
+        # the stray bytes belong to no request: the next one dialled afresh
+        assert peer.accepted == 2 and len(peer.requests) == 2
+
+
+@pytest.mark.parametrize("session_id", [
+    "my session", "a\r\nDELETE /v1/sessions/b HTTP/1.1\r\n\r\n", "tab\tid",
+], ids=["space", "crlf", "control"])
+def test_a_path_that_would_split_the_request_line_is_never_sent(session_id):
+    """A space ends the request target early (``my session`` would reach
+    ``my``) and a CR/LF appends a second request: refused, not sent."""
+    with _StubPeer([]) as peer:
+        client = ServerClient(base_url=peer.base_url, retries=2)
+        with pytest.raises(ServerError) as err:
+            client.delete_session(session_id)
+        assert err.value.status == 0 and not err.value.retriable
+        assert "may not hold spaces or control characters" in str(err.value)
+        time.sleep(0.1)
+        assert peer.requests == [] and peer.accepted == 0
+
+
+def test_the_head_is_capped_as_http_client_caps_it():
+    def head(lines: int) -> bytes:
+        return (
+            b"HTTP/1.1 200 OK\r\n"
+            + b"".join(b"X-Pad-%d: 1\r\n" % i for i in range(lines - 1))
+            + b"Content-Length: %d\r\n\r\n" % len(OK)
+            + OK
+        )
+
+    long_status = b"HTTP/1.1 200 " + b"O" * 65536 + b"\r\n\r\n"
+    with _StubPeer([_raw(head(100)), _raw(head(101)),
+                    _raw(long_status)]) as peer:
+        client = ServerClient(base_url=peer.base_url)
+        assert client.healthz().status == "ok"
+        assert "more than 100 header lines" in str(_transport_error(client))
+        assert "over 65536 bytes" in str(_transport_error(client))
+        # the 100-line answer's socket was parked; each refusal closed one
+        assert peer.accepted == 2
+
+
+def test_a_malformed_status_line_is_a_transport_error():
+    with _StubPeer([_raw(b"HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n"),
+                    _raw(b"ICY 200 OK\r\nContent-Length: 0\r\n\r\n")]) as peer:
+        client = ServerClient(base_url=peer.base_url)
+        assert "malformed status line" in str(_transport_error(client))
+        assert "malformed status line" in str(_transport_error(client))
+
+
+def test_the_head_is_exactly_the_minimal_head():
+    with _StubPeer([_respond(200, OK), _respond(200, OK)]) as peer:
+        client = ServerClient(base_url=peer.base_url + "/")
+        client.healthz()
+        client.detect("s", include_violations=False)
+        host = peer.base_url[len("http://"):]
+        body = b'{"include_violations": false}'
+        assert peer.requests == [
+            b"GET /v1/healthz HTTP/1.1\r\n"
+            b"Host: " + host.encode() + b"\r\n"
+            b"Accept: application/json\r\n\r\n",
+            b"POST /v1/sessions/s/detect HTTP/1.1\r\n"
+            b"Host: " + host.encode() + b"\r\n"
+            b"Accept: application/json\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body) + body,
+        ]
+
+
+def test_a_redirect_is_an_error_not_followed():
+    moved = _raw(
+        b"HTTP/1.1 307 Temporary Redirect\r\nLocation: /v1/elsewhere\r\n"
+        b"Content-Length: 0\r\n\r\n"
+    )
+    with _StubPeer([moved]) as peer:
+        with pytest.raises(ServerError) as err:
+            ServerClient(base_url=peer.base_url).healthz()
+        assert err.value.status == 307 and not err.value.retriable
+        assert len(peer.requests) == 1
+
+
+@pytest.mark.parametrize("base_url", [
+    "https://127.0.0.1:8765", "ftp://127.0.0.1", "127.0.0.1:8765",
+])
+def test_only_plain_http_is_accepted_at_construction(base_url):
+    with pytest.raises(ValueError, match="no TLS"):
+        ServerClient(base_url=base_url)
+
+
+@pytest.mark.parametrize("base_url", [
+    "http://127.0.0.1:8765/v1", "http://user@127.0.0.1:8765",
+    "http://127.0.0.1:8765/?q=1", "http://:8765",
+])
+def test_a_base_url_is_a_host_and_a_port_only(base_url):
+    with pytest.raises(ValueError, match=r"http://host\[:port\]"):
+        ServerClient(base_url=base_url)
+
+
+def test_a_bracketed_ipv6_base_url_is_accepted():
+    client = ServerClient(base_url="http://[::1]:8765/")
+    assert client.base_url == "http://[::1]:8765"
+
+
+def test_proxy_settings_are_not_read(monkeypatch):
+    """The server is reached directly: a proxy named in the environment
+    (a dead one here) must not divert loopback traffic."""
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+    monkeypatch.delenv("no_proxy", raising=False)
+    monkeypatch.delenv("NO_PROXY", raising=False)
+    script = (
+        "import sys\n"
+        "from repro.client import ServerClient\n"
+        "assert ServerClient(base_url=sys.argv[1]).healthz().status == 'ok'\n"
+    )
+    with _StubPeer([_respond(200, OK)]) as peer:
+        # a fresh interpreter: the environment is read as a process starts
+        result = subprocess.run(
+            [sys.executable, "-c", script, peer.base_url],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert peer.accepted == 1

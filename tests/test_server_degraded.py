@@ -14,6 +14,7 @@ degraded session can never poison it.
 
 from __future__ import annotations
 
+import http.server
 import threading
 
 import pytest
@@ -298,9 +299,29 @@ class TestClientTransportErrors:
         assert statuses == [(500, False), (500, False), (503, True)]
         client.delete_session("deg-retry")
 
-    def test_wait_ready_gives_up_on_non_retriable(self, client):
-        # a 404 from a live server must not be polled through
-        bogus = ServerClient(base_url=client.base_url + "/sessions/nope")
-        with pytest.raises(ServerError) as err:
-            bogus.wait_ready(attempts=50, delay=0.01)
+    def test_wait_ready_gives_up_on_non_retriable(self):
+        # a 404 from a live server that is not a repro server (the URL
+        # points at something else entirely) must not be polled through
+        paths = []
+
+        class NotRepro(http.server.BaseHTTPRequestHandler):
+            def do_GET(self):
+                paths.append(self.path)
+                self.send_error(404)
+
+            def log_message(self, *args):
+                pass
+
+        other = http.server.ThreadingHTTPServer(("127.0.0.1", 0), NotRepro)
+        threading.Thread(target=other.serve_forever, daemon=True).start()
+        try:
+            host, port = other.server_address[:2]
+            bogus = ServerClient(base_url=f"http://{host}:{port}")
+            with pytest.raises(ServerError) as err:
+                bogus.wait_ready(attempts=50, delay=0.01)
+        finally:
+            other.shutdown()
+            other.server_close()
+        assert err.value.status == 404
         assert err.value.retriable is False
+        assert paths == ["/v1/healthz"]
