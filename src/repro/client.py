@@ -33,8 +33,10 @@ request leaves through one function, :func:`urlopen`, as one
 ``sendall`` of a minimal head plus the body on the *calling thread's*
 socket, parked between requests; a response body must be framed by
 ``Content-Length``, and any other framing is a transport failure.  A
-path with a space or a control character is refused before anything is
-sent: it would split the request line.  The socket belongs to the
+session id the server would refuse at create — one holding ``/``,
+``?``, ``#``, whitespace, a control character or a character outside
+Latin-1 — is refused before anything is sent: it would address another
+resource, or split the request line.  The socket belongs to the
 thread, not to the :class:`ServerClient`, so a client object stays
 stateless — it can be shared between threads, and there is nothing to
 close: a thread that ends closes its socket with it.  A parked socket
@@ -52,7 +54,13 @@ times when — and only when — the failure is *retriable*
 verbs like ``apply`` are not idempotent, so opting into retransmission is
 the caller's call.
 
-No third-party dependencies; used by the test suite, the CI packaging
+Every JSON body is decoded by :func:`repro.jsondecode.loads`: orjson
+where it returns exactly what ``json.loads`` does, ``json.loads`` for the
+rest (integers past 64 bits, NaN, lone surrogates), and a 2xx body that
+does not decode — not JSON, not UTF-8, nested too deep — is a retriable
+:class:`ServerError`.  Request bodies are encoded by ``json.dumps``.
+orjson is the one third-party dependency; nothing is imported from
+:mod:`repro.server` or numpy.  Used by the test suite, the CI packaging
 round-trip, ``benchmarks/e2e`` and ``repro soak``.
 """
 
@@ -72,6 +80,7 @@ from urllib.parse import urlsplit
 from urllib.request import Request
 
 from repro.errors import ReproError
+from repro.jsondecode import DecodeError, loads
 
 __all__ = [
     "ServerClient",
@@ -131,8 +140,6 @@ class ServerError(ReproError):
 #: ``http.client``'s caps on a response head: header lines, bytes a line.
 _MAX_HEADERS = 100
 _MAX_LINE = 65536
-#: Bytes that would end the request target or the request line early.
-_UNSENDABLE = re.compile(r"[\x00-\x20\x7f]")
 #: A final status: no 1xx answer is ever asked for.
 _STATUS_LINE = re.compile(r"HTTP/1\.[01] ([2-9][0-9][0-9])(?: (.*))?")
 
@@ -286,6 +293,32 @@ def urlopen(request: Request, timeout: float) -> io.BytesIO:
     if 200 <= status < 300:
         return io.BytesIO(body)
     raise HTTPError(request.full_url, status, reason, headers, io.BytesIO(body))
+
+
+#: What a session id may not hold, as the server refuses it at create:
+#: what ends a path segment ("/", "?", "#"), whitespace or a control
+#: character (a space would cut the request target short, a CR/LF start a
+#: second request on the socket), or what a Latin-1 request line cannot
+#: carry.
+_UNADDRESSABLE = re.compile(r"[/?#\s\x00-\x1f\x7f-\x9f]|[^\x00-\xff]")
+
+
+def _addressable(session_id: str) -> str:
+    """``session_id``, or a non-retriable :class:`ServerError` — raised
+    before anything is sent — for an id no request path can carry."""
+    found = _UNADDRESSABLE.search(str(session_id))
+    if found is not None:
+        raise ServerError(
+            f"session id {session_id!r} holds {found.group()!r}: a session id, "
+            "like any request path, may not hold spaces or control characters, "
+            "nor '/', '?', '#' or a character outside Latin-1",
+            retriable=False,
+        )
+    return session_id
+
+
+def _session_path(session_id: str, verb: str = "") -> str:
+    return f"/sessions/{_addressable(session_id)}{verb}"
 
 
 # --------------------------------------------------------------------------
@@ -449,14 +482,6 @@ class ServerClient:
         cls: Type[WireDocument],
         accept: str,
     ) -> Any:
-        if _UNSENDABLE.search(path):
-            # http.client refused these too: a space would cut the path
-            # short, a CR/LF would start a second request on the socket
-            raise ServerError(
-                f"{method} {path!r}: a request path may not hold spaces or "
-                "control characters",
-                retriable=False,
-            )
         url = f"{self.base_url}/v1{path}"
         data = None
         headers = {"Accept": accept}
@@ -467,23 +492,18 @@ class ServerClient:
         try:
             with urlopen(request, timeout=self.timeout) as response:
                 raw = response.read()
-            parsed = json.loads(raw) if accept == _JSON else raw.decode()
         except HTTPError as exc:
             raw = exc.read()
-            document: Dict[str, Any] = {}
             try:
-                error_doc = json.loads(raw)
-                if isinstance(error_doc, dict):
-                    document = error_doc
-                message = document.get("error", raw.decode("utf-8", "replace"))
-                kind = document.get("type", "")
-            except (json.JSONDecodeError, AttributeError):
-                message = raw.decode("utf-8", "replace") or str(exc)
-                kind = ""
+                error_doc = loads(raw)
+            except DecodeError:
+                error_doc = None
+            document = error_doc if isinstance(error_doc, dict) else {}
+            text = raw.decode("utf-8", "replace") or str(exc)
             raise ServerError(
-                f"{method} {path} -> {exc.code}: {message}",
+                f"{method} {path} -> {exc.code}: {document.get('error', text)}",
                 status=exc.code,
-                kind=kind,
+                kind=document.get("type", ""),
                 document=document,
             ) from None
         except URLError as exc:
@@ -500,11 +520,13 @@ class ServerClient:
                 f"{self.base_url} ({exc!r})",
                 retriable=True,
             ) from None
-        except json.JSONDecodeError as exc:
-            # A 2xx body that is not JSON (a peer that is not a repro
+        try:
+            parsed = loads(raw) if accept == _JSON else raw.decode("utf-8")
+        except ValueError as exc:  # DecodeError, or text that is not UTF-8
+            # A 2xx body that does not decode (a peer that is not a repro
             # server) is a transport failure, not a client bug.
             raise ServerError(
-                f"{method} {path}: invalid JSON in response from "
+                f"{method} {path}: undecodable response from "
                 f"{self.base_url} ({exc})",
                 retriable=True,
             ) from None
@@ -590,23 +612,23 @@ class ServerClient:
         if data is not None:
             body["data"] = data
         if session_id is not None:
-            body["id"] = session_id
+            body["id"] = _addressable(session_id)
         return self._request(
             "POST", "/sessions", body, cls=SessionInfoDocument
         )
 
     def session_info(self, session_id: str) -> SessionInfoDocument:
         return self._request(
-            "GET", f"/sessions/{session_id}", cls=SessionInfoDocument
+            "GET", _session_path(session_id), cls=SessionInfoDocument
         )
 
     def diagnostics(self, session_id: str) -> WireDocument:
         """Per-session diagnostics: engine/delta stats, lock waits,
         durability generation and WAL depth, degraded state."""
-        return self._request("GET", f"/sessions/{session_id}/diagnostics")
+        return self._request("GET", _session_path(session_id, "/diagnostics"))
 
     def delete_session(self, session_id: str) -> WireDocument:
-        return self._request("DELETE", f"/sessions/{session_id}")
+        return self._request("DELETE", _session_path(session_id))
 
     # -- verbs -----------------------------------------------------------
 
@@ -618,7 +640,7 @@ class ServerClient:
         """Run detection; returns the CLI's ``--format json`` document."""
         body = {"include_violations": include_violations}
         return self._request(
-            "POST", f"/sessions/{session_id}/detect", body, cls=DetectDocument
+            "POST", _session_path(session_id, "/detect"), body, cls=DetectDocument
         )
 
     def apply(
@@ -627,14 +649,14 @@ class ServerClient:
         """Apply a changeset document; returns the violation delta document
         (``added``/``removed``/``remaining``/``clean``/``undo_token``)."""
         return self._request(
-            "POST", f"/sessions/{session_id}/apply", changeset,
+            "POST", _session_path(session_id, "/apply"), changeset,
             cls=DeltaDocument,
         )
 
     def undo(self, session_id: str, token: str) -> DeltaDocument:
         """Replay a stored undo token (single-use)."""
         return self._request(
-            "POST", f"/sessions/{session_id}/undo", {"token": token},
+            "POST", _session_path(session_id, "/undo"), {"token": token},
             cls=DeltaDocument,
         )
 
@@ -648,18 +670,18 @@ class ServerClient:
         body: Dict[str, Any] = {"strategy": strategy, "adopt": adopt}
         body.update(options)
         return self._request(
-            "POST", f"/sessions/{session_id}/repair", body, cls=RepairDocument
+            "POST", _session_path(session_id, "/repair"), body, cls=RepairDocument
         )
 
     def get_rules(self, session_id: str) -> List[Dict[str, Any]]:
-        return self._request("GET", f"/sessions/{session_id}/rules")["rules"]
+        return self._request("GET", _session_path(session_id, "/rules"))["rules"]
 
     def set_rules(
         self, session_id: str, rules: Sequence[Mapping[str, Any]]
     ) -> WireDocument:
         """Replace the session's rule set with ``rules`` documents."""
         return self._request(
-            "PUT", f"/sessions/{session_id}/rules", {"rules": list(rules)}
+            "PUT", _session_path(session_id, "/rules"), {"rules": list(rules)}
         )
 
     def add_rules(
@@ -667,7 +689,7 @@ class ServerClient:
     ) -> WireDocument:
         """Append ``rules`` documents to the session's rule set."""
         return self._request(
-            "POST", f"/sessions/{session_id}/rules", {"rules": list(rules)}
+            "POST", _session_path(session_id, "/rules"), {"rules": list(rules)}
         )
 
     def __repr__(self) -> str:

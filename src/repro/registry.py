@@ -34,6 +34,7 @@ import zlib
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.errors import DependencyError
+from repro.jsondecode import DecodeError, loads
 from repro.relational.predicates import (
     And,
     Attr,
@@ -226,8 +227,8 @@ def wal_records_from_bytes(
         if zlib.crc32(payload) != crc:
             break  # corrupt payload
         try:
-            document = json.loads(payload)
-        except json.JSONDecodeError:
+            document = loads(payload)
+        except DecodeError:  # not JSON, or not UTF-8
             break  # CRC collision on garbage: treat as torn
         if not isinstance(document, dict):
             break

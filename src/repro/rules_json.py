@@ -35,12 +35,12 @@ and for how to register new ones.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Mapping, Sequence, Union
 
 from repro import registry
 from repro.deps.base import Dependency
 from repro.errors import DependencyError, DomainError, ReproError, SchemaError
+from repro.jsondecode import loads
 from repro.relational.domains import BOOL, Domain, EnumDomain, FLOAT, INT, STRING
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 
@@ -244,13 +244,13 @@ def rules_to_list(rules: Sequence[Dependency]) -> List[Dict[str, Any]]:
 
 def load_database_schema(path) -> DatabaseSchema:
     """Read a schema document (either form) from a JSON file."""
-    with open(path) as handle:
-        return database_schema_from_dict(json.load(handle))
+    with open(path, "rb") as handle:
+        return database_schema_from_dict(loads(handle.read()))
 
 
 def load_rules(
     path, schema: Union[RelationSchema, DatabaseSchema, None] = None
 ) -> List[Dependency]:
     """Read a rules document from a JSON file."""
-    with open(path) as handle:
-        return rules_from_list(json.load(handle), schema)
+    with open(path, "rb") as handle:
+        return rules_from_list(loads(handle.read()), schema)

@@ -29,7 +29,6 @@ its lock, probe and snapshot decisions off the same ``Route``.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import (
     AbstractSet,
@@ -53,6 +52,7 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
+from repro.jsondecode import DecodeError, loads
 from repro.server.hosting import (
     DuplicateSessionError,
     HostedSession,
@@ -152,9 +152,8 @@ def parse_body_bytes(raw: bytes) -> Any:
     if not raw:
         return None
     try:
-        return json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        # bytes that are not UTF-8 are not a JSON text either
+        return loads(raw)
+    except DecodeError as exc:  # not JSON, not UTF-8, or nested too deep
         raise BadRequest(f"request body is not valid JSON: {exc}") from exc
 
 

@@ -66,6 +66,7 @@ from urllib.parse import quote, unquote
 from repro.engine.config import EXECUTOR
 from repro.engine.delta import Changeset
 from repro.errors import ReproError
+from repro.jsondecode import DecodeError, loads
 from repro.registry import wal_record_to_bytes, wal_records_from_bytes
 from repro.session import Session
 
@@ -450,10 +451,9 @@ class SessionStore:
         # and must fail loudly.
         newest = snapshot_paths[0]
         try:
-            with open(newest, encoding="utf-8") as handle:
-                snapshot_bytes = os.fstat(handle.fileno()).st_size
-                snapshot_doc = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+            snapshot = newest.read_bytes()
+            snapshot_doc = loads(snapshot)
+        except (OSError, DecodeError) as exc:
             raise ReproError(
                 f"session {session_id!r}: newest snapshot {newest.name} is "
                 f"unreadable ({exc}); refusing to fall back to an older "
@@ -468,7 +468,7 @@ class SessionStore:
 
         journal = SessionJournal(self, session_id, directory)
         journal.generation = generation
-        journal.snapshot_bytes = snapshot_bytes
+        journal.snapshot_bytes = len(snapshot)
         wal_path = journal._wal_path(generation)
         records: List[Dict[str, Any]] = []
         clean_length = 0

@@ -11,6 +11,7 @@ event loop.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from bisect import bisect_left
@@ -63,6 +64,11 @@ MAX_UNDO_TOKENS = 32
 #: a lock acquired slower than this waited on another request (an
 #: uncontended ``threading.Lock`` acquires in well under a microsecond)
 _CONTENDED_LOCK_WAIT = 0.001
+
+#: what no request path can carry in a session id: what ends a path
+#: segment ("/", "?", "#"), whitespace or a control character, or a
+#: character outside the Latin-1 the request line is read as
+_UNADDRESSABLE = re.compile(r"[/?#\s\x00-\x1f\x7f-\x9f]|[^\x00-\xff]")
 
 
 class UnknownSessionError(ReproError):
@@ -902,6 +908,14 @@ class SessionManager:
         if session_id == "":
             raise ReproError("'id' must be a non-empty string")
         if session_id is not None:
+            unaddressable = _UNADDRESSABLE.search(session_id)
+            if unaddressable is not None:
+                raise ReproError(
+                    f"'id' {session_id!r} holds {unaddressable.group()!r}, which "
+                    "no request path can carry: a session id may not hold '/', "
+                    "'?', '#', whitespace, a control character or a character "
+                    "outside Latin-1"
+                )
             # fail fast before paying the data upload / instance build;
             # the post-build check below still covers a create/create race
             with self._lock:

@@ -12,6 +12,7 @@ transport error, never a hang and never a re-send.
 from __future__ import annotations
 
 import gc
+import json
 import os
 import socket
 import subprocess
@@ -21,10 +22,12 @@ import time
 import warnings
 from pathlib import Path
 from typing import Callable, List, Optional
+from urllib.error import HTTPError
+from urllib.request import Request
 
 import pytest
 
-from repro.client import ServerClient, ServerError
+from repro.client import ServerClient, ServerError, urlopen
 from repro.server import make_server
 from repro.workloads.soak import InProcessServer
 
@@ -647,3 +650,86 @@ def test_proxy_settings_are_not_read(monkeypatch):
         )
         assert result.returncode == 0, result.stderr
         assert peer.accepted == 1
+
+
+# --------------------------------------------------------------------------
+# Bodies that do not decode, and ids no path can carry
+# --------------------------------------------------------------------------
+
+
+def test_a_2xx_body_that_is_not_utf8_is_a_retriable_server_error():
+    """A peer that is not a repro server: one retriable transport-class
+    error, as for any other body that is not JSON — not the codec's own
+    ``UnicodeDecodeError``."""
+    with _StubPeer([_respond(200, b"\x80not json"),
+                    _respond(200, b"\x80not json")]) as peer:
+        client = ServerClient(base_url=peer.base_url)
+        for call in (client.healthz, lambda: client.session_info("s")):
+            with pytest.raises(ServerError) as err:
+                call()
+            assert err.value.status == 0 and err.value.retriable
+            assert "undecodable response" in str(err.value)
+
+
+def test_an_error_body_that_is_not_utf8_keeps_its_status():
+    with _StubPeer([_respond(500, b"\x80not json")]) as peer:
+        client = ServerClient(base_url=peer.base_url)
+        with pytest.raises(ServerError) as err:
+            client.healthz()
+        assert err.value.status == 500 and not err.value.retriable
+        assert err.value.document == {} and err.value.kind == ""
+        assert str(err.value).endswith("-> 500: �not json")
+
+
+#: (id, the character named): what ends a path segment, whitespace (a
+#: space, NBSP, an em space), control characters (C0, DEL, C1), and what
+#: a Latin-1 request line cannot carry
+_UNADDRESSABLE_IDS = [
+    ("a#b", "#"), ("a?x", "?"), ("p/q", "/"), ("a b", " "), ("a\tb", "\t"),
+    ("a\r\nb", "\r"), ("a\x00b", "\x00"), ("a\x7fb", "\x7f"),
+    ("a\x85b", "\x85"), ("a\xa0b", "\xa0"), ("a\u2003b", "\u2003"),
+    ("\u65e5\u672c", "\u65e5"),
+]
+
+
+@pytest.mark.parametrize("session_id, named", _UNADDRESSABLE_IDS)
+def test_an_id_no_path_can_carry_is_refused_before_sending(session_id, named):
+    with _StubPeer([]) as peer:
+        client = ServerClient(base_url=peer.base_url, retries=2)
+        for call in (
+            lambda: client.create_session(schema=SCHEMA_DOC, session_id=session_id),
+            lambda: client.detect(session_id),
+            lambda: client.delete_session(session_id),
+        ):
+            with pytest.raises(ServerError) as err:
+                call()
+            assert err.value.status == 0 and not err.value.retriable
+            assert f"holds {named!r}" in str(err.value)
+        time.sleep(0.1)
+        assert peer.requests == [] and peer.accepted == 0
+
+
+@pytest.mark.parametrize("session_id, named", _UNADDRESSABLE_IDS)
+def test_the_server_refuses_an_unaddressable_id_at_create(
+    server, session_id, named
+):
+    """What the client refuses, the server refuses too: a 400 naming the
+    character, for a peer that is not the stock client."""
+    body = json.dumps({"schema": SCHEMA_DOC, "id": session_id}).encode()
+    request = Request(server.base_url + "/v1/sessions", data=body, method="POST")
+    with pytest.raises(HTTPError) as err:
+        urlopen(request, timeout=10)
+    assert err.value.code == 400
+    assert f"holds {named!r}" in json.loads(err.value.read())["error"]
+    assert ServerClient(base_url=server.base_url).list_sessions() == []
+
+
+def test_a_survives_the_delete_of_a_hash_b(server):
+    client = ServerClient(base_url=server.base_url)
+    client.create_session(schema=SCHEMA_DOC, rules=RULES_DOC,
+                          data={"emp": []}, session_id="a")
+    with pytest.raises(ServerError) as err:
+        client.delete_session("a#b")
+    assert not err.value.retriable
+    assert client.session_info("a").session_id == "a"
+    assert [info.session_id for info in client.list_sessions()] == ["a"]

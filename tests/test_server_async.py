@@ -133,6 +133,48 @@ def _exchange(server, payload):
 
 
 # --------------------------------------------------------------------------
+# Bodies nested too deep
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method, path", [
+    ("POST", "/v1/sessions"),
+    ("PUT", "/v1/sessions/deep/rules"),
+    ("POST", "/v1/sessions/deep/rules"),
+    ("POST", "/v1/sessions/deep/detect"),
+    ("POST", "/v1/sessions/deep/apply"),
+    ("POST", "/v1/sessions/deep/undo"),
+    ("POST", "/v1/sessions/deep/repair"),
+    ("POST", "/v1/sessions/deep/nope"),
+])
+@pytest.mark.parametrize("body", [
+    b"[" * 100_000 + b"]" * 100_000, b"[" * 100_000, b'{"a":' * 100_000,
+], ids=["nested", "unclosed", "objects"])
+def test_a_body_nested_too_deep_is_a_4xx_on_every_verb(
+    server, client, method, path, body
+):
+    """The decoder refuses what nests past ``MAX_DEPTH`` (or past the
+    stack), so a verb answers a 400 — never a 500 — and the session and
+    the connection carry on."""
+    _fresh(client, "deep")
+    parts = urlsplit(server.base_url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+    try:
+        conn.request(method, path, body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        error = json.loads(response.read())
+        assert response.status == 400, error
+        assert error["error"].startswith("request body is not valid JSON: ")
+        conn.request("GET", "/v1/sessions/deep")
+        after = conn.getresponse()
+        assert after.status == 200
+        after.read()
+    finally:
+        conn.close()
+
+
+# --------------------------------------------------------------------------
 # Wire versioning
 # --------------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from repro.server.core import ServiceCore, body_reader
 from repro.server.hosting import ServerMetrics, SessionManager
 from repro.session import Session
 from repro.workloads.customer import CustomerConfig, generate_customers
-from repro.workloads.soak import canonical
+from repro.workloads.soak import canonical, offline_detect
 
 SCHEMA_DOC = {
     "name": "emp",
@@ -85,6 +85,51 @@ def test_created_and_rehydrated_sessions_serve_the_offline_document(tmp_path):
         assert client.cold_sessions() == ["s"]
         # recovery bulk-loads the snapshot's rows
         assert canonical(dict(client.detect("s"))) == rendered
+    finally:
+        server.shutdown()
+
+
+def test_integers_past_64_bits_are_served_as_offline():
+    """Violating rows hold integers at and past the 64-bit edges: the
+    create body, the served report and the client's read of it keep every
+    one an exact ``int``."""
+    schema_doc = {
+        "name": "acct",
+        "attributes": [
+            {"name": "k", "type": "string"},
+            {"name": "v", "type": "int"},
+        ],
+    }
+    rule = {"type": "fd", "relation": "acct", "lhs": ["k"], "rhs": ["v"]}
+    rows = [
+        {"k": "a", "v": 2**64 + 1},
+        {"k": "a", "v": -(2**63) - 1},
+        {"k": "b", "v": 2**63 - 1},
+        {"k": "b", "v": 2**63},
+        {"k": "c", "v": 7},
+    ]
+    schema = database_schema_from_dict(schema_doc)
+    db = DatabaseInstance(schema)
+    for row in rows:
+        db.relation("acct").add(row)
+    offline = offline_detect(Session.from_instance(db, rules_from_list([rule], schema)))
+    rendered = canonical(offline)
+    for value in (2**64 + 1, -(2**63) - 1, 2**63 - 1, 2**63):
+        assert f'"v": {value}\n' in rendered
+
+    server = make_server(port=0)
+    server.start_background()
+    try:
+        client = ServerClient(base_url=server.base_url)
+        client.create_session(
+            schema=schema_doc, rules=[rule], data={"acct": rows}, session_id="big"
+        )
+        served = client.detect("big")
+        assert canonical(dict(served)) == rendered
+        values = [
+            t["values"]["v"] for v in served.violations for t in v["tuples"]
+        ]
+        assert {type(value) for value in values} == {int}
     finally:
         server.shutdown()
 

@@ -23,6 +23,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -680,6 +681,16 @@ class TestTornTail:
         finally:
             server2.shutdown()
 
+    @pytest.mark.parametrize("payload", [b'"\xff"', b"\x80abc"])
+    def test_a_crc_valid_frame_that_is_not_utf8_ends_the_log(self, payload):
+        """A frame whose CRC matches but whose payload is not UTF-8 is as
+        torn as garbage that is not JSON: the log ends before it."""
+        good = wal_record_to_bytes({"op": "apply", "n": 1})
+        bad = struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+        records, clean = wal_records_from_bytes(good + bad + good)
+        assert records == [{"op": "apply", "n": 1}]
+        assert clean == len(good)
+
     def test_append_after_truncated_tail_stays_clean(self, tmp_path):
         """New WAL appends after a torn-tail recovery must start at the
         truncation point — frame-aligned, fully replayable."""
@@ -1206,6 +1217,14 @@ class TestJournalFailure:
             assert "snapshot" in str(err.value)
         finally:
             server2.shutdown()
+
+    def test_a_newest_snapshot_that_is_not_utf8_fails_loudly(self, tmp_path):
+        store = SessionStore(tmp_path, fsync=False)
+        store.create("a", _bare_session()).close()
+        directory = tmp_path / "sessions" / "a"
+        (directory / "snapshot-00000001.json").write_bytes(b'{"schema": "\xff"}')
+        with pytest.raises(ReproError, match="newest snapshot .* is unreadable"):
+            store.recover("a")
 
 
 # --------------------------------------------------------------------------
